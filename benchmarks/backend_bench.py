@@ -3,6 +3,7 @@
 Runs the three hot workloads (Legendre-Gauss grid construction, the K=60
 trajectory LP, and a closed-loop simulation) under the current backend, then
 re-launches itself with WINDFREQ_DISABLE_NUMBA=1 and prints both columns.
+Exits with status 1 when numba is not importable.
 
     python benchmarks/backend_bench.py
 """
@@ -65,6 +66,11 @@ def _timed(fn) -> float:
 
 
 def main():
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        raise SystemExit("backend_bench: numba is not importable, so there is no "
+                         "numba backend to compare against numpy") from None
     mine = measure()
     env = dict(os.environ)
     env["WINDFREQ_DISABLE_NUMBA"] = "0" if mine["backend"] == "numpy" else "1"

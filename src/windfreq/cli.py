@@ -13,19 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import collocation as coll
-from . import trajopt as to
 from .aapc import synthesize
 from .lp import InfeasibleError, UnboundedError
 from .presets import PRESET_NAMES, load_preset, preset_checksum
 from .scenario import scenario_from_dict
 from .simulator import (
-    Scenario,
     ScenarioError,
     compare_strategies,
     insensitivity_sweep,
     metrics,
     run,
+    solve_hypothetical,
 )
 
 EXIT_OK = 0
@@ -74,21 +72,12 @@ def _load_scenario(args) -> tuple:
     return sc, prov
 
 
-def _solve_for(sc: Scenario, nodes: int):
-    p_hyp = sc.solver.hypothetical_p_d_pu
-    if p_hyp is None:
-        p_hyp = 0.1 * sc.grid.load_pu
-    problem = to.build_problem(sc.grid, list(sc.governors), p_hyp, sc.solver.t_f)
-    grid = coll.make_grid(nodes, 0.0, sc.solver.t_f)
-    return to.solve_max_nadir(problem, grid), p_hyp
-
-
 def cmd_solve(args) -> int:
     sc, prov = _load_scenario(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sol, p_hyp = _solve_for(sc, sc.solver.nodes)
-    coarse, _ = _solve_for(sc, max(10, sc.solver.nodes // 2))
+    sol = solve_hypothetical(sc)
+    coarse = solve_hypothetical(sc, max(10, sc.solver.nodes // 2))
     rel = (abs(sol.nadir_pu - coarse.nadir_pu) / abs(sol.nadir_pu)
            if sol.nadir_pu else 0.0)
     doc = sol.metrics_dict()
@@ -115,8 +104,7 @@ def cmd_synthesize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     alpha = sc.alpha
     if alpha is None:
-        sol, _ = _solve_for(sc, sc.solver.nodes)
-        alpha = sol.alpha
+        alpha = solve_hypothetical(sc).alpha
     ctrl = synthesize(sc.grid, list(sc.governors), alpha)
     res = run(sc, alpha_override=alpha)  # resolves the allocation factors
     doc = {

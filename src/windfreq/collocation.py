@@ -22,6 +22,7 @@ __all__ = [
     "interpolate",
     "lagrange_coefficients",
     "quadrature",
+    "collocation_matrix",
     "solve_lti_collocation",
     "make_grid",
 ]
@@ -174,51 +175,58 @@ def terminal_state(x_0, dynamics_at_nodes, grid: CollocationGrid):
     return x_0 + grid.half_span * np.tensordot(grid.weights, f, axes=(0, 0))
 
 
-def _bary_eval(points, bary, values, tau):
-    diff = tau - points
-    exact = np.nonzero(np.abs(diff) < 1e-14)[0]
-    if exact.size:
-        return np.asarray(values)[exact[0]]
-    w = bary / diff
-    return np.tensordot(w, np.asarray(values), axes=(0, 0)) / np.sum(w)
+def _basis(grid: CollocationGrid, kind: str):
+    """(points, barycentric weights) of the state or the control basis."""
+    if kind == "state":
+        return grid.basis, grid.basis_bary
+    if kind == "control":
+        return grid.nodes, grid.node_bary
+    raise ValueError(f"unknown interpolation kind {kind!r}")
+
+
+def _bary_matrix(points: np.ndarray, bary: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """(len(taus), len(points)) matrix W with p(taus) = W @ values.
+
+    Rows are the normalized barycentric weights bary / (tau - point). A tau
+    within 1e-14 of a basis point gets the unit row of the first such point,
+    which reproduces the data exactly where the formula would divide by zero.
+    """
+    diff = taus[:, None] - points[None, :]
+    hit = np.abs(diff) < 1e-14
+    w = bary / np.where(hit, 1.0, diff)
+    rows = np.nonzero(hit.any(axis=1))[0]
+    if rows.size:
+        w[rows] = 0.0
+        w[rows, np.argmax(hit[rows], axis=1)] = 1.0
+    return w / np.sum(w, axis=1, keepdims=True)
 
 
 def interpolate(grid: CollocationGrid, values, t, kind: str = "state"):
     """Barycentric Lagrange evaluation of node data at physical time(s) t.
 
     ``kind='state'`` expects values over the K+1 basis points, ``'control'``
-    over the K interior nodes. t outside [t_0, t_f] is rejected.
+    over the K interior nodes, along axis 0 (trailing axes are carried
+    through). t outside [t_0, t_f] is rejected.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < grid.t_0 - 1e-12) or np.any(t_arr > grid.t_f + 1e-12):
         raise ValueError(f"time {t} outside horizon [{grid.t_0}, {grid.t_f}]")
-    if kind == "state":
-        points, bary = grid.basis, grid.basis_bary
-    elif kind == "control":
-        points, bary = grid.nodes, grid.node_bary
-    else:
-        raise ValueError(f"unknown interpolation kind {kind!r}")
+    points, bary = _basis(grid, kind)
     taus = inverse_time_map(t_arr, grid.t_0, grid.t_f)
-    out = np.array([_bary_eval(points, bary, values, tau) for tau in taus])
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
+    out = _bary_matrix(points, bary, taus) @ np.asarray(values, dtype=float)
+    if np.ndim(t) == 0:
         return out[0]
     return out
 
 
-def lagrange_coefficients(grid: CollocationGrid, tau: float, kind: str = "state") -> np.ndarray:
-    """Row vector c with p(tau) = c . values for the chosen basis."""
-    if kind == "state":
-        points, bary = grid.basis, grid.basis_bary
-    else:
-        points, bary = grid.nodes, grid.node_bary
-    diff = tau - points
-    exact = np.nonzero(np.abs(diff) < 1e-14)[0]
-    coeff = np.zeros(len(points))
-    if exact.size:
-        coeff[exact[0]] = 1.0
-        return coeff
-    w = bary / diff
-    return w / np.sum(w)
+def lagrange_coefficients(grid: CollocationGrid, tau, kind: str = "state") -> np.ndarray:
+    """Row vector c with p(tau) = c . values for the chosen basis.
+
+    An array of taus gives one row per tau.
+    """
+    points, bary = _basis(grid, kind)
+    coeff = _bary_matrix(points, bary, np.atleast_1d(np.asarray(tau, dtype=float)))
+    return coeff[0] if np.ndim(tau) == 0 else coeff
 
 
 def quadrature(grid: CollocationGrid, values_at_nodes) -> float:
@@ -226,33 +234,37 @@ def quadrature(grid: CollocationGrid, values_at_nodes) -> float:
     return grid.half_span * float(np.dot(grid.weights, np.asarray(values_at_nodes)))
 
 
-def solve_lti_collocation(a_matrix, x_0, grid: CollocationGrid, forcing=None):
-    """Collocate x' = A x + g on the grid and solve for the node states.
+def collocation_matrix(a_matrix, grid: CollocationGrid) -> np.ndarray:
+    """The (K n) x (K n) collocation block of x' = A x over the interior nodes.
 
-    Returns (node_states, terminal) where node_states has shape (K, n) and
-    terminal is the quadrature estimate of x(t_f). Used as the
-    linear-systems workhorse for verification; the trajectory optimizer
-    assembles the same structure inside its LP.
+    Unknowns are the node states flattened node-major; row (k, s) reads
+    sum_i D[k, i] X_i[s] - h A[s, :] X_k for basis points i >= 1, with
+    h = (t_f - t_0) / 2. The initial state and the forcing go on the right.
     """
     a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     n = a_matrix.shape[0]
-    x_0 = np.asarray(x_0, dtype=float).reshape(n)
-    g = np.zeros(n) if forcing is None else np.asarray(forcing, dtype=float).reshape(n)
-    k_ord = grid.order
-    hs = grid.half_span
-    d = grid.diff_matrix  # K x (K+1)
+    return (np.kron(grid.diff_matrix[:, 1:], np.eye(n))
+            - grid.half_span * np.kron(np.eye(grid.order), a_matrix))
 
-    # unknowns: X at the K interior nodes, flattened node-major
-    big_a = np.zeros((k_ord * n, k_ord * n))
-    rhs = np.zeros(k_ord * n)
-    for k in range(k_ord):
-        for s in range(n):
-            row = k * n + s
-            rhs[row] = -d[k, 0] * x_0[s] + hs * g[s]
-            for i in range(1, k_ord + 1):
-                big_a[row, (i - 1) * n + s] += d[k, i]
-            big_a[row, k * n:(k + 1) * n] -= hs * a_matrix[s, :]
-    states = np.linalg.solve(big_a, rhs).reshape(k_ord, n)
+
+def solve_lti_collocation(a_matrix, x_0, grid: CollocationGrid, forcing=None):
+    """Collocate x' = A x + g on the grid and solve for the node states.
+
+    ``forcing`` g is either constant (n values) or given per node (K x n).
+    Returns (node_states, terminal) where node_states has shape (K, n) and
+    terminal is the quadrature estimate of x(t_f). The trajectory optimizer
+    condenses its LP with the same collocation block.
+    """
+    a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
+    n = a_matrix.shape[0]
+    k_ord = grid.order
+    x_0 = np.asarray(x_0, dtype=float).reshape(n)
+    g = np.zeros(n) if forcing is None else np.asarray(forcing, dtype=float)
+    g = g.reshape(n) if g.size == n else g.reshape(k_ord, n)
+    rhs = grid.half_span * np.broadcast_to(g, (k_ord, n)) \
+        - np.outer(grid.diff_matrix[:, 0], x_0)
+    states = np.linalg.solve(collocation_matrix(a_matrix, grid), rhs.ravel())
+    states = states.reshape(k_ord, n)
     f_nodes = states @ a_matrix.T + g
     terminal = terminal_state(x_0, f_nodes, grid)
     return states, terminal

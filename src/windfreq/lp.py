@@ -199,8 +199,12 @@ def _rebuild_tableau(a_cur, b_cur, c_cur, basis):
 
 
 def _run_with_refresh(tableau, basis, a_cur, b_cur, c_cur, n_enterable,
-                      tol, max_iter, bland_after, refresh_every):
-    """Chunked pivoting with periodic reinversion. Returns (status, iters, tableau)."""
+                      tol, max_iter, bland_after, refresh_every, counts):
+    """Chunked pivoting with periodic reinversion. Returns (status, iters, tableau).
+
+    Adds every tableau rebuild from the working basis to
+    ``counts["reinversions"]``.
+    """
     total = 0
     streak = 0
     bland_left = 0
@@ -218,11 +222,13 @@ def _run_with_refresh(tableau, basis, a_cur, b_cur, c_cur, n_enterable,
             if ray_retries > 3:
                 return status, total, tableau
             tableau = _rebuild_tableau(a_cur, b_cur, c_cur, basis)
+            counts["reinversions"] += 1
             bland_left = 64
             continue
         if status == STATUS_OPTIMAL:
             # re-derive the final tableau so the answer comes from a fresh basis
             tableau = _rebuild_tableau(a_cur, b_cur, c_cur, basis)
+            counts["reinversions"] += 1
             # roundoff may re-open a cost entry; resume if the fresh view disagrees
             if np.min(tableau[-1, :n_enterable]) >= -1e-9:
                 return status, total, tableau
@@ -230,14 +236,16 @@ def _run_with_refresh(tableau, basis, a_cur, b_cur, c_cur, n_enterable,
         if total >= max_iter:
             return STATUS_ITER_LIMIT, total, tableau
         tableau = _rebuild_tableau(a_cur, b_cur, c_cur, basis)
+        counts["reinversions"] += 1
 
 
 def _solve_standard(a_std, b_std, c_std, slack_of_row, tol, max_iter,
-                    bland_after, refresh_every=200):
+                    bland_after, counts, refresh_every=200):
     """min c'x s.t. a_std x = b_std, x >= 0, by the two-phase tableau method.
 
     Rows whose slack column survives sign normalization seed the starting
-    basis directly; only the rest receive artificial variables.
+    basis directly; only the rest receive artificial variables. Pivots per
+    phase and reinversions are recorded in ``counts``.
     """
     m, n = a_std.shape
     a = a_std.copy()
@@ -266,7 +274,8 @@ def _solve_standard(a_std, b_std, c_std, slack_of_row, tol, max_iter,
     tableau = _rebuild_tableau(a_full, b, c_phase1, basis)
     status, it1, tableau = _run_with_refresh(
         tableau, basis, a_full, b, c_phase1, n, tol, max_iter, bland_after,
-        refresh_every)
+        refresh_every, counts)
+    counts["phase1_pivots"] = it1
     if status == STATUS_ITER_LIMIT:
         return None, "iteration_limit", it1, basis, tableau, n
     if status == STATUS_UNBOUNDED:
@@ -297,7 +306,9 @@ def _solve_standard(a_std, b_std, c_std, slack_of_row, tol, max_iter,
     # artificial columns have served their purpose
     tableau = _rebuild_tableau(a, b, c_std, basis)
     status, it2, tableau = _run_with_refresh(
-        tableau, basis, a, b, c_std, n, tol, max_iter, bland_after, refresh_every)
+        tableau, basis, a, b, c_std, n, tol, max_iter, bland_after, refresh_every,
+        counts)
+    counts["phase2_pivots"] = it2
     if status == STATUS_UNBOUNDED:
         return None, "unbounded", it1 + it2, basis, tableau, n
     if status == STATUS_ITER_LIMIT:
@@ -326,6 +337,11 @@ def solve_lp(
     Variables are free unless flagged in the ``nonneg`` boolean mask; free
     variables get split into nonnegative pairs and inequality rows receive
     slacks. Raises InfeasibleError / UnboundedError on those outcomes.
+
+    Besides the optimality certificates, ``diagnostics`` reports the pivots
+    of each phase, the tableau reinversions, and ``retried``: whether a
+    numerical breakdown forced the second attempt with reinversion every 50
+    pivots. The counts describe the attempt that produced the answer.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -371,15 +387,20 @@ def solve_lp(
     for i in range(m_ub):
         slack_of_row[m_eq + i] = nv + free_idx.size + i
 
+    counts = {"phase1_pivots": 0, "phase2_pivots": 0, "reinversions": 0}
+    retried = False
     try:
         x_solved, status, iterations, basis, tableau, n_cols = _solve_standard(
-            a_scaled, b_scaled, c_scaled, slack_of_row, tol, max_iter, bland_after
+            a_scaled, b_scaled, c_scaled, slack_of_row, tol, max_iter, bland_after,
+            counts,
         )
     except RuntimeError:
         # numerical breakdown: retry once with much more frequent reinversion
+        retried = True
+        counts = {"phase1_pivots": 0, "phase2_pivots": 0, "reinversions": 0}
         x_solved, status, iterations, basis, tableau, n_cols = _solve_standard(
             a_scaled, b_scaled, c_scaled, slack_of_row, tol, max_iter, bland_after,
-            refresh_every=50,
+            counts, refresh_every=50,
         )
     x_std = x_solved / col_scale if x_solved is not None else None
     if status == "infeasible":
@@ -397,6 +418,7 @@ def solve_lp(
 
     diag = _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub)
     diag["iterations"] = iterations
+    diag.update(counts, retried=retried)
     return LpResult(x=x, objective=objective, iterations=iterations, diagnostics=diag)
 
 

@@ -195,12 +195,18 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         local = []
         _check_keys(s, {"nodes": False, "t_f_s": False,
                         "hypothetical_p_d_pu": False}, "$.solver", local)
+        p_hyp = s.get("hypothetical_p_d_pu")
+        if p_hyp is not None:
+            p_hyp = float(p_hyp)
+            # alpha is a nadir per unit deficit: a zero deficit leaves it undefined
+            if not p_hyp > 0:
+                local.append(f"$.solver.hypothetical_p_d_pu: must be > 0, got {p_hyp}")
         errors.extend(local)
         if not local:
             solver = SolverOptions(
                 nodes=int(s.get("nodes", 60)),
                 t_f=float(s.get("t_f_s", 30.0)),
-                hypothetical_p_d_pu=s.get("hypothetical_p_d_pu"),
+                hypothetical_p_d_pu=p_hyp,
             )
 
     sim = SimOptions()

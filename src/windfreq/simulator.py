@@ -33,6 +33,7 @@ __all__ = [
     "metrics",
     "coi_frequency",
     "read_frequency_csv",
+    "solve_hypothetical",
     "insensitivity_sweep",
     "compare_strategies",
     "ScenarioError",
@@ -549,18 +550,33 @@ class _Assembled:
             self.kw = ctrl.gain_kw
 
 
-def _resolve_alpha(sc: Scenario) -> float | None:
-    """Scenario alpha, or the trajectory-optimal one for the hypothetical deficit."""
-    if sc.alpha is not None:
-        return sc.alpha
-    if not any(t.controller == "optimal_aapc" for t in sc.turbines):
-        return None
+def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectorySolution:
+    """Trajectory optimum for the scenario's hypothetical deficit.
+
+    The deficit (``p_d_pu`` of the result) defaults to a tenth of the load
+    and the collocation order to the scenario's.
+    """
     p_hyp = sc.solver.hypothetical_p_d_pu
     if p_hyp is None:
         p_hyp = 0.1 * sc.grid.load_pu
     problem = to.build_problem(sc.grid, list(sc.governors), p_hyp, sc.solver.t_f)
-    cgrid = coll.make_grid(sc.solver.nodes, 0.0, sc.solver.t_f)
-    return to.solve_max_nadir(problem, cgrid).alpha
+    cgrid = coll.make_grid(sc.solver.nodes if nodes is None else nodes, 0.0, sc.solver.t_f)
+    return to.solve_max_nadir(problem, cgrid)
+
+
+def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
+    """Scenario alpha, or the trajectory-optimal one for the hypothetical deficit.
+
+    ``solution`` is the scenario's ``solve_hypothetical`` optimum when the
+    caller already has it.
+    """
+    if sc.alpha is not None:
+        return sc.alpha
+    if not any(t.controller == "optimal_aapc" for t in sc.turbines):
+        return None
+    if solution is None:
+        solution = solve_hypothetical(sc)
+    return solution.alpha
 
 
 def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:
@@ -850,15 +866,12 @@ def insensitivity_sweep(
     Returns (rows, p_d_max) where each row is a dict with p_d, nadir and e_r,
     and p_d_max is the largest deficit keeping e_r within the limit.
     """
-    if alpha is None:
-        alpha = _resolve_alpha(scenario)
+    sol = None
     if reference_nadir_per_pd is None:
-        p_ref = scenario.solver.hypothetical_p_d_pu or 0.1 * scenario.grid.load_pu
-        problem = to.build_problem(scenario.grid, list(scenario.governors),
-                                   p_ref, scenario.solver.t_f)
-        cgrid = coll.make_grid(scenario.solver.nodes, 0.0, scenario.solver.t_f)
-        sol = to.solve_max_nadir(problem, cgrid)
-        reference_nadir_per_pd = sol.nadir_pu / p_ref
+        sol = solve_hypothetical(scenario)
+        reference_nadir_per_pd = sol.nadir_pu / sol.p_d_pu
+    if alpha is None:
+        alpha = _resolve_alpha(scenario, sol)
 
     rows = []
     p_d_max = None

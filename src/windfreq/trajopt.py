@@ -3,9 +3,9 @@
 The continuous problem (swing equation + governor dynamics + released-energy
 state, zero initial conditions, energy-neutral terminal condition, nadir path
 constraint, maximize the nadir) is linear end to end, so the Gauss
-pseudospectral transcription is a plain LP. A forward-Euler transcription of
-the same problem, condensed onto the frequency samples, serves as the
-independent brute-force reference.
+pseudospectral transcription is a plain LP, condensed onto the node controls.
+A forward-Euler transcription of the same problem, condensed onto the
+frequency samples, serves as the independent brute-force reference.
 """
 
 from dataclasses import dataclass, field
@@ -110,7 +110,12 @@ def build_problem(
 
 @dataclass
 class LinearProgram:
-    """Transcribed LP: decision vector [states at basis points; controls; nadir]."""
+    """Condensed LP over [controls at the K nodes; nadir].
+
+    The node states are not decision variables: the interior ones are
+    ``(state_gain @ u + state_offset).reshape(K, n)`` and the one at tau = -1
+    is the pre-event equilibrium, zero.
+    """
 
     c: np.ndarray
     a_eq: np.ndarray
@@ -122,6 +127,8 @@ class LinearProgram:
     n_states: int
     order: int
     path_taus: np.ndarray
+    state_gain: np.ndarray
+    state_offset: np.ndarray
     meta: dict = field(default_factory=dict)
 
 
@@ -139,67 +146,56 @@ def _path_taus(grid: coll.CollocationGrid) -> np.ndarray:
 
 
 def transcribe(problem: TrajOptProblem, grid: coll.CollocationGrid) -> LinearProgram:
-    """Collocate the dynamics and discretize the nadir path constraint.
+    """Collocate the dynamics, condense them onto the controls, and
+    discretize the nadir path constraint.
 
-    Equalities: zero initial state, the K collocation rows per state, and the
-    quadrature-based terminal released-energy condition. Inequalities: the
-    nadir variable lower-bounds the frequency polynomial at nodes, gap
-    midpoints and the horizon end. Objective: maximize the nadir.
+    The dynamics are linear and start from the pre-event equilibrium x = 0,
+    so the K collocation rows per state fix the node states as an affine map
+    X = G u + h of the node controls. One solve of the collocation block
+    against [control columns | disturbance forcing] yields G and h
+    (condensing, as in Bock & Plitt 1984). What is left is an LP over the
+    controls and the nadir. Equality: the quadrature-based terminal
+    released-energy condition. Inequalities: the nadir variable lower-bounds
+    the frequency polynomial at nodes, gap midpoints and the horizon end.
+    Objective: maximize the nadir.
     """
     n = problem.n_states
     k_ord = grid.order
     hs = grid.half_span
-    d_mat = grid.diff_matrix
-    n_x = n * (k_ord + 1)
-    n_vars = n_x + k_ord + 1
-    idx_nadir = n_x + k_ord
+    n_vars = k_ord + 1
+    idx_nadir = k_ord
 
-    def xcol(i, s):
-        return i * n + s
+    forcing = np.empty((n * k_ord, k_ord + 1))
+    forcing[:, :k_ord] = hs * np.kron(np.eye(k_ord), problem.b_ctrl[:, None])
+    forcing[:, k_ord] = hs * np.tile(problem.b_dist * problem.p_d, k_ord)
+    gain_offset = np.linalg.solve(coll.collocation_matrix(problem.a, grid), forcing)
+    gain, offset = gain_offset[:, :k_ord], gain_offset[:, k_ord]
 
-    rows_eq = n + n * k_ord + 1
-    a_eq = np.zeros((rows_eq, n_vars))
-    b_eq = np.zeros(rows_eq)
-    r = 0
-    for s in range(n):  # initial state is the pre-event equilibrium
-        a_eq[r, xcol(0, s)] = 1.0
-        r += 1
-    for k in range(1, k_ord + 1):
-        for s in range(n):
-            for i in range(k_ord + 1):
-                a_eq[r, xcol(i, s)] += d_mat[k - 1, i]
-            a_eq[r, xcol(k, 0):xcol(k, n)] -= hs * problem.a[s, :]
-            a_eq[r, n_x + (k - 1)] -= hs * problem.b_ctrl[s]
-            b_eq[r] = hs * problem.b_dist[s] * problem.p_d
-            r += 1
     # terminal released energy via the quadrature estimate of x(t_f)
     s_e = n - 1
-    a_eq[r, xcol(0, s_e)] = 1.0
-    for k in range(1, k_ord + 1):
-        a_eq[r, xcol(k, 0):xcol(k, n)] += hs * grid.weights[k - 1] * problem.a[s_e, :]
-        a_eq[r, n_x + (k - 1)] += hs * grid.weights[k - 1] * problem.b_ctrl[s_e]
-    b_eq[r] = -problem.t_f * problem.b_dist[s_e] * problem.p_d
-    r += 1
+    energy_rate = hs * np.kron(grid.weights, problem.a[s_e, :])
+    a_eq = np.zeros((1, n_vars))
+    a_eq[0, :k_ord] = energy_rate @ gain + hs * grid.weights * problem.b_ctrl[s_e]
+    b_eq = np.array([-problem.t_f * problem.b_dist[s_e] * problem.p_d
+                     - energy_rate @ offset])
 
+    # nadir <= df(tau), with df(-1) = 0 and df at the nodes G[0::n] u + h[0::n]
     taus = _path_taus(grid)
+    coeff = coll.lagrange_coefficients(grid, taus, "state")[:, 1:]
     a_ub = np.zeros((taus.size, n_vars))
-    b_ub = np.zeros(taus.size)
-    for j, tau in enumerate(taus):
-        coeff = coll.lagrange_coefficients(grid, tau, "state")
-        a_ub[j, idx_nadir] = 1.0
-        for i in range(k_ord + 1):
-            a_ub[j, xcol(i, 0)] -= coeff[i]
+    a_ub[:, :k_ord] = -coeff @ gain[0::n]
+    a_ub[:, idx_nadir] = 1.0
+    b_ub = coeff @ offset[0::n]
 
     c = np.zeros(n_vars)
     c[idx_nadir] = 1.0
     meta = {
         "n_vars": n_vars,
-        "n_eq_initial": n,
-        "n_eq_collocation": n * k_ord,
         "n_eq_terminal": 1,
         "n_path_node": k_ord,
         "n_path_aux": taus.size - k_ord,
         "n_ineq": taus.size,
+        "n_states_eliminated": n * k_ord,
     }
     return LinearProgram(
         c=c,
@@ -212,6 +208,8 @@ def transcribe(problem: TrajOptProblem, grid: coll.CollocationGrid) -> LinearPro
         n_states=n,
         order=k_ord,
         path_taus=taus,
+        state_gain=gain,
+        state_offset=offset,
         meta=meta,
     )
 
@@ -296,26 +294,41 @@ def extract_solution(
     trace_dt: float = TRACE_DT,
     method: str = "collocation",
 ) -> TrajectorySolution:
-    """Interpolate the LP solution to a uniform grid and compute certificates."""
+    """Re-embed the node states, interpolate to a uniform grid, certify.
+
+    ``primal_eq_residual`` in the diagnostics is the larger of the condensed
+    LP's own residual and that of the full collocated system (initial state,
+    collocation rows, terminal energy) on the re-embedded states.
+    """
     n = problem.n_states
     k_ord = grid.order
     x = lp_result.x
-    states = x[: n * (k_ord + 1)].reshape(k_ord + 1, n)
-    u_nodes = x[n * (k_ord + 1): n * (k_ord + 1) + k_ord]
+    u_nodes = x[:k_ord]
     nadir = float(x[lp.idx_nadir])
+    states = np.zeros((k_ord + 1, n))  # row 0: the pre-event equilibrium
+    states[1:] = (lp.state_gain @ u_nodes + lp.state_offset).reshape(k_ord, n)
 
     f_nodes = states[1:] @ problem.a.T + np.outer(u_nodes, problem.b_ctrl) \
         + problem.b_dist * problem.p_d
     terminal = coll.terminal_state(states[0], f_nodes, grid)
+    dynamics_residual = np.concatenate([
+        states[0],
+        (grid.diff_matrix @ states - grid.half_span * f_nodes).ravel(),
+        terminal[-1:],
+    ])
+    diagnostics = dict(lp_result.diagnostics)
+    diagnostics["primal_eq_residual"] = max(
+        diagnostics.get("primal_eq_residual", 0.0),
+        float(np.max(np.abs(dynamics_residual))))
 
     t = np.arange(0.0, problem.t_f + trace_dt / 2, trace_dt)
-    df = coll.interpolate(grid, states[:, 0], t, "state")
-    de = coll.interpolate(grid, states[:, -1], t, "state")
+    x_t = coll.interpolate(grid, states, t, "state")
+    df = x_t[:, 0]
+    de = x_t[:, -1]
     dpe = coll.interpolate(grid, u_nodes, t, "control")
     gov = problem.gov
     if gov.order:
-        xg = coll.interpolate(grid, states[:, 1:-1], t, "state")
-        dpm = xg @ gov.c[0, :] + gov.d[0, 0] * df
+        dpm = x_t[:, 1:-1] @ gov.c[0, :] + gov.d[0, 0] * df
     else:
         dpm = gov.d[0, 0] * df
 
@@ -358,7 +371,7 @@ def extract_solution(
         f_base_hz=gp.f_base_hz,
         method=method,
         zero_disturbance=zero_dist,
-        diagnostics=dict(lp_result.diagnostics),
+        diagnostics=diagnostics,
         _grid=grid,
         _states_nodes=states,
         _u_nodes=u_nodes,
@@ -409,17 +422,14 @@ def min_integral_variant(
     if problem.p_d == 0.0:
         return _zero_solution(problem, grid, lp, method="min_integral", trace_dt=trace_dt)
     floor = nadir_floor * (1.0 + 1e-9)  # hair of slack keeps the anchored LP feasible
-    n_vars = lp.c.size
-    keep = np.arange(n_vars - 1)  # drop the nadir variable
-    a_eq = lp.a_eq[:, keep]
-    # the path rows already read  -df(tau) <= ...; anchor them at the floor
-    a_ub = lp.a_ub[:, keep]
-    b_ub = np.full(a_ub.shape[0], -floor)
-
-    n = problem.n_states
-    c = np.zeros(n_vars - 1)
-    for k in range(1, grid.order + 1):
-        c[k * n] = grid.half_span * grid.weights[k - 1]  # quadrature of df
+    k_ord = grid.order
+    # drop the nadir column; the path rows then read -df(tau) <= -floor
+    a_eq = lp.a_eq[:, :k_ord]
+    a_ub = lp.a_ub[:, :k_ord]
+    b_ub = lp.b_ub - floor
+    # Gauss quadrature of df over the nodes; its constant part h does not
+    # move the optimum
+    c = grid.half_span * grid.weights @ lp.state_gain[0::problem.n_states]
     res = solve_lp(c, a_eq, lp.b_eq, a_ub, b_ub, maximize=True)
 
     # re-embed so the extraction helper sees the familiar layout
@@ -430,8 +440,8 @@ def min_integral_variant(
         diagnostics=res.diagnostics,
     )
     sol = extract_solution(full, lp, problem, grid, trace_dt=trace_dt, method="min_integral")
-    path_vals = [float(sol.df_at(coll.time_map(tau, 0.0, problem.t_f))) for tau in lp.path_taus]
-    sol.nadir_pu = float(min(path_vals))
+    path_times = coll.time_map(lp.path_taus, 0.0, problem.t_f)
+    sol.nadir_pu = float(np.min(sol.df_at(path_times)))
     sol.nadir_hz = sol.nadir_pu * problem.grid_params.f_base_hz
     sol.alpha = 1.0 if sol.zero_disturbance else sol.nadir_pu / sol.ss_deviation_pu
     sol.diagnostics["nadir_floor"] = nadir_floor

@@ -125,6 +125,69 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             coll.interpolate(g, np.zeros(6), 5.5, "state")
 
+    def test_exact_basis_hits_in_a_vector(self):
+        # basis points mixed with off-basis times: hits reproduce the data
+        # bitwise, the rest follow the polynomial
+        g = coll.make_grid(9, 0.0, 3.0)
+        vals = np.cos(3.0 * g.basis)
+        hits = coll.time_map(g.basis, 0.0, 3.0)
+        tt = np.sort(np.concatenate([hits, [0.1, 1.7, 3.0]]))
+        got = coll.interpolate(g, vals, tt, "state")
+        for tau, v in zip(g.basis, vals):
+            j = int(np.argmin(np.abs(tt - coll.time_map(tau, 0.0, 3.0))))
+            assert got[j] == v
+        assert np.all(np.isfinite(got))
+        ctrl = coll.interpolate(g, vals[1:], coll.time_map(g.nodes, 0.0, 3.0), "control")
+        assert np.array_equal(ctrl, vals[1:])
+
+    def test_scalar_time_gives_scalar(self):
+        g = coll.make_grid(8, 0.0, 2.0)
+        vals = np.arange(9.0)
+        out = coll.interpolate(g, vals, 0.7, "state")
+        assert np.ndim(out) == 0
+        assert out == pytest.approx(coll.interpolate(g, vals, [0.7], "state")[0], abs=0.0)
+        two_d = coll.interpolate(g, np.column_stack([vals, -vals]), 0.7, "state")
+        assert two_d.shape == (2,)
+
+    def test_two_dimensional_values(self):
+        # columns interpolate independently, as if passed one at a time
+        g = coll.make_grid(11, 0.0, 6.0)
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=(12, 3))
+        tt = np.linspace(0.0, 6.0, 37)
+        got = coll.interpolate(g, vals, tt, "state")
+        assert got.shape == (37, 3)
+        for col in range(3):
+            one = coll.interpolate(g, vals[:, col], tt, "state")
+            assert np.max(np.abs(got[:, col] - one)) <= 1e-14 * np.max(np.abs(one))
+        ctrl = coll.interpolate(g, vals[1:], tt, "control")
+        assert ctrl.shape == (37, 3)
+
+    def test_matches_pointwise_barycentric_formula(self):
+        # the matrix form against the textbook loop it replaced
+        g = coll.make_grid(25, 0.0, 30.0)
+        rng = np.random.default_rng(2)
+        vals = rng.normal(size=26)
+        tt = np.linspace(0.0, 30.0, 301)
+        ref = []
+        for tau in coll.inverse_time_map(tt, 0.0, 30.0):
+            diff = tau - g.basis
+            exact = np.nonzero(np.abs(diff) < 1e-14)[0]
+            if exact.size:
+                ref.append(vals[exact[0]])
+            else:
+                w = g.basis_bary / diff
+                ref.append(w @ vals / np.sum(w))
+        got = coll.interpolate(g, vals, tt, "state")
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
+
+    def test_unknown_kind_rejected(self):
+        g = coll.make_grid(5, 0.0, 5.0)
+        with pytest.raises(ValueError):
+            coll.interpolate(g, np.zeros(6), 1.0, "bogus")
+        with pytest.raises(ValueError):
+            coll.lagrange_coefficients(g, 0.0, "bogus")
+
     def test_lagrange_coefficients_match_interpolation(self):
         g = coll.make_grid(10, 0.0, 1.0)
         rng = np.random.default_rng(3)
@@ -134,6 +197,30 @@ class TestInterpolation:
             t = coll.time_map(tau, 0.0, 1.0)
             assert c @ vals == pytest.approx(float(coll.interpolate(g, vals, t, "state")),
                                              abs=1e-12)
+        taus = np.array([-0.613, 0.0, 0.997, 1.0, g.basis[3]])
+        rows = coll.lagrange_coefficients(g, taus, "state")
+        assert rows.shape == (5, 11)
+        for tau, row in zip(taus, rows):
+            assert np.array_equal(row, coll.lagrange_coefficients(g, tau, "state"))
+        assert np.array_equal(rows[-1], np.eye(11)[3])
+
+
+def test_collocation_matrix_and_per_node_forcing():
+    # x' = -x + g(t) with g sampled per node; constant forcing is the special case
+    g = coll.make_grid(16, 0.0, 4.0)
+    a = np.array([[-1.0]])
+    block = coll.collocation_matrix(a, g)
+    assert block.shape == (16, 16)
+    const, term_c = coll.solve_lti_collocation(a, [0.5], g, [2.0])
+    per_node, term_p = coll.solve_lti_collocation(a, [0.5], g, np.full((16, 1), 2.0))
+    assert np.array_equal(const, per_node)
+    assert np.array_equal(term_c, term_p)
+    # x(t) = 2 + (x0 - 2) e^{-t}
+    assert abs(term_c[0] - (2.0 - 1.5 * np.exp(-4.0))) < 1e-9
+    # time-varying forcing g = t: x(t) = t - 1 + (x0 + 1) e^{-t}
+    forcing = g.node_times[:, None]
+    _, term = coll.solve_lti_collocation(a, [0.5], g, forcing)
+    assert abs(term[0] - (3.0 + 1.5 * np.exp(-4.0))) < 1e-9
 
 
 def test_spectral_convergence():

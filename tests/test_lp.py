@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from windfreq import lp as lp_mod
 from windfreq.lp import InfeasibleError, UnboundedError, solve_lp
 
 
@@ -102,3 +103,33 @@ def test_optimality_certificates():
     assert d["primal_ub_residual"] <= 1e-9
     assert d["dual_feasibility"] >= -1e-8
     assert d["complementarity"] <= 1e-8
+
+
+def test_pivot_telemetry():
+    # x0 + 2 x1 = 4 has no slack to seed the basis, so phase 1 must pivot
+    res = solve_lp(np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
+                   nonneg=np.array([True, True]))
+    d = res.diagnostics
+    assert d["phase1_pivots"] >= 1
+    assert d["phase1_pivots"] + d["phase2_pivots"] == res.iterations == d["iterations"]
+    assert d["reinversions"] >= 2  # each phase re-derives its final tableau
+    assert d["retried"] is False
+
+
+def test_retry_is_reported(monkeypatch):
+    # a numerical breakdown on the first attempt must not pass silently
+    real = lp_mod._solve_standard
+    refresh = []
+
+    def breaks_once(*args, **kwargs):
+        refresh.append(kwargs.get("refresh_every", 200))
+        if len(refresh) == 1:
+            raise RuntimeError("basis lost primal feasibility")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "_solve_standard", breaks_once)
+    res = solve_lp(np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0], maximize=True)
+    assert res.x[0] == pytest.approx(3.0)
+    assert refresh == [200, 50]
+    assert res.diagnostics["retried"] is True
+    assert res.diagnostics["phase1_pivots"] + res.diagnostics["phase2_pivots"] == res.iterations

@@ -83,6 +83,19 @@ class TestSchema:
         with pytest.raises(ScenarioError, match="steam_magic"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [0.0, -0.05])
+    def test_nonpositive_hypothetical_deficit_rejected(self, value):
+        # alpha is a nadir per unit deficit; a zero deficit leaves it undefined
+        doc = load_preset("two_machine")
+        doc["solver"]["hypothetical_p_d_pu"] = value
+        with pytest.raises(ScenarioError, match=r"\$\.solver\.hypothetical_p_d_pu: must be > 0"):
+            scenario_from_dict(doc)
+
+    def test_absent_hypothetical_deficit_accepted(self):
+        doc = load_preset("two_machine")
+        del doc["solver"]["hypothetical_p_d_pu"]
+        assert scenario_from_dict(doc).solver.hypothetical_p_d_pu is None
+
     def test_surrogate_governor_gains(self):
         hydro = hydro_governor(0.05, 0.38, 5.0, rated_mva=800.0, name="G3")
         assert hydro.dc_gain == pytest.approx(-20.0)
@@ -121,6 +134,25 @@ class TestCli:
         rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_zero_hypothetical_deficit_exit_code(self, tmp_path, capsys):
+        doc = load_preset("two_machine")
+        doc["solver"]["hypothetical_p_d_pu"] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "$.solver.hypothetical_p_d_pu" in capsys.readouterr().err
+
+    def test_multi_machine_solves_at_k60(self, tmp_path, capsys):
+        # the uncondensed LP exited 3 here (basis lost primal feasibility)
+        rc = main(["solve", "--preset", "multi_machine", "--nodes", "60",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "o" / "solve_metrics.json").read_text())
+        assert doc["diagnostics"]["primal_eq_residual"] <= 1e-8
+        assert doc["diagnostics"]["lp_meta"]["n_vars"] == 61
+        assert doc["convergence"]["nadir_rel_diff"] <= 0.005
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "ghost.json"),

@@ -219,6 +219,27 @@ class TestInsensitivitySweep:
         assert rows[2]["e_r_pct"] > 5.0
         assert p_d_max == pytest.approx(0.10 * load)
 
+    def test_one_solve_gives_alpha_and_reference(self, two_machine_scenario,
+                                                monkeypatch):
+        # without alpha or reference, both come from the same hypothetical optimum
+        sc = replace(two_machine_scenario,
+                     solver=replace(two_machine_scenario.solver, nodes=20),
+                     sim=replace(two_machine_scenario.sim, duration_s=30.0))
+        calls = []
+        real = sim.to.solve_max_nadir
+
+        def counting(problem, grid, *args, **kwargs):
+            calls.append(problem.p_d)
+            return real(problem, grid, *args, **kwargs)
+
+        monkeypatch.setattr(sim.to, "solve_max_nadir", counting)
+        rows, _ = sim.insensitivity_sweep(sc, [0.075])
+        assert calls == [sc.solver.hypothetical_p_d_pu]
+        sol = sim.solve_hypothetical(sc)
+        ref = run(sc, alpha_override=sol.alpha)
+        assert rows[0]["nadir_hz"] == pytest.approx(metrics(ref).nadir_hz, abs=0.0)
+        assert rows[0]["e_r_pct"] == pytest.approx(0.0, abs=2.0)
+
     def test_wind_speed_raises_margin(self, two_machine_scenario, two_machine_solution):
         load = two_machine_scenario.grid.load_pu
         p_list = np.array([0.10, 0.20, 0.30, 0.40, 0.50]) * load

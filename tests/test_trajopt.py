@@ -4,7 +4,10 @@ import pytest
 from windfreq import collocation as coll
 from windfreq import trajopt as to
 from windfreq.grid import GridParameters
-from windfreq.lp import solve_lp
+from windfreq.lp import LpResult, solve_lp
+from windfreq.presets import load_preset
+from windfreq.scenario import scenario_from_dict
+from windfreq.simulator import solve_hypothetical
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +61,20 @@ class TestBuildProblem:
 
 class TestTranscription:
     def test_row_and_variable_counts(self, two_machine_problem):
+        # condensed onto [K controls; nadir]; the n*K node states are eliminated
         # path rows: K nodes + K+1 gap midpoints + the horizon end = 2K + 2
         g = coll.make_grid(10, 0.0, 30.0)
         lp = to.transcribe(two_machine_problem, g)
         n, k = 3, 10
-        assert lp.meta["n_vars"] == n * (k + 1) + k + 1
-        assert lp.meta["n_eq_initial"] == n
-        assert lp.meta["n_eq_collocation"] == n * k
+        assert lp.meta["n_vars"] == k + 1
         assert lp.meta["n_eq_terminal"] == 1
-        assert lp.a_eq.shape == (n + n * k + 1, lp.meta["n_vars"])
+        assert lp.meta["n_states_eliminated"] == n * k
+        assert lp.a_eq.shape == (1, k + 1)
         assert lp.meta["n_path_node"] == k
         assert lp.meta["n_ineq"] == 2 * k + 2
-        assert lp.a_ub.shape == (2 * k + 2, lp.meta["n_vars"])
+        assert lp.a_ub.shape == (2 * k + 2, k + 1)
+        assert lp.state_gain.shape == (n * k, k)
+        assert lp.state_offset.shape == (n * k,)
 
     def test_zero_disturbance_solution(self, two_machine_grid, reheat_g1, grid_k30):
         prob = to.build_problem(two_machine_grid, [reheat_g1], p_d_pu=0.0)
@@ -128,6 +133,63 @@ class TestSolutionCertificates:
         assert d["primal_eq_residual"] <= 1e-8
         assert d["dual_feasibility"] >= -1e-8
         assert d["complementarity"] <= 1e-8
+
+    def test_reembedded_states_match_forced_collocation(self, two_machine_problem,
+                                                        grid_k60, two_machine_solution):
+        # the node states implied by the optimal controls, solved independently
+        prob = two_machine_problem
+        u = two_machine_solution._u_nodes
+        forcing = np.outer(u, prob.b_ctrl) + prob.b_dist * prob.p_d
+        states, terminal = coll.solve_lti_collocation(prob.a, np.zeros(3), grid_k60, forcing)
+        embedded = two_machine_solution._states_nodes
+        assert np.array_equal(embedded[0], np.zeros(3))
+        assert np.max(np.abs(embedded[1:] - states)) <= 1e-10
+        assert terminal[-1] == pytest.approx(two_machine_solution.terminal_denergy, abs=1e-10)
+
+    def test_eq_residual_certifies_full_dynamics(self, two_machine_problem):
+        # controls that break the terminal-energy row must show up in the
+        # residual even when the LP's own diagnostics claim zero
+        g = coll.make_grid(12, 0.0, 30.0)
+        lp = to.transcribe(two_machine_problem, g)
+        res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=True)
+        x = res.x.copy()
+        x[0] += 1e-3
+        bad = to.extract_solution(
+            LpResult(x=x, objective=0.0, iterations=0,
+                     diagnostics={"primal_eq_residual": 0.0}),
+            lp, two_machine_problem, g)
+        violation = abs(lp.a_eq[0] @ x - lp.b_eq[0])
+        assert violation > 1e-6
+        assert bad.diagnostics["primal_eq_residual"] == pytest.approx(violation, rel=1e-6)
+
+
+class TestRegression:
+    """Nadirs of the shipped presets, pinned before the LP was condensed."""
+
+    @pytest.mark.parametrize("preset,nodes,nadir", [
+        ("two_machine", 60, -4.946103811337e-03),
+        ("multi_machine", 40, -2.919742154929e-03),
+    ])
+    def test_golden_nadir(self, preset, nodes, nadir):
+        sc = scenario_from_dict(load_preset(preset))
+        sol = solve_hypothetical(sc, nodes)
+        assert sol.p_d_pu == sc.solver.hypothetical_p_d_pu
+        assert sol.nadir_pu == pytest.approx(nadir, rel=1e-9)
+        assert sol.diagnostics["primal_eq_residual"] <= 1e-8
+        assert sol.diagnostics["primal_ub_residual"] <= 1e-8
+
+    def test_multi_machine_k60_matches_oracle(self, multi_machine_scenario):
+        # the uncondensed 12-state LP lost primal feasibility at K = 60
+        sc = multi_machine_scenario
+        sol = solve_hypothetical(sc, 60)
+        prob = to.build_problem(sc.grid, list(sc.governors),
+                                sc.solver.hypothetical_p_d_pu, sc.solver.t_f)
+        euler = to.euler_oracle(prob, 3000)
+        assert abs(sol.nadir_pu - euler.nadir_pu) / abs(euler.nadir_pu) <= 0.005
+        d = sol.diagnostics
+        assert d["primal_eq_residual"] <= 1e-8
+        assert d["primal_ub_residual"] <= 1e-8
+        assert d["lp_meta"]["n_states_eliminated"] == 12 * 60
 
 
 class TestMinIntegralVariant:
