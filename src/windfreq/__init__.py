@@ -6,7 +6,10 @@ validate the loop in time-domain simulation against a virtual-inertia
 baseline.
 """
 
-from ._accel import USING_NUMBA, backend_name
-
 __version__ = "0.1.0"
-__all__ = ["USING_NUMBA", "backend_name", "__version__"]
+__all__ = ["backend_name", "__version__"]
+
+
+def backend_name() -> str:
+    """The numeric backend: the package is pure numpy."""
+    return "numpy"

@@ -9,7 +9,6 @@ step. A constant-coefficient proportional-derivative controller is included
 as the classic virtual-inertia baseline.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +18,16 @@ from .grid import GovernorSpec, GridParameters, StateSpace, aggregate_governors,
 
 __all__ = [
     "AapcController",
-    "AapcRuntime",
-    "ExitState",
     "BaselineVic",
-    "VicRuntime",
     "synthesize",
-    "controller_step",
+    "mirror_output",
+    "command_pu",
     "allocate",
     "check_exit",
     "exit_gamma",
     "exit_power",
-    "classic_vic_step",
+    "vic_filter_rate",
+    "vic_command_mw",
 ]
 
 
@@ -94,45 +92,22 @@ def synthesize(
     )
 
 
-class AapcRuntime:
-    """Mutable per-turbine instance of the controller (one simulation worker).
+def mirror_output(mirror_d: float, mirror_c, x_gov, df: float) -> float:
+    """Output of the mirror -G_g(s) read off the governor state, pu.
 
-    Holds this turbine's copy of the mirror state, driven by the local
-    frequency; the command is the allocated share of the aggregate output.
+    The mirror is driven by the same deviation as the governors and starts
+    from the same zero state, so its state is the governor state ``x_gov``;
+    ``mirror_d`` and ``mirror_c`` are its negated feedthrough and output row.
     """
-
-    def __init__(self, controller: AapcController, share: float = 1.0):
-        self.controller = controller
-        self.share = float(share)
-        self.x = np.zeros(controller.mirror.order)
-        self.last_mirror_pu = 0.0
-        self.last_gain_pu = 0.0
-
-    def output(self, df_local: float) -> float:
-        """Aggregate-side command (before the allocation share), pu."""
-        m = self.controller.mirror
-        mirror_out = float(m.c[0, :] @ self.x + m.d[0, 0] * df_local) if m.order else float(m.d[0, 0] * df_local)
-        self.last_mirror_pu = mirror_out
-        self.last_gain_pu = self.controller.gain_kw * df_local
-        return mirror_out + self.last_gain_pu
-
-    def step(self, df_local: float, dt: float) -> float:
-        """Advance the mirror state one RK4 step (input held) and command."""
-        m = self.controller.mirror
-        if m.order:
-            a, b = m.a, m.b[:, 0]
-            x = self.x
-            k1 = a @ x + b * df_local
-            k2 = a @ (x + 0.5 * dt * k1) + b * df_local
-            k3 = a @ (x + 0.5 * dt * k2) + b * df_local
-            k4 = a @ (x + dt * k3) + b * df_local
-            self.x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return self.share * self.output(df_local)
+    out = mirror_d * df
+    for s in range(len(mirror_c)):
+        out += mirror_c[s] * x_gov[s]
+    return out
 
 
-def controller_step(runtime: AapcRuntime, df_local: float, dt: float) -> float:
-    """One control step: returns the allocated power command deviation, pu."""
-    return runtime.step(df_local, dt)
+def command_pu(share: float, mirror_pu: float, gain_kw: float, df: float) -> float:
+    """One turbine's power command deviation: its share of mirror plus gain, pu."""
+    return share * (mirror_pu + gain_kw * df)
 
 
 def allocate(capabilities) -> np.ndarray:
@@ -157,25 +132,16 @@ def allocate(capabilities) -> np.ndarray:
     return shares
 
 
-@dataclass(frozen=True)
-class ExitState:
-    """Record of a triggered exit: cause, time, and the blend coefficient."""
-
-    kind: str       # "power_cross" | "horizon" | "speed_floor"
-    t_e: float
-    gamma: float
-
-
 def check_exit(
-    p_command_mw: float,
-    p_mppt_mw: float,
+    p_command: float,
+    p_mppt: float,
     omega_rad_s: float,
     floor_rad_s: float,
     t: float,
     t_f: float,
     armed: bool,
 ) -> str | None:
-    """First matching exit cause, if any.
+    """First matching exit cause, if any; the two powers share any one unit.
 
     The power-cross trigger only fires once armed (the command has previously
     risen above the tracking curve), since the pre-event operating point sits
@@ -185,7 +151,7 @@ def check_exit(
         return "speed_floor"
     if t >= t_f:
         return "horizon"
-    if armed and p_command_mw <= p_mppt_mw:
+    if armed and p_command <= p_mppt:
         return "power_cross"
     return None
 
@@ -198,9 +164,9 @@ def exit_gamma(p_e_at_te: float, p_t_at_te: float, p_mppt_at_te: float) -> float
     return float(np.clip((p_e_at_te - p_t_at_te) / denom, 0.0, 1.0))
 
 
-def exit_power(gamma: float, p_t_mw: float, p_mppt_mw: float) -> float:
-    """Post-exit output law, evaluated on the live operating point."""
-    return (1.0 - gamma) * p_t_mw + gamma * p_mppt_mw
+def exit_power(gamma: float, p_t: float, p_mppt: float) -> float:
+    """Post-exit output law, evaluated on the live operating point (any unit)."""
+    return (1.0 - gamma) * p_t + gamma * p_mppt
 
 
 @dataclass(frozen=True)
@@ -220,22 +186,16 @@ class BaselineVic:
             raise ValueError("VIC gains must be nonnegative with a positive filter time")
 
 
-class VicRuntime:
-    """Mutable per-turbine VIC instance with a filtered differentiator."""
-
-    def __init__(self, vic: BaselineVic, share: float = 1.0):
-        self.vic = vic
-        self.share = float(share)
-        self.z = 0.0  # low-pass state tracking the frequency
-
-    def step(self, df_local_hz: float, dt: float) -> float:
-        """Supplementary power command in MW for this step's frequency input."""
-        decay = math.exp(-dt / self.vic.filter_s)
-        self.z = df_local_hz + (self.z - df_local_hz) * decay
-        deriv = (df_local_hz - self.z) / self.vic.filter_s
-        return self.share * (-self.vic.k_f * df_local_hz - self.vic.k_in * deriv)
+def vic_filter_rate(vic: BaselineVic, df: float, z: float) -> float:
+    """dz/dt of the lag z of the deviation; also the VIC derivative estimate."""
+    return (df - z) / vic.filter_s
 
 
-def classic_vic_step(runtime: VicRuntime, df_local_hz: float, dt: float) -> float:
-    """One VIC step: -k_f df - k_in d(df)/dt with the filtered derivative."""
-    return runtime.step(df_local_hz, dt)
+def vic_command_mw(vic: BaselineVic, df_pu: float, z_pu: float, f_base_hz: float) -> float:
+    """Classic VIC command -k_f df - k_in d(df)/dt, MW, from the filter state z.
+
+    The deviation and the filter state are in pu; ``f_base_hz`` turns them
+    into the Hz the gains act on.
+    """
+    deriv = vic_filter_rate(vic, df_pu, z_pu)
+    return -(vic.k_f * df_pu * f_base_hz + vic.k_in * deriv * f_base_hz)

@@ -3,7 +3,7 @@
 Subcommands: solve, synthesize, simulate, compare, sweep, plus --dump-preset.
 Exit codes: 0 success, 2 scenario/argument validation failure, 3 solver
 failure. All outputs are plain CSV/JSON and byte-reproducible for identical
-inputs on a given backend.
+inputs.
 """
 
 import argparse
@@ -234,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--nodes", type=int, default=None,
                        help="override the collocation order")
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved; nothing here uses randomness")
         if name == "sweep":
             p.add_argument("--range", type=_range_arg, default=(0.02, 0.20, 10),
                            help="deficit sweep as fractions of load, lo:hi:count")

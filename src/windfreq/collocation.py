@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import maybe_njit
-
 __all__ = [
     "CollocationGrid",
     "legendre_gauss",
@@ -28,7 +26,6 @@ __all__ = [
 ]
 
 
-@maybe_njit
 def _legendre_newton(order, tol, max_iter):
     """Roots of the Legendre polynomial P_order by vectorized Newton steps."""
     k = np.arange(order, dtype=np.float64)

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import maybe_njit
-
 __all__ = ["LpResult", "solve_lp", "InfeasibleError", "UnboundedError"]
 
 STATUS_OPTIMAL = 0
@@ -37,7 +35,6 @@ class LpResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@maybe_njit
 def _simplex_run(tableau, basis, n_enterable, tol, max_iter, bland_after,
                  streak_in, bland_left_in):
     """Pivot until optimal. Returns (status, iterations, streak, bland_left).
@@ -148,20 +145,13 @@ def _simplex_run(tableau, basis, n_enterable, tol, max_iter, bland_after,
             bland_left = 64
             degenerate_streak = 0
 
-        piv = tableau[p, q]
-        tableau[p, :] /= piv
-        col = tableau[:, q].copy()
-        col[p] = 0.0
-        tableau -= np.outer(col, tableau[p, :])
-        tableau[:, q] = 0.0
-        tableau[p, q] = 1.0
-        basis[p] = q
+        _pivot(tableau, basis, p, q)
         iterations += 1
     return STATUS_ITER_LIMIT, iterations, degenerate_streak, bland_left
 
 
-@maybe_njit
 def _pivot(tableau, basis, p, q):
+    """Pivot on (p, q): column q enters the basis in row p."""
     piv = tableau[p, q]
     tableau[p, :] /= piv
     col = tableau[:, q].copy()

@@ -1,12 +1,13 @@
 """Closed-loop time-domain simulation of grid, governors, turbines, controllers.
 
-Fixed-step RK4 co-integrates the swing equation, governor states, each
-turbine's controller (mirror or filtered-derivative) states, and the one-mass
-rotors. Disturbances are steps in the power deficit; generation trips also
-zero the tripped unit's governor output. Turbine power limits and the rotor
-speed floor are enforced inside the right-hand side, and exit triggers are
-located by bisection to millisecond resolution. Identical inputs produce
-bit-identical traces on a given backend.
+Fixed-step RK4 co-integrates the swing equation, the governor states, each
+turbine's VIC filter state and the one-mass rotors. The AAPC mirror of the
+governors has no state of its own: it reads the governor states. Disturbances
+are steps in the power deficit; generation trips also zero the tripped unit's
+governor output. Turbine power limits and the rotor speed floor are enforced
+inside the right-hand side, and exit triggers are located by 14 bisection
+halvings of the step (0.6 us at a 10 ms step). Identical inputs produce
+bit-identical traces.
 """
 
 import math
@@ -14,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._accel import maybe_njit
 from . import collocation as coll
 from . import trajopt as to
-from .aapc import BaselineVic, allocate, exit_gamma, synthesize
-from .grid import GridParameters, scale_output, tf_to_statespace
-from .turbine import TurbineSpec, _cp_value, cp_peak, make_state, mppt_power
+from .aapc import (BaselineVic, allocate, check_exit, command_pu, exit_gamma, exit_power,
+                   mirror_output, synthesize, vic_command_mw, vic_filter_rate)
+from .grid import GridParameters, aggregate_governors, scale_output, tf_to_statespace
+from .turbine import (TurbineSpec, _cp_value, _k_opt_w, capability_indices, make_state,
+                      mppt_power)
 
 __all__ = [
     "TurbineEntry",
@@ -44,16 +46,8 @@ MODE_AAPC = 1
 MODE_EXITED = 2
 MODE_VIC = 3
 
-TRIG_NONE = 0
-TRIG_FLOOR = 1
-TRIG_HORIZON = 2
-TRIG_POWER_CROSS = 3
-
 FLAG_POWER_LIMIT = 1
 FLAG_FLOOR = 2
-
-EXIT_KIND_NAMES = {TRIG_FLOOR: "speed_floor", TRIG_HORIZON: "horizon",
-                   TRIG_POWER_CROSS: "power_cross"}
 
 
 class ScenarioError(ValueError):
@@ -145,261 +139,176 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# integration kernels
+# integration kernel
 # ---------------------------------------------------------------------------
 
-@maybe_njit
-def _rhs(
-    y, p_d, two_h, damping, s_base_w, f_base,
-    a_g, b_g, c_g, d_units, unit_of_state, gov_scale,
-    modes, gamma, shares, mir_d_total, kw, kf, kin, t_filt,
-    count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-    k_opt_w, p_e0_w, j_fleet,
-    dy, wt_pe_w, wt_flags,
-):
-    """Closed-loop derivative; fills dy, per-turbine applied power and flags.
+def _clamp(p, lo, hi):
+    """p limited to the interval [lo, hi]."""
+    if p > hi:
+        return hi
+    if p < lo:
+        return lo
+    return p
+
+
+def _operating_point(asm, j, omega, df, mirror_pu):
+    """Turbine j at rotor speed omega: (p_t, p_mppt, p_aapc), W.
+
+    p_t is the aerodynamic power, p_mppt the tracking-curve power clamped to
+    the fleet limits and p_aapc the unclamped AAPC command: the pre-event
+    power plus the turbine's share of the aggregate controller output.
+    """
+    v = asm.v_w[j]
+    cp = _cp_value(asm.radius[j] * omega / v, asm.pitch[j])
+    if cp < 0.0:
+        cp = 0.0
+    p_t = asm.count[j] * asm.half_rho_area[j] * cp * v ** 3
+    p_mppt = _clamp(asm.k_opt_w[j] * omega ** 3, asm.p_min_w[j], asm.p_max_w[j])
+    p_aapc = asm.p_e0_w[j] + command_pu(asm.shares[j], mirror_pu, asm.kw, df) * asm.s_base_w
+    return p_t, p_mppt, p_aapc
+
+
+def _rhs(asm, y, dy):
+    """Closed-loop derivative into dy; per-turbine applied power and flags.
 
     Returns (pm_pu, pe_dev_pu). All saturation lives here so every RK4 stage
     sees the same law.
     """
-    m_gov = a_g.shape[0]
-    n_wt = count.shape[0]
+    m_gov, n_wt = asm.m_gov, asm.n_wt
+    base_w = 1 + m_gov
+    base_z = base_w + n_wt
+    x_gov = y[1:base_w]
+    dy[1:base_w] = asm.a_g @ x_gov + asm.b_g * y[0]
+
+    y = y.tolist()  # python floats: the scalar work below runs faster on them
     df = y[0]
+    x_gov = y[1:base_w]
     pm = 0.0
     for s in range(m_gov):
-        pm += gov_scale[unit_of_state[s]] * c_g[s] * y[1 + s]
-    for u in range(d_units.shape[0]):
-        pm += gov_scale[u] * d_units[u] * df
-
-    base_mir = 1 + m_gov
-    base_w = base_mir + n_wt * m_gov
-    base_z = base_w + n_wt
+        pm += asm.gov_scale[asm.unit_of_state[s]] * asm.c_g[s] * x_gov[s]
+    for u in range(len(asm.d_units)):
+        pm += asm.gov_scale[u] * asm.d_units[u] * df
+    mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, x_gov, df)
 
     pe_dev = 0.0
     for j in range(n_wt):
         omega = y[base_w + j]
-        flags = 0
-        tsr = radius[j] * omega / v_w[j]
-        cp = _cp_value(tsr, pitch[j])
-        if cp < 0.0:
-            cp = 0.0
-        p_t = count[j] * half_rho_area[j] * cp * v_w[j] ** 3
-        p_mppt = k_opt_w[j] * omega ** 3
-        if p_mppt < p_min_w[j]:
-            p_mppt = p_min_w[j]
-        elif p_mppt > p_max_w[j]:
-            p_mppt = p_max_w[j]
-
-        mode = modes[j]
+        z = y[base_z + j]
+        p_t, p_mppt, p_aapc = _operating_point(asm, j, omega, df, mirror_pu)
+        mode = asm.modes[j]
         if mode == MODE_AAPC:
-            mir_out = mir_d_total * df
-            off = base_mir + j * m_gov
-            for s in range(m_gov):
-                mir_out -= c_g[s] * y[off + s]
-            cmd_pu = shares[j] * (mir_out + kw * df)
-            p_cmd = p_e0_w[j] + cmd_pu * s_base_w
+            p_cmd = p_aapc
         elif mode == MODE_VIC:
-            z = y[base_z + j]
-            deriv = (df - z) / t_filt
-            # fixed-gain inertial response: MW per Hz (and per Hz/s) of
-            # locally measured deviation, per aggregated turbine
-            cmd_w = -(kf * df * f_base + kin * deriv * f_base) * 1e6
-            p_cmd = p_e0_w[j] + cmd_w
+            p_cmd = asm.p_e0_w[j] + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
         elif mode == MODE_EXITED:
-            p_cmd = (1.0 - gamma[j]) * p_t + gamma[j] * p_mppt
+            p_cmd = exit_power(asm.gamma[j], p_t, p_mppt)
         else:  # tracking
             p_cmd = p_mppt
 
-        p_app = p_cmd
-        if p_app > p_max_w[j]:
-            p_app = p_max_w[j]
-            flags |= FLAG_POWER_LIMIT
-        elif p_app < p_min_w[j]:
-            p_app = p_min_w[j]
+        flags = 0
+        p_app = _clamp(p_cmd, asm.p_min_w[j], asm.p_max_w[j])
+        if p_app != p_cmd:
             flags |= FLAG_POWER_LIMIT
         # protective cutback holds the rotor at the floor; the optimal
         # controller instead leaves via its speed-floor exit trigger
-        if mode != MODE_AAPC and omega <= floor_rad[j] and p_app > p_t:
+        if mode != MODE_AAPC and omega <= asm.floor_rad[j] and p_app > p_t:
             p_app = p_t
             flags |= FLAG_FLOOR
 
-        wt_pe_w[j] = p_app
-        wt_flags[j] = flags
-        pe_dev += (p_app - p_e0_w[j]) / s_base_w
-        dy[base_w + j] = (p_t - p_app) / (j_fleet[j] * omega)
-        dy[base_z + j] = (df - y[base_z + j]) / t_filt
+        asm.wt_pe_w[j] = p_app
+        asm.wt_flags[j] = flags
+        pe_dev += (p_app - asm.p_e0_w[j]) / asm.s_base_w
+        dy[base_w + j] = (p_t - p_app) / (asm.j_fleet[j] * omega)
+        dy[base_z + j] = vic_filter_rate(asm.vic, df, z)
 
-    dy[0] = (pm + pe_dev - p_d - damping * df) / two_h
-    for s in range(m_gov):
-        acc = b_g[s] * df
-        for s2 in range(m_gov):
-            acc += a_g[s, s2] * y[1 + s2]
-        dy[1 + s] = acc
-    for j in range(n_wt):
-        off = base_mir + j * m_gov
-        for s in range(m_gov):
-            acc = b_g[s] * df
-            for s2 in range(m_gov):
-                acc += a_g[s, s2] * y[off + s2]
-            dy[off + s] = acc
+    dy[0] = (pm + pe_dev - asm.p_d - asm.damping * df) / asm.two_h
     return pm, pe_dev
 
 
-@maybe_njit
-def _rk4_step(
-    y, h, p_d, two_h, damping, s_base_w, f_base,
-    a_g, b_g, c_g, d_units, unit_of_state, gov_scale,
-    modes, gamma, shares, mir_d_total, kw, kf, kin, t_filt,
-    count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-    k_opt_w, p_e0_w, j_fleet,
-    k1, k2, k3, k4, y_tmp, wt_pe_w, wt_flags,
-):
-    """Advance y by one RK4 step of size h in place."""
-    n = y.shape[0]
-    _rhs(y, p_d, two_h, damping, s_base_w, f_base, a_g, b_g, c_g, d_units, unit_of_state,
-         gov_scale, modes, gamma, shares, mir_d_total, kw, kf, kin, t_filt,
-         count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-         k_opt_w, p_e0_w, j_fleet, k1, wt_pe_w, wt_flags)
-    for i in range(n):
-        y_tmp[i] = y[i] + 0.5 * h * k1[i]
-    _rhs(y_tmp, p_d, two_h, damping, s_base_w, f_base, a_g, b_g, c_g, d_units, unit_of_state,
-         gov_scale, modes, gamma, shares, mir_d_total, kw, kf, kin, t_filt,
-         count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-         k_opt_w, p_e0_w, j_fleet, k2, wt_pe_w, wt_flags)
-    for i in range(n):
-        y_tmp[i] = y[i] + 0.5 * h * k2[i]
-    _rhs(y_tmp, p_d, two_h, damping, s_base_w, f_base, a_g, b_g, c_g, d_units, unit_of_state,
-         gov_scale, modes, gamma, shares, mir_d_total, kw, kf, kin, t_filt,
-         count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-         k_opt_w, p_e0_w, j_fleet, k3, wt_pe_w, wt_flags)
-    for i in range(n):
-        y_tmp[i] = y[i] + h * k3[i]
-    _rhs(y_tmp, p_d, two_h, damping, s_base_w, f_base, a_g, b_g, c_g, d_units, unit_of_state,
-         gov_scale, modes, gamma, shares, mir_d_total, kw, kf, kin, t_filt,
-         count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-         k_opt_w, p_e0_w, j_fleet, k4, wt_pe_w, wt_flags)
-    for i in range(n):
-        y[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+def _rk4_step(asm, y, h):
+    """Advance y by one RK4 step of size h in place; asm.k1 holds the derivative at y."""
+    k1, k2, k3, k4 = asm.k1, asm.k2, asm.k3, asm.k4
+    _rhs(asm, y + 0.5 * h * k1, k2)
+    _rhs(asm, y + 0.5 * h * k2, k3)
+    _rhs(asm, y + h * k3, k4)
+    y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@maybe_njit
-def _wt_trigger_state(
-    y, j, df, s_base_w, a_g_shape0, c_g, mir_d_total, kw, shares,
-    count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w,
-    k_opt_w, p_e0_w,
-):
-    """(applied command W, tracking-curve power W, turbine power W) for wt j."""
-    m_gov = a_g_shape0
-    n_wt = count.shape[0]
-    base_mir = 1 + m_gov
-    base_w = base_mir + n_wt * m_gov
-    omega = y[base_w + j]
-    tsr = radius[j] * omega / v_w[j]
-    cp = _cp_value(tsr, pitch[j])
-    if cp < 0.0:
-        cp = 0.0
-    p_t = count[j] * half_rho_area[j] * cp * v_w[j] ** 3
-    p_mppt = k_opt_w[j] * omega ** 3
-    if p_mppt < p_min_w[j]:
-        p_mppt = p_min_w[j]
-    elif p_mppt > p_max_w[j]:
-        p_mppt = p_max_w[j]
-    mir_out = mir_d_total * df
-    off = base_mir + j * m_gov
-    for s in range(m_gov):
-        mir_out -= c_g[s] * y[off + s]
-    p_cmd = p_e0_w[j] + shares[j] * (mir_out + kw * df) * s_base_w
-    if p_cmd > p_max_w[j]:
-        p_cmd = p_max_w[j]
-    elif p_cmd < p_min_w[j]:
-        p_cmd = p_min_w[j]
-    return p_cmd, p_mppt, p_t
+def _rk4_from(asm, y0, h):
+    """State one RK4 step of size h >= 0 after y0, as a new array."""
+    y = y0.copy()
+    if h > 0:
+        _rhs(asm, y, asm.k1)
+        _rk4_step(asm, y, h)
+    return y
 
 
-@maybe_njit
-def _run_segment(
-    y, start_step, n_steps, dt, t_support_end, exit_on,
-    p_d_arr, gov_scale,
-    ev_step, ev_dpd, ev_unit, ev_frac, act_step, ctrl_kind,
-    two_h, damping, s_base_w, f_base,
-    a_g, b_g, c_g, d_units, unit_of_state,
-    modes, gamma, armed, shares, mir_d_total, kw, kf, kin, t_filt,
-    count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w, floor_rad,
-    k_opt_w, p_e0_w, j_fleet,
-    tr_df, tr_pm, tr_pe, tr_dfdot, tr_pd, tr_wt_pe, tr_wt_omega, tr_flags,
-    y_snapshot, k1, k2, k3, k4, y_tmp, wt_pe_w, wt_flags,
-):
-    """Integrate from start_step until an exit trigger fires or time runs out.
+def _exit_state(asm, y, j, t):
+    """Exit check of AAPC turbine j at state y and time t.
 
-    Rows [start_step ..] of the trace arrays are filled with start-of-step
-    values; on a trigger the kernel returns before committing the offending
-    step (the snapshot holds its start state). Returns
-    (next_step, trigger_wt, trigger_code).
+    Returns (cause or None, clamped command, tracking power, turbine power),
+    powers in W; the cause is ``aapc.check_exit``'s.
     """
-    m_gov = a_g.shape[0]
-    n_wt = count.shape[0]
-    base_w = 1 + m_gov + n_wt * m_gov
-    i = start_step
-    while i <= n_steps:
+    y = y.tolist()
+    base_w = 1 + asm.m_gov
+    omega = y[base_w + j]
+    mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, y[1:base_w], y[0])
+    p_t, p_mppt, p_aapc = _operating_point(asm, j, omega, y[0], mirror_pu)
+    p_cmd = _clamp(p_aapc, asm.p_min_w[j], asm.p_max_w[j])
+    kind = check_exit(p_cmd, p_mppt, omega, asm.floor_rad[j], t,
+                      asm.t_support_end - 1e-12, asm.armed[j])
+    return kind, p_cmd, p_mppt, p_t
+
+
+def _run_segment(asm, y, start, tr):
+    """Integrate from step ``start`` until an exit trigger fires or time runs out.
+
+    Rows [start ..] of the traces are filled with start-of-step values; on a
+    trigger the kernel returns before committing the offending step
+    (asm.y_snapshot holds its start state). Returns
+    (next_step, trigger_turbine, exit_cause), the cause None at the end.
+    """
+    n_wt = asm.n_wt
+    base_w = 1 + asm.m_gov
+    i = start
+    while i <= asm.n_steps:
         # events and controller activation land on step boundaries
-        for e in range(ev_step.shape[0]):
-            if ev_step[e] == i:
-                p_d_arr[0] += ev_dpd[e]
-                if ev_unit[e] >= 0:
-                    gov_scale[ev_unit[e]] *= 1.0 - ev_frac[e]
-        if i == act_step:
-            for j in range(n_wt):
-                if ctrl_kind[j] == 1:
-                    modes[j] = MODE_AAPC
-                elif ctrl_kind[j] == 2:
-                    modes[j] = MODE_VIC
+        for step, dpd, unit, frac in asm.events:
+            if step == i:
+                asm.p_d += dpd
+                if unit >= 0:
+                    asm.gov_scale[unit] *= 1.0 - frac
+        if i == asm.act_step:
+            asm.modes = list(asm.ctrl_mode)
 
         # record start-of-step values
-        pm, pe = _rhs(y, p_d_arr[0], two_h, damping, s_base_w, f_base, a_g, b_g, c_g,
-                      d_units, unit_of_state, gov_scale, modes, gamma, shares,
-                      mir_d_total, kw, kf, kin, t_filt, count, half_rho_area,
-                      radius, v_w, pitch, p_min_w, p_max_w, floor_rad, k_opt_w,
-                      p_e0_w, j_fleet, k1, wt_pe_w, wt_flags)
-        tr_df[i] = y[0]
-        tr_pm[i] = pm
-        tr_pe[i] = pe
-        tr_dfdot[i] = k1[0]
-        tr_pd[i] = p_d_arr[0]
-        for j in range(n_wt):
-            tr_wt_pe[i, j] = wt_pe_w[j]
-            tr_wt_omega[i, j] = y[base_w + j]
-            tr_flags[i, j] = wt_flags[j]
-        if i == n_steps:
-            return n_steps + 1, -1, TRIG_NONE
+        pm, pe = _rhs(asm, y, asm.k1)
+        tr.df[i] = y[0]
+        tr.pm[i] = pm
+        tr.pe[i] = pe
+        tr.dfdot[i] = asm.k1[0]
+        tr.pd[i] = asm.p_d
+        tr.wt_pe[i] = asm.wt_pe_w
+        tr.wt_omega[i] = y[base_w:base_w + n_wt]
+        tr.flags[i] = asm.wt_flags
+        if i == asm.n_steps:
+            break
 
-        for q in range(y.shape[0]):
-            y_snapshot[q] = y[q]
-        _rk4_step(y, dt, p_d_arr[0], two_h, damping, s_base_w, f_base, a_g, b_g, c_g,
-                  d_units, unit_of_state, gov_scale, modes, gamma, shares,
-                  mir_d_total, kw, kf, kin, t_filt, count, half_rho_area,
-                  radius, v_w, pitch, p_min_w, p_max_w, floor_rad, k_opt_w,
-                  p_e0_w, j_fleet, k1, k2, k3, k4, y_tmp, wt_pe_w, wt_flags)
+        asm.y_snapshot[:] = y
+        _rk4_step(asm, y, asm.dt)  # k1 is the derivative just recorded
 
-        t_end = (i + 1) * dt
-        if exit_on:
+        if asm.exit_enabled:
+            t_end = (i + 1) * asm.dt
             for j in range(n_wt):
-                if modes[j] != MODE_AAPC:
+                if asm.modes[j] != MODE_AAPC:
                     continue
-                if y[base_w + j] <= floor_rad[j]:
-                    return i, j, TRIG_FLOOR
-                if t_end >= t_support_end - 1e-12:
-                    return i, j, TRIG_HORIZON
-                p_cmd, p_mppt, _ = _wt_trigger_state(
-                    y, j, y[0], s_base_w, m_gov, c_g, mir_d_total, kw, shares,
-                    count, half_rho_area, radius, v_w, pitch, p_min_w, p_max_w,
-                    k_opt_w, p_e0_w)
-                if not armed[j]:
-                    if p_cmd > p_mppt * (1.0 + 1e-9) + 1e-3:
-                        armed[j] = True
-                elif p_cmd <= p_mppt:
-                    return i, j, TRIG_POWER_CROSS
+                kind, p_cmd, p_mppt, _ = _exit_state(asm, y, j, t_end)
+                if kind is not None:
+                    return i, j, kind
+                if not asm.armed[j] and p_cmd > p_mppt * (1.0 + 1e-9) + 1e-3:
+                    asm.armed[j] = True
         i += 1
-    return n_steps + 1, -1, TRIG_NONE
+    return asm.n_steps + 1, -1, None
 
 
 # ---------------------------------------------------------------------------
@@ -463,91 +372,109 @@ class SimResult:
 
 
 class _Assembled:
-    """Scenario compiled to flat kernel arrays."""
+    """Scenario compiled to flat kernel arrays, plus the loop's mutable state.
+
+    The state vector is [df, governor states, rotor speeds, VIC filter
+    states]: 1 + m_gov + 2 n_wt entries. The AAPC mirror has no state of its
+    own; it reads the governor states (see ``aapc.mirror_output``).
+    """
 
     def __init__(self, sc: Scenario, alpha: float | None):
         grid = sc.grid
-        self.grid = grid
         self.s_base_w = grid.s_base_mva * 1e6
+        self.f_base = grid.f_base_hz
+        self.two_h = 2.0 * grid.inertia_s
+        self.damping = grid.damping
+        self.vic = sc.vic
+        self.exit_enabled = sc.exit_enabled
+
         realizations = [
             scale_output(tf_to_statespace(g), g.rated_mva / grid.s_base_mva)
             for g in sc.governors
         ]
-        m_per = [r.order for r in realizations]
-        m_gov = int(np.sum(m_per)) if m_per else 0
-        self.m_gov = m_gov
-        self.a_g = np.zeros((m_gov, m_gov))
-        self.b_g = np.zeros(m_gov)
-        self.c_g = np.zeros(m_gov)
-        self.d_units = np.array([float(r.d[0, 0]) for r in realizations]) \
-            if realizations else np.zeros(0)
-        self.unit_of_state = np.zeros(m_gov, dtype=np.int64)
-        pos = 0
-        for u, r in enumerate(realizations):
-            n = r.order
-            self.a_g[pos:pos + n, pos:pos + n] = r.a
-            self.b_g[pos:pos + n] = r.b[:, 0]
-            self.c_g[pos:pos + n] = r.c[0, :]
-            self.unit_of_state[pos:pos + n] = u
-            pos += n
-        self.gov_scale = np.ones(len(realizations))
-        self.mir_d_total = -float(np.sum(self.d_units)) if realizations else 0.0
+        gov = aggregate_governors(realizations)
+        self.m_gov = gov.order
+        self.a_g, self.b_g = gov.a, gov.b[:, 0]
+        self.c_g = gov.c[0].tolist()
+        self.d_units = [float(r.d[0, 0]) for r in realizations]
+        self.unit_of_state = np.repeat(np.arange(len(realizations)),
+                                       [r.order for r in realizations]).tolist()
+        self.gov_scale = [1.0] * len(realizations)
 
-        n_wt = len(sc.turbines)
-        self.n_wt = n_wt
-        self.ctrl_kind = np.zeros(n_wt, dtype=np.int8)
-        self.count = np.zeros(n_wt)
-        self.half_rho_area = np.zeros(n_wt)
-        self.radius = np.zeros(n_wt)
-        self.v_w = np.zeros(n_wt)
-        self.pitch = np.zeros(n_wt)
-        self.p_min_w = np.zeros(n_wt)
-        self.p_max_w = np.zeros(n_wt)
-        self.floor_rad = np.zeros(n_wt)
-        self.k_opt_w = np.zeros(n_wt)
-        self.p_e0_w = np.zeros(n_wt)
-        self.j_fleet = np.zeros(n_wt)
-        self.omega0 = np.zeros(n_wt)
-        kinds = {"none": 0, "optimal_aapc": 1, "classic_vic": 2}
-        caps = []
-        for j, t in enumerate(sc.turbines):
-            spec = t.spec
-            state = make_state(spec, t.wind_speed_ms, grid.s_base_mva, t.pitch_deg)
-            self.ctrl_kind[j] = kinds[t.controller]
-            self.count[j] = spec.count
-            self.half_rho_area[j] = 0.5 * spec.air_density * math.pi * spec.rotor_radius_m ** 2
-            self.radius[j] = spec.rotor_radius_m
-            self.v_w[j] = t.wind_speed_ms
-            self.pitch[j] = t.pitch_deg
-            self.p_min_w[j] = spec.p_min_fleet_mw * 1e6
-            self.p_max_w[j] = spec.p_max_fleet_mw * 1e6
-            self.floor_rad[j] = spec.floor_speed_rad
-            tsr_opt, cp_max = cp_peak(0.0)
-            self.k_opt_w[j] = (spec.count * 0.5 * spec.air_density * math.pi
-                               * spec.rotor_radius_m ** 5 * cp_max / tsr_opt ** 3)
-            self.p_e0_w[j] = state.p_e_pu * self.s_base_w
-            self.j_fleet[j] = spec.fleet_inertia
-            self.omega0[j] = state.omega_rad_s
-            e_min = 0.5 * spec.fleet_inertia * spec.floor_speed_rad ** 2 / 1e6
-            caps.append((state.energy_mj - e_min,
-                         spec.p_max_fleet_mw - self.p_e0_w[j] / 1e6))
+        specs = [t.spec for t in sc.turbines]
+        states = [make_state(t.spec, t.wind_speed_ms, grid.s_base_mva, t.pitch_deg)
+                  for t in sc.turbines]
+        self.n_wt = n_wt = len(specs)
+        mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
+        self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
+        self.count = [float(s.count) for s in specs]
+        self.half_rho_area = [0.5 * s.air_density * math.pi * s.rotor_radius_m ** 2
+                              for s in specs]
+        self.radius = [s.rotor_radius_m for s in specs]
+        self.v_w = [t.wind_speed_ms for t in sc.turbines]
+        self.pitch = [t.pitch_deg for t in sc.turbines]
+        self.p_min_w = [s.p_min_fleet_mw * 1e6 for s in specs]
+        self.p_max_w = [s.p_max_fleet_mw * 1e6 for s in specs]
+        self.floor_rad = [s.floor_speed_rad for s in specs]
+        self.k_opt_w = [_k_opt_w(s) for s in specs]
+        self.p_e0_w = [st.p_e_pu * self.s_base_w for st in states]
+        self.j_fleet = [s.fleet_inertia for s in specs]
+        self.omega0 = [st.omega_rad_s for st in states]
 
         if sc.allocation is not None:
             shares = np.asarray(sc.allocation, dtype=float)
         else:
-            aapc_idx = [j for j in range(n_wt) if self.ctrl_kind[j] == 1]
-            shares = np.zeros(n_wt)
+            # a VIC turbine answers alone; AAPC turbines split the fleet command
+            shares = np.array([1.0 if m == MODE_VIC else 0.0 for m in self.ctrl_mode])
+            aapc_idx = [j for j in range(n_wt) if self.ctrl_mode[j] == MODE_AAPC]
             if aapc_idx:
-                shares[aapc_idx] = allocate([caps[j] for j in aapc_idx])
-            for j in range(n_wt):
-                if self.ctrl_kind[j] == 2:
-                    shares[j] = 1.0
-        self.shares = shares
-        self.alpha = alpha
+                shares[aapc_idx] = allocate(
+                    [capability_indices(states[j], specs[j], grid.s_base_mva)
+                     for j in aapc_idx])
+        self.shares = shares.tolist()
         self.kw = 0.0
-        if alpha is not None and np.any(self.ctrl_kind == 1):
+        self.mirror_d = 0.0
+        self.mirror_c = [0.0] * self.m_gov
+        if alpha is not None and MODE_AAPC in self.ctrl_mode:
             ctrl = synthesize(grid, list(sc.governors), alpha)
             self.kw = ctrl.gain_kw
+            self.mirror_d = float(ctrl.mirror.d[0, 0])
+            self.mirror_c = ctrl.mirror.c[0].tolist()
+
+        self.dt = dt = sc.sim.step_s
+        self.n_steps = int(round(sc.sim.duration_s / dt))
+        gov_names = [g.name for g in sc.governors]
+        self.events = [
+            (int(round(e.time_s / dt)), e.magnitude_pu, -1, 0.0) if e.kind == "load_surge"
+            else (int(round(e.time_s / dt)), _trip_magnitude(sc, e),
+                  gov_names.index(e.unit), e.fraction)
+            for e in sc.events
+        ]
+        self.act_step = self.events[0][0] if self.events else -1
+        self.t_event = self.act_step * dt if self.events else None
+        self.t_support_end = self.t_event + sc.solver.t_f if self.events else np.inf
+
+        self.p_d = 0.0
+        self.modes = [MODE_TRACKING] * n_wt
+        self.gamma = [0.0] * n_wt
+        self.armed = [False] * n_wt
+        n_y = 1 + self.m_gov + 2 * n_wt
+        self.y0 = np.zeros(n_y)
+        self.y0[1 + self.m_gov:1 + self.m_gov + n_wt] = self.omega0
+        self.k1, self.k2, self.k3, self.k4, self.y_snapshot = (np.zeros(n_y) for _ in range(5))
+        self.wt_pe_w = [0.0] * n_wt
+        self.wt_flags = [0] * n_wt
+
+
+class _Traces:
+    """Start-of-step records of one run, one row per step."""
+
+    def __init__(self, n_steps: int, n_wt: int):
+        n = n_steps + 1
+        self.df, self.pm, self.pe, self.dfdot, self.pd = (np.zeros(n) for _ in range(5))
+        self.wt_pe = np.zeros((n, n_wt))
+        self.wt_omega = np.zeros((n, n_wt))
+        self.flags = np.zeros((n, n_wt), dtype=np.int8)
 
 
 def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectorySolution:
@@ -601,170 +528,75 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
         raise ScenarioError("; ".join(problems))
     alpha = alpha_override if alpha_override is not None else _resolve_alpha(scenario)
     asm = _Assembled(scenario, alpha)
-
-    dt = scenario.sim.step_s
-    n_steps = int(round(scenario.sim.duration_s / dt))
-    n_wt = asm.n_wt
-    m_gov = asm.m_gov
-
-    ev_step = np.array([int(round(e.time_s / dt)) for e in scenario.events], dtype=np.int64)
-    ev_dpd = np.zeros(len(scenario.events))
-    ev_unit = np.full(len(scenario.events), -1, dtype=np.int64)
-    ev_frac = np.zeros(len(scenario.events))
-    gov_names = [g.name for g in scenario.governors]
-    for idx, e in enumerate(scenario.events):
-        if e.kind == "load_surge":
-            ev_dpd[idx] = e.magnitude_pu
-        else:
-            ev_dpd[idx] = _trip_magnitude(scenario, e)
-            ev_unit[idx] = gov_names.index(e.unit)
-            ev_frac[idx] = e.fraction
-    act_step = int(ev_step[0]) if len(scenario.events) else -1
-    t_event = act_step * dt if act_step >= 0 else None
-    t_support_end = (t_event + scenario.solver.t_f) if t_event is not None else np.inf
-
-    n_y = 1 + m_gov + n_wt * m_gov + 2 * n_wt
-    y = np.zeros(n_y)
-    base_w = 1 + m_gov + n_wt * m_gov
-    y[base_w:base_w + n_wt] = asm.omega0
-
-    modes = np.zeros(n_wt, dtype=np.int8)
-    gamma = np.zeros(n_wt)
-    armed = np.zeros(n_wt, dtype=np.bool_)
-    p_d_arr = np.zeros(1)
-
-    tr_df = np.zeros(n_steps + 1)
-    tr_pm = np.zeros(n_steps + 1)
-    tr_pe = np.zeros(n_steps + 1)
-    tr_dfdot = np.zeros(n_steps + 1)
-    tr_pd = np.zeros(n_steps + 1)
-    tr_wt_pe = np.zeros((n_steps + 1, n_wt))
-    tr_wt_omega = np.zeros((n_steps + 1, n_wt))
-    tr_flags = np.zeros((n_steps + 1, n_wt), dtype=np.int8)
-    y_snapshot = np.zeros(n_y)
-    k1, k2, k3, k4, y_tmp = (np.zeros(n_y) for _ in range(5))
-    wt_pe_w = np.zeros(n_wt)
-    wt_flags = np.zeros(n_wt, dtype=np.int8)
-
-    def call_segment(start):
-        return _run_segment(
-            y, start, n_steps, dt, t_support_end, scenario.exit_enabled,
-            p_d_arr, asm.gov_scale,
-            ev_step, ev_dpd, ev_unit, ev_frac, act_step, asm.ctrl_kind,
-            2.0 * scenario.grid.inertia_s, scenario.grid.damping, asm.s_base_w,
-            scenario.grid.f_base_hz,
-            asm.a_g, asm.b_g, asm.c_g, asm.d_units, asm.unit_of_state,
-            modes, gamma, armed, asm.shares, asm.mir_d_total, asm.kw,
-            scenario.vic.k_f, scenario.vic.k_in, scenario.vic.filter_s,
-            asm.count, asm.half_rho_area, asm.radius, asm.v_w, asm.pitch,
-            asm.p_min_w, asm.p_max_w, asm.floor_rad, asm.k_opt_w, asm.p_e0_w,
-            asm.j_fleet,
-            tr_df, tr_pm, tr_pe, tr_dfdot, tr_pd, tr_wt_pe, tr_wt_omega, tr_flags,
-            y_snapshot, k1, k2, k3, k4, y_tmp, wt_pe_w, wt_flags,
-        )
-
-    def rk4_from(y0, h):
-        yy = y0.copy()
-        if h > 0:
-            _rk4_step(yy, h, p_d_arr[0], 2.0 * scenario.grid.inertia_s,
-                      scenario.grid.damping, asm.s_base_w, scenario.grid.f_base_hz,
-                      asm.a_g, asm.b_g,
-                      asm.c_g, asm.d_units, asm.unit_of_state, asm.gov_scale,
-                      modes, gamma, asm.shares, asm.mir_d_total, asm.kw,
-                      scenario.vic.k_f, scenario.vic.k_in, scenario.vic.filter_s,
-                      asm.count, asm.half_rho_area, asm.radius, asm.v_w,
-                      asm.pitch, asm.p_min_w, asm.p_max_w, asm.floor_rad,
-                      asm.k_opt_w, asm.p_e0_w, asm.j_fleet,
-                      k1, k2, k3, k4, y_tmp, wt_pe_w, wt_flags)
-        return yy
-
-    def trigger_at(yy, j, code, t_abs):
-        p_cmd, p_mppt, p_t = _wt_trigger_state(
-            yy, j, yy[0], asm.s_base_w, m_gov, asm.c_g, asm.mir_d_total,
-            asm.kw, asm.shares, asm.count, asm.half_rho_area, asm.radius,
-            asm.v_w, asm.pitch, asm.p_min_w, asm.p_max_w, asm.k_opt_w,
-            asm.p_e0_w)
-        if code == TRIG_FLOOR:
-            hit = yy[base_w + j] <= asm.floor_rad[j]
-        elif code == TRIG_POWER_CROSS:
-            hit = p_cmd <= p_mppt
-        else:
-            hit = t_abs >= t_support_end - 1e-12
-        return hit, p_cmd, p_mppt, p_t
+    dt = asm.dt
+    y = asm.y0.copy()
+    tr = _Traces(asm.n_steps, asm.n_wt)
 
     exit_events = []
     step = 0
     while True:
-        step, j_trig, code = call_segment(step)
-        if code == TRIG_NONE:
+        step, j_trig, kind = _run_segment(asm, y, step, tr)
+        if kind is None:
             break
-        # the offending step ran from step*dt on y_snapshot; locate t_e < 1 ms
+        # the offending step ran from step*dt on y_snapshot; locate t_e in it
         t0 = step * dt
-        if code == TRIG_HORIZON:
-            h_e = max(0.0, t_support_end - t0)
+        if kind == "horizon":
+            h_e = max(0.0, asm.t_support_end - t0)
         else:
+            # 14 halvings bracket t_e to dt / 2^14 (0.6 us at 10 ms): a
+            # command clipped at gamma = 1 steps by its change over the bracket
             lo, hi = 0.0, dt
-            for _ in range(14):  # dt / 2^14 << 1 ms
+            for _ in range(14):
                 mid = 0.5 * (lo + hi)
-                y_mid = rk4_from(y_snapshot, mid)
-                hit, *_ = trigger_at(y_mid, j_trig, code, t0 + mid)
-                if hit:
+                y_mid = _rk4_from(asm, asm.y_snapshot, mid)
+                if _exit_state(asm, y_mid, j_trig, t0 + mid)[0] == kind:
                     hi = mid
                 else:
                     lo = mid
-                if hi - lo < 1e-3:
-                    break
             # a floor exit switches on the last instant above the floor, so
             # the rotor never actually crosses it
-            h_e = lo if code == TRIG_FLOOR else hi
-        y_e = rk4_from(y_snapshot, h_e)
-        _, p_cmd, p_mppt, p_t = trigger_at(y_e, j_trig, code, t0 + h_e)
+            h_e = lo if kind == "speed_floor" else hi
+        y_e = _rk4_from(asm, asm.y_snapshot, h_e)
         to_exit = [j_trig]
-        if code == TRIG_HORIZON:  # the window closes for every active turbine
-            to_exit = [jj for jj in range(n_wt) if modes[jj] == MODE_AAPC]
+        if kind == "horizon":  # the window closes for every active turbine
+            to_exit = [jj for jj in range(asm.n_wt) if asm.modes[jj] == MODE_AAPC]
         for jj in to_exit:
-            p_cmd_j, p_mppt_j, p_t_j = _wt_trigger_state(
-                y_e, jj, y_e[0], asm.s_base_w, m_gov, asm.c_g, asm.mir_d_total,
-                asm.kw, asm.shares, asm.count, asm.half_rho_area, asm.radius,
-                asm.v_w, asm.pitch, asm.p_min_w, asm.p_max_w, asm.k_opt_w,
-                asm.p_e0_w)
-            g = exit_gamma(p_cmd_j / 1e6, p_t_j / 1e6, p_mppt_j / 1e6)
-            gamma[jj] = g
-            modes[jj] = MODE_EXITED
-            p_after = (1.0 - g) * p_t_j + g * p_mppt_j
+            _, p_cmd, p_mppt, p_t = _exit_state(asm, y_e, jj, t0 + h_e)
+            g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
+            asm.gamma[jj] = g
+            asm.modes[jj] = MODE_EXITED
             exit_events.append({
                 "turbine": scenario.turbines[jj].name,
-                "kind": EXIT_KIND_NAMES[code],
+                "kind": kind,
                 "t_e_s": t0 + h_e,
                 "gamma": g,
-                "power_step_pu": abs(p_after - p_cmd_j) / asm.s_base_w,
+                "power_step_pu": abs(exit_power(g, p_t, p_mppt) - p_cmd) / asm.s_base_w,
             })
         # finish the interrupted step on the corrected modes
-        y_rest = rk4_from(y_e, dt - h_e)
-        y[:] = y_rest
+        y[:] = _rk4_from(asm, y_e, dt - h_e)
         step = step + 1
 
     f_b = scenario.grid.f_base_hz
-    t = np.arange(n_steps + 1) * dt
+    t = np.arange(asm.n_steps + 1) * dt
     return SimResult(
         scenario=scenario,
         t=t,
-        df_pu=tr_df,
-        df_hz=tr_df * f_b,
-        dfdot_pu_s=tr_dfdot,
-        dpm_pu=tr_pm,
-        dpe_pu=tr_pe,
-        p_d_pu=tr_pd,
-        wt_pe_mw=tr_wt_pe / 1e6,
-        wt_omega_rad_s=tr_wt_omega,
-        wt_flags=tr_flags,
+        df_pu=tr.df,
+        df_hz=tr.df * f_b,
+        dfdot_pu_s=tr.dfdot,
+        dpm_pu=tr.pm,
+        dpe_pu=tr.pe,
+        p_d_pu=tr.pd,
+        wt_pe_mw=tr.wt_pe / 1e6,
+        wt_omega_rad_s=tr.wt_omega,
+        wt_flags=tr.flags,
         exit_events=exit_events,
         alpha=alpha,
         gain_kw=asm.kw if alpha is not None else None,
-        shares=asm.shares,
-        wt_omega0=asm.omega0,
-        wt_p_e0_mw=asm.p_e0_w / 1e6,
-        event_time_s=t_event,
+        shares=np.array(asm.shares),
+        wt_omega0=np.array(asm.omega0),
+        wt_p_e0_mw=np.array(asm.p_e0_w) / 1e6,
+        event_time_s=asm.t_event,
     )
 
 

@@ -12,8 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import maybe_njit
-
 __all__ = [
     "TurbineSpec",
     "TurbineState",
@@ -104,7 +102,6 @@ def dfig5mw(count: int = 1, rotor_radius_m: float = 63.0, air_density: float = 1
     )
 
 
-@maybe_njit
 def _cp_value(tsr, pitch):
     """Aerodynamic efficiency; negative values clamp to 0, domain errors -> -1."""
     inv_lam = 1.0 / (tsr + 0.08 * pitch) - 0.035 / (pitch ** 3 + 1.0)
@@ -218,7 +215,6 @@ def make_state(
     )
 
 
-@maybe_njit
 def _rotor_rhs(omega, p_e_w, wind, pitch, half_rho_area, radius, count, j_fleet, floor):
     """d(omega)/dt with the protective cutback folded in; returns (dw, applied P_e W)."""
     tsr = radius * omega / wind

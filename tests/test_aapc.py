@@ -4,18 +4,50 @@ import numpy as np
 import pytest
 
 from windfreq.aapc import (
-    AapcRuntime,
     BaselineVic,
-    VicRuntime,
     allocate,
     check_exit,
-    classic_vic_step,
-    controller_step,
+    command_pu,
     exit_gamma,
     exit_power,
+    mirror_output,
     synthesize,
+    vic_command_mw,
+    vic_filter_rate,
 )
 from windfreq.grid import GovernorSpec, GridParameters
+
+
+def _rk4_held(rate, x, dt):
+    """One RK4 step of dx/dt = rate(x) with the input held over the step."""
+    k1 = rate(x)
+    k2 = rate(x + 0.5 * dt * k1)
+    k3 = rate(x + 0.5 * dt * k2)
+    k4 = rate(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+class _GovernorDriven:
+    """The governor state under a deviation path, read by the AAPC laws.
+
+    The mirror shares (A, B) with the aggregate governor, so its state is the
+    governor state; only the output map differs.
+    """
+
+    def __init__(self, ctrl):
+        self.ctrl = ctrl
+        self.x = np.zeros(ctrl.mirror.order)
+
+    def step(self, df, dt):
+        m = self.ctrl.mirror
+        self.x = _rk4_held(lambda x: m.a @ x + m.b[:, 0] * df, self.x, dt)
+
+    def mirror_pu(self, df):
+        m = self.ctrl.mirror
+        return mirror_output(float(m.d[0, 0]), m.c[0], self.x, df)
+
+    def command(self, share, df):
+        return command_pu(share, self.mirror_pu(df), self.ctrl.gain_kw, df)
 
 
 class TestSynthesize:
@@ -74,20 +106,20 @@ class TestSynthesize:
 class TestControllerStep:
     def test_zero_frequency_zero_command(self, two_machine_grid, reheat_g1):
         ctrl = synthesize(two_machine_grid, [reheat_g1], 1.19)
-        rt = AapcRuntime(ctrl, share=1.0)
+        gov = _GovernorDriven(ctrl)
         for _ in range(50):
-            assert controller_step(rt, 0.0, 0.01) == 0.0
+            gov.step(0.0, 0.01)
+            assert gov.command(1.0, 0.0) == 0.0
 
     def test_halves_sum_to_whole(self, two_machine_grid, reheat_g1):
         ctrl = synthesize(two_machine_grid, [reheat_g1], 1.19)
-        whole = AapcRuntime(ctrl, share=1.0)
-        half_a = AapcRuntime(ctrl, share=0.5)
-        half_b = AapcRuntime(ctrl, share=0.5)
+        gov = _GovernorDriven(ctrl)
         rng = np.random.default_rng(2)
         df_path = -0.005 * rng.uniform(0.2, 1.0, size=100)
         for df in df_path:
-            w = controller_step(whole, df, 0.01)
-            parts = controller_step(half_a, df, 0.01) + controller_step(half_b, df, 0.01)
+            gov.step(df, 0.01)
+            w = gov.command(1.0, df)
+            parts = gov.command(0.5, df) + gov.command(0.5, df)
             assert parts == pytest.approx(w, rel=1e-12)
 
     def test_branch_signs_under_drop(self, two_machine_grid, reheat_g1,
@@ -95,15 +127,15 @@ class TestControllerStep:
         # mirror branch releases nothing positive, gain branch nothing negative
         alpha = two_machine_solution.alpha
         ctrl = synthesize(two_machine_grid, [reheat_g1], alpha)
-        rt = AapcRuntime(ctrl)
+        gov = _GovernorDriven(ctrl)
         b = ctrl.response_rate
         nadir = ctrl.nadir_for(0.075)
         for i in range(3000):
             t = i * 0.01
             df = nadir * (1.0 - math.exp(-b * t))
-            controller_step(rt, df, 0.01)
-            assert rt.last_mirror_pu <= 1e-12
-            assert rt.last_gain_pu >= -1e-12
+            gov.step(df, 0.01)
+            assert gov.mirror_pu(df) <= 1e-12
+            assert command_pu(1.0, 0.0, ctrl.gain_kw, df) >= -1e-12
 
 
 class TestAllocate:
@@ -169,28 +201,29 @@ class TestExitLogic:
             assert exit_power(g, p_t, p_mppt) == pytest.approx(p_e, abs=1e-12)
 
 
+def _vic_commands(vic, df_path_hz, dt):
+    """VIC commands (MW) along a deviation path, the filter state RK4-stepped."""
+    z = 0.0
+    for df in df_path_hz:
+        z = _rk4_held(lambda zz: vic_filter_rate(vic, df, zz), z, dt)
+        yield vic_command_mw(vic, df, z, 1.0)
+
+
 class TestClassicVic:
     def test_zero_input(self):
-        rt = VicRuntime(BaselineVic())
-        assert classic_vic_step(rt, 0.0, 0.01) == 0.0
+        assert vic_command_mw(BaselineVic(), 0.0, 0.0, 50.0) == 0.0
 
     def test_constant_deviation_droop_only(self):
         vic = BaselineVic(k_f=20.0, k_in=10.0, filter_s=0.1)
-        rt = VicRuntime(vic)
-        cmd = 0.0
-        for _ in range(1000):  # 10 s >> filter settling
-            cmd = classic_vic_step(rt, -0.3, 0.01)
+        # 10 s >> filter settling
+        *_, cmd = _vic_commands(vic, [-0.3] * 1000, 0.01)
         assert cmd == pytest.approx(20.0 * 0.3, rel=1e-9)
 
     def test_ramp_recovers_slope(self):
         vic = BaselineVic(k_f=0.0, k_in=10.0, filter_s=0.1)
-        rt = VicRuntime(vic)
         slope = -0.05  # Hz per second
-        cmd = 0.0
-        t = 0.0
-        for _ in range(600):  # 0.6 s > 3 filter time constants
-            t += 0.001
-            cmd = classic_vic_step(rt, slope * t, 0.001)
+        # 0.6 s > 3 filter time constants
+        *_, cmd = _vic_commands(vic, [slope * 0.001 * (i + 1) for i in range(600)], 0.001)
         assert cmd == pytest.approx(-10.0 * slope, rel=0.05)
 
     def test_gain_validation(self):

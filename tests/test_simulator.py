@@ -3,7 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import windfreq
+from windfreq import collocation as coll
 from windfreq import simulator as sim
+from windfreq import trajopt as to
+from windfreq.grid import GovernorSpec
+from windfreq.presets import load_preset
+from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import DisturbanceEvent, ScenarioError, coi_frequency, metrics, run
 
 
@@ -113,6 +119,86 @@ class TestExitBehavior:
         assert any(e["kind"] == "speed_floor" for e in res.exit_events)
         floor = sc.turbines[0].spec.floor_speed_rad
         assert np.min(res.wt_omega_rad_s) >= floor - 1e-9
+
+
+    def test_clipped_power_cross_is_continuous(self):
+        # a trip where the command re-crosses the tracking curve while the
+        # turbine power is above it, so gamma clips to 1 and any bracket
+        # left by the exit bisection shows up as a power step
+        doc = load_preset("two_machine")
+        doc["grid"]["inertia_s"] = 4.4398402651516395
+        doc["governors"][0]["params"].update(droop=0.04698636227539709,
+                                              reheat_time_s=8.14102490750287)
+        doc["turbines"][0]["wind_speed_ms"] = 9.063419767206682
+        doc["events"] = [{"time_s": 0.0, "kind": "generation_trip", "unit": "G1",
+                          "fraction": 0.11067653645161682}]
+        doc["solver"].update(nodes=60, hypothetical_p_d_pu=0.08300740233871261)
+        res = run(scenario_from_dict(doc))
+        [ev] = res.exit_events
+        assert ev["kind"] == "power_cross"
+        assert ev["gamma"] == 1.0
+        assert ev["power_step_pu"] <= 1e-6
+
+
+class TestStateCollapse:
+    @pytest.mark.parametrize("preset, n_y", [("two_machine", 4), ("multi_machine", 21)])
+    def test_state_length(self, preset, n_y):
+        sc = scenario_from_dict(load_preset(preset))
+        m_gov = sum(len(g.den) - 1 for g in sc.governors)
+        asm = sim._Assembled(sc, alpha=1.3)
+        assert asm.y0.size == 1 + m_gov + 2 * len(sc.turbines) == n_y
+
+    def test_governor_rates_match_loop(self, two_machine_scenario):
+        # the governor states advance as one mat-vec; the scalar loop it
+        # replaced is the reference, here with a second-order block
+        g2 = GovernorSpec(name="G2", rated_mva=150.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
+        sc = replace(two_machine_scenario, governors=two_machine_scenario.governors + (g2,))
+        asm = sim._Assembled(sc, alpha=1.2)
+        y = asm.y0 + 1e-3 * np.random.default_rng(4).normal(size=asm.y0.size)
+        dy = np.zeros_like(y)
+        sim._rhs(asm, y, dy)
+        m = asm.m_gov
+        loop = [asm.b_g[s] * y[0] + sum(asm.a_g[s, s2] * y[1 + s2] for s2 in range(m))
+                for s in range(m)]
+        assert m == 3
+        np.testing.assert_allclose(dy[1:1 + m], loop, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("event", [
+        DisturbanceEvent(time_s=0.0, kind="load_surge", magnitude_pu=0.075),
+        DisturbanceEvent(time_s=0.0, kind="generation_trip", unit="G1", fraction=0.1),
+    ], ids=["load_surge", "generation_trip"])
+    def test_mirror_cancels_governor_output(self, two_machine_scenario, base_result, event):
+        # the mirror reads the governor state, so before exit and inside the
+        # limits the command is share (-dpm / kept fraction + K_w df) S_base
+        res = run(replace(two_machine_scenario, events=(event,)),
+                  alpha_override=base_result.alpha)
+        kept = 1.0 - event.fraction if event.kind == "generation_trip" else 1.0
+        window = (res.t < res.exit_events[0]["t_e_s"]) & (res.wt_flags[:, 0] == 0)
+        assert window.sum() > 1000
+        s_base = two_machine_scenario.grid.s_base_mva
+        expected = res.shares[0] * (-res.dpm_pu / kept + res.gain_kw * res.df_pu) * s_base
+        dp_mw = res.wt_pe_mw[:, 0] - res.wt_p_e0_mw[0]
+        np.testing.assert_allclose(dp_mw[window], expected[window], rtol=0, atol=1e-9)
+        assert np.max(np.abs(dp_mw[window])) > 1.0
+
+
+class TestGoldenRegression:
+    def test_two_machine_k24(self, two_machine_scenario):
+        # values of the pre-refactor kernel, same scenario and options
+        sc = replace(two_machine_scenario,
+                     solver=replace(two_machine_scenario.solver, nodes=24),
+                     sim=replace(two_machine_scenario.sim, duration_s=35.0))
+        prob = to.build_problem(sc.grid, list(sc.governors), 0.075, 30.0)
+        sol = to.solve_max_nadir(prob, coll.make_grid(24, 0.0, 30.0))
+        rec = metrics(run(sc, alpha_override=sol.alpha), nadir_ref_pu=sol.nadir_pu)
+        assert sol.nadir_pu == pytest.approx(-0.004971844884789816, rel=1e-12)
+        assert sol.alpha == pytest.approx(1.1932427723495558, rel=1e-12)
+        assert rec.nadir_pu == pytest.approx(-0.004971844884789792, rel=1e-10)
+        assert rec.max_swing_residual <= 1e-8
+
+
+def test_backend_name():
+    assert windfreq.backend_name() == "numpy"
 
 
 class TestEvents:
