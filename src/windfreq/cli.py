@@ -19,6 +19,7 @@ from .presets import PRESET_NAMES, load_preset, preset_checksum
 from .scenario import scenario_from_dict
 from .simulator import (
     ScenarioError,
+    allocation_shares,
     compare_strategies,
     insensitivity_sweep,
     metrics,
@@ -106,13 +107,13 @@ def cmd_synthesize(args) -> int:
     if alpha is None:
         alpha = solve_hypothetical(sc).alpha
     ctrl = synthesize(sc.grid, list(sc.governors), alpha)
-    res = run(sc, alpha_override=alpha)  # resolves the allocation factors
+    shares = allocation_shares(sc)
     doc = {
         "alpha": alpha,
         "gain_kw": ctrl.gain_kw,
         "regulation_gain": ctrl.k_g,
         "response_rate_1_s": ctrl.response_rate,
-        "allocation": list(res.shares),
+        "allocation": list(shares),
         "turbines": [t.name for t in sc.turbines],
         "mirror": {"a": ctrl.mirror.a, "b": ctrl.mirror.b,
                    "c": ctrl.mirror.c, "d": ctrl.mirror.d},
@@ -120,7 +121,7 @@ def cmd_synthesize(args) -> int:
     }
     _write_json(out / "controller.json", doc)
     print(f"alpha {alpha:.4f}  K_w {ctrl.gain_kw:+.4f}  allocation "
-          + " ".join(f"{s:.4f}" for s in res.shares))
+          + " ".join(f"{s:.4f}" for s in shares))
     return EXIT_OK
 
 

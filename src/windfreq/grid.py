@@ -22,7 +22,6 @@ __all__ = [
     "tf_to_statespace",
     "aggregate_governors",
     "scale_output",
-    "simulate_response",
 ]
 
 
@@ -215,25 +214,3 @@ def aggregate_governors(realizations) -> StateSpace:
         pos += n
     return StateSpace(a=a, b=b, c=c, d=[[d]])
 
-
-def simulate_response(ss: StateSpace, input_func, t_end: float, dt: float):
-    """Fixed-step RK4 response of a SISO state space to input_func(t).
-
-    Returns (t, y). The input is treated as smooth within each step, which is
-    exact enough for the step/ramp fidelity checks this supports.
-    """
-    n_steps = int(round(t_end / dt))
-    t = np.arange(n_steps + 1) * dt
-    x = np.zeros(ss.order)
-    y = np.empty(n_steps + 1)
-    a, b, c, d = ss.a, ss.b[:, 0], ss.c[0, :], float(ss.d[0, 0])
-    y[0] = c @ x + d * input_func(0.0)
-    for i in range(n_steps):
-        ti = t[i]
-        k1 = a @ x + b * input_func(ti)
-        k2 = a @ (x + 0.5 * dt * k1) + b * input_func(ti + 0.5 * dt)
-        k3 = a @ (x + 0.5 * dt * k2) + b * input_func(ti + 0.5 * dt)
-        k4 = a @ (x + dt * k3) + b * input_func(ti + dt)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        y[i + 1] = c @ x + d * input_func(t[i + 1])
-    return t, y

@@ -1,16 +1,18 @@
 """Closed-loop time-domain simulation of grid, governors, turbines, controllers.
 
-Fixed-step RK4 co-integrates the swing equation, the governor states, each
-turbine's VIC filter state and the one-mass rotors. The AAPC mirror of the
-governors has no state of its own: it reads the governor states. Disturbances
-are steps in the power deficit; generation trips also zero the tripped unit's
-governor output. Turbine power limits and the rotor speed floor are enforced
-inside the right-hand side, and exit triggers are located by 14 bisection
-halvings of the step (0.6 us at a 10 ms step). Identical inputs produce
-bit-identical traces.
+Fixed-step RK4 co-integrates the swing equation, the governor states, the
+one-mass rotors and one VIC filter state; this kernel is the package's only
+integrator of rotor and governor dynamics. The VIC filter is shared because
+every turbine's filter sees the same deviation from the same zero state, and
+the AAPC mirror of the governors has no state of its own: it reads the
+governor states. Disturbances are steps in the power deficit; generation trips
+also zero the tripped unit's governor output. Turbine power limits and the
+rotor speed floor are enforced inside the right-hand side, a rotor that is not
+under AAPC is held on its floor at the end of each step, and exit triggers are
+located by 14 bisection halvings of the step (0.6 us at a 10 ms step).
+Identical inputs produce bit-identical traces.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +22,8 @@ from . import trajopt as to
 from .aapc import (BaselineVic, allocate, check_exit, command_pu, exit_gamma, exit_power,
                    mirror_output, synthesize, vic_command_mw, vic_filter_rate)
 from .grid import GridParameters, aggregate_governors, scale_output, tf_to_statespace
-from .turbine import (TurbineSpec, _cp_value, _k_opt_w, capability_indices, make_state,
-                      mppt_power)
+from .turbine import (TurbineSpec, _fleet_power_scale, _k_opt_w, _mppt_power_w,
+                      _turbine_power_w, capability_indices, make_state, mppt_power)
 
 __all__ = [
     "TurbineEntry",
@@ -38,6 +40,7 @@ __all__ = [
     "solve_hypothetical",
     "insensitivity_sweep",
     "compare_strategies",
+    "allocation_shares",
     "ScenarioError",
 ]
 
@@ -131,6 +134,9 @@ class Scenario:
                 problems.append(f"turbine {t.name!r}: unknown controller {t.controller!r}")
             if t.wind_speed_ms < 1.0:
                 problems.append(f"turbine {t.name!r}: wind speed {t.wind_speed_ms} too low")
+            if t.pitch_deg < 0:
+                problems.append(
+                    f"turbine {t.name!r}: pitch {t.pitch_deg} deg must be nonnegative")
         if self.allocation is not None and len(self.allocation) != len(self.turbines):
             problems.append("allocation override length must match the turbine list")
         if self.solver.nodes < 10:
@@ -151,23 +157,6 @@ def _clamp(p, lo, hi):
     return p
 
 
-def _operating_point(asm, j, omega, df, mirror_pu):
-    """Turbine j at rotor speed omega: (p_t, p_mppt, p_aapc), W.
-
-    p_t is the aerodynamic power, p_mppt the tracking-curve power clamped to
-    the fleet limits and p_aapc the unclamped AAPC command: the pre-event
-    power plus the turbine's share of the aggregate controller output.
-    """
-    v = asm.v_w[j]
-    cp = _cp_value(asm.radius[j] * omega / v, asm.pitch[j])
-    if cp < 0.0:
-        cp = 0.0
-    p_t = asm.count[j] * asm.half_rho_area[j] * cp * v ** 3
-    p_mppt = _clamp(asm.k_opt_w[j] * omega ** 3, asm.p_min_w[j], asm.p_max_w[j])
-    p_aapc = asm.p_e0_w[j] + command_pu(asm.shares[j], mirror_pu, asm.kw, df) * asm.s_base_w
-    return p_t, p_mppt, p_aapc
-
-
 def _rhs(asm, y, dy):
     """Closed-loop derivative into dy; per-turbine applied power and flags.
 
@@ -176,12 +165,12 @@ def _rhs(asm, y, dy):
     """
     m_gov, n_wt = asm.m_gov, asm.n_wt
     base_w = 1 + m_gov
-    base_z = base_w + n_wt
     x_gov = y[1:base_w]
     dy[1:base_w] = asm.a_g @ x_gov + asm.b_g * y[0]
 
     y = y.tolist()  # python floats: the scalar work below runs faster on them
     df = y[0]
+    z = y[-1]
     x_gov = y[1:base_w]
     pm = 0.0
     for s in range(m_gov):
@@ -193,11 +182,13 @@ def _rhs(asm, y, dy):
     pe_dev = 0.0
     for j in range(n_wt):
         omega = y[base_w + j]
-        z = y[base_z + j]
-        p_t, p_mppt, p_aapc = _operating_point(asm, j, omega, df, mirror_pu)
+        p_t = _turbine_power_w(omega, asm.v_w[j], asm.pitch[j], asm.radius[j],
+                               asm.power_scale[j])
+        p_mppt = _mppt_power_w(omega, asm.k_opt_w[j], asm.p_min_w[j], asm.p_max_w[j])
         mode = asm.modes[j]
         if mode == MODE_AAPC:
-            p_cmd = p_aapc
+            p_cmd = (asm.p_e0_w[j]
+                     + command_pu(asm.shares[j], mirror_pu, asm.kw, df) * asm.s_base_w)
         elif mode == MODE_VIC:
             p_cmd = asm.p_e0_w[j] + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
         elif mode == MODE_EXITED:
@@ -219,8 +210,8 @@ def _rhs(asm, y, dy):
         asm.wt_flags[j] = flags
         pe_dev += (p_app - asm.p_e0_w[j]) / asm.s_base_w
         dy[base_w + j] = (p_t - p_app) / (asm.j_fleet[j] * omega)
-        dy[base_z + j] = vic_filter_rate(asm.vic, df, z)
 
+    dy[-1] = vic_filter_rate(asm.vic, df, z)
     dy[0] = (pm + pe_dev - asm.p_d - asm.damping * df) / asm.two_h
     return pm, pe_dev
 
@@ -232,6 +223,12 @@ def _rk4_step(asm, y, h):
     _rhs(asm, y + 0.5 * h * k2, k3)
     _rhs(asm, y + h * k3, k4)
     y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # the cutback engages only once the rotor is at its floor, so the step
+    # that crosses it lands on it; AAPC rotors leave by the floor exit instead
+    base_w = 1 + asm.m_gov
+    for j in range(asm.n_wt):
+        if asm.modes[j] != MODE_AAPC and y[base_w + j] < asm.floor_rad[j]:
+            y[base_w + j] = asm.floor_rad[j]
 
 
 def _rk4_from(asm, y0, h):
@@ -251,9 +248,11 @@ def _exit_state(asm, y, j, t):
     """
     y = y.tolist()
     base_w = 1 + asm.m_gov
-    omega = y[base_w + j]
-    mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, y[1:base_w], y[0])
-    p_t, p_mppt, p_aapc = _operating_point(asm, j, omega, y[0], mirror_pu)
+    omega, df = y[base_w + j], y[0]
+    mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, y[1:base_w], df)
+    p_t = _turbine_power_w(omega, asm.v_w[j], asm.pitch[j], asm.radius[j], asm.power_scale[j])
+    p_mppt = _mppt_power_w(omega, asm.k_opt_w[j], asm.p_min_w[j], asm.p_max_w[j])
+    p_aapc = asm.p_e0_w[j] + command_pu(asm.shares[j], mirror_pu, asm.kw, df) * asm.s_base_w
     p_cmd = _clamp(p_aapc, asm.p_min_w[j], asm.p_max_w[j])
     kind = check_exit(p_cmd, p_mppt, omega, asm.floor_rad[j], t,
                       asm.t_support_end - 1e-12, asm.armed[j])
@@ -375,8 +374,9 @@ class _Assembled:
     """Scenario compiled to flat kernel arrays, plus the loop's mutable state.
 
     The state vector is [df, governor states, rotor speeds, VIC filter
-    states]: 1 + m_gov + 2 n_wt entries. The AAPC mirror has no state of its
-    own; it reads the governor states (see ``aapc.mirror_output``).
+    state]: 1 + m_gov + n_wt + 1 entries, with one VIC filter state shared by
+    every turbine. The AAPC mirror has no state of its own; it reads the
+    governor states (see ``aapc.mirror_output``).
     """
 
     def __init__(self, sc: Scenario, alpha: float | None):
@@ -407,9 +407,7 @@ class _Assembled:
         self.n_wt = n_wt = len(specs)
         mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
         self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
-        self.count = [float(s.count) for s in specs]
-        self.half_rho_area = [0.5 * s.air_density * math.pi * s.rotor_radius_m ** 2
-                              for s in specs]
+        self.power_scale = [_fleet_power_scale(s) for s in specs]
         self.radius = [s.rotor_radius_m for s in specs]
         self.v_w = [t.wind_speed_ms for t in sc.turbines]
         self.pitch = [t.pitch_deg for t in sc.turbines]
@@ -421,17 +419,7 @@ class _Assembled:
         self.j_fleet = [s.fleet_inertia for s in specs]
         self.omega0 = [st.omega_rad_s for st in states]
 
-        if sc.allocation is not None:
-            shares = np.asarray(sc.allocation, dtype=float)
-        else:
-            # a VIC turbine answers alone; AAPC turbines split the fleet command
-            shares = np.array([1.0 if m == MODE_VIC else 0.0 for m in self.ctrl_mode])
-            aapc_idx = [j for j in range(n_wt) if self.ctrl_mode[j] == MODE_AAPC]
-            if aapc_idx:
-                shares[aapc_idx] = allocate(
-                    [capability_indices(states[j], specs[j], grid.s_base_mva)
-                     for j in aapc_idx])
-        self.shares = shares.tolist()
+        self.shares = allocation_shares(sc).tolist()
         self.kw = 0.0
         self.mirror_d = 0.0
         self.mirror_c = [0.0] * self.m_gov
@@ -458,7 +446,7 @@ class _Assembled:
         self.modes = [MODE_TRACKING] * n_wt
         self.gamma = [0.0] * n_wt
         self.armed = [False] * n_wt
-        n_y = 1 + self.m_gov + 2 * n_wt
+        n_y = 1 + self.m_gov + n_wt + 1
         self.y0 = np.zeros(n_y)
         self.y0[1 + self.m_gov:1 + self.m_gov + n_wt] = self.omega0
         self.k1, self.k2, self.k3, self.k4, self.y_snapshot = (np.zeros(n_y) for _ in range(5))
@@ -475,6 +463,29 @@ class _Traces:
         self.wt_pe = np.zeros((n, n_wt))
         self.wt_omega = np.zeros((n, n_wt))
         self.flags = np.zeros((n, n_wt), dtype=np.int8)
+
+
+def allocation_shares(sc: Scenario) -> np.ndarray:
+    """Each turbine's share of the controller command, in turbine order.
+
+    The scenario's override if it has one; otherwise a VIC turbine answers
+    alone (share 1), a turbine without control gets 0, and the AAPC turbines
+    split the aggregate command by ``aapc.allocate`` over their capability
+    indices at the pre-event operating point.
+    """
+    if sc.allocation is not None:
+        return np.asarray(sc.allocation, dtype=float)
+    shares = np.array([1.0 if t.controller == "classic_vic" else 0.0 for t in sc.turbines])
+    aapc_idx = [j for j, t in enumerate(sc.turbines) if t.controller == "optimal_aapc"]
+    if aapc_idx:
+        s_base = sc.grid.s_base_mva
+        caps = []
+        for j in aapc_idx:
+            t = sc.turbines[j]
+            state = make_state(t.spec, t.wind_speed_ms, s_base, t.pitch_deg)
+            caps.append(capability_indices(state, t.spec, s_base))
+        shares[aapc_idx] = allocate(caps)
+    return shares
 
 
 def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectorySolution:

@@ -1,13 +1,16 @@
-"""DFIG wind-turbine aerodynamics and one-mass rotor dynamics.
+"""DFIG wind-turbine aerodynamics: C_p, turbine power and the tracking curve.
 
 An aggregated fleet of identical units is modeled as one turbine with the
 single-unit inertia multiplied by the unit count; powers are fleet totals.
-Internally the rotor runs in SI (W, rad/s); the public surface reports MW and
-MJ, with per-unit conversion on the system base left to the simulator.
+The laws run in SI (W, rad/s) in ``_turbine_power_w`` and ``_mppt_power_w``;
+the public surface reports MW and MJ. The one-mass rotor dynamics
+J w dw/dt = P_t - P_e, with the power limits and the speed-floor cutback, are
+integrated by the closed-loop kernel in ``windfreq.simulator``, which calls
+the same two laws.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +25,6 @@ __all__ = [
     "mppt_power",
     "mppt_equilibrium_speed",
     "make_state",
-    "step_rotor",
     "capability_indices",
 ]
 
@@ -154,17 +156,43 @@ def cp_peak(pitch_deg: float = 0.0):
     return float(tsr_opt), float(_cp_value(tsr_opt, pitch_deg))
 
 
+def _fleet_power_scale(spec: TurbineSpec) -> float:
+    """count * 0.5 rho pi R^2: turbine power per unit C_p v^3, W s^3/m^3."""
+    return float(spec.count) * (0.5 * spec.air_density * math.pi * spec.rotor_radius_m ** 2)
+
+
+def _turbine_power_w(omega, wind, pitch, radius, power_scale):
+    """Aerodynamic fleet power, W; C_p outside the model domain counts as zero.
+
+    ``power_scale`` is ``_fleet_power_scale(spec)``.
+    """
+    cp = _cp_value(radius * omega / wind, pitch)
+    if cp < 0.0:
+        cp = 0.0
+    return power_scale * cp * wind ** 3
+
+
+def _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w):
+    """Tracking-curve power k_opt w^3, W, clamped to [p_min_w, p_max_w]."""
+    p = k_opt_w * omega ** 3
+    if p > p_max_w:
+        return p_max_w
+    if p < p_min_w:
+        return p_min_w
+    return p
+
+
 def turbine_power(state: TurbineState, spec: TurbineSpec) -> float:
     """Aerodynamic power captured by the fleet, MW."""
     if state.wind_speed_ms < 0.1:
         return 0.0
     if state.omega_rad_s <= 0:
         raise ValueError(f"rotor speed must be positive, got {state.omega_rad_s}")
-    tsr = spec.rotor_radius_m * state.omega_rad_s / state.wind_speed_ms
-    cp = power_coefficient(tsr, state.pitch_deg)
-    swept = math.pi * spec.rotor_radius_m ** 2
-    watts = spec.count * 0.5 * spec.air_density * swept * cp * state.wind_speed_ms ** 3
-    return watts / 1e6
+    # raises on a negative pitch or outside the C_p model domain
+    power_coefficient(spec.rotor_radius_m * state.omega_rad_s / state.wind_speed_ms,
+                      state.pitch_deg)
+    return _turbine_power_w(state.omega_rad_s, state.wind_speed_ms, state.pitch_deg,
+                            spec.rotor_radius_m, _fleet_power_scale(spec)) / 1e6
 
 
 def _k_opt_w(spec: TurbineSpec) -> float:
@@ -180,8 +208,8 @@ def mppt_power(omega_rad_s: float, spec: TurbineSpec) -> float:
     """Tracking-curve power k_opt w^3, MW, clamped to the fleet power limits."""
     if omega_rad_s <= 0:
         return max(0.0, spec.p_min_fleet_mw)
-    mw = _k_opt_w(spec) * omega_rad_s ** 3 / 1e6
-    return float(np.clip(mw, spec.p_min_fleet_mw, spec.p_max_fleet_mw))
+    return _mppt_power_w(omega_rad_s, _k_opt_w(spec), spec.p_min_fleet_mw * 1e6,
+                         spec.p_max_fleet_mw * 1e6) / 1e6
 
 
 def mppt_equilibrium_speed(wind_speed_ms: float, spec: TurbineSpec) -> float:
@@ -212,60 +240,6 @@ def make_state(
         pitch_deg=float(pitch_deg),
         p_e_pu=float(p_mw / s_base_mva),
         energy_mj=0.5 * spec.fleet_inertia * omega ** 2 / 1e6,
-    )
-
-
-def _rotor_rhs(omega, p_e_w, wind, pitch, half_rho_area, radius, count, j_fleet, floor):
-    """d(omega)/dt with the protective cutback folded in; returns (dw, applied P_e W)."""
-    tsr = radius * omega / wind
-    cp = _cp_value(tsr, pitch)
-    if cp < 0.0:
-        cp = 0.0
-    p_t = count * half_rho_area * cp * wind ** 3
-    p_applied = p_e_w
-    if omega <= floor and p_e_w > p_t:
-        p_applied = p_t  # hold speed at the floor instead of stalling through it
-    return (p_t - p_applied) / (j_fleet * omega), p_applied
-
-
-def step_rotor(
-    state: TurbineState,
-    p_e_command_pu: float,
-    dt: float,
-    spec: TurbineSpec,
-    s_base_mva: float,
-) -> TurbineState:
-    """One fixed RK4 step of J w dw/dt = P_t - P_e under the commanded power.
-
-    The command is clamped to the fleet power limits; at the speed floor the
-    applied power is cut back to the turbine power so the rotor holds instead
-    of crossing the floor.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not math.isfinite(p_e_command_pu):
-        raise ValueError("power command must be finite")
-    cmd_w = float(np.clip(p_e_command_pu * s_base_mva, spec.p_min_fleet_mw, spec.p_max_fleet_mw)) * 1e6
-    half_rho_area = 0.5 * spec.air_density * math.pi * spec.rotor_radius_m ** 2
-    floor = spec.floor_speed_rad
-    j_fleet = spec.fleet_inertia
-    args = (state.wind_speed_ms, state.pitch_deg, half_rho_area,
-            spec.rotor_radius_m, spec.count, j_fleet, floor)
-
-    w = state.omega_rad_s
-    k1, p1 = _rotor_rhs(w, cmd_w, *args)
-    k2, _ = _rotor_rhs(w + 0.5 * dt * k1, cmd_w, *args)
-    k3, _ = _rotor_rhs(w + 0.5 * dt * k2, cmd_w, *args)
-    k4, p4 = _rotor_rhs(w + dt * k3, cmd_w, *args)
-    w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if w_new < floor:
-        w_new = floor
-    applied_w = p4  # command after limits/cutback at the step's end condition
-    return replace(
-        state,
-        omega_rad_s=w_new,
-        p_e_pu=applied_w / 1e6 / s_base_mva,
-        energy_mj=0.5 * j_fleet * w_new ** 2 / 1e6,
     )
 
 

@@ -154,6 +154,17 @@ class TestCli:
         assert doc["diagnostics"]["lp_meta"]["n_vars"] == 61
         assert doc["convergence"]["nadir_rel_diff"] <= 0.005
 
+    @pytest.mark.parametrize("pitch", [-1.0, -0.5])
+    def test_negative_pitch_exit_code(self, tmp_path, capsys, pitch):
+        # -1 deg put a pole in the C_p model and crashed the closed loop
+        doc = load_preset("two_machine")
+        doc["turbines"][0]["pitch_deg"] = pitch
+        path = tmp_path / "pitch.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "pitch" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "ghost.json"),
                    "--out", str(tmp_path / "o")])

@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from windfreq import simulator as sim
+from windfreq.simulator import SimOptions, TurbineEntry, run
 from windfreq.turbine import (
     TurbineSpec,
+    TurbineState,
     capability_indices,
     cp_peak,
     dfig5mw,
@@ -12,7 +16,6 @@ from windfreq.turbine import (
     mppt_equilibrium_speed,
     mppt_power,
     power_coefficient,
-    step_rotor,
     turbine_power,
 )
 
@@ -121,59 +124,48 @@ class TestMpptCurve:
         assert mppt_power(50.0, spec) == spec.p_max_fleet_mw
 
 
+def with_controller(sc, controller, duration_s=60.0):
+    """The scenario with every turbine on one controller, run for duration_s."""
+    return replace(sim._with_controllers(sc, controller),
+                   sim=replace(sc.sim, duration_s=duration_s))
+
+
 class TestStepRotor:
-    def test_equilibrium_hold(self):
-        spec = dfig5mw(count=20, rotor_radius_m=45.0)
-        state = make_state(spec, 9.0, S_BASE)
-        nxt = step_rotor(state, state.p_e_pu, 0.01, spec, S_BASE)
-        assert nxt.omega_rad_s == pytest.approx(state.omega_rad_s, rel=1e-12)
+    """The one-mass rotor as the closed-loop kernel steps it."""
 
-    def test_over_draw_decelerates(self):
-        spec = dfig5mw(count=20, rotor_radius_m=45.0)
-        state = make_state(spec, 9.0, S_BASE)
-        nxt = step_rotor(state, state.p_e_pu + 0.05, 0.01, spec, S_BASE)
-        assert nxt.omega_rad_s < state.omega_rad_s
+    def test_over_draw_decelerates(self, two_machine_scenario):
+        # the VIC command rises above the pre-event power as soon as df falls
+        res = run(with_controller(two_machine_scenario, "classic_vic", 30.0))
+        assert res.wt_pe_mw[1, 0] > res.wt_p_e0_mw[0]
+        assert res.wt_omega_rad_s[1, 0] < res.wt_omega0[0]
 
-    def test_energy_bookkeeping(self):
-        # dE_k over the interval equals the integrated power imbalance
-        spec = dfig5mw(count=20, rotor_radius_m=45.0)
-        state = make_state(spec, 9.0, S_BASE)
-        cmd = state.p_e_pu + 0.04
+    def test_energy_bookkeeping(self, two_machine_scenario):
+        # dE_k over the interval equals the trapezoid of the recorded power
+        # imbalance, with the turbine power from the shared law
+        entry = two_machine_scenario.turbines[0]
+        dt = two_machine_scenario.sim.step_s
+        for controller, alpha in (("classic_vic", None), ("optimal_aapc", 1.19)):
+            res = run(with_controller(two_machine_scenario, controller, 30.0),
+                      alpha_override=alpha)
+            omega = res.wt_omega_rad_s[:, 0]
+            p_t = np.array([turbine_power(TurbineState(w, entry.wind_speed_ms, entry.pitch_deg,
+                                                       0.0, 0.0), entry.spec) for w in omega])
+            imbalance_w = (p_t - res.wt_pe_mw[:, 0]) * 1e6
+            for t_end in (10.0, 20.0):
+                n = int(round(t_end / dt))
+                d_ek = 0.5 * entry.spec.fleet_inertia * (omega[n] ** 2 - omega[0] ** 2)
+                absorbed = dt * (imbalance_w[:n + 1].sum()
+                                 - 0.5 * (imbalance_w[0] + imbalance_w[n]))
+                assert d_ek < 0
+                assert d_ek == pytest.approx(absorbed, rel=2e-5)
 
-        def run(dt, t_end=5.0):
-            s = state
-            absorbed = 0.0
-            n = int(round(t_end / dt))
-            cmd_mw = cmd * S_BASE
-            for _ in range(n):
-                p_t = turbine_power(s, spec)
-                s_next = step_rotor(s, cmd, dt, spec, S_BASE)
-                p_t_next = turbine_power(s_next, spec)
-                absorbed += 0.5 * dt * ((p_t - cmd_mw) + (p_t_next - cmd_mw))
-                s = s_next
-            return s, absorbed
-
-        coarse, int_coarse = run(0.01)
-        fine, int_fine = run(0.001)
-        d_ek = coarse.energy_mj - state.energy_mj
-        assert d_ek == pytest.approx(int_coarse, rel=1e-6)
-        assert coarse.energy_mj == pytest.approx(fine.energy_mj, rel=1e-6)
-
-    def test_floor_never_crossed(self):
-        spec = dfig5mw(count=1, rotor_radius_m=45.0)
-        state = make_state(spec, 7.0, S_BASE)
-        s = state
-        for _ in range(20000):  # heavy over-draw for 200 s
-            s = step_rotor(s, s.p_e_pu + 0.02, 0.01, spec, S_BASE)
-        assert s.omega_rad_s >= spec.floor_speed_rad - 1e-12
-
-    def test_dt_validation(self):
-        spec = dfig5mw(rotor_radius_m=45.0)
-        state = make_state(spec, 9.0, S_BASE)
-        with pytest.raises(ValueError):
-            step_rotor(state, 0.1, 0.0, spec, S_BASE)
-        with pytest.raises(ValueError):
-            step_rotor(state, float("nan"), 0.01, spec, S_BASE)
+    def test_floor_never_crossed(self, two_machine_scenario, multi_machine_scenario):
+        # classic VIC drives the slowest rotor onto its floor on both presets
+        for sc in (two_machine_scenario, multi_machine_scenario):
+            res = run(with_controller(sc, "classic_vic"))
+            floors = np.array([t.spec.floor_speed_rad for t in sc.turbines])
+            assert np.any(res.wt_flags & sim.FLAG_FLOOR)
+            assert np.min(res.wt_omega_rad_s - floors) >= -1e-12
 
 
 class TestCapability:
@@ -199,20 +191,24 @@ class TestCapability:
         assert de == pytest.approx(expected, rel=1e-12)
 
 
-def test_mppt_equilibrium_attracting():
+def test_mppt_equilibrium_attracting(two_machine_scenario):
+    # the kernel starts each rotor off its tracking equilibrium and steps it
+    # with no disturbance and no controller for 300 s
     spec = dfig5mw(count=1, rotor_radius_m=45.0)
     tsr_opt, _ = cp_peak(0.0)
     v = 8.0
     omega_eq = mppt_equilibrium_speed(v, spec)
+    sc = replace(two_machine_scenario, events=(),
+                 turbines=(TurbineEntry("WT", spec, v, controller="none"),),
+                 sim=SimOptions(duration_s=300.0, step_s=0.01))
     for omega0 in (0.75 * omega_eq, 1.2 * omega_eq):
-        s = make_state(spec, v, S_BASE, omega_rad_s=max(omega0, spec.floor_speed_rad))
-        gaps = []
-        for i in range(30000):  # 300 s
-            cmd_pu = mppt_power(s.omega_rad_s, spec) / S_BASE
-            s = step_rotor(s, cmd_pu, 0.01, spec, S_BASE)
-            if i % 1000 == 0:
-                gaps.append(abs(spec.rotor_radius_m * s.omega_rad_s / v - tsr_opt))
-        settled = np.array(gaps[2:])
+        asm = sim._Assembled(sc, alpha=None)
+        y = asm.y0.copy()
+        y[1 + asm.m_gov] = max(omega0, spec.floor_speed_rad)
+        tr = sim._Traces(asm.n_steps, asm.n_wt)
+        sim._run_segment(asm, y, 0, tr)
+        gaps = np.abs(spec.rotor_radius_m * tr.wt_omega[1::1000, 0] / v - tsr_opt)
+        settled = gaps[2:]
         assert np.all(np.diff(settled) <= 1e-12)
         assert settled[-1] < 1e-3
 
