@@ -32,15 +32,11 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header, columns):
+    """CSV of equal-length numeric columns, every value written as %.12g."""
+    row_fmt = ",".join(["%.12g"] * len(header))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    path.write_text("\n".join([",".join(header)] + [row_fmt % row for row in rows]) + "\n")
 
 
 def _write_json(path: Path, doc):
@@ -92,7 +88,7 @@ def cmd_solve(args) -> int:
         print("warning: zero disturbance, traces are identically zero", file=sys.stderr)
     _write_csv(out / "trajectory.csv",
                ["t_s", "df_pu", "dpe_pu", "denergy_pu_s", "dpm_pu"],
-               zip(sol.t, sol.df_pu, sol.dpe_pu, sol.denergy_pu_s, sol.dpm_pu))
+               [sol.t, sol.df_pu, sol.dpe_pu, sol.denergy_pu_s, sol.dpm_pu])
     _write_json(out / "solve_metrics.json", doc)
     print(f"nadir {sol.nadir_hz:+.4f} Hz  alpha {sol.alpha:.4f}  "
           f"(coarse-grid agreement {rel:.2e})")
@@ -134,7 +130,7 @@ def _write_sim(out: Path, tag: str, res, rec):
         header += [f"{t.name}_pe_mw", f"{t.name}_omega_pu"]
         cols += [res.wt_pe_mw[:, j],
                  res.wt_omega_rad_s[:, j] / t.spec.rated_speed_rad]
-    _write_csv(out / f"{tag}_trace.csv", header, zip(*cols))
+    _write_csv(out / f"{tag}_trace.csv", header, cols)
     doc = rec.as_dict()
     doc["alpha"] = res.alpha
     doc["gain_kw"] = res.gain_kw
@@ -183,8 +179,11 @@ def cmd_sweep(args) -> int:
     rows, p_d_max = insensitivity_sweep(sc, p_d_list)
     _write_csv(out / "sweep.csv",
                ["p_d_pu", "p_d_frac_of_load", "nadir_hz", "e_r_pct", "limit_events"],
-               [(r["p_d_pu"], r["p_d_pu"] / sc.grid.load_pu, r["nadir_hz"],
-                 r["e_r_pct"], r["limit_events"]) for r in rows])
+               [[r["p_d_pu"] for r in rows],
+                [r["p_d_pu"] / sc.grid.load_pu for r in rows],
+                [r["nadir_hz"] for r in rows],
+                [r["e_r_pct"] for r in rows],
+                [r["limit_events"] for r in rows]])
     _write_json(out / "sweep.json",
                 {"rows": rows, "p_d_max_pu": p_d_max, "e_r_limit_pct": 5.0,
                  "provenance": prov})

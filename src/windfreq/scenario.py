@@ -5,6 +5,8 @@ Validation walks the document first, rejecting unknown or missing keys with
 their location, so numerical work never starts on a malformed input.
 """
 
+import math
+
 from .aapc import BaselineVic
 from .grid import GovernorSpec, GridParameters, ReheatSteam, reheat_governor
 from .simulator import (
@@ -88,10 +90,24 @@ def _turbine_spec(doc: dict, count: int, path: str, errors: list) -> TurbineSpec
         return None
 
 
+def _non_finite_paths(obj, path: str = "$"):
+    """JSON path of every NaN or infinite number in a parsed document."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [path]
+    if isinstance(obj, dict):
+        return [p for key, v in obj.items() for p in _non_finite_paths(v, f"{path}.{key}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj) for p in _non_finite_paths(v, f"{path}[{i}]")]
+    return []
+
+
 def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     """Parse and validate a scenario document; raises ScenarioError with
     every problem found, each tagged with its JSON path."""
-    errors: list = []
+    # JSON readers accept NaN and Infinity; no field of the schema does
+    errors: list = [f"{p}: must be a finite number" for p in _non_finite_paths(doc)]
+    if errors:
+        raise ScenarioError("; ".join(errors))
     _check_keys(doc, {
         "version": True, "name": False, "grid": True, "governors": True,
         "turbines": True, "events": True, "solver": False, "sim": False,

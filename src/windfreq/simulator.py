@@ -11,6 +11,11 @@ rotor speed floor are enforced inside the right-hand side, a rotor that is not
 under AAPC is held on its floor at the end of each step, and exit triggers are
 located by 14 bisection halvings of the step (0.6 us at a 10 ms step).
 Identical inputs produce bit-identical traces.
+
+The kernel steps the state as a list of Python floats: on a state of a few
+entries numpy's per-call overhead costs more than the arithmetic. numpy holds
+the assembly (governor realization and aggregation, allocation) and the
+preallocated traces.
 """
 
 from dataclasses import dataclass, replace
@@ -43,6 +48,8 @@ __all__ = [
     "allocation_shares",
     "ScenarioError",
 ]
+
+_WT_FLOOR = 7  # floor speed's place in an _Assembled.wt tuple
 
 MODE_TRACKING = 0
 MODE_AAPC = 1
@@ -105,7 +112,7 @@ class Scenario:
     def validate(self) -> list:
         problems = []
         dt = self.sim.step_s
-        if dt <= 0 or dt > 0.02:
+        if not 0 < dt <= 0.02:
             problems.append(f"sim.step_s must be in (0, 0.02], got {dt}")
         if self.sim.duration_s < self.solver.t_f:
             problems.append(
@@ -158,58 +165,63 @@ def _clamp(p, lo, hi):
 
 
 def _rhs(asm, y, dy):
-    """Closed-loop derivative into dy; per-turbine applied power and flags.
+    """Closed-loop derivative of the state list y into the list dy.
 
-    Returns (pm_pu, pe_dev_pu). All saturation lives here so every RK4 stage
-    sees the same law.
+    Records each turbine's applied power and flags in asm and returns
+    (pm_pu, pe_dev_pu). All saturation lives here so every RK4 stage sees the
+    same law.
     """
-    m_gov, n_wt = asm.m_gov, asm.n_wt
-    base_w = 1 + m_gov
-    x_gov = y[1:base_w]
-    dy[1:base_w] = asm.a_g @ x_gov + asm.b_g * y[0]
-
-    y = y.tolist()  # python floats: the scalar work below runs faster on them
+    base_w = asm.base_w
     df = y[0]
     z = y[-1]
     x_gov = y[1:base_w]
+    # governor rates: each row's nonzeros of A_g in column order, then B_g df
+    for s, (row, b) in enumerate(zip(asm.gov_rows, asm.b_g), 1):
+        rate = 0.0
+        for col, a in row:
+            rate += a * x_gov[col]
+        dy[s] = rate + b * df
+
+    gov_scale = asm.gov_scale
     pm = 0.0
-    for s in range(m_gov):
-        pm += asm.gov_scale[asm.unit_of_state[s]] * asm.c_g[s] * x_gov[s]
-    for u in range(len(asm.d_units)):
-        pm += asm.gov_scale[u] * asm.d_units[u] * df
+    for u, c, x in zip(asm.unit_of_state, asm.c_g, x_gov):
+        pm += gov_scale[u] * c * x
+    for u, d in enumerate(asm.d_units):
+        pm += gov_scale[u] * d * df
     mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, x_gov, df)
 
+    s_base_w = asm.s_base_w
+    modes = asm.modes
     pe_dev = 0.0
-    for j in range(n_wt):
+    for j, (v_w, pitch, radius, power_scale, k_opt_w, p_min_w, p_max_w, floor_rad,
+            p_e0_w, j_fleet, share) in enumerate(asm.wt):
         omega = y[base_w + j]
-        p_t = _turbine_power_w(omega, asm.v_w[j], asm.pitch[j], asm.radius[j],
-                               asm.power_scale[j])
-        p_mppt = _mppt_power_w(omega, asm.k_opt_w[j], asm.p_min_w[j], asm.p_max_w[j])
-        mode = asm.modes[j]
+        p_t = _turbine_power_w(omega, v_w, pitch, radius, power_scale)
+        p_mppt = _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w)
+        mode = modes[j]
         if mode == MODE_AAPC:
-            p_cmd = (asm.p_e0_w[j]
-                     + command_pu(asm.shares[j], mirror_pu, asm.kw, df) * asm.s_base_w)
+            p_cmd = p_e0_w + command_pu(share, mirror_pu, asm.kw, df) * s_base_w
         elif mode == MODE_VIC:
-            p_cmd = asm.p_e0_w[j] + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
+            p_cmd = p_e0_w + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
         elif mode == MODE_EXITED:
             p_cmd = exit_power(asm.gamma[j], p_t, p_mppt)
         else:  # tracking
             p_cmd = p_mppt
 
         flags = 0
-        p_app = _clamp(p_cmd, asm.p_min_w[j], asm.p_max_w[j])
+        p_app = _clamp(p_cmd, p_min_w, p_max_w)
         if p_app != p_cmd:
             flags |= FLAG_POWER_LIMIT
         # protective cutback holds the rotor at the floor; the optimal
         # controller instead leaves via its speed-floor exit trigger
-        if mode != MODE_AAPC and omega <= asm.floor_rad[j] and p_app > p_t:
+        if mode != MODE_AAPC and omega <= floor_rad and p_app > p_t:
             p_app = p_t
             flags |= FLAG_FLOOR
 
         asm.wt_pe_w[j] = p_app
         asm.wt_flags[j] = flags
-        pe_dev += (p_app - asm.p_e0_w[j]) / asm.s_base_w
-        dy[base_w + j] = (p_t - p_app) / (asm.j_fleet[j] * omega)
+        pe_dev += (p_app - p_e0_w) / s_base_w
+        dy[base_w + j] = (p_t - p_app) / (j_fleet * omega)
 
     dy[-1] = vic_filter_rate(asm.vic, df, z)
     dy[0] = (pm + pe_dev - asm.p_d - asm.damping * df) / asm.two_h
@@ -217,23 +229,30 @@ def _rhs(asm, y, dy):
 
 
 def _rk4_step(asm, y, h):
-    """Advance y by one RK4 step of size h in place; asm.k1 holds the derivative at y."""
+    """Advance the state list y by one RK4 step of size h in place.
+
+    asm.k1 holds the derivative at y. The stages and the update run in
+    numpy's operation order: y + (h/2) k, then y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
+    """
     k1, k2, k3, k4 = asm.k1, asm.k2, asm.k3, asm.k4
-    _rhs(asm, y + 0.5 * h * k1, k2)
-    _rhs(asm, y + 0.5 * h * k2, k3)
-    _rhs(asm, y + h * k3, k4)
-    y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * h
+    _rhs(asm, [a + half * k for a, k in zip(y, k1)], k2)
+    _rhs(asm, [a + half * k for a, k in zip(y, k2)], k3)
+    _rhs(asm, [a + h * k for a, k in zip(y, k3)], k4)
+    sixth = h / 6.0
+    y[:] = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     # the cutback engages only once the rotor is at its floor, so the step
     # that crosses it lands on it; AAPC rotors leave by the floor exit instead
-    base_w = 1 + asm.m_gov
-    for j in range(asm.n_wt):
-        if asm.modes[j] != MODE_AAPC and y[base_w + j] < asm.floor_rad[j]:
-            y[base_w + j] = asm.floor_rad[j]
+    base_w = asm.base_w
+    for j, wt in enumerate(asm.wt):
+        if asm.modes[j] != MODE_AAPC and y[base_w + j] < wt[_WT_FLOOR]:
+            y[base_w + j] = wt[_WT_FLOOR]
 
 
 def _rk4_from(asm, y0, h):
-    """State one RK4 step of size h >= 0 after y0, as a new array."""
-    y = y0.copy()
+    """State one RK4 step of size h >= 0 after the state list y0, as a new list."""
+    y = list(y0)
     if h > 0:
         _rhs(asm, y, asm.k1)
         _rk4_step(asm, y, h)
@@ -241,20 +260,21 @@ def _rk4_from(asm, y0, h):
 
 
 def _exit_state(asm, y, j, t):
-    """Exit check of AAPC turbine j at state y and time t.
+    """Exit check of AAPC turbine j at state list y and time t.
 
     Returns (cause or None, clamped command, tracking power, turbine power),
     powers in W; the cause is ``aapc.check_exit``'s.
     """
-    y = y.tolist()
-    base_w = 1 + asm.m_gov
+    base_w = asm.base_w
+    (v_w, pitch, radius, power_scale, k_opt_w, p_min_w, p_max_w, floor_rad,
+     p_e0_w, _, share) = asm.wt[j]
     omega, df = y[base_w + j], y[0]
     mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, y[1:base_w], df)
-    p_t = _turbine_power_w(omega, asm.v_w[j], asm.pitch[j], asm.radius[j], asm.power_scale[j])
-    p_mppt = _mppt_power_w(omega, asm.k_opt_w[j], asm.p_min_w[j], asm.p_max_w[j])
-    p_aapc = asm.p_e0_w[j] + command_pu(asm.shares[j], mirror_pu, asm.kw, df) * asm.s_base_w
-    p_cmd = _clamp(p_aapc, asm.p_min_w[j], asm.p_max_w[j])
-    kind = check_exit(p_cmd, p_mppt, omega, asm.floor_rad[j], t,
+    p_t = _turbine_power_w(omega, v_w, pitch, radius, power_scale)
+    p_mppt = _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w)
+    p_aapc = p_e0_w + command_pu(share, mirror_pu, asm.kw, df) * asm.s_base_w
+    p_cmd = _clamp(p_aapc, p_min_w, p_max_w)
+    kind = check_exit(p_cmd, p_mppt, omega, floor_rad, t,
                       asm.t_support_end - 1e-12, asm.armed[j])
     return kind, p_cmd, p_mppt, p_t
 
@@ -268,7 +288,7 @@ def _run_segment(asm, y, start, tr):
     (next_step, trigger_turbine, exit_cause), the cause None at the end.
     """
     n_wt = asm.n_wt
-    base_w = 1 + asm.m_gov
+    base_w = asm.base_w
     i = start
     while i <= asm.n_steps:
         # events and controller activation land on step boundaries
@@ -371,12 +391,16 @@ class SimResult:
 
 
 class _Assembled:
-    """Scenario compiled to flat kernel arrays, plus the loop's mutable state.
+    """Scenario compiled to Python-float constants, plus the loop's mutable state.
 
-    The state vector is [df, governor states, rotor speeds, VIC filter
-    state]: 1 + m_gov + n_wt + 1 entries, with one VIC filter state shared by
-    every turbine. The AAPC mirror has no state of its own; it reads the
-    governor states (see ``aapc.mirror_output``).
+    The state list is [df, governor states, rotor speeds, VIC filter state]:
+    1 + m_gov + n_wt + 1 floats, with one VIC filter state shared by every
+    turbine. The AAPC mirror has no state of its own; it reads the governor
+    states (see ``aapc.mirror_output``). ``gov_rows`` holds the nonzero
+    (column, value) pairs of each row of the block-diagonal A_g in column
+    order, and ``wt`` one constants tuple per turbine: (wind speed, pitch,
+    rotor radius, power scale, k_opt, p_min, p_max, floor speed, pre-event
+    power, fleet inertia, share), powers in W.
     """
 
     def __init__(self, sc: Scenario, alpha: float | None):
@@ -394,7 +418,10 @@ class _Assembled:
         ]
         gov = aggregate_governors(realizations)
         self.m_gov = gov.order
-        self.a_g, self.b_g = gov.a, gov.b[:, 0]
+        self.base_w = 1 + gov.order
+        self.gov_rows = [[(c, float(row[c])) for c in np.flatnonzero(row).tolist()]
+                         for row in gov.a]
+        self.b_g = gov.b[:, 0].tolist()
         self.c_g = gov.c[0].tolist()
         self.d_units = [float(r.d[0, 0]) for r in realizations]
         self.unit_of_state = np.repeat(np.arange(len(realizations)),
@@ -407,19 +434,15 @@ class _Assembled:
         self.n_wt = n_wt = len(specs)
         mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
         self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
-        self.power_scale = [_fleet_power_scale(s) for s in specs]
-        self.radius = [s.rotor_radius_m for s in specs]
-        self.v_w = [t.wind_speed_ms for t in sc.turbines]
-        self.pitch = [t.pitch_deg for t in sc.turbines]
-        self.p_min_w = [s.p_min_fleet_mw * 1e6 for s in specs]
-        self.p_max_w = [s.p_max_fleet_mw * 1e6 for s in specs]
-        self.floor_rad = [s.floor_speed_rad for s in specs]
-        self.k_opt_w = [_k_opt_w(s) for s in specs]
         self.p_e0_w = [st.p_e_pu * self.s_base_w for st in states]
-        self.j_fleet = [s.fleet_inertia for s in specs]
         self.omega0 = [st.omega_rad_s for st in states]
-
         self.shares = allocation_shares(sc).tolist()
+        self.wt = [
+            (t.wind_speed_ms, t.pitch_deg, s.rotor_radius_m, _fleet_power_scale(s),
+             _k_opt_w(s), s.p_min_fleet_mw * 1e6, s.p_max_fleet_mw * 1e6,
+             s.floor_speed_rad, p_e0, s.fleet_inertia, share)
+            for t, s, p_e0, share in zip(sc.turbines, specs, self.p_e0_w, self.shares)
+        ]
         self.kw = 0.0
         self.mirror_d = 0.0
         self.mirror_c = [0.0] * self.m_gov
@@ -446,10 +469,9 @@ class _Assembled:
         self.modes = [MODE_TRACKING] * n_wt
         self.gamma = [0.0] * n_wt
         self.armed = [False] * n_wt
-        n_y = 1 + self.m_gov + n_wt + 1
-        self.y0 = np.zeros(n_y)
-        self.y0[1 + self.m_gov:1 + self.m_gov + n_wt] = self.omega0
-        self.k1, self.k2, self.k3, self.k4, self.y_snapshot = (np.zeros(n_y) for _ in range(5))
+        self.y0 = [0.0] * self.base_w + self.omega0 + [0.0]
+        n_y = len(self.y0)
+        self.k1, self.k2, self.k3, self.k4, self.y_snapshot = ([0.0] * n_y for _ in range(5))
         self.wt_pe_w = [0.0] * n_wt
         self.wt_flags = [0] * n_wt
 
@@ -540,7 +562,7 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
     alpha = alpha_override if alpha_override is not None else _resolve_alpha(scenario)
     asm = _Assembled(scenario, alpha)
     dt = asm.dt
-    y = asm.y0.copy()
+    y = list(asm.y0)
     tr = _Traces(asm.n_steps, asm.n_wt)
 
     exit_events = []

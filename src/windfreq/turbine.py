@@ -109,7 +109,7 @@ def _cp_value(tsr, pitch):
     inv_lam = 1.0 / (tsr + 0.08 * pitch) - 0.035 / (pitch ** 3 + 1.0)
     if inv_lam <= 0.0:
         return CP_DOMAIN_SENTINEL
-    cp = 0.22 * (116.0 * inv_lam - 0.4 * pitch - 5.0) * np.exp(-12.5 * inv_lam)
+    cp = 0.22 * (116.0 * inv_lam - 0.4 * pitch - 5.0) * math.exp(-12.5 * inv_lam)
     if cp < 0.0:
         return 0.0
     return cp
@@ -129,13 +129,24 @@ def power_coefficient(tsr: float, pitch_deg: float = 0.0) -> float:
 
 @lru_cache(maxsize=16)
 def cp_peak(pitch_deg: float = 0.0):
-    """(tsr_opt, cp_max) for a fixed pitch: dense scan plus parabolic refine."""
+    """(tsr_opt, cp_max) for a fixed pitch: grid scan plus golden-section polish.
+
+    The scan finds the maximum of C_p on a 1e-3 grid of tip-speed ratios over
+    [0.5, 20) without evaluating all of it: every 100th point first, then
+    every point within 0.2 of the coarse maximum.
+    """
     tsr_grid = np.arange(0.5, 20.0, 1e-3)
-    cps = np.array([_cp_value(t, pitch_deg) for t in tsr_grid])
-    i = int(np.argmax(cps))
-    lo = max(tsr_grid[i] - 2e-3, 1e-6)
-    hi = tsr_grid[i] + 2e-3
-    # golden-section polish
+    coarse = tsr_grid[::100]
+    i_c = int(np.argmax([_cp_value(t, pitch_deg) for t in coarse.tolist()]))
+    near = np.flatnonzero(np.abs(tsr_grid - coarse[i_c]) <= 0.2)
+    i = int(near[np.argmax([_cp_value(t, pitch_deg) for t in tsr_grid[near].tolist()])])
+    return _polish_cp_peak(tsr_grid[i], pitch_deg)
+
+
+def _polish_cp_peak(tsr_grid_max, pitch_deg):
+    """Golden-section refinement of a C_p maximum found on the 1e-3 grid."""
+    lo = max(tsr_grid_max - 2e-3, 1e-6)
+    hi = tsr_grid_max + 2e-3
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)

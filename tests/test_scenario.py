@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -91,6 +93,21 @@ class TestSchema:
         with pytest.raises(ScenarioError, match=r"\$\.solver\.hypothetical_p_d_pu: must be > 0"):
             scenario_from_dict(doc)
 
+    def test_non_finite_numbers_named_together(self):
+        doc = load_preset("multi_machine")
+        doc["grid"]["load_mw"] = float("nan")
+        doc["governors"][1]["params"]["droop"] = float("inf")
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == ("$.grid.load_mw: must be a finite number; "
+                                  "$.governors[1].params.droop: must be a finite number")
+
+    def test_nan_step_named_by_validate(self):
+        # a NaN that reaches the runtime objects from the library, not a file
+        sc = scenario_from_dict(load_preset("two_machine"))
+        bad = replace(sc, sim=replace(sc.sim, step_s=float("nan")))
+        assert "sim.step_s must be in (0, 0.02], got nan" in bad.validate()
+
     def test_absent_hypothetical_deficit_accepted(self):
         doc = load_preset("two_machine")
         del doc["solver"]["hypothetical_p_d_pu"]
@@ -164,6 +181,40 @@ class TestCli:
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "pitch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_path, value", [
+        ("$.sim.step_s", "NaN"),
+        ("$.sim.duration_s", "NaN"),
+        ("$.sim.duration_s", "Infinity"),
+        ("$.turbines[0].count", "NaN"),
+        ("$.turbines[0].count", "Infinity"),
+        ("$.turbines[0].wind_speed_ms", "NaN"),
+        ("$.turbines[0].wind_speed_ms", "Infinity"),
+        ("$.grid.load_mw", "NaN"),
+        ("$.grid.load_mw", "Infinity"),
+        ("$.grid.inertia_s", "NaN"),
+        ("$.grid.inertia_s", "Infinity"),
+        ("$.grid.damping_pu", "NaN"),
+        ("$.grid.damping_pu", "-Infinity"),
+        ("$.solver.t_f_s", "NaN"),
+        ("$.solver.hypothetical_p_d_pu", "Infinity"),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, json_path, value):
+        # JSON readers accept NaN and Infinity; each of these crashed, ran
+        # silently or failed without naming its field
+        doc = load_preset("two_machine")
+        *parents, leaf = [int(k) if k.isdigit() else k
+                          for k in re.findall(r"\w+", json_path[1:])]
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[leaf] = float(value.replace("Infinity", "inf"))
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert value in path.read_text()
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{json_path}: must be a finite number" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "ghost.json"),

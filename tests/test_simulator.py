@@ -7,7 +7,7 @@ import windfreq
 from windfreq import collocation as coll
 from windfreq import simulator as sim
 from windfreq import trajopt as to
-from windfreq.grid import GovernorSpec
+from windfreq.grid import GovernorSpec, aggregate_governors, scale_output, tf_to_statespace
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import DisturbanceEvent, ScenarioError, coi_frequency, metrics, run
@@ -147,21 +147,28 @@ class TestStateCollapse:
         sc = scenario_from_dict(load_preset(preset))
         m_gov = sum(len(g.den) - 1 for g in sc.governors)
         asm = sim._Assembled(sc, alpha=1.3)
-        assert asm.y0.size == 1 + m_gov + len(sc.turbines) + 1 == n_y
+        assert len(asm.y0) == 1 + m_gov + len(sc.turbines) + 1 == n_y
 
     def test_governor_rates_match_loop(self, two_machine_scenario):
-        # the governor states advance as one mat-vec; the scalar loop it
-        # replaced is the reference, here with a second-order block
+        # the governor states advance over the nonzeros of each row of A_g;
+        # the dense scalar loop is the reference, here with a second-order
+        # block whose A_g has off-diagonal entries
         g2 = GovernorSpec(name="G2", rated_mva=150.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
         sc = replace(two_machine_scenario, governors=two_machine_scenario.governors + (g2,))
         asm = sim._Assembled(sc, alpha=1.2)
-        y = asm.y0 + 1e-3 * np.random.default_rng(4).normal(size=asm.y0.size)
-        dy = np.zeros_like(y)
+        gov = aggregate_governors([
+            scale_output(tf_to_statespace(g), g.rated_mva / sc.grid.s_base_mva)
+            for g in sc.governors])
+        noise = 1e-3 * np.random.default_rng(4).normal(size=len(asm.y0))
+        y = [a + e for a, e in zip(asm.y0, noise.tolist())]
+        dy = [0.0] * len(y)
         sim._rhs(asm, y, dy)
         m = asm.m_gov
-        loop = [asm.b_g[s] * y[0] + sum(asm.a_g[s, s2] * y[1 + s2] for s2 in range(m))
+        loop = [gov.b[s, 0] * y[0] + sum(gov.a[s, s2] * y[1 + s2] for s2 in range(m))
                 for s in range(m)]
         assert m == 3
+        assert np.count_nonzero(gov.a - np.diag(np.diag(gov.a))) > 0
+        assert all(type(v) is float for v in dy)
         np.testing.assert_allclose(dy[1:1 + m], loop, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("event", [
@@ -196,6 +203,36 @@ class TestGoldenRegression:
         assert sol.alpha == pytest.approx(1.1932427723495558, rel=1e-12)
         assert rec.nadir_pu == pytest.approx(-0.004971844884789792, rel=1e-10)
         assert rec.max_swing_residual <= 1e-8
+
+    # nadir (pu), t_nadir (s) and (turbine, cause, t_e_s, gamma) per exit,
+    # recorded from the numpy-array kernel with alpha pinned at the presets'
+    # own LP values
+    @pytest.mark.parametrize("preset, controller, trip, nadir, t_nadir, exits", [
+        ("multi_machine", "classic_vic", False, -0.004642691564154684, 2.6, []),
+        ("multi_machine", "optimal_aapc", False, -0.002919742154928845, 20.02, [
+            ("WT1", "power_cross", 24.400789794921877, 1.0),
+            ("WT2", "power_cross", 26.771478271484373, 1.0),
+            ("WT5", "power_cross", 29.2149658203125, 1.0),
+            ("WT4", "power_cross", 29.64748046875, 1.0),
+            ("WT3", "power_cross", 29.925643920898438, 1.0)]),
+        ("two_machine", "optimal_aapc", True, -0.004630598395116617, 29.17, [
+            ("WF1", "power_cross", 29.156668090820315, 1.0)]),
+    ], ids=["multi_machine-classic_vic", "multi_machine-optimal_aapc", "two_machine-trip"])
+    def test_closed_loop_figures(self, preset, controller, trip, nadir, t_nadir, exits):
+        alpha = {"two_machine": 1.1870649147208707, "multi_machine": 1.3087744209468601}
+        sc = sim._with_controllers(scenario_from_dict(load_preset(preset)), controller)
+        if trip:
+            sc = replace(sc, events=(DisturbanceEvent(time_s=0.0, kind="generation_trip",
+                                                      unit="G1", fraction=0.1),))
+        res = run(sc, alpha_override=alpha[preset] if controller == "optimal_aapc" else None)
+        rec = metrics(res)
+        assert rec.nadir_pu == pytest.approx(nadir, rel=1e-12)
+        assert rec.t_nadir_s == pytest.approx(t_nadir, rel=1e-12)
+        assert len(res.exit_events) == len(exits)
+        for ev, (turbine, kind, t_e, gamma) in zip(res.exit_events, exits):
+            assert (ev["turbine"], ev["kind"]) == (turbine, kind)
+            assert ev["t_e_s"] == pytest.approx(t_e, rel=1e-12)
+            assert ev["gamma"] == pytest.approx(gamma, rel=1e-12)
 
 
 def test_backend_name():

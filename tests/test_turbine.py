@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from windfreq import simulator as sim
+from windfreq import turbine
 from windfreq.simulator import SimOptions, TurbineEntry, run
 from windfreq.turbine import (
     TurbineSpec,
@@ -53,6 +54,14 @@ class TestPowerCoefficient:
         tsr_opt, cp_max = cp_peak(0.0)
         assert tsr_opt == pytest.approx(tsr_ref, abs=2e-4)
         assert cp_max == pytest.approx(cp_ref, abs=1e-8)
+
+    @pytest.mark.parametrize("pitch", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_scan_equals_full_dense_scan(self, pitch):
+        # cp_peak scans every 100th grid point, then the dense points near
+        # the coarse maximum; the scan of every point is the reference
+        grid = np.arange(0.5, 20.0, 1e-3)
+        i = int(np.argmax([turbine._cp_value(t, pitch) for t in grid.tolist()]))
+        assert cp_peak.__wrapped__(pitch) == turbine._polish_cp_peak(grid[i], pitch)
 
     def test_global_bound_on_grid(self):
         _, cp_max = cp_peak(0.0)
