@@ -33,10 +33,18 @@ EXIT_SOLVER = 3
 
 
 def _write_csv(path: Path, header, columns):
-    """CSV of equal-length numeric columns, every value written as %.12g."""
-    row_fmt = ",".join(["%.12g"] * len(header))
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    path.write_text("\n".join([",".join(header)] + [row_fmt % row for row in rows]) + "\n")
+    """CSV of equal-length numeric columns, every value written as %.12g.
+
+    Rows are formatted and written in blocks, so only one block is held as
+    Python floats and text at a time.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(table), 500):
+            f.write("".join([row_fmt % tuple(row)
+                             for row in table[start:start + 500].tolist()]))
 
 
 def _write_json(path: Path, doc):

@@ -1,8 +1,9 @@
 """Scenario documents: schema validation and conversion to runtime objects.
 
 A scenario is a flat JSON document (see README for the field reference).
-Validation walks the document first, rejecting unknown or missing keys with
-their location, so numerical work never starts on a malformed input.
+Validation walks the document first, rejecting unknown or missing keys and
+non-finite numbers with their location, so numerical work never starts on a
+malformed input.
 """
 
 import math
