@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .aapc import synthesize
-from .lp import InfeasibleError, UnboundedError
+from .lp import InfeasibleError, SimplexError, UnboundedError
 from .presets import PRESET_NAMES, load_preset, preset_checksum
 from .scenario import scenario_from_dict
 from .simulator import (
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleError, UnboundedError, RuntimeError) as exc:
+    except (InfeasibleError, UnboundedError, SimplexError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -15,7 +15,6 @@ __all__ = [
     "legendre_gauss",
     "time_map",
     "inverse_time_map",
-    "differentiation_matrix",
     "terminal_state",
     "interpolate",
     "lagrange_coefficients",
@@ -155,11 +154,6 @@ def _diff_matrix(basis: np.ndarray, bary: np.ndarray, order: int) -> np.ndarray:
                 d[row, i] = (bary[i] / bary[k]) / (basis[k] - basis[i])
         d[row, k] = -np.sum(d[row, :])  # derivative of a constant is zero
     return d
-
-
-def differentiation_matrix(grid: CollocationGrid) -> np.ndarray:
-    """The K x (K+1) matrix D with D[k, i] = dL_i/dtau at node tau_k."""
-    return grid.diff_matrix.copy()
 
 
 def terminal_state(x_0, dynamics_at_nodes, grid: CollocationGrid):

@@ -1,21 +1,26 @@
-"""Dense two-phase simplex solver for the transcribed trajectory programs.
+"""Two-phase revised simplex for the transcribed trajectory programs.
 
-The solver operates on the classic full tableau. Entering columns follow
-Dantzig's rule (most negative reduced cost, lowest index on ties) and fall
-back to Bland's rule after a run of degenerate pivots, which keeps the method
-anti-cycling while staying fully deterministic. All decision variables are
-free and get split into positive/negative parts internally.
+Free variables are split into positive and negative parts, and inequality
+rows receive slacks. The standard form min c'x, A x = b, x >= 0 is
+equilibrated once, and every pivot re-solves its basis from that scaled data,
+so no rounding carries over between pivots. Basic unit columns (slacks and
+artificials) are eliminated first, leaving a dense solve over the structural
+basic columns only. Entering columns follow Dantzig's rule (lowest index on
+ties), the leaving row Harris' two-pass ratio test; after a run of degenerate
+pivots Bland's rule takes over until one makes progress, which guards against
+cycling. The method is fully deterministic.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LpResult", "solve_lp", "InfeasibleError", "UnboundedError"]
+__all__ = ["LpResult", "solve_lp", "InfeasibleError", "UnboundedError", "SimplexError"]
 
-STATUS_OPTIMAL = 0
-STATUS_UNBOUNDED = 1
-STATUS_ITER_LIMIT = 2
+MAX_PIVOTS = 200000  # per phase
+BLAND_AFTER = 300    # degenerate pivots in a row before Bland's rule takes over
+DUAL_TOL = 1e-10     # reduced costs above -DUAL_TOL count as optimal
+PRIMAL_TOL = 1e-12   # Harris bound slack; basic values below it are degenerate
 
 
 class InfeasibleError(RuntimeError):
@@ -26,312 +31,160 @@ class UnboundedError(RuntimeError):
     """The objective is unbounded over the feasible set."""
 
 
+class SimplexError(RuntimeError):
+    """The simplex stopped without a verdict: pivot cap reached or basis singular."""
+
+
 @dataclass
 class LpResult:
     x: np.ndarray
     objective: float
     iterations: int
-    status: str = "optimal"
     diagnostics: dict = field(default_factory=dict)
 
 
-def _simplex_run(tableau, basis, n_enterable, tol, max_iter, bland_after,
-                 streak_in, bland_left_in):
-    """Pivot until optimal. Returns (status, iterations, streak, bland_left).
-
-    Mutates the tableau and basis in place. Dantzig entering with a
-    largest-pivot leaving rule is the numerically stable default; a long run
-    of degenerate pivots triggers a bounded burst of Bland's rule to break
-    cycles, after which the stable rule resumes. State is threaded through so
-    chunked runs behave like one long run.
-    """
-    m = tableau.shape[0] - 1
-    iterations = 0
-    degenerate_streak = streak_in
-    bland_left = bland_left_in
-    marked = np.zeros(n_enterable, dtype=np.bool_)
-    while iterations < max_iter:
-        use_bland = bland_left > 0
-        cost = tableau[m, :n_enterable]
-
-        # entering candidates in rule order; columns whose best available
-        # pivot is small against the column scale get passed over while a
-        # cleaner improving column exists
-        q = -1
-        marked[:] = False
-        for _attempt in range(8):
-            cand = -1
-            if use_bland:
-                for j in range(n_enterable):
-                    if cost[j] < -tol and not marked[j]:
-                        cand = j
-                        break
-            else:
-                best = -tol
-                for j in range(n_enterable):
-                    if cost[j] < best and not marked[j]:
-                        best = cost[j]
-                        cand = j
-            if cand < 0:
-                break
-            col_max = 0.0
-            for i in range(m):
-                a = abs(tableau[i, cand])
-                if a > col_max:
-                    col_max = a
-            good = False
-            for i in range(m):
-                if tableau[i, cand] > 1e-4 * col_max and tableau[i, cand] > tol:
-                    good = True
-                    break
-            if good:
-                q = cand
-                break
-            marked[cand] = True
-            if q < 0:
-                q = cand  # remember the first candidate as the fallback
-        if q < 0:
-            return STATUS_OPTIMAL, iterations, degenerate_streak, bland_left
-
-        # pivot elements far below the column scale are numerically unusable;
-        # fall back to any entry above the hard tolerance before declaring a ray
-        col_max = 0.0
-        for i in range(m):
-            a = abs(tableau[i, q])
-            if a > col_max:
-                col_max = a
-        piv_tol = max(tol, 1e-7 * col_max)
-
-        best_ratio = np.inf
-        for i in range(m):
-            a_iq = tableau[i, q]
-            if a_iq > piv_tol:
-                ratio = tableau[i, -1] / a_iq
-                if ratio < best_ratio:
-                    best_ratio = ratio
-        if best_ratio == np.inf:
-            piv_tol = tol
-            for i in range(m):
-                a_iq = tableau[i, q]
-                if a_iq > piv_tol:
-                    ratio = tableau[i, -1] / a_iq
-                    if ratio < best_ratio:
-                        best_ratio = ratio
-            if best_ratio == np.inf:
-                return STATUS_UNBOUNDED, iterations, degenerate_streak, bland_left
-
-        # among near-ties take the largest pivot element for stability
-        # (Bland burst: smallest basis index, the classic anti-cycling rule)
-        ratio_band = best_ratio + 1e-9 * (1.0 + abs(best_ratio))
-        p = -1
-        best_piv = 0.0
-        for i in range(m):
-            a_iq = tableau[i, q]
-            if a_iq > piv_tol and tableau[i, -1] / a_iq <= ratio_band:
-                if use_bland:
-                    if p < 0 or basis[i] < basis[p]:
-                        p = i
-                elif a_iq > best_piv:
-                    best_piv = a_iq
-                    p = i
-
-        if tableau[p, -1] <= tol:
-            degenerate_streak += 1
-        else:
-            degenerate_streak = 0
-        if bland_left > 0:
-            bland_left -= 1
-        elif degenerate_streak > bland_after:
-            bland_left = 64
-            degenerate_streak = 0
-
-        _pivot(tableau, basis, p, q)
-        iterations += 1
-    return STATUS_ITER_LIMIT, iterations, degenerate_streak, bland_left
+def _unit_rows(a):
+    """Row of the one nonzero entry of each column; -1 for the other columns."""
+    nonzero = a != 0
+    return np.where(nonzero.sum(axis=0) == 1, np.arange(a.shape[0]) @ nonzero, -1)
 
 
-def _pivot(tableau, basis, p, q):
-    """Pivot on (p, q): column q enters the basis in row p."""
-    piv = tableau[p, q]
-    tableau[p, :] /= piv
-    col = tableau[:, q].copy()
-    col[p] = 0.0
-    tableau -= np.outer(col, tableau[p, :])
-    tableau[:, q] = 0.0
-    tableau[p, q] = 1.0
-    basis[p] = q
-
-
-def _rebuild_tableau(a_cur, b_cur, c_cur, basis):
-    """Reinversion: recompute the canonical tableau for the given basis.
-
-    Bounds the error a long pivot sequence accumulates in the dense tableau.
-    """
-    m = a_cur.shape[0]
-    b_mat = a_cur[:, basis]
+def _dense_solve(mat, rhs):
     try:
-        body = np.linalg.solve(b_mat, a_cur)
-        rhs = np.linalg.solve(b_mat, b_cur)
+        z = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular working basis during reinversion: {exc}") from exc
-    if np.min(rhs) < -1e-6:
-        raise RuntimeError(
-            f"basis lost primal feasibility during reinversion (min rhs {np.min(rhs):.3e})"
-        )
-    np.clip(rhs, 0.0, None, out=rhs)
-    tableau = np.empty((m + 1, a_cur.shape[1] + 1))
-    tableau[:m, :-1] = body
-    tableau[:m, -1] = rhs
-    c_b = c_cur[basis]
-    tableau[m, :-1] = c_cur - c_b @ body
-    tableau[m, -1] = -(c_b @ rhs)
-    return tableau
+        raise SimplexError(f"singular basis: {exc}") from exc
+    if not np.isfinite(z).all():
+        raise SimplexError("singular basis: the solve overflowed")
+    return z
 
 
-def _run_with_refresh(tableau, basis, a_cur, b_cur, c_cur, n_enterable,
-                      tol, max_iter, bland_after, refresh_every, counts):
-    """Chunked pivoting with periodic reinversion. Returns (status, iters, tableau).
+class _Basis:
+    """The basis matrix B = a[:, basis] with its unit columns eliminated.
 
-    Adds every tableau rebuild from the working basis to
-    ``counts["reinversions"]``.
+    A basic unit column val * e_r fixes its variable from row r alone once the
+    structural basics are known, so only the structural columns on the rows
+    no basic unit column covers need a dense solve.
     """
-    total = 0
+
+    def __init__(self, a, unit_row, basis):
+        rows = unit_row[basis]
+        self.pos_u, self.pos_s = np.flatnonzero(rows >= 0), np.flatnonzero(rows < 0)
+        self.rows_u = rows[self.pos_u]
+        self.val_u = a[self.rows_u, basis[self.pos_u]]
+        covered = np.zeros(a.shape[0], dtype=bool)
+        covered[self.rows_u] = True
+        self.rows_s = np.flatnonzero(~covered)
+        if self.rows_s.size != self.pos_s.size:
+            raise SimplexError("singular basis: two basic unit columns share a row")
+        a_s = a[:, basis[self.pos_s]]
+        self.block, self.a_us = a_s[self.rows_s], a_s[self.rows_u]
+
+    def solve(self, rhs):
+        """z with B z = rhs (rhs one or more columns of length m)."""
+        z_s = _dense_solve(self.block, rhs[self.rows_s])
+        z = np.empty_like(rhs)
+        z[self.pos_s] = z_s
+        z[self.pos_u] = ((rhs[self.rows_u] - self.a_us @ z_s).T / self.val_u).T
+        return z
+
+    def solve_t(self, c_b):
+        """y with B' y = c_b."""
+        y = np.empty(self.rows_s.size + self.rows_u.size)
+        y[self.rows_u] = c_b[self.pos_u] / self.val_u
+        y[self.rows_s] = _dense_solve(self.block.T, c_b[self.pos_s] - self.a_us.T @ y[self.rows_u])
+        return y
+
+
+def _simplex(a, b, c, basis, n_enter):
+    """Pivot from a primal feasible basis until optimal.
+
+    Returns (x_B, pivots) and updates ``basis`` in place. Only the first
+    ``n_enter`` columns may enter. Raises UnboundedError on an improving ray.
+    """
+    unit_row = _unit_rows(a)
+    rhs = np.stack([b, b], axis=1)  # [b | entering column]
     streak = 0
-    bland_left = 0
-    ray_retries = 0
+    pivots = 0
     while True:
-        chunk = min(refresh_every, max_iter - total)
-        if chunk <= 0:
-            return STATUS_ITER_LIMIT, total, tableau
-        status, it, streak, bland_left = _simplex_run(
-            tableau, basis, n_enterable, tol, chunk, bland_after, streak, bland_left)
-        total += it
-        if status == STATUS_UNBOUNDED:
-            # verify the ray on a freshly rebuilt tableau before believing it
-            ray_retries += 1
-            if ray_retries > 3:
-                return status, total, tableau
-            tableau = _rebuild_tableau(a_cur, b_cur, c_cur, basis)
-            counts["reinversions"] += 1
-            bland_left = 64
-            continue
-        if status == STATUS_OPTIMAL:
-            # re-derive the final tableau so the answer comes from a fresh basis
-            tableau = _rebuild_tableau(a_cur, b_cur, c_cur, basis)
-            counts["reinversions"] += 1
-            # roundoff may re-open a cost entry; resume if the fresh view disagrees
-            if np.min(tableau[-1, :n_enterable]) >= -1e-9:
-                return status, total, tableau
-            continue
-        if total >= max_iter:
-            return STATUS_ITER_LIMIT, total, tableau
-        tableau = _rebuild_tableau(a_cur, b_cur, c_cur, basis)
-        counts["reinversions"] += 1
+        fac = _Basis(a, unit_row, basis)
+        d = c[:n_enter] - fac.solve_t(c[basis]) @ a[:, :n_enter]
+        d[basis[basis < n_enter]] = 0.0
+        bland = streak > BLAND_AFTER
+        q = int(np.argmax(d < -DUAL_TOL) if bland else np.argmin(d))
+        if d[q] >= -DUAL_TOL:
+            return np.maximum(fac.solve(b), 0.0), pivots
+        if pivots == MAX_PIVOTS:
+            raise SimplexError(f"simplex pivot cap reached ({MAX_PIVOTS})")
+        rhs[:, 1] = a[:, q]
+        x_b, w = fac.solve(rhs).T
+        rows = np.nonzero(w > max(1e-11, 1e-9 * np.max(np.abs(w), initial=0.0)))[0]
+        if not rows.size:
+            raise UnboundedError(f"LP unbounded after {pivots} pivots")
+        # Harris: widen the bound by the primal tolerance, then take the
+        # largest pivot element among the rows whose ratio stays under it
+        bound = np.min((x_b[rows] + PRIMAL_TOL) / w[rows])
+        ties = rows[x_b[rows] / w[rows] <= bound]
+        p = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(w[ties])]
+        streak = streak + 1 if x_b[p] <= PRIMAL_TOL else 0
+        basis[p] = q
+        pivots += 1
 
 
-def _solve_standard(a_std, b_std, c_std, slack_of_row, tol, max_iter,
-                    bland_after, counts, refresh_every=200):
-    """min c'x s.t. a_std x = b_std, x >= 0, by the two-phase tableau method.
+def _solve_standard(a, b, c, slack_of_row):
+    """min c'x s.t. a x = b, x >= 0, by the two-phase method.
 
     Rows whose slack column survives sign normalization seed the starting
-    basis directly; only the rest receive artificial variables. Pivots per
-    phase and reinversions are recorded in ``counts``.
+    basis directly; only the rest receive artificial variables. Returns
+    (x, basis, (phase-1 pivots, phase-2 pivots)).
     """
-    m, n = a_std.shape
-    a = a_std.copy()
-    b = b_std.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    m, n = a.shape
+    art_rows = np.nonzero((slack_of_row < 0) | (b < 0))[0]
+    a = np.where((b < 0)[:, None], -a, a)
+    b = np.abs(b)
+    basis = slack_of_row.copy()
+    basis[art_rows] = n + np.arange(art_rows.size)
+    a_full = np.hstack([a, np.eye(m)[:, art_rows]])
+    c_phase1 = np.concatenate([np.zeros(n), np.ones(art_rows.size)])
 
-    basis = np.empty(m, dtype=np.int64)
-    art_rows = []
-    for i in range(m):
-        j = slack_of_row[i]
-        if j >= 0 and a[i, j] > 0.5:
-            basis[i] = j
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    a_full = np.zeros((m, n + n_art))
-    a_full[:, :n] = a
-    c_phase1 = np.zeros(n + n_art)
-    for k, i in enumerate(art_rows):
-        a_full[i, n + k] = 1.0
-        basis[i] = n + k
-        c_phase1[n + k] = 1.0
-
-    tableau = _rebuild_tableau(a_full, b, c_phase1, basis)
-    status, it1, tableau = _run_with_refresh(
-        tableau, basis, a_full, b, c_phase1, n, tol, max_iter, bland_after,
-        refresh_every, counts)
-    counts["phase1_pivots"] = it1
-    if status == STATUS_ITER_LIMIT:
-        return None, "iteration_limit", it1, basis, tableau, n
-    if status == STATUS_UNBOUNDED:
-        raise RuntimeError("phase-1 simplex lost feasibility (numerical breakdown)")
-    phase1_obj = -tableau[m, -1]
-    if phase1_obj > 1e-7:
-        return None, "infeasible", it1, basis, tableau, n
+    try:
+        x_b, pivots1 = _simplex(a_full, b, c_phase1, basis, n)
+    except UnboundedError as exc:
+        raise SimplexError("phase-1 simplex found an improving ray (numerical breakdown)") from exc
+    infeasibility = float(np.sum(x_b[basis >= n]))
+    if infeasibility > 1e-7:
+        raise InfeasibleError(
+            f"LP infeasible: phase-1 objective {infeasibility:.3e} > 0 after {pivots1} pivots")
 
     # drive leftover artificials out of the basis; fully redundant rows go away
-    # (a basic artificial left in place could drift off zero during phase 2)
-    drop_rows = []
-    for i in range(m):
-        if basis[i] >= n:
-            row = tableau[i, :n]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > 1e-8:
-                _pivot(tableau, basis, i, j)
-            else:
-                drop_rows.append(i)
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(m), drop_rows)
-        basis = basis[keep]
-        m = keep.size
-        a_full = a_full[keep]
-        a = a[keep]
-        b = b[keep]
+    keep = np.ones(m, dtype=bool)
+    unit_row = _unit_rows(a_full)
+    for i in np.nonzero(basis >= n)[0]:
+        row = _Basis(a_full, unit_row, basis).solve_t(np.eye(m)[i]) @ a
+        row[basis[basis < n]] = 0.0
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > 1e-8:
+            basis[i] = j
+        else:
+            keep[i] = False
+    basis = basis[keep]
+    a, b = a[keep], b[keep]
 
-    # artificial columns have served their purpose
-    tableau = _rebuild_tableau(a, b, c_std, basis)
-    status, it2, tableau = _run_with_refresh(
-        tableau, basis, a, b, c_std, n, tol, max_iter, bland_after, refresh_every,
-        counts)
-    counts["phase2_pivots"] = it2
-    if status == STATUS_UNBOUNDED:
-        return None, "unbounded", it1 + it2, basis, tableau, n
-    if status == STATUS_ITER_LIMIT:
-        return None, "iteration_limit", it1 + it2, basis, tableau, n
-
+    x_b, pivots2 = _simplex(a, b, c, basis, n)
     x = np.zeros(n)
-    for i in range(m):
-        x[basis[i]] = tableau[i, -1]
-    return x, "optimal", it1 + it2, basis, tableau, n
+    x[basis] = x_b
+    return x, basis, (pivots1, pivots2)
 
 
-def solve_lp(
-    c,
-    a_eq=None,
-    b_eq=None,
-    a_ub=None,
-    b_ub=None,
-    maximize=False,
-    nonneg=None,
-    tol=1e-10,
-    max_iter=200000,
-    bland_after=300,
-) -> LpResult:
+def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, maximize=False,
+             nonneg=None) -> LpResult:
     """Solve min (or max) c'v subject to a_eq v = b_eq and a_ub v <= b_ub.
 
-    Variables are free unless flagged in the ``nonneg`` boolean mask; free
-    variables get split into nonnegative pairs and inequality rows receive
-    slacks. Raises InfeasibleError / UnboundedError on those outcomes.
-
-    Besides the optimality certificates, ``diagnostics`` reports the pivots
-    of each phase, the tableau reinversions, and ``retried``: whether a
-    numerical breakdown forced the second attempt with reinversion every 50
-    pivots. The counts describe the attempt that produced the answer.
+    Variables are free unless flagged in the ``nonneg`` boolean mask. Raises
+    InfeasibleError / UnboundedError on those outcomes, and SimplexError when
+    the pivot cap is reached or the basis turns singular. Besides the
+    optimality certificates, ``diagnostics`` reports the pivots of each phase
+    and their sum, ``iterations``.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -339,91 +192,50 @@ def solve_lp(
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, dtype=float))
     a_ub = np.zeros((0, nv)) if a_ub is None else np.atleast_2d(np.asarray(a_ub, dtype=float))
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
-    if not (np.all(np.isfinite(a_eq)) and np.all(np.isfinite(a_ub))
-            and np.all(np.isfinite(b_eq)) and np.all(np.isfinite(b_ub)) and np.all(np.isfinite(c))):
+    if not all(np.all(np.isfinite(v)) for v in (c, a_eq, b_eq, a_ub, b_ub)):
         raise ValueError("LP data must be finite")
     nonneg = np.zeros(nv, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
 
     obj = -c if maximize else c
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m = m_eq + m_ub
 
-    # column layout: one column per variable, plus a negated copy of the free ones
+    # column layout: one column per variable, a negated copy of each free one,
+    # then one slack per inequality row
     free_idx = np.nonzero(~nonneg)[0]
-    n_struct = nv + free_idx.size + m_ub
-    a_var = np.vstack([a_eq, a_ub]) if m else np.zeros((0, nv))
-    a_std = np.zeros((m, n_struct))
-    a_std[:, :nv] = a_var
-    a_std[:, nv:nv + free_idx.size] = -a_var[:, free_idx]
-    a_std[m_eq:, nv + free_idx.size:] = np.eye(m_ub)
+    a_var = np.vstack([a_eq, a_ub])
+    slacks = np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)])
+    a_std = np.hstack([a_var, -a_var[:, free_idx], slacks])
     b_std = np.concatenate([b_eq, b_ub])
-    c_std = np.zeros(n_struct)
-    c_std[:nv] = obj
-    c_std[nv:nv + free_idx.size] = -obj[free_idx]
+    c_std = np.concatenate([obj, -obj[free_idx], np.zeros(m_ub)])
 
     # row+column equilibration: scale-free for the solution, kinder to pivoting
-    if m:
-        row_scale = np.maximum(np.max(np.abs(a_std), axis=1), 1e-30)
-        a_scaled = a_std / row_scale[:, None]
-        b_scaled = b_std / row_scale
-        col_scale = np.maximum(np.max(np.abs(a_scaled), axis=0), 1e-12)
-        a_scaled = a_scaled / col_scale
-        c_scaled = c_std / col_scale
-    else:
-        a_scaled, b_scaled, c_scaled = a_std, b_std, c_std
-        col_scale = np.ones(n_struct)
+    row_scale = np.maximum(np.max(np.abs(a_std), axis=1, initial=0.0), 1e-30)
+    a_scaled = a_std / row_scale[:, None]
+    col_scale = np.maximum(np.max(np.abs(a_scaled), axis=0, initial=0.0), 1e-12)
+    a_scaled = a_scaled / col_scale
 
-    slack_of_row = np.full(m, -1, dtype=np.int64)
-    for i in range(m_ub):
-        slack_of_row[m_eq + i] = nv + free_idx.size + i
+    slack_of_row = np.concatenate([np.full(m_eq, -1), nv + free_idx.size + np.arange(m_ub)])
 
-    counts = {"phase1_pivots": 0, "phase2_pivots": 0, "reinversions": 0}
-    retried = False
-    try:
-        x_solved, status, iterations, basis, tableau, n_cols = _solve_standard(
-            a_scaled, b_scaled, c_scaled, slack_of_row, tol, max_iter, bland_after,
-            counts,
-        )
-    except RuntimeError:
-        # numerical breakdown: retry once with much more frequent reinversion
-        retried = True
-        counts = {"phase1_pivots": 0, "phase2_pivots": 0, "reinversions": 0}
-        x_solved, status, iterations, basis, tableau, n_cols = _solve_standard(
-            a_scaled, b_scaled, c_scaled, slack_of_row, tol, max_iter, bland_after,
-            counts, refresh_every=50,
-        )
-    x_std = x_solved / col_scale if x_solved is not None else None
-    if status == "infeasible":
-        raise InfeasibleError(
-            f"LP infeasible: phase-1 objective {-tableau[-1, -1]:.3e} > 0 after {iterations} pivots"
-        )
-    if status == "unbounded":
-        raise UnboundedError(f"LP unbounded after {iterations} pivots")
-    if status == "iteration_limit":
-        raise RuntimeError(f"simplex iteration limit reached ({iterations})")
-
+    x_scaled, basis, pivots = _solve_standard(
+        a_scaled, b_std / row_scale, c_std / col_scale, slack_of_row)
+    x_std = x_scaled / col_scale
     x = x_std[:nv].copy()
     x[free_idx] -= x_std[nv:nv + free_idx.size]
-    objective = float(c @ x)
 
     diag = _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub)
-    diag["iterations"] = iterations
-    diag.update(counts, retried=retried)
-    return LpResult(x=x, objective=objective, iterations=iterations, diagnostics=diag)
+    diag.update(phase1_pivots=pivots[0], phase2_pivots=pivots[1], iterations=sum(pivots))
+    return LpResult(x=x, objective=float(c @ x), iterations=sum(pivots), diagnostics=diag)
 
 
 def _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub):
     """Optimality certificates on the original (unscaled) data."""
-    m = a_std.shape[0]
     primal_eq = float(np.max(np.abs(a_eq @ x - b_eq))) if b_eq.size else 0.0
     primal_ub = float(np.max(a_ub @ x - b_ub)) if b_ub.size else 0.0
 
     # duals from the final basis (redundant rows may have been dropped,
     # leaving a rectangular basis matrix -> least squares)
-    b_mat = a_std[:, basis]
-    c_b = c_std[basis]
     try:
-        y = np.linalg.lstsq(b_mat.T, c_b, rcond=None)[0]
+        y = np.linalg.lstsq(a_std[:, basis].T, c_std[basis], rcond=None)[0]
         reduced = c_std - a_std.T @ y
         dual_feas = float(min(0.0, reduced.min()))
         compl = float(np.max(np.abs(x_std * reduced[: x_std.size])))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from windfreq import lp as lp_mod
-from windfreq.lp import InfeasibleError, UnboundedError, solve_lp
+from windfreq.cli import main
+from windfreq.lp import InfeasibleError, SimplexError, UnboundedError, solve_lp
 
 
 def test_single_bound():
@@ -112,24 +113,22 @@ def test_pivot_telemetry():
     d = res.diagnostics
     assert d["phase1_pivots"] >= 1
     assert d["phase1_pivots"] + d["phase2_pivots"] == res.iterations == d["iterations"]
-    assert d["reinversions"] >= 2  # each phase re-derives its final tableau
-    assert d["retried"] is False
 
 
-def test_retry_is_reported(monkeypatch):
-    # a numerical breakdown on the first attempt must not pass silently
-    real = lp_mod._solve_standard
-    refresh = []
+def test_pivot_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
+    # each of the two free variables must enter the basis: two pivots
+    monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
+    with pytest.raises(SimplexError, match="pivot cap"):
+        solve_lp(np.array([1.0, 1.0]), a_ub=np.eye(2), b_ub=[1.0, 1.0], maximize=True)
+    rc = main(["solve", "--preset", "two_machine", "--nodes", "10", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "pivot cap" in capsys.readouterr().err
 
-    def breaks_once(*args, **kwargs):
-        refresh.append(kwargs.get("refresh_every", 200))
-        if len(refresh) == 1:
-            raise RuntimeError("basis lost primal feasibility")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(lp_mod, "_solve_standard", breaks_once)
-    res = solve_lp(np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0], maximize=True)
-    assert res.x[0] == pytest.approx(3.0)
-    assert refresh == [200, 50]
-    assert res.diagnostics["retried"] is True
-    assert res.diagnostics["phase1_pivots"] + res.diagnostics["phase2_pivots"] == res.iterations
+def test_redundant_equality_row_dropped():
+    # the second row doubles the first, so its artificial cannot leave the
+    # basis at the end of phase 1 and the row goes away
+    res = solve_lp(np.array([1.0, 2.0]), a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
+                   nonneg=np.array([True, True]))
+    assert res.x == pytest.approx([2.0, 0.0], abs=1e-12)
+    assert res.diagnostics["primal_eq_residual"] <= 1e-12

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from windfreq import collocation as coll
 from windfreq import trajopt as to
-from windfreq.grid import GridParameters
-from windfreq.lp import LpResult, solve_lp
+from windfreq.cli import main
+from windfreq.grid import GovernorSpec, GridParameters
+from windfreq.lp import LpResult, UnboundedError, solve_lp
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import solve_hypothetical
@@ -190,6 +193,49 @@ class TestRegression:
         assert d["primal_eq_residual"] <= 1e-8
         assert d["primal_ub_residual"] <= 1e-8
         assert d["lp_meta"]["n_states_eliminated"] == 12 * 60
+
+
+def _single_governor_problem(num, den):
+    grid = GridParameters(inertia_s=4.0, damping=1.0, f_base_hz=50.0,
+                          s_base_mva=200.0, load_pu=0.75)
+    gov = GovernorSpec(name="G", rated_mva=200.0, num=num, den=den)
+    return to.build_problem(grid, [gov], p_d_pu=0.075, t_f=30.0)
+
+
+class TestGovernorProbes:
+    """Governors the schema accepts beyond the presets' reheat, hydro and gas units."""
+
+    @pytest.fixture(scope="class")
+    def underdamped(self):
+        problem = _single_governor_problem((-20.0,), (1.0, 0.4, 1.0))
+        return problem, to.euler_oracle(problem, 12000).nadir_pu
+
+    @pytest.mark.parametrize("nodes", [10, 40, 50, 80, 100])
+    def test_underdamped_governor_solves(self, underdamped, nodes):
+        # the dense tableau lost primal feasibility here at K = 40, 50, 80, 100
+        problem, euler_nadir = underdamped
+        sol = to.solve_max_nadir(problem, coll.make_grid(nodes, 0.0, 30.0))
+        assert sol.diagnostics["primal_ub_residual"] <= 1e-9
+        assert abs(sol.nadir_pu - euler_nadir) / abs(euler_nadir) <= 5.0 / nodes**2
+
+    @pytest.mark.parametrize("nodes", [20, 40, 60])
+    def test_non_minimum_phase_governor_is_unbounded(self, nodes):
+        # -20 (1 - 2s) / ((1 + 0.2s)(1 + s)): the right-half-plane zero sends the
+        # step response above the damping D first, where raising df lowers the
+        # energy cost
+        problem = _single_governor_problem((40.0, -20.0), (0.2, 1.2, 1.0))
+        with pytest.raises(UnboundedError):
+            to.solve_max_nadir(problem, coll.make_grid(nodes, 0.0, 30.0))
+
+    def test_non_minimum_phase_governor_cli_exit_code(self, tmp_path, capsys):
+        doc = load_preset("two_machine")
+        doc["governors"] = [{"name": "H1", "rated_mva": 200.0, "kind": "transfer_function",
+                             "params": {"num": [40.0, -20.0], "den": [0.2, 1.2, 1.0]}}]
+        path = tmp_path / "nmp.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "unbounded" in capsys.readouterr().err
 
 
 class TestMinIntegralVariant:
