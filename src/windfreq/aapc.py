@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GovernorSpec, GridParameters, StateSpace, aggregate_governors, \
-    governor_dc_gain_total, scale_output, tf_to_statespace
+    governor_dc_gain_total, rebase_governors, scale_output
 
 __all__ = [
     "AapcController",
@@ -75,11 +75,7 @@ def synthesize(
     k_g = governor_dc_gain_total(governors, grid_params.s_base_mva)
     if grid_params.damping + k_g <= 0:
         raise ValueError("damping + governor gain must be positive for synthesis")
-    realizations = [
-        scale_output(tf_to_statespace(g), g.rated_mva / grid_params.s_base_mva)
-        for g in governors
-    ]
-    gov = aggregate_governors(realizations)
+    gov = aggregate_governors(rebase_governors(governors, grid_params.s_base_mva))
     mirror = scale_output(gov, -1.0)
     gain_kw = grid_params.damping - (grid_params.damping + k_g) / alpha
     return AapcController(

@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default=None, help="scenario JSON file")
         p.add_argument("--preset", choices=PRESET_NAMES, default=None,
                        help="use a shipped preset instead of a file")
-        p.add_argument("--out", default="out", help="output directory")
+        # the top-level --out holds the one default; given here, it wins
+        p.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
         p.add_argument("--nodes", type=int, default=None,
                        help="override the collocation order")
         if name == "sweep":

@@ -22,6 +22,7 @@ __all__ = [
     "tf_to_statespace",
     "aggregate_governors",
     "scale_output",
+    "rebase_governors",
 ]
 
 
@@ -187,6 +188,11 @@ def tf_to_statespace(gov: GovernorSpec) -> StateSpace:
 def scale_output(ss: StateSpace, factor: float) -> StateSpace:
     """Scale the output channel, e.g. machine base -> system base."""
     return StateSpace(a=ss.a, b=ss.b, c=factor * ss.c, d=factor * ss.d)
+
+
+def rebase_governors(governors, s_base_mva: float) -> list:
+    """Each governor's realization, its output scaled to the system base."""
+    return [scale_output(tf_to_statespace(g), g.rated_mva / s_base_mva) for g in governors]
 
 
 def aggregate_governors(realizations) -> StateSpace:

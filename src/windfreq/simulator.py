@@ -10,7 +10,10 @@ also zero the tripped unit's governor output. Turbine power limits and the
 rotor speed floor are enforced inside the right-hand side, a rotor that is not
 under AAPC is held on its floor at the end of each step, and exit triggers are
 located by 14 bisection halvings of the step (0.6 us at a 10 ms step).
-Identical inputs produce bit-identical traces.
+The right-hand side is the only evaluator of turbine power, tracking power and
+controller command at a closed-loop state: the exit checks, the bisection and
+the exit blend read the powers it records. Identical inputs produce
+bit-identical traces.
 
 The kernel steps the state as a list of Python floats: on a state of a few
 entries numpy's per-call overhead costs more than the arithmetic. numpy holds
@@ -26,7 +29,7 @@ from . import collocation as coll
 from . import trajopt as to
 from .aapc import (BaselineVic, allocate, check_exit, command_pu, exit_gamma, exit_power,
                    mirror_output, synthesize, vic_command_mw, vic_filter_rate)
-from .grid import GridParameters, aggregate_governors, scale_output, tf_to_statespace
+from .grid import GridParameters, aggregate_governors, rebase_governors
 from .turbine import (TurbineSpec, _fleet_power_scale, _k_opt_w, _mppt_power_w,
                       _turbine_power_w, capability_indices, make_state, mppt_power)
 
@@ -40,8 +43,6 @@ __all__ = [
     "MetricsRecord",
     "run",
     "metrics",
-    "coi_frequency",
-    "read_frequency_csv",
     "solve_hypothetical",
     "insensitivity_sweep",
     "compare_strategies",
@@ -167,7 +168,8 @@ def _clamp(p, lo, hi):
 def _rhs(asm, y, dy):
     """Closed-loop derivative of the state list y into the list dy.
 
-    Records each turbine's applied power and flags in asm and returns
+    Records each turbine's applied power (for an AAPC turbine the clamped
+    command), turbine power, tracking power and flags in asm, and returns
     (pm_pu, pe_dev_pu). All saturation lives here so every RK4 stage sees the
     same law.
     """
@@ -219,6 +221,8 @@ def _rhs(asm, y, dy):
             flags |= FLAG_FLOOR
 
         asm.wt_pe_w[j] = p_app
+        asm.wt_pt_w[j] = p_t
+        asm.wt_mppt_w[j] = p_mppt
         asm.wt_flags[j] = flags
         pe_dev += (p_app - p_e0_w) / s_base_w
         dy[base_w + j] = (p_t - p_app) / (j_fleet * omega)
@@ -259,49 +263,56 @@ def _rk4_from(asm, y0, h):
     return y
 
 
-def _exit_state(asm, y, j, t):
-    """Exit check of AAPC turbine j at state list y and time t.
+def _exit_cause(asm, y, j, t):
+    """``aapc.check_exit`` for AAPC turbine j at state list y and time t.
 
-    Returns (cause or None, clamped command, tracking power, turbine power),
-    powers in W; the cause is ``aapc.check_exit``'s.
+    Reads the powers that the last ``_rhs`` call, made at y, recorded.
     """
-    base_w = asm.base_w
-    (v_w, pitch, radius, power_scale, k_opt_w, p_min_w, p_max_w, floor_rad,
-     p_e0_w, _, share) = asm.wt[j]
-    omega, df = y[base_w + j], y[0]
-    mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, y[1:base_w], df)
-    p_t = _turbine_power_w(omega, v_w, pitch, radius, power_scale)
-    p_mppt = _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w)
-    p_aapc = p_e0_w + command_pu(share, mirror_pu, asm.kw, df) * asm.s_base_w
-    p_cmd = _clamp(p_aapc, p_min_w, p_max_w)
-    kind = check_exit(p_cmd, p_mppt, omega, floor_rad, t,
-                      asm.t_support_end - 1e-12, asm.armed[j])
-    return kind, p_cmd, p_mppt, p_t
+    return check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[asm.base_w + j],
+                      asm.wt[j][_WT_FLOOR], t, asm.t_support_end - 1e-12, asm.armed[j])
 
 
 def _run_segment(asm, y, start, tr):
     """Integrate from step ``start`` until an exit trigger fires or time runs out.
 
-    Rows [start ..] of the traces are filled with start-of-step values; on a
-    trigger the kernel returns before committing the offending step
-    (asm.y_snapshot holds its start state). Returns
-    (next_step, trigger_turbine, exit_cause), the cause None at the end.
+    Rows [start ..] of the traces are filled with start-of-step values. Every
+    step but the first checks the exit triggers of the AAPC turbines on its
+    ``_rhs`` records before its events apply; on a trigger the kernel returns
+    the step that crossed it, whose start state asm.y_snapshot holds, and the
+    resumed segment applies the events. Returns
+    (crossing_step, trigger_turbine, exit_cause), the cause None at the end.
     """
     n_wt = asm.n_wt
     base_w = asm.base_w
     i = start
     while i <= asm.n_steps:
-        # events and controller activation land on step boundaries
+        pm, pe = _rhs(asm, y, asm.k1)
+        if asm.exit_enabled and i > start:
+            t = i * asm.dt
+            for j in range(n_wt):
+                if asm.modes[j] != MODE_AAPC:
+                    continue
+                kind = _exit_cause(asm, y, j, t)
+                if kind is not None:
+                    return i - 1, j, kind
+                if not asm.armed[j] and asm.wt_pe_w[j] > asm.wt_mppt_w[j] * (1.0 + 1e-9) + 1e-3:
+                    asm.armed[j] = True
+
+        # events and controller activation (on the first event's step) land
+        # on step boundaries
+        landed = False
         for step, dpd, unit, frac in asm.events:
             if step == i:
                 asm.p_d += dpd
                 if unit >= 0:
                     asm.gov_scale[unit] *= 1.0 - frac
+                landed = True
         if i == asm.act_step:
             asm.modes = list(asm.ctrl_mode)
+        if landed:
+            pm, pe = _rhs(asm, y, asm.k1)
 
         # record start-of-step values
-        pm, pe = _rhs(asm, y, asm.k1)
         tr.df[i] = y[0]
         tr.pm[i] = pm
         tr.pe[i] = pe
@@ -315,17 +326,6 @@ def _run_segment(asm, y, start, tr):
 
         asm.y_snapshot[:] = y
         _rk4_step(asm, y, asm.dt)  # k1 is the derivative just recorded
-
-        if asm.exit_enabled:
-            t_end = (i + 1) * asm.dt
-            for j in range(n_wt):
-                if asm.modes[j] != MODE_AAPC:
-                    continue
-                kind, p_cmd, p_mppt, _ = _exit_state(asm, y, j, t_end)
-                if kind is not None:
-                    return i, j, kind
-                if not asm.armed[j] and p_cmd > p_mppt * (1.0 + 1e-9) + 1e-3:
-                    asm.armed[j] = True
         i += 1
     return asm.n_steps + 1, -1, None
 
@@ -412,10 +412,7 @@ class _Assembled:
         self.vic = sc.vic
         self.exit_enabled = sc.exit_enabled
 
-        realizations = [
-            scale_output(tf_to_statespace(g), g.rated_mva / grid.s_base_mva)
-            for g in sc.governors
-        ]
+        realizations = rebase_governors(sc.governors, grid.s_base_mva)
         gov = aggregate_governors(realizations)
         self.m_gov = gov.order
         self.base_w = 1 + gov.order
@@ -472,7 +469,7 @@ class _Assembled:
         self.y0 = [0.0] * self.base_w + self.omega0 + [0.0]
         n_y = len(self.y0)
         self.k1, self.k2, self.k3, self.k4, self.y_snapshot = ([0.0] * n_y for _ in range(5))
-        self.wt_pe_w = [0.0] * n_wt
+        self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
 
 
@@ -582,7 +579,8 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
             for _ in range(14):
                 mid = 0.5 * (lo + hi)
                 y_mid = _rk4_from(asm, asm.y_snapshot, mid)
-                if _exit_state(asm, y_mid, j_trig, t0 + mid)[0] == kind:
+                _rhs(asm, y_mid, asm.k1)
+                if _exit_cause(asm, y_mid, j_trig, t0 + mid) == kind:
                     hi = mid
                 else:
                     lo = mid
@@ -593,8 +591,9 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
         to_exit = [j_trig]
         if kind == "horizon":  # the window closes for every active turbine
             to_exit = [jj for jj in range(asm.n_wt) if asm.modes[jj] == MODE_AAPC]
+        _rhs(asm, y_e, asm.k1)
         for jj in to_exit:
-            _, p_cmd, p_mppt, p_t = _exit_state(asm, y_e, jj, t0 + h_e)
+            p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
             g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
             asm.gamma[jj] = g
             asm.modes[jj] = MODE_EXITED
@@ -694,29 +693,6 @@ def metrics(result: SimResult, nadir_ref_pu: float | None = None) -> MetricsReco
         limit_events=limit_events,
         exit_events=list(result.exit_events),
     )
-
-
-def coi_frequency(per_machine_hz: np.ndarray, inertia_s, rating_mva) -> np.ndarray:
-    """Inertia-weighted average frequency across machine columns."""
-    traces = np.atleast_2d(np.asarray(per_machine_hz, dtype=float))
-    h = np.asarray(inertia_s, dtype=float)
-    s = np.asarray(rating_mva, dtype=float)
-    if traces.shape[1] != h.size or h.size != s.size:
-        raise ValueError(
-            f"{traces.shape[1]} trace columns vs {h.size} inertias / {s.size} ratings"
-        )
-    if np.any(h <= 0) or np.any(s <= 0):
-        raise ValueError("inertias and ratings must be positive")
-    w = h * s
-    return traces @ w / w.sum()
-
-
-def read_frequency_csv(path):
-    """Per-machine frequency columns from a headered CSV (first column time)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    names = list(data.dtype.names)
-    cols = np.column_stack([data[n] for n in names[1:]])
-    return data[names[0]], cols, names[1:]
 
 
 def insensitivity_sweep(

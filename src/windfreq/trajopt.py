@@ -19,9 +19,8 @@ from .grid import (
     StateSpace,
     aggregate_governors,
     governor_dc_gain_total,
-    scale_output,
+    rebase_governors,
     steady_state_deviation,
-    tf_to_statespace,
 )
 from .lp import LpResult, solve_lp
 
@@ -77,11 +76,7 @@ def build_problem(
         raise ValueError(f"disturbance must be nonnegative, got {p_d_pu}")
     if t_f <= 0:
         raise ValueError(f"horizon must be positive, got {t_f}")
-    realizations = [
-        scale_output(tf_to_statespace(g), g.rated_mva / grid_params.s_base_mva)
-        for g in governors
-    ]
-    gov = aggregate_governors(realizations)
+    gov = aggregate_governors(rebase_governors(governors, grid_params.s_base_mva))
     m = gov.order
     n = m + 2
     two_h = 2.0 * grid_params.inertia_s
@@ -249,22 +244,12 @@ class TrajectorySolution:
             return coll.interpolate(self._grid, self._states_nodes[:, 0], t, "state")
         return np.interp(t, self.t, self.df_pu)
 
-    def dpe_at(self, t):
-        if self._grid is not None:
-            return coll.interpolate(self._grid, self._u_nodes, t, "control")
-        return np.interp(t, self.t, self.dpe_pu)
-
     def dpm_at(self, t):
         if self._grid is not None:
             xg = coll.interpolate(self._grid, self._states_nodes[:, 1:-1], t, "state")
             df = self.df_at(t)
             return xg @ self._gov.c[0, :] + self._gov.d[0, 0] * df
         return np.interp(t, self.t, self.dpm_pu)
-
-    def denergy_at(self, t):
-        if self._grid is not None:
-            return coll.interpolate(self._grid, self._states_nodes[:, -1], t, "state")
-        return np.interp(t, self.t, self.denergy_pu_s)
 
     def metrics_dict(self) -> dict:
         return {

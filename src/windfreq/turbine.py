@@ -19,9 +19,7 @@ __all__ = [
     "TurbineSpec",
     "TurbineState",
     "dfig5mw",
-    "power_coefficient",
     "cp_peak",
-    "turbine_power",
     "mppt_power",
     "mppt_equilibrium_speed",
     "make_state",
@@ -115,18 +113,6 @@ def _cp_value(tsr, pitch):
     return cp
 
 
-def power_coefficient(tsr: float, pitch_deg: float = 0.0) -> float:
-    """C_p(lambda, beta), clamped at zero outside the efficient region."""
-    if tsr <= 0:
-        raise ValueError(f"tip-speed ratio must be positive, got {tsr}")
-    if pitch_deg < 0:
-        raise ValueError(f"pitch must be nonnegative, got {pitch_deg}")
-    cp = _cp_value(float(tsr), float(pitch_deg))
-    if cp == CP_DOMAIN_SENTINEL:
-        raise ValueError(f"C_p model domain violated at tsr={tsr}, pitch={pitch_deg}")
-    return float(cp)
-
-
 @lru_cache(maxsize=16)
 def cp_peak(pitch_deg: float = 0.0):
     """(tsr_opt, cp_max) for a fixed pitch: grid scan plus golden-section polish.
@@ -191,19 +177,6 @@ def _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w):
     if p < p_min_w:
         return p_min_w
     return p
-
-
-def turbine_power(state: TurbineState, spec: TurbineSpec) -> float:
-    """Aerodynamic power captured by the fleet, MW."""
-    if state.wind_speed_ms < 0.1:
-        return 0.0
-    if state.omega_rad_s <= 0:
-        raise ValueError(f"rotor speed must be positive, got {state.omega_rad_s}")
-    # raises on a negative pitch or outside the C_p model domain
-    power_coefficient(spec.rotor_radius_m * state.omega_rad_s / state.wind_speed_ms,
-                      state.pitch_deg)
-    return _turbine_power_w(state.omega_rad_s, state.wind_speed_ms, state.pitch_deg,
-                            spec.rotor_radius_m, _fleet_power_scale(spec)) / 1e6
 
 
 def _k_opt_w(spec: TurbineSpec) -> float:

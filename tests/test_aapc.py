@@ -76,9 +76,8 @@ class TestSynthesize:
         p_d = 0.075
         two_h = 2.0 * two_machine_grid.inertia_s
         mir = ctrl.mirror
-        from windfreq.grid import scale_output, tf_to_statespace
-        gov = scale_output(tf_to_statespace(reheat_g1),
-                           reheat_g1.rated_mva / two_machine_grid.s_base_mva)
+        from windfreq.grid import rebase_governors
+        [gov] = rebase_governors([reheat_g1], two_machine_grid.s_base_mva)
 
         def rhs(x):
             df, xg, xc = x

@@ -7,8 +7,8 @@ from windfreq.grid import (
     ReheatSteam,
     aggregate_governors,
     governor_dc_gain_total,
+    rebase_governors,
     reheat_governor,
-    scale_output,
     steady_state_deviation,
     tf_to_statespace,
 )
@@ -170,8 +170,7 @@ class TestAggregation:
         govs = [table_gov,
                 GovernorSpec(name="lag", rated_mva=100.0, num=(-8.0,), den=(1.5, 1.0))]
         s_base = 200.0
-        parts = [scale_output(tf_to_statespace(g), g.rated_mva / s_base) for g in govs]
-        agg = aggregate_governors(parts)
+        agg = aggregate_governors(rebase_governors(govs, s_base))
         # steady output for a constant unit frequency input: -C A^-1 B + D
         dc = float((-agg.c @ np.linalg.solve(agg.a, agg.b) + agg.d)[0, 0])
         assert dc == pytest.approx(-governor_dc_gain_total(govs, s_base), rel=1e-9)

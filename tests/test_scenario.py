@@ -130,6 +130,18 @@ class TestCli:
         written = json.loads((tmp_path / "two_machine.json").read_text())
         assert written["grid"]["s_base_mva"] == 200.0
 
+    @pytest.mark.parametrize("argv, written", [
+        (["--out", "top", "synthesize"], "top"),
+        (["--out", "top", "synthesize", "--out", "sub"], "sub"),
+        (["synthesize"], "out"),
+    ], ids=["top", "sub_wins", "default"])
+    def test_out_default_and_overrides(self, tmp_path, monkeypatch, argv, written):
+        # a top-level --out reaches the subcommand, whose own --out wins
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--preset", "two_machine", "--nodes", "10"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [written]
+        assert (tmp_path / written / "controller.json").is_file()
+
     def test_solve_on_file_scenario(self, tmp_path):
         doc = load_preset("two_machine")
         doc["solver"]["nodes"] = 30

@@ -7,10 +7,10 @@ import windfreq
 from windfreq import collocation as coll
 from windfreq import simulator as sim
 from windfreq import trajopt as to
-from windfreq.grid import GovernorSpec, aggregate_governors, scale_output, tf_to_statespace
+from windfreq.grid import GovernorSpec, aggregate_governors, rebase_governors
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
-from windfreq.simulator import DisturbanceEvent, ScenarioError, coi_frequency, metrics, run
+from windfreq.simulator import DisturbanceEvent, ScenarioError, metrics, run
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,43 @@ class TestExitBehavior:
         assert ev["gamma"] == 1.0
         assert ev["power_step_pu"] <= 1e-6
 
+    # a second surge lands on the step whose start state first shows the
+    # power cross of WT1, WT2 or WT3: the checks of a step read its state
+    # before its events apply, and the step that resumes after the exit
+    # applies them once. Figures recorded with the exit checks evaluated
+    # apart from the right-hand side.
+    @pytest.mark.parametrize("t2, nadir, exits", [
+        (24.41, -0.003651818364287569, [
+            ("WT1", "power_cross", 24.400789794921877),
+            ("WT2", "horizon", 30.0),
+            ("WT3", "horizon", 30.0),
+            ("WT4", "horizon", 30.0),
+            ("WT5", "horizon", 30.0)]),
+        (26.78, -0.003675016020919, [
+            ("WT1", "power_cross", 24.400789794921877),
+            ("WT2", "power_cross", 26.771478271484373),
+            ("WT3", "horizon", 30.0),
+            ("WT4", "horizon", 30.0),
+            ("WT5", "horizon", 30.0)]),
+        (29.93, -0.003919132903200711, [
+            ("WT1", "power_cross", 24.400789794921877),
+            ("WT2", "power_cross", 26.771478271484373),
+            ("WT5", "power_cross", 29.2149658203125),
+            ("WT4", "power_cross", 29.64748046875),
+            ("WT3", "power_cross", 29.925643920898438)]),
+    ], ids=["WT1_cross", "WT2_cross", "WT3_cross"])
+    def test_second_event_at_exit(self, t2, nadir, exits):
+        sc = scenario_from_dict(load_preset("multi_machine"))
+        surge = DisturbanceEvent(time_s=t2, kind="load_surge", magnitude_pu=0.01)
+        res = run(replace(sc, events=sc.events + (surge,)),
+                  alpha_override=1.3087744209468601)
+        assert metrics(res).nadir_pu == pytest.approx(nadir, rel=1e-12)
+        assert len(res.exit_events) == len(exits)
+        for ev, (turbine, kind, t_e) in zip(res.exit_events, exits):
+            assert (ev["turbine"], ev["kind"]) == (turbine, kind)
+            assert ev["t_e_s"] == pytest.approx(t_e, rel=1e-12)
+            assert ev["power_step_pu"] <= 1e-9
+
 
 class TestStateCollapse:
     @pytest.mark.parametrize("preset, n_y", [("two_machine", 4), ("multi_machine", 17)])
@@ -156,9 +193,7 @@ class TestStateCollapse:
         g2 = GovernorSpec(name="G2", rated_mva=150.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
         sc = replace(two_machine_scenario, governors=two_machine_scenario.governors + (g2,))
         asm = sim._Assembled(sc, alpha=1.2)
-        gov = aggregate_governors([
-            scale_output(tf_to_statespace(g), g.rated_mva / sc.grid.s_base_mva)
-            for g in sc.governors])
+        gov = aggregate_governors(rebase_governors(sc.governors, sc.grid.s_base_mva))
         noise = 1e-3 * np.random.default_rng(4).normal(size=len(asm.y0))
         y = [a + e for a, e in zip(asm.y0, noise.tolist())]
         dy = [0.0] * len(y)
@@ -295,40 +330,6 @@ class TestMetrics:
         v = out["classic_vic"][1].nadir_hz
         a = out["optimal_aapc"][1].nadir_hz
         assert abs(a) < abs(v) < abs(n)
-
-
-class TestCoiFrequency:
-    def test_identical_traces(self):
-        traces = np.tile(np.linspace(50.0, 49.5, 11)[:, None], (1, 3))
-        out = coi_frequency(traces, [4.0, 5.0, 6.0], [100.0, 200.0, 300.0])
-        np.testing.assert_allclose(out, traces[:, 0])
-
-    def test_equal_weight_mean(self):
-        traces = np.column_stack([np.full(5, 50.0), np.full(5, 49.0)])
-        out = coi_frequency(traces, [4.0, 4.0], [100.0, 100.0])
-        np.testing.assert_allclose(out, 49.5)
-
-    def test_weight_scaling_invariance(self):
-        rng = np.random.default_rng(0)
-        traces = 50.0 + 0.1 * rng.normal(size=(20, 4))
-        h = rng.uniform(2.0, 6.0, 4)
-        s = rng.uniform(100.0, 900.0, 4)
-        np.testing.assert_allclose(coi_frequency(traces, h, s),
-                                   coi_frequency(traces, 10.0 * h, 10.0 * s))
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            coi_frequency(np.zeros((5, 3)), [4.0, 5.0], [100.0, 200.0])
-
-    def test_csv_ingestion(self, tmp_path):
-        path = tmp_path / "machines.csv"
-        path.write_text("t_s,g1_hz,g2_hz\n0.0,50.0,49.8\n0.1,49.9,49.7\n")
-        t, cols, names = sim.read_frequency_csv(path)
-        np.testing.assert_allclose(t, [0.0, 0.1])
-        assert cols.shape == (2, 2)
-        assert names == ["g1_hz", "g2_hz"]
-        out = coi_frequency(cols, [4.0, 4.0], [1.0, 1.0])
-        np.testing.assert_allclose(out, [49.9, 49.8])
 
 
 class TestInsensitivitySweep:

@@ -9,18 +9,21 @@ from windfreq import turbine
 from windfreq.simulator import SimOptions, TurbineEntry, run
 from windfreq.turbine import (
     TurbineSpec,
-    TurbineState,
     capability_indices,
     cp_peak,
     dfig5mw,
     make_state,
     mppt_equilibrium_speed,
     mppt_power,
-    power_coefficient,
-    turbine_power,
 )
 
 S_BASE = 200.0
+
+
+def turbine_power_mw(omega, wind, spec, pitch=0.0):
+    """Fleet turbine power, MW, from the law the closed-loop kernel calls."""
+    return turbine._turbine_power_w(omega, wind, pitch, spec.rotor_radius_m,
+                                    turbine._fleet_power_scale(spec)) / 1e6
 
 
 def brute_force_cp_peak(step=1e-4):
@@ -36,18 +39,19 @@ class TestPowerCoefficient:
     def test_hand_value(self):
         # 1/lambda_bar = 1/8 - 0.035 = 0.09
         expected = 0.22 * (116.0 * 0.09 - 5.0) * math.exp(-12.5 * 0.09)
-        assert power_coefficient(8.0, 0.0) == pytest.approx(expected)
-        assert power_coefficient(8.0, 0.0) == pytest.approx(0.3886, abs=5e-4)
+        assert turbine._cp_value(8.0, 0.0) == pytest.approx(expected)
+        assert turbine._cp_value(8.0, 0.0) == pytest.approx(0.3886, abs=5e-4)
 
     def test_clamped_to_zero(self):
         # inefficient region: 116/lambda_bar < 5
-        assert power_coefficient(20.0, 0.0) == 0.0
+        assert turbine._cp_value(20.0, 0.0) == 0.0
 
     def test_domain_error(self):
-        with pytest.raises(ValueError, match="domain"):
-            power_coefficient(40.0, 0.0)  # 1/lambda_bar goes negative
-        with pytest.raises(ValueError):
-            power_coefficient(-1.0, 0.0)
+        # tsr 40: 1/lambda_bar goes negative, so C_p is the domain sentinel
+        # and the turbine power law counts it as zero
+        spec = dfig5mw(rotor_radius_m=45.0)
+        assert turbine._cp_value(40.0, 0.0) == turbine.CP_DOMAIN_SENTINEL
+        assert turbine_power_mw(40.0 * 9.0 / spec.rotor_radius_m, 9.0, spec) == 0.0
 
     def test_peak_matches_dense_scan(self):
         tsr_ref, cp_ref = brute_force_cp_peak()
@@ -68,36 +72,33 @@ class TestPowerCoefficient:
         rng = np.random.default_rng(5)
         tsrs = rng.uniform(0.5, 25.0, size=100)
         pitches = rng.uniform(0.0, 20.0, size=100)
-        for tsr in tsrs:
-            for pitch in pitches:
-                try:
-                    assert power_coefficient(tsr, pitch) <= cp_max + 1e-12
-                except ValueError:
-                    pass  # outside the model domain
+        for tsr in tsrs.tolist():
+            for pitch in pitches.tolist():
+                # outside the model domain the value is the -1 sentinel
+                assert turbine._cp_value(tsr, pitch) <= cp_max + 1e-12
 
 
 class TestTurbinePower:
     def test_zero_wind(self):
+        # a becalmed rotor turning at its 9 m/s speed is outside the C_p domain
         spec = dfig5mw(rotor_radius_m=45.0)
         state = make_state(spec, 9.0, S_BASE)
-        becalmed = make_state(spec, 9.0, S_BASE)
-        becalmed = type(becalmed)(omega_rad_s=state.omega_rad_s, wind_speed_ms=0.05,
-                                  pitch_deg=0.0, p_e_pu=0.0, energy_mj=state.energy_mj)
-        assert turbine_power(becalmed, spec) == 0.0
+        assert turbine_power_mw(state.omega_rad_s, 0.05, spec) == 0.0
 
     def test_count_scaling(self):
         one = dfig5mw(count=1, rotor_radius_m=45.0)
         two = dfig5mw(count=2, rotor_radius_m=45.0)
         s1 = make_state(one, 9.0, S_BASE)
         s2 = make_state(two, 9.0, S_BASE)
-        assert turbine_power(s2, two) == pytest.approx(2.0 * turbine_power(s1, one))
+        assert turbine_power_mw(s2.omega_rad_s, 9.0, two) == pytest.approx(
+            2.0 * turbine_power_mw(s1.omega_rad_s, 9.0, one))
 
     def test_optimal_point_value(self):
         spec = dfig5mw(rotor_radius_m=45.0)
         tsr_opt, cp_max = cp_peak(0.0)
         state = make_state(spec, 9.0, S_BASE)
         direct = 0.5 * 1.225 * math.pi * 45.0 ** 2 * cp_max * 9.0 ** 3 / 1e6
-        assert turbine_power(state, spec) == pytest.approx(direct, rel=1e-9)
+        assert turbine_power_mw(state.omega_rad_s, 9.0, spec) == pytest.approx(direct, rel=1e-9)
 
     def test_monotone_in_wind_at_fixed_tsr(self):
         spec = dfig5mw(rotor_radius_m=45.0)
@@ -106,8 +107,7 @@ class TestTurbinePower:
         powers = []
         for v in winds:
             omega = tsr * v / spec.rotor_radius_m
-            st = make_state(spec, v, S_BASE, omega_rad_s=omega)
-            powers.append(turbine_power(st, spec))
+            powers.append(turbine_power_mw(omega, v, spec))
         assert np.all(np.diff(powers) > 0)
 
 
@@ -116,8 +116,7 @@ class TestMpptCurve:
         spec = dfig5mw(rotor_radius_m=45.0)
         for v in (7.0, 8.0, 9.0):
             omega = mppt_equilibrium_speed(v, spec)
-            st = make_state(spec, v, S_BASE, omega_rad_s=omega)
-            assert mppt_power(omega, spec) == pytest.approx(turbine_power(st, spec),
+            assert mppt_power(omega, spec) == pytest.approx(turbine_power_mw(omega, v, spec),
                                                             rel=1e-9)
 
     def test_cubic_scaling(self):
@@ -157,8 +156,8 @@ class TestStepRotor:
             res = run(with_controller(two_machine_scenario, controller, 30.0),
                       alpha_override=alpha)
             omega = res.wt_omega_rad_s[:, 0]
-            p_t = np.array([turbine_power(TurbineState(w, entry.wind_speed_ms, entry.pitch_deg,
-                                                       0.0, 0.0), entry.spec) for w in omega])
+            p_t = np.array([turbine_power_mw(w, entry.wind_speed_ms, entry.spec, entry.pitch_deg)
+                            for w in omega.tolist()])
             imbalance_w = (p_t - res.wt_pe_mw[:, 0]) * 1e6
             for t_end in (10.0, 20.0):
                 n = int(round(t_end / dt))
