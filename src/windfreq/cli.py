@@ -30,6 +30,7 @@ from .simulator import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+DEFAULT_OUT = "out"
 
 
 def _write_csv(path: Path, header, columns):
@@ -82,14 +83,20 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sol = solve_hypothetical(sc)
-    coarse = solve_hypothetical(sc, max(10, sc.solver.nodes // 2))
-    rel = (abs(sol.nadir_pu - coarse.nadir_pu) / abs(sol.nadir_pu)
-           if sol.nadir_pu else 0.0)
+    # at the smallest order the coarse grid is the same grid: no comparison
+    coarse_nodes = max(10, sc.solver.nodes // 2)
+    rel = None
+    if coarse_nodes == sc.solver.nodes:
+        coarse_nodes = None
+    else:
+        coarse = solve_hypothetical(sc, coarse_nodes)
+        rel = (abs(sol.nadir_pu - coarse.nadir_pu) / abs(sol.nadir_pu)
+               if sol.nadir_pu else 0.0)
     doc = sol.metrics_dict()
     doc["provenance"] = prov
     doc["convergence"] = {
         "nodes": sc.solver.nodes,
-        "coarse_nodes": max(10, sc.solver.nodes // 2),
+        "coarse_nodes": coarse_nodes,
         "nadir_rel_diff": rel,
     }
     if sol.zero_disturbance:
@@ -98,8 +105,8 @@ def cmd_solve(args) -> int:
                ["t_s", "df_pu", "dpe_pu", "denergy_pu_s", "dpm_pu"],
                [sol.t, sol.df_pu, sol.dpe_pu, sol.denergy_pu_s, sol.dpm_pu])
     _write_json(out / "solve_metrics.json", doc)
-    print(f"nadir {sol.nadir_hz:+.4f} Hz  alpha {sol.alpha:.4f}  "
-          f"(coarse-grid agreement {rel:.2e})")
+    agreement = f"  (coarse-grid agreement {rel:.2e})" if rel is not None else ""
+    print(f"nadir {sol.nadir_hz:+.4f} Hz  alpha {sol.alpha:.4f}{agreement}")
     return EXIT_OK
 
 
@@ -229,8 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "controller, and validate it in closed-loop simulation.",
     )
     parser.add_argument("--dump-preset", choices=PRESET_NAMES, default=None,
-                        help="write a shipped preset scenario and exit")
-    parser.add_argument("--out", default="out", help="output directory")
+                        help="print a shipped preset scenario, or write it to --out, "
+                             "and exit")
+    parser.add_argument("--out", default=None,
+                        help=f"output directory (default {DEFAULT_OUT!r} for the "
+                             "subcommands)")
     sub = parser.add_subparsers(dest="command")
     for name, fn in (("solve", cmd_solve), ("synthesize", cmd_synthesize),
                      ("simulate", cmd_simulate), ("compare", cmd_compare),
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", default=None, help="scenario JSON file")
         p.add_argument("--preset", choices=PRESET_NAMES, default=None,
                        help="use a shipped preset instead of a file")
-        # the top-level --out holds the one default; given here, it wins
+        # the top-level --out holds the one value; given here, it wins
         p.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
         p.add_argument("--nodes", type=int, default=None,
                        help="override the collocation order")
@@ -258,6 +268,8 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_VALIDATION
+    if args.out is None:
+        args.out = DEFAULT_OUT
     try:
         return args.func(args)
     except ScenarioError as exc:

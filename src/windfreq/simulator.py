@@ -18,10 +18,20 @@ bit-identical traces.
 The kernel steps the state as a list of Python floats: on a state of a few
 entries numpy's per-call overhead costs more than the arithmetic. numpy holds
 the assembly (governor realization and aggregation, allocation) and the
-preallocated traces.
+preallocated traces, which each step fills with one ``struct`` pack per table.
+
+The closed loops of ``insensitivity_sweep`` (one per deficit) and
+``compare_strategies`` (one per strategy) do not depend on each other, so
+they run in forked worker processes, one per CPU in the affinity mask, and
+their results are bitwise equal to a serial run. With one CPU they run in
+the calling process; ``taskset`` gives a serial run.
 """
 
+import os
+import pickle
+import struct
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +58,7 @@ __all__ = [
     "compare_strategies",
     "allocation_shares",
     "ScenarioError",
+    "WorkerError",
 ]
 
 _WT_FLOOR = 7  # floor speed's place in an _Assembled.wt tuple
@@ -313,14 +324,10 @@ def _run_segment(asm, y, start, tr):
             pm, pe = _rhs(asm, y, asm.k1)
 
         # record start-of-step values
-        tr.df[i] = y[0]
-        tr.pm[i] = pm
-        tr.pe[i] = pe
-        tr.dfdot[i] = asm.k1[0]
-        tr.pd[i] = asm.p_d
-        tr.wt_pe[i] = asm.wt_pe_w
-        tr.wt_omega[i] = y[base_w:base_w + n_wt]
-        tr.flags[i] = asm.wt_flags
+        tr.put_row(i * tr.row_bytes, y[0], pm, pe, asm.k1[0], asm.p_d,
+                   *y[base_w:base_w + n_wt])
+        tr.put_wt_pe(i * tr.wt_pe_bytes, *asm.wt_pe_w)
+        tr.put_flags(i * n_wt, *asm.wt_flags)
         if i == asm.n_steps:
             break
 
@@ -474,14 +481,32 @@ class _Assembled:
 
 
 class _Traces:
-    """Start-of-step records of one run, one row per step."""
+    """Start-of-step records of one run in preallocated tables, one row per step.
+
+    A row of ``rows`` is (df, pm, pe, dfdot, p_d, each turbine's rotor speed),
+    a row of ``wt_pe`` each turbine's applied power in W, and a row of
+    ``flags`` each turbine's limit flags. ``put_*(offset, *values)`` writes one
+    row with a single ``struct`` pack into a byte view of its table, at the
+    byte offset ``i * row_bytes`` (``i * wt_pe_bytes``, ``i * n_wt``); numpy's
+    per-item assignment costs several times more. The powers have a table of
+    their own because the result keeps them in MW.
+    """
 
     def __init__(self, n_steps: int, n_wt: int):
         n = n_steps + 1
-        self.df, self.pm, self.pe, self.dfdot, self.pd = (np.zeros(n) for _ in range(5))
+        self.rows = np.zeros((n, 5 + n_wt))
         self.wt_pe = np.zeros((n, n_wt))
-        self.wt_omega = np.zeros((n, n_wt))
         self.flags = np.zeros((n, n_wt), dtype=np.int8)
+        self.row_bytes = self.rows.strides[0]
+        self.wt_pe_bytes = self.wt_pe.strides[0]
+        self.put_row, self.put_wt_pe, self.put_flags = (
+            partial(struct.Struct(f"{t.shape[1]}{t.dtype.char}").pack_into,
+                    memoryview(t).cast("B"))
+            for t in (self.rows, self.wt_pe, self.flags))
+
+    @property
+    def wt_omega(self) -> np.ndarray:
+        return self.rows[:, 5:]
 
 
 def allocation_shares(sc: Scenario) -> np.ndarray:
@@ -610,15 +635,16 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
 
     f_b = scenario.grid.f_base_hz
     t = np.arange(asm.n_steps + 1) * dt
+    df, pm, pe, dfdot, pd = tr.rows[:, :5].T
     return SimResult(
         scenario=scenario,
         t=t,
-        df_pu=tr.df,
-        df_hz=tr.df * f_b,
-        dfdot_pu_s=tr.dfdot,
-        dpm_pu=tr.pm,
-        dpe_pu=tr.pe,
-        p_d_pu=tr.pd,
+        df_pu=df,
+        df_hz=df * f_b,
+        dfdot_pu_s=dfdot,
+        dpm_pu=pm,
+        dpe_pu=pe,
+        p_d_pu=pd,
         wt_pe_mw=tr.wt_pe / 1e6,
         wt_omega_rad_s=tr.wt_omega,
         wt_flags=tr.flags,
@@ -714,24 +740,24 @@ def insensitivity_sweep(
     if alpha is None:
         alpha = _resolve_alpha(scenario, sol)
 
-    rows = []
-    p_d_max = None
-    for p_d in p_d_list:
+    def point(p_d):
         events = tuple(
             DisturbanceEvent(time_s=e.time_s, kind="load_surge", magnitude_pu=p_d)
             for e in scenario.events[:1]
         ) or (DisturbanceEvent(time_s=0.0, kind="load_surge", magnitude_pu=p_d),)
-        sc = _with(scenario, events=events)
-        res = run(sc, alpha_override=alpha)
+        res = run(_with(scenario, events=events), alpha_override=alpha)
         rec = metrics(res, nadir_ref_pu=reference_nadir_per_pd * p_d)
-        rows.append({
+        return {
             "p_d_pu": float(p_d),
             "nadir_hz": rec.nadir_hz,
             "e_r_pct": rec.e_r_pct,
             "limit_events": len(rec.limit_events),
-        })
-        if rec.e_r_pct is not None and rec.e_r_pct <= e_r_limit_pct:
-            p_d_max = float(p_d) if p_d_max is None or p_d > p_d_max else p_d_max
+        }
+
+    rows = _map_runs(point, p_d_list)
+    p_d_max = max((r["p_d_pu"] for r in rows
+                   if r["e_r_pct"] is not None and r["e_r_pct"] <= e_r_limit_pct),
+                  default=None)
     return rows, p_d_max
 
 
@@ -739,12 +765,114 @@ def compare_strategies(scenario: Scenario, strategies=("none", "classic_vic", "o
     """Identical events under each control strategy; returns name -> metrics."""
     alpha = _resolve_alpha(_with_controllers(scenario, "optimal_aapc")) \
         if "optimal_aapc" in strategies else None
-    out = {}
-    for strat in strategies:
-        sc = _with_controllers(scenario, strat)
-        res = run(sc, alpha_override=alpha if strat == "optimal_aapc" else None)
-        out[strat] = (res, metrics(res))
-    return out
+
+    def one(strat):
+        res = run(_with_controllers(scenario, strat),
+                  alpha_override=alpha if strat == "optimal_aapc" else None)
+        return res, metrics(res)
+
+    return dict(zip(strategies, _map_runs(one, strategies)))
+
+
+# ---------------------------------------------------------------------------
+# independent runs in forked workers
+# ---------------------------------------------------------------------------
+
+class WorkerError(RuntimeError):
+    """A forked worker of ``_map_runs`` ended without sending its results."""
+
+
+def _run_share(fn, share):
+    """(results, None), or (the results before it, exception) if an item raised."""
+    out = []
+    try:
+        for x in share:
+            out.append(fn(x))
+    except Exception as exc:  # sent to the caller, which raises it
+        return out, exc
+    return out, None
+
+
+def _map_runs(fn, items):
+    """``[fn(x) for x in items]``, the items dealt round-robin over forked workers.
+
+    There is one worker per CPU in the affinity mask, at most one per item,
+    and the calling process is the first: it runs its share while the forked
+    children run theirs, then reads each child's pickled (results, exception)
+    from the child's pipe. If items raised, the exception of the first such
+    item in item order is raised, as the serial loop would raise it. A child
+    that ends without a result raises ``WorkerError``. Every child is reaped
+    before this returns or raises, and a child leaves only through
+    ``os._exit``, so it never runs the caller's code after its share. With one
+    worker, or on a platform without ``os.fork``, ``fn`` runs inline.
+
+    A bare fork needs no pickling of ``fn`` or the items, no fresh interpreter
+    and no helper threads, whose allocations would raise the caller's peak
+    RSS. The package starts no threads of its own, and a forked child can use
+    numpy's BLAS.
+    """
+    items = list(items)
+    n_workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n_workers = min(len(items), len(os.sched_getaffinity(0)))
+    if n_workers <= 1:
+        return [fn(x) for x in items]
+    pipes = {}  # child pid -> read end of its pipe
+    outcomes = []
+    try:
+        for w in range(1, n_workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _worker(fn, items[w::n_workers], read_fd, write_fd)
+            os.close(write_fd)
+            pipes[pid] = os.fdopen(read_fd, "rb")
+        outcomes.append(_run_share(fn, items[::n_workers]))
+        for pipe in pipes.values():
+            # one read, then one unpickling: a streamed pickle.load from the
+            # pipe left the caller's heap 0.4 MB higher on two_machine_study
+            with pipe:
+                data = pipe.read()
+            try:
+                outcomes.append(pickle.loads(data))
+            except Exception:  # truncated or empty: the child ended without a result
+                outcomes.append(None)
+    finally:
+        statuses = []
+        for pid, pipe in pipes.items():
+            pipe.close()  # a child still writing gets EPIPE and exits
+            statuses.append(os.waitpid(pid, 0)[1])
+    for w, (pid, status) in enumerate(zip(pipes, statuses), 1):
+        if outcomes[w] is None:
+            raise WorkerError(f"worker process {pid} ended without a result "
+                              f"(exit code {os.waitstatus_to_exitcode(status)})")
+    failed = [(w + len(out) * n_workers, exc)
+              for w, (out, exc) in enumerate(outcomes) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    results = [None] * len(items)
+    for w, (out, _) in enumerate(outcomes):
+        results[w::n_workers] = out
+    return results
+
+
+def _worker(fn, share, read_fd, write_fd):
+    """Body of a forked child: pickle ``_run_share(fn, share)`` into write_fd and exit."""
+    code = 1
+    try:
+        # with the read end open here, a write to a pipe the caller has
+        # closed would block instead of failing
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(_run_share(fn, share), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _with(sc: Scenario, **kw) -> Scenario:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from windfreq import cli
 from windfreq.cli import main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
@@ -129,6 +130,31 @@ class TestCli:
         assert rc == 0
         written = json.loads((tmp_path / "two_machine.json").read_text())
         assert written["grid"]["s_base_mva"] == 200.0
+
+    def test_dump_preset_to_stdout(self, tmp_path, monkeypatch, capsys):
+        # without --out the document goes to stdout and nothing is written
+        monkeypatch.chdir(tmp_path)
+        assert main(["--dump-preset", "two_machine"]) == 0
+        assert json.loads(capsys.readouterr().out) == load_preset("two_machine")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_solve_at_smallest_order_solves_once(self, tmp_path, monkeypatch, capsys):
+        # the coarse order max(10, K // 2) is K itself at K = 10
+        calls = []
+        real = cli.solve_hypothetical
+
+        def counting(sc, nodes=None):
+            calls.append(nodes)
+            return real(sc, nodes)
+
+        monkeypatch.setattr(cli, "solve_hypothetical", counting)
+        assert main(["solve", "--preset", "two_machine", "--nodes", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [None]
+        doc = json.loads((tmp_path / "solve_metrics.json").read_text())
+        assert doc["convergence"] == {"nodes": 10, "coarse_nodes": None,
+                                      "nadir_rel_diff": None}
+        assert "coarse-grid" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, written", [
         (["--out", "top", "synthesize"], "top"),

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import windfreq
 from windfreq import collocation as coll
 from windfreq import simulator as sim
 from windfreq import trajopt as to
+from windfreq.cli import main
 from windfreq.grid import GovernorSpec, aggregate_governors, rebase_governors
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
@@ -379,3 +381,113 @@ class TestInsensitivitySweep:
                 reference_nadir_per_pd=ref)
             maxima.append(p_max)
         assert maxima[1] >= maxima[0]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_fork():
+    raise AssertionError("forked with one worker")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestMapRuns:
+    # every field a SimResult carries as an array
+    FIELDS = ("t", "df_pu", "df_hz", "dfdot_pu_s", "dpm_pu", "dpe_pu", "p_d_pu",
+              "wt_pe_mw", "wt_omega_rad_s", "wt_flags", "shares", "wt_omega0",
+              "wt_p_e0_mw")
+
+    @pytest.fixture(scope="class")
+    def short_scenario(self, two_machine_scenario):
+        return replace(two_machine_scenario,
+                       sim=replace(two_machine_scenario.sim, duration_s=30.0))
+
+    def test_sweep_rows_equal_serial(self, short_scenario, two_machine_solution,
+                                     monkeypatch):
+        load = short_scenario.grid.load_pu
+        args = (short_scenario, [0.04 * load, 0.10 * load, 0.40 * load])
+        kw = dict(alpha=two_machine_solution.alpha,
+                  reference_nadir_per_pd=two_machine_solution.nadir_pu / 0.075)
+        _cpus(monkeypatch, 2)
+        forked = sim.insensitivity_sweep(*args, **kw)
+        _assert_no_child_left()
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(sim.os, "fork", _no_fork)
+        assert repr(forked) == repr(sim.insensitivity_sweep(*args, **kw))
+
+    def test_compare_traces_equal_serial(self, short_scenario, monkeypatch):
+        sc = replace(short_scenario, alpha=1.1870649147208707)
+        _cpus(monkeypatch, 2)
+        forked = sim.compare_strategies(sc)
+        _assert_no_child_left()
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(sim.os, "fork", _no_fork)
+        serial = sim.compare_strategies(sc)
+        assert list(forked) == list(serial) == ["none", "classic_vic", "optimal_aapc"]
+        for strat, (res, rec) in serial.items():
+            got, got_rec = forked[strat]
+            for name in self.FIELDS:
+                a, b = getattr(res, name), getattr(got, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+            assert repr(got.exit_events) == repr(res.exit_events)
+            assert repr(got_rec) == repr(rec)
+            assert got.scenario == res.scenario
+
+    @pytest.mark.parametrize("cpus, items", [(1, [1, 2, 3]), (4, [5])],
+                             ids=["one_cpu", "one_item"])
+    def test_one_worker_never_forks(self, monkeypatch, cpus, items):
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(sim.os, "fork", _no_fork)
+        assert sim._map_runs(lambda x: 2 * x, items) == [2 * x for x in items]
+
+    def test_results_in_item_order(self, monkeypatch):
+        # three workers over seven items; the caller runs items 0, 3 and 6
+        _cpus(monkeypatch, 3)
+        got = sim._map_runs(lambda x: (x * x, os.getpid()), range(7))
+        _assert_no_child_left()
+        assert [v for v, _ in got] == [x * x for x in range(7)]
+        pids = [pid for _, pid in got]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids[1::3] + pids[2::3]) - {os.getpid()}) == 2
+
+    def test_first_failing_item_raises(self, monkeypatch):
+        # items 1 (a child's) and 2 (the caller's) raise; item 1 is first
+        def fn(x):
+            if x in (1, 2):
+                raise ValueError(f"item {x}")
+            return x
+
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match="item 1"):
+            sim._map_runs(fn, range(4))
+        _assert_no_child_left()
+
+    def test_child_without_result_is_named(self, monkeypatch):
+        parent = os.getpid()
+
+        def fn(x):
+            if os.getpid() != parent:
+                os._exit(7)
+            return x
+
+        _cpus(monkeypatch, 2)
+        with pytest.raises(sim.WorkerError, match="exit code 7"):
+            sim._map_runs(fn, [0, 1])
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("deficits", ["0.1:-0.1:2", "-0.1:0.1:2"],
+                             ids=["child_raises", "caller_raises"])
+    def test_scenario_error_exits_2(self, tmp_path, capsys, monkeypatch, deficits):
+        # the negative deficit is the second item (a child's) or the first (the caller's)
+        _cpus(monkeypatch, 2)
+        rc = main(["sweep", "--preset", "two_machine", f"--range={deficits}",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "magnitude_pu > 0" in capsys.readouterr().err
+        _assert_no_child_left()
