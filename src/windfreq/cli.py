@@ -9,6 +9,7 @@ inputs.
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ import numpy as np
 from .aapc import synthesize
 from .lp import InfeasibleError, SimplexError, UnboundedError
 from .presets import PRESET_NAMES, load_preset, preset_checksum
-from .scenario import scenario_from_dict
+from .scenario import ScenarioError, scenario_from_dict
 from .simulator import (
-    ScenarioError,
+    E_R_BAND_PCT,
     allocation_shares,
     compare_strategies,
     insensitivity_sweep,
@@ -72,9 +73,9 @@ def _load_scenario(args) -> tuple:
         prov = {"file": str(args.scenario)}
     else:
         raise ScenarioError("one of --scenario or --preset is required")
-    if args.nodes is not None:
-        doc.setdefault("solver", {})["nodes"] = args.nodes
     sc = scenario_from_dict(doc)
+    if args.nodes is not None:
+        sc = replace(sc, solver=replace(sc.solver, nodes=args.nodes)).check()
     return sc, prov
 
 
@@ -200,11 +201,11 @@ def cmd_sweep(args) -> int:
                 [r["e_r_pct"] for r in rows],
                 [r["limit_events"] for r in rows]])
     _write_json(out / "sweep.json",
-                {"rows": rows, "p_d_max_pu": p_d_max, "e_r_limit_pct": 5.0,
+                {"rows": rows, "p_d_max_pu": p_d_max, "e_r_limit_pct": E_R_BAND_PCT,
                  "provenance": prov})
     print(f"insensitive up to P_d = {p_d_max:.4f} pu "
           f"({p_d_max / sc.grid.load_pu:.3f} of load)" if p_d_max is not None
-          else "no deficit within the 5% band")
+          else f"no deficit within the {E_R_BAND_PCT:g}% band")
     return EXIT_OK
 
 

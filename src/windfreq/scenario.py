@@ -1,26 +1,137 @@
-"""Scenario documents: schema validation and conversion to runtime objects.
+"""Scenario documents: the scenario types, their schema and their validation.
 
-A scenario is a flat JSON document (see README for the field reference).
-Validation walks the document first, rejecting unknown or missing keys and
-non-finite numbers with their location, so numerical work never starts on a
-malformed input.
+A scenario is a JSON document (see README for the field reference). One table
+per section maps each JSON key to the dataclass field it fills, its type and
+whether it is required; ``scenario_from_dict`` and ``scenario_to_dict`` both
+read the tables, so every default is written once, in its dataclass. Parsing
+rejects unknown, missing and wrongly typed keys and non-finite numbers with
+their JSON path, and ``Scenario.validate`` rejects the values the runtime
+cannot use, so numerical work never starts on a malformed input.
 """
 
-import math
+import json
+import sys
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from operator import attrgetter
 
 from .aapc import BaselineVic
 from .grid import GovernorSpec, GridParameters, ReheatSteam, reheat_governor
-from .simulator import (
-    DisturbanceEvent,
-    Scenario,
-    ScenarioError,
-    SimOptions,
-    SolverOptions,
-    TurbineEntry,
-)
 from .turbine import TurbineSpec, dfig5mw
 
-__all__ = ["scenario_from_dict", "scenario_to_dict", "hydro_governor", "gas_governor"]
+__all__ = [
+    "ScenarioError",
+    "TurbineEntry",
+    "DisturbanceEvent",
+    "SolverOptions",
+    "SimOptions",
+    "Scenario",
+    "scenario_from_dict",
+    "scenario_to_dict",
+    "hydro_governor",
+    "gas_governor",
+]
+
+
+class ScenarioError(ValueError):
+    """Scenario validation failed; the message lists every violation."""
+
+
+@dataclass(frozen=True)
+class TurbineEntry:
+    name: str
+    spec: TurbineSpec
+    wind_speed_ms: float
+    pitch_deg: float = 0.0
+    controller: str = "optimal_aapc"   # optimal_aapc | classic_vic | none
+
+
+@dataclass(frozen=True)
+class DisturbanceEvent:
+    time_s: float
+    kind: str                      # load_surge | generation_trip
+    magnitude_pu: float = 0.0      # surge size; optional override for trips
+    unit: str = ""                 # tripped governor name
+    fraction: float = 1.0          # tripped share of the unit
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    nodes: int = 60
+    t_f: float = 30.0
+    hypothetical_p_d_pu: float | None = None   # default: 0.1 * load
+
+
+@dataclass(frozen=True)
+class SimOptions:
+    duration_s: float = 60.0
+    step_s: float = 0.01
+
+
+@dataclass(frozen=True)
+class Scenario:
+    grid: GridParameters
+    governors: tuple
+    turbines: tuple
+    events: tuple
+    solver: SolverOptions = SolverOptions()
+    sim: SimOptions = SimOptions()
+    vic: BaselineVic = BaselineVic()
+    alpha: float | None = None              # skip the internal solve if given
+    allocation: tuple | None = None         # override the capability shares
+    exit_enabled: bool = True
+    name: str = "scenario"
+
+    def check(self) -> "Scenario":
+        """This scenario; raises ScenarioError listing what validate finds."""
+        problems = self.validate()
+        if problems:
+            raise ScenarioError("; ".join(problems))
+        return self
+
+    def validate(self) -> list:
+        problems = []
+        dt = self.sim.step_s
+        if not 0 < dt <= 0.02:
+            problems.append(f"sim.step_s must be in (0, 0.02], got {dt}")
+        if self.sim.duration_s < self.solver.t_f:
+            problems.append(
+                f"sim.duration_s ({self.sim.duration_s}) must cover the support "
+                f"window t_f ({self.solver.t_f})"
+            )
+        p_hyp = self.solver.hypothetical_p_d_pu
+        # alpha is a nadir per unit deficit: a zero deficit leaves it undefined
+        if p_hyp is not None and not p_hyp > 0:
+            problems.append(f"$.solver.hypothetical_p_d_pu: must be > 0, got {p_hyp}")
+        times = [e.time_s for e in self.events]
+        if times != sorted(times):
+            problems.append("events must be sorted by time")
+        for e in self.events:
+            if e.time_s < 0 or e.time_s >= self.sim.duration_s:
+                problems.append(f"event at {e.time_s}s outside the simulation window")
+            if dt > 0 and abs(e.time_s / dt - round(e.time_s / dt)) > 1e-9:
+                problems.append(f"event time {e.time_s}s not aligned to the {dt}s step")
+            if e.kind not in ("load_surge", "generation_trip"):
+                problems.append(f"unknown event kind {e.kind!r}")
+            if e.kind == "load_surge" and e.magnitude_pu <= 0:
+                problems.append(f"load surge needs magnitude_pu > 0, got {e.magnitude_pu}")
+            if e.kind == "generation_trip":
+                if e.unit not in [g.name for g in self.governors]:
+                    problems.append(f"trip references unknown unit {e.unit!r}")
+                if not 0 < e.fraction <= 1:
+                    problems.append(f"trip fraction must be in (0, 1], got {e.fraction}")
+        for t in self.turbines:
+            if t.controller not in ("optimal_aapc", "classic_vic", "none"):
+                problems.append(f"turbine {t.name!r}: unknown controller {t.controller!r}")
+            if t.wind_speed_ms < 1.0:
+                problems.append(f"turbine {t.name!r}: wind speed {t.wind_speed_ms} too low")
+            if t.pitch_deg < 0:
+                problems.append(
+                    f"turbine {t.name!r}: pitch {t.pitch_deg} deg must be nonnegative")
+        if self.allocation is not None and len(self.allocation) != len(self.turbines):
+            problems.append("allocation override length must match the turbine list")
+        if self.solver.nodes < 10:
+            problems.append(f"solver.nodes must be >= 10, got {self.solver.nodes}")
+        return problems
 
 
 def hydro_governor(droop: float, temporary_droop: float, washout_s: float,
@@ -42,59 +153,192 @@ def gas_governor(droop: float, lag_s: float, rated_mva: float, name: str = "") -
                         num=(-1.0 / droop,), den=(lag_s, 1.0))
 
 
-def _check_keys(obj: dict, allowed: dict, path: str, errors: list):
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
-    for key, required in allowed.items():
-        if required and key not in obj:
-            errors.append(f"{path}.{key}: missing required key")
+# ---------------------------------------------------------------------------
+# schema tables: JSON key -> (dataclass field, type, required)
+#
+# A missing optional key, or a null one, leaves the field at its dataclass
+# default. float takes any JSON number but a bool, int an integral number,
+# tuple a list of numbers and list a list of objects. A dotted field is an
+# attribute of an attribute.
+# ---------------------------------------------------------------------------
+
+def _numbers(*keys: str) -> dict:
+    return {key: (key, float, True) for key in keys}
 
 
-_GOVERNOR_PARAM_KEYS = {
-    "reheat_steam": {"mech_gain": True, "hp_fraction": True,
-                     "reheat_time_s": True, "droop": True},
-    "hydro_transient_droop": {"droop": True, "temporary_droop": True,
-                              "washout_s": True},
-    "gas_lag": {"droop": True, "lag_s": True},
-    "transfer_function": {"num": True, "den": True},
+_SCENARIO = {  # version has no field; controllers fills four of Scenario's own
+    "version": ("version", int, True), "name": ("name", str, False),
+    "grid": ("grid", dict, True), "governors": ("governors", list, True),
+    "turbines": ("turbines", list, True), "events": ("events", list, True),
+    "solver": ("solver", dict, False), "sim": ("sim", dict, False),
+    "controllers": ("controllers", dict, False),
 }
-
-_SPEC_KEYS = {
-    "preset": False, "rated_mva": False, "rated_mw": False, "p_max_mw": False,
-    "p_min_mw": False, "rated_speed_rpm": False, "min_speed_pu": False,
-    "inertia_kgm2": False, "rotor_radius_m": False, "air_density": False,
+_GRID = {"inertia_s": ("inertia_s", float, True), "damping_pu": ("damping", float, True),
+         "f_base_hz": ("f_base_hz", float, True), "s_base_mva": ("s_base_mva", float, True),
+         "load_mw": ("load_pu", float, True)}   # held per unit of s_base_mva
+_GOVERNOR = {"name": ("name", str, True), "rated_mva": ("rated_mva", float, True),
+             "kind": ("kind", str, True), "params": ("params", dict, True)}
+_GOVERNOR_KINDS = {  # kind -> (factory, params table)
+    "reheat_steam": (
+        lambda name, rated_mva, **p: reheat_governor(ReheatSteam(**p), rated_mva, name),
+        _numbers("mech_gain", "hp_fraction", "reheat_time_s", "droop")),
+    "hydro_transient_droop": (hydro_governor,
+                              _numbers("droop", "temporary_droop", "washout_s")),
+    "gas_lag": (gas_governor, _numbers("droop", "lag_s")),
+    "transfer_function": (GovernorSpec, {"num": ("num", tuple, True),
+                                         "den": ("den", tuple, True)}),
 }
+_TURBINE = {"name": ("name", str, True), "count": ("spec.count", int, True),
+            "wind_speed_ms": ("wind_speed_ms", float, True),
+            "pitch_deg": ("pitch_deg", float, False),
+            "controller": ("controller", str, True), "spec": ("spec", dict, True)}
+_SPEC = {key: (key, float, False)
+         for key in ("rated_mva", "rated_mw", "p_max_mw", "p_min_mw", "rated_speed_rpm",
+                     "min_speed_pu", "inertia_kgm2", "rotor_radius_m", "air_density")}
+# preset -> (factory, the spec keys a document may override)
+_SPEC_PRESETS = {"dfig5mw": (dfig5mw, ("rotor_radius_m", "air_density"))}
+_EVENT = {"time_s": ("time_s", float, True), "kind": ("kind", str, True),
+          "magnitude_pu": ("magnitude_pu", float, False), "unit": ("unit", str, False),
+          "fraction": ("fraction", float, False)}
+_SOLVER = {"nodes": ("nodes", int, False), "t_f_s": ("t_f", float, False),
+           "hypothetical_p_d_pu": ("hypothetical_p_d_pu", float, False)}
+_SIM = {"duration_s": ("duration_s", float, False), "step_s": ("step_s", float, False)}
+_CONTROLLERS = {"alpha": ("alpha", float, False), "vic": ("vic", dict, False),
+                "allocation": ("allocation", tuple, False),
+                "exit_strategy": ("exit_enabled", bool, False)}
+_VIC = {"k_f": ("k_f", float, True), "k_in": ("k_in", float, True),
+        "filter_s": ("filter_s", float, False)}
+
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
+               dict: "an object", list: "a list", tuple: "a list of numbers"}
 
 
-def _turbine_spec(doc: dict, count: int, path: str, errors: list) -> TurbineSpec | None:
-    _check_keys(doc, _SPEC_KEYS, path, errors)
-    if errors:
-        return None
-    fields = {k: v for k, v in doc.items() if k != "preset"}
-    if doc.get("preset") == "dfig5mw":
-        base = dfig5mw(count=count)
-        allowed_overrides = {"rotor_radius_m", "air_density"}
-        extra = set(fields) - allowed_overrides
-        if extra:
-            errors.append(f"{path}: preset dfig5mw only allows overrides "
-                          f"{sorted(allowed_overrides)}, got {sorted(extra)}")
+def _shown(value) -> str:
+    return {dict: "an object", list: "a list"}.get(type(value)) or json.dumps(value)
+
+
+def _typed(value, kind):
+    """value as a kind, or None if the JSON value is not one."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        return float(value) if number else None
+    if kind is int:
+        return int(value) if number and (isinstance(value, int) or value.is_integer()) else None
+    if kind is tuple:
+        if not isinstance(value, list):
             return None
-        return dfig5mw(count=count, **fields)
-    if "preset" in doc:
-        errors.append(f"{path}.preset: unknown preset {doc['preset']!r}")
-        return None
+        items = tuple(_typed(v, float) for v in value)
+        return None if None in items else items
+    return value if isinstance(value, kind) else None
+
+
+def _read(doc, table: dict, path: str, errors: list) -> dict:
+    """{field: value} for the keys of doc that are set, checked against table.
+
+    Unknown keys, missing required ones and wrongly typed values go to errors.
+    """
+    if not isinstance(doc, dict):
+        errors.append(f"{path}: must be an object, got {_shown(doc)}")
+        return {}
+    errors.extend(f"{path}.{key}: unknown key" for key in doc if key not in table)
+    fields = {}
+    for key, (field, kind, required) in table.items():
+        if key not in doc:
+            if required:
+                errors.append(f"{path}.{key}: missing required key")
+            continue
+        value = doc[key]
+        if value is None and not required:
+            continue
+        fields[field] = _typed(value, kind)
+        if fields[field] is None:
+            errors.append(f"{path}.{key}: must be {_TYPE_NAMES[kind]}, got {_shown(value)}")
+    return fields
+
+
+def _make(make, fields: dict, path: str, errors: list):
+    """make(**fields), or None with its ValueError in errors."""
     try:
-        return TurbineSpec(count=count, **fields)
-    except (TypeError, ValueError) as exc:
+        return make(**fields)
+    except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
 
 
+def _build(make, doc, table: dict, path: str, errors: list):
+    """make(**fields of doc), or None with the problems in errors."""
+    local: list = []
+    fields = _read(doc, table, path, local)
+    errors.extend(local)
+    return None if local else _make(make, fields, path, errors)
+
+
+def _grid(load_pu, s_base_mva, **fields) -> GridParameters:
+    # the document gives the load in MW; a zero base fails GridParameters' check
+    return GridParameters(load_pu=load_pu / s_base_mva if s_base_mva else load_pu,
+                          s_base_mva=s_base_mva, **fields)
+
+
+def _governor(doc, path: str, errors: list) -> GovernorSpec | None:
+    local: list = []
+    entry = _read(doc, _GOVERNOR, path, local)
+    if not local and entry["kind"] not in _GOVERNOR_KINDS:
+        local.append(f"{path}.kind: unknown governor kind {entry['kind']!r}")
+    if local:
+        errors.extend(local)
+        return None
+    make, table = _GOVERNOR_KINDS[entry["kind"]]
+    params = _read(entry["params"], table, f"{path}.params", local)
+    errors.extend(local)
+    if local:
+        return None
+    return _make(make, {"name": entry["name"], "rated_mva": entry["rated_mva"], **params},
+                 path, errors)
+
+
+def _turbine(doc, path: str, errors: list) -> TurbineEntry | None:
+    local: list = []
+    fields = _read(doc, _TURBINE, path, local)
+    if not local:
+        fields["spec"] = _turbine_spec(fields["spec"], fields.pop("spec.count"),
+                                       f"{path}.spec", local)
+    errors.extend(local)
+    return None if local else TurbineEntry(**fields)
+
+
+def _turbine_spec(doc, count: int, path: str, errors: list) -> TurbineSpec | None:
+    local: list = []
+    fields = _read(doc, {"preset": ("preset", str, False), **_SPEC}, path, local)
+    preset = fields.pop("preset", None)
+    make = TurbineSpec
+    if local:
+        errors.extend(local)
+        return None
+    if preset is None:
+        local.extend(f"{path}.{f.name}: missing required key"
+                     for f in dataclass_fields(TurbineSpec)
+                     if f.default is MISSING and f.name not in fields)
+    elif preset not in _SPEC_PRESETS:
+        local.append(f"{path}.preset: unknown preset {preset!r}")
+    else:
+        make, overrides = _SPEC_PRESETS[preset]
+        extra = set(fields) - set(overrides)
+        if extra:
+            local.append(f"{path}: preset {preset} only allows overrides "
+                         f"{sorted(overrides)}, got {sorted(extra)}")
+    errors.extend(local)
+    return None if local else _make(make, {"count": count, **fields}, path, errors)
+
+
+def _event(doc, path: str, errors: list) -> DisturbanceEvent | None:
+    return _build(DisturbanceEvent, doc, _EVENT, path, errors)
+
+
 def _non_finite_paths(obj, path: str = "$"):
-    """JSON path of every NaN or infinite number in a parsed document."""
-    if isinstance(obj, float):
-        return [] if math.isfinite(obj) else [path]
+    """JSON path of every number in a parsed document that is NaN, infinite,
+    or an integer beyond the range of a float."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [] if abs(obj) <= sys.float_info.max else [path]
     if isinstance(obj, dict):
         return [p for key, v in obj.items() for p in _non_finite_paths(v, f"{path}.{key}")]
     if isinstance(obj, (list, tuple)):
@@ -102,244 +346,61 @@ def _non_finite_paths(obj, path: str = "$"):
     return []
 
 
-def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
+def scenario_from_dict(doc: dict) -> Scenario:
     """Parse and validate a scenario document; raises ScenarioError with
     every problem found, each tagged with its JSON path."""
     # JSON readers accept NaN and Infinity; no field of the schema does
     errors: list = [f"{p}: must be a finite number" for p in _non_finite_paths(doc)]
+    fields = {} if errors else _read(doc, _SCENARIO, "$", errors)
     if errors:
         raise ScenarioError("; ".join(errors))
-    _check_keys(doc, {
-        "version": True, "name": False, "grid": True, "governors": True,
-        "turbines": True, "events": True, "solver": False, "sim": False,
-        "controllers": False,
-    }, "$", errors)
-    if errors:
-        raise ScenarioError("; ".join(errors))
-    if doc["version"] != 1:
-        raise ScenarioError(f"$.version: unsupported version {doc['version']}")
+    version = fields.pop("version")
+    if version != 1:
+        raise ScenarioError(f"$.version: unsupported version {version}")
 
-    g = doc["grid"]
-    _check_keys(g, {"inertia_s": True, "damping_pu": True, "f_base_hz": True,
-                    "s_base_mva": True, "load_mw": True}, "$.grid", errors)
-    grid = None
-    if not errors:
-        try:
-            grid = GridParameters(
-                inertia_s=float(g["inertia_s"]),
-                damping=float(g["damping_pu"]),
-                f_base_hz=float(g["f_base_hz"]),
-                s_base_mva=float(g["s_base_mva"]),
-                load_pu=float(g["load_mw"]) / float(g["s_base_mva"]),
-            )
-        except ValueError as exc:
-            errors.append(f"$.grid: {exc}")
-
-    governors = []
-    for i, gov in enumerate(doc["governors"]):
-        path = f"$.governors[{i}]"
-        local: list = []
-        _check_keys(gov, {"name": True, "rated_mva": True, "kind": True,
-                          "params": True}, path, local)
-        if local:
-            errors.extend(local)
-            continue
-        kind = gov["kind"]
-        if kind not in _GOVERNOR_PARAM_KEYS:
-            errors.append(f"{path}.kind: unknown governor kind {kind!r}")
-            continue
-        _check_keys(gov["params"], _GOVERNOR_PARAM_KEYS[kind], f"{path}.params", local)
-        if local:
-            errors.extend(local)
-            continue
-        p = gov["params"]
-        try:
-            if kind == "reheat_steam":
-                governors.append(reheat_governor(
-                    ReheatSteam(mech_gain=p["mech_gain"], hp_fraction=p["hp_fraction"],
-                                reheat_time_s=p["reheat_time_s"], droop=p["droop"]),
-                    rated_mva=gov["rated_mva"], name=gov["name"]))
-            elif kind == "hydro_transient_droop":
-                governors.append(hydro_governor(
-                    p["droop"], p["temporary_droop"], p["washout_s"],
-                    rated_mva=gov["rated_mva"], name=gov["name"]))
-            elif kind == "gas_lag":
-                governors.append(gas_governor(
-                    p["droop"], p["lag_s"], rated_mva=gov["rated_mva"],
-                    name=gov["name"]))
-            else:
-                governors.append(GovernorSpec(
-                    name=gov["name"], rated_mva=gov["rated_mva"],
-                    num=tuple(p["num"]), den=tuple(p["den"])))
-        except ValueError as exc:
-            errors.append(f"{path}: {exc}")
-
-    turbines = []
-    for i, t in enumerate(doc["turbines"]):
-        path = f"$.turbines[{i}]"
-        local = []
-        _check_keys(t, {"name": True, "count": True, "wind_speed_ms": True,
-                        "pitch_deg": False, "controller": True, "spec": True},
-                    path, local)
-        if local:
-            errors.extend(local)
-            continue
-        spec = _turbine_spec(t["spec"], int(t["count"]), f"{path}.spec", local)
-        if spec is None or local:
-            errors.extend(local)
-            continue
-        turbines.append(TurbineEntry(
-            name=t["name"], spec=spec, wind_speed_ms=float(t["wind_speed_ms"]),
-            pitch_deg=float(t.get("pitch_deg", 0.0)), controller=t["controller"]))
-
-    events = []
-    for i, e in enumerate(doc["events"]):
-        path = f"$.events[{i}]"
-        local = []
-        _check_keys(e, {"time_s": True, "kind": True, "magnitude_pu": False,
-                        "unit": False, "fraction": False}, path, local)
-        if local:
-            errors.extend(local)
-            continue
-        events.append(DisturbanceEvent(
-            time_s=float(e["time_s"]), kind=e["kind"],
-            magnitude_pu=float(e.get("magnitude_pu", 0.0)),
-            unit=e.get("unit", ""), fraction=float(e.get("fraction", 1.0))))
-
-    solver = SolverOptions()
-    if "solver" in doc:
-        s = doc["solver"]
-        local = []
-        _check_keys(s, {"nodes": False, "t_f_s": False,
-                        "hypothetical_p_d_pu": False}, "$.solver", local)
-        p_hyp = s.get("hypothetical_p_d_pu")
-        if p_hyp is not None:
-            p_hyp = float(p_hyp)
-            # alpha is a nadir per unit deficit: a zero deficit leaves it undefined
-            if not p_hyp > 0:
-                local.append(f"$.solver.hypothetical_p_d_pu: must be > 0, got {p_hyp}")
-        errors.extend(local)
-        if not local:
-            solver = SolverOptions(
-                nodes=int(s.get("nodes", 60)),
-                t_f=float(s.get("t_f_s", 30.0)),
-                hypothetical_p_d_pu=p_hyp,
-            )
-
-    sim = SimOptions()
-    if "sim" in doc:
-        s = doc["sim"]
-        local = []
-        _check_keys(s, {"duration_s": False, "step_s": False}, "$.sim", local)
-        errors.extend(local)
-        if not local:
-            sim = SimOptions(duration_s=float(s.get("duration_s", 60.0)),
-                             step_s=float(s.get("step_s", 0.01)))
-
-    vic = BaselineVic()
-    alpha = None
-    allocation = None
-    exit_enabled = True
-    if "controllers" in doc:
-        c = doc["controllers"]
-        local = []
-        _check_keys(c, {"alpha": False, "vic": False, "allocation": False,
-                        "exit_strategy": False}, "$.controllers", local)
-        errors.extend(local)
-        if not local:
-            if "vic" in c:
-                vic_local = []
-                _check_keys(c["vic"], {"k_f": True, "k_in": True, "filter_s": False},
-                            "$.controllers.vic", vic_local)
-                errors.extend(vic_local)
-                if not vic_local:
-                    vic = BaselineVic(k_f=float(c["vic"]["k_f"]),
-                                      k_in=float(c["vic"]["k_in"]),
-                                      filter_s=float(c["vic"].get("filter_s", 0.1)))
-            alpha = c.get("alpha")
-            allocation = tuple(c["allocation"]) if c.get("allocation") else None
-            exit_enabled = bool(c.get("exit_strategy", True))
-
+    fields["grid"] = _build(_grid, fields["grid"], _GRID, "$.grid", errors)
+    for key, parse in (("governors", _governor), ("turbines", _turbine), ("events", _event)):
+        fields[key] = tuple(parse(item, f"$.{key}[{i}]", errors)
+                            for i, item in enumerate(fields[key]))
+    for key, make, table in (("solver", SolverOptions, _SOLVER), ("sim", SimOptions, _SIM)):
+        if key in fields:
+            fields[key] = _build(make, fields[key], table, f"$.{key}", errors)
+    controllers = _read(fields.pop("controllers", {}), _CONTROLLERS, "$.controllers", errors)
+    if "vic" in controllers:
+        controllers["vic"] = _build(BaselineVic, controllers["vic"], _VIC,
+                                    "$.controllers.vic", errors)
     if errors:
         raise ScenarioError("; ".join(errors))
 
-    sc = Scenario(
-        grid=grid,
-        governors=tuple(governors),
-        turbines=tuple(turbines),
-        events=tuple(events),
-        solver=solver,
-        sim=sim,
-        vic=vic,
-        alpha=alpha,
-        allocation=allocation,
-        exit_enabled=exit_enabled,
-        name=doc.get("name", name),
-    )
-    problems = sc.validate()
-    if problems:
-        raise ScenarioError("; ".join(problems))
-    return sc
+    return Scenario(**fields, **controllers).check()
 
 
-def _governor_doc(gov: GovernorSpec) -> dict:
-    return {"name": gov.name, "rated_mva": gov.rated_mva,
-            "kind": "transfer_function",
-            "params": {"num": list(gov.num), "den": list(gov.den)}}
+def _write(obj, table: dict, **values) -> dict:
+    """The document section of obj under table; values holds the keys that
+    are not a plain read of their field."""
+    doc = {}
+    for key, (field, _, _) in table.items():
+        value = values[key] if key in values else attrgetter(field)(obj)
+        doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialize a runtime scenario back to a (normalized) document.
 
     Governors are written in raw transfer-function form, which re-parses to
-    identical dynamics regardless of the template that built them.
+    identical dynamics regardless of the template that built them, and
+    turbine specs in explicit form.
     """
-    doc = {
-        "version": 1,
-        "name": sc.name,
-        "grid": {
-            "inertia_s": sc.grid.inertia_s,
-            "damping_pu": sc.grid.damping,
-            "f_base_hz": sc.grid.f_base_hz,
-            "s_base_mva": sc.grid.s_base_mva,
-            "load_mw": sc.grid.load_pu * sc.grid.s_base_mva,
-        },
-        "governors": [_governor_doc(g) for g in sc.governors],
-        "turbines": [
-            {
-                "name": t.name,
-                "count": t.spec.count,
-                "wind_speed_ms": t.wind_speed_ms,
-                "pitch_deg": t.pitch_deg,
-                "controller": t.controller,
-                "spec": {
-                    "rated_mva": t.spec.rated_mva,
-                    "rated_mw": t.spec.rated_mw,
-                    "p_max_mw": t.spec.p_max_mw,
-                    "p_min_mw": t.spec.p_min_mw,
-                    "rated_speed_rpm": t.spec.rated_speed_rpm,
-                    "min_speed_pu": t.spec.min_speed_pu,
-                    "inertia_kgm2": t.spec.inertia_kgm2,
-                    "rotor_radius_m": t.spec.rotor_radius_m,
-                    "air_density": t.spec.air_density,
-                },
-            }
-            for t in sc.turbines
-        ],
-        "events": [
-            {"time_s": e.time_s, "kind": e.kind, "magnitude_pu": e.magnitude_pu,
-             "unit": e.unit, "fraction": e.fraction}
-            for e in sc.events
-        ],
-        "solver": {"nodes": sc.solver.nodes, "t_f_s": sc.solver.t_f,
-                   "hypothetical_p_d_pu": sc.solver.hypothetical_p_d_pu},
-        "sim": {"duration_s": sc.sim.duration_s, "step_s": sc.sim.step_s},
-        "controllers": {
-            "alpha": sc.alpha,
-            "vic": {"k_f": sc.vic.k_f, "k_in": sc.vic.k_in,
-                    "filter_s": sc.vic.filter_s},
-            "allocation": list(sc.allocation) if sc.allocation else None,
-            "exit_strategy": sc.exit_enabled,
-        },
-    }
-    return doc
+    tf_params = _GOVERNOR_KINDS["transfer_function"][1]
+    return _write(
+        sc, _SCENARIO, version=1,
+        grid=_write(sc.grid, _GRID, load_mw=sc.grid.load_pu * sc.grid.s_base_mva),
+        governors=[_write(g, _GOVERNOR, kind="transfer_function", params=_write(g, tf_params))
+                   for g in sc.governors],
+        turbines=[_write(t, _TURBINE, spec=_write(t.spec, _SPEC)) for t in sc.turbines],
+        events=[_write(e, _EVENT) for e in sc.events],
+        solver=_write(sc.solver, _SOLVER),
+        sim=_write(sc.sim, _SIM),
+        controllers=_write(sc, _CONTROLLERS, vic=_write(sc.vic, _VIC)),
+    )

@@ -37,18 +37,14 @@ import numpy as np
 
 from . import collocation as coll
 from . import trajopt as to
-from .aapc import (BaselineVic, allocate, check_exit, command_pu, exit_gamma, exit_power,
-                   mirror_output, synthesize, vic_command_mw, vic_filter_rate)
-from .grid import GridParameters, aggregate_governors, rebase_governors
-from .turbine import (TurbineSpec, _fleet_power_scale, _k_opt_w, _mppt_power_w,
-                      _turbine_power_w, capability_indices, make_state, mppt_power)
+from .aapc import (allocate, check_exit, command_pu, exit_gamma, exit_power, mirror_output,
+                   synthesize, vic_command_mw, vic_filter_rate)
+from .grid import aggregate_governors, rebase_governors
+from .scenario import DisturbanceEvent, Scenario
+from .turbine import (_fleet_power_scale, _k_opt_w, _mppt_power_w, _turbine_power_w,
+                      capability_indices, make_state, mppt_power)
 
 __all__ = [
-    "TurbineEntry",
-    "DisturbanceEvent",
-    "SolverOptions",
-    "SimOptions",
-    "Scenario",
     "SimResult",
     "MetricsRecord",
     "run",
@@ -57,7 +53,6 @@ __all__ = [
     "insensitivity_sweep",
     "compare_strategies",
     "allocation_shares",
-    "ScenarioError",
     "WorkerError",
 ]
 
@@ -71,96 +66,7 @@ MODE_VIC = 3
 FLAG_POWER_LIMIT = 1
 FLAG_FLOOR = 2
 
-
-class ScenarioError(ValueError):
-    """Scenario validation failed; the message lists every violation."""
-
-
-@dataclass(frozen=True)
-class TurbineEntry:
-    name: str
-    spec: TurbineSpec
-    wind_speed_ms: float
-    pitch_deg: float = 0.0
-    controller: str = "optimal_aapc"   # optimal_aapc | classic_vic | none
-
-
-@dataclass(frozen=True)
-class DisturbanceEvent:
-    time_s: float
-    kind: str                      # load_surge | generation_trip
-    magnitude_pu: float = 0.0      # surge size; optional override for trips
-    unit: str = ""                 # tripped governor name
-    fraction: float = 1.0          # tripped share of the unit
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    nodes: int = 60
-    t_f: float = 30.0
-    hypothetical_p_d_pu: float | None = None   # default: 0.1 * load
-
-
-@dataclass(frozen=True)
-class SimOptions:
-    duration_s: float = 60.0
-    step_s: float = 0.01
-
-
-@dataclass(frozen=True)
-class Scenario:
-    grid: GridParameters
-    governors: tuple
-    turbines: tuple
-    events: tuple
-    solver: SolverOptions = SolverOptions()
-    sim: SimOptions = SimOptions()
-    vic: BaselineVic = BaselineVic()
-    alpha: float | None = None              # skip the internal solve if given
-    allocation: tuple | None = None         # override the capability shares
-    exit_enabled: bool = True
-    name: str = "scenario"
-
-    def validate(self) -> list:
-        problems = []
-        dt = self.sim.step_s
-        if not 0 < dt <= 0.02:
-            problems.append(f"sim.step_s must be in (0, 0.02], got {dt}")
-        if self.sim.duration_s < self.solver.t_f:
-            problems.append(
-                f"sim.duration_s ({self.sim.duration_s}) must cover the support "
-                f"window t_f ({self.solver.t_f})"
-            )
-        times = [e.time_s for e in self.events]
-        if times != sorted(times):
-            problems.append("events must be sorted by time")
-        for e in self.events:
-            if e.time_s < 0 or e.time_s >= self.sim.duration_s:
-                problems.append(f"event at {e.time_s}s outside the simulation window")
-            if dt > 0 and abs(e.time_s / dt - round(e.time_s / dt)) > 1e-9:
-                problems.append(f"event time {e.time_s}s not aligned to the {dt}s step")
-            if e.kind not in ("load_surge", "generation_trip"):
-                problems.append(f"unknown event kind {e.kind!r}")
-            if e.kind == "load_surge" and e.magnitude_pu <= 0:
-                problems.append(f"load surge needs magnitude_pu > 0, got {e.magnitude_pu}")
-            if e.kind == "generation_trip":
-                if e.unit not in [g.name for g in self.governors]:
-                    problems.append(f"trip references unknown unit {e.unit!r}")
-                if not 0 < e.fraction <= 1:
-                    problems.append(f"trip fraction must be in (0, 1], got {e.fraction}")
-        for t in self.turbines:
-            if t.controller not in ("optimal_aapc", "classic_vic", "none"):
-                problems.append(f"turbine {t.name!r}: unknown controller {t.controller!r}")
-            if t.wind_speed_ms < 1.0:
-                problems.append(f"turbine {t.name!r}: wind speed {t.wind_speed_ms} too low")
-            if t.pitch_deg < 0:
-                problems.append(
-                    f"turbine {t.name!r}: pitch {t.pitch_deg} deg must be nonnegative")
-        if self.allocation is not None and len(self.allocation) != len(self.turbines):
-            problems.append("allocation override length must match the turbine list")
-        if self.solver.nodes < 10:
-            problems.append(f"solver.nodes must be >= 10, got {self.solver.nodes}")
-        return problems
+E_R_BAND_PCT = 5.0  # the e_r band of insensitivity_sweep's p_d_max
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +296,6 @@ class SimResult:
     shares: np.ndarray
     wt_omega0: np.ndarray
     wt_p_e0_mw: np.ndarray
-    event_time_s: float | None
 
     @property
     def n_wt(self) -> int:
@@ -538,6 +443,7 @@ def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectoryS
     The deficit (``p_d_pu`` of the result) defaults to a tenth of the load
     and the collocation order to the scenario's.
     """
+    sc.check()
     p_hyp = sc.solver.hypothetical_p_d_pu
     if p_hyp is None:
         p_hyp = 0.1 * sc.grid.load_pu
@@ -578,9 +484,7 @@ def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:
 
 def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
     """Simulate the scenario and return uniform-step traces plus event log."""
-    problems = scenario.validate()
-    if problems:
-        raise ScenarioError("; ".join(problems))
+    scenario.check()
     alpha = alpha_override if alpha_override is not None else _resolve_alpha(scenario)
     asm = _Assembled(scenario, alpha)
     dt = asm.dt
@@ -654,7 +558,6 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
         shares=np.array(asm.shares),
         wt_omega0=np.array(asm.omega0),
         wt_p_e0_mw=np.array(asm.p_e0_w) / 1e6,
-        event_time_s=asm.t_event,
     )
 
 
@@ -724,14 +627,13 @@ def metrics(result: SimResult, nadir_ref_pu: float | None = None) -> MetricsReco
 def insensitivity_sweep(
     scenario: Scenario,
     p_d_list,
-    e_r_limit_pct: float = 5.0,
     alpha: float | None = None,
     reference_nadir_per_pd: float | None = None,
 ):
     """Run the scenario across deficits; e_r versus the linearly-scaled optimum.
 
     Returns (rows, p_d_max) where each row is a dict with p_d, nadir and e_r,
-    and p_d_max is the largest deficit keeping e_r within the limit.
+    and p_d_max is the largest deficit keeping e_r within E_R_BAND_PCT.
     """
     sol = None
     if reference_nadir_per_pd is None:
@@ -756,7 +658,7 @@ def insensitivity_sweep(
 
     rows = _map_runs(point, p_d_list)
     p_d_max = max((r["p_d_pu"] for r in rows
-                   if r["e_r_pct"] is not None and r["e_r_pct"] <= e_r_limit_pct),
+                   if r["e_r_pct"] is not None and r["e_r_pct"] <= E_R_BAND_PCT),
                   default=None)
     return rows, p_d_max
 

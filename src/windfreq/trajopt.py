@@ -276,7 +276,6 @@ def extract_solution(
     lp: LinearProgram,
     problem: TrajOptProblem,
     grid: coll.CollocationGrid,
-    trace_dt: float = TRACE_DT,
     method: str = "collocation",
 ) -> TrajectorySolution:
     """Re-embed the node states, interpolate to a uniform grid, certify.
@@ -306,7 +305,7 @@ def extract_solution(
         diagnostics.get("primal_eq_residual", 0.0),
         float(np.max(np.abs(dynamics_residual))))
 
-    t = np.arange(0.0, problem.t_f + trace_dt / 2, trace_dt)
+    t = np.arange(0.0, problem.t_f + TRACE_DT / 2, TRACE_DT)
     x_t = coll.interpolate(grid, states, t, "state")
     df = x_t[:, 0]
     de = x_t[:, -1]
@@ -364,48 +363,41 @@ def extract_solution(
     )
 
 
-def _zero_solution(problem, grid, lp, method="collocation", trace_dt=TRACE_DT):
+def _zero_solution(problem, grid, lp, method="collocation"):
     """The trivial optimum for a zero disturbance (solution scales with P_d)."""
     res = LpResult(x=np.zeros(lp.c.size), objective=0.0, iterations=0,
                    diagnostics={"trivial_zero_disturbance": True})
-    return extract_solution(res, lp, problem, grid, trace_dt=trace_dt, method=method)
+    return extract_solution(res, lp, problem, grid, method=method)
 
 
-def solve_max_nadir(
-    problem: TrajOptProblem, grid: coll.CollocationGrid, trace_dt: float = TRACE_DT
-) -> TrajectorySolution:
+def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> TrajectorySolution:
     """Transcribe, solve and extract the nadir-maximal trajectory."""
     lp = transcribe(problem, grid)
     if problem.p_d == 0.0:
         # all-zero data makes every LP vertex degenerate; the optimum is known
-        sol = _zero_solution(problem, grid, lp, trace_dt=trace_dt)
+        sol = _zero_solution(problem, grid, lp)
     else:
         res = solve_lp(
             lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=lp.maximize
         )
-        sol = extract_solution(res, lp, problem, grid, trace_dt=trace_dt)
+        sol = extract_solution(res, lp, problem, grid)
     sol.diagnostics["lp_meta"] = lp.meta
     return sol
 
 
 def min_integral_variant(
-    problem: TrajOptProblem,
-    grid: coll.CollocationGrid,
-    nadir_floor: float | None = None,
-    trace_dt: float = TRACE_DT,
+    problem: TrajOptProblem, grid: coll.CollocationGrid, nadir_floor: float
 ) -> TrajectorySolution:
     """Minimize the magnitude of the frequency integral over the same set.
 
     The nadir-maximization and integral-minimization objectives pick the same
     trajectory only on the energy-optimal family, so the check anchors the
-    path constraint at a fixed nadir floor (by default the max-nadir LP's own
-    optimum, solved internally) instead of carrying a free nadir variable.
+    path constraint at a fixed nadir floor (the max-nadir LP's own optimum)
+    instead of carrying a free nadir variable.
     """
-    if nadir_floor is None:
-        nadir_floor = solve_max_nadir(problem, grid).nadir_pu
     lp = transcribe(problem, grid)
     if problem.p_d == 0.0:
-        return _zero_solution(problem, grid, lp, method="min_integral", trace_dt=trace_dt)
+        return _zero_solution(problem, grid, lp, method="min_integral")
     floor = nadir_floor * (1.0 + 1e-9)  # hair of slack keeps the anchored LP feasible
     k_ord = grid.order
     # drop the nadir column; the path rows then read -df(tau) <= -floor
@@ -424,7 +416,7 @@ def min_integral_variant(
         iterations=res.iterations,
         diagnostics=res.diagnostics,
     )
-    sol = extract_solution(full, lp, problem, grid, trace_dt=trace_dt, method="min_integral")
+    sol = extract_solution(full, lp, problem, grid, method="min_integral")
     path_times = coll.time_map(lp.path_taus, 0.0, problem.t_f)
     sol.nadir_pu = float(np.min(sol.df_at(path_times)))
     sol.nadir_hz = sol.nadir_pu * problem.grid_params.f_base_hz

@@ -15,8 +15,8 @@ from windfreq import collocation as coll
 from windfreq import trajopt as to
 from windfreq.aapc import synthesize
 from windfreq.analysis import theorem_checks
-from windfreq.simulator import DisturbanceEvent, compare_strategies, \
-    insensitivity_sweep, metrics, run
+from windfreq.scenario import DisturbanceEvent
+from windfreq.simulator import compare_strategies, insensitivity_sweep, metrics, run
 
 
 RESULT_LINES: list = []

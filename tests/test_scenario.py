@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,9 +9,17 @@ from windfreq import cli
 from windfreq.cli import main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
-from windfreq.scenario import gas_governor, hydro_governor, scenario_from_dict, \
-    scenario_to_dict
-from windfreq.simulator import ScenarioError
+from windfreq.scenario import ScenarioError, gas_governor, hydro_governor, \
+    scenario_from_dict, scenario_to_dict
+
+
+def _set_at(doc: dict, json_path: str, value) -> None:
+    """Set the value at a JSON path such as ``$.turbines[0].count``."""
+    *parents, leaf = [int(k) if k.isdigit() else k
+                      for k in re.findall(r"\w+", json_path[1:])]
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = value
 
 
 class TestPresets:
@@ -53,6 +62,45 @@ class TestSchema:
             again = scenario_from_dict(json.loads(json.dumps(doc)))
             assert again == sc
 
+    def test_round_trip_every_optional_key(self):
+        doc = load_preset("two_machine")
+        doc["turbines"][0].update(pitch_deg=2.0, spec={
+            "rated_mva": 5.556, "rated_mw": 5.0, "p_max_mw": 5.0, "p_min_mw": 0.5,
+            "rated_speed_rpm": 12.1, "min_speed_pu": 0.7, "inertia_kgm2": 16801544.0,
+            "rotor_radius_m": 45.0, "air_density": 1.2})
+        doc["turbines"].append({"name": "WF2", "count": 10, "wind_speed_ms": 10.0,
+                                "controller": "classic_vic",
+                                "spec": {"preset": "dfig5mw"}})
+        doc["events"] = [{"time_s": 1.0, "kind": "generation_trip", "unit": "G1",
+                          "fraction": 0.5, "magnitude_pu": 0.02}]
+        doc["solver"] = {"nodes": 40, "t_f_s": 20.0, "hypothetical_p_d_pu": 0.05}
+        doc["sim"] = {"duration_s": 40.0, "step_s": 0.005}
+        doc["controllers"] = {"alpha": 1.25, "allocation": [0.25, 0.75],
+                              "exit_strategy": False,
+                              "vic": {"k_f": 15.0, "k_in": 8.0, "filter_s": 0.2}}
+        sc = scenario_from_dict(doc)
+        assert (sc.alpha, sc.allocation, sc.exit_enabled) == (1.25, (0.25, 0.75), False)
+        assert sc.turbines[0].pitch_deg == 2.0 and sc.turbines[0].spec.air_density == 1.2
+        assert (sc.events[0].unit, sc.events[0].fraction) == ("G1", 0.5)
+        assert sc.vic.filter_s == 0.2
+        again = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+        assert again == sc
+
+    def test_null_optional_key_takes_default(self):
+        doc = load_preset("two_machine")
+        doc["solver"]["nodes"] = None
+        doc["controllers"]["exit_strategy"] = None
+        sc = scenario_from_dict(doc)
+        assert sc.solver.nodes == 60 and sc.exit_enabled is True
+
+    def test_readme_example_parses(self):
+        # the schema example in the README, comments and trailing commas stripped
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"## Scenario schema.*?```jsonc\n(.*?)```", readme, re.S).group(1)
+        text = re.sub(r",(\s*[}\]])", r"\1", re.sub(r"//[^\n]*", "", example))
+        sc = scenario_from_dict(json.loads(text))
+        assert sc.name == "two_machine" and sc.turbines[0].spec.rotor_radius_m == 45.0
+
     def test_unknown_key_rejected_with_location(self):
         doc = load_preset("two_machine")
         doc["grid"]["mystery"] = 1.0
@@ -69,6 +117,14 @@ class TestSchema:
         doc = load_preset("two_machine")
         del doc["grid"]["inertia_s"]
         with pytest.raises(ScenarioError, match=r"\$\.grid\.inertia_s: missing"):
+            scenario_from_dict(doc)
+
+    def test_explicit_spec_names_missing_key(self):
+        # a spec without a preset needs every constant that has no default
+        doc = load_preset("two_machine")
+        doc["turbines"][0]["spec"] = {"rated_mva": 5.556, "rotor_radius_m": 45.0}
+        with pytest.raises(ScenarioError,
+                           match=r"\$\.turbines\[0\]\.spec\.inertia_kgm2: missing required key"):
             scenario_from_dict(doc)
 
     def test_multiple_errors_reported_together(self):
@@ -102,6 +158,13 @@ class TestSchema:
             scenario_from_dict(doc)
         assert str(exc.value) == ("$.grid.load_mw: must be a finite number; "
                                   "$.governors[1].params.droop: must be a finite number")
+
+    def test_integer_beyond_float_range_named(self):
+        # JSON integers are unbounded; this one overflowed float() uncaught
+        doc = load_preset("two_machine")
+        doc["grid"]["inertia_s"] = 10 ** 400
+        with pytest.raises(ScenarioError, match=r"\$\.grid\.inertia_s: must be a finite number"):
+            scenario_from_dict(doc)
 
     def test_nan_step_named_by_validate(self):
         # a NaN that reaches the runtime objects from the library, not a file
@@ -241,18 +304,57 @@ class TestCli:
         # JSON readers accept NaN and Infinity; each of these crashed, ran
         # silently or failed without naming its field
         doc = load_preset("two_machine")
-        *parents, leaf = [int(k) if k.isdigit() else k
-                          for k in re.findall(r"\w+", json_path[1:])]
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[leaf] = float(value.replace("Infinity", "inf"))
+        _set_at(doc, json_path, float(value.replace("Infinity", "inf")))
         path = tmp_path / "nonfinite.json"
         path.write_text(json.dumps(doc))
         assert value in path.read_text()
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{json_path}: must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_path, value", [
+        ("$.controllers.alpha", "1.2"),
+        ("$.governors[0].rated_mva", "200"),
+        ("$.governors[0].params.droop", "0.05"),
+        ("$.turbines[0].spec.rotor_radius_m", "45"),
+        ("$.grid", None),
+        ("$.controllers.exit_strategy", "false"),
+        ("$.turbines[0].count", 20.7),
+        ("$.turbines[0].name", 7),
+        ("$.solver.nodes", True),
+    ])
+    def test_wrong_type_exit_code(self, tmp_path, capsys, json_path, value):
+        # the strings and the null grid crashed with a TypeError; the string
+        # "false" read as true, 20.7 turbines as 20, true as 1 node, and a
+        # number passed as a name
+        doc = load_preset("two_machine")
+        _set_at(doc, json_path, value)
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{json_path}: must be " in capsys.readouterr().err
+
+    def test_zero_power_base_exit_code(self, tmp_path, capsys):
+        # the load in MW was divided by the base before the base was checked
+        doc = load_preset("two_machine")
+        doc["grid"]["s_base_mva"] = 0.0
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "$.grid: power base must be positive" in capsys.readouterr().err
+
+    def test_nodes_override_after_parsing(self, tmp_path, capsys):
+        # a null solver section is the default one; --nodes wrote into it
+        doc = load_preset("two_machine")
+        doc["solver"] = None
+        path = tmp_path / "null_solver.json"
+        path.write_text(json.dumps(doc))
+        argv = ["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--nodes", "10"]) == 0
+        assert main(argv + ["--nodes", "5"]) == 2
+        assert "solver.nodes must be >= 10, got 5" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "ghost.json"),

@@ -11,8 +11,8 @@ from windfreq import trajopt as to
 from windfreq.cli import main
 from windfreq.grid import GovernorSpec, aggregate_governors, rebase_governors
 from windfreq.presets import load_preset
-from windfreq.scenario import scenario_from_dict
-from windfreq.simulator import DisturbanceEvent, ScenarioError, metrics, run
+from windfreq.scenario import DisturbanceEvent, ScenarioError, scenario_from_dict
+from windfreq.simulator import metrics, run
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,14 @@ class TestRun:
         assert "magnitude_pu" in msg
         assert "nope" in msg
         assert "outside the simulation window" in msg
+
+    @pytest.mark.parametrize("fn", [run, sim.solve_hypothetical], ids=["run", "solve"])
+    def test_zero_hypothetical_deficit_rejected(self, two_machine_scenario, fn):
+        # an in-code scenario once ran on the zero-disturbance fallback (alpha 1.0)
+        bad = replace(two_machine_scenario,
+                      solver=replace(two_machine_scenario.solver, hypothetical_p_d_pu=0.0))
+        with pytest.raises(ScenarioError, match=r"\$\.solver\.hypothetical_p_d_pu: must be > 0"):
+            fn(bad)
 
 
 class TestExitBehavior:

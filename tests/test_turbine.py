@@ -6,7 +6,8 @@ import pytest
 
 from windfreq import simulator as sim
 from windfreq import turbine
-from windfreq.simulator import SimOptions, TurbineEntry, run
+from windfreq.scenario import SimOptions, TurbineEntry
+from windfreq.simulator import run
 from windfreq.turbine import (
     TurbineSpec,
     capability_indices,
