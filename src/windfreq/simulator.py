@@ -67,6 +67,10 @@ FLAG_POWER_LIMIT = 1
 FLAG_FLOOR = 2
 
 E_R_BAND_PCT = 5.0  # the e_r band of insensitivity_sweep's p_d_max
+# t_nadir_s is the first step within this fraction of |nadir| of the nadir: an
+# optimal-AAPC trace holds within 1e-12 of its minimum for seconds, so the
+# argmin alone would follow the last bit of alpha
+NADIR_BAND_REL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +574,8 @@ def metrics(result: SimResult, nadir_ref_pu: float | None = None) -> MetricsReco
     sc = result.scenario
     f_b = sc.grid.f_base_hz
     df = result.df_pu
-    i_nadir = int(np.argmin(df))
-    nadir = float(df[i_nadir])
+    nadir = float(df.min())
+    i_nadir = int(np.argmax(df - nadir <= NADIR_BAND_REL * abs(nadir)))
     degenerate = nadir >= 0.0
 
     two_h = 2.0 * sc.grid.inertia_s
