@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridParameters
+from .grid import GridParameters, energy_residual
 from .trajopt import TrajectorySolution
 
 __all__ = [
@@ -29,30 +29,12 @@ class AnalysisReport:
     e_m: float                  # governor regulation energy, pu s
     identity_residual: float
     terminal_gap_rel: float     # |df(t_f) - nadir| / |nadir|
-    nadir_pu: float
-    terminal_df_pu: float
     min_integral_gap_rel: float | None = None
     violations: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "frequency_integral_pu_s": self.s_df,
-            "governor_energy_pu_s": self.e_m,
-            "identity_residual": self.identity_residual,
-            "terminal_gap_rel": self.terminal_gap_rel,
-            "nadir_pu": self.nadir_pu,
-            "terminal_df_pu": self.terminal_df_pu,
-            "min_integral_gap_rel": self.min_integral_gap_rel,
-            "violations": self.violations,
-        }
-
 
 def energy_identity(t, df_pu, dpm_pu, grid: GridParameters, p_d_pu: float) -> float:
-    """Residual of the integrated swing equation over the trace.
-
-    2H df(t_f) + D * int(df) - (int(dPm) - P_d t_f); zero for any trajectory
-    that returns the turbine energy exchange to zero by t_f.
-    """
+    """``grid.energy_residual`` over the trace, by trapezoidal quadrature."""
     t = np.asarray(t, dtype=float)
     df = np.asarray(df_pu, dtype=float)
     if dpm_pu is None:
@@ -62,10 +44,7 @@ def energy_identity(t, df_pu, dpm_pu, grid: GridParameters, p_d_pu: float) -> fl
         raise ValueError("t, df and dPm traces must have matching lengths")
     s_df = float(np.trapezoid(df, t))
     e_m = float(np.trapezoid(dpm, t))
-    horizon = float(t[-1] - t[0])
-    return float(
-        2.0 * grid.inertia_s * df[-1] + grid.damping * s_df - (e_m - p_d_pu * horizon)
-    )
+    return energy_residual(grid, df[-1], s_df, e_m, p_d_pu, float(t[-1] - t[0]))
 
 
 def envelope_mu(inertia_s: float, damping: float, t_f: float, t_c: float, eta: float) -> float:
@@ -131,8 +110,6 @@ def theorem_checks(
         e_m=float(np.trapezoid(dpm, t)),
         identity_residual=residual,
         terminal_gap_rel=terminal_gap,
-        nadir_pu=solution.nadir_pu,
-        terminal_df_pu=solution.terminal_df_pu,
         min_integral_gap_rel=gap,
         violations=violations,
     )

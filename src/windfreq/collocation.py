@@ -71,18 +71,14 @@ def legendre_gauss(order: int):
     return np.ascontiguousarray(nodes[idx]), np.ascontiguousarray(weights[idx])
 
 
-def time_map(tau, t_0: float, t_f: float):
-    """Map tau in [-1, 1] to physical time t in [t_0, t_f]."""
-    if t_f <= t_0:
-        raise ValueError(f"need t_f > t_0, got [{t_0}, {t_f}]")
-    return ((t_f - t_0) * np.asarray(tau) + (t_f + t_0)) / 2.0
+def time_map(tau, t_f: float):
+    """Map tau in [-1, 1] to physical time t in [0, t_f]."""
+    return (t_f * np.asarray(tau) + t_f) / 2.0
 
 
-def inverse_time_map(t, t_0: float, t_f: float):
-    """Map physical time t in [t_0, t_f] to tau in [-1, 1]."""
-    if t_f <= t_0:
-        raise ValueError(f"need t_f > t_0, got [{t_0}, {t_f}]")
-    return (2.0 * np.asarray(t) - (t_f + t_0)) / (t_f - t_0)
+def inverse_time_map(t, t_f: float):
+    """Map physical time t in [0, t_f] to tau in [-1, 1]."""
+    return (2.0 * np.asarray(t) - t_f) / t_f
 
 
 def _barycentric_weights(points: np.ndarray) -> np.ndarray:
@@ -97,7 +93,7 @@ def _barycentric_weights(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CollocationGrid:
-    """Immutable Legendre-Gauss collocation grid on a horizon [t_0, t_f].
+    """Immutable Legendre-Gauss collocation grid on a horizon [0, t_f].
 
     ``basis`` is {-1} followed by the interior Gauss nodes; states are
     interpolated over the full basis, controls over the nodes only.
@@ -106,7 +102,6 @@ class CollocationGrid:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    t_0: float
     t_f: float
     basis: np.ndarray = field(repr=False)
     basis_bary: np.ndarray = field(repr=False)
@@ -115,16 +110,18 @@ class CollocationGrid:
 
     @property
     def node_times(self) -> np.ndarray:
-        return time_map(self.nodes, self.t_0, self.t_f)
+        return time_map(self.nodes, self.t_f)
 
     @property
     def half_span(self) -> float:
-        return (self.t_f - self.t_0) / 2.0
+        return self.t_f / 2.0
 
 
-def make_grid(order: int, t_0: float = 0.0, t_f: float = 30.0) -> CollocationGrid:
+def make_grid(order: int, t_f: float = 30.0) -> CollocationGrid:
     if order < 1:
         raise ValueError(f"collocation order must be >= 1, got {order}")
+    if not t_f > 0:
+        raise ValueError(f"horizon must be positive, got {t_f}")
     nodes, weights = legendre_gauss(order)
     basis = np.concatenate(([-1.0], nodes))
     basis_bary = _barycentric_weights(basis)
@@ -134,7 +131,6 @@ def make_grid(order: int, t_0: float = 0.0, t_f: float = 30.0) -> CollocationGri
         order=order,
         nodes=nodes,
         weights=weights,
-        t_0=float(t_0),
         t_f=float(t_f),
         basis=basis,
         basis_bary=basis_bary,
@@ -197,13 +193,13 @@ def interpolate(grid: CollocationGrid, values, t, kind: str = "state"):
 
     ``kind='state'`` expects values over the K+1 basis points, ``'control'``
     over the K interior nodes, along axis 0 (trailing axes are carried
-    through). t outside [t_0, t_f] is rejected.
+    through). t outside [0, t_f] is rejected.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < grid.t_0 - 1e-12) or np.any(t_arr > grid.t_f + 1e-12):
-        raise ValueError(f"time {t} outside horizon [{grid.t_0}, {grid.t_f}]")
+    if np.any(t_arr < -1e-12) or np.any(t_arr > grid.t_f + 1e-12):
+        raise ValueError(f"time {t} outside horizon [0, {grid.t_f}]")
     points, bary = _basis(grid, kind)
-    taus = inverse_time_map(t_arr, grid.t_0, grid.t_f)
+    taus = inverse_time_map(t_arr, grid.t_f)
     out = _bary_matrix(points, bary, taus) @ np.asarray(values, dtype=float)
     if np.ndim(t) == 0:
         return out[0]
@@ -221,7 +217,7 @@ def lagrange_coefficients(grid: CollocationGrid, tau, kind: str = "state") -> np
 
 
 def quadrature(grid: CollocationGrid, values_at_nodes) -> float:
-    """Integral over [t_0, t_f] of the node samples by the Gauss rule."""
+    """Integral over [0, t_f] of the node samples by the Gauss rule."""
     return grid.half_span * float(np.dot(grid.weights, np.asarray(values_at_nodes)))
 
 
@@ -230,7 +226,7 @@ def collocation_matrix(a_matrix, grid: CollocationGrid) -> np.ndarray:
 
     Unknowns are the node states flattened node-major; row (k, s) reads
     sum_i D[k, i] X_i[s] - h A[s, :] X_k for basis points i >= 1, with
-    h = (t_f - t_0) / 2. The initial state and the forcing go on the right.
+    h = t_f / 2. The initial state and the forcing go on the right.
     """
     a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     n = a_matrix.shape[0]

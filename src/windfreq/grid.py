@@ -19,6 +19,7 @@ __all__ = [
     "reheat_governor",
     "governor_dc_gain_total",
     "steady_state_deviation",
+    "energy_residual",
     "tf_to_statespace",
     "aggregate_governors",
     "scale_output",
@@ -128,6 +129,18 @@ def steady_state_deviation(p_d_pu: float, grid: GridParameters, k_g: float) -> f
             f"singular plant: damping + regulation gain = {denom} (no restoring feedback)"
         )
     return -p_d_pu / denom
+
+
+def energy_residual(grid: GridParameters, df_end: float, s_df: float, e_m: float,
+                    p_d_pu: float, t_f: float) -> float:
+    """Residual of the swing equation integrated over [0, t_f].
+
+    2H df(t_f) + D S - (E_m - P_d t_f), with S the integral of the frequency
+    deviation and E_m that of the governor power; zero for any trajectory
+    that returns the turbine energy exchange to zero by t_f. Each caller
+    brings its own quadrature of S and E_m.
+    """
+    return float(2.0 * grid.inertia_s * df_end + grid.damping * s_df - (e_m - p_d_pu * t_f))
 
 
 @dataclass(frozen=True)

@@ -89,48 +89,63 @@ class Scenario:
         return self
 
     def validate(self) -> list:
+        """Every value the runtime cannot use, each message led by its JSON path."""
         problems = []
         dt = self.sim.step_s
         if not 0 < dt <= 0.02:
-            problems.append(f"sim.step_s must be in (0, 0.02], got {dt}")
+            problems.append(f"$.sim.step_s: must be in (0, 0.02], got {dt}")
         if self.sim.duration_s < self.solver.t_f:
             problems.append(
-                f"sim.duration_s ({self.sim.duration_s}) must cover the support "
-                f"window t_f ({self.solver.t_f})"
+                f"$.sim.duration_s: {self.sim.duration_s} must cover the support "
+                f"window $.solver.t_f_s ({self.solver.t_f})"
             )
+        if not self.solver.t_f > 0:
+            problems.append(f"$.solver.t_f_s: must be > 0, got {self.solver.t_f}")
         p_hyp = self.solver.hypothetical_p_d_pu
         # alpha is a nadir per unit deficit: a zero deficit leaves it undefined
         if p_hyp is not None and not p_hyp > 0:
             problems.append(f"$.solver.hypothetical_p_d_pu: must be > 0, got {p_hyp}")
+        if self.solver.nodes < 10:
+            problems.append(f"$.solver.nodes: must be >= 10, got {self.solver.nodes}")
         times = [e.time_s for e in self.events]
         if times != sorted(times):
-            problems.append("events must be sorted by time")
-        for e in self.events:
+            problems.append("$.events: must be sorted by time")
+        for i, e in enumerate(self.events):
+            at = f"$.events[{i}]"
             if e.time_s < 0 or e.time_s >= self.sim.duration_s:
-                problems.append(f"event at {e.time_s}s outside the simulation window")
+                problems.append(f"{at}.time_s: {e.time_s} s is outside the simulation window")
             if dt > 0 and abs(e.time_s / dt - round(e.time_s / dt)) > 1e-9:
-                problems.append(f"event time {e.time_s}s not aligned to the {dt}s step")
+                problems.append(f"{at}.time_s: {e.time_s} s is not aligned to the {dt} s step")
             if e.kind not in ("load_surge", "generation_trip"):
-                problems.append(f"unknown event kind {e.kind!r}")
+                problems.append(f"{at}.kind: unknown event kind {e.kind!r}")
             if e.kind == "load_surge" and e.magnitude_pu <= 0:
-                problems.append(f"load surge needs magnitude_pu > 0, got {e.magnitude_pu}")
+                problems.append(f"{at}.magnitude_pu: a load surge needs magnitude_pu > 0, "
+                                f"got {e.magnitude_pu}")
             if e.kind == "generation_trip":
                 if e.unit not in [g.name for g in self.governors]:
-                    problems.append(f"trip references unknown unit {e.unit!r}")
+                    problems.append(f"{at}.unit: trip references unknown unit {e.unit!r}")
                 if not 0 < e.fraction <= 1:
-                    problems.append(f"trip fraction must be in (0, 1], got {e.fraction}")
-        for t in self.turbines:
+                    problems.append(f"{at}.fraction: must be in (0, 1], got {e.fraction}")
+        for j, t in enumerate(self.turbines):
+            at = f"$.turbines[{j}]"
             if t.controller not in ("optimal_aapc", "classic_vic", "none"):
-                problems.append(f"turbine {t.name!r}: unknown controller {t.controller!r}")
+                problems.append(f"{at}.controller: unknown controller {t.controller!r}")
             if t.wind_speed_ms < 1.0:
-                problems.append(f"turbine {t.name!r}: wind speed {t.wind_speed_ms} too low")
+                problems.append(f"{at}.wind_speed_ms: {t.wind_speed_ms} is too low")
             if t.pitch_deg < 0:
-                problems.append(
-                    f"turbine {t.name!r}: pitch {t.pitch_deg} deg must be nonnegative")
-        if self.allocation is not None and len(self.allocation) != len(self.turbines):
-            problems.append("allocation override length must match the turbine list")
-        if self.solver.nodes < 10:
-            problems.append(f"solver.nodes must be >= 10, got {self.solver.nodes}")
+                problems.append(f"{at}.pitch_deg: must be nonnegative, got {t.pitch_deg}")
+        if self.alpha is not None and not self.alpha >= 1:
+            problems.append(f"$.controllers.alpha: must be >= 1 (nadir at or below the "
+                            f"settling level), got {self.alpha}")
+        shares = self.allocation
+        if shares is not None:
+            # fractions of the one aggregate command
+            if len(shares) != len(self.turbines):
+                problems.append(f"$.controllers.allocation: needs one share per turbine, "
+                                f"got {len(shares)} for {len(self.turbines)}")
+            elif not all(0 <= v <= 1 for v in shares) or not abs(sum(shares) - 1) <= 1e-9:
+                problems.append(f"$.controllers.allocation: shares must lie in [0, 1] "
+                                f"and sum to 1, got {list(shares)}")
         return problems
 
 

@@ -452,7 +452,7 @@ def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectoryS
     if p_hyp is None:
         p_hyp = 0.1 * sc.grid.load_pu
     problem = to.build_problem(sc.grid, list(sc.governors), p_hyp, sc.solver.t_f)
-    cgrid = coll.make_grid(sc.solver.nodes if nodes is None else nodes, 0.0, sc.solver.t_f)
+    cgrid = coll.make_grid(sc.solver.nodes if nodes is None else nodes, sc.solver.t_f)
     return to.solve_max_nadir(problem, cgrid)
 
 

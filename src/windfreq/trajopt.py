@@ -1,11 +1,12 @@
 """Frequency-nadir trajectory optimization.
 
-The continuous problem (swing equation + governor dynamics + released-energy
-state, zero initial conditions, energy-neutral terminal condition, nadir path
-constraint, maximize the nadir) is linear end to end, so the Gauss
-pseudospectral transcription is a plain LP, condensed onto the node controls.
-A forward-Euler transcription of the same problem, condensed onto the
-frequency samples, serves as the independent brute-force reference.
+The continuous problem (swing equation + governor dynamics, zero initial
+conditions, nadir path constraint, maximize the nadir) is linear end to end,
+and so is its one constraint on the control: the turbines release net-zero
+energy over the horizon. The Gauss pseudospectral transcription is therefore
+a plain LP, condensed onto the node controls. A forward-Euler transcription
+of the same problem, condensed onto the frequency samples, serves as the
+independent brute-force reference.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from .grid import (
     GridParameters,
     StateSpace,
     aggregate_governors,
+    energy_residual,
     governor_dc_gain_total,
     rebase_governors,
     steady_state_deviation,
@@ -41,11 +43,10 @@ TRACE_DT = 0.01
 
 @dataclass(frozen=True)
 class TrajOptProblem:
-    """State matrices for x = [df, x_g..., dE] with control u = dP_e."""
+    """x' = a x + b_ctrl (u - P_d) for x = [df, x_g...] and u = dP_e."""
 
     a: np.ndarray
     b_ctrl: np.ndarray
-    b_dist: np.ndarray
     p_d: float
     t_f: float
     grid_params: GridParameters
@@ -56,9 +57,10 @@ class TrajOptProblem:
     def n_states(self) -> int:
         return self.a.shape[0]
 
-    @property
-    def n_gov_states(self) -> int:
-        return self.n_states - 2
+
+def _governor_output(gov: StateSpace, x_g, df):
+    """Aggregate governor power x_g . C + D df; rows of x_g pair with df."""
+    return x_g @ gov.c[0, :] + gov.d[0, 0] * df
 
 
 def build_problem(
@@ -70,31 +72,21 @@ def build_problem(
     """Assemble the LTI dynamics of the decoupled frequency plant.
 
     The frequency row carries the aggregate governor feedthrough and output
-    coupling; the released-energy row integrates the control.
+    coupling; the governor rows are driven by the frequency.
     """
     if p_d_pu < 0:
         raise ValueError(f"disturbance must be nonnegative, got {p_d_pu}")
     if t_f <= 0:
         raise ValueError(f"horizon must be positive, got {t_f}")
     gov = aggregate_governors(rebase_governors(governors, grid_params.s_base_mva))
-    m = gov.order
-    n = m + 2
     two_h = 2.0 * grid_params.inertia_s
-    a = np.zeros((n, n))
-    a[0, 0] = (gov.d[0, 0] - grid_params.damping) / two_h
-    if m:
-        a[0, 1:m + 1] = gov.c[0, :] / two_h
-        a[1:m + 1, 0] = gov.b[:, 0]
-        a[1:m + 1, 1:m + 1] = gov.a
-    b_ctrl = np.zeros(n)
+    a = np.block([[(gov.d - grid_params.damping) / two_h, gov.c / two_h],
+                  [gov.b, gov.a]])
+    b_ctrl = np.zeros(gov.order + 1)
     b_ctrl[0] = 1.0 / two_h
-    b_ctrl[-1] = 1.0
-    b_dist = np.zeros(n)
-    b_dist[0] = -1.0 / two_h
     return TrajOptProblem(
         a=a,
         b_ctrl=b_ctrl,
-        b_dist=b_dist,
         p_d=float(p_d_pu),
         t_f=float(t_f),
         grid_params=grid_params,
@@ -105,7 +97,7 @@ def build_problem(
 
 @dataclass
 class LinearProgram:
-    """Condensed LP over [controls at the K nodes; nadir].
+    """Condensed LP over [controls at the K nodes; nadir], to be maximized.
 
     The node states are not decision variables: the interior ones are
     ``(state_gain @ u + state_offset).reshape(K, n)`` and the one at tau = -1
@@ -117,11 +109,6 @@ class LinearProgram:
     b_eq: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    maximize: bool
-    idx_nadir: int
-    n_states: int
-    order: int
-    path_taus: np.ndarray
     state_gain: np.ndarray
     state_offset: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -147,43 +134,38 @@ def transcribe(problem: TrajOptProblem, grid: coll.CollocationGrid) -> LinearPro
     The dynamics are linear and start from the pre-event equilibrium x = 0,
     so the K collocation rows per state fix the node states as an affine map
     X = G u + h of the node controls. One solve of the collocation block
-    against [control columns | disturbance forcing] yields G and h
-    (condensing, as in Bock & Plitt 1984). What is left is an LP over the
-    controls and the nadir. Equality: the quadrature-based terminal
-    released-energy condition. Inequalities: the nadir variable lower-bounds
-    the frequency polynomial at nodes, gap midpoints and the horizon end.
+    against [control columns | deficit forcing] yields G and h (condensing,
+    as in Bock & Plitt 1984). What is left is an LP over the controls and the
+    nadir. Equality: the Gauss quadrature of the control, the released
+    energy, is zero at t_f. Inequalities: the nadir variable lower-bounds the
+    frequency polynomial at nodes, gap midpoints and the horizon end.
     Objective: maximize the nadir.
     """
     n = problem.n_states
     k_ord = grid.order
     hs = grid.half_span
     n_vars = k_ord + 1
-    idx_nadir = k_ord
 
     forcing = np.empty((n * k_ord, k_ord + 1))
     forcing[:, :k_ord] = hs * np.kron(np.eye(k_ord), problem.b_ctrl[:, None])
-    forcing[:, k_ord] = hs * np.tile(problem.b_dist * problem.p_d, k_ord)
+    forcing[:, k_ord] = hs * np.tile(-problem.p_d * problem.b_ctrl, k_ord)
     gain_offset = np.linalg.solve(coll.collocation_matrix(problem.a, grid), forcing)
     gain, offset = gain_offset[:, :k_ord], gain_offset[:, k_ord]
 
-    # terminal released energy via the quadrature estimate of x(t_f)
-    s_e = n - 1
-    energy_rate = hs * np.kron(grid.weights, problem.a[s_e, :])
     a_eq = np.zeros((1, n_vars))
-    a_eq[0, :k_ord] = energy_rate @ gain + hs * grid.weights * problem.b_ctrl[s_e]
-    b_eq = np.array([-problem.t_f * problem.b_dist[s_e] * problem.p_d
-                     - energy_rate @ offset])
+    a_eq[0, :k_ord] = hs * grid.weights
+    b_eq = np.zeros(1)
 
     # nadir <= df(tau), with df(-1) = 0 and df at the nodes G[0::n] u + h[0::n]
     taus = _path_taus(grid)
     coeff = coll.lagrange_coefficients(grid, taus, "state")[:, 1:]
     a_ub = np.zeros((taus.size, n_vars))
     a_ub[:, :k_ord] = -coeff @ gain[0::n]
-    a_ub[:, idx_nadir] = 1.0
+    a_ub[:, k_ord] = 1.0
     b_ub = coeff @ offset[0::n]
 
     c = np.zeros(n_vars)
-    c[idx_nadir] = 1.0
+    c[k_ord] = 1.0
     meta = {
         "n_vars": n_vars,
         "n_eq_terminal": 1,
@@ -198,11 +180,6 @@ def transcribe(problem: TrajOptProblem, grid: coll.CollocationGrid) -> LinearPro
         b_eq=b_eq,
         a_ub=a_ub,
         b_ub=b_ub,
-        maximize=True,
-        idx_nadir=idx_nadir,
-        n_states=n,
-        order=k_ord,
-        path_taus=taus,
         state_gain=gain,
         state_offset=offset,
         meta=meta,
@@ -219,8 +196,6 @@ class TrajectorySolution:
     denergy_pu_s: np.ndarray
     dpm_pu: np.ndarray
     nadir_pu: float
-    nadir_hz: float
-    alpha: float
     ss_deviation_pu: float
     terminal_df_pu: float
     terminal_denergy: float
@@ -232,12 +207,24 @@ class TrajectorySolution:
     t_f: float
     f_base_hz: float
     method: str
-    zero_disturbance: bool = False
     diagnostics: dict = field(default_factory=dict)
     _grid: coll.CollocationGrid | None = field(default=None, repr=False)
     _states_nodes: np.ndarray | None = field(default=None, repr=False)
     _u_nodes: np.ndarray | None = field(default=None, repr=False)
     _gov: StateSpace | None = field(default=None, repr=False)
+
+    @property
+    def zero_disturbance(self) -> bool:
+        return self.p_d_pu == 0.0
+
+    @property
+    def nadir_hz(self) -> float:
+        return self.nadir_pu * self.f_base_hz
+
+    @property
+    def alpha(self) -> float:
+        """Nadir over the settling deviation; 1 for a zero disturbance."""
+        return 1.0 if self.zero_disturbance else self.nadir_pu / self.ss_deviation_pu
 
     def df_at(self, t):
         if self._grid is not None:
@@ -246,9 +233,8 @@ class TrajectorySolution:
 
     def dpm_at(self, t):
         if self._grid is not None:
-            xg = coll.interpolate(self._grid, self._states_nodes[:, 1:-1], t, "state")
-            df = self.df_at(t)
-            return xg @ self._gov.c[0, :] + self._gov.d[0, 0] * df
+            x = coll.interpolate(self._grid, self._states_nodes, t, "state")
+            return _governor_output(self._gov, x[..., 1:], x[..., 0])
         return np.interp(t, self.t, self.dpm_pu)
 
     def metrics_dict(self) -> dict:
@@ -271,6 +257,13 @@ class TrajectorySolution:
         }
 
 
+def _settling(problem: TrajOptProblem) -> float:
+    """Settling deviation -P_d / (D + K_g); 0 for a zero disturbance."""
+    if problem.p_d == 0.0:
+        return 0.0
+    return steady_state_deviation(problem.p_d, problem.grid_params, problem.k_g)
+
+
 def extract_solution(
     lp_result: LpResult,
     lp: LinearProgram,
@@ -280,81 +273,67 @@ def extract_solution(
 ) -> TrajectorySolution:
     """Re-embed the node states, interpolate to a uniform grid, certify.
 
-    ``primal_eq_residual`` in the diagnostics is the larger of the condensed
-    LP's own residual and that of the full collocated system (initial state,
-    collocation rows, terminal energy) on the re-embedded states.
+    ``lp_result.x`` is [node controls; nadir]. ``primal_eq_residual`` in the
+    diagnostics is the larger of the condensed LP's own residual and that of
+    the full collocated system (initial state, collocation rows, released
+    energy at t_f) on the re-embedded states.
     """
     n = problem.n_states
     k_ord = grid.order
-    x = lp_result.x
-    u_nodes = x[:k_ord]
-    nadir = float(x[lp.idx_nadir])
+    hs = grid.half_span
+    u_nodes = lp_result.x[:k_ord]
+    nadir = float(lp_result.x[k_ord])
     states = np.zeros((k_ord + 1, n))  # row 0: the pre-event equilibrium
     states[1:] = (lp.state_gain @ u_nodes + lp.state_offset).reshape(k_ord, n)
 
     f_nodes = states[1:] @ problem.a.T + np.outer(u_nodes, problem.b_ctrl) \
-        + problem.b_dist * problem.p_d
+        - problem.p_d * problem.b_ctrl
     terminal = coll.terminal_state(states[0], f_nodes, grid)
+    terminal_energy = coll.quadrature(grid, u_nodes)
     dynamics_residual = np.concatenate([
         states[0],
-        (grid.diff_matrix @ states - grid.half_span * f_nodes).ravel(),
-        terminal[-1:],
+        (grid.diff_matrix @ states - hs * f_nodes).ravel(),
+        [terminal_energy],
     ])
     diagnostics = dict(lp_result.diagnostics)
     diagnostics["primal_eq_residual"] = max(
         diagnostics.get("primal_eq_residual", 0.0),
         float(np.max(np.abs(dynamics_residual))))
 
+    # released energy at the nodes by the same collocation, E(-1) = 0
+    energy = np.zeros((k_ord + 1, 1))
+    energy[1:, 0] = np.linalg.solve(grid.diff_matrix[:, 1:], hs * u_nodes)
     t = np.arange(0.0, problem.t_f + TRACE_DT / 2, TRACE_DT)
-    x_t = coll.interpolate(grid, states, t, "state")
+    x_t = coll.interpolate(grid, np.hstack([states, energy]), t, "state")
     df = x_t[:, 0]
-    de = x_t[:, -1]
-    dpe = coll.interpolate(grid, u_nodes, t, "control")
     gov = problem.gov
-    if gov.order:
-        dpm = x_t[:, 1:-1] @ gov.c[0, :] + gov.d[0, 0] * df
-    else:
-        dpm = gov.d[0, 0] * df
 
+    s_quad = coll.quadrature(grid, states[1:, 0])
+    em_quad = coll.quadrature(grid, _governor_output(gov, states[1:, 1:], states[1:, 0]))
     gp = problem.grid_params
-    zero_dist = problem.p_d == 0.0
-    ss_dev = steady_state_deviation(problem.p_d, gp, problem.k_g) if not zero_dist else 0.0
-    alpha = 1.0 if zero_dist else nadir / ss_dev
-
-    df_nodes = states[1:, 0]
-    dpm_nodes = (states[1:, 1:-1] @ gov.c[0, :] if gov.order else 0.0) + gov.d[0, 0] * df_nodes
-    s_quad = coll.quadrature(grid, df_nodes)
-    em_quad = coll.quadrature(grid, dpm_nodes)
-    eq25 = (
-        2.0 * gp.inertia_s * terminal[0]
-        + gp.damping * s_quad
-        - (em_quad - problem.p_d * problem.t_f)
-    )
     ringing = 0.0
-    if not zero_dist and nadir != 0.0:
+    if problem.p_d != 0.0 and nadir != 0.0:
         ringing = max(0.0, (nadir - float(df.min())) / abs(nadir))
 
     return TrajectorySolution(
         t=t,
         df_pu=df,
-        dpe_pu=dpe,
-        denergy_pu_s=de,
-        dpm_pu=dpm,
+        dpe_pu=coll.interpolate(grid, u_nodes, t, "control"),
+        denergy_pu_s=x_t[:, -1],
+        dpm_pu=_governor_output(gov, x_t[:, 1:-1], df),
         nadir_pu=nadir,
-        nadir_hz=nadir * gp.f_base_hz,
-        alpha=alpha,
-        ss_deviation_pu=ss_dev,
+        ss_deviation_pu=_settling(problem),
         terminal_df_pu=float(terminal[0]),
-        terminal_denergy=float(terminal[-1]),
+        terminal_denergy=terminal_energy,
         s_quad=s_quad,
         em_quad=em_quad,
-        eq25_residual=float(eq25),
+        eq25_residual=energy_residual(gp, terminal[0], s_quad, em_quad,
+                                      problem.p_d, problem.t_f),
         ringing_rel=ringing,
         p_d_pu=problem.p_d,
         t_f=problem.t_f,
         f_base_hz=gp.f_base_hz,
         method=method,
-        zero_disturbance=zero_dist,
         diagnostics=diagnostics,
         _grid=grid,
         _states_nodes=states,
@@ -377,9 +356,7 @@ def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> Traj
         # all-zero data makes every LP vertex degenerate; the optimum is known
         sol = _zero_solution(problem, grid, lp)
     else:
-        res = solve_lp(
-            lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=lp.maximize
-        )
+        res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=True)
         sol = extract_solution(res, lp, problem, grid)
     sol.diagnostics["lp_meta"] = lp.meta
     return sol
@@ -393,7 +370,8 @@ def min_integral_variant(
     The nadir-maximization and integral-minimization objectives pick the same
     trajectory only on the energy-optimal family, so the check anchors the
     path constraint at a fixed nadir floor (the max-nadir LP's own optimum)
-    instead of carrying a free nadir variable.
+    instead of carrying a free nadir variable. The reported nadir is the
+    minimum of the frequency over the path constraint's points.
     """
     lp = transcribe(problem, grid)
     if problem.p_d == 0.0:
@@ -408,21 +386,14 @@ def min_integral_variant(
     # move the optimum
     c = grid.half_span * grid.weights @ lp.state_gain[0::problem.n_states]
     res = solve_lp(c, a_eq, lp.b_eq, a_ub, b_ub, maximize=True)
-
-    # re-embed so the extraction helper sees the familiar layout
+    path_min = np.min(lp.b_ub - a_ub @ res.x)  # df at the path points
     full = LpResult(
-        x=np.concatenate([res.x, [0.0]]),
+        x=np.append(res.x, path_min),
         objective=res.objective,
         iterations=res.iterations,
-        diagnostics=res.diagnostics,
+        diagnostics={**res.diagnostics, "nadir_floor": nadir_floor},
     )
-    sol = extract_solution(full, lp, problem, grid, method="min_integral")
-    path_times = coll.time_map(lp.path_taus, 0.0, problem.t_f)
-    sol.nadir_pu = float(np.min(sol.df_at(path_times)))
-    sol.nadir_hz = sol.nadir_pu * problem.grid_params.f_base_hz
-    sol.alpha = 1.0 if sol.zero_disturbance else sol.nadir_pu / sol.ss_deviation_pu
-    sol.diagnostics["nadir_floor"] = nadir_floor
-    return sol
+    return extract_solution(full, lp, problem, grid, method="min_integral")
 
 
 def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolution:
@@ -430,8 +401,8 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
 
     States are eliminated exactly: with the frequency samples as decision
     variables, governor states and controls follow from the Euler recursions,
-    and the terminal released-energy condition becomes a single equality. The
-    path constraint keeps every sample above the nadir variable. Solved by the
+    and the net-zero released energy becomes a single equality. The path
+    constraint keeps every sample above the nadir variable. Solved by the
     same simplex core; completely independent of the collocation machinery.
     """
     if n_steps < 1000:
@@ -439,31 +410,23 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
     gov = problem.gov
     gp = problem.grid_params
     h = problem.t_f / n_steps
-    m = gov.order
     a_g = gov.a
-    b_g = gov.b[:, 0] if m else np.zeros(0)
-    c_g = gov.c[0, :] if m else np.zeros(0)
+    b_g = gov.b[:, 0]
+    c_g = gov.c[0, :]
     d_g = float(gov.d[0, 0])
     two_h = 2.0 * gp.inertia_s
     damping = gp.damping
 
-    # w . phi = r  <=>  dE(t_f) = 0 after eliminating states
-    w = np.zeros(n_steps)
-    if m:
-        trans = np.eye(m) + h * a_g
-        gv = np.zeros(m)
-        cgb = np.zeros(n_steps + 1)  # cgb[j] = C_g G_j B_g, j = 1 .. n-2
-        for j in range(n_steps - 2, 0, -1):
-            if j == n_steps - 2:
-                gv = b_g.copy()
-            else:
-                gv = b_g + trans @ gv
-            cgb[j] = c_g @ gv
-    else:
-        cgb = np.zeros(n_steps + 1)
-    for j in range(1, n_steps):
-        w[j - 1] = h * (damping - d_g) - h * h * cgb[j]
-    w[n_steps - 1] = two_h
+    # w . phi = r  <=>  sum of h u_i = 0 after eliminating states
+    trans = np.eye(gov.order) + h * a_g
+    gv = np.zeros(gov.order)
+    cgb = np.zeros(n_steps)  # cgb[j] = C_g G_j B_g, j = 1 .. n-2
+    for j in range(n_steps - 2, 0, -1):
+        gv = b_g + trans @ gv
+        cgb[j] = c_g @ gv
+    w = np.empty(n_steps)
+    w[:-1] = h * (damping - d_g) - h * h * cgb[1:]
+    w[-1] = two_h
     rhs = -problem.t_f * problem.p_d
 
     nv = n_steps + 1  # [slack above nadir per sample, nadir]
@@ -476,54 +439,35 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
     nonneg[-1] = False
     res = solve_lp(c, a_eq, np.array([rhs]), maximize=True, nonneg=nonneg)
     nadir = float(res.x[-1])
-    phi = res.x[:n_steps] + nadir  # frequency samples at steps 1..N
 
-    # reconstruct controls and governor response with the forward recursion
-    df = np.concatenate([[0.0], phi])
-    xg = np.zeros((n_steps + 1, m))
+    # reconstruct the governor response and the controls by the same recursions
+    df = np.concatenate([[0.0], res.x[:n_steps] + nadir])  # samples at steps 0..N
+    xg = np.zeros((n_steps + 1, gov.order))
     for i in range(n_steps):
-        if m:
-            xg[i + 1] = xg[i] + h * (a_g @ xg[i] + b_g * df[i])
-    dpm = (xg @ c_g if m else np.zeros(n_steps + 1)) + d_g * df
-    u = np.empty(n_steps)
-    for i in range(n_steps):
-        gov_coupling = (c_g @ xg[i]) if m else 0.0
-        u[i] = (
-            two_h * (df[i + 1] - df[i]) / h
-            - (d_g - damping) * df[i]
-            - gov_coupling
-            + problem.p_d
-        )
+        xg[i + 1] = xg[i] + h * (a_g @ xg[i] + b_g * df[i])
+    dpm = _governor_output(gov, xg, df)
+    u = two_h * np.diff(df) / h + damping * df[:-1] - dpm[:-1] + problem.p_d
     de = np.concatenate([[0.0], h * np.cumsum(u)])
-    t = np.arange(n_steps + 1) * h
-    dpe = np.concatenate([u, [u[-1]]])
 
-    zero_dist = problem.p_d == 0.0
-    ss_dev = steady_state_deviation(problem.p_d, gp, problem.k_g) if not zero_dist else 0.0
-    alpha = 1.0 if zero_dist else nadir / ss_dev
     s_rect = float(h * np.sum(df[:-1]))
     em_rect = float(h * np.sum(dpm[:-1]))
-    eq25 = two_h * df[-1] + damping * s_rect - (em_rect - problem.p_d * problem.t_f)
     return TrajectorySolution(
-        t=t,
+        t=np.arange(n_steps + 1) * h,
         df_pu=df,
-        dpe_pu=dpe,
+        dpe_pu=np.append(u, u[-1]),
         denergy_pu_s=de,
         dpm_pu=dpm,
         nadir_pu=nadir,
-        nadir_hz=nadir * gp.f_base_hz,
-        alpha=alpha,
-        ss_deviation_pu=ss_dev,
+        ss_deviation_pu=_settling(problem),
         terminal_df_pu=float(df[-1]),
         terminal_denergy=float(de[-1]),
         s_quad=s_rect,
         em_quad=em_rect,
-        eq25_residual=float(eq25),
+        eq25_residual=energy_residual(gp, df[-1], s_rect, em_rect, problem.p_d, problem.t_f),
         ringing_rel=0.0,
         p_d_pu=problem.p_d,
         t_f=problem.t_f,
         f_base_hz=gp.f_base_hz,
         method=f"euler_{n_steps}",
-        zero_disturbance=zero_dist,
         diagnostics=dict(res.diagnostics),
     )

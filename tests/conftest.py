@@ -39,7 +39,7 @@ def two_machine_problem(two_machine_grid, reheat_g1):
 
 @pytest.fixture(scope="session")
 def grid_k60():
-    return coll.make_grid(60, 0.0, 30.0)
+    return coll.make_grid(60, 30.0)
 
 
 @pytest.fixture(scope="session")

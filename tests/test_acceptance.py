@@ -36,16 +36,16 @@ def multi_solution(multi_machine_scenario):
     sc = multi_machine_scenario
     prob = to.build_problem(sc.grid, list(sc.governors),
                             sc.solver.hypothetical_p_d_pu, sc.solver.t_f)
-    return to.solve_max_nadir(prob, coll.make_grid(sc.solver.nodes, 0.0, sc.solver.t_f))
+    return to.solve_max_nadir(prob, coll.make_grid(sc.solver.nodes, sc.solver.t_f))
 
 
 def test_criterion_1_collocation_correctness():
     # warm the kernels so the budget measures the method, not the JIT
-    coll.make_grid(5, 0.0, 1.0)
+    coll.make_grid(5, 1.0)
     t0 = time.perf_counter()
     errs = {}
     for order in (5, 10, 20):
-        g = coll.make_grid(order, 0.0, 5.0)
+        g = coll.make_grid(order, 5.0)
         states, terminal = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         vals = np.concatenate([[1.0], states[:, 0]])
         tt = np.linspace(0.0, 5.0, 2000)
@@ -62,9 +62,9 @@ def test_criterion_1_collocation_correctness():
 
 
 def test_criterion_2_trajopt_shape(two_machine_problem, two_machine_grid):
-    to.solve_max_nadir(two_machine_problem, coll.make_grid(12, 0.0, 30.0))  # warm
+    to.solve_max_nadir(two_machine_problem, coll.make_grid(12, 30.0))  # warm
     t0 = time.perf_counter()
-    sol = to.solve_max_nadir(two_machine_problem, coll.make_grid(60, 0.0, 30.0))
+    sol = to.solve_max_nadir(two_machine_problem, coll.make_grid(60, 30.0))
     elapsed = time.perf_counter() - t0
     terminal_pinned = abs(sol.terminal_df_pu - sol.nadir_pu) <= 0.01 * abs(sol.nadir_pu)
     energy = abs(sol.terminal_denergy) <= 1e-8

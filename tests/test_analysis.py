@@ -105,9 +105,7 @@ class TestTheoremChecks:
         sol = to.TrajectorySolution(
             t=res.t, df_pu=res.df_pu, dpe_pu=res.dpe_pu,
             denergy_pu_s=np.zeros(res.t.size), dpm_pu=res.dpm_pu,
-            nadir_pu=float(res.df_pu.min()),
-            nadir_hz=float(res.df_pu.min() * 50.0),
-            alpha=1.0, ss_deviation_pu=0.0,
+            nadir_pu=float(res.df_pu.min()), ss_deviation_pu=0.0,
             terminal_df_pu=float(res.df_pu[-1]),
             terminal_denergy=0.0, s_quad=0.0, em_quad=0.0, eq25_residual=0.0,
             ringing_rel=0.0, p_d_pu=0.075, t_f=float(res.t[-1]), f_base_hz=50.0,

@@ -42,16 +42,16 @@ def test_order_validation():
 
 
 def test_time_map_endpoints_and_roundtrip():
-    assert coll.time_map(-1.0, 0.0, 30.0) == pytest.approx(0.0)
-    assert coll.time_map(1.0, 0.0, 30.0) == pytest.approx(30.0)
-    assert coll.time_map(0.0, 0.0, 30.0) == pytest.approx(15.0)
-    assert coll.inverse_time_map(0.0, 0.0, 30.0) == pytest.approx(-1.0)
-    assert coll.inverse_time_map(30.0, 0.0, 30.0) == pytest.approx(1.0)
+    assert coll.time_map(-1.0, 30.0) == pytest.approx(0.0)
+    assert coll.time_map(1.0, 30.0) == pytest.approx(30.0)
+    assert coll.time_map(0.0, 30.0) == pytest.approx(15.0)
+    assert coll.inverse_time_map(0.0, 30.0) == pytest.approx(-1.0)
+    assert coll.inverse_time_map(30.0, 30.0) == pytest.approx(1.0)
     taus = np.linspace(-1, 1, 11)
-    back = coll.inverse_time_map(coll.time_map(taus, 2.0, 9.0), 2.0, 9.0)
+    back = coll.inverse_time_map(coll.time_map(taus, 9.0), 9.0)
     assert np.max(np.abs(back - taus)) < 1e-15
-    with pytest.raises(ValueError):
-        coll.time_map(0.0, 5.0, 5.0)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        coll.make_grid(5, 0.0)
 
 
 class TestDifferentiationMatrix:
@@ -82,37 +82,37 @@ class TestTerminalState:
         assert coll.terminal_state(x0, f, g) == pytest.approx(x0)
 
     def test_constant_dynamics(self):
-        g = coll.make_grid(12, 0.0, 7.0)
+        g = coll.make_grid(12, 7.0)
         f = np.full((12, 1), 0.4)
         out = coll.terminal_state([1.0], f, g)
         assert out[0] == pytest.approx(1.0 + 0.4 * 7.0, abs=1e-12)
 
     def test_exponential_decay(self):
-        g = coll.make_grid(20, 0.0, 5.0)
+        g = coll.make_grid(20, 5.0)
         _, terminal = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         assert abs(terminal[0] - np.exp(-5.0)) < 1e-8
 
 
 class TestInterpolation:
     def test_node_values_reproduced(self):
-        g = coll.make_grid(15, 0.0, 5.0)
+        g = coll.make_grid(15, 5.0)
         vals = np.sin(g.basis)
         for tau, v in zip(g.basis, vals):
-            t = coll.time_map(tau, 0.0, 5.0)
+            t = coll.time_map(tau, 5.0)
             assert coll.interpolate(g, vals, t, "state") == pytest.approx(v, abs=1e-14)
 
     def test_polynomial_exactness(self):
-        g = coll.make_grid(12, 0.0, 4.0)
+        g = coll.make_grid(12, 4.0)
         rng = np.random.default_rng(7)
         coefs = rng.normal(size=12)  # degree 11 <= K
         vals = np.polyval(coefs, g.basis)
         tt = np.linspace(0.0, 4.0, 200)
-        taus = coll.inverse_time_map(tt, 0.0, 4.0)
+        taus = coll.inverse_time_map(tt, 4.0)
         got = coll.interpolate(g, vals, tt, "state")
         assert np.max(np.abs(got - np.polyval(coefs, taus))) < 1e-11
 
     def test_exponential_accuracy(self):
-        g = coll.make_grid(20, 0.0, 5.0)
+        g = coll.make_grid(20, 5.0)
         states, _ = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         vals = np.concatenate([[1.0], states[:, 0]])
         tt = np.linspace(0.0, 5.0, 1000)
@@ -120,27 +120,27 @@ class TestInterpolation:
         assert err.max() < 1e-9
 
     def test_out_of_horizon_rejected(self):
-        g = coll.make_grid(5, 0.0, 5.0)
+        g = coll.make_grid(5, 5.0)
         with pytest.raises(ValueError):
             coll.interpolate(g, np.zeros(6), 5.5, "state")
 
     def test_exact_basis_hits_in_a_vector(self):
         # basis points mixed with off-basis times: hits reproduce the data
         # bitwise, the rest follow the polynomial
-        g = coll.make_grid(9, 0.0, 3.0)
+        g = coll.make_grid(9, 3.0)
         vals = np.cos(3.0 * g.basis)
-        hits = coll.time_map(g.basis, 0.0, 3.0)
+        hits = coll.time_map(g.basis, 3.0)
         tt = np.sort(np.concatenate([hits, [0.1, 1.7, 3.0]]))
         got = coll.interpolate(g, vals, tt, "state")
         for tau, v in zip(g.basis, vals):
-            j = int(np.argmin(np.abs(tt - coll.time_map(tau, 0.0, 3.0))))
+            j = int(np.argmin(np.abs(tt - coll.time_map(tau, 3.0))))
             assert got[j] == v
         assert np.all(np.isfinite(got))
-        ctrl = coll.interpolate(g, vals[1:], coll.time_map(g.nodes, 0.0, 3.0), "control")
+        ctrl = coll.interpolate(g, vals[1:], coll.time_map(g.nodes, 3.0), "control")
         assert np.array_equal(ctrl, vals[1:])
 
     def test_scalar_time_gives_scalar(self):
-        g = coll.make_grid(8, 0.0, 2.0)
+        g = coll.make_grid(8, 2.0)
         vals = np.arange(9.0)
         out = coll.interpolate(g, vals, 0.7, "state")
         assert np.ndim(out) == 0
@@ -150,7 +150,7 @@ class TestInterpolation:
 
     def test_two_dimensional_values(self):
         # columns interpolate independently, as if passed one at a time
-        g = coll.make_grid(11, 0.0, 6.0)
+        g = coll.make_grid(11, 6.0)
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(12, 3))
         tt = np.linspace(0.0, 6.0, 37)
@@ -164,12 +164,12 @@ class TestInterpolation:
 
     def test_matches_pointwise_barycentric_formula(self):
         # the matrix form against the textbook loop it replaced
-        g = coll.make_grid(25, 0.0, 30.0)
+        g = coll.make_grid(25, 30.0)
         rng = np.random.default_rng(2)
         vals = rng.normal(size=26)
         tt = np.linspace(0.0, 30.0, 301)
         ref = []
-        for tau in coll.inverse_time_map(tt, 0.0, 30.0):
+        for tau in coll.inverse_time_map(tt, 30.0):
             diff = tau - g.basis
             exact = np.nonzero(np.abs(diff) < 1e-14)[0]
             if exact.size:
@@ -181,19 +181,19 @@ class TestInterpolation:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
 
     def test_unknown_kind_rejected(self):
-        g = coll.make_grid(5, 0.0, 5.0)
+        g = coll.make_grid(5, 5.0)
         with pytest.raises(ValueError):
             coll.interpolate(g, np.zeros(6), 1.0, "bogus")
         with pytest.raises(ValueError):
             coll.lagrange_coefficients(g, 0.0, "bogus")
 
     def test_lagrange_coefficients_match_interpolation(self):
-        g = coll.make_grid(10, 0.0, 1.0)
+        g = coll.make_grid(10, 1.0)
         rng = np.random.default_rng(3)
         vals = rng.normal(size=11)
         for tau in (-0.613, 0.0, 0.997, 1.0):
             c = coll.lagrange_coefficients(g, tau, "state")
-            t = coll.time_map(tau, 0.0, 1.0)
+            t = coll.time_map(tau, 1.0)
             assert c @ vals == pytest.approx(float(coll.interpolate(g, vals, t, "state")),
                                              abs=1e-12)
         taus = np.array([-0.613, 0.0, 0.997, 1.0, g.basis[3]])
@@ -206,7 +206,7 @@ class TestInterpolation:
 
 def test_collocation_matrix_and_per_node_forcing():
     # x' = -x + g(t) with g sampled per node; constant forcing is the special case
-    g = coll.make_grid(16, 0.0, 4.0)
+    g = coll.make_grid(16, 4.0)
     a = np.array([[-1.0]])
     block = coll.collocation_matrix(a, g)
     assert block.shape == (16, 16)
@@ -225,7 +225,7 @@ def test_collocation_matrix_and_per_node_forcing():
 def test_spectral_convergence():
     errs = []
     for order in (5, 10, 20):
-        g = coll.make_grid(order, 0.0, 5.0)
+        g = coll.make_grid(order, 5.0)
         _, terminal = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         errs.append(abs(terminal[0] - np.exp(-5.0)))
     # at least one decade per refinement until the rounding floor

@@ -170,7 +170,27 @@ class TestSchema:
         # a NaN that reaches the runtime objects from the library, not a file
         sc = scenario_from_dict(load_preset("two_machine"))
         bad = replace(sc, sim=replace(sc.sim, step_s=float("nan")))
-        assert "sim.step_s must be in (0, 0.02], got nan" in bad.validate()
+        assert "$.sim.step_s: must be in (0, 0.02], got nan" in bad.validate()
+
+    def test_every_validate_message_leads_with_its_path(self):
+        sc = scenario_from_dict(load_preset("two_machine"))
+        surge, = sc.events
+        bad = replace(
+            sc,
+            sim=replace(sc.sim, step_s=0.5, duration_s=20.0),
+            solver=replace(sc.solver, t_f=0.0, nodes=5, hypothetical_p_d_pu=0.0),
+            events=(replace(surge, time_s=30.0, magnitude_pu=0.0),
+                    replace(surge, time_s=0.3, kind="eclipse"),
+                    replace(surge, kind="generation_trip", unit="nope", fraction=2.0)),
+            turbines=tuple(replace(t, controller="magic", wind_speed_ms=0.5, pitch_deg=-1.0)
+                           for t in sc.turbines),
+            alpha=0.5,
+            allocation=(0.5, 0.5),
+        )
+        short = replace(sc, sim=replace(sc.sim, duration_s=10.0))
+        problems = bad.validate() + short.validate()
+        assert len(problems) == 17
+        assert [p for p in problems if not p.startswith("$.")] == []
 
     def test_absent_hypothetical_deficit_accepted(self):
         doc = load_preset("two_machine")
@@ -354,7 +374,25 @@ class TestCli:
         argv = ["synthesize", "--scenario", str(path), "--out", str(tmp_path / "o")]
         assert main(argv + ["--nodes", "10"]) == 0
         assert main(argv + ["--nodes", "5"]) == 2
-        assert "solver.nodes must be >= 10, got 5" in capsys.readouterr().err
+        assert "$.solver.nodes: must be >= 10, got 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("json_path, value", [
+        ("$.controllers.allocation", [-1.0]),
+        ("$.controllers.allocation", [5.0]),
+        ("$.controllers.allocation", [0.5, 0.5]),
+        ("$.controllers.alpha", 0.5),
+        ("$.solver.t_f_s", 0.0),
+    ])
+    def test_range_error_exit_code_names_path(self, tmp_path, capsys, json_path, value):
+        # a negated or fivefold allocation ran to exit 0; alpha < 1 and a zero
+        # horizon exited 2 with messages that named no field
+        doc = load_preset("two_machine")
+        _set_at(doc, json_path, value)
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{json_path}: " in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "ghost.json"),

@@ -242,7 +242,7 @@ class TestGoldenRegression:
                      solver=replace(two_machine_scenario.solver, nodes=24),
                      sim=replace(two_machine_scenario.sim, duration_s=35.0))
         prob = to.build_problem(sc.grid, list(sc.governors), 0.075, 30.0)
-        sol = to.solve_max_nadir(prob, coll.make_grid(24, 0.0, 30.0))
+        sol = to.solve_max_nadir(prob, coll.make_grid(24, 30.0))
         rec = metrics(run(sc, alpha_override=sol.alpha), nadir_ref_pu=sol.nadir_pu)
         assert sol.nadir_pu == pytest.approx(-0.004971844884789816, rel=1e-12)
         assert sol.alpha == pytest.approx(1.1932427723495558, rel=1e-12)

@@ -15,20 +15,20 @@ from windfreq.simulator import solve_hypothetical
 
 @pytest.fixture(scope="module")
 def grid_k30():
-    return coll.make_grid(30, 0.0, 30.0)
+    return coll.make_grid(30, 30.0)
 
 
 class TestBuildProblem:
     def test_no_governors_matrices(self):
         grid = GridParameters(4.0, 0.0, 50.0, 100.0, 0.5)
         prob = to.build_problem(grid, [], p_d_pu=0.1)
-        np.testing.assert_allclose(prob.a, np.zeros((2, 2)))
-        np.testing.assert_allclose(prob.b_ctrl, [1.0 / 8.0, 1.0])
-        np.testing.assert_allclose(prob.b_dist, [-1.0 / 8.0, 0.0])
+        # the frequency is the only state; the deficit enters through b_ctrl
+        np.testing.assert_allclose(prob.a, np.zeros((1, 1)))
+        np.testing.assert_allclose(prob.b_ctrl, [1.0 / 8.0])
 
     def test_single_state_governor_dimension(self, two_machine_problem):
-        assert two_machine_problem.n_states == 3
-        assert two_machine_problem.n_gov_states == 1
+        assert two_machine_problem.n_states == 2
+        assert two_machine_problem.gov.order == 1
 
     def test_frequency_row_couplings(self, two_machine_problem, two_machine_grid):
         a = two_machine_problem.a
@@ -36,14 +36,14 @@ class TestBuildProblem:
         gov = two_machine_problem.gov
         assert a[0, 0] == pytest.approx((gov.d[0, 0] - two_machine_grid.damping) / two_h)
         assert a[0, 1] == pytest.approx(gov.c[0, 0] / two_h)
-        assert a[2, :] == pytest.approx([0.0, 0.0, 0.0])
+        assert a[1, :] == pytest.approx([gov.b[0, 0], gov.a[0, 0]])
 
     def test_autonomous_response_matches_rk4_oracle(self, two_machine_problem):
         # no turbine action: integrate the built matrices against a hand RK4
         a = two_machine_problem.a
-        forcing = two_machine_problem.b_dist * two_machine_problem.p_d
+        forcing = -two_machine_problem.p_d * two_machine_problem.b_ctrl
         dt, t_end = 0.001, 10.0
-        x = np.zeros(3)
+        x = np.zeros(2)
         for _ in range(int(t_end / dt)):
             k1 = a @ x + forcing
             k2 = a @ (x + 0.5 * dt * k1) + forcing
@@ -51,8 +51,8 @@ class TestBuildProblem:
             k4 = a @ (x + dt * k3) + forcing
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         # matrix-exponential reference via fine collocation on the same LTI
-        g = coll.make_grid(40, 0.0, t_end)
-        states, terminal = coll.solve_lti_collocation(a, np.zeros(3), g, forcing)
+        g = coll.make_grid(40, t_end)
+        states, terminal = coll.solve_lti_collocation(a, np.zeros(2), g, forcing)
         assert x == pytest.approx(terminal, abs=1e-8)
 
     def test_validation(self, two_machine_grid, reheat_g1):
@@ -66,9 +66,9 @@ class TestTranscription:
     def test_row_and_variable_counts(self, two_machine_problem):
         # condensed onto [K controls; nadir]; the n*K node states are eliminated
         # path rows: K nodes + K+1 gap midpoints + the horizon end = 2K + 2
-        g = coll.make_grid(10, 0.0, 30.0)
+        g = coll.make_grid(10, 30.0)
         lp = to.transcribe(two_machine_problem, g)
-        n, k = 3, 10
+        n, k = 2, 10
         assert lp.meta["n_vars"] == k + 1
         assert lp.meta["n_eq_terminal"] == 1
         assert lp.meta["n_states_eliminated"] == n * k
@@ -115,7 +115,8 @@ class TestSolutionCertificates:
         lp = to.transcribe(two_machine_problem, grid_k60)
         res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=True)
         sol = to.extract_solution(res, lp, two_machine_problem, grid_k60)
-        assert sol.nadir_pu == pytest.approx(res.x[lp.idx_nadir], abs=1e-15)
+        # the nadir is the last LP variable, after the K node controls
+        assert sol.nadir_pu == pytest.approx(res.x[-1], abs=1e-15)
 
     def test_hold_shape_and_terminal(self, two_machine_solution):
         sol = two_machine_solution
@@ -142,17 +143,22 @@ class TestSolutionCertificates:
         # the node states implied by the optimal controls, solved independently
         prob = two_machine_problem
         u = two_machine_solution._u_nodes
-        forcing = np.outer(u, prob.b_ctrl) + prob.b_dist * prob.p_d
-        states, terminal = coll.solve_lti_collocation(prob.a, np.zeros(3), grid_k60, forcing)
+        forcing = np.outer(u, prob.b_ctrl) - prob.p_d * prob.b_ctrl
+        states, terminal = coll.solve_lti_collocation(prob.a, np.zeros(2), grid_k60, forcing)
         embedded = two_machine_solution._states_nodes
-        assert np.array_equal(embedded[0], np.zeros(3))
+        assert np.array_equal(embedded[0], np.zeros(2))
         assert np.max(np.abs(embedded[1:] - states)) <= 1e-10
-        assert terminal[-1] == pytest.approx(two_machine_solution.terminal_denergy, abs=1e-10)
+        assert terminal[0] == pytest.approx(two_machine_solution.terminal_df_pu, abs=1e-12)
+        # the released energy E' = u, collocated on its own, ends where the
+        # interpolated energy trace ends
+        _, energy = coll.solve_lti_collocation([[0.0]], [0.0], grid_k60, u[:, None])
+        assert energy[0] == pytest.approx(two_machine_solution.terminal_denergy, abs=1e-12)
+        assert two_machine_solution.denergy_pu_s[-1] == pytest.approx(energy[0], abs=1e-10)
 
     def test_eq_residual_certifies_full_dynamics(self, two_machine_problem):
         # controls that break the terminal-energy row must show up in the
         # residual even when the LP's own diagnostics claim zero
-        g = coll.make_grid(12, 0.0, 30.0)
+        g = coll.make_grid(12, 30.0)
         lp = to.transcribe(two_machine_problem, g)
         res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=True)
         x = res.x.copy()
@@ -192,7 +198,29 @@ class TestRegression:
         d = sol.diagnostics
         assert d["primal_eq_residual"] <= 1e-8
         assert d["primal_ub_residual"] <= 1e-8
-        assert d["lp_meta"]["n_states_eliminated"] == 12 * 60
+        # frequency and eleven governor states at each of the 60 nodes
+        assert d["lp_meta"]["n_states_eliminated"] == 11 * 60
+
+    # phase-1 and phase-2 pivots and nadirs of the LP that carried the
+    # released energy as a third kind of state: dropping that state, whose
+    # row of the dynamics was zero, must change neither
+    @pytest.mark.parametrize("preset,nodes,pivots,nadir", [
+        ("two_machine", 10, (23, 33), -0.005085457699909248),
+        ("two_machine", 20, (43, 120), -0.00498389115005557),
+        ("two_machine", 40, (83, 291), -0.004952940903313898),
+        ("two_machine", 60, (123, 479), -0.004946103811336963),
+        ("two_machine", 100, (203, 993), -0.004942424883756862),
+        ("multi_machine", 10, (23, 27), -0.0029987418871985786),
+        ("multi_machine", 20, (43, 118), -0.0029381773459434667),
+        ("multi_machine", 40, (83, 230), -0.002919742154928857),
+        ("multi_machine", 60, (123, 493), -0.002915674282994506),
+        ("multi_machine", 100, (203, 520), -0.00291347935891713),
+    ])
+    def test_pivots_and_nadir_of_energy_state_lp(self, preset, nodes, pivots, nadir):
+        sol = solve_hypothetical(scenario_from_dict(load_preset(preset)), nodes)
+        d = sol.diagnostics
+        assert (d["phase1_pivots"], d["phase2_pivots"]) == pivots
+        assert sol.nadir_pu == pytest.approx(nadir, rel=1e-14)
 
 
 def _single_governor_problem(num, den):
@@ -214,7 +242,7 @@ class TestGovernorProbes:
     def test_underdamped_governor_solves(self, underdamped, nodes):
         # the dense tableau lost primal feasibility here at K = 40, 50, 80, 100
         problem, euler_nadir = underdamped
-        sol = to.solve_max_nadir(problem, coll.make_grid(nodes, 0.0, 30.0))
+        sol = to.solve_max_nadir(problem, coll.make_grid(nodes, 30.0))
         assert sol.diagnostics["primal_ub_residual"] <= 1e-9
         assert abs(sol.nadir_pu - euler_nadir) / abs(euler_nadir) <= 5.0 / nodes**2
 
@@ -225,7 +253,7 @@ class TestGovernorProbes:
         # energy cost
         problem = _single_governor_problem((40.0, -20.0), (0.2, 1.2, 1.0))
         with pytest.raises(UnboundedError):
-            to.solve_max_nadir(problem, coll.make_grid(nodes, 0.0, 30.0))
+            to.solve_max_nadir(problem, coll.make_grid(nodes, 30.0))
 
     def test_non_minimum_phase_governor_cli_exit_code(self, tmp_path, capsys):
         doc = load_preset("two_machine")
