@@ -34,7 +34,8 @@ class AnalysisReport:
 
 
 def energy_identity(t, df_pu, dpm_pu, grid: GridParameters, p_d_pu: float) -> float:
-    """``grid.energy_residual`` over the trace, by trapezoidal quadrature."""
+    """Residual of the integrated swing equation over the trace:
+    ``grid.energy_residual`` with trapezoidal integrals of df and dPm."""
     t = np.asarray(t, dtype=float)
     df = np.asarray(df_pu, dtype=float)
     if dpm_pu is None:

@@ -25,50 +25,36 @@ __all__ = [
 ]
 
 
-def _legendre_newton(order, tol, max_iter):
-    """Roots of the Legendre polynomial P_order by vectorized Newton steps."""
-    k = np.arange(order, dtype=np.float64)
-    # Chebyshev-like initial guess, accurate to O(order^-2)
-    x = np.cos(np.pi * (k + 0.75) / (order + 0.5))
-    pp = np.ones_like(x)
-    for _ in range(max_iter):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for n in range(2, order + 1):
-            p_new = ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
-            p_prev = p
-            p = p_new
-        pp = order * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / pp
-        x = x - dx
-        if np.max(np.abs(dx)) < tol:
-            # one more recurrence pass so pp matches the converged x
-            p_prev = np.ones_like(x)
-            p = x.copy()
-            for n in range(2, order + 1):
-                p_new = ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
-                p_prev = p
-                p = p_new
-            pp = order * (x * p - p_prev) / (x * x - 1.0)
-            break
-    w = 2.0 / ((1.0 - x * x) * pp * pp)
-    return x, w
+def _legendre(order, x):
+    """P_order(x) and P'_order(x) by the three-term recurrence."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for n in range(2, order + 1):
+        p_prev, p = p, ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
 
 
 def legendre_gauss(order: int):
     """Nodes and weights of the ``order``-point Legendre-Gauss rule on (-1, 1).
 
-    Nodes are the roots of P_order, returned ascending; weights are
-    2 / ((1 - tau^2) P'_order(tau)^2). Exact for polynomials up to degree
-    2*order - 1.
+    Nodes are the roots of P_order, found by vectorized Newton steps and
+    returned ascending; weights are 2 / ((1 - tau^2) P'_order(tau)^2). Exact
+    for polynomials up to degree 2*order - 1.
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    if order == 1:
-        return np.array([0.0]), np.array([2.0])
-    nodes, weights = _legendre_newton(order, 1e-14, 100)
-    idx = np.argsort(nodes)
-    return np.ascontiguousarray(nodes[idx]), np.ascontiguousarray(weights[idx])
+    # Chebyshev-like initial guess, accurate to O(order^-2)
+    x = np.cos(np.pi * (np.arange(order, dtype=np.float64) + 0.75) / (order + 0.5))
+    for _ in range(100):
+        p, pp = _legendre(order, x)
+        dx = p / pp
+        x = x - dx
+        if np.max(np.abs(dx)) < 1e-14:
+            break
+    _, pp = _legendre(order, x)  # the derivative at the converged roots
+    weights = 2.0 / ((1.0 - x * x) * pp * pp)
+    idx = np.argsort(x)
+    return np.ascontiguousarray(x[idx]), np.ascontiguousarray(weights[idx])
 
 
 def time_map(tau, t_f: float):
