@@ -91,17 +91,14 @@ def theorem_checks(
     residual = energy_identity(t, df, dpm, grid, solution.p_d_pu)
 
     violations = []
-    if solution.nadir_pu != 0.0:
-        terminal_gap = abs(solution.terminal_df_pu - solution.nadir_pu) / abs(solution.nadir_pu)
-    else:
-        terminal_gap = abs(solution.terminal_df_pu)
+    terminal_gap = abs(solution.terminal_df_pu - solution.nadir_pu) / abs(solution.nadir_pu)
     if abs(residual) > identity_tol:
         violations.append(f"energy identity residual {residual:.3e} above {identity_tol:.0e}")
     if terminal_gap > terminal_tol_rel:
         violations.append(f"terminal-vs-nadir gap {terminal_gap:.3%} above {terminal_tol_rel:.0%}")
 
     gap = None
-    if min_integral_solution is not None and solution.nadir_pu != 0.0:
+    if min_integral_solution is not None:
         gap = abs(min_integral_solution.nadir_pu - solution.nadir_pu) / abs(solution.nadir_pu)
         if gap > 0.005:
             violations.append(f"integral-objective nadir differs by {gap:.3%}")

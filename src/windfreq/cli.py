@@ -9,7 +9,7 @@ inputs.
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +91,7 @@ def cmd_solve(args) -> int:
         coarse_nodes = None
     else:
         coarse = solve_hypothetical(sc, coarse_nodes)
-        rel = (abs(sol.nadir_pu - coarse.nadir_pu) / abs(sol.nadir_pu)
-               if sol.nadir_pu else 0.0)
+        rel = abs(sol.nadir_pu - coarse.nadir_pu) / abs(sol.nadir_pu)
     doc = sol.metrics_dict()
     doc["provenance"] = prov
     doc["convergence"] = {
@@ -100,8 +99,6 @@ def cmd_solve(args) -> int:
         "coarse_nodes": coarse_nodes,
         "nadir_rel_diff": rel,
     }
-    if sol.zero_disturbance:
-        print("warning: zero disturbance, traces are identically zero", file=sys.stderr)
     _write_csv(out / "trajectory.csv",
                ["t_s", "df_pu", "dpe_pu", "denergy_pu_s", "dpm_pu"],
                [sol.t, sol.df_pu, sol.dpe_pu, sol.denergy_pu_s, sol.dpm_pu])
@@ -147,7 +144,7 @@ def _write_sim(out: Path, tag: str, res, rec):
         cols += [res.wt_pe_mw[:, j],
                  res.wt_omega_rad_s[:, j] / t.spec.rated_speed_rad]
     _write_csv(out / f"{tag}_trace.csv", header, cols)
-    doc = rec.as_dict()
+    doc = asdict(rec)
     doc["alpha"] = res.alpha
     doc["gain_kw"] = res.gain_kw
     doc["allocation"] = list(res.shares)

@@ -176,9 +176,8 @@ def _solve_standard(a, b, c, slack_of_row):
     return x, basis, (pivots1, pivots2)
 
 
-def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, maximize=False,
-             nonneg=None) -> LpResult:
-    """Solve min (or max) c'v subject to a_eq v = b_eq and a_ub v <= b_ub.
+def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None) -> LpResult:
+    """Solve max c'v subject to a_eq v = b_eq and a_ub v <= b_ub.
 
     Variables are free unless flagged in the ``nonneg`` boolean mask. Raises
     InfeasibleError / UnboundedError on those outcomes, and SimplexError when
@@ -196,7 +195,6 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, maximize=False,
         raise ValueError("LP data must be finite")
     nonneg = np.zeros(nv, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
 
-    obj = -c if maximize else c
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
 
     # column layout: one column per variable, a negated copy of each free one,
@@ -206,7 +204,7 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, maximize=False,
     slacks = np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)])
     a_std = np.hstack([a_var, -a_var[:, free_idx], slacks])
     b_std = np.concatenate([b_eq, b_ub])
-    c_std = np.concatenate([obj, -obj[free_idx], np.zeros(m_ub)])
+    c_std = np.concatenate([-c, c[free_idx], np.zeros(m_ub)])  # the standard form minimizes
 
     # row+column equilibration: scale-free for the solution, kinder to pivoting
     row_scale = np.maximum(np.max(np.abs(a_std), axis=1, initial=0.0), 1e-30)

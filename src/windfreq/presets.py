@@ -97,7 +97,7 @@ def _multi_machine() -> dict:
         "events": [
             {"time_s": 0.0, "kind": "load_surge", "magnitude_pu": 0.04}
         ],
-        # the 12-state transcription is converged well below 0.5% by K = 40
+        # the 11-state transcription is converged well below 0.5% by K = 40
         # (K = 40, 60 and 100 give alpha 1.3088, 1.3070 and 1.3060); the
         # condensed LP also solves the higher orders
         "solver": {"nodes": 40, "t_f_s": 30.0, "hypothetical_p_d_pu": 0.04},

@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from operator import attrgetter
 
 from .aapc import BaselineVic
-from .grid import GovernorSpec, GridParameters, ReheatSteam, reheat_governor
+from .grid import (GovernorSpec, GridParameters, ReheatSteam, governor_dc_gain_total,
+                   reheat_governor)
 from .turbine import TurbineSpec, dfig5mw
 
 __all__ = [
@@ -91,6 +92,11 @@ class Scenario:
     def validate(self) -> list:
         """Every value the runtime cannot use, each message led by its JSON path."""
         problems = []
+        restoring = self.grid.damping + governor_dc_gain_total(self.governors,
+                                                               self.grid.s_base_mva)
+        if not restoring > 0:
+            problems.append(f"$.grid.damping_pu: damping plus the governors' regulation gain "
+                            f"must be > 0 for the frequency to settle, got {restoring}")
         dt = self.sim.step_s
         if not 0 < dt <= 0.02:
             problems.append(f"$.sim.step_s: must be in (0, 0.02], got {dt}")
@@ -139,13 +145,16 @@ class Scenario:
                             f"settling level), got {self.alpha}")
         shares = self.allocation
         if shares is not None:
-            # fractions of the one aggregate command
+            # each AAPC turbine's fraction of the one aggregate AAPC command
+            aapc = [t.controller == "optimal_aapc" for t in self.turbines]
             if len(shares) != len(self.turbines):
                 problems.append(f"$.controllers.allocation: needs one share per turbine, "
                                 f"got {len(shares)} for {len(self.turbines)}")
-            elif not all(0 <= v <= 1 for v in shares) or not abs(sum(shares) - 1) <= 1e-9:
-                problems.append(f"$.controllers.allocation: shares must lie in [0, 1] "
-                                f"and sum to 1, got {list(shares)}")
+            elif (not all(0 <= v <= 1 if a else v == 0 for v, a in zip(shares, aapc))
+                  or (any(aapc) and not abs(sum(shares) - 1) <= 1e-9)):
+                problems.append(f"$.controllers.allocation: optimal_aapc shares must lie in "
+                                f"[0, 1] and sum to 1, every other share must be 0, "
+                                f"got {list(shares)}")
         return problems
 
 

@@ -265,21 +265,6 @@ class MetricsRecord:
     limit_events: list
     exit_events: list
 
-    def as_dict(self) -> dict:
-        return {
-            "nadir_pu": self.nadir_pu,
-            "nadir_hz": self.nadir_hz,
-            "t_nadir_s": self.t_nadir_s,
-            "max_rocof_hz_s": self.max_rocof_hz_s,
-            "terminal_dev_hz": self.terminal_dev_hz,
-            "secondary_dip": self.secondary_dip,
-            "e_r_pct": self.e_r_pct,
-            "degenerate": self.degenerate,
-            "max_swing_residual": self.max_swing_residual,
-            "limit_events": self.limit_events,
-            "exit_events": self.exit_events,
-        }
-
 
 @dataclass
 class SimResult:
@@ -419,16 +404,15 @@ class _Traces:
 
 
 def allocation_shares(sc: Scenario) -> np.ndarray:
-    """Each turbine's share of the controller command, in turbine order.
+    """Each turbine's fraction of the aggregate AAPC command, in turbine order.
 
-    The scenario's override if it has one; otherwise a VIC turbine answers
-    alone (share 1), a turbine without control gets 0, and the AAPC turbines
-    split the aggregate command by ``aapc.allocate`` over their capability
-    indices at the pre-event operating point.
+    The scenario's override if it has one; otherwise the AAPC turbines split
+    the command by ``aapc.allocate`` over their capability indices at the
+    pre-event operating point, and every other turbine gets 0.
     """
     if sc.allocation is not None:
         return np.asarray(sc.allocation, dtype=float)
-    shares = np.array([1.0 if t.controller == "classic_vic" else 0.0 for t in sc.turbines])
+    shares = np.zeros(len(sc.turbines))
     aapc_idx = [j for j, t in enumerate(sc.turbines) if t.controller == "optimal_aapc"]
     if aapc_idx:
         s_base = sc.grid.s_base_mva
@@ -585,17 +569,12 @@ def metrics(result: SimResult, nadir_ref_pu: float | None = None) -> MetricsReco
     )
 
     # secondary dip: a later local minimum materially below the first one
-    secondary = False
-    mins = []
-    for i in range(1, len(df) - 1):
-        if df[i] < df[i - 1] and df[i] <= df[i + 1]:
-            mins.append((result.t[i], df[i]))
-            if len(mins) > 1 and abs(df[i]) > 1.05 * abs(mins[0][1]):
-                secondary = True
+    mins = df[1:-1][(df[1:-1] < df[:-2]) & (df[1:-1] <= df[2:])]
+    secondary = mins.size > 1 and bool(np.any(np.abs(mins[1:]) > 1.05 * abs(mins[0])))
 
     e_r = None
     if nadir_ref_pu is not None:
-        if nadir == 0.0 or degenerate:
+        if degenerate:
             e_r = -100.0
             degenerate = True
         else:
@@ -651,7 +630,7 @@ def insensitivity_sweep(
             DisturbanceEvent(time_s=e.time_s, kind="load_surge", magnitude_pu=p_d)
             for e in scenario.events[:1]
         ) or (DisturbanceEvent(time_s=0.0, kind="load_surge", magnitude_pu=p_d),)
-        res = run(_with(scenario, events=events), alpha_override=alpha)
+        res = run(replace(scenario, events=events), alpha_override=alpha)
         rec = metrics(res, nadir_ref_pu=reference_nadir_per_pd * p_d)
         return {
             "p_d_pu": float(p_d),
@@ -779,10 +758,6 @@ def _worker(fn, share, read_fd, write_fd):
         code = 0
     finally:
         os._exit(code)
-
-
-def _with(sc: Scenario, **kw) -> Scenario:
-    return replace(sc, **kw)
 
 
 def _with_controllers(sc: Scenario, controller: str) -> Scenario:

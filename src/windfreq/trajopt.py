@@ -1,7 +1,7 @@
 """Frequency-nadir trajectory optimization.
 
 The continuous problem (swing equation + governor dynamics, zero initial
-conditions, nadir path constraint, maximize the nadir) is linear end to end,
+conditions, nadir path constraint, the highest nadir) is linear end to end,
 and so is its one constraint on the control: the turbines release net-zero
 energy over the horizon. The Gauss pseudospectral transcription is therefore
 a plain LP, condensed onto the node controls. A forward-Euler transcription
@@ -74,8 +74,9 @@ def build_problem(
     The frequency row carries the aggregate governor feedthrough and output
     coupling; the governor rows are driven by the frequency.
     """
-    if p_d_pu < 0:
-        raise ValueError(f"disturbance must be nonnegative, got {p_d_pu}")
+    # alpha is a nadir per unit deficit: a zero deficit leaves it undefined
+    if not p_d_pu > 0:
+        raise ValueError(f"disturbance must be positive, got {p_d_pu}")
     if t_f <= 0:
         raise ValueError(f"horizon must be positive, got {t_f}")
     gov = aggregate_governors(rebase_governors(governors, grid_params.s_base_mva))
@@ -97,7 +98,7 @@ def build_problem(
 
 @dataclass
 class LinearProgram:
-    """Condensed LP over [controls at the K nodes; nadir], to be maximized.
+    """Condensed LP over [controls at the K nodes; nadir], whose objective c'v is the nadir.
 
     The node states are not decision variables: the interior ones are
     ``(state_gain @ u + state_offset).reshape(K, n)`` and the one at tau = -1
@@ -139,7 +140,7 @@ def transcribe(problem: TrajOptProblem, grid: coll.CollocationGrid) -> LinearPro
     nadir. Equality: the Gauss quadrature of the control, the released
     energy, is zero at t_f. Inequalities: the nadir variable lower-bounds the
     frequency polynomial at nodes, gap midpoints and the horizon end.
-    Objective: maximize the nadir.
+    Objective: the highest nadir.
     """
     n = problem.n_states
     k_ord = grid.order
@@ -214,17 +215,13 @@ class TrajectorySolution:
     _gov: StateSpace | None = field(default=None, repr=False)
 
     @property
-    def zero_disturbance(self) -> bool:
-        return self.p_d_pu == 0.0
-
-    @property
     def nadir_hz(self) -> float:
         return self.nadir_pu * self.f_base_hz
 
     @property
     def alpha(self) -> float:
-        """Nadir over the settling deviation; 1 for a zero disturbance."""
-        return 1.0 if self.zero_disturbance else self.nadir_pu / self.ss_deviation_pu
+        """Nadir over the settling deviation."""
+        return self.nadir_pu / self.ss_deviation_pu
 
     def df_at(self, t):
         if self._grid is not None:
@@ -252,16 +249,8 @@ class TrajectorySolution:
             "p_d_pu": self.p_d_pu,
             "horizon_s": self.t_f,
             "method": self.method,
-            "zero_disturbance": self.zero_disturbance,
             "diagnostics": self.diagnostics,
         }
-
-
-def _settling(problem: TrajOptProblem) -> float:
-    """Settling deviation -P_d / (D + K_g); 0 for a zero disturbance."""
-    if problem.p_d == 0.0:
-        return 0.0
-    return steady_state_deviation(problem.p_d, problem.grid_params, problem.k_g)
 
 
 def extract_solution(
@@ -311,9 +300,6 @@ def extract_solution(
     s_quad = coll.quadrature(grid, states[1:, 0])
     em_quad = coll.quadrature(grid, _governor_output(gov, states[1:, 1:], states[1:, 0]))
     gp = problem.grid_params
-    ringing = 0.0
-    if problem.p_d != 0.0 and nadir != 0.0:
-        ringing = max(0.0, (nadir - float(df.min())) / abs(nadir))
 
     return TrajectorySolution(
         t=t,
@@ -322,14 +308,14 @@ def extract_solution(
         denergy_pu_s=x_t[:, -1],
         dpm_pu=_governor_output(gov, x_t[:, 1:-1], df),
         nadir_pu=nadir,
-        ss_deviation_pu=_settling(problem),
+        ss_deviation_pu=steady_state_deviation(problem.p_d, gp, problem.k_g),
         terminal_df_pu=float(terminal[0]),
         terminal_denergy=terminal_energy,
         s_quad=s_quad,
         em_quad=em_quad,
         eq25_residual=energy_residual(gp, terminal[0], s_quad, em_quad,
                                       problem.p_d, problem.t_f),
-        ringing_rel=ringing,
+        ringing_rel=max(0.0, (nadir - float(df.min())) / abs(nadir)),
         p_d_pu=problem.p_d,
         t_f=problem.t_f,
         f_base_hz=gp.f_base_hz,
@@ -342,22 +328,10 @@ def extract_solution(
     )
 
 
-def _zero_solution(problem, grid, lp, method="collocation"):
-    """The trivial optimum for a zero disturbance (solution scales with P_d)."""
-    res = LpResult(x=np.zeros(lp.c.size), objective=0.0, iterations=0,
-                   diagnostics={"trivial_zero_disturbance": True})
-    return extract_solution(res, lp, problem, grid, method=method)
-
-
 def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> TrajectorySolution:
     """Transcribe, solve and extract the nadir-maximal trajectory."""
     lp = transcribe(problem, grid)
-    if problem.p_d == 0.0:
-        # all-zero data makes every LP vertex degenerate; the optimum is known
-        sol = _zero_solution(problem, grid, lp)
-    else:
-        res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, maximize=True)
-        sol = extract_solution(res, lp, problem, grid)
+    sol = extract_solution(solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub), lp, problem, grid)
     sol.diagnostics["lp_meta"] = lp.meta
     return sol
 
@@ -374,8 +348,6 @@ def min_integral_variant(
     minimum of the frequency over the path constraint's points.
     """
     lp = transcribe(problem, grid)
-    if problem.p_d == 0.0:
-        return _zero_solution(problem, grid, lp, method="min_integral")
     floor = nadir_floor * (1.0 + 1e-9)  # hair of slack keeps the anchored LP feasible
     k_ord = grid.order
     # drop the nadir column; the path rows then read -df(tau) <= -floor
@@ -385,7 +357,7 @@ def min_integral_variant(
     # Gauss quadrature of df over the nodes; its constant part h does not
     # move the optimum
     c = grid.half_span * grid.weights @ lp.state_gain[0::problem.n_states]
-    res = solve_lp(c, a_eq, lp.b_eq, a_ub, b_ub, maximize=True)
+    res = solve_lp(c, a_eq, lp.b_eq, a_ub, b_ub)
     path_min = np.min(lp.b_ub - a_ub @ res.x)  # df at the path points
     full = LpResult(
         x=np.append(res.x, path_min),
@@ -437,7 +409,7 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
     a_eq[0, -1] = w.sum()
     nonneg = np.ones(nv, dtype=bool)
     nonneg[-1] = False
-    res = solve_lp(c, a_eq, np.array([rhs]), maximize=True, nonneg=nonneg)
+    res = solve_lp(c, a_eq, np.array([rhs]), nonneg=nonneg)
     nadir = float(res.x[-1])
 
     # reconstruct the governor response and the controls by the same recursions
@@ -458,7 +430,7 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
         denergy_pu_s=de,
         dpm_pu=dpm,
         nadir_pu=nadir,
-        ss_deviation_pu=_settling(problem),
+        ss_deviation_pu=steady_state_deviation(problem.p_d, gp, problem.k_g),
         terminal_df_pu=float(df[-1]),
         terminal_denergy=float(de[-1]),
         s_quad=s_rect,

@@ -26,9 +26,6 @@ __all__ = [
     "capability_indices",
 ]
 
-CP_DOMAIN_SENTINEL = -1.0
-
-
 @dataclass(frozen=True)
 class TurbineSpec:
     """Physical parameters of one aggregated DFIG fleet."""
@@ -103,10 +100,11 @@ def dfig5mw(count: int = 1, rotor_radius_m: float = 63.0, air_density: float = 1
 
 
 def _cp_value(tsr, pitch):
-    """Aerodynamic efficiency; negative values clamp to 0, domain errors -> -1."""
+    """Aerodynamic efficiency, clamped to 0 where it goes negative and
+    beyond the model's domain edge (1 / lambda_i <= 0)."""
     inv_lam = 1.0 / (tsr + 0.08 * pitch) - 0.035 / (pitch ** 3 + 1.0)
     if inv_lam <= 0.0:
-        return CP_DOMAIN_SENTINEL
+        return 0.0
     cp = 0.22 * (116.0 * inv_lam - 0.4 * pitch - 5.0) * math.exp(-12.5 * inv_lam)
     if cp < 0.0:
         return 0.0
@@ -159,14 +157,8 @@ def _fleet_power_scale(spec: TurbineSpec) -> float:
 
 
 def _turbine_power_w(omega, wind, pitch, radius, power_scale):
-    """Aerodynamic fleet power, W; C_p outside the model domain counts as zero.
-
-    ``power_scale`` is ``_fleet_power_scale(spec)``.
-    """
-    cp = _cp_value(radius * omega / wind, pitch)
-    if cp < 0.0:
-        cp = 0.0
-    return power_scale * cp * wind ** 3
+    """Aerodynamic fleet power, W; ``power_scale`` is ``_fleet_power_scale(spec)``."""
+    return power_scale * _cp_value(radius * omega / wind, pitch) * wind ** 3
 
 
 def _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w):

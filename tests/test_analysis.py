@@ -114,11 +114,3 @@ class TestTheoremChecks:
         # a fixed-gain response dips below where it settles
         assert report.terminal_gap_rel > 0.01
         assert any("terminal" in v for v in report.violations)
-
-    def test_zero_trace(self, two_machine_grid, reheat_g1, grid_k60):
-        prob = to.build_problem(two_machine_grid, [reheat_g1], p_d_pu=0.0)
-        sol = to.solve_max_nadir(prob, grid_k60)
-        report = theorem_checks(sol, two_machine_grid)
-        assert report.s_df == pytest.approx(0.0, abs=1e-12)
-        assert report.e_m == pytest.approx(0.0, abs=1e-12)
-        assert report.identity_residual == pytest.approx(0.0, abs=1e-12)

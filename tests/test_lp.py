@@ -9,7 +9,7 @@ from windfreq.lp import InfeasibleError, SimplexError, UnboundedError, solve_lp
 
 
 def test_single_bound():
-    res = solve_lp(np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0], maximize=True)
+    res = solve_lp(np.array([1.0]), a_ub=[[1.0]], b_ub=[3.0])
     assert res.x[0] == pytest.approx(3.0)
     assert res.objective == pytest.approx(3.0)
 
@@ -19,9 +19,9 @@ def test_deterministic_repeat():
     a_ub = rng.normal(size=(8, 4))
     b_ub = rng.uniform(1.0, 2.0, size=8)
     c = rng.normal(size=4)
-    first = solve_lp(c, a_ub=np.vstack([a_ub, np.eye(4), -np.eye(4)]),
+    first = solve_lp(-c, a_ub=np.vstack([a_ub, np.eye(4), -np.eye(4)]),
                      b_ub=np.concatenate([b_ub, np.full(8, 5.0)]))
-    second = solve_lp(c, a_ub=np.vstack([a_ub, np.eye(4), -np.eye(4)]),
+    second = solve_lp(-c, a_ub=np.vstack([a_ub, np.eye(4), -np.eye(4)]),
                       b_ub=np.concatenate([b_ub, np.full(8, 5.0)]))
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
@@ -34,12 +34,12 @@ def test_infeasible_reported():
 
 def test_unbounded_reported():
     with pytest.raises(UnboundedError):
-        solve_lp(np.array([1.0]), a_ub=[[-1.0]], b_ub=[0.0], maximize=True)
+        solve_lp(np.array([1.0]), a_ub=[[-1.0]], b_ub=[0.0])
 
 
 def test_equality_and_nonneg():
-    # min x0 + x1 s.t. x0 + 2 x1 = 4, x >= 0  -> x = (0, 2)
-    res = solve_lp(np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
+    # min x0 + x1, that is max -(x0 + x1), s.t. x0 + 2 x1 = 4, x >= 0  -> x = (0, 2)
+    res = solve_lp(-np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
                    nonneg=np.array([True, True]))
     assert res.x == pytest.approx([0.0, 2.0], abs=1e-12)
 
@@ -71,7 +71,7 @@ def test_random_lps_match_vertex_enumeration(seed):
     a_full = np.vstack([a_ub, box])
     b_full = np.concatenate([b_ub, np.full(2 * n, 4.0)])
     c = rng.normal(size=n)
-    res = solve_lp(c, a_ub=a_full, b_ub=b_full, maximize=True)
+    res = solve_lp(c, a_ub=a_full, b_ub=b_full)
     expected = _vertex_enumeration_optimum(c, a_full, b_full)
     assert res.objective == pytest.approx(expected, abs=1e-9)
     assert np.all(a_full @ res.x <= b_full + 1e-9)
@@ -88,7 +88,7 @@ def test_degenerate_ties_resolve_consistently():
     ])
     b_ub = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
     c = np.array([0.0, 0.0, 1.0])
-    runs = [solve_lp(c, a_ub=a_ub, b_ub=b_ub, maximize=True) for _ in range(3)]
+    runs = [solve_lp(c, a_ub=a_ub, b_ub=b_ub) for _ in range(3)]
     for res in runs:
         assert res.objective == pytest.approx(1.0, abs=1e-10)
         assert np.array_equal(res.x, runs[0].x)
@@ -99,7 +99,7 @@ def test_optimality_certificates():
     a_ub = np.vstack([rng.normal(size=(6, 3)), np.eye(3), -np.eye(3)])
     b_ub = np.concatenate([rng.uniform(1.0, 3.0, size=6), np.full(6, 5.0)])
     c = rng.normal(size=3)
-    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, maximize=True)
+    res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
     d = res.diagnostics
     assert d["primal_ub_residual"] <= 1e-9
     assert d["dual_feasibility"] >= -1e-8
@@ -108,7 +108,7 @@ def test_optimality_certificates():
 
 def test_pivot_telemetry():
     # x0 + 2 x1 = 4 has no slack to seed the basis, so phase 1 must pivot
-    res = solve_lp(np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
+    res = solve_lp(-np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
                    nonneg=np.array([True, True]))
     d = res.diagnostics
     assert d["phase1_pivots"] >= 1
@@ -119,7 +119,7 @@ def test_pivot_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
     # each of the two free variables must enter the basis: two pivots
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(SimplexError, match="pivot cap"):
-        solve_lp(np.array([1.0, 1.0]), a_ub=np.eye(2), b_ub=[1.0, 1.0], maximize=True)
+        solve_lp(np.array([1.0, 1.0]), a_ub=np.eye(2), b_ub=[1.0, 1.0])
     rc = main(["solve", "--preset", "two_machine", "--nodes", "10", "--out", str(tmp_path)])
     assert rc == 3
     assert "pivot cap" in capsys.readouterr().err
@@ -128,7 +128,7 @@ def test_pivot_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
 def test_redundant_equality_row_dropped():
     # the second row doubles the first, so its artificial cannot leave the
     # basis at the end of phase 1 and the row goes away
-    res = solve_lp(np.array([1.0, 2.0]), a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
+    res = solve_lp(-np.array([1.0, 2.0]), a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
                    nonneg=np.array([True, True]))
     assert res.x == pytest.approx([2.0, 0.0], abs=1e-12)
     assert res.diagnostics["primal_eq_residual"] <= 1e-12

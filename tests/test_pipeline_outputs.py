@@ -55,3 +55,17 @@ def test_structural_differences_printed_verbatim(tmp_path, capsys, old, new, exp
     rc, lines = _run_diff(tmp_path, old, new, capsys)
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith(expected)
+
+
+def test_unshared_keys_listed_and_shared_leaves_sized(tmp_path, capsys):
+    # differing key sets once printed both whole documents on one line
+    old = {"m.json": json.dumps({"nadir_pu": -4.0, "zero_disturbance": False,
+                                 "diagnostics": {"iterations": 40, "phase1": 3}})}
+    new = {"m.json": json.dumps({"nadir_pu": -4.000004, "diagnostics": {"iterations": 40},
+                                 "provenance": {"preset": "two_machine"}})}
+    rc, lines = _run_diff(tmp_path, old, new, capsys)
+    assert rc == 1
+    assert lines == ["m.json: $.nadir_pu 1.00e-06",
+                     "m.json: $.zero_disturbance: only in OLD",
+                     "m.json: $.diagnostics.phase1: only in OLD",
+                     "m.json: $.provenance: only in NEW"]

@@ -75,11 +75,11 @@ class TestSchema:
                           "fraction": 0.5, "magnitude_pu": 0.02}]
         doc["solver"] = {"nodes": 40, "t_f_s": 20.0, "hypothetical_p_d_pu": 0.05}
         doc["sim"] = {"duration_s": 40.0, "step_s": 0.005}
-        doc["controllers"] = {"alpha": 1.25, "allocation": [0.25, 0.75],
+        doc["controllers"] = {"alpha": 1.25, "allocation": [1.0, 0.0],
                               "exit_strategy": False,
                               "vic": {"k_f": 15.0, "k_in": 8.0, "filter_s": 0.2}}
         sc = scenario_from_dict(doc)
-        assert (sc.alpha, sc.allocation, sc.exit_enabled) == (1.25, (0.25, 0.75), False)
+        assert (sc.alpha, sc.allocation, sc.exit_enabled) == (1.25, (1.0, 0.0), False)
         assert sc.turbines[0].pitch_deg == 2.0 and sc.turbines[0].spec.air_density == 1.2
         assert (sc.events[0].unit, sc.events[0].fraction) == ("G1", 0.5)
         assert sc.vic.filter_s == 0.2
@@ -354,6 +354,37 @@ class TestCli:
         rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert f"{json_path}: must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("governors", [
+        [],
+        [{"name": "G1", "rated_mva": 200.0, "kind": "transfer_function",
+          "params": {"num": [-20.0, 0.0], "den": [1.0, 1.0]}}],
+    ], ids=["no_governor", "zero_dc_gain"])
+    def test_no_restoring_feedback_exit_code(self, tmp_path, capsys, command, governors):
+        # D + K_g = 0 raised an uncaught ZeroDivisionError (exit 1)
+        doc = load_preset("two_machine")
+        doc["grid"]["damping_pu"] = 0.0
+        doc["governors"] = governors
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(doc))
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "$.grid.damping_pu: " in capsys.readouterr().err
+
+    def test_allocation_to_a_vic_turbine_exit_code(self, tmp_path, capsys):
+        # the AAPC turbine of an AAPC + VIC fleet delivered a quarter of the
+        # aggregate command; a VIC turbine never reads a share
+        doc = load_preset("two_machine")
+        doc["turbines"].append({"name": "WF2", "count": 10, "wind_speed_ms": 10.0,
+                                "controller": "classic_vic",
+                                "spec": {"preset": "dfig5mw"}})
+        doc["controllers"]["allocation"] = [0.25, 0.75]
+        path = tmp_path / "shares.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "$.controllers.allocation: " in capsys.readouterr().err
 
     def test_zero_power_base_exit_code(self, tmp_path, capsys):
         # the load in MW was divided by the base before the base was checked

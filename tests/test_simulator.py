@@ -333,6 +333,36 @@ class TestEvents:
         assert res.df_pu.min() == pytest.approx(base_result.df_pu.min(), rel=1e-6)
 
 
+_MIXES = {
+    "all_aapc": ("optimal_aapc",),
+    "all_vic": ("classic_vic",),
+    "all_none": ("none",),
+    "cycling": ("optimal_aapc", "classic_vic", "none"),
+}
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("mix", list(_MIXES))
+    @pytest.mark.parametrize("preset", ["two_machine", "multi_machine"])
+    def test_default_shares_are_a_valid_override(self, preset, mix):
+        # the default gave each VIC turbine share 1, which no valid override
+        # could state
+        sc = scenario_from_dict(load_preset(preset))
+        controllers = _MIXES[mix]
+        sc = replace(sc, alpha=1.2, sim=replace(sc.sim, duration_s=30.0), turbines=tuple(
+            replace(t, controller=controllers[j % len(controllers)])
+            for j, t in enumerate(sc.turbines)))
+        shares = sim.allocation_shares(sc)
+        assert all(s == 0.0 for s, t in zip(shares, sc.turbines)
+                   if t.controller != "optimal_aapc")
+        pinned = replace(sc, allocation=tuple(shares)).check()
+        a, b = run(sc), run(pinned)
+        for name in ("df_pu", "dfdot_pu_s", "dpm_pu", "dpe_pu", "wt_pe_mw",
+                     "wt_omega_rad_s", "wt_flags"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.exit_events == b.exit_events
+
+
 class TestMetrics:
     def test_flat_trace_degenerate(self, two_machine_scenario):
         sc = replace(two_machine_scenario, events=(),
@@ -340,6 +370,29 @@ class TestMetrics:
         rec = metrics(run(sc, alpha_override=1.19), nadir_ref_pu=-0.005)
         assert rec.degenerate
         assert rec.e_r_pct == -100.0
+
+    def test_secondary_dip_matches_loop_reference(self, base_result):
+        def loop_reference(df):
+            mins = [df[i] for i in range(1, len(df) - 1)
+                    if df[i] < df[i - 1] and df[i] <= df[i + 1]]
+            return any(abs(m) > 1.05 * abs(mins[0]) for m in mins[1:])
+
+        t = base_result.t
+        rng = np.random.default_rng(3)
+        traces = [
+            base_result.df_pu,
+            -np.sin(t) ** 2 * (1.0 + t / 30.0),      # each dip deeper: a secondary dip
+            -np.sin(t) ** 2 * (1.0 - t / 120.0),     # each dip shallower
+            np.round(-np.sin(t) ** 2, 2),            # plateaus: ties on both sides
+            -t,                                      # no local minimum
+            np.cumsum(rng.normal(size=t.size)),
+        ]
+        found = []
+        for df in traces:
+            rec = metrics(replace(base_result, df_pu=df))
+            assert rec.secondary_dip == loop_reference(df)
+            found.append(rec.secondary_dip)
+        assert found[1] and not found[2]
 
     def test_reference_match_zero_degradation(self, base_result, two_machine_solution):
         rec = metrics(base_result, nadir_ref_pu=two_machine_solution.nadir_pu)

@@ -48,10 +48,11 @@ class TestPowerCoefficient:
         assert turbine._cp_value(20.0, 0.0) == 0.0
 
     def test_domain_error(self):
-        # tsr 40: 1/lambda_bar goes negative, so C_p is the domain sentinel
-        # and the turbine power law counts it as zero
+        # tsr 40: 1/lambda_bar goes negative, past the model's domain edge
+        # (tsr 1/0.035 at zero pitch), where C_p clamps to zero
         spec = dfig5mw(rotor_radius_m=45.0)
-        assert turbine._cp_value(40.0, 0.0) == turbine.CP_DOMAIN_SENTINEL
+        assert turbine._cp_value(40.0, 0.0) == 0.0
+        assert turbine._cp_value(1.0 / 0.035, 0.0) == 0.0
         assert turbine_power_mw(40.0 * 9.0 / spec.rotor_radius_m, 9.0, spec) == 0.0
 
     def test_peak_matches_dense_scan(self):

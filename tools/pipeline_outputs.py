@@ -16,8 +16,10 @@ The outputs are byte-reproducible, so ``--diff`` stays silent on identical
 trees. In each file that differs it prints, one line each, the largest
 relative difference of every CSV column that moved, against the column's
 largest magnitude, and that of every numeric JSON leaf that moved, against
-max(|old|, |new|). Headers, strings, keys, lengths and files present on one
-side only are printed verbatim, and make ``--diff`` exit 1.
+max(|old|, |new|). Headers, strings, lengths and files present on one side
+only are printed verbatim, a JSON key present on one side only as one
+``$.path: only in OLD`` (or ``NEW``) line, and each of these makes ``--diff``
+exit 1; the keys both sides share are still compared.
 """
 
 import json
@@ -72,9 +74,12 @@ def _json_diff(a, b, path: str, numeric: dict, verbatim: list) -> None:
     if is_number(a) and is_number(b):
         if a != b:
             numeric[path] = abs(a - b) / max(abs(a), abs(b))
-    elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for key in a:
-            _json_diff(a[key], b[key], f"{path}.{key}", numeric, verbatim)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in [*a, *(k for k in b if k not in a)]:
+            if key in a and key in b:
+                _json_diff(a[key], b[key], f"{path}.{key}", numeric, verbatim)
+            else:
+                verbatim.append(f"{path}.{key}: only in {'OLD' if key in a else 'NEW'}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (u, v) in enumerate(zip(a, b)):
             _json_diff(u, v, f"{path}[{i}]", numeric, verbatim)
