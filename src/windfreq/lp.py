@@ -6,9 +6,18 @@ equilibrated once, and every pivot re-solves its basis from that scaled data,
 so no rounding carries over between pivots. Basic unit columns (slacks and
 artificials) are eliminated first, leaving a dense solve over the structural
 basic columns only. Entering columns follow Dantzig's rule (lowest index on
-ties), the leaving row Harris' two-pass ratio test; after a run of degenerate
-pivots Bland's rule takes over until one makes progress, which guards against
-cycling. The method is fully deterministic.
+ties), the leaving row Harris' two-pass ratio test; after a run of pivots that
+set no new best objective, Bland's rule with the exact minimum ratio takes over
+until one does, which guards against cycling. The method is fully
+deterministic.
+
+A caller that can predict which inequality rows are tight at the optimum
+passes them as the ``active`` mask. The vertex where those rows and the
+equalities hold is mapped to a standard-form basis (a crash basis, Bixby,
+*Oper. Res.* 50(1), 2002), and when that basis is primal feasible on the
+equilibrated data, phase 2 starts from it and phase 1 is skipped. Otherwise,
+and when the mask has the wrong size or its rows are singular, the two-phase
+path runs unchanged, to the same bits as without a mask.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +27,7 @@ import numpy as np
 __all__ = ["LpResult", "solve_lp", "InfeasibleError", "UnboundedError", "SimplexError"]
 
 MAX_PIVOTS = 200000  # per phase
-BLAND_AFTER = 300    # degenerate pivots in a row before Bland's rule takes over
+BLAND_AFTER = 300    # pivots without a new best objective before Bland's rule takes over
 DUAL_TOL = 1e-10     # reduced costs above -DUAL_TOL count as optimal
 PRIMAL_TOL = 1e-12   # Harris bound slack; basic values below it are degenerate
 
@@ -104,7 +113,8 @@ def _simplex(a, b, c, basis, n_enter):
     """
     unit_row = _unit_rows(a)
     rhs = np.stack([b, b], axis=1)  # [b | entering column]
-    streak = 0
+    streak = 0  # pivots since the objective last fell below its best
+    best = np.inf
     pivots = 0
     while True:
         fac = _Basis(a, unit_row, basis)
@@ -121,12 +131,22 @@ def _simplex(a, b, c, basis, n_enter):
         rows = np.nonzero(w > max(1e-11, 1e-9 * np.max(np.abs(w), initial=0.0)))[0]
         if not rows.size:
             raise UnboundedError(f"LP unbounded after {pivots} pivots")
-        # Harris: widen the bound by the primal tolerance, then take the
-        # largest pivot element among the rows whose ratio stays under it
-        bound = np.min((x_b[rows] + PRIMAL_TOL) / w[rows])
-        ties = rows[x_b[rows] / w[rows] <= bound]
-        p = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(w[ties])]
-        streak = streak + 1 if x_b[p] <= PRIMAL_TOL else 0
+        # Harris' steps can be tiny or negative, so only a new best
+        # objective counts as progress
+        objective = c[basis] @ x_b
+        streak = 0 if objective < best - 1e-12 * max(1.0, abs(best)) else streak + 1
+        best = min(best, objective)
+        if bland:
+            # Bland's guarantee needs the exact minimum ratio, lowest index on ties
+            ratio = np.maximum(x_b[rows], 0.0) / w[rows]
+            ties = rows[ratio <= np.min(ratio)]
+            p = ties[np.argmin(basis[ties])]
+        else:
+            # Harris: widen the bound by the primal tolerance, then take the
+            # largest pivot element among the rows whose ratio stays under it
+            bound = np.min((x_b[rows] + PRIMAL_TOL) / w[rows])
+            ties = rows[x_b[rows] / w[rows] <= bound]
+            p = ties[np.argmax(w[ties])]
         basis[p] = q
         pivots += 1
 
@@ -176,14 +196,51 @@ def _solve_standard(a, b, c, slack_of_row):
     return x, basis, (pivots1, pivots2)
 
 
-def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None) -> LpResult:
+def _crash_basis(a_var, b_var, m_eq, active, nonneg, free_idx, a_scaled, b_scaled):
+    """Standard-form basis of the vertex where the equality rows and the
+    ``active`` inequality rows are tight, or None when it is no primal
+    feasible basis.
+
+    The vertex v solves the square system of those rows. Each free variable
+    contributes its positive or negative copy, by the sign of its value, and
+    every inequality row left inactive its slack. The basis must solve the
+    equilibrated data to values no lower than -PRIMAL_TOL. A mask of the
+    wrong size or count, or a singular system, gives None too.
+    """
+    nv = nonneg.size
+    active = np.asarray(active, dtype=bool)
+    if active.shape != (a_var.shape[0] - m_eq,) or m_eq + np.count_nonzero(active) != nv:
+        return None
+    tight = np.concatenate([np.ones(m_eq, dtype=bool), active])
+    try:
+        v = np.linalg.solve(a_var[tight], b_var[tight])
+    except np.linalg.LinAlgError:
+        return None
+    columns = np.arange(nv)
+    negative = ~nonneg & (v < 0)
+    columns[negative] = nv + np.searchsorted(free_idx, columns[negative])
+    slacks = nv + free_idx.size + np.flatnonzero(~active)
+    basis = np.concatenate([columns, slacks])
+    try:
+        x_b = _Basis(a_scaled, _unit_rows(a_scaled), basis).solve(b_scaled)
+    except SimplexError:
+        return None
+    return basis if x_b.min(initial=0.0) >= -PRIMAL_TOL else None
+
+
+def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None,
+             active=None) -> LpResult:
     """Solve max c'v subject to a_eq v = b_eq and a_ub v <= b_ub.
 
-    Variables are free unless flagged in the ``nonneg`` boolean mask. Raises
-    InfeasibleError / UnboundedError on those outcomes, and SimplexError when
-    the pivot cap is reached or the basis turns singular. Besides the
-    optimality certificates, ``diagnostics`` reports the pivots of each phase
-    and their sum, ``iterations``.
+    Variables are free unless flagged in the ``nonneg`` boolean mask.
+    ``active`` optionally flags the a_ub rows predicted tight at the optimum;
+    see ``_crash_basis``. Raises InfeasibleError / UnboundedError on those
+    outcomes, and SimplexError when the pivot cap is reached or the basis
+    turns singular. Besides the optimality certificates, ``diagnostics``
+    reports the pivots of each phase and their sum, ``iterations``, and
+    ``warm_start``: "hit" when phase 2 started from the crash basis,
+    "infeasible" when the crash gave no primal feasible basis and the
+    two-phase path ran, "none" without a mask.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -213,15 +270,26 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None) -> LpRe
     a_scaled = a_scaled / col_scale
 
     slack_of_row = np.concatenate([np.full(m_eq, -1), nv + free_idx.size + np.arange(m_ub)])
+    b_scaled, c_scaled = b_std / row_scale, c_std / col_scale
 
-    x_scaled, basis, pivots = _solve_standard(
-        a_scaled, b_std / row_scale, c_std / col_scale, slack_of_row)
+    basis = None if active is None else _crash_basis(
+        a_var, b_std, m_eq, active, nonneg, free_idx, a_scaled, b_scaled)
+    if basis is None:
+        x_scaled, basis, pivots = _solve_standard(a_scaled, b_scaled, c_scaled, slack_of_row)
+        warm_start = "none" if active is None else "infeasible"
+    else:
+        x_b, pivots2 = _simplex(a_scaled, b_scaled, c_scaled, basis, a_scaled.shape[1])
+        x_scaled = np.zeros(a_scaled.shape[1])
+        x_scaled[basis] = x_b
+        pivots = (0, pivots2)
+        warm_start = "hit"
     x_std = x_scaled / col_scale
     x = x_std[:nv].copy()
     x[free_idx] -= x_std[nv:nv + free_idx.size]
 
     diag = _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub)
-    diag.update(phase1_pivots=pivots[0], phase2_pivots=pivots[1], iterations=sum(pivots))
+    diag.update(phase1_pivots=pivots[0], phase2_pivots=pivots[1], iterations=sum(pivots),
+                warm_start=warm_start)
     return LpResult(x=x, objective=float(c @ x), iterations=sum(pivots), diagnostics=diag)
 
 

@@ -4,9 +4,11 @@ The continuous problem (swing equation + governor dynamics, zero initial
 conditions, nadir path constraint, the highest nadir) is linear end to end,
 and so is its one constraint on the control: the turbines release net-zero
 energy over the horizon. The Gauss pseudospectral transcription is therefore
-a plain LP, condensed onto the node controls. A forward-Euler transcription
-of the same problem, condensed onto the frequency samples, serves as the
-independent brute-force reference.
+a plain LP, condensed onto the node controls. Its simplex starts from a
+crash basis that depends on K alone (``contact_crash``). A forward-Euler
+transcription of the same problem, condensed onto the frequency samples,
+serves as the independent brute-force reference; it and the
+integral-objective variant have LPs of other shapes and start cold.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +35,7 @@ __all__ = [
     "build_problem",
     "transcribe",
     "extract_solution",
+    "contact_crash",
     "solve_max_nadir",
     "euler_oracle",
     "min_integral_variant",
@@ -328,10 +331,31 @@ def extract_solution(
     )
 
 
+def contact_crash(grid: coll.CollocationGrid) -> np.ndarray:
+    """Path rows predicted tight at the nadir optimum, from K alone.
+
+    The optimal frequency touches the nadir in adjacent node-midpoint pairs
+    that alternate with free pairs. The crash marks every odd-indexed node
+    with its midpoint on the side facing tau = 0 (the following one for
+    tau < 0, the preceding one otherwise) and, for odd K, the row at
+    tau = +1: K rows, which with the energy row fix the K + 1 variables.
+    """
+    k_ord = grid.order
+    odd = np.arange(1, k_ord, 2)
+    active = np.zeros(2 * k_ord + 2, dtype=bool)  # rows of _path_taus
+    active[odd] = True
+    # node j lies between midpoints j and j + 1, the rows K + j and K + j + 1;
+    # the nodes are symmetric, so node j has tau < 0 exactly when 2j + 1 < K
+    active[k_ord + odd + (2 * odd + 1 < k_ord)] = True
+    active[-1] = k_ord % 2 == 1
+    return active
+
+
 def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> TrajectorySolution:
-    """Transcribe, solve and extract the nadir-maximal trajectory."""
+    """Transcribe, solve from the contact crash, and extract the nadir-maximal trajectory."""
     lp = transcribe(problem, grid)
-    sol = extract_solution(solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub), lp, problem, grid)
+    res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, active=contact_crash(grid))
+    sol = extract_solution(res, lp, problem, grid)
     sol.diagnostics["lp_meta"] = lp.meta
     return sol
 

@@ -120,9 +120,38 @@ def test_pivot_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(SimplexError, match="pivot cap"):
         solve_lp(np.array([1.0, 1.0]), a_ub=np.eye(2), b_ub=[1.0, 1.0])
-    rc = main(["solve", "--preset", "two_machine", "--nodes", "10", "--out", str(tmp_path)])
+    # the contact crash leaves phase 2 four pivots at K = 40
+    rc = main(["solve", "--preset", "two_machine", "--nodes", "40", "--out", str(tmp_path)])
     assert rc == 3
     assert "pivot cap" in capsys.readouterr().err
+
+
+def test_crash_basis_start():
+    # max x0 + x1 s.t. x0 <= 1, x1 <= 1, x0 + x1 <= 3: the crash on the first
+    # two rows is the optimal vertex (1, 1)
+    c, a_ub, b_ub = [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 1.0, 3.0]
+    cold = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    assert cold.diagnostics["warm_start"] == "none"
+    hit = solve_lp(c, a_ub=a_ub, b_ub=b_ub, active=[True, True, False])
+    assert (hit.diagnostics["warm_start"], hit.iterations) == ("hit", 0)
+    assert hit.x == pytest.approx([1.0, 1.0], abs=1e-15)
+    # (1, 2) violates x1 <= 1; a wrong count and a wrong size are no basis
+    for active in ([True, False, True], [True, False, False], [True, True]):
+        miss = solve_lp(c, a_ub=a_ub, b_ub=b_ub, active=active)
+        assert miss.diagnostics["warm_start"] == "infeasible"
+        assert np.array_equal(miss.x, cold.x) and miss.iterations == cold.iterations
+    # parallel rows are singular
+    miss = solve_lp(c, a_ub=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 2.0, 1.0],
+                    active=[True, True, False])
+    assert miss.diagnostics["warm_start"] == "infeasible"
+    # a free variable at a negative value enters by its negated copy; a
+    # nonnegative one there is no feasible start
+    neg = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[2.0], active=[True])
+    assert (neg.diagnostics["warm_start"], neg.iterations) == ("hit", 0)
+    assert neg.x == pytest.approx([-2.0])
+    pos = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[2.0], nonneg=[True], active=[True])
+    assert pos.diagnostics["warm_start"] == "infeasible"
+    assert pos.x == pytest.approx([0.0])
 
 
 def test_redundant_equality_row_dropped():

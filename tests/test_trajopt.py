@@ -196,28 +196,35 @@ class TestRegression:
 
     # phase-1 and phase-2 pivots and nadirs of the LP that carried the
     # released energy as a third kind of state: dropping that state, whose
-    # row of the dynamics was zero, must change neither
-    @pytest.mark.parametrize("preset,nodes,pivots,nadir", [
-        ("two_machine", 10, (23, 33), -0.005085457699909248),
-        ("two_machine", 20, (43, 120), -0.00498389115005557),
-        ("two_machine", 40, (83, 291), -0.004952940903313898),
-        ("two_machine", 60, (123, 479), -0.004946103811336963),
-        ("two_machine", 100, (203, 993), -0.004942424883756862),
-        ("multi_machine", 10, (23, 27), -0.0029987418871985786),
-        ("multi_machine", 20, (43, 118), -0.0029381773459434667),
-        ("multi_machine", 40, (83, 230), -0.002919742154928857),
-        ("multi_machine", 60, (123, 493), -0.002915674282994506),
-        ("multi_machine", 100, (203, 520), -0.00291347935891713),
+    # row of the dynamics was zero, must change neither. The cold pins hold
+    # for solve_lp without a crash; the pipeline starts phase 2 from the
+    # contact crash instead and reaches the same nadir in `warm` pivots.
+    @pytest.mark.parametrize("preset,nodes,pivots,nadir,warm", [
+        ("two_machine", 10, (23, 33), -0.005085457699909248, 0),
+        ("two_machine", 20, (43, 120), -0.00498389115005557, 2),
+        ("two_machine", 40, (83, 291), -0.004952940903313898, 4),
+        ("two_machine", 60, (123, 479), -0.004946103811336963, 11),
+        ("two_machine", 100, (203, 993), -0.004942424883756862, 26),
+        ("multi_machine", 10, (23, 27), -0.0029987418871985786, 0),
+        ("multi_machine", 20, (43, 118), -0.0029381773459434667, 2),
+        ("multi_machine", 40, (83, 230), -0.002919742154928857, 4),
+        ("multi_machine", 60, (123, 493), -0.002915674282994506, 11),
+        ("multi_machine", 100, (203, 520), -0.00291347935891713, 23),
     ])
-    def test_pivots_and_nadir_of_energy_state_lp(self, preset, nodes, pivots, nadir):
+    def test_pivots_and_nadir_of_energy_state_lp(self, preset, nodes, pivots, nadir, warm):
+        lp, _ = _crash_lp(_crash_plant(preset), nodes)
+        cold = _solve(lp)
+        d = cold.diagnostics
+        assert (d["phase1_pivots"], d["phase2_pivots"]) == pivots
+        assert cold.x[-1] == pytest.approx(nadir, rel=1e-14)
         sol = solve_hypothetical(scenario_from_dict(load_preset(preset)), nodes)
         d = sol.diagnostics
-        assert (d["phase1_pivots"], d["phase2_pivots"]) == pivots
+        assert (d["warm_start"], d["phase1_pivots"], d["phase2_pivots"]) == ("hit", 0, warm)
         assert sol.nadir_pu == pytest.approx(nadir, rel=1e-14)
 
 
-def _single_governor_problem(num, den):
-    grid = GridParameters(inertia_s=4.0, damping=1.0, f_base_hz=50.0,
+def _single_governor_problem(num, den, inertia_s=4.0):
+    grid = GridParameters(inertia_s=inertia_s, damping=1.0, f_base_hz=50.0,
                           s_base_mva=200.0, load_pu=0.75)
     gov = GovernorSpec(name="G", rated_mva=200.0, num=num, den=den)
     return to.build_problem(grid, [gov], p_d_pu=0.075, t_f=30.0)
@@ -257,6 +264,119 @@ class TestGovernorProbes:
         rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "unbounded" in capsys.readouterr().err
+
+
+# both presets, and three transfer-function governors on a grid of inertia 2 s
+# and 8 s: underdamped, overdamped second order, and first order
+CRASH_PLANTS = ["two_machine", "multi_machine"] + [
+    f"{shape}_H{h}" for shape in ("underdamped", "overdamped", "first_order") for h in (2, 8)]
+CRASH_DENS = {"underdamped": (1.0, 0.4, 1.0), "overdamped": (0.2, 1.2, 1.0),
+              "first_order": (0.1, 1.0)}
+
+
+def _crash_plant(name):
+    if name in ("two_machine", "multi_machine"):
+        sc = scenario_from_dict(load_preset(name))
+        return to.build_problem(sc.grid, list(sc.governors),
+                                sc.solver.hypothetical_p_d_pu, sc.solver.t_f)
+    shape, h = name.rsplit("_H", 1)
+    return _single_governor_problem((-20.0,), CRASH_DENS[shape], inertia_s=float(h))
+
+
+@pytest.fixture(scope="module")
+def crash_plants():
+    return {name: _crash_plant(name) for name in CRASH_PLANTS}
+
+
+def _crash_lp(problem, nodes):
+    grid = coll.make_grid(nodes, problem.t_f)
+    return to.transcribe(problem, grid), to.contact_crash(grid)
+
+
+def _solve(lp, active=None):
+    return solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, active=active)
+
+
+class TestContactCrash:
+    """solve_max_nadir starts phase 2 from a crash that depends on K alone."""
+
+    @pytest.mark.parametrize("nodes", [10, 11, 31, 40, 63, 100])
+    def test_crash_is_a_feasible_start_on_every_plant(self, crash_plants, nodes):
+        highs = []
+        for name, problem in crash_plants.items():
+            lp, active = _crash_lp(problem, nodes)
+            warm = _solve(lp, active)
+            d = warm.diagnostics
+            assert d["warm_start"] == "hit", name
+            assert d["phase1_pivots"] == 0 and d["phase2_pivots"] <= 2 * nodes, name
+            assert d["primal_ub_residual"] <= 1e-9, name
+            highs.append((name, lp, warm.x[-1]))
+            # the cold K = 63 and 100 solves take seconds; K = 63 has its own
+            # test below
+            if nodes > 40:
+                continue
+            cold = _solve(lp)
+            if cold.diagnostics["primal_ub_residual"] <= 1e-8:
+                assert warm.x[-1] == pytest.approx(cold.x[-1], abs=1e-12), name
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+        for name, lp, nadir in highs:
+            ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                          bounds=(None, None), method="highs-ds", options=tight)
+            assert ref.status == 0, name
+            assert nadir == pytest.approx(-ref.fun, abs=1e-9), name
+
+    def test_crash_marks_k_contact_rows(self):
+        # rows: K nodes, K + 1 midpoints, tau = +1. K = 8: nodes 1, 3 with
+        # the following midpoints (tau < 0), nodes 5, 7 with the preceding
+        # ones. K = 7: node 3 sits at tau = 0 and takes the preceding
+        # midpoint, and the row at tau = +1 completes the count
+        active = to.contact_crash(coll.make_grid(8, 30.0))
+        assert np.flatnonzero(active).tolist() == [1, 3, 5, 7, 10, 12, 13, 15]
+        active = to.contact_crash(coll.make_grid(7, 30.0))
+        assert np.flatnonzero(active).tolist() == [1, 3, 5, 9, 10, 12, 15]
+
+    @pytest.mark.parametrize("name", ["two_machine", "underdamped_H2", "first_order_H8"])
+    @pytest.mark.parametrize("nodes", [10, 40])
+    def test_infeasible_crash_falls_back_to_the_cold_path(self, crash_plants, name, nodes):
+        # even-indexed nodes with their midpoints facing tau = 0: K rows,
+        # but their vertex violates other path rows
+        lp, _ = _crash_lp(crash_plants[name], nodes)
+        even = np.arange(0, nodes, 2)
+        active = np.zeros(2 * nodes + 2, dtype=bool)
+        active[even] = True
+        active[nodes + even + (2 * even + 1 < nodes)] = True
+        cold = _solve(lp)
+        assert cold.diagnostics["warm_start"] == "none"
+        for mask in (active, active[:-1]):  # infeasible, then the wrong size
+            res = _solve(lp, mask)
+            assert res.diagnostics["warm_start"] == "infeasible"
+            assert np.array_equal(res.x, cold.x)
+            assert res.diagnostics["phase1_pivots"] == cold.diagnostics["phase1_pivots"]
+            assert res.diagnostics["phase2_pivots"] == cold.diagnostics["phase2_pivots"]
+
+    @pytest.mark.parametrize("nodes", [63, 64])
+    def test_cold_path_does_not_cycle_on_first_order_governor(self, crash_plants, nodes):
+        # phase 2 cycles here through Harris' steps of ~1e-11 and below zero;
+        # unless those count as stalls, Bland's rule never takes over and the
+        # simplex runs to its pivot cap
+        lp, active = _crash_lp(crash_plants["first_order_H8"], nodes)
+        cold, warm = _solve(lp), _solve(lp, active)
+        assert cold.iterations < 2000
+        assert cold.x[-1] == pytest.approx(warm.x[-1], abs=1e-12)
+
+    def test_first_order_governor_cli_k63(self, tmp_path, crash_plants):
+        doc = load_preset("two_machine")
+        doc["grid"]["inertia_s"] = 8.0
+        doc["governors"] = [{"name": "G1", "rated_mva": 200.0, "kind": "transfer_function",
+                             "params": {"num": [-20.0], "den": [0.1, 1.0]}}]
+        path = tmp_path / "first_order.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", str(path), "--nodes", "63", "--out", str(out)]) == 0
+        nadir = json.loads((out / "solve_metrics.json").read_text())["nadir_pu"]
+        euler = to.euler_oracle(crash_plants["first_order_H8"], 3000).nadir_pu
+        assert abs(nadir - euler) / abs(euler) <= 0.005
 
 
 class TestMinIntegralVariant:
