@@ -94,6 +94,7 @@ def mirror_output(mirror_d: float, mirror_c, x_gov, df: float) -> float:
     The mirror is driven by the same deviation as the governors and starts
     from the same zero state, so its state is the governor state ``x_gov``;
     ``mirror_d`` and ``mirror_c`` are its negated feedthrough and output row.
+    The closed-loop kernel writes this sum out term by term, in this order.
     """
     out = mirror_d * df
     for s in range(len(mirror_c)):

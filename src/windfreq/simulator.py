@@ -15,10 +15,21 @@ controller command at a closed-loop state: the exit checks, the bisection and
 the exit blend read the powers it records. Identical inputs produce
 bit-identical traces.
 
-The kernel steps the state as a list of Python floats: on a state of a few
-entries numpy's per-call overhead costs more than the arithmetic. numpy holds
-the assembly (governor realization and aggregation, allocation) and the
-preallocated traces, which each step fills with one ``struct`` pack per table.
+The kernel is generated per run: assembly writes the scenario's right-hand
+side and RK4 step as straight-line Python source, every constant a float
+literal and every sum one statement per term in the order of the loops over
+A_g's rows, the governor outputs and the mirror, and compiles it once
+(``_compile_kernel``). On a state of a few entries numpy's per-call overhead
+costs more than the arithmetic, and a loop over tuples of constants that do
+not change during a run costs more than the arithmetic too. The generated
+code calls the laws of ``turbine`` and ``aapc`` by name, so each law keeps
+one implementation. The source is registered in ``linecache`` under
+``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
+``inspect.getsource`` show it. numpy holds the assembly (governor
+realization and aggregation, allocation) and the preallocated traces, which
+each step fills with one ``struct`` pack per table. ``SimResult.stats``
+counts the steps, segments, bisection halvings and right-hand-side
+evaluations of a run and times its assembly and integration.
 
 The closed loops of ``insensitivity_sweep`` (one per deficit) and
 ``compare_strategies`` (one per strategy) do not depend on each other, so
@@ -27,20 +38,26 @@ their results are bitwise equal to a serial run. With one CPU they run in
 the calling process; ``taskset`` gives a serial run.
 """
 
+import itertools
+import linecache
+import math
 import os
 import pickle
 import struct
-from dataclasses import dataclass, replace
+import time
+import weakref
+from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import collocation as coll
 from . import trajopt as to
-from .aapc import (allocate, check_exit, command_pu, exit_gamma, exit_power, mirror_output,
-                   synthesize, vic_command_mw, vic_filter_rate)
+from .aapc import (allocate, check_exit, command_pu, exit_gamma, exit_power, synthesize,
+                   vic_command_mw, vic_filter_rate)
 from .grid import aggregate_governors, rebase_governors
-from .scenario import DisturbanceEvent, Scenario
+from .scenario import DisturbanceEvent, Scenario, ScenarioError
 from .turbine import (_fleet_power_scale, _k_opt_w, _mppt_power_w, _turbine_power_w,
                       capability_indices, make_state, mppt_power)
 
@@ -56,8 +73,6 @@ __all__ = [
     "WorkerError",
 ]
 
-_WT_FLOOR = 7  # floor speed's place in an _Assembled.wt tuple
-
 MODE_TRACKING = 0
 MODE_AAPC = 1
 MODE_EXITED = 2
@@ -72,125 +87,170 @@ E_R_BAND_PCT = 5.0  # the e_r band of insensitivity_sweep's p_d_max
 # argmin alone would follow the last bit of alpha
 NADIR_BAND_REL = 1e-9
 
+_kernel_ids = itertools.count(1)  # numbers the <windfreq-kernel-N> sources
+
 
 # ---------------------------------------------------------------------------
 # integration kernel
 # ---------------------------------------------------------------------------
 
-def _clamp(p, lo, hi):
-    """p limited to the interval [lo, hi]."""
-    if p > hi:
-        return hi
-    if p < lo:
-        return lo
-    return p
+def _lit(v) -> str:
+    """Source literal of the float v, in parentheses: ``-2.0 ** 2`` parses as
+    ``-(2.0 ** 2)``. Only finite floats enter kernel source."""
+    if type(v) is not float or not math.isfinite(v):
+        raise ValueError(f"kernel constant must be a finite float, got {v!r}")
+    return f"({v!r})"
 
 
-def _rhs(asm, y, dy):
-    """Closed-loop derivative of the state list y into the list dy.
+def _unpack(names, expr: str) -> list:
+    """Source line unpacking the sequence expr into the names, if there are any."""
+    return [f"    {', '.join(names)}, = {expr}"] if names else []
 
-    Records each turbine's applied power (for an AAPC turbine the clamped
+
+def _kernel_source(asm, gov, d_units, unit_of_state, mirror_d, mirror_c) -> tuple:
+    """Sources of the scenario's ``rhs(asm, y, dy)`` and ``step(asm, y, h)``.
+
+    ``rhs`` writes the closed-loop derivative of the state list y into dy,
+    records each turbine's applied power (for an AAPC turbine the clamped
     command), turbine power, tracking power and flags in asm, and returns
-    (pm_pu, pe_dev_pu). All saturation lives here so every RK4 stage sees the
-    same law.
+    (pm_pu, pe_dev_pu). Every constant is a literal; the run-time state
+    (``p_d``, ``gov_scale``, ``modes``, ``gamma``, ``kw``) is read from asm.
+    Each sum is one statement per term from 0.0, in the order of the loop
+    over the nonzeros of A_g's rows, the governor outputs (each scaled by its
+    unit's kept fraction, then the feedthroughs) and the mirror
+    (``aapc.mirror_output``). All saturation lives here, so every RK4 stage
+    sees the same law.
+
+    ``step`` advances y by one RK4 step of size h in place from the
+    derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
+    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4). It then holds each rotor that is not
+    under AAPC on its floor: the cutback engages only once the rotor is at
+    its floor, so the step that crosses it lands on it; AAPC rotors leave by
+    the floor exit instead.
     """
-    base_w = asm.base_w
-    df = y[0]
-    z = y[-1]
-    x_gov = y[1:base_w]
-    # governor rates: each row's nonzeros of A_g in column order, then B_g df
-    for s, (row, b) in enumerate(zip(asm.gov_rows, asm.b_g), 1):
-        rate = 0.0
-        for col, a in row:
-            rate += a * x_gov[col]
-        dy[s] = rate + b * df
-
-    gov_scale = asm.gov_scale
-    pm = 0.0
-    for u, c, x in zip(asm.unit_of_state, asm.c_g, x_gov):
-        pm += gov_scale[u] * c * x
-    for u, d in enumerate(asm.d_units):
-        pm += gov_scale[u] * d * df
-    mirror_pu = mirror_output(asm.mirror_d, asm.mirror_c, x_gov, df)
-
-    s_base_w = asm.s_base_w
-    modes = asm.modes
-    pe_dev = 0.0
-    for j, (v_w, pitch, radius, power_scale, k_opt_w, p_min_w, p_max_w, floor_rad,
-            p_e0_w, j_fleet, share) in enumerate(asm.wt):
-        omega = y[base_w + j]
-        p_t = _turbine_power_w(omega, v_w, pitch, radius, power_scale)
-        p_mppt = _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w)
-        mode = modes[j]
-        if mode == MODE_AAPC:
-            p_cmd = p_e0_w + command_pu(share, mirror_pu, asm.kw, df) * s_base_w
-        elif mode == MODE_VIC:
-            p_cmd = p_e0_w + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
-        elif mode == MODE_EXITED:
-            p_cmd = exit_power(asm.gamma[j], p_t, p_mppt)
-        else:  # tracking
-            p_cmd = p_mppt
-
-        flags = 0
-        p_app = _clamp(p_cmd, p_min_w, p_max_w)
-        if p_app != p_cmd:
-            flags |= FLAG_POWER_LIMIT
-        # protective cutback holds the rotor at the floor; the optimal
-        # controller instead leaves via its speed-floor exit trigger
-        if mode != MODE_AAPC and omega <= floor_rad and p_app > p_t:
-            p_app = p_t
-            flags |= FLAG_FLOOR
-
-        asm.wt_pe_w[j] = p_app
-        asm.wt_pt_w[j] = p_t
-        asm.wt_mppt_w[j] = p_mppt
-        asm.wt_flags[j] = flags
-        pe_dev += (p_app - p_e0_w) / s_base_w
-        dy[base_w + j] = (p_t - p_app) / (j_fleet * omega)
-
-    dy[-1] = vic_filter_rate(asm.vic, df, z)
-    dy[0] = (pm + pe_dev - asm.p_d - asm.damping * df) / asm.two_h
-    return pm, pe_dev
-
-
-def _rk4_step(asm, y, h):
-    """Advance the state list y by one RK4 step of size h in place.
-
-    asm.k1 holds the derivative at y. The stages and the update run in
-    numpy's operation order: y + (h/2) k, then y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
-    """
-    k1, k2, k3, k4 = asm.k1, asm.k2, asm.k3, asm.k4
-    half = 0.5 * h
-    _rhs(asm, [a + half * k for a, k in zip(y, k1)], k2)
-    _rhs(asm, [a + half * k for a, k in zip(y, k2)], k3)
-    _rhs(asm, [a + h * k for a, k in zip(y, k3)], k4)
-    sixth = h / 6.0
-    y[:] = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    # the cutback engages only once the rotor is at its floor, so the step
-    # that crosses it lands on it; AAPC rotors leave by the floor exit instead
-    base_w = asm.base_w
+    m, n_wt = asm.m_gov, asm.n_wt
+    x = [f"x{s}" for s in range(m)]
+    w = [f"w{j}" for j in range(n_wt)]
+    ys = ["df", *x, *w, "z"]
+    gs = [f"gs{u}" for u in range(len(d_units))]
+    modes = [f"mode{j}" for j in range(n_wt)]
+    src = ["def rhs(asm, y, dy):", *_unpack(ys, "y"), *_unpack(gs, "asm.gov_scale"),
+           *_unpack(modes, "asm.modes"),
+           "    vic = asm.vic", "    kw = asm.kw", "    gamma = asm.gamma"]
+    for s, row in enumerate(gov.a):
+        src.append("    r = 0.0")
+        src += [f"    r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
+        src.append(f"    d{s} = r + {_lit(float(gov.b[s, 0]))} * df")
+    src.append("    pm = 0.0")
+    src += [f"    pm += gs{u} * {_lit(c)} * x{s}"
+            for s, (u, c) in enumerate(zip(unit_of_state, gov.c[0].tolist()))]
+    src += [f"    pm += gs{u} * {_lit(d)} * df" for u, d in enumerate(d_units)]
+    src.append(f"    mirror = {_lit(mirror_d)} * df")
+    src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c)]
+    src.append("    pe_dev = 0.0")
+    s_base = _lit(asm.s_base_w)
     for j, wt in enumerate(asm.wt):
-        if asm.modes[j] != MODE_AAPC and y[base_w + j] < wt[_WT_FLOOR]:
-            y[base_w + j] = wt[_WT_FLOOR]
+        p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
+        p_t, p_mppt, p_app = f"pt{j}", f"mppt{j}", f"pe{j}"
+        src += [
+            f"    # turbine {j}",
+            f"    {p_t} = _turbine_power_w(w{j}, {_lit(wt.wind_ms)}, {_lit(wt.pitch_deg)}, "
+            f"{_lit(wt.radius_m)}, {_lit(wt.power_scale)})",
+            f"    {p_mppt} = _mppt_power_w(w{j}, {_lit(wt.k_opt_w)}, {p_min}, {p_max})",
+            f"    if mode{j} == {MODE_AAPC}:",
+            f"        p_cmd = {p_e0} + command_pu({_lit(wt.share)}, mirror, kw, df) * {s_base}",
+            f"    elif mode{j} == {MODE_VIC}:",
+            f"        p_cmd = {p_e0} + vic_command_mw(vic, df, z, {_lit(asm.f_base)}) * (1e6)",
+            f"    elif mode{j} == {MODE_EXITED}:",
+            f"        p_cmd = exit_power(gamma[{j}], {p_t}, {p_mppt})",
+            "    else:",
+            f"        p_cmd = {p_mppt}",
+            f"    if p_cmd > {p_max}:",
+            f"        {p_app} = {p_max}",
+            f"        fl{j} = {FLAG_POWER_LIMIT}",
+            f"    elif p_cmd < {p_min}:",
+            f"        {p_app} = {p_min}",
+            f"        fl{j} = {FLAG_POWER_LIMIT}",
+            "    else:",
+            f"        {p_app} = p_cmd",
+            f"        fl{j} = 0",
+            # the protective cutback holds the rotor at its floor; the optimal
+            # controller leaves by its speed-floor exit trigger instead
+            f"    if mode{j} != {MODE_AAPC} and w{j} <= {_lit(wt.floor_rad)} and {p_app} > {p_t}:",
+            f"        {p_app} = {p_t}",
+            f"        fl{j} |= {FLAG_FLOOR}",
+            f"    pe_dev += ({p_app} - {p_e0}) / {s_base}",
+            f"    dw{j} = ({p_t} - {p_app}) / ({_lit(wt.j_fleet)} * w{j})",
+        ]
+    for name, prefix in (("wt_pe_w", "pe"), ("wt_pt_w", "pt"), ("wt_mppt_w", "mppt"),
+                         ("wt_flags", "fl")):
+        src.append(f"    asm.{name} = [{', '.join(f'{prefix}{j}' for j in range(n_wt))}]")
+    derivs = [f"d{s}" for s in range(m)] + [f"dw{j}" for j in range(n_wt)]
+    src += [
+        f"    ddf = (pm + pe_dev - asm.p_d - {_lit(asm.damping)} * df) / {_lit(asm.two_h)}",
+        f"    dy[:] = [{', '.join(['ddf', *derivs, 'vic_filter_rate(vic, df, z)'])}]",
+        "    return pm, pe_dev",
+        "",
+    ]
+
+    step = ["def step(asm, y, h):", "    rhs = asm.rhs", *_unpack(ys, "y")]
+    stage = {k: [f"{k}_{v}" for v in ys] for k in "abcd"}
+    step += [*_unpack(stage["a"], "asm.k1"), "    k = asm.k2", "    half = 0.5 * h"]
+    for prev, k, size in (("a", "b", "half"), ("b", "c", "half"), ("c", "d", "h")):
+        step.append(f"    rhs(asm, [{', '.join(f'{v} + {size} * {prev}_{v}' for v in ys)}], k)")
+        step += _unpack(stage[k], "k")
+    step.append("    sixth = h / 6.0")
+    step += [f"    {v} = {v} + sixth * (a_{v} + 2.0 * b_{v} + 2.0 * c_{v} + d_{v})" for v in ys]
+    step += _unpack(modes, "asm.modes")
+    for j, wt in enumerate(asm.wt):
+        floor = _lit(wt.floor_rad)
+        step += [f"    if mode{j} != {MODE_AAPC} and w{j} < {floor}:", f"        w{j} = {floor}"]
+    step.append(f"    y[:] = [{', '.join(ys)}]")
+    return "\n".join(src) + "\n", "\n".join(step) + "\n"
+
+
+def _compile_kernel(asm, *constants):
+    """(rhs, step) of ``_kernel_source(asm, *constants)``, compiled once.
+
+    The two sources are registered in ``linecache`` as one file under a
+    unique ``<windfreq-kernel-N>`` name while the functions live, so
+    tracebacks and ``inspect.getsource`` show the generated lines. Each
+    function is compiled on its own, ``step`` after blank lines that keep its
+    line numbers: one compile of both peaked at 1.1 MB on ``multi_machine``,
+    which raised the process's peak RSS.
+    """
+    rhs_src, step_src = _kernel_source(asm, *constants)
+    filename = f"<windfreq-kernel-{next(_kernel_ids)}>"
+    namespace = {"__name__": __name__, "_turbine_power_w": _turbine_power_w,
+                 "_mppt_power_w": _mppt_power_w, "command_pu": command_pu,
+                 "vic_command_mw": vic_command_mw, "vic_filter_rate": vic_filter_rate,
+                 "exit_power": exit_power}
+    exec(compile(rhs_src, filename, "exec"), namespace)
+    exec(compile("\n" * rhs_src.count("\n") + step_src, filename, "exec"), namespace)
+    rhs, step = namespace.pop("rhs"), namespace.pop("step")
+    src = rhs_src + step_src
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    weakref.finalize(rhs, linecache.cache.pop, filename, None)
+    return rhs, step
 
 
 def _rk4_from(asm, y0, h):
     """State one RK4 step of size h >= 0 after the state list y0, as a new list."""
     y = list(y0)
     if h > 0:
-        _rhs(asm, y, asm.k1)
-        _rk4_step(asm, y, h)
+        asm.rhs(asm, y, asm.k1)
+        asm.step(asm, y, h)
+        asm.stats["rhs_evals"] += 4
     return y
 
 
 def _exit_cause(asm, y, j, t):
     """``aapc.check_exit`` for AAPC turbine j at state list y and time t.
 
-    Reads the powers that the last ``_rhs`` call, made at y, recorded.
+    Reads the powers that the last ``rhs`` call, made at y, recorded.
     """
     return check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[asm.base_w + j],
-                      asm.wt[j][_WT_FLOOR], t, asm.t_support_end - 1e-12, asm.armed[j])
+                      asm.wt[j].floor_rad, t, asm.t_support_end - 1e-12, asm.armed[j])
 
 
 def _run_segment(asm, y, start, tr):
@@ -198,16 +258,19 @@ def _run_segment(asm, y, start, tr):
 
     Rows [start ..] of the traces are filled with start-of-step values. Every
     step but the first checks the exit triggers of the AAPC turbines on its
-    ``_rhs`` records before its events apply; on a trigger the kernel returns
+    ``rhs`` records before its events apply; on a trigger the kernel returns
     the step that crossed it, whose start state asm.y_snapshot holds, and the
     resumed segment applies the events. Returns
     (crossing_step, trigger_turbine, exit_cause), the cause None at the end.
     """
+    rhs, step = asm.rhs, asm.step
     n_wt = asm.n_wt
     base_w = asm.base_w
+    n_rhs = 0
     i = start
     while i <= asm.n_steps:
-        pm, pe = _rhs(asm, y, asm.k1)
+        pm, pe = rhs(asm, y, asm.k1)
+        n_rhs += 1
         if asm.exit_enabled and i > start:
             t = i * asm.dt
             for j in range(n_wt):
@@ -215,6 +278,7 @@ def _run_segment(asm, y, start, tr):
                     continue
                 kind = _exit_cause(asm, y, j, t)
                 if kind is not None:
+                    _count_segment(asm.stats, i - start, n_rhs)
                     return i - 1, j, kind
                 if not asm.armed[j] and asm.wt_pe_w[j] > asm.wt_mppt_w[j] * (1.0 + 1e-9) + 1e-3:
                     asm.armed[j] = True
@@ -222,8 +286,8 @@ def _run_segment(asm, y, start, tr):
         # events and controller activation (on the first event's step) land
         # on step boundaries
         landed = False
-        for step, dpd, unit, frac in asm.events:
-            if step == i:
+        for event_step, dpd, unit, frac in asm.events:
+            if event_step == i:
                 asm.p_d += dpd
                 if unit >= 0:
                     asm.gov_scale[unit] *= 1.0 - frac
@@ -231,7 +295,8 @@ def _run_segment(asm, y, start, tr):
         if i == asm.act_step:
             asm.modes = list(asm.ctrl_mode)
         if landed:
-            pm, pe = _rhs(asm, y, asm.k1)
+            pm, pe = rhs(asm, y, asm.k1)
+            n_rhs += 1
 
         # record start-of-step values
         tr.put_row(i * tr.row_bytes, y[0], pm, pe, asm.k1[0], asm.p_d,
@@ -242,9 +307,18 @@ def _run_segment(asm, y, start, tr):
             break
 
         asm.y_snapshot[:] = y
-        _rk4_step(asm, y, asm.dt)  # k1 is the derivative just recorded
+        step(asm, y, asm.dt)  # k1 is the derivative just recorded
+        n_rhs += 3
         i += 1
+    _count_segment(asm.stats, i - start, n_rhs)
     return asm.n_steps + 1, -1, None
+
+
+def _count_segment(stats, steps, rhs_evals):
+    """Add one segment of ``steps`` RK4 steps and ``rhs_evals`` RHS calls to stats."""
+    stats["segments"] += 1
+    stats["steps"] += steps
+    stats["rhs_evals"] += rhs_evals
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +342,15 @@ class MetricsRecord:
 
 @dataclass
 class SimResult:
+    """Uniform-step traces of one closed-loop run, its exit events and its stats.
+
+    ``stats`` explains the run and is no part of its result: the counts
+    ``steps`` (RK4 steps of size dt, a step redone around an exit counted
+    once), ``segments``, ``halvings`` (exit bisection) and ``rhs_evals``, and
+    the wall seconds ``assemble_s`` (kernel compile included) and
+    ``integrate_s``. It enters no output file and no equality.
+    """
+
     scenario: Scenario
     t: np.ndarray
     df_pu: np.ndarray
@@ -285,31 +368,47 @@ class SimResult:
     shares: np.ndarray
     wt_omega0: np.ndarray
     wt_p_e0_mw: np.ndarray
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n_wt(self) -> int:
         return self.wt_pe_mw.shape[1]
 
 
+class _Turbine(NamedTuple):
+    """One turbine's kernel constants, powers in W."""
+
+    wind_ms: float
+    pitch_deg: float
+    radius_m: float
+    power_scale: float
+    k_opt_w: float
+    p_min_w: float
+    p_max_w: float
+    floor_rad: float
+    p_e0_w: float
+    j_fleet: float
+    share: float
+
+
 class _Assembled:
-    """Scenario compiled to Python-float constants, plus the loop's mutable state.
+    """Scenario compiled to a kernel and Python-float constants, plus the loop's mutable state.
 
     The state list is [df, governor states, rotor speeds, VIC filter state]:
     1 + m_gov + n_wt + 1 floats, with one VIC filter state shared by every
     turbine. The AAPC mirror has no state of its own; it reads the governor
-    states (see ``aapc.mirror_output``). ``gov_rows`` holds the nonzero
-    (column, value) pairs of each row of the block-diagonal A_g in column
-    order, and ``wt`` one constants tuple per turbine: (wind speed, pitch,
-    rotor radius, power scale, k_opt, p_min, p_max, floor speed, pre-event
-    power, fleet inertia, share), powers in W.
+    states (see ``aapc.mirror_output``). ``rhs`` and ``step`` are the
+    scenario's kernel from ``_compile_kernel``, called as
+    ``asm.rhs(asm, y, dy)`` and ``asm.step(asm, y, h)``; ``wt`` holds one
+    ``_Turbine`` per turbine.
     """
 
     def __init__(self, sc: Scenario, alpha: float | None):
         grid = sc.grid
         self.s_base_w = grid.s_base_mva * 1e6
-        self.f_base = grid.f_base_hz
+        self.f_base = float(grid.f_base_hz)
         self.two_h = 2.0 * grid.inertia_s
-        self.damping = grid.damping
+        self.damping = float(grid.damping)
         self.vic = sc.vic
         self.exit_enabled = sc.exit_enabled
 
@@ -317,13 +416,9 @@ class _Assembled:
         gov = aggregate_governors(realizations)
         self.m_gov = gov.order
         self.base_w = 1 + gov.order
-        self.gov_rows = [[(c, float(row[c])) for c in np.flatnonzero(row).tolist()]
-                         for row in gov.a]
-        self.b_g = gov.b[:, 0].tolist()
-        self.c_g = gov.c[0].tolist()
-        self.d_units = [float(r.d[0, 0]) for r in realizations]
-        self.unit_of_state = np.repeat(np.arange(len(realizations)),
-                                       [r.order for r in realizations]).tolist()
+        d_units = [float(r.d[0, 0]) for r in realizations]
+        unit_of_state = np.repeat(np.arange(len(realizations)),
+                                  [r.order for r in realizations]).tolist()
         self.gov_scale = [1.0] * len(realizations)
 
         specs = [t.spec for t in sc.turbines]
@@ -336,19 +431,20 @@ class _Assembled:
         self.omega0 = [st.omega_rad_s for st in states]
         self.shares = allocation_shares(sc).tolist()
         self.wt = [
-            (t.wind_speed_ms, t.pitch_deg, s.rotor_radius_m, _fleet_power_scale(s),
-             _k_opt_w(s), s.p_min_fleet_mw * 1e6, s.p_max_fleet_mw * 1e6,
-             s.floor_speed_rad, p_e0, s.fleet_inertia, share)
+            _Turbine(float(t.wind_speed_ms), float(t.pitch_deg), float(s.rotor_radius_m),
+                     _fleet_power_scale(s), _k_opt_w(s), s.p_min_fleet_mw * 1e6,
+                     s.p_max_fleet_mw * 1e6, s.floor_speed_rad, p_e0, float(s.fleet_inertia),
+                     share)
             for t, s, p_e0, share in zip(sc.turbines, specs, self.p_e0_w, self.shares)
         ]
         self.kw = 0.0
-        self.mirror_d = 0.0
-        self.mirror_c = [0.0] * self.m_gov
+        mirror_d = 0.0
+        mirror_c = [0.0] * self.m_gov
         if alpha is not None and MODE_AAPC in self.ctrl_mode:
             ctrl = synthesize(grid, list(sc.governors), alpha)
             self.kw = ctrl.gain_kw
-            self.mirror_d = float(ctrl.mirror.d[0, 0])
-            self.mirror_c = ctrl.mirror.c[0].tolist()
+            mirror_d = float(ctrl.mirror.d[0, 0])
+            mirror_c = ctrl.mirror.c[0].tolist()
 
         self.dt = dt = sc.sim.step_s
         self.n_steps = int(round(sc.sim.duration_s / dt))
@@ -369,9 +465,12 @@ class _Assembled:
         self.armed = [False] * n_wt
         self.y0 = [0.0] * self.base_w + self.omega0 + [0.0]
         n_y = len(self.y0)
-        self.k1, self.k2, self.k3, self.k4, self.y_snapshot = ([0.0] * n_y for _ in range(5))
+        self.k1, self.k2, self.y_snapshot = ([0.0] * n_y for _ in range(3))
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
+        self.stats = {"steps": 0, "segments": 0, "halvings": 0, "rhs_evals": 0}
+        self.rhs, self.step = _compile_kernel(self, gov, d_units, unit_of_state,
+                                              mirror_d, mirror_c)
 
 
 class _Traces:
@@ -452,6 +551,13 @@ def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
         return None
     if solution is None:
         solution = solve_hypothetical(sc)
+    if solution.alpha < 1.0:
+        # with too little governor response the optimum holds the frequency
+        # above its settling level, which no mirror-plus-gain controller does
+        raise ScenarioError(
+            f"$.governors: the solved alpha {solution.alpha!r} is below 1, so no AAPC "
+            "controller reaches the optimal nadir; pin $.controllers.alpha (>= 1) or "
+            "add a governor")
     return solution.alpha
 
 
@@ -474,7 +580,9 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
     """Simulate the scenario and return uniform-step traces plus event log."""
     scenario.check()
     alpha = alpha_override if alpha_override is not None else _resolve_alpha(scenario)
+    t_start = time.perf_counter()
     asm = _Assembled(scenario, alpha)
+    t_assembled = time.perf_counter()
     dt = asm.dt
     y = list(asm.y0)
     tr = _Traces(asm.n_steps, asm.n_wt)
@@ -496,7 +604,9 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
             for _ in range(14):
                 mid = 0.5 * (lo + hi)
                 y_mid = _rk4_from(asm, asm.y_snapshot, mid)
-                _rhs(asm, y_mid, asm.k1)
+                asm.rhs(asm, y_mid, asm.k1)
+                asm.stats["halvings"] += 1
+                asm.stats["rhs_evals"] += 1
                 if _exit_cause(asm, y_mid, j_trig, t0 + mid) == kind:
                     hi = mid
                 else:
@@ -508,7 +618,8 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
         to_exit = [j_trig]
         if kind == "horizon":  # the window closes for every active turbine
             to_exit = [jj for jj in range(asm.n_wt) if asm.modes[jj] == MODE_AAPC]
-        _rhs(asm, y_e, asm.k1)
+        asm.rhs(asm, y_e, asm.k1)
+        asm.stats["rhs_evals"] += 1
         for jj in to_exit:
             p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
             g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
@@ -524,6 +635,7 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
         # finish the interrupted step on the corrected modes
         y[:] = _rk4_from(asm, y_e, dt - h_e)
         step = step + 1
+    t_end = time.perf_counter()
 
     f_b = scenario.grid.f_base_hz
     t = np.arange(asm.n_steps + 1) * dt
@@ -546,6 +658,8 @@ def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
         shares=np.array(asm.shares),
         wt_omega0=np.array(asm.omega0),
         wt_p_e0_mw=np.array(asm.p_e0_w) / 1e6,
+        stats={**asm.stats, "assemble_s": t_assembled - t_start,
+               "integrate_s": t_end - t_assembled},
     )
 
 

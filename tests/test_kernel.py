@@ -1,0 +1,325 @@
+"""The generated closed-loop kernel against the loop kernel it replaced.
+
+``loop_rhs`` and ``loop_rk4_step`` are the loop right-hand side and RK4 step
+the package ran before each scenario's kernel was generated as straight-line
+code. ``loop_kernel`` stands in for ``simulator._compile_kernel`` and hands
+them the same constants, so an assembly (or a whole ``run``) can go through
+either kernel. Every comparison is bitwise, on the ``repr`` of the floats.
+"""
+
+import gc
+import inspect
+import linecache
+import re
+import traceback
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from windfreq import simulator as sim
+from windfreq.aapc import (command_pu, exit_power, mirror_output, vic_command_mw,
+                           vic_filter_rate)
+from windfreq.grid import GovernorSpec
+from windfreq.presets import load_preset
+from windfreq.scenario import DisturbanceEvent, scenario_from_dict
+from windfreq.turbine import _mppt_power_w, _turbine_power_w
+
+
+# ---------------------------------------------------------------------------
+# the loop kernel
+# ---------------------------------------------------------------------------
+
+def _clamp(p, lo, hi):
+    """p limited to the interval [lo, hi]."""
+    if p > hi:
+        return hi
+    if p < lo:
+        return lo
+    return p
+
+
+def loop_rhs(asm, y, dy):
+    """Closed-loop derivative of the state list y into dy, one loop per sum."""
+    k = asm.loop
+    base_w = asm.base_w
+    df = y[0]
+    z = y[-1]
+    x_gov = y[1:base_w]
+    # governor rates: each row's nonzeros of A_g in column order, then B_g df
+    for s, (row, b) in enumerate(zip(k.gov_rows, k.b_g), 1):
+        rate = 0.0
+        for col, a in row:
+            rate += a * x_gov[col]
+        dy[s] = rate + b * df
+
+    gov_scale = asm.gov_scale
+    pm = 0.0
+    for u, c, x in zip(k.unit_of_state, k.c_g, x_gov):
+        pm += gov_scale[u] * c * x
+    for u, d in enumerate(k.d_units):
+        pm += gov_scale[u] * d * df
+    mirror_pu = mirror_output(k.mirror_d, k.mirror_c, x_gov, df)
+
+    s_base_w = asm.s_base_w
+    modes = asm.modes
+    pe_dev = 0.0
+    for j, (v_w, pitch, radius, power_scale, k_opt_w, p_min_w, p_max_w, floor_rad,
+            p_e0_w, j_fleet, share) in enumerate(asm.wt):
+        omega = y[base_w + j]
+        p_t = _turbine_power_w(omega, v_w, pitch, radius, power_scale)
+        p_mppt = _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w)
+        mode = modes[j]
+        if mode == sim.MODE_AAPC:
+            p_cmd = p_e0_w + command_pu(share, mirror_pu, asm.kw, df) * s_base_w
+        elif mode == sim.MODE_VIC:
+            p_cmd = p_e0_w + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
+        elif mode == sim.MODE_EXITED:
+            p_cmd = exit_power(asm.gamma[j], p_t, p_mppt)
+        else:  # tracking
+            p_cmd = p_mppt
+
+        flags = 0
+        p_app = _clamp(p_cmd, p_min_w, p_max_w)
+        if p_app != p_cmd:
+            flags |= sim.FLAG_POWER_LIMIT
+        if mode != sim.MODE_AAPC and omega <= floor_rad and p_app > p_t:
+            p_app = p_t
+            flags |= sim.FLAG_FLOOR
+
+        asm.wt_pe_w[j] = p_app
+        asm.wt_pt_w[j] = p_t
+        asm.wt_mppt_w[j] = p_mppt
+        asm.wt_flags[j] = flags
+        pe_dev += (p_app - p_e0_w) / s_base_w
+        dy[base_w + j] = (p_t - p_app) / (j_fleet * omega)
+
+    dy[-1] = vic_filter_rate(asm.vic, df, z)
+    dy[0] = (pm + pe_dev - asm.p_d - asm.damping * df) / asm.two_h
+    return pm, pe_dev
+
+
+def loop_rk4_step(asm, y, h):
+    """Advance y by one RK4 step of size h in place from the derivative in asm.k1."""
+    k1 = asm.k1
+    k2, k3, k4 = ([0.0] * len(y) for _ in range(3))
+    half = 0.5 * h
+    loop_rhs(asm, [a + half * k for a, k in zip(y, k1)], k2)
+    loop_rhs(asm, [a + half * k for a, k in zip(y, k2)], k3)
+    loop_rhs(asm, [a + h * k for a, k in zip(y, k3)], k4)
+    sixth = h / 6.0
+    y[:] = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    base_w = asm.base_w
+    for j, wt in enumerate(asm.wt):
+        if asm.modes[j] != sim.MODE_AAPC and y[base_w + j] < wt.floor_rad:
+            y[base_w + j] = wt.floor_rad
+
+
+def loop_kernel(asm, gov, d_units, unit_of_state, mirror_d, mirror_c):
+    """``simulator._compile_kernel`` with the loop kernel in place of the generated one."""
+    asm.loop = SimpleNamespace(
+        gov_rows=[[(c, float(row[c])) for c in np.flatnonzero(row).tolist()] for row in gov.a],
+        b_g=gov.b[:, 0].tolist(), c_g=gov.c[0].tolist(), d_units=d_units,
+        unit_of_state=unit_of_state, mirror_d=mirror_d, mirror_c=mirror_c)
+    return loop_rhs, loop_rk4_step
+
+
+def _loop_assembly(monkeypatch, sc, alpha):
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_compile_kernel", loop_kernel)
+        return sim._Assembled(sc, alpha)
+
+
+# ---------------------------------------------------------------------------
+# scenario shapes
+# ---------------------------------------------------------------------------
+
+def _preset(name):
+    return scenario_from_dict(load_preset(name))
+
+
+def _shape(name):
+    sc = _preset("multi_machine" if name == "multi_machine" else "two_machine")
+    if name == "second_order_governor":
+        # a second-order block, whose A_g has off-diagonal entries
+        g2 = GovernorSpec(name="G2", rated_mva=150.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
+        sc = replace(sc, governors=sc.governors + (g2,))
+    elif name == "no_governors":
+        sc = replace(sc, governors=(), events=sc.events[:1])
+    elif name == "no_turbines":
+        sc = replace(sc, turbines=())
+    elif name == "pitch":
+        sc = replace(sc, turbines=tuple(replace(t, pitch_deg=2.5) for t in sc.turbines))
+    elif name == "big_fleet":
+        first = GovernorSpec(name="G", rated_mva=2.0, num=(-1.0,), den=(0.5, 1.0))
+        second = GovernorSpec(name="G", rated_mva=2.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
+        govs = tuple(replace(first if i % 3 else second, name=f"G{i}") for i in range(300))
+        wt = sc.turbines[0]
+        turbines = tuple(replace(wt, name=f"WT{j}", wind_speed_ms=8.0 + 0.03 * j)
+                         for j in range(100))
+        sc = replace(sc, governors=govs, turbines=turbines)
+    return sc
+
+
+SHAPES = ["two_machine", "multi_machine", "second_order_governor", "no_governors",
+          "no_turbines", "pitch", "big_fleet"]
+
+
+def _draw(rng, asm):
+    """A seeded random closed-loop state: the state list and the run-time state."""
+    n_wt = asm.n_wt
+    y = list(asm.y0)
+    y[0] = float(rng.normal(0.0, 0.02))
+    for s in range(1, asm.base_w):
+        y[s] = float(rng.normal(0.0, 0.05))
+    for j, wt in enumerate(asm.wt):
+        # some rotors exactly on their floor, some below it, most above
+        u = rng.random()
+        y[asm.base_w + j] = (wt.floor_rad if u < 0.15
+                             else float(wt.floor_rad * rng.uniform(0.9, 1.0)) if u < 0.3
+                             else float(asm.omega0[j] * rng.uniform(0.8, 1.2)))
+    y[-1] = float(rng.normal(0.0, 0.02))
+    return y, {
+        "modes": [int(v) for v in rng.integers(0, 4, n_wt)],
+        "gamma": [float(v) for v in rng.uniform(0.0, 1.0, n_wt)],
+        # the first unit tripped by a random share
+        "gov_scale": [float(rng.uniform(0.5, 0.99))] + [1.0] * (len(asm.gov_scale) - 1),
+        "p_d": float(rng.uniform(0.0, 0.1)),
+    }
+
+
+def _set(asm, state):
+    for name, value in state.items():
+        setattr(asm, name, list(value) if isinstance(value, list) else value)
+
+
+def _records(asm):
+    return repr((asm.wt_pe_w, asm.wt_pt_w, asm.wt_mppt_w, asm.wt_flags))
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+class TestReference:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rhs_and_step_match_loop(self, monkeypatch, shape):
+        sc = _shape(shape)
+        gen = sim._Assembled(sc, 1.2)
+        ref = _loop_assembly(monkeypatch, sc, 1.2)
+        assert gen.rhs is not loop_rhs and ref.rhs is loop_rhs
+        assert gen.kw != 0.0 or shape == "no_turbines"
+        if shape == "second_order_governor":
+            assert gen.m_gov == 3
+            assert any(c != s for s, row in enumerate(ref.loop.gov_rows) for c, _ in row)
+        rng = np.random.default_rng(sum(map(ord, shape)))
+        seen_modes, seen_flags = set(), set()
+        for _ in range(200 if gen.n_wt < 50 else 4):
+            y, state = _draw(rng, gen)
+            seen_modes.update(state["modes"])
+            out = {}
+            for asm in (gen, ref):
+                _set(asm, state)
+                dy = [0.0] * len(y)
+                ret = asm.rhs(asm, list(y), dy)
+                assert all(type(v) is float for v in dy)
+                rhs_records = _records(asm)
+                asm.k1[:] = dy
+                y1 = list(y)
+                asm.step(asm, y1, 0.01)
+                out[asm is gen] = (repr(dy), repr(ret), rhs_records, repr(y1), _records(asm))
+            assert out[True] == out[False]
+            seen_flags.update(gen.wt_flags)
+        if gen.n_wt:
+            assert seen_modes == {0, 1, 2, 3}
+            assert any(f & sim.FLAG_POWER_LIMIT for f in seen_flags)
+            assert any(f & sim.FLAG_FLOOR for f in seen_flags)
+
+    @pytest.mark.parametrize("preset, strategy, trip", [
+        ("two_machine", "none", False),
+        ("two_machine", "classic_vic", False),
+        ("two_machine", "optimal_aapc", False),
+        ("two_machine", "optimal_aapc", True),
+        ("multi_machine", "none", False),
+        ("multi_machine", "classic_vic", False),
+        ("multi_machine", "optimal_aapc", False),
+    ])
+    def test_run_matches_loop(self, monkeypatch, preset, strategy, trip):
+        alpha = {"two_machine": 1.1870649147208707, "multi_machine": 1.3087744209468601}
+        sc = sim._with_controllers(_preset(preset), strategy)
+        if trip:
+            sc = replace(sc, events=(DisturbanceEvent(time_s=0.0, kind="generation_trip",
+                                                      unit="G1", fraction=0.1),))
+        a = alpha[preset] if strategy == "optimal_aapc" else None
+        gen = sim.run(sc, alpha_override=a)
+        monkeypatch.setattr(sim, "_compile_kernel", loop_kernel)
+        ref = sim.run(sc, alpha_override=a)
+        assert gen.t.size == 6001
+        for name in ("df_pu", "dfdot_pu_s", "dpm_pu", "dpe_pu", "p_d_pu", "wt_pe_mw",
+                     "wt_omega_rad_s", "wt_flags"):
+            assert getattr(gen, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert repr(gen.exit_events) == repr(ref.exit_events)
+        assert (len(gen.exit_events) > 0) == (strategy == "optimal_aapc")
+
+
+class TestSource:
+    def test_literals(self):
+        assert sim._lit(-2.0) == "(-2.0)"
+        assert eval(f"{sim._lit(-2.0)} ** 2") == 4.0
+        assert eval(sim._lit(-0.0)).hex() == "-0x0.0p+0"
+        assert eval(sim._lit(0.1 + 0.2)) == 0.1 + 0.2
+        for bad in (1, np.float64(1.0), "1.0", float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite float"):
+                sim._lit(bad)
+
+    def test_getsource_shows_generated_lines(self, two_machine_scenario):
+        asm = sim._Assembled(two_machine_scenario, 1.2)
+        rhs, step = inspect.getsource(asm.rhs), inspect.getsource(asm.step)
+        assert rhs.startswith("def rhs(asm, y, dy):\n")
+        assert step.startswith("def step(asm, y, h):\n")
+        assert "pt0 = _turbine_power_w(w0, (9.0), " in rhs
+        assert "sum(" not in rhs + step
+        filename = asm.rhs.__code__.co_filename
+        assert re.fullmatch(r"<windfreq-kernel-\d+>", filename)
+        assert asm.step.__code__.co_filename == filename
+        assert sim._Assembled(two_machine_scenario, 1.2).rhs.__code__.co_filename != filename
+
+    def test_traceback_shows_generated_line(self, two_machine_scenario):
+        asm = sim._Assembled(two_machine_scenario, 1.2)
+        y = list(asm.y0)
+        y[asm.base_w] = 0.0  # a stopped rotor: its tip-speed ratio divides by zero
+        with pytest.raises(ZeroDivisionError) as err:
+            asm.rhs(asm, y, [0.0] * len(y))
+        text = "".join(traceback.format_exception(err.value))
+        assert f'File "{asm.rhs.__code__.co_filename}"' in text
+        assert "pt0 = _turbine_power_w(w0, " in text
+
+    def test_source_released_with_kernel(self, two_machine_scenario):
+        asm = sim._Assembled(two_machine_scenario, 1.2)
+        filename = asm.rhs.__code__.co_filename
+        assert filename in linecache.cache
+        del asm
+        gc.collect()
+        assert filename not in linecache.cache
+
+
+class TestStats:
+    def test_counts_of_an_aapc_run(self, two_machine_scenario):
+        res = sim.run(two_machine_scenario, alpha_override=1.1870649147208707)
+        stats = res.stats
+        assert [e["kind"] for e in res.exit_events] == ["power_cross"]
+        assert (stats["steps"], stats["segments"], stats["halvings"]) == (6000, 2, 14)
+        # 4 per step, 1 more per segment and 1 on the event step; 5 per
+        # halving (a partial step and its check), 5 for the exit state and 4
+        # for the rest of the interrupted step
+        assert stats["rhs_evals"] == 4 * 6000 + 2 + 1 + 14 * 5 + 5 + 4
+        assert stats["assemble_s"] > 0.0 and stats["integrate_s"] > 0.0
+        assert "stats" not in repr(res)
+
+    def test_counts_without_exit(self, two_machine_scenario):
+        sc = sim._with_controllers(two_machine_scenario, "none")
+        stats = sim.run(sc).stats
+        assert {k: stats[k] for k in ("steps", "segments", "halvings", "rhs_evals")} == {
+            "steps": 6000, "segments": 1, "halvings": 0, "rhs_evals": 4 * 6000 + 2}

@@ -425,6 +425,20 @@ class TestCli:
         assert rc == 2
         assert f"{json_path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    def test_solved_alpha_below_one_names_governors(self, tmp_path, capsys, command):
+        # without governors the optimum holds the frequency above its settling
+        # level (alpha 0.78); the synthesis then refused it without a path
+        doc = load_preset("two_machine")
+        doc["governors"] = []
+        path = tmp_path / "no_governors.json"
+        path.write_text(json.dumps(doc))
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert re.search(r"\$\.governors: the solved alpha 0\.78\d* is below 1", err)
+        assert "pin $.controllers.alpha" in err and "add a governor" in err
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "ghost.json"),
                    "--out", str(tmp_path / "o")])

@@ -207,7 +207,7 @@ class TestStateCollapse:
         noise = 1e-3 * np.random.default_rng(4).normal(size=len(asm.y0))
         y = [a + e for a, e in zip(asm.y0, noise.tolist())]
         dy = [0.0] * len(y)
-        sim._rhs(asm, y, dy)
+        asm.rhs(asm, y, dy)
         m = asm.m_gov
         loop = [gov.b[s, 0] * y[0] + sum(gov.a[s, s2] * y[1 + s2] for s2 in range(m))
                 for s in range(m)]
