@@ -66,7 +66,9 @@ def synthesize(
 
     K_w = D - (D + K_g)/alpha; with the governor mirror cancelling the
     physical governors, the closed loop becomes first order with settling
-    level alpha times the natural steady-state deviation.
+    level alpha times the natural steady-state deviation. The mirror is the
+    negated ``grid.aggregate_governors`` realization, one state per distinct
+    governor dynamics.
     """
     if alpha < 1.0:
         raise ValueError(

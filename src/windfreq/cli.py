@@ -26,6 +26,7 @@ from .simulator import (
     metrics,
     run,
     solve_hypothetical,
+    solved_alpha,
 )
 
 EXIT_OK = 0
@@ -112,9 +113,7 @@ def cmd_synthesize(args) -> int:
     sc, prov = _load_scenario(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    alpha = sc.alpha
-    if alpha is None:
-        alpha = solve_hypothetical(sc).alpha
+    alpha = sc.alpha if sc.alpha is not None else solved_alpha(sc)
     ctrl = synthesize(sc.grid, list(sc.governors), alpha)
     shares = allocation_shares(sc)
     doc = {

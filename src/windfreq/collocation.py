@@ -68,12 +68,14 @@ def inverse_time_map(t, t_f: float):
 
 
 def _barycentric_weights(points: np.ndarray) -> np.ndarray:
+    """Barycentric weights 1 / prod_(j != i) (x_i - x_j), scaled to max |w| = 1.
+
+    Row i of ``diff`` holds x_i - x_j for j != i in ascending j; the product
+    is accumulated in log space to survive large orders.
+    """
     n = len(points)
-    lam = np.ones(n)
-    for i in range(n):
-        diff = points[i] - np.delete(points, i)
-        # accumulate in log space to survive large orders
-        lam[i] = np.prod(np.sign(diff)) * np.exp(-np.sum(np.log(np.abs(diff))))
+    diff = (points[:, None] - points)[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    lam = np.prod(np.sign(diff), axis=1) * np.exp(-np.sum(np.log(np.abs(diff)), axis=1))
     return lam / np.max(np.abs(lam))
 
 
@@ -126,15 +128,18 @@ def make_grid(order: int, t_f: float = 30.0) -> CollocationGrid:
 
 
 def _diff_matrix(basis: np.ndarray, bary: np.ndarray, order: int) -> np.ndarray:
-    """Rows: derivative of the basis interpolant at each interior node."""
-    n_basis = order + 1
-    d = np.zeros((order, n_basis))
-    for row in range(order):
-        k = row + 1  # basis index of this node
-        for i in range(n_basis):
-            if i != k:
-                d[row, i] = (bary[i] / bary[k]) / (basis[k] - basis[i])
-        d[row, k] = -np.sum(d[row, :])  # derivative of a constant is zero
+    """Rows: derivative of the basis interpolant at each interior node.
+
+    Row r belongs to node r, basis point r + 1: off the diagonal it holds
+    (bary_i / bary_(r+1)) / (x_(r+1) - x_i), and its diagonal cell makes the
+    row sum zero (the derivative of a constant).
+    """
+    rows = np.arange(order)
+    gap = basis[1:, None] - basis
+    gap[rows, rows + 1] = 1.0
+    d = (bary / bary[1:, None]) / gap
+    d[rows, rows + 1] = 0.0
+    d[rows, rows + 1] = -np.sum(d, axis=1)
     return d
 
 
@@ -164,14 +169,17 @@ def _bary_matrix(points: np.ndarray, bary: np.ndarray, taus: np.ndarray) -> np.n
     within 1e-14 of a basis point gets the unit row of the first such point,
     which reproduces the data exactly where the formula would divide by zero.
     """
-    diff = taus[:, None] - points[None, :]
-    hit = np.abs(diff) < 1e-14
-    w = bary / np.where(hit, 1.0, diff)
+    w = taus[:, None] - points  # the one (len(taus), len(points)) buffer
+    hit = np.abs(w) < 1e-14
     rows = np.nonzero(hit.any(axis=1))[0]
+    if rows.size:
+        w[hit] = 1.0
+    np.divide(bary, w, out=w)
     if rows.size:
         w[rows] = 0.0
         w[rows, np.argmax(hit[rows], axis=1)] = 1.0
-    return w / np.sum(w, axis=1, keepdims=True)
+    w /= np.sum(w, axis=1, keepdims=True)
+    return w
 
 
 def interpolate(grid: CollocationGrid, values, t, kind: str = "state"):

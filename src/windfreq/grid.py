@@ -3,8 +3,11 @@
 Governors are proper rational transfer functions from per-unit frequency
 deviation to per-unit mechanical-power deviation (negative DC gain: frequency
 below nominal raises mechanical power). Each governor is realized in
-controllable canonical form and the fleet is aggregated block-diagonally into
-one linear state space on the system power base.
+controllable canonical form on the system power base, and the fleet keeps one
+state per distinct dynamics: units whose realizations share (A, B) are driven
+by the same deviation from the same zero state, so their states are equal and
+one copy carries them (exact aggregation). The aggregate is the
+block-diagonal stack of these groups.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ __all__ = [
     "steady_state_deviation",
     "energy_residual",
     "tf_to_statespace",
+    "group_governors",
     "aggregate_governors",
     "scale_output",
     "rebase_governors",
@@ -208,28 +212,54 @@ def rebase_governors(governors, s_base_mva: float) -> list:
     return [scale_output(tf_to_statespace(g), g.rated_mva / s_base_mva) for g in governors]
 
 
-def aggregate_governors(realizations) -> StateSpace:
-    """Block-diagonal aggregation of SISO governors sharing the same input.
+def group_governors(realizations) -> tuple:
+    """Units grouped by their dynamics: (groups, unit_group, unit_outputs).
 
-    A is block diagonal, B stacks, C concatenates and the feedthroughs add.
-    An empty list yields the zero 0-state system.
+    Realizations whose (A, B) are equal to the bit form one group, numbered
+    in order of first appearance. ``groups[g]`` is one realization per group,
+    with its units' (A, B) and the sums of their C and D in unit order;
+    ``unit_group[u]`` is the group of unit u, and ``unit_outputs[u]`` its own
+    (output row, feedthrough), which a per-unit output scaling needs.
     """
-    realizations = list(realizations)
-    if not realizations:
+    index, members, unit_group = {}, [], []
+    for r in realizations:
+        g = index.setdefault((r.a.shape, r.a.tobytes(), r.b.tobytes()), len(index))
+        if g == len(members):
+            members.append([])
+        members[g].append(r)
+        unit_group.append(g)
+    groups = []
+    for units in members:
+        c, d = units[0].c, float(units[0].d[0, 0])
+        for r in units[1:]:
+            c = c + r.c
+            d += float(r.d[0, 0])
+        groups.append(StateSpace(a=units[0].a, b=units[0].b, c=c, d=[[d]]))
+    unit_outputs = [(r.c[0], float(r.d[0, 0])) for r in realizations]
+    return groups, unit_group, unit_outputs
+
+
+def aggregate_governors(realizations) -> StateSpace:
+    """Block-diagonal stack of the groups of SISO governors sharing the same input.
+
+    One block per group of ``group_governors``: A is block diagonal, B
+    stacks, C concatenates the group rows and the feedthroughs add. An empty
+    list yields the zero 0-state system.
+    """
+    groups = group_governors(realizations)[0]
+    if not groups:
         return StateSpace(a=np.zeros((0, 0)), b=np.zeros((0, 1)), c=np.zeros((1, 0)), d=[[0.0]])
-    orders = [r.order for r in realizations]
-    total = int(np.sum(orders))
+    total = sum(g.order for g in groups)
     a = np.zeros((total, total))
     b = np.zeros((total, 1))
     c = np.zeros((1, total))
     d = 0.0
     pos = 0
-    for r in realizations:
-        n = r.order
-        a[pos:pos + n, pos:pos + n] = r.a
-        b[pos:pos + n, :] = r.b
-        c[:, pos:pos + n] = r.c
-        d += float(r.d[0, 0])
+    for g in groups:
+        n = g.order
+        a[pos:pos + n, pos:pos + n] = g.a
+        b[pos:pos + n, :] = g.b
+        c[:, pos:pos + n] = g.c
+        d += float(g.d[0, 0])
         pos += n
     return StateSpace(a=a, b=b, c=c, d=[[d]])
-

@@ -1,15 +1,17 @@
 """Closed-loop time-domain simulation of grid, governors, turbines, controllers.
 
-Fixed-step RK4 co-integrates the swing equation, the governor states, the
-one-mass rotors and one VIC filter state; this kernel is the package's only
-integrator of rotor and governor dynamics. The VIC filter is shared because
-every turbine's filter sees the same deviation from the same zero state, and
-the AAPC mirror of the governors has no state of its own: it reads the
-governor states. Disturbances are steps in the power deficit; generation trips
-also zero the tripped unit's governor output. Turbine power limits and the
-rotor speed floor are enforced inside the right-hand side, a rotor that is not
-under AAPC is held on its floor at the end of each step, and exit triggers are
-located by 14 bisection halvings of the step (0.6 us at a 10 ms step).
+Fixed-step RK4 co-integrates the swing equation, one governor state block
+per distinct governor dynamics, the one-mass rotors and one VIC filter state;
+this kernel is the package's only integrator of rotor and governor dynamics.
+Governor units with the same dynamics share a state block, and the VIC filter
+is shared, because each sees the same deviation from the same zero state; the
+AAPC mirror of the governors has no state of its own: it reads the governor
+states. Disturbances are steps in the power deficit; generation trips also
+scale the tripped unit's governor output, which keeps its own output term.
+Turbine power limits and the rotor speed floor are enforced inside the
+right-hand side, a rotor that is not under AAPC is held on its floor at the
+end of each step, and exit triggers are located by 14 bisection halvings of
+the step (0.6 us at a 10 ms step).
 The right-hand side is the only evaluator of turbine power, tracking power and
 controller command at a closed-loop state: the exit checks, the bisection and
 the exit blend read the powers it records. Identical inputs produce
@@ -56,7 +58,7 @@ from . import collocation as coll
 from . import trajopt as to
 from .aapc import (allocate, check_exit, command_pu, exit_gamma, exit_power, synthesize,
                    vic_command_mw, vic_filter_rate)
-from .grid import aggregate_governors, rebase_governors
+from .grid import aggregate_governors, group_governors, rebase_governors
 from .scenario import DisturbanceEvent, Scenario, ScenarioError
 from .turbine import (_fleet_power_scale, _k_opt_w, _mppt_power_w, _turbine_power_w,
                       capability_indices, make_state, mppt_power)
@@ -67,6 +69,7 @@ __all__ = [
     "run",
     "metrics",
     "solve_hypothetical",
+    "solved_alpha",
     "insensitivity_sweep",
     "compare_strategies",
     "allocation_shares",
@@ -107,7 +110,7 @@ def _unpack(names, expr: str) -> list:
     return [f"    {', '.join(names)}, = {expr}"] if names else []
 
 
-def _kernel_source(asm, gov, d_units, unit_of_state, mirror_d, mirror_c) -> tuple:
+def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     """Sources of the scenario's ``rhs(asm, y, dy)`` and ``step(asm, y, h)``.
 
     ``rhs`` writes the closed-loop derivative of the state list y into dy,
@@ -116,10 +119,14 @@ def _kernel_source(asm, gov, d_units, unit_of_state, mirror_d, mirror_c) -> tupl
     (pm_pu, pe_dev_pu). Every constant is a literal; the run-time state
     (``p_d``, ``gov_scale``, ``modes``, ``gamma``, ``kw``) is read from asm.
     Each sum is one statement per term from 0.0, in the order of the loop
-    over the nonzeros of A_g's rows, the governor outputs (each scaled by its
-    unit's kept fraction, then the feedthroughs) and the mirror
-    (``aapc.mirror_output``). All saturation lives here, so every RK4 stage
-    sees the same law.
+    over the nonzeros of A_g's rows, the governor outputs and the mirror
+    (``aapc.mirror_output``). The governor output has one term per unit and
+    state of its group, ``gs_u * c_u[s] * x``, in unit order (``units`` holds
+    each unit's (first group state, output row, feedthrough)), then one
+    feedthrough term per unit, so a trip scales only its own unit. The VIC
+    command depends only on df and the shared filter state, so a scenario
+    with a ``classic_vic`` turbine computes it once per call. All saturation
+    lives here, so every RK4 stage sees the same law.
 
     ``step`` advances y by one RK4 step of size h in place from the
     derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
@@ -132,7 +139,7 @@ def _kernel_source(asm, gov, d_units, unit_of_state, mirror_d, mirror_c) -> tupl
     x = [f"x{s}" for s in range(m)]
     w = [f"w{j}" for j in range(n_wt)]
     ys = ["df", *x, *w, "z"]
-    gs = [f"gs{u}" for u in range(len(d_units))]
+    gs = [f"gs{u}" for u in range(len(units))]
     modes = [f"mode{j}" for j in range(n_wt)]
     src = ["def rhs(asm, y, dy):", *_unpack(ys, "y"), *_unpack(gs, "asm.gov_scale"),
            *_unpack(modes, "asm.modes"),
@@ -142,12 +149,16 @@ def _kernel_source(asm, gov, d_units, unit_of_state, mirror_d, mirror_c) -> tupl
         src += [f"    r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
         src.append(f"    d{s} = r + {_lit(float(gov.b[s, 0]))} * df")
     src.append("    pm = 0.0")
-    src += [f"    pm += gs{u} * {_lit(c)} * x{s}"
-            for s, (u, c) in enumerate(zip(unit_of_state, gov.c[0].tolist()))]
-    src += [f"    pm += gs{u} * {_lit(d)} * df" for u, d in enumerate(d_units)]
+    src += [f"    pm += gs{u} * {_lit(c)} * x{first + s}"
+            for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u)]
+    src += [f"    pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units)]
     src.append(f"    mirror = {_lit(mirror_d)} * df")
     src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c)]
     src.append("    pe_dev = 0.0")
+    vic_mw = f"vic_command_mw(vic, df, z, {_lit(asm.f_base)})"
+    if MODE_VIC in asm.ctrl_mode:
+        src.append(f"    vic_mw = {vic_mw}")
+        vic_mw = "vic_mw"
     s_base = _lit(asm.s_base_w)
     for j, wt in enumerate(asm.wt):
         p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
@@ -160,7 +171,7 @@ def _kernel_source(asm, gov, d_units, unit_of_state, mirror_d, mirror_c) -> tupl
             f"    if mode{j} == {MODE_AAPC}:",
             f"        p_cmd = {p_e0} + command_pu({_lit(wt.share)}, mirror, kw, df) * {s_base}",
             f"    elif mode{j} == {MODE_VIC}:",
-            f"        p_cmd = {p_e0} + vic_command_mw(vic, df, z, {_lit(asm.f_base)}) * (1e6)",
+            f"        p_cmd = {p_e0} + {vic_mw} * (1e6)",
             f"    elif mode{j} == {MODE_EXITED}:",
             f"        p_cmd = exit_power(gamma[{j}], {p_t}, {p_mppt})",
             "    else:",
@@ -395,12 +406,14 @@ class _Assembled:
     """Scenario compiled to a kernel and Python-float constants, plus the loop's mutable state.
 
     The state list is [df, governor states, rotor speeds, VIC filter state]:
-    1 + m_gov + n_wt + 1 floats, with one VIC filter state shared by every
-    turbine. The AAPC mirror has no state of its own; it reads the governor
-    states (see ``aapc.mirror_output``). ``rhs`` and ``step`` are the
-    scenario's kernel from ``_compile_kernel``, called as
-    ``asm.rhs(asm, y, dy)`` and ``asm.step(asm, y, h)``; ``wt`` holds one
-    ``_Turbine`` per turbine.
+    1 + m_gov + n_wt + 1 floats. The governor states are one block per group
+    of ``grid.group_governors``, so units with the same dynamics share one
+    (m_gov is 3 on ``multi_machine``, whose ten units have three distinct
+    dynamics), and one VIC filter state is shared by every turbine. The
+    AAPC mirror has no state of its own; it reads the governor states (see
+    ``aapc.mirror_output``). ``rhs`` and ``step`` are the scenario's kernel
+    from ``_compile_kernel``, called as ``asm.rhs(asm, y, dy)`` and
+    ``asm.step(asm, y, h)``; ``wt`` holds one ``_Turbine`` per turbine.
     """
 
     def __init__(self, sc: Scenario, alpha: float | None):
@@ -412,14 +425,14 @@ class _Assembled:
         self.vic = sc.vic
         self.exit_enabled = sc.exit_enabled
 
-        realizations = rebase_governors(sc.governors, grid.s_base_mva)
-        gov = aggregate_governors(realizations)
+        groups, unit_group, unit_outputs = group_governors(
+            rebase_governors(sc.governors, grid.s_base_mva))
+        gov = aggregate_governors(groups)
         self.m_gov = gov.order
         self.base_w = 1 + gov.order
-        d_units = [float(r.d[0, 0]) for r in realizations]
-        unit_of_state = np.repeat(np.arange(len(realizations)),
-                                  [r.order for r in realizations]).tolist()
-        self.gov_scale = [1.0] * len(realizations)
+        first = np.cumsum([0] + [g.order for g in groups]).tolist()
+        units = [(first[g], c.tolist(), d) for g, (c, d) in zip(unit_group, unit_outputs)]
+        self.gov_scale = [1.0] * len(units)
 
         specs = [t.spec for t in sc.turbines]
         states = [make_state(t.spec, t.wind_speed_ms, grid.s_base_mva, t.pitch_deg)
@@ -469,8 +482,7 @@ class _Assembled:
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
         self.stats = {"steps": 0, "segments": 0, "halvings": 0, "rhs_evals": 0}
-        self.rhs, self.step = _compile_kernel(self, gov, d_units, unit_of_state,
-                                              mirror_d, mirror_c)
+        self.rhs, self.step = _compile_kernel(self, gov, units, mirror_d, mirror_c)
 
 
 class _Traces:
@@ -539,16 +551,13 @@ def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectoryS
     return to.solve_max_nadir(problem, cgrid)
 
 
-def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
-    """Scenario alpha, or the trajectory-optimal one for the hypothetical deficit.
+def solved_alpha(sc: Scenario, solution=None) -> float:
+    """The trajectory-optimal alpha for the hypothetical deficit, checked for synthesis.
 
     ``solution`` is the scenario's ``solve_hypothetical`` optimum when the
-    caller already has it.
+    caller already has it. An alpha below 1 raises ``ScenarioError`` naming
+    ``$.governors``.
     """
-    if sc.alpha is not None:
-        return sc.alpha
-    if not any(t.controller == "optimal_aapc" for t in sc.turbines):
-        return None
     if solution is None:
         solution = solve_hypothetical(sc)
     if solution.alpha < 1.0:
@@ -559,6 +568,15 @@ def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
             "controller reaches the optimal nadir; pin $.controllers.alpha (>= 1) or "
             "add a governor")
     return solution.alpha
+
+
+def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
+    """Scenario alpha, else ``solved_alpha`` if a turbine runs the AAPC, else None."""
+    if sc.alpha is not None:
+        return sc.alpha
+    if not any(t.controller == "optimal_aapc" for t in sc.turbines):
+        return None
+    return solved_alpha(sc, solution)
 
 
 def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:

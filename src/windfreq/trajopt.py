@@ -46,7 +46,11 @@ TRACE_DT = 0.01
 
 @dataclass(frozen=True)
 class TrajOptProblem:
-    """x' = a x + b_ctrl (u - P_d) for x = [df, x_g...] and u = dP_e."""
+    """x' = a x + b_ctrl (u - P_d) for x = [df, x_g...] and u = dP_e.
+
+    x_g holds one state block per distinct governor dynamics
+    (``grid.group_governors``): 3 entries on ``multi_machine``'s ten units.
+    """
 
     a: np.ndarray
     b_ctrl: np.ndarray
@@ -75,7 +79,8 @@ def build_problem(
     """Assemble the LTI dynamics of the decoupled frequency plant.
 
     The frequency row carries the aggregate governor feedthrough and output
-    coupling; the governor rows are driven by the frequency.
+    coupling; the governor rows are driven by the frequency. Units with the
+    same dynamics share one governor state, which the LP condenses once.
     """
     # alpha is a nadir per unit deficit: a zero deficit leaves it undefined
     if not p_d_pu > 0:

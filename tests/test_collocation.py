@@ -231,3 +231,59 @@ def test_spectral_convergence():
     # at least one decade per refinement until the rounding floor
     assert errs[1] < errs[0] / 10.0
     assert errs[2] < errs[1] / 10.0 or errs[2] < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the loop constructions that make_grid and the interpolation replaced
+# ---------------------------------------------------------------------------
+
+def loop_barycentric_weights(points):
+    n = len(points)
+    lam = np.ones(n)
+    for i in range(n):
+        diff = points[i] - np.delete(points, i)
+        lam[i] = np.prod(np.sign(diff)) * np.exp(-np.sum(np.log(np.abs(diff))))
+    return lam / np.max(np.abs(lam))
+
+
+def loop_diff_matrix(basis, bary, order):
+    d = np.zeros((order, order + 1))
+    for row in range(order):
+        k = row + 1
+        for i in range(order + 1):
+            if i != k:
+                d[row, i] = (bary[i] / bary[k]) / (basis[k] - basis[i])
+        d[row, k] = -np.sum(d[row, :])
+    return d
+
+
+def where_bary_matrix(points, bary, taus):
+    diff = taus[:, None] - points[None, :]
+    hit = np.abs(diff) < 1e-14
+    w = bary / np.where(hit, 1.0, diff)
+    rows = np.nonzero(hit.any(axis=1))[0]
+    if rows.size:
+        w[rows] = 0.0
+        w[rows, np.argmax(hit[rows], axis=1)] = 1.0
+    return w / np.sum(w, axis=1, keepdims=True)
+
+
+def test_grid_matches_loop_construction_bitwise():
+    for order in range(1, 201):
+        g = coll.make_grid(order, 30.0)
+        basis_bary = loop_barycentric_weights(g.basis)
+        assert g.basis_bary.tobytes() == basis_bary.tobytes(), order
+        assert g.node_bary.tobytes() == loop_barycentric_weights(g.nodes).tobytes(), order
+        assert g.diff_matrix.tobytes() == \
+            loop_diff_matrix(g.basis, basis_bary, order).tobytes(), order
+
+
+@pytest.mark.parametrize("order", [1, 7, 40, 100])
+def test_bary_matrix_matches_where_construction_bitwise(order):
+    g = coll.make_grid(order, 30.0)
+    # a uniform trace grid, every basis point (exact hits) and points within
+    # the hit tolerance of a node
+    taus = np.concatenate([np.linspace(-1.0, 1.0, 301), g.basis, g.nodes[::3] + 5e-15])
+    for points, bary in ((g.basis, g.basis_bary), (g.nodes, g.node_bary)):
+        assert coll._bary_matrix(points, bary, taus).tobytes() == \
+            where_bary_matrix(points, bary, taus).tobytes()

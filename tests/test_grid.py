@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from windfreq.grid import (
     ReheatSteam,
     aggregate_governors,
     governor_dc_gain_total,
+    group_governors,
     rebase_governors,
     reheat_governor,
     steady_state_deviation,
@@ -143,11 +146,13 @@ class TestAggregation:
         np.testing.assert_allclose(agg.d, ss.d)
 
     def test_two_single_state_block_diagonal(self, table_gov):
+        # a shorter reheat time: two distinct dynamics, one block each
         ss = tf_to_statespace(table_gov)
-        agg = aggregate_governors([ss, ss])
+        other = tf_to_statespace(replace(table_gov, den=(4.0, 1.0)))
+        agg = aggregate_governors([ss, other])
         assert agg.order == 2
-        np.testing.assert_allclose(agg.a, np.diag([ss.a[0, 0], ss.a[0, 0]]))
-        assert agg.d[0, 0] == pytest.approx(2.0 * ss.d[0, 0])
+        np.testing.assert_allclose(agg.a, np.diag([ss.a[0, 0], other.a[0, 0]]))
+        assert agg.d[0, 0] == pytest.approx(ss.d[0, 0] + other.d[0, 0])
 
     def test_step_response_additivity(self, table_gov):
         lag = GovernorSpec(name="lag", rated_mva=1.0, num=(-4.0,), den=(2.0, 1.0))
@@ -174,6 +179,77 @@ class TestAggregation:
         # steady output for a constant unit frequency input: -C A^-1 B + D
         dc = float((-agg.c @ np.linalg.solve(agg.a, agg.b) + agg.d)[0, 0])
         assert dc == pytest.approx(-governor_dc_gain_total(govs, s_base), rel=1e-9)
+
+
+def _reheat(name, hp_fraction=0.3, reheat_time_s=8.0, droop=0.05, rated_mva=200.0):
+    return reheat_governor(ReheatSteam(0.85, hp_fraction, reheat_time_s, droop),
+                           rated_mva=rated_mva, name=name)
+
+
+class TestGrouping:
+    def test_identical_units_share_one_state(self, table_gov):
+        ss = tf_to_statespace(table_gov)
+        agg = aggregate_governors([ss, ss])
+        assert agg.order == 1
+        assert agg.a.tobytes() == ss.a.tobytes() and agg.b.tobytes() == ss.b.tobytes()
+        assert agg.c[0, 0] == 2.0 * ss.c[0, 0] and agg.d[0, 0] == 2.0 * ss.d[0, 0]
+
+    def test_numerators_differ_denominator_shared(self):
+        # droop, hp_fraction and rating only move the numerator: one group,
+        # whose output sums the units' own rows
+        govs = [_reheat("A"), _reheat("B", droop=0.04), _reheat("C", hp_fraction=0.5),
+                _reheat("D", rated_mva=120.0)]
+        parts = rebase_governors(govs, 200.0)
+        groups, unit_group, unit_outputs = group_governors(parts)
+        assert unit_group == [0, 0, 0, 0] and len(groups) == 1
+        assert len({p.c.tobytes() for p in parts}) == 4
+        for p, (c_u, d_u) in zip(parts, unit_outputs):
+            assert c_u.tobytes() == p.c[0].tobytes() and d_u == p.d[0, 0]
+        assert groups[0].c[0, 0] == ((parts[0].c[0, 0] + parts[1].c[0, 0])
+                                     + parts[2].c[0, 0]) + parts[3].c[0, 0]
+        assert groups[0].d[0, 0] == ((parts[0].d[0, 0] + parts[1].d[0, 0])
+                                     + parts[2].d[0, 0]) + parts[3].d[0, 0]
+
+    def test_reheat_times_differ(self):
+        govs = [_reheat("A"), _reheat("B", reheat_time_s=6.0), _reheat("C"),
+                _reheat("D", reheat_time_s=6.0), _reheat("E", reheat_time_s=10.0)]
+        groups, unit_group, _ = group_governors(rebase_governors(govs, 200.0))
+        assert unit_group == [0, 1, 0, 1, 2]
+        assert [g.a[0, 0] for g in groups] == [-1.0 / 8.0, -1.0 / 6.0, -1.0 / 10.0]
+
+    def test_scaled_denominator_groups(self):
+        # the realization divides by the leading coefficient, so 2 s + 1 and
+        # 4 s + 2 are one dynamics
+        one = GovernorSpec(name="a", rated_mva=1.0, num=(-1.0,), den=(2.0, 1.0))
+        two = GovernorSpec(name="b", rated_mva=1.0, num=(-3.0,), den=(4.0, 2.0))
+        groups, unit_group, _ = group_governors(rebase_governors([one, two], 1.0))
+        assert unit_group == [0, 0] and len(groups) == 1
+
+    def test_multi_machine_has_three_dynamics(self, multi_machine_scenario):
+        sc = multi_machine_scenario
+        parts = rebase_governors(sc.governors, sc.grid.s_base_mva)
+        groups, unit_group, _ = group_governors(parts)
+        assert len(parts) == 10 and len(groups) == 3
+        assert sorted(unit_group.count(g) for g in range(3)) == [1, 2, 7]
+        assert aggregate_governors(parts).order == 3
+
+    def test_lumped_response_equals_unit_sum(self):
+        govs = [_reheat("A"), _reheat("B", droop=0.04), _reheat("C", reheat_time_s=5.0),
+                GovernorSpec(name="g2", rated_mva=50.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0)),
+                GovernorSpec(name="g3", rated_mva=80.0, num=(-1.0, -6.0), den=(1.0, 1.5, 0.5))]
+        parts = rebase_governors(govs, 200.0)
+        agg = aggregate_governors(parts)
+        assert agg.order == 1 + 1 + 2
+        t, y_agg = step_response(agg, t_end=40.0, dt=0.01)
+        y_sum = sum(step_response(p, t_end=40.0, dt=0.01)[1] for p in parts)
+        assert np.max(np.abs(y_agg - y_sum)) < 1e-12
+
+    def test_empty_and_pure_gains(self):
+        assert group_governors([]) == ([], [], [])
+        k1 = GovernorSpec(name="k1", rated_mva=1.0, num=(-2.0,), den=(1.0,))
+        k2 = GovernorSpec(name="k2", rated_mva=1.0, num=(-3.0,), den=(1.0,))
+        agg = aggregate_governors(rebase_governors([k1, k2], 1.0))
+        assert agg.order == 0 and agg.d[0, 0] == -5.0
 
 
 class TestGridParameters:

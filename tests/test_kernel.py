@@ -54,11 +54,13 @@ def loop_rhs(asm, y, dy):
             rate += a * x_gov[col]
         dy[s] = rate + b * df
 
+    # one output term per unit and state of its group, then the feedthroughs
     gov_scale = asm.gov_scale
     pm = 0.0
-    for u, c, x in zip(k.unit_of_state, k.c_g, x_gov):
-        pm += gov_scale[u] * c * x
-    for u, d in enumerate(k.d_units):
+    for u, (first, c_u, _) in enumerate(k.units):
+        for s, c in enumerate(c_u):
+            pm += gov_scale[u] * c * x_gov[first + s]
+    for u, (_, _, d) in enumerate(k.units):
         pm += gov_scale[u] * d * df
     mirror_pu = mirror_output(k.mirror_d, k.mirror_c, x_gov, df)
 
@@ -117,12 +119,11 @@ def loop_rk4_step(asm, y, h):
             y[base_w + j] = wt.floor_rad
 
 
-def loop_kernel(asm, gov, d_units, unit_of_state, mirror_d, mirror_c):
+def loop_kernel(asm, gov, units, mirror_d, mirror_c):
     """``simulator._compile_kernel`` with the loop kernel in place of the generated one."""
     asm.loop = SimpleNamespace(
         gov_rows=[[(c, float(row[c])) for c in np.flatnonzero(row).tolist()] for row in gov.a],
-        b_g=gov.b[:, 0].tolist(), c_g=gov.c[0].tolist(), d_units=d_units,
-        unit_of_state=unit_of_state, mirror_d=mirror_d, mirror_c=mirror_c)
+        b_g=gov.b[:, 0].tolist(), units=units, mirror_d=mirror_d, mirror_c=mirror_c)
     return loop_rhs, loop_rk4_step
 
 
@@ -285,6 +286,13 @@ class TestSource:
         assert re.fullmatch(r"<windfreq-kernel-\d+>", filename)
         assert asm.step.__code__.co_filename == filename
         assert sim._Assembled(two_machine_scenario, 1.2).rhs.__code__.co_filename != filename
+
+    def test_vic_command_once_per_call(self, multi_machine_scenario):
+        # the command depends on df and the shared filter state only
+        sc = sim._with_controllers(multi_machine_scenario, "classic_vic")
+        rhs = inspect.getsource(sim._Assembled(sc, None).rhs)
+        assert rhs.count("vic_command_mw(") == 1
+        assert rhs.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
 
     def test_traceback_shows_generated_line(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)

@@ -425,7 +425,7 @@ class TestCli:
         assert rc == 2
         assert f"{json_path}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "synthesize"])
     def test_solved_alpha_below_one_names_governors(self, tmp_path, capsys, command):
         # without governors the optimum holds the frequency above its settling
         # level (alpha 0.78); the synthesis then refused it without a path
@@ -436,6 +436,7 @@ class TestCli:
         rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
+        assert err.startswith("scenario error: $.governors: ")
         assert re.search(r"\$\.governors: the solved alpha 0\.78\d* is below 1", err)
         assert "pin $.controllers.alpha" in err and "add a governor" in err
 

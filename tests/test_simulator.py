@@ -188,13 +188,38 @@ class TestExitBehavior:
 
 
 class TestStateCollapse:
-    @pytest.mark.parametrize("preset, n_y", [("two_machine", 4), ("multi_machine", 17)])
+    @pytest.mark.parametrize("preset, n_y", [("two_machine", 4), ("multi_machine", 10)])
     def test_state_length(self, preset, n_y):
-        # df, the governor states, one rotor speed per turbine, one VIC filter
+        # df, one governor state per distinct dynamics (multi_machine: seven
+        # reheat, two hydro and one gas unit), one rotor speed per turbine,
+        # one VIC filter
         sc = scenario_from_dict(load_preset(preset))
-        m_gov = sum(len(g.den) - 1 for g in sc.governors)
+        m_gov = len({g.den for g in sc.governors})
         asm = sim._Assembled(sc, alpha=1.3)
+        assert asm.m_gov == m_gov
         assert len(asm.y0) == 1 + m_gov + len(sc.turbines) + 1 == n_y
+
+    @pytest.mark.parametrize("strategy", ["none", "optimal_aapc"])
+    def test_trip_of_a_lumped_unit(self, multi_machine_scenario, strategy):
+        # G1 shares its state with the six other reheat units, yet the trip
+        # scales only its output; the reference gives G1 a denominator one ulp
+        # off, which puts it in a group of its own
+        trip = DisturbanceEvent(time_s=0.0, kind="generation_trip", unit="G1", fraction=0.5)
+        sc = replace(sim._with_controllers(multi_machine_scenario, strategy), events=(trip,))
+        g1 = sc.governors[0]
+        apart = replace(g1, den=(np.nextafter(g1.den[0], np.inf),) + g1.den[1:])
+        ref_sc = replace(sc, governors=(apart,) + sc.governors[1:])
+        alpha = 1.3087744209468601 if strategy == "optimal_aapc" else None
+        assert (sim._Assembled(sc, alpha).m_gov, sim._Assembled(ref_sc, alpha).m_gov) == (3, 4)
+        res, ref = run(sc, alpha_override=alpha), run(ref_sc, alpha_override=alpha)
+        assert np.max(np.abs(res.df_pu - ref.df_pu)) <= 1e-12
+        assert np.max(np.abs(res.dpm_pu - ref.dpm_pu)) <= 1e-12
+        assert np.max(np.abs(res.df_pu)) > 1e-3
+        # the trip moved the governor response: a load surge of the same size
+        # gives another
+        surge = replace(sc, events=(DisturbanceEvent(
+            time_s=0.0, kind="load_surge", magnitude_pu=res.p_d_pu[-1]),))
+        assert np.max(np.abs(run(surge, alpha_override=alpha).dpm_pu - res.dpm_pu)) > 1e-4
 
     def test_governor_rates_match_loop(self, two_machine_scenario):
         # the governor states advance over the nonzeros of each row of A_g;

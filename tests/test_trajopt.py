@@ -6,7 +6,8 @@ import pytest
 from windfreq import collocation as coll
 from windfreq import trajopt as to
 from windfreq.cli import main
-from windfreq.grid import GovernorSpec, GridParameters
+from windfreq.grid import (GovernorSpec, GridParameters, StateSpace,
+                           governor_dc_gain_total, rebase_governors)
 from windfreq.lp import LpResult, UnboundedError, solve_lp
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
@@ -191,8 +192,9 @@ class TestRegression:
         d = sol.diagnostics
         assert d["primal_eq_residual"] <= 1e-8
         assert d["primal_ub_residual"] <= 1e-8
-        # frequency and eleven governor states at each of the 60 nodes
-        assert d["lp_meta"]["n_states_eliminated"] == 11 * 60
+        # frequency and one state per distinct governor dynamics (reheat,
+        # hydro, gas) at each of the 60 nodes
+        assert d["lp_meta"]["n_states_eliminated"] == 4 * 60
 
     # phase-1 and phase-2 pivots and nadirs of the LP that carried the
     # released energy as a third kind of state: dropping that state, whose
@@ -377,6 +379,55 @@ class TestContactCrash:
         nadir = json.loads((out / "solve_metrics.json").read_text())["nadir_pu"]
         euler = to.euler_oracle(crash_plants["first_order_H8"], 3000).nadir_pu
         assert abs(nadir - euler) / abs(euler) <= 0.005
+
+
+def _unlumped_problem(sc):
+    """``build_problem``'s plant for the scenario with one state per unit.
+
+    The governor block is the block diagonal of the per-unit realizations,
+    in unit order, as the aggregation built it before units with the same
+    dynamics shared a state.
+    """
+    gp = sc.grid
+    parts = rebase_governors(sc.governors, gp.s_base_mva)
+    m = sum(p.order for p in parts)
+    a_g, b_g, c_g, d_g = np.zeros((m, m)), np.zeros((m, 1)), np.zeros((1, m)), 0.0
+    pos = 0
+    for p in parts:
+        a_g[pos:pos + p.order, pos:pos + p.order] = p.a
+        b_g[pos:pos + p.order] = p.b
+        c_g[:, pos:pos + p.order] = p.c
+        d_g += float(p.d[0, 0])
+        pos += p.order
+    two_h = 2.0 * gp.inertia_s
+    b_ctrl = np.zeros(m + 1)
+    b_ctrl[0] = 1.0 / two_h
+    return to.TrajOptProblem(
+        a=np.block([[np.array([[(d_g - gp.damping) / two_h]]), c_g / two_h], [b_g, a_g]]),
+        b_ctrl=b_ctrl, p_d=sc.solver.hypothetical_p_d_pu, t_f=sc.solver.t_f,
+        grid_params=gp, k_g=governor_dc_gain_total(sc.governors, gp.s_base_mva),
+        gov=StateSpace(a=a_g, b=b_g, c=c_g, d=[[d_g]]))
+
+
+class TestLumpedGovernors:
+    """One state per distinct governor dynamics gives the per-unit plant's optimum."""
+
+    @pytest.mark.parametrize("nodes", [10, 40, 100])
+    def test_lumped_matches_unlumped(self, multi_machine_scenario, nodes):
+        lumped = _crash_plant("multi_machine")
+        unlumped = _unlumped_problem(multi_machine_scenario)
+        assert (lumped.n_states, unlumped.n_states) == (4, 11)
+        grid = coll.make_grid(nodes, lumped.t_f)
+        one, ref = (to.solve_max_nadir(p, grid) for p in (lumped, unlumped))
+        assert one.nadir_pu == pytest.approx(ref.nadir_pu, rel=1e-14)
+        assert one.alpha == pytest.approx(ref.alpha, rel=1e-14)
+        for key in ("warm_start", "phase1_pivots", "phase2_pivots"):
+            assert one.diagnostics[key] == ref.diagnostics[key], key
+        assert one.diagnostics["lp_meta"]["n_states_eliminated"] == 4 * nodes
+        # the traces go through the collocation solve and the interpolation,
+        # whose rounding grows with K: 4e-16 pu at K = 100
+        for name in ("df_pu", "dpm_pu"):
+            assert np.max(np.abs(getattr(one, name) - getattr(ref, name))) <= 1e-14, name
 
 
 class TestMinIntegralVariant:
