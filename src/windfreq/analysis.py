@@ -2,12 +2,11 @@
 
 The integrated swing equation ties the terminal frequency, the frequency
 integral and the governor regulation energy together for any trajectory with
-a net-zero turbine energy exchange; the envelope scale factor bounds how much
-a constant-hold trajectory can improve on a sagging one. These run on plain
-traces (trapezoidal quadrature), so externally produced data works too.
+a net-zero turbine energy exchange. The checks run on plain traces
+(trapezoidal quadrature), so externally produced data works too. The
+constant-hold optimum itself has a closed form, ``trajopt.step_hold_optimum``.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,6 @@ from .trajopt import TrajectorySolution
 __all__ = [
     "AnalysisReport",
     "energy_identity",
-    "envelope_mu",
     "theorem_checks",
 ]
 
@@ -46,30 +44,6 @@ def energy_identity(t, df_pu, dpm_pu, grid: GridParameters, p_d_pu: float) -> fl
     s_df = float(np.trapezoid(df, t))
     e_m = float(np.trapezoid(dpm, t))
     return energy_residual(grid, df[-1], s_df, e_m, p_d_pu, float(t[-1] - t[0]))
-
-
-def envelope_mu(inertia_s: float, damping: float, t_f: float, t_c: float, eta: float) -> float:
-    """Scale factor between a sagging trajectory's nadir and the constant-hold
-    nadir achievable within its envelope; lies in (0, 1) for eta in (0, 1).
-    """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if not 0.0 <= t_c < t_f:
-        raise ValueError(f"need 0 <= t_c < t_f, got t_c={t_c}, t_f={t_f}")
-    if inertia_s <= 0:
-        raise ValueError(f"inertia must be positive, got {inertia_s}")
-    if damping <= 0:
-        raise ZeroDivisionError("the scale factor is damping-normalized; D = 0 is out of model")
-    h2 = 2.0 * inertia_s
-    x_term = eta * damping ** 2 * (t_f ** 2 - t_c ** 2) \
-        + 4.0 * eta * inertia_s * damping * (t_f - t_c)
-    y_term = (1.0 - eta) * damping ** 2 * (t_f ** 2 - t_c ** 2) \
-        + 4.0 * (1.0 - eta) * damping * inertia_s * (t_f - t_c)
-    if x_term <= 0 or y_term <= 0:
-        raise ArithmeticError(f"bound terms must be positive, got X={x_term}, Y={y_term}")
-    radicand = (h2 + damping * t_f) ** 2 - x_term
-    mu = (h2 + damping * t_f - math.sqrt(radicand)) / (damping * (t_f - t_c))
-    return mu
 
 
 def theorem_checks(

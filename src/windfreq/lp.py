@@ -1,7 +1,7 @@
 """Two-phase revised simplex for the transcribed trajectory programs.
 
-Free variables are split into positive and negative parts, and inequality
-rows receive slacks. The standard form min c'x, A x = b, x >= 0 is
+Every variable is free and is split into positive and negative parts, and
+inequality rows receive slacks. The standard form min c'x, A x = b, x >= 0 is
 equilibrated once, and every pivot re-solves its basis from that scaled data,
 so no rounding carries over between pivots. Basic unit columns (slacks and
 artificials) are eliminated first, leaving a dense solve over the structural
@@ -196,18 +196,18 @@ def _solve_standard(a, b, c, slack_of_row):
     return x, basis, (pivots1, pivots2)
 
 
-def _crash_basis(a_var, b_var, m_eq, active, nonneg, free_idx, a_scaled, b_scaled):
+def _crash_basis(a_var, b_var, m_eq, active, a_scaled, b_scaled):
     """Standard-form basis of the vertex where the equality rows and the
     ``active`` inequality rows are tight, or None when it is no primal
     feasible basis.
 
-    The vertex v solves the square system of those rows. Each free variable
+    The vertex v solves the square system of those rows. Each variable
     contributes its positive or negative copy, by the sign of its value, and
     every inequality row left inactive its slack. The basis must solve the
     equilibrated data to values no lower than -PRIMAL_TOL. A mask of the
     wrong size or count, or a singular system, gives None too.
     """
-    nv = nonneg.size
+    nv = a_var.shape[1]
     active = np.asarray(active, dtype=bool)
     if active.shape != (a_var.shape[0] - m_eq,) or m_eq + np.count_nonzero(active) != nv:
         return None
@@ -216,10 +216,8 @@ def _crash_basis(a_var, b_var, m_eq, active, nonneg, free_idx, a_scaled, b_scale
         v = np.linalg.solve(a_var[tight], b_var[tight])
     except np.linalg.LinAlgError:
         return None
-    columns = np.arange(nv)
-    negative = ~nonneg & (v < 0)
-    columns[negative] = nv + np.searchsorted(free_idx, columns[negative])
-    slacks = nv + free_idx.size + np.flatnonzero(~active)
+    columns = np.arange(nv) + nv * (v < 0)
+    slacks = 2 * nv + np.flatnonzero(~active)
     basis = np.concatenate([columns, slacks])
     try:
         x_b = _Basis(a_scaled, _unit_rows(a_scaled), basis).solve(b_scaled)
@@ -228,19 +226,17 @@ def _crash_basis(a_var, b_var, m_eq, active, nonneg, free_idx, a_scaled, b_scale
     return basis if x_b.min(initial=0.0) >= -PRIMAL_TOL else None
 
 
-def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None,
-             active=None) -> LpResult:
-    """Solve max c'v subject to a_eq v = b_eq and a_ub v <= b_ub.
+def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, active=None) -> LpResult:
+    """Solve max c'v over free v subject to a_eq v = b_eq and a_ub v <= b_ub.
 
-    Variables are free unless flagged in the ``nonneg`` boolean mask.
-    ``active`` optionally flags the a_ub rows predicted tight at the optimum;
-    see ``_crash_basis``. Raises InfeasibleError / UnboundedError on those
-    outcomes, and SimplexError when the pivot cap is reached or the basis
-    turns singular. Besides the optimality certificates, ``diagnostics``
-    reports the pivots of each phase and their sum, ``iterations``, and
-    ``warm_start``: "hit" when phase 2 started from the crash basis,
-    "infeasible" when the crash gave no primal feasible basis and the
-    two-phase path ran, "none" without a mask.
+    A bound v_i >= 0 is an a_ub row. ``active`` optionally flags the a_ub
+    rows predicted tight at the optimum; see ``_crash_basis``. Raises
+    InfeasibleError / UnboundedError on those outcomes, and SimplexError
+    when the pivot cap is reached or the basis turns singular. Besides the
+    optimality certificates, ``diagnostics`` reports the pivots of each phase
+    and their sum, ``iterations``, and ``warm_start``: "hit" when phase 2
+    started from the crash basis, "infeasible" when the crash gave no primal
+    feasible basis and the two-phase path ran, "none" without a mask.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -250,18 +246,16 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None,
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, dtype=float))
     if not all(np.all(np.isfinite(v)) for v in (c, a_eq, b_eq, a_ub, b_ub)):
         raise ValueError("LP data must be finite")
-    nonneg = np.zeros(nv, dtype=bool) if nonneg is None else np.asarray(nonneg, dtype=bool)
 
     m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
 
-    # column layout: one column per variable, a negated copy of each free one,
-    # then one slack per inequality row
-    free_idx = np.nonzero(~nonneg)[0]
+    # column layout: one column per variable, a negated copy of each, then one
+    # slack per inequality row
     a_var = np.vstack([a_eq, a_ub])
     slacks = np.vstack([np.zeros((m_eq, m_ub)), np.eye(m_ub)])
-    a_std = np.hstack([a_var, -a_var[:, free_idx], slacks])
+    a_std = np.hstack([a_var, -a_var, slacks])
     b_std = np.concatenate([b_eq, b_ub])
-    c_std = np.concatenate([-c, c[free_idx], np.zeros(m_ub)])  # the standard form minimizes
+    c_std = np.concatenate([-c, c, np.zeros(m_ub)])  # the standard form minimizes
 
     # row+column equilibration: scale-free for the solution, kinder to pivoting
     row_scale = np.maximum(np.max(np.abs(a_std), axis=1, initial=0.0), 1e-30)
@@ -269,11 +263,11 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None,
     col_scale = np.maximum(np.max(np.abs(a_scaled), axis=0, initial=0.0), 1e-12)
     a_scaled = a_scaled / col_scale
 
-    slack_of_row = np.concatenate([np.full(m_eq, -1), nv + free_idx.size + np.arange(m_ub)])
+    slack_of_row = np.concatenate([np.full(m_eq, -1), 2 * nv + np.arange(m_ub)])
     b_scaled, c_scaled = b_std / row_scale, c_std / col_scale
 
     basis = None if active is None else _crash_basis(
-        a_var, b_std, m_eq, active, nonneg, free_idx, a_scaled, b_scaled)
+        a_var, b_std, m_eq, active, a_scaled, b_scaled)
     if basis is None:
         x_scaled, basis, pivots = _solve_standard(a_scaled, b_scaled, c_scaled, slack_of_row)
         warm_start = "none" if active is None else "infeasible"
@@ -284,8 +278,7 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, nonneg=None,
         pivots = (0, pivots2)
         warm_start = "hit"
     x_std = x_scaled / col_scale
-    x = x_std[:nv].copy()
-    x[free_idx] -= x_std[nv:nv + free_idx.size]
+    x = x_std[:nv] - x_std[nv:2 * nv]
 
     diag = _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub)
     diag.update(phase1_pivots=pivots[0], phase2_pivots=pivots[1], iterations=sum(pivots),

@@ -32,6 +32,8 @@ __all__ = [
     "gas_governor",
 ]
 
+MAX_NODES = 200  # the highest collocation order the solver accepts
+
 
 class ScenarioError(ValueError):
     """Scenario validation failed; the message lists every violation."""
@@ -113,6 +115,9 @@ class Scenario:
             problems.append(f"$.solver.hypothetical_p_d_pu: must be > 0, got {p_hyp}")
         if self.solver.nodes < 10:
             problems.append(f"$.solver.nodes: must be >= 10, got {self.solver.nodes}")
+        elif self.solver.nodes > MAX_NODES:
+            # the condensing block holds (n K)^2 floats for n trajectory states
+            problems.append(f"$.solver.nodes: must be <= {MAX_NODES}, got {self.solver.nodes}")
         times = [e.time_s for e in self.events]
         if times != sorted(times):
             problems.append("$.events: must be sorted by time")

@@ -125,8 +125,11 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     each unit's (first group state, output row, feedthrough)), then one
     feedthrough term per unit, so a trip scales only its own unit. The VIC
     command depends only on df and the shared filter state, so a scenario
-    with a ``classic_vic`` turbine computes it once per call. All saturation
-    lives here, so every RK4 stage sees the same law.
+    with a ``classic_vic`` turbine computes it once per call. A turbine is
+    tracking until the event and then in its controller's mode, and an AAPC
+    turbine can exit: so each turbine's code holds the branches of the modes
+    it can reach only, and the mirror sum is written only when a turbine runs
+    the AAPC. All saturation lives here, so every RK4 stage sees the same law.
 
     ``step`` advances y by one RK4 step of size h in place from the
     derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
@@ -141,9 +144,11 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     ys = ["df", *x, *w, "z"]
     gs = [f"gs{u}" for u in range(len(units))]
     modes = [f"mode{j}" for j in range(n_wt)]
+    aapc = MODE_AAPC in asm.ctrl_mode
     src = ["def rhs(asm, y, dy):", *_unpack(ys, "y"), *_unpack(gs, "asm.gov_scale"),
-           *_unpack(modes, "asm.modes"),
-           "    vic = asm.vic", "    kw = asm.kw", "    gamma = asm.gamma"]
+           *_unpack(modes, "asm.modes"), "    vic = asm.vic"]
+    if aapc:
+        src += ["    kw = asm.kw", "    gamma = asm.gamma"]
     for s, row in enumerate(gov.a):
         src.append("    r = 0.0")
         src += [f"    r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
@@ -152,15 +157,16 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     src += [f"    pm += gs{u} * {_lit(c)} * x{first + s}"
             for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u)]
     src += [f"    pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units)]
-    src.append(f"    mirror = {_lit(mirror_d)} * df")
-    src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c)]
+    if aapc:
+        src.append(f"    mirror = {_lit(mirror_d)} * df")
+        src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c)]
     src.append("    pe_dev = 0.0")
     vic_mw = f"vic_command_mw(vic, df, z, {_lit(asm.f_base)})"
     if MODE_VIC in asm.ctrl_mode:
         src.append(f"    vic_mw = {vic_mw}")
         vic_mw = "vic_mw"
     s_base = _lit(asm.s_base_w)
-    for j, wt in enumerate(asm.wt):
+    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
         p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
         p_t, p_mppt, p_app = f"pt{j}", f"mppt{j}", f"pe{j}"
         src += [
@@ -168,14 +174,30 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
             f"    {p_t} = _turbine_power_w(w{j}, {_lit(wt.wind_ms)}, {_lit(wt.pitch_deg)}, "
             f"{_lit(wt.radius_m)}, {_lit(wt.power_scale)})",
             f"    {p_mppt} = _mppt_power_w(w{j}, {_lit(wt.k_opt_w)}, {p_min}, {p_max})",
-            f"    if mode{j} == {MODE_AAPC}:",
-            f"        p_cmd = {p_e0} + command_pu({_lit(wt.share)}, mirror, kw, df) * {s_base}",
-            f"    elif mode{j} == {MODE_VIC}:",
-            f"        p_cmd = {p_e0} + {vic_mw} * (1e6)",
-            f"    elif mode{j} == {MODE_EXITED}:",
-            f"        p_cmd = exit_power(gamma[{j}], {p_t}, {p_mppt})",
-            "    else:",
-            f"        p_cmd = {p_mppt}",
+        ]
+        if ctrl == MODE_AAPC:
+            src += [
+                f"    if mode{j} == {MODE_AAPC}:",
+                f"        p_cmd = {p_e0} + command_pu({_lit(wt.share)}, mirror, kw, df)"
+                f" * {s_base}",
+                f"    elif mode{j} == {MODE_EXITED}:",
+                f"        p_cmd = exit_power(gamma[{j}], {p_t}, {p_mppt})",
+                "    else:",
+                f"        p_cmd = {p_mppt}",
+            ]
+        elif ctrl == MODE_VIC:
+            src += [
+                f"    if mode{j} == {MODE_VIC}:",
+                f"        p_cmd = {p_e0} + {vic_mw} * (1e6)",
+                "    else:",
+                f"        p_cmd = {p_mppt}",
+            ]
+        else:
+            src.append(f"    p_cmd = {p_mppt}")
+        # the protective cutback holds the rotor at its floor; the optimal
+        # controller leaves by its speed-floor exit trigger instead
+        cutback = f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
+        src += [
             f"    if p_cmd > {p_max}:",
             f"        {p_app} = {p_max}",
             f"        fl{j} = {FLAG_POWER_LIMIT}",
@@ -185,9 +207,7 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
             "    else:",
             f"        {p_app} = p_cmd",
             f"        fl{j} = 0",
-            # the protective cutback holds the rotor at its floor; the optimal
-            # controller leaves by its speed-floor exit trigger instead
-            f"    if mode{j} != {MODE_AAPC} and w{j} <= {_lit(wt.floor_rad)} and {p_app} > {p_t}:",
+            f"    if {cutback}w{j} <= {_lit(wt.floor_rad)} and {p_app} > {p_t}:",
             f"        {p_app} = {p_t}",
             f"        fl{j} |= {FLAG_FLOOR}",
             f"    pe_dev += ({p_app} - {p_e0}) / {s_base}",
@@ -213,9 +233,10 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     step.append("    sixth = h / 6.0")
     step += [f"    {v} = {v} + sixth * (a_{v} + 2.0 * b_{v} + 2.0 * c_{v} + d_{v})" for v in ys]
     step += _unpack(modes, "asm.modes")
-    for j, wt in enumerate(asm.wt):
+    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
         floor = _lit(wt.floor_rad)
-        step += [f"    if mode{j} != {MODE_AAPC} and w{j} < {floor}:", f"        w{j} = {floor}"]
+        hold = f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
+        step += [f"    if {hold}w{j} < {floor}:", f"        w{j} = {floor}"]
     step.append(f"    y[:] = [{', '.join(ys)}]")
     return "\n".join(src) + "\n", "\n".join(step) + "\n"
 
@@ -536,19 +557,30 @@ def allocation_shares(sc: Scenario) -> np.ndarray:
     return shares
 
 
-def solve_hypothetical(sc: Scenario, nodes: int | None = None) -> to.TrajectorySolution:
+def solve_hypothetical(sc: Scenario) -> to.TrajectorySolution:
     """Trajectory optimum for the scenario's hypothetical deficit.
 
-    The deficit (``p_d_pu`` of the result) defaults to a tenth of the load
-    and the collocation order to the scenario's.
+    The deficit (``p_d_pu`` of the result) defaults to a tenth of the load.
+    The closed-form ``trajopt.step_hold_optimum`` runs first and rides along
+    as the result's ``step_hold``; a governor step response that exceeds the
+    damping within the horizon leaves the program unbounded and raises
+    ``ScenarioError`` naming ``$.governors``, before any LP runs.
     """
     sc.check()
     p_hyp = sc.solver.hypothetical_p_d_pu
     if p_hyp is None:
         p_hyp = 0.1 * sc.grid.load_pu
     problem = to.build_problem(sc.grid, list(sc.governors), p_hyp, sc.solver.t_f)
-    cgrid = coll.make_grid(sc.solver.nodes if nodes is None else nodes, sc.solver.t_f)
-    return to.solve_max_nadir(problem, cgrid)
+    step_hold = to.step_hold_optimum(problem)
+    if step_hold.min_w < 0:
+        raise ScenarioError(
+            f"$.governors: the damping less the governor step response, w = D - s_g, is "
+            f"{step_hold.min_w:.4g} pu at tau = {step_hold.tau_min_w_s:.2f} s within the "
+            f"horizon $.solver.t_f_s ({sc.solver.t_f} s): holding the frequency higher "
+            "there releases energy, so the nadir-optimal program is unbounded")
+    sol = to.solve_max_nadir(problem, coll.make_grid(sc.solver.nodes, sc.solver.t_f))
+    sol.step_hold = step_hold
+    return sol
 
 
 def solved_alpha(sc: Scenario, solution=None) -> float:

@@ -5,12 +5,20 @@ conditions, nadir path constraint, the highest nadir) is linear end to end,
 and so is its one constraint on the control: the turbines release net-zero
 energy over the horizon. The Gauss pseudospectral transcription is therefore
 a plain LP, condensed onto the node controls. Its simplex starts from a
-crash basis that depends on K alone (``contact_crash``). A forward-Euler
-transcription of the same problem, condensed onto the frequency samples,
-serves as the independent brute-force reference; it and the
-integral-objective variant have LPs of other shapes and start cold.
+crash basis that depends on K alone (``contact_crash``); the
+integral-objective variant has an LP of another shape and starts cold.
+
+Two references need no LP. While the governor step response s_g stays at
+or below the damping D over the horizon, the optimum of the continuous
+program is step-and-hold: df jumps to the nadir at t = 0+ and holds there,
+and the integrated swing equation gives the nadir in closed form
+(``step_hold_optimum``, with S_g(t_f) from one matrix exponential). A
+forward-Euler transcription of the same program, condensed onto the
+frequency samples, is its discrete twin: its nadir is one division
+(``euler_oracle``), independent of the collocation machinery.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +34,7 @@ from .grid import (
     rebase_governors,
     steady_state_deviation,
 )
-from .lp import LpResult, solve_lp
+from .lp import LpResult, UnboundedError, solve_lp
 
 __all__ = [
     "TrajOptProblem",
@@ -39,6 +47,8 @@ __all__ = [
     "solve_max_nadir",
     "euler_oracle",
     "min_integral_variant",
+    "StepHoldOptimum",
+    "step_hold_optimum",
 ]
 
 TRACE_DT = 0.01
@@ -217,6 +227,8 @@ class TrajectorySolution:
     f_base_hz: float
     method: str
     diagnostics: dict = field(default_factory=dict)
+    # the closed-form reference of the same problem, when the caller computed it
+    step_hold: "StepHoldOptimum | None" = field(default=None, repr=False)
     _grid: coll.CollocationGrid | None = field(default=None, repr=False)
     _states_nodes: np.ndarray | None = field(default=None, repr=False)
     _u_nodes: np.ndarray | None = field(default=None, repr=False)
@@ -397,14 +409,103 @@ def min_integral_variant(
     return extract_solution(full, lp, problem, grid, method="min_integral")
 
 
+# diagonal Pade [6/6] coefficients of e^x: c_k = (12 - k)! 6! / (12! k! (6 - k)!)
+_PADE6 = (1.0, 1.0 / 2.0, 5.0 / 44.0, 1.0 / 66.0, 1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0)
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """e^m by the diagonal [6/6] Pade approximant with scaling and squaring.
+
+    m is scaled by 2^-s to a 1-norm of at most 1/2, where the approximant's
+    truncation error, about 1.7e-13 |x|^13, lies below the unit roundoff,
+    and the approximant is squared s times (Higham, *SIMAX* 26(4), 2005).
+    """
+    norm = float(np.max(np.sum(np.abs(m), axis=0), initial=0.0))
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+    x = m / 2.0 ** squarings
+    c = _PADE6
+    x2 = x @ x
+    x4 = x2 @ x2
+    eye = np.eye(m.shape[0])
+    even = c[0] * eye + c[2] * x2 + c[4] * x4 + c[6] * (x4 @ x2)
+    odd = x @ (c[1] * eye + c[3] * x2 + c[5] * x4)
+    e = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        e = e @ e
+    return e
+
+
+@dataclass(frozen=True)
+class StepHoldOptimum:
+    """The continuous program's optimum, df stepped to the nadir at t = 0+ and held.
+
+    Holding df one unit higher than the nadir on an instant tau before the
+    horizon end costs w(tau) = D - s_g(tau) of released energy, s_g being the
+    step response of the aggregate governor. The step-and-hold trajectory is
+    optimal when w >= 0 on [0, t_f]; ``min_w`` is the least w over the
+    ``TRACE_DT`` samples of that interval, reached at ``tau_min_w_s``, and a
+    negative one means the program is unbounded.
+    """
+
+    nadir_pu: float
+    alpha: float
+    s_g: float           # S_g(t_f): the integral of s_g over [0, t_f], pu s
+    min_w: float
+    tau_min_w_s: float
+
+
+def step_hold_optimum(problem: TrajOptProblem) -> StepHoldOptimum:
+    """Closed-form optimum of the program that ``transcribe`` discretizes.
+
+    The integrated swing equation of the step-and-hold trajectory reads
+    nadir (2H + D t_f - S_g(t_f)) = -P_d t_f, so alpha = (D + K_g) t_f /
+    (2H + D t_f - S_g(t_f)) does not depend on P_d. S_g(t_f) and s_g(tau)
+    are entries of z(t) = e^{M t} e_last for the augmented matrix
+    M = [[A, 0, B], [C, 0, D], [0, 0, 0]] of the governor (Van Loan, *IEEE
+    TAC* 23(3), 1978): z = [x_g, S_g, 1] under a unit step. S_g(t_f) comes
+    from one exponential; the samples of s_g from the powers of
+    e^{M t_f / N}, built by doubling.
+    """
+    gov = problem.gov
+    gp = problem.grid_params
+    n = gov.order
+    m = np.zeros((n + 2, n + 2))
+    m[:n, :n] = gov.a
+    m[:n, -1] = gov.b[:, 0]
+    m[n, :n] = gov.c[0]
+    m[n, -1] = gov.d[0, 0]
+    t_f = problem.t_f
+    s_g = float(_expm(m * t_f)[n, -1])
+
+    n_samples = max(1, round(t_f / TRACE_DT))
+    z = np.eye(1, n + 2, n + 1)  # rows z(k t_f / N) for k < 2^j
+    power = _expm(m * (t_f / n_samples))  # e^{M t_f / N} to the 2^j
+    while z.shape[0] <= n_samples:
+        z = np.vstack([z, z @ power.T])
+        power = power @ power
+    w = gp.damping - z[:n_samples + 1] @ m[n]  # D - (C x_g + D_g)
+    k = int(np.argmin(w))
+    denom = 2.0 * gp.inertia_s + gp.damping * t_f - s_g
+    return StepHoldOptimum(
+        nadir_pu=-problem.p_d * t_f / denom,
+        alpha=(gp.damping + problem.k_g) * t_f / denom,
+        s_g=s_g,
+        min_w=float(w[k]),
+        tau_min_w_s=k * t_f / n_samples,
+    )
+
+
 def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolution:
     """Forward-Euler transcription of the same program, condensed and solved.
 
     States are eliminated exactly: with the frequency samples as decision
     variables, governor states and controls follow from the Euler recursions,
-    and the net-zero released energy becomes a single equality. The path
-    constraint keeps every sample above the nadir variable. Solved by the
-    same simplex core; completely independent of the collocation machinery.
+    and the net-zero released energy becomes a single equality w . df = rhs.
+    With every sample written as the nadir plus a nonnegative slack, the
+    optimum holds every sample at the nadir, rhs / sum(w), when every weight
+    w_i is nonnegative, and is unbounded (``UnboundedError``) otherwise: the
+    discrete twin of ``step_hold_optimum``. Completely independent of the
+    collocation machinery and of the matrix exponential.
     """
     if n_steps < 1000:
         raise ValueError(f"the Euler reference needs >= 1000 steps, got {n_steps}")
@@ -430,19 +531,16 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
     w[-1] = two_h
     rhs = -problem.t_f * problem.p_d
 
-    nv = n_steps + 1  # [slack above nadir per sample, nadir]
-    c = np.zeros(nv)
-    c[-1] = 1.0
-    a_eq = np.zeros((1, nv))
-    a_eq[0, :n_steps] = w
-    a_eq[0, -1] = w.sum()
-    nonneg = np.ones(nv, dtype=bool)
-    nonneg[-1] = False
-    res = solve_lp(c, a_eq, np.array([rhs]), nonneg=nonneg)
-    nadir = float(res.x[-1])
+    # the program is max nadir subject to w . s + (sum w) nadir = rhs over
+    # slacks s >= 0 of the samples above the nadir: any w_i < 0 is an
+    # improving ray, and otherwise every slack is zero at the optimum
+    if w.min() < 0:
+        i = int(np.argmin(w))
+        raise UnboundedError(f"Euler program unbounded: weight {w[i]:.3e} < 0 at sample {i}")
+    nadir = float(rhs / w.sum())
 
     # reconstruct the governor response and the controls by the same recursions
-    df = np.concatenate([[0.0], res.x[:n_steps] + nadir])  # samples at steps 0..N
+    df = np.concatenate([[0.0], np.full(n_steps, nadir)])  # samples at steps 0..N
     xg = np.zeros((n_steps + 1, gov.order))
     for i in range(n_steps):
         xg[i + 1] = xg[i] + h * (a_g @ xg[i] + b_g * df[i])
@@ -470,5 +568,4 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
         t_f=problem.t_f,
         f_base_hz=gp.f_base_hz,
         method=f"euler_{n_steps}",
-        diagnostics=dict(res.diagnostics),
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from windfreq import trajopt as to
-from windfreq.analysis import energy_identity, envelope_mu, theorem_checks
+from windfreq.analysis import energy_identity, theorem_checks
 from windfreq.simulator import compare_strategies
 
 
@@ -48,41 +48,6 @@ class TestEnergyIdentity:
             energy_identity(t, np.zeros_like(t), None, two_machine_grid, 0.1)
         with pytest.raises(ValueError):
             energy_identity(t, np.zeros_like(t), np.zeros(5), two_machine_grid, 0.1)
-
-
-class TestEnvelopeMu:
-    def test_continuity_at_no_improvement_limit(self):
-        mu = envelope_mu(4.2, 1.0, 30.0, 12.0, 1.0 - 1e-9)
-        assert mu > 1.0 - 1e-4
-        assert mu < 1.0
-
-    def test_in_unit_interval_on_grid(self):
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            h = rng.uniform(1.0, 10.0)
-            d = rng.uniform(0.1, 3.0)
-            t_f = rng.uniform(10.0, 60.0)
-            t_c = rng.uniform(0.0, 0.95) * t_f
-            eta = rng.uniform(1e-3, 1.0 - 1e-3)
-            mu = envelope_mu(h, d, t_f, t_c, eta)
-            assert 0.0 < mu < 1.0
-
-    def test_immediate_drop_simplification(self):
-        # with t_c = 0 the radicand collapses to (2H + D t_f)^2 - eta (D^2 t_f^2
-        # + 4 H D t_f); evaluate both forms independently
-        h, d, t_f, eta = 4.2, 1.0, 30.0, 0.6
-        direct = envelope_mu(h, d, t_f, 0.0, eta)
-        radicand = (2 * h + d * t_f) ** 2 - eta * (d ** 2 * t_f ** 2 + 4 * h * d * t_f)
-        by_hand = (2 * h + d * t_f - np.sqrt(radicand)) / (d * t_f)
-        assert direct == pytest.approx(by_hand, rel=1e-14)
-
-    def test_parameter_errors(self):
-        with pytest.raises(ValueError):
-            envelope_mu(4.2, 1.0, 30.0, 12.0, 1.5)
-        with pytest.raises(ValueError):
-            envelope_mu(4.2, 1.0, 30.0, 31.0, 0.5)
-        with pytest.raises(ZeroDivisionError):
-            envelope_mu(4.2, 0.0, 30.0, 12.0, 0.5)
 
 
 class TestTheoremChecks:

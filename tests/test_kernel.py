@@ -141,6 +141,13 @@ def _preset(name):
     return scenario_from_dict(load_preset(name))
 
 
+def _mixed(sc):
+    """The scenario with its turbines' controllers cycling through the three."""
+    controllers = ("optimal_aapc", "classic_vic", "none")
+    return replace(sc, turbines=tuple(replace(t, controller=controllers[j % 3])
+                                      for j, t in enumerate(sc.turbines)))
+
+
 def _shape(name):
     sc = _preset("multi_machine" if name == "multi_machine" else "two_machine")
     if name == "second_order_governor":
@@ -148,11 +155,14 @@ def _shape(name):
         g2 = GovernorSpec(name="G2", rated_mva=150.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
         sc = replace(sc, governors=sc.governors + (g2,))
     elif name == "no_governors":
+        sc = _mixed(_preset("multi_machine"))
         sc = replace(sc, governors=(), events=sc.events[:1])
     elif name == "no_turbines":
         sc = replace(sc, turbines=())
     elif name == "pitch":
         sc = replace(sc, turbines=tuple(replace(t, pitch_deg=2.5) for t in sc.turbines))
+    elif name == "mixed_controllers":
+        sc = _mixed(_preset("multi_machine"))
     elif name == "big_fleet":
         first = GovernorSpec(name="G", rated_mva=2.0, num=(-1.0,), den=(0.5, 1.0))
         second = GovernorSpec(name="G", rated_mva=2.0, num=(-3.0, -6.0), den=(2.0, 3.0, 1.0))
@@ -160,16 +170,25 @@ def _shape(name):
         wt = sc.turbines[0]
         turbines = tuple(replace(wt, name=f"WT{j}", wind_speed_ms=8.0 + 0.03 * j)
                          for j in range(100))
-        sc = replace(sc, governors=govs, turbines=turbines)
+        sc = _mixed(replace(sc, governors=govs, turbines=turbines))
     return sc
 
 
-SHAPES = ["two_machine", "multi_machine", "second_order_governor", "no_governors",
-          "no_turbines", "pitch", "big_fleet"]
+SHAPES = ["two_machine", "multi_machine", "mixed_controllers", "second_order_governor",
+          "no_governors", "no_turbines", "pitch", "big_fleet"]
+
+
+def _reachable_modes(ctrl):
+    """Modes a turbine whose controller runs mode ``ctrl`` can be in: tracking
+    until the event, then ``ctrl``; an AAPC turbine can also exit."""
+    return {sim.MODE_TRACKING, ctrl} | ({sim.MODE_EXITED} if ctrl == sim.MODE_AAPC else set())
 
 
 def _draw(rng, asm):
-    """A seeded random closed-loop state: the state list and the run-time state."""
+    """A seeded random closed-loop state: the state list and the run-time state.
+
+    Each turbine's mode is one it can reach (``_reachable_modes``).
+    """
     n_wt = asm.n_wt
     y = list(asm.y0)
     y[0] = float(rng.normal(0.0, 0.02))
@@ -183,7 +202,7 @@ def _draw(rng, asm):
                              else float(asm.omega0[j] * rng.uniform(0.8, 1.2)))
     y[-1] = float(rng.normal(0.0, 0.02))
     return y, {
-        "modes": [int(v) for v in rng.integers(0, 4, n_wt)],
+        "modes": [int(rng.choice(sorted(_reachable_modes(c)))) for c in asm.ctrl_mode],
         "gamma": [float(v) for v in rng.uniform(0.0, 1.0, n_wt)],
         # the first unit tripped by a random share
         "gov_scale": [float(rng.uniform(0.5, 0.99))] + [1.0] * (len(asm.gov_scale) - 1),
@@ -234,8 +253,11 @@ class TestReference:
             assert out[True] == out[False]
             seen_flags.update(gen.wt_flags)
         if gen.n_wt:
-            assert seen_modes == {0, 1, 2, 3}
+            assert seen_modes == set().union(*map(_reachable_modes, gen.ctrl_mode))
             assert any(f & sim.FLAG_POWER_LIMIT for f in seen_flags)
+        if sim.MODE_VIC in gen.ctrl_mode:
+            # tracking and the exit blend stay below the turbine power at the
+            # floor; the VIC command is what the cutback catches
             assert any(f & sim.FLAG_FLOOR for f in seen_flags)
 
     @pytest.mark.parametrize("preset, strategy, trip", [
@@ -293,6 +315,13 @@ class TestSource:
         rhs = inspect.getsource(sim._Assembled(sc, None).rhs)
         assert rhs.count("vic_command_mw(") == 1
         assert rhs.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
+
+    def test_mirror_only_with_aapc(self, multi_machine_scenario):
+        # the mirror feeds the AAPC command alone
+        for strategy in ("none", "classic_vic", "optimal_aapc"):
+            sc = sim._with_controllers(multi_machine_scenario, strategy)
+            rhs = inspect.getsource(sim._Assembled(sc, 1.3).rhs)
+            assert ("mirror" in rhs) == (strategy == "optimal_aapc"), strategy
 
     def test_traceback_shows_generated_line(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)

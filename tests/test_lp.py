@@ -40,7 +40,7 @@ def test_unbounded_reported():
 def test_equality_and_nonneg():
     # min x0 + x1, that is max -(x0 + x1), s.t. x0 + 2 x1 = 4, x >= 0  -> x = (0, 2)
     res = solve_lp(-np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
-                   nonneg=np.array([True, True]))
+                   a_ub=-np.eye(2), b_ub=np.zeros(2))
     assert res.x == pytest.approx([0.0, 2.0], abs=1e-12)
 
 
@@ -109,7 +109,7 @@ def test_optimality_certificates():
 def test_pivot_telemetry():
     # x0 + 2 x1 = 4 has no slack to seed the basis, so phase 1 must pivot
     res = solve_lp(-np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],
-                   nonneg=np.array([True, True]))
+                   a_ub=-np.eye(2), b_ub=np.zeros(2))
     d = res.diagnostics
     assert d["phase1_pivots"] >= 1
     assert d["phase1_pivots"] + d["phase2_pivots"] == res.iterations == d["iterations"]
@@ -144,20 +144,16 @@ def test_crash_basis_start():
     miss = solve_lp(c, a_ub=[[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 2.0, 1.0],
                     active=[True, True, False])
     assert miss.diagnostics["warm_start"] == "infeasible"
-    # a free variable at a negative value enters by its negated copy; a
-    # nonnegative one there is no feasible start
+    # a variable at a negative value enters by its negated copy
     neg = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[2.0], active=[True])
     assert (neg.diagnostics["warm_start"], neg.iterations) == ("hit", 0)
     assert neg.x == pytest.approx([-2.0])
-    pos = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[2.0], nonneg=[True], active=[True])
-    assert pos.diagnostics["warm_start"] == "infeasible"
-    assert pos.x == pytest.approx([0.0])
 
 
 def test_redundant_equality_row_dropped():
     # the second row doubles the first, so its artificial cannot leave the
     # basis at the end of phase 1 and the row goes away
     res = solve_lp(-np.array([1.0, 2.0]), a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0],
-                   nonneg=np.array([True, True]))
+                   a_ub=-np.eye(2), b_ub=np.zeros(2))
     assert res.x == pytest.approx([2.0, 0.0], abs=1e-12)
     assert res.diagnostics["primal_eq_residual"] <= 1e-12

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from windfreq import cli
+from windfreq import trajopt
 from windfreq.cli import main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
@@ -221,23 +221,33 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == load_preset("two_machine")
         assert list(tmp_path.iterdir()) == []
 
-    def test_solve_at_smallest_order_solves_once(self, tmp_path, monkeypatch, capsys):
-        # the coarse order max(10, K // 2) is K itself at K = 10
+    def test_solve_runs_one_lp(self, tmp_path, monkeypatch, capsys):
+        # the convergence figure is the error against the closed-form
+        # step-and-hold optimum, so no second LP runs at any order
         calls = []
-        real = cli.solve_hypothetical
+        real = trajopt.solve_lp
 
-        def counting(sc, nodes=None):
-            calls.append(nodes)
-            return real(sc, nodes)
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "solve_hypothetical", counting)
-        assert main(["solve", "--preset", "two_machine", "--nodes", "10",
-                     "--out", str(tmp_path)]) == 0
-        assert calls == [None]
-        doc = json.loads((tmp_path / "solve_metrics.json").read_text())
-        assert doc["convergence"] == {"nodes": 10, "coarse_nodes": None,
-                                      "nadir_rel_diff": None}
-        assert "coarse-grid" not in capsys.readouterr().out
+        monkeypatch.setattr(trajopt, "solve_lp", counting)
+        for nodes in (10, 60):
+            calls.clear()
+            out = tmp_path / str(nodes)
+            assert main(["solve", "--preset", "two_machine", "--nodes", str(nodes),
+                         "--out", str(out)]) == 0
+            assert calls == [nodes + 1]
+            doc = json.loads((out / "solve_metrics.json").read_text())
+            conv = doc["convergence"]
+            assert sorted(conv) == ["exact_alpha", "exact_nadir_pu", "nodes",
+                                    "step_hold_margin", "transcription_error_rel"]
+            assert conv["nodes"] == nodes
+            assert conv["transcription_error_rel"] == pytest.approx(
+                abs(doc["nadir_pu"] - conv["exact_nadir_pu"]) / abs(conv["exact_nadir_pu"]),
+                rel=1e-12)
+            assert f"(transcription error {conv['transcription_error_rel']:.2e})" \
+                in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, written", [
         (["--out", "top", "synthesize"], "top"),
@@ -290,7 +300,7 @@ class TestCli:
         doc = json.loads((tmp_path / "o" / "solve_metrics.json").read_text())
         assert doc["diagnostics"]["primal_eq_residual"] <= 1e-8
         assert doc["diagnostics"]["lp_meta"]["n_vars"] == 61
-        assert doc["convergence"]["nadir_rel_diff"] <= 0.005
+        assert doc["convergence"]["transcription_error_rel"] <= 5.0 / 60**2
 
     @pytest.mark.parametrize("pitch", [-1.0, -0.5])
     def test_negative_pitch_exit_code(self, tmp_path, capsys, pitch):
@@ -406,6 +416,20 @@ class TestCli:
         assert main(argv + ["--nodes", "10"]) == 0
         assert main(argv + ["--nodes", "5"]) == 2
         assert "$.solver.nodes: must be >= 10, got 5" in capsys.readouterr().err
+
+    def test_nodes_upper_bound(self, tmp_path, capsys):
+        # the condensing block grows as (n K)^2; 200 is the highest order
+        # accepted
+        out = tmp_path / "o"
+        argv = ["solve", "--preset", "multi_machine", "--out", str(out), "--nodes"]
+        assert main(argv + ["200"]) == 0
+        doc = json.loads((out / "solve_metrics.json").read_text())
+        assert doc["diagnostics"]["warm_start"] == "hit"
+        assert doc["diagnostics"]["primal_ub_residual"] <= 1e-9
+        capsys.readouterr()
+        assert main(argv + ["201"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "scenario error: $.solver.nodes: must be <= 200, got 201")
 
     @pytest.mark.parametrize("json_path, value", [
         ("$.controllers.allocation", [-1.0]),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,17 @@ import pytest
 from windfreq import collocation as coll
 from windfreq import trajopt as to
 from windfreq.cli import main
-from windfreq.grid import (GovernorSpec, GridParameters, StateSpace,
+from windfreq.grid import (GovernorSpec, GridParameters, StateSpace, energy_residual,
                            governor_dc_gain_total, rebase_governors)
 from windfreq.lp import LpResult, UnboundedError, solve_lp
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import solve_hypothetical
+
+
+def _at_nodes(sc, nodes):
+    """The scenario at collocation order ``nodes``."""
+    return replace(sc, solver=replace(sc.solver, nodes=nodes))
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +181,7 @@ class TestRegression:
     ])
     def test_golden_nadir(self, preset, nodes, nadir):
         sc = scenario_from_dict(load_preset(preset))
-        sol = solve_hypothetical(sc, nodes)
+        sol = solve_hypothetical(_at_nodes(sc, nodes))
         assert sol.p_d_pu == sc.solver.hypothetical_p_d_pu
         assert sol.nadir_pu == pytest.approx(nadir, rel=1e-9)
         assert sol.diagnostics["primal_eq_residual"] <= 1e-8
@@ -184,7 +190,7 @@ class TestRegression:
     def test_multi_machine_k60_matches_oracle(self, multi_machine_scenario):
         # the uncondensed 12-state LP lost primal feasibility at K = 60
         sc = multi_machine_scenario
-        sol = solve_hypothetical(sc, 60)
+        sol = solve_hypothetical(_at_nodes(sc, 60))
         prob = to.build_problem(sc.grid, list(sc.governors),
                                 sc.solver.hypothetical_p_d_pu, sc.solver.t_f)
         euler = to.euler_oracle(prob, 3000)
@@ -219,7 +225,7 @@ class TestRegression:
         d = cold.diagnostics
         assert (d["phase1_pivots"], d["phase2_pivots"]) == pivots
         assert cold.x[-1] == pytest.approx(nadir, rel=1e-14)
-        sol = solve_hypothetical(scenario_from_dict(load_preset(preset)), nodes)
+        sol = solve_hypothetical(_at_nodes(scenario_from_dict(load_preset(preset)), nodes))
         d = sol.diagnostics
         assert (d["warm_start"], d["phase1_pivots"], d["phase2_pivots"]) == ("hit", 0, warm)
         assert sol.nadir_pu == pytest.approx(nadir, rel=1e-14)
@@ -264,8 +270,13 @@ class TestGovernorProbes:
         path = tmp_path / "nmp.json"
         path.write_text(json.dumps(doc))
         rc = main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert "unbounded" in capsys.readouterr().err
+        # the sign check of the step-and-hold optimum names the input before
+        # any LP runs; the LP alone exited 3 "LP unbounded" here
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: $.governors: ")
+        assert "is -22.36 pu at tau = 0.32 s" in err and "$.solver.t_f_s (30.0 s)" in err
+        assert not (tmp_path / "o" / "solve_metrics.json").exists()
 
 
 # both presets, and three transfer-function governors on a grid of inertia 2 s
@@ -465,3 +476,101 @@ class TestEulerOracle:
         euler = to.euler_oracle(two_machine_problem, 3000)
         rel = abs(two_machine_solution.nadir_pu - euler.nadir_pu) / abs(euler.nadir_pu)
         assert rel <= 0.005
+
+
+def _non_minimum_phase_problem():
+    return _single_governor_problem((40.0, -20.0), (0.2, 1.2, 1.0))
+
+
+class TestStepHoldOptimum:
+    """The closed-form optimum of the program that the LP transcribes."""
+
+    @pytest.mark.parametrize("preset,nadir,alpha", [
+        ("two_machine", -4.940290e-3, 1.185669),
+        ("multi_machine", -2.912205e-3, 1.305396),
+    ])
+    def test_presets_against_scalar_step_responses(self, crash_plants, preset, nadir, alpha):
+        # every preset group is first order, so A_g is diagonal and
+        # S_g(t_f) = sum c b / a (expm1(a t_f) / a - t_f) + D t_f
+        problem = crash_plants[preset]
+        gov, t_f = problem.gov, problem.t_f
+        a = np.diag(gov.a)
+        assert np.array_equal(gov.a, np.diag(a))
+        s_g = float(np.sum(gov.c[0] * gov.b[:, 0] / a * (np.expm1(a * t_f) / a - t_f))
+                    + gov.d[0, 0] * t_f)
+        opt = to.step_hold_optimum(problem)
+        assert opt.s_g == pytest.approx(s_g, rel=1e-13)
+        assert opt.nadir_pu == pytest.approx(nadir, rel=1e-6)
+        assert opt.alpha == pytest.approx(alpha, rel=1e-6)
+        # the step response only falls from D_g, so w is least at tau = 0
+        assert opt.min_w == pytest.approx(problem.grid_params.damping - gov.d[0, 0], rel=1e-14)
+        assert opt.tau_min_w_s == 0.0
+
+    @pytest.mark.parametrize("name", CRASH_PLANTS + ["non_minimum_phase"])
+    def test_s_g_against_collocation_and_scipy(self, crash_plants, name):
+        problem = (_non_minimum_phase_problem() if name == "non_minimum_phase"
+                   else crash_plants[name])
+        s_g = to.step_hold_optimum(problem).s_g
+        # [x_g; S_g]' = [[A, 0], [C, 0]] [x_g; S_g] + [B; D] from zero: the
+        # step response is smooth, so Gauss collocation is spectral on it
+        gov = problem.gov
+        n = gov.order
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = gov.a
+        aug[n, :n] = gov.c[0]
+        forcing = np.append(gov.b[:, 0], gov.d[0, 0])
+        _, terminal = coll.solve_lti_collocation(aug, np.zeros(n + 1),
+                                                 coll.make_grid(100, problem.t_f), forcing)
+        assert s_g == pytest.approx(terminal[-1], rel=1e-12)
+        expm = pytest.importorskip("scipy.linalg").expm
+        m = np.zeros((n + 2, n + 2))
+        m[:n + 1, :n] = aug[:, :n]
+        m[:n + 1, -1] = forcing
+        assert to._expm(m * problem.t_f) == pytest.approx(
+            expm(m * problem.t_f), rel=1e-13, abs=1e-13 * abs(s_g))
+        assert s_g == pytest.approx(expm(m * problem.t_f)[n, -1], rel=1e-13)
+
+    @pytest.mark.parametrize("name", CRASH_PLANTS)
+    def test_energy_identity_holds(self, crash_plants, name):
+        # the held trajectory has S = nadir t_f and E_m = nadir S_g(t_f)
+        problem = crash_plants[name]
+        opt = to.step_hold_optimum(problem)
+        nadir, t_f, p_d = opt.nadir_pu, problem.t_f, problem.p_d
+        residual = energy_residual(problem.grid_params, nadir, nadir * t_f, nadir * opt.s_g,
+                                   p_d, t_f)
+        assert abs(residual) <= 1e-15 * p_d * t_f
+
+    @pytest.mark.parametrize("preset", ["two_machine", "multi_machine"])
+    @pytest.mark.parametrize("nodes", [20, 40, 60, 100])
+    def test_lp_converges_at_second_order(self, crash_plants, preset, nodes):
+        # the optimum jumps at t = 0+, which polynomials cannot follow: the
+        # gap falls as K^-2 (gap K^2 reads 3.5 to 4.4 here), not spectrally
+        problem = crash_plants[preset]
+        exact = to.step_hold_optimum(problem).nadir_pu
+        sol = to.solve_max_nadir(problem, coll.make_grid(nodes, problem.t_f))
+        assert sol.nadir_pu < exact
+        assert abs(sol.nadir_pu - exact) / abs(exact) <= 5.0 / nodes**2
+
+    @pytest.mark.parametrize("preset", ["two_machine", "multi_machine"])
+    def test_euler_converges_at_first_order(self, crash_plants, preset):
+        problem = crash_plants[preset]
+        exact = to.step_hold_optimum(problem).nadir_pu
+        gap = [abs(to.euler_oracle(problem, n).nadir_pu - exact) / abs(exact)
+               for n in (3000, 12000)]
+        assert gap[0] <= 5e-4
+        assert gap[0] / gap[1] == pytest.approx(4.0, rel=0.02)
+
+    def test_alpha_does_not_depend_on_the_deficit(self, two_machine_grid, reheat_g1):
+        opts = [to.step_hold_optimum(to.build_problem(two_machine_grid, [reheat_g1], p_d))
+                for p_d in (0.01, 0.075, 0.3)]
+        assert opts[0].alpha == opts[1].alpha == opts[2].alpha
+        assert opts[2].nadir_pu / opts[0].nadir_pu == pytest.approx(30.0, rel=1e-14)
+
+    def test_non_minimum_phase_governor(self):
+        # the step response rises above D first: w = D - s_g is negative
+        problem = _non_minimum_phase_problem()
+        opt = to.step_hold_optimum(problem)
+        assert opt.min_w == pytest.approx(-22.36, abs=0.01)
+        assert opt.tau_min_w_s == pytest.approx(0.32)
+        with pytest.raises(UnboundedError, match="Euler program unbounded"):
+            to.euler_oracle(problem, 3000)
