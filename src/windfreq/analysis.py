@@ -20,6 +20,9 @@ __all__ = [
     "theorem_checks",
 ]
 
+IDENTITY_TOL = 1e-6         # largest energy-identity residual theorem_checks accepts
+TERMINAL_TOL_REL = 0.01     # largest relative terminal-vs-nadir gap it accepts
+
 
 @dataclass
 class AnalysisReport:
@@ -50,8 +53,6 @@ def theorem_checks(
     solution: TrajectorySolution,
     grid: GridParameters,
     min_integral_solution: TrajectorySolution | None = None,
-    identity_tol: float = 1e-6,
-    terminal_tol_rel: float = 0.01,
 ) -> AnalysisReport:
     """Bundle the trajectory-level checks for a solved optimum.
 
@@ -66,10 +67,10 @@ def theorem_checks(
 
     violations = []
     terminal_gap = abs(solution.terminal_df_pu - solution.nadir_pu) / abs(solution.nadir_pu)
-    if abs(residual) > identity_tol:
-        violations.append(f"energy identity residual {residual:.3e} above {identity_tol:.0e}")
-    if terminal_gap > terminal_tol_rel:
-        violations.append(f"terminal-vs-nadir gap {terminal_gap:.3%} above {terminal_tol_rel:.0%}")
+    if abs(residual) > IDENTITY_TOL:
+        violations.append(f"energy identity residual {residual:.3e} above {IDENTITY_TOL:.0e}")
+    if terminal_gap > TERMINAL_TOL_REL:
+        violations.append(f"terminal-vs-nadir gap {terminal_gap:.3%} above {TERMINAL_TOL_REL:.0%}")
 
     gap = None
     if min_integral_solution is not None:

@@ -97,10 +97,6 @@ class CollocationGrid:
     diff_matrix: np.ndarray = field(repr=False)
 
     @property
-    def node_times(self) -> np.ndarray:
-        return time_map(self.nodes, self.t_f)
-
-    @property
     def half_span(self) -> float:
         return self.t_f / 2.0
 

@@ -120,16 +120,18 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     (``p_d``, ``gov_scale``, ``modes``, ``gamma``, ``kw``) is read from asm.
     Each sum is one statement per term from 0.0, in the order of the loop
     over the nonzeros of A_g's rows, the governor outputs and the mirror
-    (``aapc.mirror_output``). The governor output has one term per unit and
-    state of its group, ``gs_u * c_u[s] * x``, in unit order (``units`` holds
-    each unit's (first group state, output row, feedthrough)), then one
-    feedthrough term per unit, so a trip scales only its own unit. The VIC
-    command depends only on df and the shared filter state, so a scenario
-    with a ``classic_vic`` turbine computes it once per call. A turbine is
-    tracking until the event and then in its controller's mode, and an AAPC
-    turbine can exit: so each turbine's code holds the branches of the modes
-    it can reach only, and the mirror sum is written only when a turbine runs
-    the AAPC. All saturation lives here, so every RK4 stage sees the same law.
+    (``aapc.mirror_output``), with no term whose coefficient is zero: a
+    skipped product could change only the sign of a zero sum. The governor
+    output has one term per unit and state of its group, ``gs_u * c_u[s] * x``,
+    in unit order (``units`` holds each unit's (first group state, output
+    row, feedthrough)), then one feedthrough term per unit, so a trip scales
+    only its own unit. The VIC command depends only on df and the shared
+    filter state, so a scenario with a ``classic_vic`` turbine computes it
+    once per call. A turbine is tracking until the event and then in its
+    controller's mode, and an AAPC turbine can exit: so each turbine's code
+    holds the branches of the modes it can reach only, and the mirror sum is
+    written only when a turbine runs the AAPC. All saturation lives here, so
+    every RK4 stage sees the same law.
 
     ``step`` advances y by one RK4 step of size h in place from the
     derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
@@ -150,16 +152,17 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     if aapc:
         src += ["    kw = asm.kw", "    gamma = asm.gamma"]
     for s, row in enumerate(gov.a):
+        b = float(gov.b[s, 0])
         src.append("    r = 0.0")
         src += [f"    r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
-        src.append(f"    d{s} = r + {_lit(float(gov.b[s, 0]))} * df")
+        src.append(f"    d{s} = r + {_lit(b)} * df" if b != 0.0 else f"    d{s} = r")
     src.append("    pm = 0.0")
     src += [f"    pm += gs{u} * {_lit(c)} * x{first + s}"
-            for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u)]
-    src += [f"    pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units)]
+            for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u) if c != 0.0]
+    src += [f"    pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units) if d != 0.0]
     if aapc:
-        src.append(f"    mirror = {_lit(mirror_d)} * df")
-        src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c)]
+        src.append(f"    mirror = {_lit(mirror_d)} * df" if mirror_d != 0.0 else "    mirror = 0.0")
+        src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c) if c != 0.0]
     src.append("    pe_dev = 0.0")
     vic_mw = f"vic_command_mw(vic, df, z, {_lit(asm.f_base)})"
     if MODE_VIC in asm.ctrl_mode:
@@ -602,13 +605,14 @@ def solved_alpha(sc: Scenario, solution=None) -> float:
     return solution.alpha
 
 
-def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
-    """Scenario alpha, else ``solved_alpha`` if a turbine runs the AAPC, else None."""
-    if sc.alpha is not None:
-        return sc.alpha
+def _resolve_alpha(sc: Scenario, solution=None, alpha: float | None = None) -> float | None:
+    """None if no turbine runs the AAPC; else ``alpha``, the scenario alpha or
+    ``solved_alpha``, the first of them that is set."""
     if not any(t.controller == "optimal_aapc" for t in sc.turbines):
         return None
-    return solved_alpha(sc, solution)
+    if alpha is None:
+        alpha = sc.alpha
+    return solved_alpha(sc, solution) if alpha is None else alpha
 
 
 def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:
@@ -629,7 +633,7 @@ def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:
 def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
     """Simulate the scenario and return uniform-step traces plus event log."""
     scenario.check()
-    alpha = alpha_override if alpha_override is not None else _resolve_alpha(scenario)
+    alpha = _resolve_alpha(scenario, alpha=alpha_override)
     t_start = time.perf_counter()
     asm = _Assembled(scenario, alpha)
     t_assembled = time.perf_counter()
@@ -738,11 +742,7 @@ def metrics(result: SimResult, nadir_ref_pu: float | None = None) -> MetricsReco
 
     e_r = None
     if nadir_ref_pu is not None:
-        if degenerate:
-            e_r = -100.0
-            degenerate = True
-        else:
-            e_r = float((nadir - nadir_ref_pu) / nadir_ref_pu * 100.0)
+        e_r = -100.0 if degenerate else float((nadir - nadir_ref_pu) / nadir_ref_pu * 100.0)
 
     limit_events = []
     for j in range(result.n_wt):
@@ -786,8 +786,7 @@ def insensitivity_sweep(
     if reference_nadir_per_pd is None:
         sol = solve_hypothetical(scenario)
         reference_nadir_per_pd = sol.nadir_pu / sol.p_d_pu
-    if alpha is None:
-        alpha = _resolve_alpha(scenario, sol)
+    alpha = _resolve_alpha(scenario, sol, alpha)
 
     def point(p_d):
         events = tuple(

@@ -3,23 +3,23 @@
 An aggregated fleet of identical units is modeled as one turbine with the
 single-unit inertia multiplied by the unit count; powers are fleet totals.
 The laws run in SI (W, rad/s) in ``_turbine_power_w`` and ``_mppt_power_w``;
-the public surface reports MW and MJ. The one-mass rotor dynamics
-J w dw/dt = P_t - P_e, with the power limits and the speed-floor cutback, are
-integrated by the closed-loop kernel in ``windfreq.simulator``, which calls
-the same two laws.
+the public surface reports MW and MJ. The tracking curve follows the C_p
+optimum at zero pitch, which the exponential C_p fit has in closed form:
+``TSR_OPT`` is the root of dC_p/d(1/lambda_i), and ``CP_MAX`` the C_p law
+evaluated there. The one-mass rotor dynamics J w dw/dt = P_t - P_e, with the
+power limits and the speed-floor cutback, are integrated by the closed-loop
+kernel in ``windfreq.simulator``, which calls the same two laws.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "TurbineSpec",
     "TurbineState",
     "dfig5mw",
-    "cp_peak",
+    "TSR_OPT",
+    "CP_MAX",
     "mppt_power",
     "mppt_equilibrium_speed",
     "make_state",
@@ -111,44 +111,12 @@ def _cp_value(tsr, pitch):
     return cp
 
 
-@lru_cache(maxsize=16)
-def cp_peak(pitch_deg: float = 0.0):
-    """(tsr_opt, cp_max) for a fixed pitch: grid scan plus golden-section polish.
-
-    The scan finds the maximum of C_p on a 1e-3 grid of tip-speed ratios over
-    [0.5, 20) without evaluating all of it: every 100th point first, then
-    every point within 0.2 of the coarse maximum.
-    """
-    tsr_grid = np.arange(0.5, 20.0, 1e-3)
-    coarse = tsr_grid[::100]
-    i_c = int(np.argmax([_cp_value(t, pitch_deg) for t in coarse.tolist()]))
-    near = np.flatnonzero(np.abs(tsr_grid - coarse[i_c]) <= 0.2)
-    i = int(near[np.argmax([_cp_value(t, pitch_deg) for t in tsr_grid[near].tolist()])])
-    return _polish_cp_peak(tsr_grid[i], pitch_deg)
-
-
-def _polish_cp_peak(tsr_grid_max, pitch_deg):
-    """Golden-section refinement of a C_p maximum found on the 1e-3 grid."""
-    lo = max(tsr_grid_max - 2e-3, 1e-6)
-    hi = tsr_grid_max + 2e-3
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _cp_value(c, pitch_deg), _cp_value(d, pitch_deg)
-    for _ in range(120):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _cp_value(c, pitch_deg)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _cp_value(d, pitch_deg)
-        if b - a < 1e-12:
-            break
-    tsr_opt = 0.5 * (a + b)
-    return float(tsr_opt), float(_cp_value(tsr_opt, pitch_deg))
+# At zero pitch C_p = 0.22 (116 x - 5) exp(-12.5 x) in x = 1/lambda_i =
+# 1/tsr - 0.035. Its derivative 0.22 exp(-12.5 x) (116 - 12.5 (116 x - 5))
+# has the one root x = 14.28/116 (= 1/12.5 + 5/116), a maximum: C_p rises
+# from 0 at x = 5/116 up to the root and decays past it.
+TSR_OPT = 1.0 / (14.28 / 116.0 + 0.035)
+CP_MAX = _cp_value(TSR_OPT, 0.0)
 
 
 def _fleet_power_scale(spec: TurbineSpec) -> float:
@@ -173,11 +141,7 @@ def _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w):
 
 def _k_opt_w(spec: TurbineSpec) -> float:
     """Optimal-torque curve gain, W per (rad/s)^3, fleet total."""
-    tsr_opt, cp_max = cp_peak(0.0)
-    return (
-        spec.count * 0.5 * spec.air_density * math.pi
-        * spec.rotor_radius_m ** 5 * cp_max / tsr_opt ** 3
-    )
+    return _fleet_power_scale(spec) * (spec.rotor_radius_m / TSR_OPT) ** 3 * CP_MAX
 
 
 def mppt_power(omega_rad_s: float, spec: TurbineSpec) -> float:
@@ -190,8 +154,7 @@ def mppt_power(omega_rad_s: float, spec: TurbineSpec) -> float:
 
 def mppt_equilibrium_speed(wind_speed_ms: float, spec: TurbineSpec) -> float:
     """Rotor speed (rad/s) where the tracking curve meets the turbine power."""
-    tsr_opt, _ = cp_peak(0.0)
-    return tsr_opt * wind_speed_ms / spec.rotor_radius_m
+    return TSR_OPT * wind_speed_ms / spec.rotor_radius_m
 
 
 def make_state(

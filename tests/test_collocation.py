@@ -217,7 +217,7 @@ def test_collocation_matrix_and_per_node_forcing():
     # x(t) = 2 + (x0 - 2) e^{-t}
     assert abs(term_c[0] - (2.0 - 1.5 * np.exp(-4.0))) < 1e-9
     # time-varying forcing g = t: x(t) = t - 1 + (x0 + 1) e^{-t}
-    forcing = g.node_times[:, None]
+    forcing = coll.time_map(g.nodes, g.t_f)[:, None]
     _, term = coll.solve_lti_collocation(a, [0.5], g, forcing)
     assert abs(term[0] - (3.0 + 1.5 * np.exp(-4.0))) < 1e-9
 

@@ -323,6 +323,13 @@ class TestSource:
             rhs = inspect.getsource(sim._Assembled(sc, 1.3).rhs)
             assert ("mirror" in rhs) == (strategy == "optimal_aapc"), strategy
 
+    def test_no_zero_coefficient_terms(self, multi_machine_scenario):
+        # the gas unit G4 has no feedthrough: its df term would add 0.0 * df
+        for strategy in ("none", "classic_vic", "optimal_aapc"):
+            sc = sim._with_controllers(multi_machine_scenario, strategy)
+            rhs = inspect.getsource(sim._Assembled(sc, 1.3).rhs)
+            assert "(0.0) *" not in rhs and "(-0.0) *" not in rhs, strategy
+
     def test_traceback_shows_generated_line(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)
         y = list(asm.y0)

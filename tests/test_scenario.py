@@ -482,6 +482,21 @@ class TestCli:
         assert (tmp_path / "a" / "solve_metrics.json").read_bytes() == \
             (tmp_path / "b" / "solve_metrics.json").read_bytes()
 
+    @pytest.mark.parametrize("alpha", [None, 1.19])
+    def test_compare_reports_alpha_for_aapc_only(self, tmp_path, alpha):
+        # the pinned or solved alpha belongs to the run whose turbines use it
+        doc = load_preset("two_machine")
+        doc["controllers"]["alpha"] = alpha
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compare", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        for strat in ("none", "classic_vic"):
+            metrics = json.loads((tmp_path / "o" / f"compare_{strat}_metrics.json").read_text())
+            assert (metrics["alpha"], metrics["gain_kw"]) == (None, None), strat
+        aapc = json.loads((tmp_path / "o" / "compare_optimal_aapc_metrics.json").read_text())
+        assert aapc["alpha"] == (1.19 if alpha else pytest.approx(1.187, abs=1e-3))
+        assert aapc["gain_kw"] < 0.0
+
     def test_synthesize_reports_gain(self, tmp_path):
         rc = main(["synthesize", "--preset", "two_machine",
                    "--out", str(tmp_path / "o"), "--nodes", "40"])

@@ -153,26 +153,26 @@ class TestExitBehavior:
     # power cross of WT1, WT2 or WT3: the checks of a step read its state
     # before its events apply, and the step that resumes after the exit
     # applies them once. Figures recorded with the exit checks evaluated
-    # apart from the right-hand side.
+    # apart from the right-hand side and the closed-form C_p optimum.
     @pytest.mark.parametrize("t2, nadir, exits", [
-        (24.41, -0.003651818364287569, [
+        (24.41, -0.003651818364281788, [
             ("WT1", "power_cross", 24.400789794921877),
             ("WT2", "horizon", 30.0),
             ("WT3", "horizon", 30.0),
             ("WT4", "horizon", 30.0),
             ("WT5", "horizon", 30.0)]),
-        (26.78, -0.003675016020919, [
+        (26.78, -0.00367501602221713, [
             ("WT1", "power_cross", 24.400789794921877),
             ("WT2", "power_cross", 26.771478271484373),
             ("WT3", "horizon", 30.0),
             ("WT4", "horizon", 30.0),
             ("WT5", "horizon", 30.0)]),
-        (29.93, -0.003919132903200711, [
+        (29.93, -0.0039191329311568865, [
             ("WT1", "power_cross", 24.400789794921877),
             ("WT2", "power_cross", 26.771478271484373),
             ("WT5", "power_cross", 29.2149658203125),
             ("WT4", "power_cross", 29.64748046875),
-            ("WT3", "power_cross", 29.925643920898438)]),
+            ("WT3", "power_cross", 29.92564453125)]),
     ], ids=["WT1_cross", "WT2_cross", "WT3_cross"])
     def test_second_event_at_exit(self, t2, nadir, exits):
         sc = scenario_from_dict(load_preset("multi_machine"))
@@ -276,7 +276,7 @@ class TestGoldenRegression:
 
     # nadir (pu), t_nadir (s) and (turbine, cause, t_e_s, gamma) per exit,
     # recorded from the numpy-array kernel with alpha pinned at the presets'
-    # own LP values
+    # own LP values and the closed-form C_p optimum
     @pytest.mark.parametrize("preset, controller, trip, nadir, t_nadir, exits", [
         ("multi_machine", "classic_vic", False, -0.004642691564154684, 2.6, []),
         ("multi_machine", "optimal_aapc", False, -0.002919742154928845, 12.35, [
@@ -284,9 +284,9 @@ class TestGoldenRegression:
             ("WT2", "power_cross", 26.771478271484373, 1.0),
             ("WT5", "power_cross", 29.2149658203125, 1.0),
             ("WT4", "power_cross", 29.64748046875, 1.0),
-            ("WT3", "power_cross", 29.925643920898438, 1.0)]),
-        ("two_machine", "optimal_aapc", True, -0.004630598395116617, 29.17, [
-            ("WF1", "power_cross", 29.156668090820315, 1.0)]),
+            ("WT3", "power_cross", 29.92564453125, 1.0)]),
+        ("two_machine", "optimal_aapc", True, -0.004630598395711238, 29.17, [
+            ("WF1", "power_cross", 29.156668701171878, 1.0)]),
     ], ids=["multi_machine-classic_vic", "multi_machine-optimal_aapc", "two_machine-trip"])
     def test_closed_loop_figures(self, preset, controller, trip, nadir, t_nadir, exits):
         alpha = {"two_machine": 1.1870649147208707, "multi_machine": 1.3087744209468601}

@@ -9,9 +9,10 @@ from windfreq import turbine
 from windfreq.scenario import SimOptions, TurbineEntry
 from windfreq.simulator import run
 from windfreq.turbine import (
+    CP_MAX,
+    TSR_OPT,
     TurbineSpec,
     capability_indices,
-    cp_peak,
     dfig5mw,
     make_state,
     mppt_equilibrium_speed,
@@ -57,27 +58,27 @@ class TestPowerCoefficient:
 
     def test_peak_matches_dense_scan(self):
         tsr_ref, cp_ref = brute_force_cp_peak()
-        tsr_opt, cp_max = cp_peak(0.0)
-        assert tsr_opt == pytest.approx(tsr_ref, abs=2e-4)
-        assert cp_max == pytest.approx(cp_ref, abs=1e-8)
+        assert TSR_OPT == pytest.approx(tsr_ref, abs=1e-4)  # within the scan step
+        # no scan point beats the closed form by more than 1e-12; the best
+        # one lies within half a step of it, where C_p is flat to ~5e-11
+        assert cp_ref <= CP_MAX + 1e-12
+        assert CP_MAX - cp_ref < 1e-10
 
-    @pytest.mark.parametrize("pitch", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
-    def test_scan_equals_full_dense_scan(self, pitch):
-        # cp_peak scans every 100th grid point, then the dense points near
-        # the coarse maximum; the scan of every point is the reference
-        grid = np.arange(0.5, 20.0, 1e-3)
-        i = int(np.argmax([turbine._cp_value(t, pitch) for t in grid.tolist()]))
-        assert cp_peak.__wrapped__(pitch) == turbine._polish_cp_peak(grid[i], pitch)
+    def test_peak_is_stationary(self):
+        # the closed form 1/lambda_i = 14.28/116 is the maximum of the C_p law
+        assert TSR_OPT == 1.0 / (14.28 / 116.0 + 0.035)
+        assert CP_MAX == turbine._cp_value(TSR_OPT, 0.0)
+        for rel in (1e-6, -1e-6):
+            assert turbine._cp_value(TSR_OPT * (1.0 + rel), 0.0) < CP_MAX
 
     def test_global_bound_on_grid(self):
-        _, cp_max = cp_peak(0.0)
         rng = np.random.default_rng(5)
         tsrs = rng.uniform(0.5, 25.0, size=100)
         pitches = rng.uniform(0.0, 20.0, size=100)
         for tsr in tsrs.tolist():
             for pitch in pitches.tolist():
-                # outside the model domain the value is the -1 sentinel
-                assert turbine._cp_value(tsr, pitch) <= cp_max + 1e-12
+                # outside the model domain C_p clamps to zero
+                assert turbine._cp_value(tsr, pitch) <= CP_MAX + 1e-12
 
 
 class TestTurbinePower:
@@ -97,9 +98,8 @@ class TestTurbinePower:
 
     def test_optimal_point_value(self):
         spec = dfig5mw(rotor_radius_m=45.0)
-        tsr_opt, cp_max = cp_peak(0.0)
         state = make_state(spec, 9.0, S_BASE)
-        direct = 0.5 * 1.225 * math.pi * 45.0 ** 2 * cp_max * 9.0 ** 3 / 1e6
+        direct = 0.5 * 1.225 * math.pi * 45.0 ** 2 * CP_MAX * 9.0 ** 3 / 1e6
         assert turbine_power_mw(state.omega_rad_s, 9.0, spec) == pytest.approx(direct, rel=1e-9)
 
     def test_monotone_in_wind_at_fixed_tsr(self):
@@ -205,7 +205,6 @@ def test_mppt_equilibrium_attracting(two_machine_scenario):
     # the kernel starts each rotor off its tracking equilibrium and steps it
     # with no disturbance and no controller for 300 s
     spec = dfig5mw(count=1, rotor_radius_m=45.0)
-    tsr_opt, _ = cp_peak(0.0)
     v = 8.0
     omega_eq = mppt_equilibrium_speed(v, spec)
     sc = replace(two_machine_scenario, events=(),
@@ -217,7 +216,7 @@ def test_mppt_equilibrium_attracting(two_machine_scenario):
         y[1 + asm.m_gov] = max(omega0, spec.floor_speed_rad)
         tr = sim._Traces(asm.n_steps, asm.n_wt)
         sim._run_segment(asm, y, 0, tr)
-        gaps = np.abs(spec.rotor_radius_m * tr.wt_omega[1::1000, 0] / v - tsr_opt)
+        gaps = np.abs(spec.rotor_radius_m * tr.wt_omega[1::1000, 0] / v - TSR_OPT)
         settled = gaps[2:]
         assert np.all(np.diff(settled) <= 1e-12)
         assert settled[-1] < 1e-3
