@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import law_function
 from .grid import GovernorSpec, GridParameters, StateSpace, aggregate_governors, \
     governor_dc_gain_total, rebase_governors, scale_output
 
@@ -104,9 +105,17 @@ def mirror_output(mirror_d: float, mirror_c, x_gov, df: float) -> float:
     return out
 
 
-def command_pu(share: float, mirror_pu: float, gain_kw: float, df: float) -> float:
-    """One turbine's power command deviation: its share of mirror plus gain, pu."""
-    return share * (mirror_pu + gain_kw * df)
+# Each controller law is written once, as a Python expression with named
+# slots (see ``codegen``); the callables below are compiled from them.
+COMMAND_LAW = "{share} * ({mirror} + {gain_kw} * {df})"
+EXIT_BLEND_LAW = "(1.0 - {gamma}) * {p_t} + {gamma} * {p_mppt}"
+VIC_FILTER_RATE_LAW = "({df} - {z}) / {filter_s}"
+VIC_COMMAND_LAW = "-({k_f} * {df} * {f_base} + {k_in} * {rate} * {f_base})"
+
+command_pu = law_function(
+    __name__, "command_pu", ("share", "mirror_pu", "gain_kw", "df"),
+    COMMAND_LAW.format(share="share", mirror="mirror_pu", gain_kw="gain_kw", df="df"),
+    doc="One turbine's power command deviation: its share of mirror plus gain, pu.")
 
 
 def allocate(capabilities) -> np.ndarray:
@@ -163,9 +172,10 @@ def exit_gamma(p_e_at_te: float, p_t_at_te: float, p_mppt_at_te: float) -> float
     return float(np.clip((p_e_at_te - p_t_at_te) / denom, 0.0, 1.0))
 
 
-def exit_power(gamma: float, p_t: float, p_mppt: float) -> float:
-    """Post-exit output law, evaluated on the live operating point (any unit)."""
-    return (1.0 - gamma) * p_t + gamma * p_mppt
+exit_power = law_function(
+    __name__, "exit_power", ("gamma", "p_t", "p_mppt"),
+    EXIT_BLEND_LAW.format(gamma="gamma", p_t="p_t", p_mppt="p_mppt"),
+    doc="Post-exit output law, evaluated on the live operating point (any unit).")
 
 
 @dataclass(frozen=True)
@@ -185,16 +195,16 @@ class BaselineVic:
             raise ValueError("VIC gains must be nonnegative with a positive filter time")
 
 
-def vic_filter_rate(vic: BaselineVic, df: float, z: float) -> float:
-    """dz/dt of the lag z of the deviation; also the VIC derivative estimate."""
-    return (df - z) / vic.filter_s
-
-
-def vic_command_mw(vic: BaselineVic, df_pu: float, z_pu: float, f_base_hz: float) -> float:
-    """Classic VIC command -k_f df - k_in d(df)/dt, MW, from the filter state z.
-
-    The deviation and the filter state are in pu; ``f_base_hz`` turns them
-    into the Hz the gains act on.
-    """
-    deriv = vic_filter_rate(vic, df_pu, z_pu)
-    return -(vic.k_f * df_pu * f_base_hz + vic.k_in * deriv * f_base_hz)
+vic_filter_rate = law_function(
+    __name__, "vic_filter_rate", ("vic", "df", "z"),
+    VIC_FILTER_RATE_LAW.format(df="df", z="z", filter_s="vic.filter_s"),
+    doc="dz/dt of the lag z of the deviation; also the VIC derivative estimate.")
+vic_command_mw = law_function(
+    __name__, "vic_command_mw", ("vic", "df_pu", "z_pu", "f_base_hz"),
+    VIC_COMMAND_LAW.format(k_f="vic.k_f", k_in="vic.k_in", df="df_pu", rate="deriv",
+                           f_base="f_base_hz"),
+    "deriv = " + VIC_FILTER_RATE_LAW.format(df="df_pu", z="z_pu", filter_s="vic.filter_s")
+    + "\n",
+    "Classic VIC command -k_f df - k_in d(df)/dt, MW, from the filter state z.\n\n"
+    "The deviation and the filter state are in pu; ``f_base_hz`` turns them into\n"
+    "the Hz the gains act on.")

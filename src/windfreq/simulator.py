@@ -1,17 +1,18 @@
 """Closed-loop time-domain simulation of grid, governors, turbines, controllers.
 
 Fixed-step RK4 co-integrates the swing equation, one governor state block
-per distinct governor dynamics, the one-mass rotors and one VIC filter state;
-this kernel is the package's only integrator of rotor and governor dynamics.
-Governor units with the same dynamics share a state block, and the VIC filter
-is shared, because each sees the same deviation from the same zero state; the
-AAPC mirror of the governors has no state of its own: it reads the governor
-states. Disturbances are steps in the power deficit; generation trips also
-scale the tripped unit's governor output, which keeps its own output term.
-Turbine power limits and the rotor speed floor are enforced inside the
-right-hand side, a rotor that is not under AAPC is held on its floor at the
-end of each step, and exit triggers are located by 14 bisection halvings of
-the step (0.6 us at a 10 ms step).
+per distinct governor dynamics, the one-mass rotors and, if a turbine runs
+the classic VIC, one VIC filter state; this kernel is the package's only
+integrator of rotor and governor dynamics. Governor units with the same
+dynamics share a state block, and the VIC turbines share the filter, because
+each sees the same deviation from the same zero state; the AAPC mirror of the
+governors has no state of its own: it reads the governor states.
+Disturbances are steps in the power deficit; generation trips also scale the
+tripped unit's governor output, which keeps its own output term. Turbine
+power limits and the rotor speed floor are enforced inside the right-hand
+side, a rotor that is not under AAPC is held on its floor at the end of each
+step, and exit triggers are located by 14 bisection halvings of the step
+(0.6 us at a 10 ms step).
 The right-hand side is the only evaluator of turbine power, tracking power and
 controller command at a closed-loop state: the exit checks, the bisection and
 the exit blend read the powers it records. Identical inputs produce
@@ -23,10 +24,12 @@ literal and every sum one statement per term in the order of the loops over
 A_g's rows, the governor outputs and the mirror, and compiles it once
 (``_compile_kernel``). On a state of a few entries numpy's per-call overhead
 costs more than the arithmetic, and a loop over tuples of constants that do
-not change during a run costs more than the arithmetic too. The generated
-code calls the laws of ``turbine`` and ``aapc`` by name, so each law keeps
-one implementation. The source is registered in ``linecache`` under
-``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
+not change during a run costs more than the arithmetic too, as does a call
+per law. The generated code writes the laws of ``turbine`` and ``aapc``
+inline from their source templates, the text their callables are compiled
+from (``codegen``), so each law keeps one implementation; CPython folds the
+parts that read only literals. The source is registered in ``linecache``
+under ``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
 ``inspect.getsource`` show it. numpy holds the assembly (governor
 realization and aggregation, allocation) and the preallocated traces, which
 each step fills with one ``struct`` pack per table. ``SimResult.stats``
@@ -46,6 +49,7 @@ import math
 import os
 import pickle
 import struct
+import textwrap
 import time
 import weakref
 from dataclasses import dataclass, field, replace
@@ -56,11 +60,12 @@ import numpy as np
 
 from . import collocation as coll
 from . import trajopt as to
-from .aapc import (allocate, check_exit, command_pu, exit_gamma, exit_power, synthesize,
-                   vic_command_mw, vic_filter_rate)
+from .aapc import (COMMAND_LAW, EXIT_BLEND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, allocate,
+                   check_exit, exit_gamma, exit_power, synthesize)
+from .codegen import LAW_NAMES
 from .grid import aggregate_governors, group_governors, rebase_governors
 from .scenario import DisturbanceEvent, Scenario, ScenarioError
-from .turbine import (_fleet_power_scale, _k_opt_w, _mppt_power_w, _turbine_power_w,
+from .turbine import (TRACKING_POWER_LAW, TURBINE_POWER_LAW, _fleet_power_scale, _k_opt_w,
                       capability_indices, make_state, mppt_power)
 
 __all__ = [
@@ -110,6 +115,11 @@ def _unpack(names, expr: str) -> list:
     return [f"    {', '.join(names)}, = {expr}"] if names else []
 
 
+def _law_lines(law: str, **slots) -> list:
+    """Source lines of the law template filled with the slots, indented into ``rhs``."""
+    return textwrap.indent(law.format(**slots), "    ").splitlines()
+
+
 def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     """Sources of the scenario's ``rhs(asm, y, dy)`` and ``step(asm, y, h)``.
 
@@ -117,7 +127,7 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     records each turbine's applied power (for an AAPC turbine the clamped
     command), turbine power, tracking power and flags in asm, and returns
     (pm_pu, pe_dev_pu). Every constant is a literal; the run-time state
-    (``p_d``, ``gov_scale``, ``modes``, ``gamma``, ``kw``) is read from asm.
+    (``p_d``, ``gov_scale``, ``modes``, ``gamma``) is read from asm.
     Each sum is one statement per term from 0.0, in the order of the loop
     over the nonzeros of A_g's rows, the governor outputs and the mirror
     (``aapc.mirror_output``), with no term whose coefficient is zero: a
@@ -125,13 +135,22 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     output has one term per unit and state of its group, ``gs_u * c_u[s] * x``,
     in unit order (``units`` holds each unit's (first group state, output
     row, feedthrough)), then one feedthrough term per unit, so a trip scales
-    only its own unit. The VIC command depends only on df and the shared
-    filter state, so a scenario with a ``classic_vic`` turbine computes it
-    once per call. A turbine is tracking until the event and then in its
-    controller's mode, and an AAPC turbine can exit: so each turbine's code
-    holds the branches of the modes it can reach only, and the mirror sum is
-    written only when a turbine runs the AAPC. All saturation lives here, so
-    every RK4 stage sees the same law.
+    only its own unit.
+
+    The laws are written inline: the source templates of ``turbine`` (C_p,
+    turbine power, tracking power) and ``aapc`` (command, exit blend, VIC
+    filter rate and command) with the turbine's and controller's literals in
+    their slots, the same text the package's callables are compiled from.
+    CPython folds the parts that read literals only, such as the wind's
+    ``(9.0) ** 3`` and the pitch terms of C_p, at compile time, with the
+    arithmetic the callables run. The VIC filter rate and command depend
+    only on df and the filter state z, so a scenario with a ``classic_vic``
+    turbine computes them once per call; without one there is no z. A
+    turbine is tracking until the event and then in its controller's mode,
+    and an AAPC turbine can exit: so each turbine's code holds the branches
+    of the modes it can reach only, and the mirror sum is written only when
+    a turbine runs the AAPC. All saturation lives here, so every RK4 stage
+    sees the same law.
 
     ``step`` advances y by one RK4 step of size h in place from the
     derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
@@ -143,14 +162,15 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     m, n_wt = asm.m_gov, asm.n_wt
     x = [f"x{s}" for s in range(m)]
     w = [f"w{j}" for j in range(n_wt)]
-    ys = ["df", *x, *w, "z"]
+    vic = MODE_VIC in asm.ctrl_mode
+    ys = ["df", *x, *w, *(["z"] if vic else [])]
     gs = [f"gs{u}" for u in range(len(units))]
     modes = [f"mode{j}" for j in range(n_wt)]
     aapc = MODE_AAPC in asm.ctrl_mode
     src = ["def rhs(asm, y, dy):", *_unpack(ys, "y"), *_unpack(gs, "asm.gov_scale"),
-           *_unpack(modes, "asm.modes"), "    vic = asm.vic"]
+           *_unpack(modes, "asm.modes")]
     if aapc:
-        src += ["    kw = asm.kw", "    gamma = asm.gamma"]
+        src.append("    gamma = asm.gamma")
     for s, row in enumerate(gov.a):
         b = float(gov.b[s, 0])
         src.append("    r = 0.0")
@@ -164,34 +184,41 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
         src.append(f"    mirror = {_lit(mirror_d)} * df" if mirror_d != 0.0 else "    mirror = 0.0")
         src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c) if c != 0.0]
     src.append("    pe_dev = 0.0")
-    vic_mw = f"vic_command_mw(vic, df, z, {_lit(asm.f_base)})"
-    if MODE_VIC in asm.ctrl_mode:
-        src.append(f"    vic_mw = {vic_mw}")
-        vic_mw = "vic_mw"
-    s_base = _lit(asm.s_base_w)
+    if vic:
+        src += [
+            "    vic_rate = " + VIC_FILTER_RATE_LAW.format(
+                df="df", z="z", filter_s=_lit(float(asm.vic.filter_s))),
+            "    vic_mw = " + VIC_COMMAND_LAW.format(
+                k_f=_lit(float(asm.vic.k_f)), k_in=_lit(float(asm.vic.k_in)), df="df",
+                rate="vic_rate", f_base=_lit(asm.f_base)),
+        ]
+    s_base, kw = _lit(asm.s_base_w), _lit(float(asm.kw))
     for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
         p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
         p_t, p_mppt, p_app = f"pt{j}", f"mppt{j}", f"pe{j}"
-        src += [
-            f"    # turbine {j}",
-            f"    {p_t} = _turbine_power_w(w{j}, {_lit(wt.wind_ms)}, {_lit(wt.pitch_deg)}, "
-            f"{_lit(wt.radius_m)}, {_lit(wt.power_scale)})",
-            f"    {p_mppt} = _mppt_power_w(w{j}, {_lit(wt.k_opt_w)}, {p_min}, {p_max})",
-        ]
+        src.append(f"    # turbine {j}")
+        src += _law_lines(TURBINE_POWER_LAW, omega=f"w{j}", wind=_lit(wt.wind_ms),
+                          pitch=_lit(wt.pitch_deg), radius=_lit(wt.radius_m),
+                          scale=_lit(wt.power_scale), tsr=f"tsr{j}", inv=f"inv{j}",
+                          cp=f"cp{j}", p_t=p_t)
+        src += _law_lines(TRACKING_POWER_LAW, omega=f"w{j}", k_opt=_lit(wt.k_opt_w),
+                          p_min=p_min, p_max=p_max, p=p_mppt)
         if ctrl == MODE_AAPC:
+            command = COMMAND_LAW.format(share=_lit(wt.share), mirror="mirror", gain_kw=kw,
+                                         df="df")
             src += [
                 f"    if mode{j} == {MODE_AAPC}:",
-                f"        p_cmd = {p_e0} + command_pu({_lit(wt.share)}, mirror, kw, df)"
-                f" * {s_base}",
+                f"        p_cmd = {p_e0} + ({command}) * {s_base}",
                 f"    elif mode{j} == {MODE_EXITED}:",
-                f"        p_cmd = exit_power(gamma[{j}], {p_t}, {p_mppt})",
+                "        p_cmd = " + EXIT_BLEND_LAW.format(gamma=f"gamma[{j}]", p_t=p_t,
+                                                         p_mppt=p_mppt),
                 "    else:",
                 f"        p_cmd = {p_mppt}",
             ]
         elif ctrl == MODE_VIC:
             src += [
                 f"    if mode{j} == {MODE_VIC}:",
-                f"        p_cmd = {p_e0} + {vic_mw} * (1e6)",
+                f"        p_cmd = {p_e0} + vic_mw * (1e6)",
                 "    else:",
                 f"        p_cmd = {p_mppt}",
             ]
@@ -219,10 +246,11 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     for name, prefix in (("wt_pe_w", "pe"), ("wt_pt_w", "pt"), ("wt_mppt_w", "mppt"),
                          ("wt_flags", "fl")):
         src.append(f"    asm.{name} = [{', '.join(f'{prefix}{j}' for j in range(n_wt))}]")
-    derivs = [f"d{s}" for s in range(m)] + [f"dw{j}" for j in range(n_wt)]
+    derivs = ["ddf", *(f"d{s}" for s in range(m)), *(f"dw{j}" for j in range(n_wt)),
+              *(["vic_rate"] if vic else [])]
     src += [
         f"    ddf = (pm + pe_dev - asm.p_d - {_lit(asm.damping)} * df) / {_lit(asm.two_h)}",
-        f"    dy[:] = [{', '.join(['ddf', *derivs, 'vic_filter_rate(vic, df, z)'])}]",
+        f"    dy[:] = [{', '.join(derivs)}]",
         "    return pm, pe_dev",
         "",
     ]
@@ -256,10 +284,7 @@ def _compile_kernel(asm, *constants):
     """
     rhs_src, step_src = _kernel_source(asm, *constants)
     filename = f"<windfreq-kernel-{next(_kernel_ids)}>"
-    namespace = {"__name__": __name__, "_turbine_power_w": _turbine_power_w,
-                 "_mppt_power_w": _mppt_power_w, "command_pu": command_pu,
-                 "vic_command_mw": vic_command_mw, "vic_filter_rate": vic_filter_rate,
-                 "exit_power": exit_power}
+    namespace = {"__name__": __name__, **LAW_NAMES}
     exec(compile(rhs_src, filename, "exec"), namespace)
     exec(compile("\n" * rhs_src.count("\n") + step_src, filename, "exec"), namespace)
     rhs, step = namespace.pop("rhs"), namespace.pop("step")
@@ -430,10 +455,11 @@ class _Assembled:
     """Scenario compiled to a kernel and Python-float constants, plus the loop's mutable state.
 
     The state list is [df, governor states, rotor speeds, VIC filter state]:
-    1 + m_gov + n_wt + 1 floats. The governor states are one block per group
-    of ``grid.group_governors``, so units with the same dynamics share one
-    (m_gov is 3 on ``multi_machine``, whose ten units have three distinct
-    dynamics), and one VIC filter state is shared by every turbine. The
+    1 + m_gov + n_wt floats, plus 1 if a turbine runs ``classic_vic``. The
+    governor states are one block per group of ``grid.group_governors``, so
+    units with the same dynamics share one (m_gov is 3 on ``multi_machine``,
+    whose ten units have three distinct dynamics), and the one VIC filter
+    state is shared by every VIC turbine. The
     AAPC mirror has no state of its own; it reads the governor states (see
     ``aapc.mirror_output``). ``rhs`` and ``step`` are the scenario's kernel
     from ``_compile_kernel``, called as ``asm.rhs(asm, y, dy)`` and
@@ -469,7 +495,7 @@ class _Assembled:
         self.shares = allocation_shares(sc).tolist()
         self.wt = [
             _Turbine(float(t.wind_speed_ms), float(t.pitch_deg), float(s.rotor_radius_m),
-                     _fleet_power_scale(s), _k_opt_w(s), s.p_min_fleet_mw * 1e6,
+                     _fleet_power_scale(s), _k_opt_w(s, t.pitch_deg), s.p_min_fleet_mw * 1e6,
                      s.p_max_fleet_mw * 1e6, s.floor_speed_rad, p_e0, float(s.fleet_inertia),
                      share)
             for t, s, p_e0, share in zip(sc.turbines, specs, self.p_e0_w, self.shares)
@@ -500,7 +526,7 @@ class _Assembled:
         self.modes = [MODE_TRACKING] * n_wt
         self.gamma = [0.0] * n_wt
         self.armed = [False] * n_wt
-        self.y0 = [0.0] * self.base_w + self.omega0 + [0.0]
+        self.y0 = [0.0] * self.base_w + self.omega0 + [0.0] * (MODE_VIC in self.ctrl_mode)
         n_y = len(self.y0)
         self.k1, self.k2, self.y_snapshot = ([0.0] * n_y for _ in range(3))
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
@@ -621,7 +647,7 @@ def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:
         return ev.magnitude_pu
     wind_mw = sum(
         mppt_power(make_state(t.spec, t.wind_speed_ms, sc.grid.s_base_mva,
-                              t.pitch_deg).omega_rad_s, t.spec)
+                              t.pitch_deg).omega_rad_s, t.spec, t.pitch_deg)
         for t in sc.turbines
     )
     sync_pu = sc.grid.load_pu - wind_mw / sc.grid.s_base_mva

@@ -2,17 +2,22 @@
 
 An aggregated fleet of identical units is modeled as one turbine with the
 single-unit inertia multiplied by the unit count; powers are fleet totals.
-The laws run in SI (W, rad/s) in ``_turbine_power_w`` and ``_mppt_power_w``;
-the public surface reports MW and MJ. The tracking curve follows the C_p
-optimum at zero pitch, which the exponential C_p fit has in closed form:
-``TSR_OPT`` is the root of dC_p/d(1/lambda_i), and ``CP_MAX`` the C_p law
-evaluated there. The one-mass rotor dynamics J w dw/dt = P_t - P_e, with the
+The laws run in SI (W, rad/s) and are written once each as source templates
+(``CP_LAW``, ``TURBINE_POWER_LAW``, ``TRACKING_POWER_LAW``), from which
+``_cp_value``, ``_turbine_power_w`` and ``_mppt_power_w`` are compiled (see
+``codegen``); the public surface reports MW and MJ. The tracking curve
+follows the C_p optimum at the turbine's pitch, which the exponential C_p
+fit has in closed form (``_cp_optimum``); at zero pitch it is ``TSR_OPT``
+and ``CP_MAX``. The one-mass rotor dynamics J w dw/dt = P_t - P_e, with the
 power limits and the speed-floor cutback, are integrated by the closed-loop
-kernel in ``windfreq.simulator``, which calls the same two laws.
+kernel in ``windfreq.simulator``, which writes the same law templates inline
+with the turbine's constants in their slots.
 """
 
 import math
 from dataclasses import dataclass
+
+from .codegen import law_function
 
 __all__ = [
     "TurbineSpec",
@@ -99,24 +104,62 @@ def dfig5mw(count: int = 1, rotor_radius_m: float = 63.0, air_density: float = 1
     )
 
 
-def _cp_value(tsr, pitch):
-    """Aerodynamic efficiency, clamped to 0 where it goes negative and
-    beyond the model's domain edge (1 / lambda_i <= 0)."""
-    inv_lam = 1.0 / (tsr + 0.08 * pitch) - 0.035 / (pitch ** 3 + 1.0)
-    if inv_lam <= 0.0:
-        return 0.0
-    cp = 0.22 * (116.0 * inv_lam - 0.4 * pitch - 5.0) * math.exp(-12.5 * inv_lam)
-    if cp < 0.0:
-        return 0.0
-    return cp
+# Each law is written once, as Python source with named slots; see
+# ``codegen``. C_p is clamped to 0 where it goes negative and beyond the fit's
+# domain edge, where 1 / lambda_i <= 0.
+CP_LAW = """\
+{inv} = 1.0 / ({tsr} + 0.08 * {pitch}) - 0.035 / ({pitch} ** 3 + 1.0)
+if {inv} <= 0.0:
+    {cp} = 0.0
+else:
+    {cp} = 0.22 * (116.0 * {inv} - 0.4 * {pitch} - 5.0) * exp(-12.5 * {inv})
+    if {cp} < 0.0:
+        {cp} = 0.0
+"""
+# aerodynamic fleet power, W, with ``scale`` = ``_fleet_power_scale(spec)``
+TURBINE_POWER_LAW = ("{tsr} = {radius} * {omega} / {wind}\n" + CP_LAW
+                     + "{p_t} = {scale} * {cp} * {wind} ** 3\n")
+# tracking-curve power k_opt w^3, W, clamped to [p_min, p_max]
+TRACKING_POWER_LAW = """\
+{p} = {k_opt} * {omega} ** 3
+if {p} > {p_max}:
+    {p} = {p_max}
+elif {p} < {p_min}:
+    {p} = {p_min}
+"""
+
+_cp_value = law_function(
+    __name__, "_cp_value", ("tsr", "pitch"), "cp",
+    CP_LAW.format(tsr="tsr", pitch="pitch", inv="inv_lam", cp="cp"),
+    "Aerodynamic efficiency C_p at tip-speed ratio tsr and pitch, clamped (``CP_LAW``).")
+_turbine_power_w = law_function(
+    __name__, "_turbine_power_w", ("omega", "wind", "pitch", "radius", "power_scale"), "p_t",
+    TURBINE_POWER_LAW.format(omega="omega", wind="wind", pitch="pitch", radius="radius",
+                             scale="power_scale", tsr="tsr", inv="inv_lam", cp="cp", p_t="p_t"),
+    "Aerodynamic fleet power, W; ``power_scale`` is ``_fleet_power_scale(spec)``.")
+_mppt_power_w = law_function(
+    __name__, "_mppt_power_w", ("omega", "k_opt_w", "p_min_w", "p_max_w"), "p",
+    TRACKING_POWER_LAW.format(omega="omega", k_opt="k_opt_w", p_min="p_min_w",
+                              p_max="p_max_w", p="p"),
+    "Tracking-curve power k_opt w^3, W, clamped to [p_min_w, p_max_w].")
 
 
-# At zero pitch C_p = 0.22 (116 x - 5) exp(-12.5 x) in x = 1/lambda_i =
-# 1/tsr - 0.035. Its derivative 0.22 exp(-12.5 x) (116 - 12.5 (116 x - 5))
-# has the one root x = 14.28/116 (= 1/12.5 + 5/116), a maximum: C_p rises
-# from 0 at x = 5/116 up to the root and decays past it.
-TSR_OPT = 1.0 / (14.28 / 116.0 + 0.035)
-CP_MAX = _cp_value(TSR_OPT, 0.0)
+def _cp_optimum(pitch_deg: float) -> tuple:
+    """(lambda*, C_p(lambda*, pitch)): the tip-speed ratio of the C_p maximum
+    at this pitch, and the maximum.
+
+    In x = 1 / lambda_i, C_p = 0.22 (116 x - 0.4 beta - 5) exp(-12.5 x) has
+    the derivative 0.22 exp(-12.5 x) (116 - 12.5 (116 x - 0.4 beta - 5)),
+    whose one root x* = (14.28 + 0.4 beta) / 116 is a maximum: C_p rises from
+    0 up to it and decays past it. lambda_i's definition gives lambda* from
+    x*. At zero pitch this is ``TSR_OPT`` and ``CP_MAX``.
+    """
+    x = (14.28 + 0.4 * pitch_deg) / 116.0
+    tsr = 1.0 / (x + 0.035 / (pitch_deg ** 3 + 1.0)) - 0.08 * pitch_deg
+    return tsr, _cp_value(tsr, pitch_deg)
+
+
+TSR_OPT, CP_MAX = _cp_optimum(0.0)
 
 
 def _fleet_power_scale(spec: TurbineSpec) -> float:
@@ -124,37 +167,26 @@ def _fleet_power_scale(spec: TurbineSpec) -> float:
     return float(spec.count) * (0.5 * spec.air_density * math.pi * spec.rotor_radius_m ** 2)
 
 
-def _turbine_power_w(omega, wind, pitch, radius, power_scale):
-    """Aerodynamic fleet power, W; ``power_scale`` is ``_fleet_power_scale(spec)``."""
-    return power_scale * _cp_value(radius * omega / wind, pitch) * wind ** 3
+def _k_opt_w(spec: TurbineSpec, pitch_deg: float) -> float:
+    """Optimal-torque curve gain at this pitch, W per (rad/s)^3, fleet total."""
+    tsr, cp = _cp_optimum(pitch_deg)
+    return _fleet_power_scale(spec) * (spec.rotor_radius_m / tsr) ** 3 * cp
 
 
-def _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w):
-    """Tracking-curve power k_opt w^3, W, clamped to [p_min_w, p_max_w]."""
-    p = k_opt_w * omega ** 3
-    if p > p_max_w:
-        return p_max_w
-    if p < p_min_w:
-        return p_min_w
-    return p
-
-
-def _k_opt_w(spec: TurbineSpec) -> float:
-    """Optimal-torque curve gain, W per (rad/s)^3, fleet total."""
-    return _fleet_power_scale(spec) * (spec.rotor_radius_m / TSR_OPT) ** 3 * CP_MAX
-
-
-def mppt_power(omega_rad_s: float, spec: TurbineSpec) -> float:
-    """Tracking-curve power k_opt w^3, MW, clamped to the fleet power limits."""
+def mppt_power(omega_rad_s: float, spec: TurbineSpec, pitch_deg: float = 0.0) -> float:
+    """Tracking-curve power k_opt w^3 at this pitch, MW, clamped to the fleet
+    power limits."""
     if omega_rad_s <= 0:
         return max(0.0, spec.p_min_fleet_mw)
-    return _mppt_power_w(omega_rad_s, _k_opt_w(spec), spec.p_min_fleet_mw * 1e6,
+    return _mppt_power_w(omega_rad_s, _k_opt_w(spec, pitch_deg), spec.p_min_fleet_mw * 1e6,
                          spec.p_max_fleet_mw * 1e6) / 1e6
 
 
-def mppt_equilibrium_speed(wind_speed_ms: float, spec: TurbineSpec) -> float:
-    """Rotor speed (rad/s) where the tracking curve meets the turbine power."""
-    return TSR_OPT * wind_speed_ms / spec.rotor_radius_m
+def mppt_equilibrium_speed(wind_speed_ms: float, spec: TurbineSpec,
+                           pitch_deg: float = 0.0) -> float:
+    """Rotor speed (rad/s) where the tracking curve at this pitch meets the
+    turbine power: the C_p optimum's tip-speed ratio."""
+    return _cp_optimum(pitch_deg)[0] * wind_speed_ms / spec.rotor_radius_m
 
 
 def make_state(
@@ -165,14 +197,17 @@ def make_state(
     omega_rad_s: float | None = None,
     p_e_mw: float | None = None,
 ) -> TurbineState:
-    """Construct a state, defaulting to the tracking-curve equilibrium."""
-    omega = mppt_equilibrium_speed(wind_speed_ms, spec) if omega_rad_s is None else omega_rad_s
+    """Construct a state, defaulting to the tracking-curve equilibrium at the pitch."""
+    if omega_rad_s is None:
+        omega = mppt_equilibrium_speed(wind_speed_ms, spec, pitch_deg)
+    else:
+        omega = omega_rad_s
     if omega < spec.floor_speed_rad - 1e-12:
         raise ValueError(
             f"operating speed {omega:.4f} rad/s below the floor "
             f"{spec.floor_speed_rad:.4f} rad/s at wind {wind_speed_ms} m/s"
         )
-    p_mw = mppt_power(omega, spec) if p_e_mw is None else p_e_mw
+    p_mw = mppt_power(omega, spec, pitch_deg) if p_e_mw is None else p_e_mw
     return TurbineState(
         omega_rad_s=float(omega),
         wind_speed_ms=float(wind_speed_ms),

@@ -10,7 +10,9 @@ either kernel. Every comparison is bitwise, on the ``repr`` of the floats.
 import gc
 import inspect
 import linecache
+import math
 import re
+import textwrap
 import traceback
 from dataclasses import replace
 from types import SimpleNamespace
@@ -19,12 +21,13 @@ import numpy as np
 import pytest
 
 from windfreq import simulator as sim
-from windfreq.aapc import (command_pu, exit_power, mirror_output, vic_command_mw,
-                           vic_filter_rate)
+from windfreq.aapc import (COMMAND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, command_pu,
+                           exit_power, mirror_output, vic_command_mw, vic_filter_rate)
 from windfreq.grid import GovernorSpec
 from windfreq.presets import load_preset
 from windfreq.scenario import DisturbanceEvent, scenario_from_dict
-from windfreq.turbine import _mppt_power_w, _turbine_power_w
+from windfreq.turbine import (TRACKING_POWER_LAW, TURBINE_POWER_LAW, _mppt_power_w,
+                              _turbine_power_w)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +47,9 @@ def loop_rhs(asm, y, dy):
     """Closed-loop derivative of the state list y into dy, one loop per sum."""
     k = asm.loop
     base_w = asm.base_w
+    vic = sim.MODE_VIC in asm.ctrl_mode  # the filter state z is last, if there is one
     df = y[0]
-    z = y[-1]
+    z = y[-1] if vic else None
     x_gov = y[1:base_w]
     # governor rates: each row's nonzeros of A_g in column order, then B_g df
     for s, (row, b) in enumerate(zip(k.gov_rows, k.b_g), 1):
@@ -97,7 +101,8 @@ def loop_rhs(asm, y, dy):
         pe_dev += (p_app - p_e0_w) / s_base_w
         dy[base_w + j] = (p_t - p_app) / (j_fleet * omega)
 
-    dy[-1] = vic_filter_rate(asm.vic, df, z)
+    if vic:
+        dy[-1] = vic_filter_rate(asm.vic, df, z)
     dy[0] = (pm + pe_dev - asm.p_d - asm.damping * df) / asm.two_h
     return pm, pe_dev
 
@@ -200,7 +205,8 @@ def _draw(rng, asm):
         y[asm.base_w + j] = (wt.floor_rad if u < 0.15
                              else float(wt.floor_rad * rng.uniform(0.9, 1.0)) if u < 0.3
                              else float(asm.omega0[j] * rng.uniform(0.8, 1.2)))
-    y[-1] = float(rng.normal(0.0, 0.02))
+    if sim.MODE_VIC in asm.ctrl_mode:
+        y[-1] = float(rng.normal(0.0, 0.02))  # the VIC filter state
     return y, {
         "modes": [int(rng.choice(sorted(_reachable_modes(c)))) for c in asm.ctrl_mode],
         "gamma": [float(v) for v in rng.uniform(0.0, 1.0, n_wt)],
@@ -260,6 +266,54 @@ class TestReference:
             # floor; the VIC command is what the cutback catches
             assert any(f & sim.FLAG_FLOOR for f in seen_flags)
 
+    @pytest.mark.parametrize("pitch", [0.0, 2.5])
+    def test_rhs_matches_loop_at_law_edges(self, monkeypatch, pitch):
+        # rotor speeds at and around the laws' clamp edges, and tip-speed
+        # ratios from 1 to 40: C_p < 0 from about 12.8 at zero pitch and
+        # 1 / lambda_i <= 0 from about 28.6; p_min > 0 so that the tracking
+        # power meets its lower clamp too
+        sc = _mixed(_preset("multi_machine"))
+        sc = replace(sc, turbines=tuple(
+            replace(t, pitch_deg=pitch, spec=replace(t.spec, p_min_mw=1.0)) for t in sc.turbines))
+        gen = sim._Assembled(sc, 1.2)
+        ref = _loop_assembly(monkeypatch, sc, 1.2)
+        c = 0.035 / (pitch ** 3 + 1.0)
+        edge_tsrs = [1.0 / (5.0 / 116.0 + 0.4 * pitch / 116.0 + c) - 0.08 * pitch,  # C_p = 0
+                     1.0 / c - 0.08 * pitch]  # 1 / lambda_i = 0
+        speeds = [[] for _ in gen.wt]
+        for j, wt in enumerate(gen.wt):
+            edges = [tsr * wt.wind_ms / wt.radius_m for tsr in edge_tsrs]
+            edges += [(p / wt.k_opt_w) ** (1.0 / 3.0) for p in (wt.p_min_w, wt.p_max_w)]
+            edges.append(wt.floor_rad)
+            for e in edges:
+                speeds[j] += [float(np.nextafter(e, 0.0)), e, float(np.nextafter(e, np.inf))]
+            speeds[j] += [tsr * wt.wind_ms / wt.radius_m for tsr in np.linspace(1.0, 40.0, 79)]
+            speeds[j] += [wt.floor_rad * f for f in (0.5, 0.9, 0.99)]
+        rng = np.random.default_rng(7)
+        records = []
+        for i in range(len(speeds[0])):
+            y, state = _draw(rng, gen)
+            for j in range(gen.n_wt):
+                y[gen.base_w + j] = speeds[j][i]
+            out = {}
+            for asm in (gen, ref):
+                _set(asm, state)
+                dy = [0.0] * len(y)
+                ret = asm.rhs(asm, list(y), dy)
+                out[asm is gen] = (repr(dy), repr(ret), _records(asm))
+            assert out[True] == out[False]
+            for j, wt in enumerate(gen.wt):
+                assert repr(gen.wt_pt_w[j]) == repr(_turbine_power_w(
+                    y[gen.base_w + j], wt.wind_ms, pitch, wt.radius_m, wt.power_scale))
+                assert repr(gen.wt_mppt_w[j]) == repr(_mppt_power_w(
+                    y[gen.base_w + j], wt.k_opt_w, wt.p_min_w, wt.p_max_w))
+            records.append((list(gen.wt_pt_w), list(gen.wt_mppt_w), list(gen.wt_flags)))
+        pt, mppt, flags = (np.array(r) for r in zip(*records))
+        assert np.any(pt == 0.0) and np.any(pt > 0.0)
+        assert np.any(mppt == [wt.p_min_w for wt in gen.wt])
+        assert np.any(mppt == [wt.p_max_w for wt in gen.wt])
+        assert np.any(flags & sim.FLAG_FLOOR)
+
     @pytest.mark.parametrize("preset, strategy, trip", [
         ("two_machine", "none", False),
         ("two_machine", "classic_vic", False),
@@ -302,19 +356,53 @@ class TestSource:
         rhs, step = inspect.getsource(asm.rhs), inspect.getsource(asm.step)
         assert rhs.startswith("def rhs(asm, y, dy):\n")
         assert step.startswith("def step(asm, y, h):\n")
-        assert "pt0 = _turbine_power_w(w0, (9.0), " in rhs
+        # the turbine's laws are the templates with its literals in the slots
+        wt = asm.wt[0]
+        power = TURBINE_POWER_LAW.format(
+            omega="w0", wind="(9.0)", pitch="(0.0)", radius="(45.0)",
+            scale=sim._lit(wt.power_scale), tsr="tsr0", inv="inv0", cp="cp0", p_t="pt0")
+        tracking = TRACKING_POWER_LAW.format(
+            omega="w0", k_opt=sim._lit(wt.k_opt_w), p_min="(0.0)", p_max="(100000000.0)",
+            p="mppt0")
+        assert textwrap.indent(power + tracking, "    ") in rhs
+        command = COMMAND_LAW.format(share="(1.0)", mirror="mirror", gain_kw=sim._lit(asm.kw),
+                                     df="df")
+        assert f"        p_cmd = {sim._lit(wt.p_e0_w)} + ({command}) * (200000000.0)\n" in rhs
+        assert "        p_cmd = (1.0 - gamma[0]) * pt0 + gamma[0] * mppt0\n" in rhs
+        # CPython folds the literal-only parts: (9.0) ** 3, and at zero pitch
+        # 0.08 * (0.0), 0.4 * (0.0) and 0.035 / ((0.0) ** 3 + 1.0)
+        consts = asm.rhs.__code__.co_consts
+        assert 729.0 in consts and 0.035 in consts
+        assert 0.08 not in consts and 0.4 not in consts
         assert "sum(" not in rhs + step
         filename = asm.rhs.__code__.co_filename
         assert re.fullmatch(r"<windfreq-kernel-\d+>", filename)
         assert asm.step.__code__.co_filename == filename
         assert sim._Assembled(two_machine_scenario, 1.2).rhs.__code__.co_filename != filename
 
+    def test_namespace_holds_no_law(self, multi_machine_scenario):
+        # every law is inline: the kernel calls exp and nothing else by name
+        for strategy in ("none", "classic_vic", "optimal_aapc"):
+            asm = sim._Assembled(sim._with_controllers(multi_machine_scenario, strategy), 1.3)
+            namespace = asm.rhs.__globals__
+            assert asm.step.__globals__ is namespace
+            assert set(namespace) == {"__name__", "__builtins__", "exp"}, strategy
+            assert namespace["exp"] is math.exp
+
     def test_vic_command_once_per_call(self, multi_machine_scenario):
         # the command depends on df and the shared filter state only
         sc = sim._with_controllers(multi_machine_scenario, "classic_vic")
-        rhs = inspect.getsource(sim._Assembled(sc, None).rhs)
-        assert rhs.count("vic_command_mw(") == 1
+        asm = sim._Assembled(sc, None)
+        rhs = inspect.getsource(asm.rhs)
+        rate = VIC_FILTER_RATE_LAW.format(df="df", z="z", filter_s="(0.1)")
+        command = VIC_COMMAND_LAW.format(k_f="(20.0)", k_in="(10.0)", df="df",
+                                         rate="vic_rate", f_base=sim._lit(asm.f_base))
+        assert rhs.count("vic_rate = ") == rhs.count("vic_mw = ") == 1
+        assert f"    vic_rate = {rate}\n    vic_mw = {command}\n" in rhs
         assert rhs.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
+        # the filter rate is also dz/dt
+        assert rhs.count("vic_rate") == 3
+        assert rhs.rstrip().splitlines()[-2].endswith(", vic_rate]")
 
     def test_mirror_only_with_aapc(self, multi_machine_scenario):
         # the mirror feeds the AAPC command alone
@@ -328,17 +416,26 @@ class TestSource:
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             sc = sim._with_controllers(multi_machine_scenario, strategy)
             rhs = inspect.getsource(sim._Assembled(sc, 1.3).rhs)
-            assert "(0.0) *" not in rhs and "(-0.0) *" not in rhs, strategy
+            # the sums' lines; a zero pitch's literal products are folded away
+            sums = [line for line in rhs.splitlines()
+                    if re.match(r"    (r|pm|mirror|d\d+) \+?= ", line)]
+            assert len(sums) > 20
+            assert not any("(0.0) *" in line or "(-0.0) *" in line for line in sums), strategy
 
-    def test_traceback_shows_generated_line(self, two_machine_scenario):
-        asm = sim._Assembled(two_machine_scenario, 1.2)
+    def test_traceback_shows_generated_line(self, multi_machine_scenario):
+        asm = sim._Assembled(multi_machine_scenario, 1.3)
         y = list(asm.y0)
         y[asm.base_w] = 0.0  # a stopped rotor: its tip-speed ratio divides by zero
         with pytest.raises(ZeroDivisionError) as err:
             asm.rhs(asm, y, [0.0] * len(y))
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename == asm.rhs.__code__.co_filename
+        assert frame.line == "inv0 = 1.0 / (tsr0 + 0.08 * (0.0)) - 0.035 / ((0.0) ** 3 + 1.0)"
+        lines = inspect.getsource(asm.rhs).splitlines()
+        first = asm.rhs.__code__.co_firstlineno
+        assert lines.index("    # turbine 0") < frame.lineno - first < lines.index("    # turbine 1")
         text = "".join(traceback.format_exception(err.value))
-        assert f'File "{asm.rhs.__code__.co_filename}"' in text
-        assert "pt0 = _turbine_power_w(w0, " in text
+        assert f'File "{frame.filename}", line {frame.lineno}, in rhs' in text
 
     def test_source_released_with_kernel(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)

@@ -192,12 +192,15 @@ class TestStateCollapse:
     def test_state_length(self, preset, n_y):
         # df, one governor state per distinct dynamics (multi_machine: seven
         # reheat, two hydro and one gas unit), one rotor speed per turbine,
-        # one VIC filter
+        # and one VIC filter state only if a turbine runs classic_vic
         sc = scenario_from_dict(load_preset(preset))
         m_gov = len({g.den for g in sc.governors})
-        asm = sim._Assembled(sc, alpha=1.3)
+        asm = sim._Assembled(sim._with_controllers(sc, "classic_vic"), alpha=None)
         assert asm.m_gov == m_gov
         assert len(asm.y0) == 1 + m_gov + len(sc.turbines) + 1 == n_y
+        for strategy in ("none", "optimal_aapc"):
+            asm = sim._Assembled(sim._with_controllers(sc, strategy), alpha=1.3)
+            assert len(asm.y0) == len(asm.k1) == n_y - 1, strategy
 
     @pytest.mark.parametrize("strategy", ["none", "optimal_aapc"])
     def test_trip_of_a_lumped_unit(self, multi_machine_scenario, strategy):

@@ -68,8 +68,14 @@ class TestPowerCoefficient:
         # the closed form 1/lambda_i = 14.28/116 is the maximum of the C_p law
         assert TSR_OPT == 1.0 / (14.28 / 116.0 + 0.035)
         assert CP_MAX == turbine._cp_value(TSR_OPT, 0.0)
-        for rel in (1e-6, -1e-6):
-            assert turbine._cp_value(TSR_OPT * (1.0 + rel), 0.0) < CP_MAX
+        assert turbine._cp_optimum(0.0) == (TSR_OPT, CP_MAX)
+        # at pitch beta, 1/lambda_i = (14.28 + 0.4 beta)/116
+        assert turbine._cp_optimum(2.0)[0] == pytest.approx(7.30888, abs=1e-5)
+        assert turbine._cp_optimum(2.0)[1] == pytest.approx(0.40201, abs=1e-5)
+        for pitch in (0.0, 2.0, 5.0):
+            tsr, cp = turbine._cp_optimum(pitch)
+            for rel in (1e-6, -1e-6):
+                assert turbine._cp_value(tsr * (1.0 + rel), pitch) < cp
 
     def test_global_bound_on_grid(self):
         rng = np.random.default_rng(5)
@@ -220,6 +226,23 @@ def test_mppt_equilibrium_attracting(two_machine_scenario):
         settled = gaps[2:]
         assert np.all(np.diff(settled) <= 1e-12)
         assert settled[-1] < 1e-3
+
+
+@pytest.mark.parametrize("pitch", [0.0, 2.0, 5.0])
+def test_pitched_turbine_starts_in_balance(two_machine_scenario, pitch):
+    # the tracking curve follows the C_p optimum at the turbine's pitch, so
+    # its equilibrium is one of the rotor dynamics: dw/dt = 0 before any event
+    spec = dfig5mw(count=20, rotor_radius_m=45.0)
+    sc = replace(two_machine_scenario, events=(), turbines=(
+        TurbineEntry("WT", spec, 9.0, pitch_deg=pitch, controller="none"),))
+    asm = sim._Assembled(sc, alpha=None)
+    dy = [0.0] * len(asm.y0)
+    asm.rhs(asm, list(asm.y0), dy)
+    p_t = asm.wt_pt_w[0]
+    assert asm.wt_pe_w[0] == asm.wt_mppt_w[0]
+    assert abs(dy[asm.base_w]) * asm.wt[0].j_fleet * asm.omega0[0] <= 1e-12 * p_t
+    assert asm.omega0[0] == mppt_equilibrium_speed(9.0, spec, pitch)
+    assert mppt_power(asm.omega0[0], spec, pitch) == pytest.approx(p_t / 1e6, rel=1e-12)
 
 
 def test_spec_validation():
