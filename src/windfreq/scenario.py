@@ -17,7 +17,7 @@ from operator import attrgetter
 from .aapc import BaselineVic
 from .grid import (GovernorSpec, GridParameters, ReheatSteam, governor_dc_gain_total,
                    reheat_governor)
-from .turbine import TurbineSpec, dfig5mw
+from .turbine import TurbineSpec, dfig5mw, mppt_equilibrium_speed
 
 __all__ = [
     "ScenarioError",
@@ -145,6 +145,16 @@ class Scenario:
                 problems.append(f"{at}.wind_speed_ms: {t.wind_speed_ms} is too low")
             if t.pitch_deg < 0:
                 problems.append(f"{at}.pitch_deg: must be nonnegative, got {t.pitch_deg}")
+            elif t.wind_speed_ms >= 1.0:
+                # the C_p optimum's tip-speed ratio falls as pitch rises, so a
+                # steep pitch can put the equilibrium under the speed floor
+                floor = t.spec.floor_speed_rad - 1e-12
+                omega = mppt_equilibrium_speed(t.wind_speed_ms, t.spec, t.pitch_deg)
+                if omega < floor <= mppt_equilibrium_speed(t.wind_speed_ms, t.spec):
+                    problems.append(
+                        f"{at}.pitch_deg: at {t.pitch_deg} deg the operating speed "
+                        f"{omega:.4f} rad/s is below the floor {t.spec.floor_speed_rad:.4f} "
+                        f"rad/s at wind {t.wind_speed_ms} m/s")
         if self.alpha is not None and not self.alpha >= 1:
             problems.append(f"$.controllers.alpha: must be >= 1 (nadir at or below the "
                             f"settling level), got {self.alpha}")

@@ -152,7 +152,10 @@ def _cp_optimum(pitch_deg: float) -> tuple:
     the derivative 0.22 exp(-12.5 x) (116 - 12.5 (116 x - 0.4 beta - 5)),
     whose one root x* = (14.28 + 0.4 beta) / 116 is a maximum: C_p rises from
     0 up to it and decays past it. lambda_i's definition gives lambda* from
-    x*. At zero pitch this is ``TSR_OPT`` and ``CP_MAX``.
+    x*. At zero pitch this is ``TSR_OPT`` and ``CP_MAX``. lambda* peaks near
+    2 deg and falls beyond it (4.33 at 16 deg) to 0 at about 44.9 deg, so a
+    steep pitch puts the equilibrium speed under a fleet's floor;
+    ``Scenario.validate`` rejects such a pitch by name.
     """
     x = (14.28 + 0.4 * pitch_deg) / 116.0
     tsr = 1.0 / (x + 0.035 / (pitch_deg ** 3 + 1.0)) - 0.08 * pitch_deg

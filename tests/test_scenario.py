@@ -313,6 +313,21 @@ class TestCli:
         assert rc == 2
         assert "pitch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pitch", [16.0, 45.0, 60.0])
+    def test_steep_pitch_exit_code(self, tmp_path, capsys, pitch):
+        # the C_p optimum's tip-speed ratio falls with pitch: 4.33 at 16 deg puts
+        # WF1 under its 0.887 rad/s floor, and it is negative from about 44.9 deg
+        doc = load_preset("two_machine")
+        doc["turbines"][0]["pitch_deg"] = pitch
+        path = tmp_path / "pitch.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "$.turbines[0].pitch_deg" in err and "below the floor" in err
+        doc["turbines"][0]["pitch_deg"] = 15.0  # the last degree above the floor
+        assert scenario_from_dict(doc).validate() == []
+
     @pytest.mark.parametrize("json_path, value", [
         ("$.sim.step_s", "NaN"),
         ("$.sim.duration_s", "NaN"),
