@@ -25,6 +25,7 @@ __all__ = [
     "command_pu",
     "allocate",
     "check_exit",
+    "arms_power_cross",
     "exit_gamma",
     "exit_power",
     "vic_filter_rate",
@@ -151,17 +152,27 @@ def check_exit(
 ) -> str | None:
     """First matching exit cause, if any; the two powers share any one unit.
 
-    The power-cross trigger only fires once armed (the command has previously
-    risen above the tracking curve), since the pre-event operating point sits
-    exactly on it.
+    The horizon fires from 1e-12 s before ``t_f``, the window's end, which
+    rounding can put just after a step. The power-cross trigger only fires
+    once armed (``arms_power_cross``), since the pre-event operating point
+    sits exactly on the tracking curve.
     """
     if omega_rad_s <= floor_rad_s:
         return "speed_floor"
-    if t >= t_f:
+    if t >= t_f - 1e-12:
         return "horizon"
     if armed and p_command <= p_mppt:
         return "power_cross"
     return None
+
+
+def arms_power_cross(p_command_w: float, p_mppt_w: float) -> bool:
+    """Whether the command arms the power-cross trigger of ``check_exit``, powers in W.
+
+    It must have risen above the tracking power by more than 1e-9 of it plus
+    1 mW, a margin over the rounding of the pre-event balance.
+    """
+    return p_command_w > p_mppt_w * (1.0 + 1e-9) + 1e-3
 
 
 def exit_gamma(p_e_at_te: float, p_t_at_te: float, p_mppt_at_te: float) -> float:

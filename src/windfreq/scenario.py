@@ -118,6 +118,12 @@ class Scenario:
         elif self.solver.nodes > MAX_NODES:
             # the condensing block holds (n K)^2 floats for n trajectory states
             problems.append(f"$.solver.nodes: must be <= {MAX_NODES}, got {self.solver.nodes}")
+        for section, units in (("governors", self.governors), ("turbines", self.turbines)):
+            first = {}  # a trip names its unit, a trace column its turbine
+            for i, u in enumerate(units):
+                if first.setdefault(u.name, i) != i:
+                    problems.append(f"$.{section}[{i}].name: {u.name!r} is already the name "
+                                    f"of $.{section}[{first[u.name]}]")
         times = [e.time_s for e in self.events]
         if times != sorted(times):
             problems.append("$.events: must be sorted by time")

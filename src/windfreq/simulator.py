@@ -10,9 +10,11 @@ governors has no state of its own: it reads the governor states.
 Disturbances are steps in the power deficit; generation trips also scale the
 tripped unit's governor output, which keeps its own output term. Turbine
 power limits and the rotor speed floor are enforced inside the right-hand
-side, a rotor that is not under AAPC is held on its floor at the end of each
-step, and exit triggers are located by 14 bisection halvings of the step
-(0.6 us at a 10 ms step).
+side, and a rotor that is not under AAPC is held on its floor at the end of
+each step. The driver, ``_integrate``, is one loop over the steps: each step
+checks the exit triggers of ``aapc.check_exit`` at its start, and a trigger
+is located in the step before by 14 bisection halvings (0.6 us at a 10 ms
+step), where the exit blend takes over.
 The right-hand side is the only evaluator of turbine power, tracking power and
 controller command at a closed-loop state: the exit checks, the bisection and
 the exit blend read the powers it records. Identical inputs produce
@@ -33,8 +35,8 @@ under ``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
 ``inspect.getsource`` show it. numpy holds the assembly (governor
 realization and aggregation, allocation) and the preallocated traces, which
 each step fills with one ``struct`` pack per table. ``SimResult.stats``
-counts the steps, segments, bisection halvings and right-hand-side
-evaluations of a run and times its assembly and integration.
+counts the steps, segments, exit checks, bisection halvings and
+right-hand-side evaluations of a run and times its assembly and integration.
 
 The closed loops of ``insensitivity_sweep`` (one per deficit) and
 ``compare_strategies`` (one per strategy) do not depend on each other, so
@@ -61,7 +63,7 @@ import numpy as np
 from . import collocation as coll
 from . import trajopt as to
 from .aapc import (COMMAND_LAW, EXIT_BLEND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, allocate,
-                   check_exit, exit_gamma, exit_power, synthesize)
+                   arms_power_cross, check_exit, exit_gamma, exit_power, synthesize)
 from .codegen import LAW_NAMES
 from .grid import aggregate_governors, group_governors, rebase_governors
 from .scenario import DisturbanceEvent, Scenario, ScenarioError
@@ -294,6 +296,10 @@ def _compile_kernel(asm, *constants):
     return rhs, step
 
 
+# ---------------------------------------------------------------------------
+# python driver
+# ---------------------------------------------------------------------------
+
 def _rk4_from(asm, y0, h):
     """State one RK4 step of size h >= 0 after the state list y0, as a new list."""
     y = list(y0)
@@ -304,47 +310,84 @@ def _rk4_from(asm, y0, h):
     return y
 
 
-def _exit_cause(asm, y, j, t):
-    """``aapc.check_exit`` for AAPC turbine j at state list y and time t.
+def _integrate(asm) -> tuple:
+    """Integrate the assembled run from ``asm.y0``; returns (traces, exit events).
 
-    Reads the powers that the last ``rhs`` call, made at y, recorded.
+    Row i of the traces holds the start-of-step values of step i. From the
+    second step on, each step checks the exit triggers of the AAPC turbines
+    on its ``rhs`` records, arming the power cross of each turbine it passes,
+    before its events apply. A trigger interrupts the step before, which ran
+    from ``asm.y_snapshot``: the exit instant t_e is the window's end for the
+    horizon, and is otherwise bracketed to dt / 2^14 by 14 halvings, since a
+    command clipped at gamma = 1 steps by its change over the bracket. At t_e
+    the blend takes over (``aapc.exit_gamma``), the rest of the step runs,
+    and the step is evaluated again without a second check.
     """
-    return check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[asm.base_w + j],
-                      asm.wt[j].floor_rad, t, asm.t_support_end - 1e-12, asm.armed[j])
-
-
-def _run_segment(asm, y, start, tr):
-    """Integrate from step ``start`` until an exit trigger fires or time runs out.
-
-    Rows [start ..] of the traces are filled with start-of-step values. Every
-    step but the first checks the exit triggers of the AAPC turbines on its
-    ``rhs`` records before its events apply; on a trigger the kernel returns
-    the step that crossed it, whose start state asm.y_snapshot holds, and the
-    resumed segment applies the events. Returns
-    (crossing_step, trigger_turbine, exit_cause), the cause None at the end.
-    """
-    rhs, step = asm.rhs, asm.step
-    n_wt = asm.n_wt
-    base_w = asm.base_w
+    rhs, step, dt, stats = asm.rhs, asm.step, asm.dt, asm.stats
+    n_wt, base_w = asm.n_wt, asm.base_w
+    tr = _Traces(asm.n_steps, n_wt)
+    y = list(asm.y0)
+    exit_events = []
     n_rhs = 0
-    i = start
-    while i <= asm.n_steps:
+    for i in range(asm.n_steps + 1):
         pm, pe = rhs(asm, y, asm.k1)
         n_rhs += 1
-        if asm.exit_enabled and i > start:
-            t = i * asm.dt
+        kind = None
+        if asm.exit_enabled and i > 0:
             for j in range(n_wt):
-                if asm.modes[j] != MODE_AAPC:
-                    continue
-                kind = _exit_cause(asm, y, j, t)
-                if kind is not None:
-                    _count_segment(asm.stats, i - start, n_rhs)
-                    return i - 1, j, kind
-                if not asm.armed[j] and asm.wt_pe_w[j] > asm.wt_mppt_w[j] * (1.0 + 1e-9) + 1e-3:
-                    asm.armed[j] = True
+                if asm.modes[j] == MODE_AAPC:
+                    stats["exit_checks"] += 1
+                    kind = check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[base_w + j],
+                                      asm.wt[j].floor_rad, i * dt, asm.t_support_end,
+                                      asm.armed[j])
+                    if kind is not None:
+                        break
+                    asm.armed[j] = asm.armed[j] or arms_power_cross(asm.wt_pe_w[j],
+                                                                    asm.wt_mppt_w[j])
+        if kind is not None:
+            t0 = (i - 1) * dt
+            if kind == "horizon":
+                h_e = max(0.0, asm.t_support_end - t0)
+            else:
+                lo, hi = 0.0, dt
+                for _ in range(14):
+                    mid = 0.5 * (lo + hi)
+                    y_mid = _rk4_from(asm, asm.y_snapshot, mid)
+                    rhs(asm, y_mid, asm.k1)
+                    n_rhs += 1
+                    stats["halvings"] += 1
+                    if check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y_mid[base_w + j],
+                                  asm.wt[j].floor_rad, t0 + mid, asm.t_support_end,
+                                  asm.armed[j]) == kind:
+                        hi = mid
+                    else:
+                        lo = mid
+                # a floor exit switches on the last instant above the floor,
+                # so the rotor never actually crosses it
+                h_e = lo if kind == "speed_floor" else hi
+            y_e = _rk4_from(asm, asm.y_snapshot, h_e)
+            to_exit = [j]
+            if kind == "horizon":  # the window closes for every active turbine
+                to_exit = [jj for jj in range(n_wt) if asm.modes[jj] == MODE_AAPC]
+            rhs(asm, y_e, asm.k1)
+            n_rhs += 1
+            for jj in to_exit:
+                p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
+                g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
+                asm.gamma[jj] = g
+                asm.modes[jj] = MODE_EXITED
+                exit_events.append({
+                    "turbine": asm.names[jj],
+                    "kind": kind,
+                    "t_e_s": t0 + h_e,
+                    "gamma": g,
+                    "power_step_pu": abs(exit_power(g, p_t, p_mppt) - p_cmd) / asm.s_base_w,
+                })
+            y[:] = _rk4_from(asm, y_e, dt - h_e)
+            pm, pe = rhs(asm, y, asm.k1)
+            n_rhs += 1
+            stats["segments"] += 1
 
-        # events and controller activation (on the first event's step) land
-        # on step boundaries
         landed = False
         for event_step, dpd, unit, frac in asm.events:
             if event_step == i:
@@ -358,32 +401,18 @@ def _run_segment(asm, y, start, tr):
             pm, pe = rhs(asm, y, asm.k1)
             n_rhs += 1
 
-        # record start-of-step values
         tr.put_row(i * tr.row_bytes, y[0], pm, pe, asm.k1[0], asm.p_d,
                    *y[base_w:base_w + n_wt])
         tr.put_wt_pe(i * tr.wt_pe_bytes, *asm.wt_pe_w)
         tr.put_flags(i * n_wt, *asm.wt_flags)
-        if i == asm.n_steps:
-            break
+        if i < asm.n_steps:
+            asm.y_snapshot[:] = y
+            step(asm, y, dt)  # k1 is the derivative just recorded
+            n_rhs += 3
+    stats["steps"] += asm.n_steps
+    stats["rhs_evals"] += n_rhs
+    return tr, exit_events
 
-        asm.y_snapshot[:] = y
-        step(asm, y, asm.dt)  # k1 is the derivative just recorded
-        n_rhs += 3
-        i += 1
-    _count_segment(asm.stats, i - start, n_rhs)
-    return asm.n_steps + 1, -1, None
-
-
-def _count_segment(stats, steps, rhs_evals):
-    """Add one segment of ``steps`` RK4 steps and ``rhs_evals`` RHS calls to stats."""
-    stats["segments"] += 1
-    stats["steps"] += steps
-    stats["rhs_evals"] += rhs_evals
-
-
-# ---------------------------------------------------------------------------
-# python driver
-# ---------------------------------------------------------------------------
 
 @dataclass
 class MetricsRecord:
@@ -406,9 +435,11 @@ class SimResult:
 
     ``stats`` explains the run and is no part of its result: the counts
     ``steps`` (RK4 steps of size dt, a step redone around an exit counted
-    once), ``segments``, ``halvings`` (exit bisection) and ``rhs_evals``, and
-    the wall seconds ``assemble_s`` (kernel compile included) and
-    ``integrate_s``. It enters no output file and no equality.
+    once), ``segments`` (1 plus the exits handled), ``exit_checks`` (trigger
+    evaluations of the step loop), ``halvings`` (exit bisection, one trigger
+    evaluation each) and ``rhs_evals``, and the wall seconds ``assemble_s``
+    (kernel compile included) and ``integrate_s``. It enters no output file
+    and no equality.
     """
 
     scenario: Scenario
@@ -485,14 +516,14 @@ class _Assembled:
         self.gov_scale = [1.0] * len(units)
 
         specs = [t.spec for t in sc.turbines]
-        states = [make_state(t.spec, t.wind_speed_ms, grid.s_base_mva, t.pitch_deg)
-                  for t in sc.turbines]
+        states = _operating_points(sc)
         self.n_wt = n_wt = len(specs)
+        self.names = [t.name for t in sc.turbines]
         mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
         self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
         self.p_e0_w = [st.p_e_pu * self.s_base_w for st in states]
         self.omega0 = [st.omega_rad_s for st in states]
-        self.shares = allocation_shares(sc).tolist()
+        self.shares = _shares(sc, states).tolist()
         self.wt = [
             _Turbine(float(t.wind_speed_ms), float(t.pitch_deg), float(s.rotor_radius_m),
                      _fleet_power_scale(s), _k_opt_w(s, t.pitch_deg), s.p_min_fleet_mw * 1e6,
@@ -514,13 +545,12 @@ class _Assembled:
         gov_names = [g.name for g in sc.governors]
         self.events = [
             (int(round(e.time_s / dt)), e.magnitude_pu, -1, 0.0) if e.kind == "load_surge"
-            else (int(round(e.time_s / dt)), _trip_magnitude(sc, e),
+            else (int(round(e.time_s / dt)), _trip_magnitude(sc, e, states),
                   gov_names.index(e.unit), e.fraction)
             for e in sc.events
         ]
         self.act_step = self.events[0][0] if self.events else -1
-        self.t_event = self.act_step * dt if self.events else None
-        self.t_support_end = self.t_event + sc.solver.t_f if self.events else np.inf
+        self.t_support_end = self.act_step * dt + sc.solver.t_f if self.events else np.inf
 
         self.p_d = 0.0
         self.modes = [MODE_TRACKING] * n_wt
@@ -531,7 +561,8 @@ class _Assembled:
         self.k1, self.k2, self.y_snapshot = ([0.0] * n_y for _ in range(3))
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
-        self.stats = {"steps": 0, "segments": 0, "halvings": 0, "rhs_evals": 0}
+        self.stats = {"steps": 0, "segments": 1, "halvings": 0, "rhs_evals": 0,
+                      "exit_checks": 0}
         self.rhs, self.step = _compile_kernel(self, gov, units, mirror_d, mirror_c)
 
 
@@ -564,6 +595,12 @@ class _Traces:
         return self.rows[:, 5:]
 
 
+def _operating_points(sc: Scenario) -> list:
+    """Each turbine's pre-event ``turbine.make_state``, in turbine order."""
+    return [make_state(t.spec, t.wind_speed_ms, sc.grid.s_base_mva, t.pitch_deg)
+            for t in sc.turbines]
+
+
 def allocation_shares(sc: Scenario) -> np.ndarray:
     """Each turbine's fraction of the aggregate AAPC command, in turbine order.
 
@@ -571,18 +608,19 @@ def allocation_shares(sc: Scenario) -> np.ndarray:
     the command by ``aapc.allocate`` over their capability indices at the
     pre-event operating point, and every other turbine gets 0.
     """
+    return _shares(sc, _operating_points(sc))
+
+
+def _shares(sc: Scenario, states) -> np.ndarray:
+    """``allocation_shares`` at the operating points ``states``."""
     if sc.allocation is not None:
         return np.asarray(sc.allocation, dtype=float)
     shares = np.zeros(len(sc.turbines))
     aapc_idx = [j for j, t in enumerate(sc.turbines) if t.controller == "optimal_aapc"]
     if aapc_idx:
         s_base = sc.grid.s_base_mva
-        caps = []
-        for j in aapc_idx:
-            t = sc.turbines[j]
-            state = make_state(t.spec, t.wind_speed_ms, s_base, t.pitch_deg)
-            caps.append(capability_indices(state, t.spec, s_base))
-        shares[aapc_idx] = allocate(caps)
+        shares[aapc_idx] = allocate([capability_indices(states[j], sc.turbines[j].spec, s_base)
+                                     for j in aapc_idx])
     return shares
 
 
@@ -631,94 +669,42 @@ def solved_alpha(sc: Scenario, solution=None) -> float:
     return solution.alpha
 
 
-def _resolve_alpha(sc: Scenario, solution=None, alpha: float | None = None) -> float | None:
-    """None if no turbine runs the AAPC; else ``alpha``, the scenario alpha or
-    ``solved_alpha``, the first of them that is set."""
+def _resolve_alpha(sc: Scenario, solution=None) -> float | None:
+    """None if no turbine runs the AAPC; else the scenario alpha if it is set,
+    else ``solved_alpha``."""
     if not any(t.controller == "optimal_aapc" for t in sc.turbines):
         return None
-    if alpha is None:
-        alpha = sc.alpha
-    return solved_alpha(sc, solution) if alpha is None else alpha
+    return solved_alpha(sc, solution) if sc.alpha is None else sc.alpha
 
 
-def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent) -> float:
-    """Deficit from losing a share of a unit, dispatch proportional to rating."""
+def _trip_magnitude(sc: Scenario, ev: DisturbanceEvent, states) -> float:
+    """Deficit from losing a share of a unit, dispatch proportional to rating,
+    with the turbines at their operating points ``states``."""
     if ev.magnitude_pu > 0:
         return ev.magnitude_pu
-    wind_mw = sum(
-        mppt_power(make_state(t.spec, t.wind_speed_ms, sc.grid.s_base_mva,
-                              t.pitch_deg).omega_rad_s, t.spec, t.pitch_deg)
-        for t in sc.turbines
-    )
+    wind_mw = sum(mppt_power(st.omega_rad_s, t.spec, t.pitch_deg)
+                  for t, st in zip(sc.turbines, states))
     sync_pu = sc.grid.load_pu - wind_mw / sc.grid.s_base_mva
     total_rating = sum(g.rated_mva for g in sc.governors)
     unit = next(g for g in sc.governors if g.name == ev.unit)
     return ev.fraction * sync_pu * unit.rated_mva / total_rating
 
 
-def run(scenario: Scenario, alpha_override: float | None = None) -> SimResult:
-    """Simulate the scenario and return uniform-step traces plus event log."""
+def run(scenario: Scenario) -> SimResult:
+    """Simulate the scenario and return uniform-step traces plus event log.
+
+    The AAPC runs at the scenario's alpha, or at ``solved_alpha`` if it has none.
+    """
     scenario.check()
-    alpha = _resolve_alpha(scenario, alpha=alpha_override)
+    alpha = _resolve_alpha(scenario)
     t_start = time.perf_counter()
     asm = _Assembled(scenario, alpha)
     t_assembled = time.perf_counter()
-    dt = asm.dt
-    y = list(asm.y0)
-    tr = _Traces(asm.n_steps, asm.n_wt)
-
-    exit_events = []
-    step = 0
-    while True:
-        step, j_trig, kind = _run_segment(asm, y, step, tr)
-        if kind is None:
-            break
-        # the offending step ran from step*dt on y_snapshot; locate t_e in it
-        t0 = step * dt
-        if kind == "horizon":
-            h_e = max(0.0, asm.t_support_end - t0)
-        else:
-            # 14 halvings bracket t_e to dt / 2^14 (0.6 us at 10 ms): a
-            # command clipped at gamma = 1 steps by its change over the bracket
-            lo, hi = 0.0, dt
-            for _ in range(14):
-                mid = 0.5 * (lo + hi)
-                y_mid = _rk4_from(asm, asm.y_snapshot, mid)
-                asm.rhs(asm, y_mid, asm.k1)
-                asm.stats["halvings"] += 1
-                asm.stats["rhs_evals"] += 1
-                if _exit_cause(asm, y_mid, j_trig, t0 + mid) == kind:
-                    hi = mid
-                else:
-                    lo = mid
-            # a floor exit switches on the last instant above the floor, so
-            # the rotor never actually crosses it
-            h_e = lo if kind == "speed_floor" else hi
-        y_e = _rk4_from(asm, asm.y_snapshot, h_e)
-        to_exit = [j_trig]
-        if kind == "horizon":  # the window closes for every active turbine
-            to_exit = [jj for jj in range(asm.n_wt) if asm.modes[jj] == MODE_AAPC]
-        asm.rhs(asm, y_e, asm.k1)
-        asm.stats["rhs_evals"] += 1
-        for jj in to_exit:
-            p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
-            g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
-            asm.gamma[jj] = g
-            asm.modes[jj] = MODE_EXITED
-            exit_events.append({
-                "turbine": scenario.turbines[jj].name,
-                "kind": kind,
-                "t_e_s": t0 + h_e,
-                "gamma": g,
-                "power_step_pu": abs(exit_power(g, p_t, p_mppt) - p_cmd) / asm.s_base_w,
-            })
-        # finish the interrupted step on the corrected modes
-        y[:] = _rk4_from(asm, y_e, dt - h_e)
-        step = step + 1
+    tr, exit_events = _integrate(asm)
     t_end = time.perf_counter()
 
     f_b = scenario.grid.f_base_hz
-    t = np.arange(asm.n_steps + 1) * dt
+    t = np.arange(asm.n_steps + 1) * asm.dt
     df, pm, pe, dfdot, pd = tr.rows[:, :5].T
     return SimResult(
         scenario=scenario,
@@ -797,29 +783,24 @@ def metrics(result: SimResult, nadir_ref_pu: float | None = None) -> MetricsReco
     )
 
 
-def insensitivity_sweep(
-    scenario: Scenario,
-    p_d_list,
-    alpha: float | None = None,
-    reference_nadir_per_pd: float | None = None,
-):
+def insensitivity_sweep(scenario: Scenario, p_d_list,
+                        reference_nadir_per_pd: float | None = None):
     """Run the scenario across deficits; e_r versus the linearly-scaled optimum.
 
     Returns (rows, p_d_max) where each row is a dict with p_d, nadir and e_r,
-    and p_d_max is the largest deficit keeping e_r within E_R_BAND_PCT.
+    and p_d_max is the largest deficit keeping e_r within E_R_BAND_PCT. One
+    solve, if any, gives both the reference and alpha.
     """
     sol = None
     if reference_nadir_per_pd is None:
         sol = solve_hypothetical(scenario)
         reference_nadir_per_pd = sol.nadir_pu / sol.p_d_pu
-    alpha = _resolve_alpha(scenario, sol, alpha)
+    scenario = replace(scenario, alpha=_resolve_alpha(scenario, sol))
+    t_surge = scenario.events[0].time_s if scenario.events else 0.0
 
     def point(p_d):
-        events = tuple(
-            DisturbanceEvent(time_s=e.time_s, kind="load_surge", magnitude_pu=p_d)
-            for e in scenario.events[:1]
-        ) or (DisturbanceEvent(time_s=0.0, kind="load_surge", magnitude_pu=p_d),)
-        res = run(replace(scenario, events=events), alpha_override=alpha)
+        surge = DisturbanceEvent(time_s=t_surge, kind="load_surge", magnitude_pu=p_d)
+        res = run(replace(scenario, events=(surge,)))
         rec = metrics(res, nadir_ref_pu=reference_nadir_per_pd * p_d)
         return {
             "p_d_pu": float(p_d),
@@ -837,12 +818,12 @@ def insensitivity_sweep(
 
 def compare_strategies(scenario: Scenario, strategies=("none", "classic_vic", "optimal_aapc")):
     """Identical events under each control strategy; returns name -> metrics."""
-    alpha = _resolve_alpha(_with_controllers(scenario, "optimal_aapc")) \
-        if "optimal_aapc" in strategies else None
+    if "optimal_aapc" in strategies:
+        scenario = replace(scenario,
+                           alpha=_resolve_alpha(_with_controllers(scenario, "optimal_aapc")))
 
     def one(strat):
-        res = run(_with_controllers(scenario, strat),
-                  alpha_override=alpha if strat == "optimal_aapc" else None)
+        res = run(_with_controllers(scenario, strat))
         return res, metrics(res)
 
     return dict(zip(strategies, _map_runs(one, strategies)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from windfreq.aapc import (
     BaselineVic,
     allocate,
+    arms_power_cross,
     check_exit,
     command_pu,
     exit_gamma,
@@ -151,7 +153,7 @@ class TestAllocate:
     def test_study_fleet_ordering(self, multi_machine_scenario):
         # interior wind speeds carry the largest shares, the becalmed end the least
         from windfreq.simulator import run
-        res = run(multi_machine_scenario, alpha_override=1.3)
+        res = run(replace(multi_machine_scenario, alpha=1.3))
         shares = res.shares
         assert shares.sum() == pytest.approx(1.0, abs=1e-15)
         assert np.argmax(shares) in (2, 3)
@@ -183,6 +185,22 @@ class TestExitLogic:
     def test_power_cross_needs_arming(self):
         assert check_exit(4.0, 5.0, 1.0, 0.8, t=1.0, t_f=30.0, armed=False) is None
         assert check_exit(4.0, 5.0, 1.0, 0.8, t=1.0, t_f=30.0, armed=True) == "power_cross"
+
+    def test_horizon_slack(self):
+        # a window end that rounding puts just after the step still closes on it
+        assert check_exit(10.0, 5.0, 1.0, 0.8, t=30.0, t_f=30.0 + 5e-13, armed=True) == "horizon"
+        assert check_exit(10.0, 5.0, 1.0, 0.8, t=30.0, t_f=30.0 + 2e-12, armed=True) is None
+
+    @pytest.mark.parametrize("p_mppt_w, margin_w", [
+        (0.0, 1e-3),            # the absolute margin alone
+        (1e6, 2e-3),            # 1e-9 of 1 MW adds another 1 mW
+        (1e9, 1.0 + 1e-3),      # the relative margin dominates
+    ])
+    def test_arming_margins(self, p_mppt_w, margin_w):
+        # the command arms only above the tracking power plus both margins
+        assert arms_power_cross(p_mppt_w + 1.1 * margin_w, p_mppt_w)
+        assert not arms_power_cross(p_mppt_w + 0.9 * margin_w, p_mppt_w)
+        assert not arms_power_cross(p_mppt_w, p_mppt_w)
 
     def test_gamma_endpoints(self):
         assert exit_gamma(8.0, 5.0, 8.0) == 1.0       # command on the tracking curve

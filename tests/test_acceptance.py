@@ -98,7 +98,7 @@ def test_criterion_4_euler_oracle(two_machine_problem, two_machine_solution):
 def test_criterion_5_synthesis_consistency(two_machine_scenario, two_machine_grid,
                                            two_machine_solution):
     sc = replace(two_machine_scenario, exit_enabled=False)
-    res = run(sc, alpha_override=two_machine_solution.alpha)
+    res = run(replace(sc, alpha=two_machine_solution.alpha))
     rec = metrics(res, nadir_ref_pu=two_machine_solution.nadir_pu)
     limits_inactive = not rec.limit_events
     nadir_rel = abs(rec.nadir_pu - two_machine_solution.nadir_pu) / abs(
@@ -128,8 +128,8 @@ def test_criterion_7_event_insensitivity(two_machine_scenario, two_machine_solut
     ref_per_pd = two_machine_solution.nadir_pu / 0.075
     fracs = np.linspace(0.02, 0.10, 9)
     rows, p_d_max = insensitivity_sweep(
-        two_machine_scenario, [f * load for f in fracs],
-        alpha=two_machine_solution.alpha, reference_nadir_per_pd=ref_per_pd)
+        replace(two_machine_scenario, alpha=two_machine_solution.alpha),
+        [f * load for f in fracs], reference_nadir_per_pd=ref_per_pd)
     in_band = all(r["e_r_pct"] <= 5.0 for r in rows)
 
     extreme_pd = 0.3 * load
@@ -193,7 +193,7 @@ def test_criterion_9_exit_strategy(two_machine_scenario, two_machine_solution):
                              magnitude_pu=0.15 * two_machine_scenario.grid.load_pu),)
     sc_b = replace(sc_a, events=ev_b)
     for tag, sc in (("cross", sc_a), ("horizon", sc_b)):
-        res = run(sc, alpha_override=two_machine_solution.alpha)
+        res = run(replace(sc, alpha=two_machine_solution.alpha))
         rec = metrics(res)
         ev = res.exit_events[0]
         t_e = ev["t_e_s"]
@@ -209,7 +209,7 @@ def test_criterion_9_exit_strategy(two_machine_scenario, two_machine_solution):
 
 
 def test_criterion_10_allocation(multi_machine_scenario, multi_solution):
-    res = run(multi_machine_scenario, alpha_override=multi_solution.alpha)
+    res = run(replace(multi_machine_scenario, alpha=multi_solution.alpha))
     rec = metrics(res)
     shares_sum = float(res.shares.sum())
     floors = np.array([t.spec.floor_speed_rad for t in multi_machine_scenario.turbines])
@@ -220,7 +220,7 @@ def test_criterion_10_allocation(multi_machine_scenario, multi_solution):
         and not rec.limit_events
 
     uniform = replace(multi_machine_scenario, allocation=(0.2,) * 5)
-    res_u = run(uniform, alpha_override=multi_solution.alpha)
+    res_u = run(replace(uniform, alpha=multi_solution.alpha))
     rec_u = metrics(res_u)
     ablation_limited = bool(rec_u.limit_events) or any(
         e["kind"] == "speed_floor" for e in res_u.exit_events)
@@ -232,11 +232,11 @@ def test_criterion_10_allocation(multi_machine_scenario, multi_solution):
 
 
 def test_criterion_11_energy_balance(two_machine_scenario, two_machine_solution):
-    res = run(two_machine_scenario, alpha_override=two_machine_solution.alpha)
+    res = run(replace(two_machine_scenario, alpha=two_machine_solution.alpha))
     rec = metrics(res)
     fine = run(replace(two_machine_scenario,
-                       sim=replace(two_machine_scenario.sim, step_s=0.005)),
-               alpha_override=two_machine_solution.alpha)
+                       sim=replace(two_machine_scenario.sim, step_s=0.005),
+                       alpha=two_machine_solution.alpha))
     nadir_shift = abs(res.df_pu.min() - fine.df_pu.min()) / abs(res.df_pu.min())
     ok = rec.max_swing_residual <= 1e-8 and nadir_shift < 1e-4
     report(11, "swing-equation balance at every step; step halving moves "

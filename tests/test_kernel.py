@@ -330,9 +330,9 @@ class TestReference:
             sc = replace(sc, events=(DisturbanceEvent(time_s=0.0, kind="generation_trip",
                                                       unit="G1", fraction=0.1),))
         a = alpha[preset] if strategy == "optimal_aapc" else None
-        gen = sim.run(sc, alpha_override=a)
+        gen = sim.run(replace(sc, alpha=a))
         monkeypatch.setattr(sim, "_compile_kernel", loop_kernel)
-        ref = sim.run(sc, alpha_override=a)
+        ref = sim.run(replace(sc, alpha=a))
         assert gen.t.size == 6001
         for name in ("df_pu", "dfdot_pu_s", "dpm_pu", "dpe_pu", "p_d_pu", "wt_pe_mw",
                      "wt_omega_rad_s", "wt_flags"):
@@ -445,7 +445,7 @@ class TestSource:
 
 class TestStats:
     def test_counts_of_an_aapc_run(self, two_machine_scenario):
-        res = sim.run(two_machine_scenario, alpha_override=1.1870649147208707)
+        res = sim.run(replace(two_machine_scenario, alpha=1.1870649147208707))
         stats = res.stats
         assert [e["kind"] for e in res.exit_events] == ["power_cross"]
         assert (stats["steps"], stats["segments"], stats["halvings"]) == (6000, 2, 14)
@@ -453,11 +453,17 @@ class TestStats:
         # halving (a partial step and its check), 5 for the exit state and 4
         # for the rest of the interrupted step
         assert stats["rhs_evals"] == 4 * 6000 + 2 + 1 + 14 * 5 + 5 + 4
+        # one check per step from the first after activation (at t = 0) up to
+        # the step that finds the cross, at 28.78 s
+        assert res.exit_events[0]["t_e_s"] == pytest.approx(28.7748, abs=1e-4)
+        assert stats["exit_checks"] == 2878
         assert stats["assemble_s"] > 0.0 and stats["integrate_s"] > 0.0
         assert "stats" not in repr(res)
 
     def test_counts_without_exit(self, two_machine_scenario):
         sc = sim._with_controllers(two_machine_scenario, "none")
         stats = sim.run(sc).stats
-        assert {k: stats[k] for k in ("steps", "segments", "halvings", "rhs_evals")} == {
-            "steps": 6000, "segments": 1, "halvings": 0, "rhs_evals": 4 * 6000 + 2}
+        assert {k: stats[k] for k in ("steps", "segments", "halvings", "rhs_evals",
+                                      "exit_checks")} == {
+            "steps": 6000, "segments": 1, "halvings": 0, "rhs_evals": 4 * 6000 + 2,
+            "exit_checks": 0}

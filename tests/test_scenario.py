@@ -328,6 +328,23 @@ class TestCli:
         doc["turbines"][0]["pitch_deg"] = 15.0  # the last degree above the floor
         assert scenario_from_dict(doc).validate() == []
 
+    @pytest.mark.parametrize("section", ["governors", "turbines"])
+    def test_duplicate_name_exit_code(self, tmp_path, capsys, section):
+        # a trip of G1 would trip only the first of two units named G1, and
+        # the trace would get two WT1_pe_mw columns
+        doc = load_preset("multi_machine")
+        doc[section][1]["name"] = doc[section][0]["name"]
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"$.{section}[1].name: " in err and f"$.{section}[0]" in err
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value).startswith(f"$.{section}[1].name: ")
+        assert ";" not in str(exc.value)  # the one problem
+
     @pytest.mark.parametrize("json_path, value", [
         ("$.sim.step_s", "NaN"),
         ("$.sim.duration_s", "NaN"),

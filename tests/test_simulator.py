@@ -13,18 +13,19 @@ from windfreq.grid import GovernorSpec, aggregate_governors, rebase_governors
 from windfreq.presets import load_preset
 from windfreq.scenario import DisturbanceEvent, ScenarioError, scenario_from_dict
 from windfreq.simulator import metrics, run
+from windfreq.turbine import make_state
 
 
 @pytest.fixture(scope="module")
 def base_result(two_machine_scenario, two_machine_solution):
-    return run(two_machine_scenario, alpha_override=two_machine_solution.alpha)
+    return run(replace(two_machine_scenario, alpha=two_machine_solution.alpha))
 
 
 class TestRun:
     def test_no_disturbance_flat(self, two_machine_scenario):
         sc = replace(two_machine_scenario, events=(),
                      sim=replace(two_machine_scenario.sim, duration_s=40.0))
-        res = run(sc, alpha_override=1.19)
+        res = run(replace(sc, alpha=1.19))
         assert np.max(np.abs(res.df_pu)) == 0.0
         assert np.max(np.abs(res.dpe_pu)) == 0.0
         for j in range(res.n_wt):
@@ -45,12 +46,12 @@ class TestRun:
     def test_step_halving_agreement(self, two_machine_scenario, base_result):
         fine = replace(two_machine_scenario,
                        sim=replace(two_machine_scenario.sim, step_s=0.005))
-        res5 = run(fine, alpha_override=base_result.alpha)
+        res5 = run(replace(fine, alpha=base_result.alpha))
         n10, n5 = base_result.df_pu.min(), res5.df_pu.min()
         assert abs(n10 - n5) / abs(n10) < 1e-4
 
     def test_determinism(self, two_machine_scenario, base_result):
-        again = run(two_machine_scenario, alpha_override=base_result.alpha)
+        again = run(replace(two_machine_scenario, alpha=base_result.alpha))
         assert np.array_equal(base_result.df_pu, again.df_pu)
         assert np.array_equal(base_result.wt_pe_mw, again.wt_pe_mw)
         assert base_result.exit_events == again.exit_events
@@ -95,7 +96,7 @@ class TestExitBehavior:
     def test_rotor_recovers_after_exit(self, two_machine_scenario, base_result):
         long = replace(two_machine_scenario,
                        sim=replace(two_machine_scenario.sim, duration_s=240.0))
-        res = run(long, alpha_override=base_result.alpha)
+        res = run(replace(long, alpha=base_result.alpha))
         t_e = res.exit_events[0]["t_e_s"]
         i = np.searchsorted(res.t, min(t_e + 200.0, res.t[-1]))
         omega_ratio = res.wt_omega_rad_s[min(i, len(res.t) - 1), 0] / res.wt_omega0[0]
@@ -108,7 +109,7 @@ class TestExitBehavior:
                                magnitude_pu=0.15 * two_machine_scenario.grid.load_pu),)
         sc = replace(two_machine_scenario, events=ev,
                      sim=replace(two_machine_scenario.sim, duration_s=240.0))
-        res = run(sc, alpha_override=base_result.alpha)
+        res = run(replace(sc, alpha=base_result.alpha))
         kinds = [e["kind"] for e in res.exit_events]
         assert kinds == ["horizon"]
         assert 0.0 < res.exit_events[0]["gamma"] < 1.0
@@ -125,7 +126,7 @@ class TestExitBehavior:
         ev = (DisturbanceEvent(time_s=0.0, kind="load_surge",
                                magnitude_pu=0.4 * two_machine_scenario.grid.load_pu),)
         sc = replace(two_machine_scenario, events=ev)
-        res = run(sc, alpha_override=base_result.alpha)
+        res = run(replace(sc, alpha=base_result.alpha))
         assert any(e["kind"] == "speed_floor" for e in res.exit_events)
         floor = sc.turbines[0].spec.floor_speed_rad
         assert np.min(res.wt_omega_rad_s) >= floor - 1e-9
@@ -177,8 +178,7 @@ class TestExitBehavior:
     def test_second_event_at_exit(self, t2, nadir, exits):
         sc = scenario_from_dict(load_preset("multi_machine"))
         surge = DisturbanceEvent(time_s=t2, kind="load_surge", magnitude_pu=0.01)
-        res = run(replace(sc, events=sc.events + (surge,)),
-                  alpha_override=1.3087744209468601)
+        res = run(replace(sc, events=sc.events + (surge,), alpha=1.3087744209468601))
         assert metrics(res).nadir_pu == pytest.approx(nadir, rel=1e-12)
         assert len(res.exit_events) == len(exits)
         for ev, (turbine, kind, t_e) in zip(res.exit_events, exits):
@@ -214,7 +214,7 @@ class TestStateCollapse:
         ref_sc = replace(sc, governors=(apart,) + sc.governors[1:])
         alpha = 1.3087744209468601 if strategy == "optimal_aapc" else None
         assert (sim._Assembled(sc, alpha).m_gov, sim._Assembled(ref_sc, alpha).m_gov) == (3, 4)
-        res, ref = run(sc, alpha_override=alpha), run(ref_sc, alpha_override=alpha)
+        res, ref = run(replace(sc, alpha=alpha)), run(replace(ref_sc, alpha=alpha))
         assert np.max(np.abs(res.df_pu - ref.df_pu)) <= 1e-12
         assert np.max(np.abs(res.dpm_pu - ref.dpm_pu)) <= 1e-12
         assert np.max(np.abs(res.df_pu)) > 1e-3
@@ -222,7 +222,7 @@ class TestStateCollapse:
         # gives another
         surge = replace(sc, events=(DisturbanceEvent(
             time_s=0.0, kind="load_surge", magnitude_pu=res.p_d_pu[-1]),))
-        assert np.max(np.abs(run(surge, alpha_override=alpha).dpm_pu - res.dpm_pu)) > 1e-4
+        assert np.max(np.abs(run(replace(surge, alpha=alpha)).dpm_pu - res.dpm_pu)) > 1e-4
 
     def test_governor_rates_match_loop(self, two_machine_scenario):
         # the governor states advance over the nonzeros of each row of A_g;
@@ -251,8 +251,7 @@ class TestStateCollapse:
     def test_mirror_cancels_governor_output(self, two_machine_scenario, base_result, event):
         # the mirror reads the governor state, so before exit and inside the
         # limits the command is share (-dpm / kept fraction + K_w df) S_base
-        res = run(replace(two_machine_scenario, events=(event,)),
-                  alpha_override=base_result.alpha)
+        res = run(replace(two_machine_scenario, events=(event,), alpha=base_result.alpha))
         kept = 1.0 - event.fraction if event.kind == "generation_trip" else 1.0
         window = (res.t < res.exit_events[0]["t_e_s"]) & (res.wt_flags[:, 0] == 0)
         assert window.sum() > 1000
@@ -271,7 +270,7 @@ class TestGoldenRegression:
                      sim=replace(two_machine_scenario.sim, duration_s=35.0))
         prob = to.build_problem(sc.grid, list(sc.governors), 0.075, 30.0)
         sol = to.solve_max_nadir(prob, coll.make_grid(24, 30.0))
-        rec = metrics(run(sc, alpha_override=sol.alpha), nadir_ref_pu=sol.nadir_pu)
+        rec = metrics(run(replace(sc, alpha=sol.alpha)), nadir_ref_pu=sol.nadir_pu)
         assert sol.nadir_pu == pytest.approx(-0.004971844884789816, rel=1e-12)
         assert sol.alpha == pytest.approx(1.1932427723495558, rel=1e-12)
         assert rec.nadir_pu == pytest.approx(-0.004971844884789792, rel=1e-10)
@@ -297,7 +296,7 @@ class TestGoldenRegression:
         if trip:
             sc = replace(sc, events=(DisturbanceEvent(time_s=0.0, kind="generation_trip",
                                                       unit="G1", fraction=0.1),))
-        res = run(sc, alpha_override=alpha[preset] if controller == "optimal_aapc" else None)
+        res = run(replace(sc, alpha=alpha[preset] if controller == "optimal_aapc" else None))
         rec = metrics(res)
         assert rec.nadir_pu == pytest.approx(nadir, rel=1e-12)
         assert rec.t_nadir_s == pytest.approx(t_nadir, rel=1e-12)
@@ -313,7 +312,7 @@ class TestGoldenRegression:
         # the optimal-AAPC trace holds within 1e-12 of its minimum for seconds,
         # where the argmin moved by seconds for a 1-ulp change of alpha
         sc = scenario_from_dict(load_preset(preset))
-        t_nadir = [metrics(run(sc, alpha_override=a)).t_nadir_s
+        t_nadir = [metrics(run(replace(sc, alpha=a))).t_nadir_s
                    for a in (alpha, np.nextafter(alpha, 2.0))]
         assert t_nadir[0] == t_nadir[1]
         assert t_nadir[0] < 13.0
@@ -344,7 +343,7 @@ class TestEvents:
             two_machine_scenario,
             events=(DisturbanceEvent(time_s=0.0, kind="generation_trip",
                                      unit="G1", fraction=0.1),))
-        res = run(sc, alpha_override=1.19)
+        res = run(replace(sc, alpha=1.19))
         wind_mw = res.wt_p_e0_mw.sum()
         expected = 0.1 * (150.0 - wind_mw) / 200.0
         assert res.p_d_pu[-1] == pytest.approx(expected, rel=1e-9)
@@ -355,7 +354,7 @@ class TestEvents:
             events=(DisturbanceEvent(time_s=5.0, kind="load_surge",
                                      magnitude_pu=0.075),),
             sim=replace(two_machine_scenario.sim, duration_s=60.0))
-        res = run(sc, alpha_override=base_result.alpha)
+        res = run(replace(sc, alpha=base_result.alpha))
         before = res.t < 5.0
         assert np.max(np.abs(res.df_pu[before])) == 0.0
         assert res.df_pu.min() == pytest.approx(base_result.df_pu.min(), rel=1e-6)
@@ -395,7 +394,7 @@ class TestMetrics:
     def test_flat_trace_degenerate(self, two_machine_scenario):
         sc = replace(two_machine_scenario, events=(),
                      sim=replace(two_machine_scenario.sim, duration_s=40.0))
-        rec = metrics(run(sc, alpha_override=1.19), nadir_ref_pu=-0.005)
+        rec = metrics(run(replace(sc, alpha=1.19)), nadir_ref_pu=-0.005)
         assert rec.degenerate
         assert rec.e_r_pct == -100.0
 
@@ -439,7 +438,7 @@ class TestInsensitivitySweep:
         load = two_machine_scenario.grid.load_pu
         p_list = [0.04 * load, 0.10 * load, 0.40 * load]
         rows, p_d_max = sim.insensitivity_sweep(
-            two_machine_scenario, p_list, alpha=two_machine_solution.alpha,
+            replace(two_machine_scenario, alpha=two_machine_solution.alpha), p_list,
             reference_nadir_per_pd=two_machine_solution.nadir_pu / 0.075)
         assert rows[0]["e_r_pct"] <= 2.0
         assert rows[1]["e_r_pct"] <= 2.0
@@ -463,7 +462,7 @@ class TestInsensitivitySweep:
         rows, _ = sim.insensitivity_sweep(sc, [0.075])
         assert calls == [sc.solver.hypothetical_p_d_pu]
         sol = sim.solve_hypothetical(sc)
-        ref = run(sc, alpha_override=sol.alpha)
+        ref = run(replace(sc, alpha=sol.alpha))
         assert rows[0]["nadir_hz"] == pytest.approx(metrics(ref).nadir_hz, abs=0.0)
         assert rows[0]["e_r_pct"] == pytest.approx(0.0, abs=2.0)
 
@@ -477,7 +476,7 @@ class TestInsensitivitySweep:
                          turbines=(replace(two_machine_scenario.turbines[0],
                                            wind_speed_ms=v),))
             _, p_max = sim.insensitivity_sweep(
-                sc, p_list, alpha=two_machine_solution.alpha,
+                replace(sc, alpha=two_machine_solution.alpha), p_list,
                 reference_nadir_per_pd=ref)
             maxima.append(p_max)
         assert maxima[1] >= maxima[0]
@@ -510,9 +509,9 @@ class TestMapRuns:
     def test_sweep_rows_equal_serial(self, short_scenario, two_machine_solution,
                                      monkeypatch):
         load = short_scenario.grid.load_pu
-        args = (short_scenario, [0.04 * load, 0.10 * load, 0.40 * load])
-        kw = dict(alpha=two_machine_solution.alpha,
-                  reference_nadir_per_pd=two_machine_solution.nadir_pu / 0.075)
+        args = (replace(short_scenario, alpha=two_machine_solution.alpha),
+                [0.04 * load, 0.10 * load, 0.40 * load])
+        kw = dict(reference_nadir_per_pd=two_machine_solution.nadir_pu / 0.075)
         _cpus(monkeypatch, 2)
         forked = sim.insensitivity_sweep(*args, **kw)
         _assert_no_child_left()
@@ -591,3 +590,45 @@ class TestMapRuns:
         assert rc == 2
         assert "magnitude_pu > 0" in capsys.readouterr().err
         _assert_no_child_left()
+
+
+class TestOnePath:
+    """Alpha comes from the scenario alone, and each turbine's operating point
+    is computed once per closed-loop run."""
+
+    @pytest.fixture(scope="class")
+    def short_multi(self, multi_machine_scenario):
+        return replace(multi_machine_scenario,
+                       sim=replace(multi_machine_scenario.sim, duration_s=30.0))
+
+    def test_alpha_below_one_named(self, two_machine_scenario):
+        with pytest.raises(ScenarioError, match=r"^\$\.controllers\.alpha: must be >= 1"):
+            run(replace(two_machine_scenario, alpha=0.9))
+
+    def test_pinned_alpha_solves_nothing(self, short_multi, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_max_nadir called")
+
+        monkeypatch.setattr(sim.to, "solve_max_nadir", no_solve)
+        sc = replace(short_multi, alpha=1.3087744209468601)
+        out = sim.compare_strategies(sc)
+        assert out["optimal_aapc"][0].alpha == sc.alpha
+        rows, _ = sim.insensitivity_sweep(sc, [0.01, 0.02], reference_nadir_per_pd=-0.2)
+        assert len(rows) == 2
+
+    def test_one_operating_point_per_turbine(self, short_multi, two_machine_scenario,
+                                             monkeypatch):
+        calls = []
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec)
+            return make_state(spec, *args, **kwargs)
+
+        _cpus(monkeypatch, 1)  # every run in this process, where the count is
+        monkeypatch.setattr(sim, "make_state", counting)
+        sim.compare_strategies(replace(short_multi, alpha=1.3087744209468601))
+        assert len(calls) == 3 * len(short_multi.turbines) == 15
+        calls.clear()
+        trip = DisturbanceEvent(time_s=0.0, kind="generation_trip", unit="G1", fraction=0.1)
+        run(replace(two_machine_scenario, events=(trip,), alpha=1.19))
+        assert len(calls) == 1

@@ -161,8 +161,8 @@ class TestStepRotor:
         entry = two_machine_scenario.turbines[0]
         dt = two_machine_scenario.sim.step_s
         for controller, alpha in (("classic_vic", None), ("optimal_aapc", 1.19)):
-            res = run(with_controller(two_machine_scenario, controller, 30.0),
-                      alpha_override=alpha)
+            res = run(replace(with_controller(two_machine_scenario, controller, 30.0),
+                              alpha=alpha))
             omega = res.wt_omega_rad_s[:, 0]
             p_t = np.array([turbine_power_mw(w, entry.wind_speed_ms, entry.spec, entry.pitch_deg)
                             for w in omega.tolist()])
@@ -218,10 +218,8 @@ def test_mppt_equilibrium_attracting(two_machine_scenario):
                  sim=SimOptions(duration_s=300.0, step_s=0.01))
     for omega0 in (0.75 * omega_eq, 1.2 * omega_eq):
         asm = sim._Assembled(sc, alpha=None)
-        y = asm.y0.copy()
-        y[1 + asm.m_gov] = max(omega0, spec.floor_speed_rad)
-        tr = sim._Traces(asm.n_steps, asm.n_wt)
-        sim._run_segment(asm, y, 0, tr)
+        asm.y0[asm.base_w] = max(omega0, spec.floor_speed_rad)
+        tr, _ = sim._integrate(asm)
         gaps = np.abs(spec.rotor_radius_m * tr.wt_omega[1::1000, 0] / v - TSR_OPT)
         settled = gaps[2:]
         assert np.all(np.diff(settled) <= 1e-12)

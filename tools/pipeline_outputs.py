@@ -12,7 +12,9 @@ checkouts, and exits 1 if any pipeline exits nonzero:
     PYTHONPATH=new/src python tools/pipeline_outputs.py /tmp/new
     python tools/pipeline_outputs.py --diff /tmp/old /tmp/new
 
-The outputs are byte-reproducible, so ``--diff`` stays silent on identical
+The outputs depend on how many threads OpenBLAS uses, so the script runs
+it on one thread unless ``OPENBLAS_NUM_THREADS`` is set already; with that,
+the outputs are byte-reproducible, and ``--diff`` stays silent on identical
 trees. In each file that differs it prints, one line each, the largest
 relative difference of every CSV column that moved, against the column's
 largest magnitude, and that of every numeric JSON leaf that moved, against
@@ -23,10 +25,13 @@ exit 1; the keys both sides share are still compared.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy is imported
+
+import numpy as np  # noqa: E402
 
 PIPELINES = ("solve", "synthesize", "simulate", "compare", "sweep")
 
