@@ -2,8 +2,11 @@
 
 Subcommands: solve, synthesize, simulate, compare, sweep, plus --dump-preset.
 Exit codes: 0 success, 2 scenario/argument validation failure, 3 solver
-failure. All outputs are plain CSV/JSON and byte-reproducible for identical
-inputs.
+failure. All outputs are plain CSV/JSON, byte-reproducible for identical
+inputs at a fixed OpenBLAS thread count. ``main`` loads the subcommand's
+scenario and creates its output directory, in that order, so a scenario that
+fails validation creates none; each ``cmd_*`` reads them from ``args.sc``,
+``args.prov`` and ``args.out``.
 """
 
 import argparse
@@ -81,14 +84,12 @@ def _load_scenario(args) -> tuple:
 
 
 def cmd_solve(args) -> int:
-    sc, prov = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sc, out = args.sc, args.out
     sol = solve_hypothetical(sc)
     exact = sol.step_hold
     error = abs(sol.nadir_pu - exact.nadir_pu) / abs(exact.nadir_pu)
     doc = sol.metrics_dict()
-    doc["provenance"] = prov
+    doc["provenance"] = args.prov
     doc["convergence"] = {
         "nodes": sc.solver.nodes,
         "exact_nadir_pu": exact.nadir_pu,
@@ -106,9 +107,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    sc, prov = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sc = args.sc
     alpha = sc.alpha if sc.alpha is not None else solved_alpha(sc)
     ctrl = synthesize(sc.grid, list(sc.governors), alpha)
     shares = allocation_shares(sc)
@@ -121,9 +120,9 @@ def cmd_synthesize(args) -> int:
         "turbines": [t.name for t in sc.turbines],
         "mirror": {"a": ctrl.mirror.a, "b": ctrl.mirror.b,
                    "c": ctrl.mirror.c, "d": ctrl.mirror.d},
-        "provenance": prov,
+        "provenance": args.prov,
     }
-    _write_json(out / "controller.json", doc)
+    _write_json(args.out / "controller.json", doc)
     print(f"alpha {alpha:.4f}  K_w {ctrl.gain_kw:+.4f}  allocation "
           + " ".join(f"{s:.4f}" for s in shares))
     return EXIT_OK
@@ -147,12 +146,9 @@ def _write_sim(out: Path, tag: str, res, rec):
 
 
 def cmd_simulate(args) -> int:
-    sc, prov = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    res = run(sc)
+    res = run(args.sc)
     rec = metrics(res)
-    _write_sim(out, "sim", res, rec)
+    _write_sim(args.out, "sim", res, rec)
     print(f"nadir {rec.nadir_hz:+.4f} Hz at {rec.t_nadir_s:.2f} s; "
           f"max |RoCoF| {rec.max_rocof_hz_s:.4f} Hz/s; "
           f"{len(res.exit_events)} exit event(s)")
@@ -160,17 +156,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sc, prov = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results = compare_strategies(sc)
+    results = compare_strategies(args.sc)
     table = {}
     for strat, (res, rec) in results.items():
-        _write_sim(out, f"compare_{strat}", res, rec)
+        _write_sim(args.out, f"compare_{strat}", res, rec)
         table[strat] = {"nadir_hz": rec.nadir_hz, "t_nadir_s": rec.t_nadir_s,
                         "secondary_dip": rec.secondary_dip,
                         "limit_events": len(rec.limit_events)}
-    _write_json(out / "compare.json", {"strategies": table, "provenance": prov})
+    _write_json(args.out / "compare.json", {"strategies": table, "provenance": args.prov})
     for strat in ("none", "classic_vic", "optimal_aapc"):
         if strat in table:
             print(f"{strat:14s} nadir {table[strat]['nadir_hz']:+.4f} Hz")
@@ -178,9 +171,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sc, prov = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sc, out = args.sc, args.out
     lo, hi, n = args.range
     fracs = np.linspace(lo, hi, int(n))
     p_d_list = [f * sc.grid.load_pu for f in fracs]
@@ -194,7 +185,7 @@ def cmd_sweep(args) -> int:
                 [r["limit_events"] for r in rows]])
     _write_json(out / "sweep.json",
                 {"rows": rows, "p_d_max_pu": p_d_max, "e_r_limit_pct": E_R_BAND_PCT,
-                 "provenance": prov})
+                 "provenance": args.prov})
     print(f"insensitive up to P_d = {p_d_max:.4f} pu "
           f"({p_d_max / sc.grid.load_pu:.3f} of load)" if p_d_max is not None
           else f"no deficit within the {E_R_BAND_PCT:g}% band")
@@ -218,7 +209,13 @@ def _range_arg(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected lo:hi:count, e.g. 0.02:0.20:10")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    # a deficit is a positive fraction of the load, and a sweep has a point
+    if lo <= 0 or hi <= 0:
+        raise argparse.ArgumentTypeError(f"lo and hi must be > 0, got {text}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be >= 1, got {text}")
+    return lo, hi, n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,9 +258,10 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_VALIDATION
-    if args.out is None:
-        args.out = DEFAULT_OUT
     try:
+        args.sc, args.prov = _load_scenario(args)
+        args.out = Path(DEFAULT_OUT if args.out is None else args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

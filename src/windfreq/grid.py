@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "GridParameters",
-    "ReheatSteam",
     "GovernorSpec",
     "StateSpace",
     "reheat_governor",
@@ -55,16 +54,6 @@ class GridParameters:
 
 
 @dataclass(frozen=True)
-class ReheatSteam:
-    """Reheat steam turbine-governor template."""
-
-    mech_gain: float      # K_m
-    hp_fraction: float    # F_H, fraction acting through the high-pressure stage
-    reheat_time_s: float  # T_R
-    droop: float          # R
-
-
-@dataclass(frozen=True)
 class GovernorSpec:
     """Proper transfer function (descending coefficients) plus its rating."""
 
@@ -99,22 +88,24 @@ class GovernorSpec:
         return self.num[-1] / self.den[-1]
 
 
-def reheat_governor(params: ReheatSteam, rated_mva: float, name: str = "") -> GovernorSpec:
-    """Build the reheat steam governor -K_m (1 + F_H T_R s) / (R (1 + T_R s)).
+def reheat_governor(mech_gain: float, hp_fraction: float, reheat_time_s: float, droop: float,
+                    rated_mva: float, name: str = "") -> GovernorSpec:
+    """Reheat steam unit -K_m (1 + F_H T_R s) / (R (1 + T_R s)): mechanical
+    gain K_m, high-pressure fraction F_H, reheat time T_R and droop R.
 
     The sign makes a negative frequency deviation (deficit) produce positive
     mechanical power, so |DC gain| = K_m / R.
     """
-    if params.droop <= 0 or params.reheat_time_s <= 0:
-        raise ValueError(f"droop and reheat time must be positive, got {params}")
-    if not 0 <= params.hp_fraction <= 1:
-        raise ValueError(f"hp_fraction must be in [0, 1], got {params.hp_fraction}")
-    if params.mech_gain <= 0:
-        raise ValueError(f"mech_gain must be positive, got {params.mech_gain}")
-    k = -params.mech_gain / params.droop
-    num = (k * params.hp_fraction * params.reheat_time_s, k)
-    den = (params.reheat_time_s, 1.0)
-    return GovernorSpec(name=name, rated_mva=rated_mva, num=num, den=den)
+    if droop <= 0 or reheat_time_s <= 0:
+        raise ValueError(f"droop and reheat time must be positive, got droop={droop}, "
+                         f"reheat_time_s={reheat_time_s}")
+    if not 0 <= hp_fraction <= 1:
+        raise ValueError(f"hp_fraction must be in [0, 1], got {hp_fraction}")
+    if mech_gain <= 0:
+        raise ValueError(f"mech_gain must be positive, got {mech_gain}")
+    k = -mech_gain / droop
+    return GovernorSpec(name=name, rated_mva=rated_mva, num=(k * hp_fraction * reheat_time_s, k),
+                        den=(reheat_time_s, 1.0))
 
 
 def governor_dc_gain_total(governors, s_base_mva: float) -> float:

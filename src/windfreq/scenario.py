@@ -10,13 +10,13 @@ cannot use, so numerical work never starts on a malformed input.
 """
 
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from operator import attrgetter
 
 from .aapc import BaselineVic
-from .grid import (GovernorSpec, GridParameters, ReheatSteam, governor_dc_gain_total,
-                   reheat_governor)
+from .grid import GovernorSpec, GridParameters, governor_dc_gain_total, reheat_governor
 from .turbine import TurbineSpec, dfig5mw, mppt_equilibrium_speed
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 MAX_NODES = 200  # the highest collocation order the solver accepts
+# the most steps a closed-loop run takes, 100 times the 300 s at 10 ms of the
+# longest tested run: the traces are preallocated, and a multi_machine
+# `simulate` peaked at 338 B and took 37 us a step, so this bound is about
+# 1 GB of memory and two minutes there
+MAX_STEPS = 3_000_000
 
 
 class ScenarioError(ValueError):
@@ -100,13 +105,20 @@ class Scenario:
             problems.append(f"$.grid.damping_pu: damping plus the governors' regulation gain "
                             f"must be > 0 for the frequency to settle, got {restoring}")
         dt = self.sim.step_s
+        steps = 0.0
         if not 0 < dt <= 0.02:
             problems.append(f"$.sim.step_s: must be in (0, 0.02], got {dt}")
+        else:
+            steps = self.sim.duration_s / dt
         if self.sim.duration_s < self.solver.t_f:
             problems.append(
                 f"$.sim.duration_s: {self.sim.duration_s} must cover the support "
                 f"window $.solver.t_f_s ({self.solver.t_f})"
             )
+        elif not (math.isfinite(steps) and round(steps) <= MAX_STEPS):
+            problems.append(
+                f"$.sim.duration_s, $.sim.step_s: {self.sim.duration_s} s at {dt} s is "
+                f"{steps:.0f} steps, more than the {MAX_STEPS} a run may take")
         if not self.solver.t_f > 0:
             problems.append(f"$.solver.t_f_s: must be > 0, got {self.solver.t_f}")
         p_hyp = self.solver.hypothetical_p_d_pu
@@ -224,9 +236,8 @@ _GRID = {"inertia_s": ("inertia_s", float, True), "damping_pu": ("damping", floa
 _GOVERNOR = {"name": ("name", str, True), "rated_mva": ("rated_mva", float, True),
              "kind": ("kind", str, True), "params": ("params", dict, True)}
 _GOVERNOR_KINDS = {  # kind -> (factory, params table)
-    "reheat_steam": (
-        lambda name, rated_mva, **p: reheat_governor(ReheatSteam(**p), rated_mva, name),
-        _numbers("mech_gain", "hp_fraction", "reheat_time_s", "droop")),
+    "reheat_steam": (reheat_governor,
+                     _numbers("mech_gain", "hp_fraction", "reheat_time_s", "droop")),
     "hydro_transient_droop": (hydro_governor,
                               _numbers("droop", "temporary_droop", "washout_s")),
     "gas_lag": (gas_governor, _numbers("droop", "lag_s")),

@@ -24,17 +24,21 @@ The kernel is generated per run: assembly writes the scenario's right-hand
 side and RK4 step as straight-line Python source, every constant a float
 literal and every sum one statement per term in the order of the loops over
 A_g's rows, the governor outputs and the mirror, and compiles it once
-(``_compile_kernel``). On a state of a few entries numpy's per-call overhead
-costs more than the arithmetic, and a loop over tuples of constants that do
-not change during a run costs more than the arithmetic too, as does a call
-per law. The generated code writes the laws of ``turbine`` and ``aapc``
-inline from their source templates, the text their callables are compiled
-from (``codegen``), so each law keeps one implementation; CPython folds the
-parts that read only literals. The source is registered in ``linecache``
-under ``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
-``inspect.getsource`` show it. numpy holds the assembly (governor
-realization and aggregation, allocation) and the preallocated traces, which
-each step fills with one ``struct`` pack per table. ``SimResult.stats``
+(``_compile_kernel``) through ``codegen.compile_functions``, the package's
+one compile path for generated code. On a state of a few entries numpy's
+per-call overhead costs more than the arithmetic, and a loop over tuples of
+constants that do not change during a run costs more than the arithmetic
+too, as does a call per law. The generated code writes the laws of
+``turbine`` and ``aapc`` inline from their source templates, the text their
+callables are compiled from (``codegen``), so each law keeps one
+implementation: the power clamp and floor cutback are
+``turbine.APPLIED_POWER_LAW`` and the end-of-step floor hold
+``turbine.FLOOR_HOLD_LAW``. CPython folds the parts that read only literals.
+The source is registered in ``linecache`` under ``<windfreq-kernel-N>``
+while the kernel lives, so tracebacks and ``inspect.getsource`` show it.
+numpy holds the assembly (governor realization and aggregation, allocation)
+and the preallocated traces, which each step fills with one ``struct`` pack
+per table. ``SimResult.stats``
 counts the steps, segments, exit checks, bisection halvings and
 right-hand-side evaluations of a run and times its assembly and integration.
 
@@ -46,14 +50,12 @@ the calling process; ``taskset`` gives a serial run.
 """
 
 import itertools
-import linecache
 import math
 import os
 import pickle
 import struct
 import textwrap
 import time
-import weakref
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import NamedTuple
@@ -64,10 +66,11 @@ from . import collocation as coll
 from . import trajopt as to
 from .aapc import (COMMAND_LAW, EXIT_BLEND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, allocate,
                    arms_power_cross, check_exit, exit_gamma, exit_power, synthesize)
-from .codegen import LAW_NAMES
+from .codegen import compile_functions
 from .grid import aggregate_governors, group_governors, rebase_governors
 from .scenario import DisturbanceEvent, Scenario, ScenarioError
-from .turbine import (TRACKING_POWER_LAW, TURBINE_POWER_LAW, _fleet_power_scale, _k_opt_w,
+from .turbine import (APPLIED_POWER_LAW, FLAG_FLOOR, FLAG_POWER_LIMIT, FLOOR_HOLD_LAW,
+                      TRACKING_POWER_LAW, TURBINE_POWER_LAW, _fleet_power_scale, _k_opt_w,
                       capability_indices, make_state, mppt_power)
 
 __all__ = [
@@ -87,9 +90,6 @@ MODE_TRACKING = 0
 MODE_AAPC = 1
 MODE_EXITED = 2
 MODE_VIC = 3
-
-FLAG_POWER_LIMIT = 1
-FLAG_FLOOR = 2
 
 E_R_BAND_PCT = 5.0  # the e_r band of insensitivity_sweep's p_d_max
 # t_nadir_s is the first step within this fraction of |nadir| of the nadir: an
@@ -118,8 +118,14 @@ def _unpack(names, expr: str) -> list:
 
 
 def _law_lines(law: str, **slots) -> list:
-    """Source lines of the law template filled with the slots, indented into ``rhs``."""
+    """Source lines of the law template filled with the slots, indented into a function."""
     return textwrap.indent(law.format(**slots), "    ").splitlines()
+
+
+def _mode_test(j: int, ctrl: int) -> str:
+    """The ``mode_test`` slot of turbine j's floor laws under controller mode
+    ctrl: an AAPC turbine leaves its floor by the speed-floor exit instead."""
+    return f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
 
 
 def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
@@ -140,9 +146,10 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     only its own unit.
 
     The laws are written inline: the source templates of ``turbine`` (C_p,
-    turbine power, tracking power) and ``aapc`` (command, exit blend, VIC
-    filter rate and command) with the turbine's and controller's literals in
-    their slots, the same text the package's callables are compiled from.
+    turbine power, tracking power, the applied power's clamp and floor
+    cutback) and ``aapc`` (command, exit blend, VIC filter rate and command)
+    with the turbine's and controller's literals in their slots, the same
+    text the package's callables are compiled from.
     CPython folds the parts that read literals only, such as the wind's
     ``(9.0) ** 3`` and the pitch terms of C_p, at compile time, with the
     arithmetic the callables run. The VIC filter rate and command depend
@@ -152,14 +159,14 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     and an AAPC turbine can exit: so each turbine's code holds the branches
     of the modes it can reach only, and the mirror sum is written only when
     a turbine runs the AAPC. All saturation lives here, so every RK4 stage
-    sees the same law.
+    sees the same law; the floor laws' ``mode_test`` slot is ``_mode_test``.
 
     ``step`` advances y by one RK4 step of size h in place from the
     derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
     y + (h/6)(((k1 + 2 k2) + 2 k3) + k4). It then holds each rotor that is not
-    under AAPC on its floor: the cutback engages only once the rotor is at
-    its floor, so the step that crosses it lands on it; AAPC rotors leave by
-    the floor exit instead.
+    under AAPC on its floor (``turbine.FLOOR_HOLD_LAW``): the cutback engages
+    only once the rotor is at its floor, so the step that crosses it lands on
+    it; AAPC rotors leave by the floor exit instead.
     """
     m, n_wt = asm.m_gov, asm.n_wt
     x = [f"x{s}" for s in range(m)]
@@ -226,22 +233,10 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
             ]
         else:
             src.append(f"    p_cmd = {p_mppt}")
-        # the protective cutback holds the rotor at its floor; the optimal
-        # controller leaves by its speed-floor exit trigger instead
-        cutback = f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
+        src += _law_lines(APPLIED_POWER_LAW, p_cmd="p_cmd", p_min=p_min, p_max=p_max,
+                          p=p_app, flags=f"fl{j}", mode_test=_mode_test(j, ctrl),
+                          omega=f"w{j}", floor=_lit(wt.floor_rad), p_t=p_t)
         src += [
-            f"    if p_cmd > {p_max}:",
-            f"        {p_app} = {p_max}",
-            f"        fl{j} = {FLAG_POWER_LIMIT}",
-            f"    elif p_cmd < {p_min}:",
-            f"        {p_app} = {p_min}",
-            f"        fl{j} = {FLAG_POWER_LIMIT}",
-            "    else:",
-            f"        {p_app} = p_cmd",
-            f"        fl{j} = 0",
-            f"    if {cutback}w{j} <= {_lit(wt.floor_rad)} and {p_app} > {p_t}:",
-            f"        {p_app} = {p_t}",
-            f"        fl{j} |= {FLAG_FLOOR}",
             f"    pe_dev += ({p_app} - {p_e0}) / {s_base}",
             f"    dw{j} = ({p_t} - {p_app}) / ({_lit(wt.j_fleet)} * w{j})",
         ]
@@ -267,33 +262,26 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
     step += [f"    {v} = {v} + sixth * (a_{v} + 2.0 * b_{v} + 2.0 * c_{v} + d_{v})" for v in ys]
     step += _unpack(modes, "asm.modes")
     for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
-        floor = _lit(wt.floor_rad)
-        hold = f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
-        step += [f"    if {hold}w{j} < {floor}:", f"        w{j} = {floor}"]
+        step += _law_lines(FLOOR_HOLD_LAW, mode_test=_mode_test(j, ctrl), omega=f"w{j}",
+                           floor=_lit(wt.floor_rad))
     step.append(f"    y[:] = [{', '.join(ys)}]")
     return "\n".join(src) + "\n", "\n".join(step) + "\n"
 
 
 def _compile_kernel(asm, *constants):
-    """(rhs, step) of ``_kernel_source(asm, *constants)``, compiled once.
+    """(rhs, step) of ``_kernel_source(asm, *constants)``, compiled once by
+    ``codegen.compile_functions``.
 
     The two sources are registered in ``linecache`` as one file under a
-    unique ``<windfreq-kernel-N>`` name while the functions live, so
-    tracebacks and ``inspect.getsource`` show the generated lines. Each
-    function is compiled on its own, ``step`` after blank lines that keep its
-    line numbers: one compile of both peaked at 1.1 MB on ``multi_machine``,
-    which raised the process's peak RSS.
+    unique ``<windfreq-kernel-N>`` name while ``rhs`` lives, so tracebacks
+    and ``inspect.getsource`` show the generated lines, and the functions'
+    globals hold neither of them. Each function is compiled on its own:
+    one compile of both peaked at 1.1 MB on ``multi_machine``, which raised
+    the process's peak RSS.
     """
     rhs_src, step_src = _kernel_source(asm, *constants)
-    filename = f"<windfreq-kernel-{next(_kernel_ids)}>"
-    namespace = {"__name__": __name__, **LAW_NAMES}
-    exec(compile(rhs_src, filename, "exec"), namespace)
-    exec(compile("\n" * rhs_src.count("\n") + step_src, filename, "exec"), namespace)
-    rhs, step = namespace.pop("rhs"), namespace.pop("step")
-    src = rhs_src + step_src
-    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-    weakref.finalize(rhs, linecache.cache.pop, filename, None)
-    return rhs, step
+    return compile_functions(__name__, f"<windfreq-kernel-{next(_kernel_ids)}>",
+                             {"rhs": rhs_src, "step": step_src})
 
 
 # ---------------------------------------------------------------------------

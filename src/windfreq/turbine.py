@@ -8,10 +8,12 @@ The laws run in SI (W, rad/s) and are written once each as source templates
 ``codegen``); the public surface reports MW and MJ. The tracking curve
 follows the C_p optimum at the turbine's pitch, which the exponential C_p
 fit has in closed form (``_cp_optimum``); at zero pitch it is ``TSR_OPT``
-and ``CP_MAX``. The one-mass rotor dynamics J w dw/dt = P_t - P_e, with the
-power limits and the speed-floor cutback, are integrated by the closed-loop
-kernel in ``windfreq.simulator``, which writes the same law templates inline
-with the turbine's constants in their slots.
+and ``CP_MAX``. The one-mass rotor dynamics J w dw/dt = P_t - P_e are
+integrated by the closed-loop kernel in ``windfreq.simulator``, which writes
+the same law templates inline with the turbine's constants in their slots,
+together with the two laws only the kernel runs: ``APPLIED_POWER_LAW``
+(the power clamp and the speed-floor cutback, with their ``FLAG_*`` bits)
+and ``FLOOR_HOLD_LAW`` (a rotor held on its floor at the end of a step).
 """
 
 import math
@@ -126,6 +128,32 @@ if {p} > {p_max}:
     {p} = {p_max}
 elif {p} < {p_min}:
     {p} = {p_min}
+"""
+FLAG_POWER_LIMIT = 1  # the applied power is clamped to a fleet power limit
+FLAG_FLOOR = 2        # the applied power is cut back to P_t at the speed floor
+# applied fleet power, W, and its limit flags: the command clamped to [p_min,
+# p_max], then cut back to the turbine power P_t once the rotor is at its
+# floor; ``mode_test`` is empty or a condition on the controller mode ending
+# in `` and ``, under which the cutback may engage
+APPLIED_POWER_LAW = """\
+if {p_cmd} > {p_max}:
+    {p} = {p_max}
+    {flags} = %(limit)d
+elif {p_cmd} < {p_min}:
+    {p} = {p_min}
+    {flags} = %(limit)d
+else:
+    {p} = {p_cmd}
+    {flags} = 0
+if {mode_test}{omega} <= {floor} and {p} > {p_t}:
+    {p} = {p_t}
+    {flags} |= %(floor)d
+""" % {"limit": FLAG_POWER_LIMIT, "floor": FLAG_FLOOR}
+# a rotor below its floor at the end of a step is put back on it, under
+# ``mode_test`` as in ``APPLIED_POWER_LAW``
+FLOOR_HOLD_LAW = """\
+if {mode_test}{omega} < {floor}:
+    {omega} = {floor}
 """
 
 _cp_value = law_function(

@@ -2,7 +2,7 @@ import pytest
 
 from windfreq import collocation as coll
 from windfreq import trajopt as to
-from windfreq.grid import GridParameters, ReheatSteam, reheat_governor
+from windfreq.grid import GridParameters, reheat_governor
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 
@@ -26,9 +26,8 @@ def two_machine_grid():
 
 @pytest.fixture(scope="session")
 def reheat_g1():
-    return reheat_governor(
-        ReheatSteam(mech_gain=0.85, hp_fraction=0.3, reheat_time_s=8.0, droop=0.05),
-        rated_mva=200.0, name="G1")
+    return reheat_governor(mech_gain=0.85, hp_fraction=0.3, reheat_time_s=8.0, droop=0.05,
+                           rated_mva=200.0, name="G1")
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,6 @@ import pytest
 from windfreq.grid import (
     GovernorSpec,
     GridParameters,
-    ReheatSteam,
     aggregate_governors,
     governor_dc_gain_total,
     group_governors,
@@ -32,7 +31,7 @@ def step_response(ss, t_end, dt):
 
 @pytest.fixture
 def table_gov():
-    return reheat_governor(ReheatSteam(0.85, 0.3, 8.0, 0.05), rated_mva=200.0, name="G1")
+    return reheat_governor(0.85, 0.3, 8.0, 0.05, rated_mva=200.0, name="G1")
 
 
 class TestReheatGovernor:
@@ -44,7 +43,7 @@ class TestReheatGovernor:
         np.testing.assert_allclose(den / den[0], [1.0, 1.0 / 8.0])
 
     def test_unit_first_order_lag(self):
-        g = reheat_governor(ReheatSteam(1.0, 0.0, 1.0, 1.0), rated_mva=1.0)
+        g = reheat_governor(1.0, 0.0, 1.0, 1.0, rated_mva=1.0)
         np.testing.assert_allclose(np.asarray(g.num) / g.den[0], [0.0, -1.0])
         np.testing.assert_allclose(np.asarray(g.den) / g.den[0], [1.0, 1.0])
 
@@ -53,11 +52,11 @@ class TestReheatGovernor:
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            reheat_governor(ReheatSteam(0.85, 0.3, -1.0, 0.05), rated_mva=1.0)
+            reheat_governor(0.85, 0.3, -1.0, 0.05, rated_mva=1.0)
         with pytest.raises(ValueError):
-            reheat_governor(ReheatSteam(0.85, 0.3, 8.0, 0.0), rated_mva=1.0)
+            reheat_governor(0.85, 0.3, 8.0, 0.0, rated_mva=1.0)
         with pytest.raises(ValueError):
-            reheat_governor(ReheatSteam(0.85, 1.5, 8.0, 0.05), rated_mva=1.0)
+            reheat_governor(0.85, 1.5, 8.0, 0.05, rated_mva=1.0)
 
 
 class TestGovernorSpecValidation:
@@ -182,8 +181,8 @@ class TestAggregation:
 
 
 def _reheat(name, hp_fraction=0.3, reheat_time_s=8.0, droop=0.05, rated_mva=200.0):
-    return reheat_governor(ReheatSteam(0.85, hp_fraction, reheat_time_s, droop),
-                           rated_mva=rated_mva, name=name)
+    return reheat_governor(0.85, hp_fraction, reheat_time_s, droop, rated_mva=rated_mva,
+                           name=name)
 
 
 class TestGrouping:

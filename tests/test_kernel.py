@@ -2,9 +2,13 @@
 
 ``loop_rhs`` and ``loop_rk4_step`` are the loop right-hand side and RK4 step
 the package ran before each scenario's kernel was generated as straight-line
-code. ``loop_kernel`` stands in for ``simulator._compile_kernel`` and hands
-them the same constants, so an assembly (or a whole ``run``) can go through
-either kernel. Every comparison is bitwise, on the ``repr`` of the floats.
+code. They call each law through a function compiled from its template, as
+the kernel writes it inline: the package's law functions, and
+``applied_power`` and ``floor_hold`` here, which only the kernel runs in the
+package. ``loop_kernel`` stands in for ``simulator._compile_kernel`` and
+hands them the same constants, so an assembly (or a whole ``run``) can go
+through either kernel. Every comparison is bitwise, on the ``repr`` of the
+floats.
 """
 
 import gc
@@ -23,24 +27,32 @@ import pytest
 from windfreq import simulator as sim
 from windfreq.aapc import (COMMAND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, command_pu,
                            exit_power, mirror_output, vic_command_mw, vic_filter_rate)
+from windfreq.codegen import law_function
 from windfreq.grid import GovernorSpec
 from windfreq.presets import load_preset
 from windfreq.scenario import DisturbanceEvent, scenario_from_dict
-from windfreq.turbine import (TRACKING_POWER_LAW, TURBINE_POWER_LAW, _mppt_power_w,
-                              _turbine_power_w)
+from windfreq.turbine import (APPLIED_POWER_LAW, FLOOR_HOLD_LAW, TRACKING_POWER_LAW,
+                              TURBINE_POWER_LAW, _mppt_power_w, _turbine_power_w)
 
 
 # ---------------------------------------------------------------------------
 # the loop kernel
 # ---------------------------------------------------------------------------
 
-def _clamp(p, lo, hi):
-    """p limited to the interval [lo, hi]."""
-    if p > hi:
-        return hi
-    if p < lo:
-        return lo
-    return p
+# the floor laws of a turbine whose controller is the AAPC; under any other
+# controller the mode is never MODE_AAPC, and the kernel drops the test
+_AAPC_WAITS = f"mode != {sim.MODE_AAPC} and "
+applied_power = law_function(
+    __name__, "applied_power", ("p_cmd", "p_min", "p_max", "omega", "floor", "p_t", "mode"),
+    "p, flags",
+    APPLIED_POWER_LAW.format(p_cmd="p_cmd", p_min="p_min", p_max="p_max", p="p",
+                             flags="flags", mode_test=_AAPC_WAITS, omega="omega",
+                             floor="floor", p_t="p_t"),
+    "(applied power, limit flags) of the command p_cmd (``APPLIED_POWER_LAW``).")
+floor_hold = law_function(
+    __name__, "floor_hold", ("omega", "floor", "mode"), "omega",
+    FLOOR_HOLD_LAW.format(mode_test=_AAPC_WAITS, omega="omega", floor="floor"),
+    "Rotor speed omega held on its floor at the end of a step (``FLOOR_HOLD_LAW``).")
 
 
 def loop_rhs(asm, y, dy):
@@ -86,13 +98,7 @@ def loop_rhs(asm, y, dy):
         else:  # tracking
             p_cmd = p_mppt
 
-        flags = 0
-        p_app = _clamp(p_cmd, p_min_w, p_max_w)
-        if p_app != p_cmd:
-            flags |= sim.FLAG_POWER_LIMIT
-        if mode != sim.MODE_AAPC and omega <= floor_rad and p_app > p_t:
-            p_app = p_t
-            flags |= sim.FLAG_FLOOR
+        p_app, flags = applied_power(p_cmd, p_min_w, p_max_w, omega, floor_rad, p_t, mode)
 
         asm.wt_pe_w[j] = p_app
         asm.wt_pt_w[j] = p_t
@@ -120,8 +126,7 @@ def loop_rk4_step(asm, y, h):
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     base_w = asm.base_w
     for j, wt in enumerate(asm.wt):
-        if asm.modes[j] != sim.MODE_AAPC and y[base_w + j] < wt.floor_rad:
-            y[base_w + j] = wt.floor_rad
+        y[base_w + j] = floor_hold(y[base_w + j], wt.floor_rad, asm.modes[j])
 
 
 def loop_kernel(asm, gov, units, mirror_d, mirror_c):
@@ -228,6 +233,61 @@ def _records(asm):
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
+
+# one fleet at the edges of its laws: limits [1, 5] MW, floor 0.8 rad/s and a
+# turbine power of 3 MW
+P_MIN, P_MAX, FLOOR, P_T = 1.0e6, 5.0e6, 0.8, 3.0e6
+
+
+class TestFloorLaws:
+    @pytest.mark.parametrize("p_cmd, expected", [
+        (5.0e6, (5.0e6, 0)),
+        (5000000.000000001, (5.0e6, 1)),
+        (4999999.999999999, (4999999.999999999, 0)),
+        (1.0e6, (1.0e6, 0)),
+        (999999.9999999999, (1.0e6, 1)),
+        (1000000.0000000001, (1000000.0000000001, 0)),
+    ])
+    def test_clamp_at_the_power_limits(self, p_cmd, expected):
+        # the rotor is above its floor, so only the clamp acts
+        assert math.nextafter(5.0e6, math.inf) == 5000000.000000001
+        assert math.nextafter(1.0e6, 0.0) == 999999.9999999999
+        for mode in (sim.MODE_TRACKING, sim.MODE_AAPC, sim.MODE_EXITED, sim.MODE_VIC):
+            assert applied_power(p_cmd, P_MIN, P_MAX, 1.2, FLOOR, P_T, mode) == expected
+
+    @pytest.mark.parametrize("omega, p_cmd, expected", [
+        (0.8, 4.0e6, (3.0e6, 2)),
+        (0.7999999999999999, 4.0e6, (3.0e6, 2)),
+        (0.8000000000000002, 4.0e6, (4.0e6, 0)),
+        (0.8, 3.0e6, (3.0e6, 0)),             # p = P_t: nothing to cut
+        (0.7999999999999999, 2.0e6, (2.0e6, 0)),
+        (0.8, 6.0e6, (3.0e6, 3)),             # clamped, then cut back
+    ])
+    def test_cutback_at_the_floor(self, omega, p_cmd, expected):
+        assert math.nextafter(0.8, 0.0) == 0.7999999999999999
+        assert math.nextafter(0.8, math.inf) == 0.8000000000000002
+        for mode in (sim.MODE_TRACKING, sim.MODE_EXITED, sim.MODE_VIC):
+            assert applied_power(p_cmd, P_MIN, P_MAX, omega, FLOOR, P_T, mode) == expected
+
+    def test_no_cutback_under_aapc(self):
+        # the AAPC turbine leaves by its floor exit; its power limits still bind
+        for omega in (0.8, 0.7999999999999999, 0.5):
+            assert applied_power(4.0e6, P_MIN, P_MAX, omega, FLOOR, P_T,
+                                 sim.MODE_AAPC) == (4.0e6, 0)
+            assert applied_power(6.0e6, P_MIN, P_MAX, omega, FLOOR, P_T,
+                                 sim.MODE_AAPC) == (5.0e6, 1)
+
+    @pytest.mark.parametrize("omega, held", [
+        (0.7999999999999999, 0.8),
+        (0.8, 0.8),
+        (0.8000000000000002, 0.8000000000000002),
+        (0.5, 0.8),
+    ])
+    def test_hold_at_the_floor(self, omega, held):
+        for mode in (sim.MODE_TRACKING, sim.MODE_EXITED, sim.MODE_VIC):
+            assert floor_hold(omega, FLOOR, mode) == held
+        assert floor_hold(omega, FLOOR, sim.MODE_AAPC) == omega
+
 
 class TestReference:
     @pytest.mark.parametrize("shape", SHAPES)
@@ -369,6 +429,15 @@ class TestSource:
                                      df="df")
         assert f"        p_cmd = {sim._lit(wt.p_e0_w)} + ({command}) * (200000000.0)\n" in rhs
         assert "        p_cmd = (1.0 - gamma[0]) * pt0 + gamma[0] * mppt0\n" in rhs
+        # the floor laws wait for the AAPC turbine's exit
+        floor = sim._lit(wt.floor_rad)
+        applied = APPLIED_POWER_LAW.format(
+            p_cmd="p_cmd", p_min="(0.0)", p_max="(100000000.0)", p="pe0", flags="fl0",
+            mode_test="mode0 != 1 and ", omega="w0", floor=floor, p_t="pt0")
+        assert textwrap.indent(applied, "    ") in rhs
+        assert f"    if mode0 != 1 and w0 <= {floor} and pe0 > pt0:\n" in rhs
+        hold = FLOOR_HOLD_LAW.format(mode_test="mode0 != 1 and ", omega="w0", floor=floor)
+        assert textwrap.indent(hold, "    ") in step
         # CPython folds the literal-only parts: (9.0) ** 3, and at zero pitch
         # 0.08 * (0.0), 0.4 * (0.0) and 0.035 / ((0.0) ** 3 + 1.0)
         consts = asm.rhs.__code__.co_consts

@@ -9,7 +9,7 @@ from windfreq import trajopt
 from windfreq.cli import main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
-from windfreq.scenario import ScenarioError, gas_governor, hydro_governor, \
+from windfreq.scenario import MAX_STEPS, ScenarioError, gas_governor, hydro_governor, \
     scenario_from_dict, scenario_to_dict
 
 
@@ -537,3 +537,52 @@ class TestCli:
         assert -14.6 < doc["gain_kw"] < -13.6
         assert doc["allocation"] == [1.0]
         assert len(doc["mirror"]["a"]) == 1
+
+    @pytest.mark.parametrize("value", ["0:0.2:3", "-0.1:0.2:3", "0.02:0:3", "0.02:-0.2:3",
+                                       "0.02:0.2:0", "0.02:0.2:-1"])
+    def test_range_rejects_what_it_mishandled(self, tmp_path, capsys, value):
+        # a zero lo exited 2 blaming $.events[0].magnitude_pu, a zero count
+        # wrote an empty sweep and exited 0, a negative one met numpy's message
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "two_machine", f"--range={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --range: " in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "synthesize", "simulate", "compare", "sweep"])
+    def test_invalid_scenario_creates_no_output(self, tmp_path, capsys, command):
+        # the scenario is loaded before the output directory is made
+        doc = load_preset("two_machine")
+        doc["sim"]["step_s"] = 0.05
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "$.sim.step_s: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_length_bound(self, tmp_path, capsys):
+        # the traces are preallocated: 1e6 s at 10 ms asked for about 12.5 GB
+        assert MAX_STEPS >= 100 * 30_000  # 100 times the longest tested run
+        doc = load_preset("multi_machine")
+        doc["sim"]["duration_s"] = 1e6
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ("scenario error: $.sim.duration_s, $.sim.step_s: 1000000.0 s at 0.01 s is "
+                f"100000000 steps, more than the {MAX_STEPS} a run may take") \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("step_s", [0.01, 0.005])
+    def test_run_length_bound_edge(self, step_s):
+        # validated only: a run at the bound would take minutes
+        sc = scenario_from_dict(load_preset("two_machine"))
+        at = replace(sc, sim=replace(sc.sim, duration_s=MAX_STEPS * step_s, step_s=step_s))
+        assert at.validate() == []
+        over = replace(at, sim=replace(at.sim, duration_s=(MAX_STEPS + 1) * step_s))
+        assert over.validate() == [
+            f"$.sim.duration_s, $.sim.step_s: {(MAX_STEPS + 1) * step_s} s at {step_s} s is "
+            f"{MAX_STEPS + 1} steps, more than the {MAX_STEPS} a run may take"]

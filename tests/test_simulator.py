@@ -8,7 +8,6 @@ import windfreq
 from windfreq import collocation as coll
 from windfreq import simulator as sim
 from windfreq import trajopt as to
-from windfreq.cli import main
 from windfreq.grid import GovernorSpec, aggregate_governors, rebase_governors
 from windfreq.presets import load_preset
 from windfreq.scenario import DisturbanceEvent, ScenarioError, scenario_from_dict
@@ -580,15 +579,15 @@ class TestMapRuns:
             sim._map_runs(fn, [0, 1])
         _assert_no_child_left()
 
-    @pytest.mark.parametrize("deficits", ["0.1:-0.1:2", "-0.1:0.1:2"],
+    @pytest.mark.parametrize("deficits", [(0.075, -0.075), (-0.075, 0.075)],
                              ids=["child_raises", "caller_raises"])
-    def test_scenario_error_exits_2(self, tmp_path, capsys, monkeypatch, deficits):
-        # the negative deficit is the second item (a child's) or the first (the caller's)
+    def test_scenario_error_from_either_worker(self, short_scenario, monkeypatch, deficits):
+        # the negative deficit is the second item (a child's) or the first
+        # (the caller's); the CLI's --range takes positive deficits only
         _cpus(monkeypatch, 2)
-        rc = main(["sweep", "--preset", "two_machine", f"--range={deficits}",
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        assert "magnitude_pu > 0" in capsys.readouterr().err
+        with pytest.raises(ScenarioError, match="magnitude_pu > 0"):
+            sim.insensitivity_sweep(replace(short_scenario, alpha=1.19), deficits,
+                                    reference_nadir_per_pd=-1.0)
         _assert_no_child_left()
 
 
