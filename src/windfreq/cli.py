@@ -11,6 +11,7 @@ fails validation creates none; each ``cmd_*`` reads them from ``args.sc``,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -210,7 +211,9 @@ def _range_arg(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected lo:hi:count, e.g. 0.02:0.20:10")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    # a deficit is a positive fraction of the load, and a sweep has a point
+    # a deficit is a positive finite fraction of the load, and a sweep has a point
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"lo and hi must be finite, got {text}")
     if lo <= 0 or hi <= 0:
         raise argparse.ArgumentTypeError(f"lo and hi must be > 0, got {text}")
     if n < 1:

@@ -147,7 +147,10 @@ class Scenario:
                 problems.append(f"{at}.time_s: {e.time_s} s is not aligned to the {dt} s step")
             if e.kind not in ("load_surge", "generation_trip"):
                 problems.append(f"{at}.kind: unknown event kind {e.kind!r}")
-            if e.kind == "load_surge" and e.magnitude_pu <= 0:
+            if not math.isfinite(e.magnitude_pu):
+                problems.append(f"{at}.magnitude_pu: must be a finite number, "
+                                f"got {e.magnitude_pu}")
+            elif e.kind == "load_surge" and e.magnitude_pu <= 0:
                 problems.append(f"{at}.magnitude_pu: a load surge needs magnitude_pu > 0, "
                                 f"got {e.magnitude_pu}")
             if e.kind == "generation_trip":

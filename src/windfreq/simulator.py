@@ -20,15 +20,22 @@ controller command at a closed-loop state: the exit checks, the bisection and
 the exit blend read the powers it records. Identical inputs produce
 bit-identical traces.
 
-The kernel is generated per run: assembly writes the scenario's right-hand
-side and RK4 step as straight-line Python source, every constant a float
-literal and every sum one statement per term in the order of the loops over
-A_g's rows, the governor outputs and the mirror, and compiles it once
-(``_compile_kernel``) through ``codegen.compile_functions``, the package's
-one compile path for generated code. On a state of a few entries numpy's
-per-call overhead costs more than the arithmetic, and a loop over tuples of
-constants that do not change during a run costs more than the arithmetic
-too, as does a call per law. The generated code writes the laws of
+The kernel is one function generated per run, ``step(asm, y, h)``:
+assembly writes the scenario's right-hand side and RK4 step as Python
+source, every constant a float literal and every sum one statement per term
+in the order of the loops over A_g's rows, the governor outputs and the
+mirror, and compiles it once (``_compile_kernel``) through
+``codegen.compile_functions``, the package's one compile path for generated
+code. One call advances y by one RK4 step and evaluates the state it
+reaches, so the step loop makes one call per step; with h == 0 the call
+only evaluates, which serves the initial state, a re-evaluation after an
+event and every partial step of an exit. Assembly passes every scenario
+number that reaches the kernel through ``float()``, so the loop runs on
+Python floats whatever numbers the caller built the scenario from. On a
+state of a few entries numpy's per-call overhead costs more than the
+arithmetic, and a loop over tuples of constants that do not change during a
+run costs more than the arithmetic too, as does a call per law. The
+generated code writes the laws of
 ``turbine`` and ``aapc`` inline from their source templates, the text their
 callables are compiled from (``codegen``), so each law keeps one
 implementation: the power clamp and floor cutback are
@@ -54,7 +61,6 @@ import math
 import os
 import pickle
 import struct
-import textwrap
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -112,14 +118,14 @@ def _lit(v) -> str:
     return f"({v!r})"
 
 
-def _unpack(names, expr: str) -> list:
+def _unpack(names, expr: str, indent: str = "    ") -> list:
     """Source line unpacking the sequence expr into the names, if there are any."""
-    return [f"    {', '.join(names)}, = {expr}"] if names else []
+    return [f"{indent}{', '.join(names)}, = {expr}"] if names else []
 
 
 def _law_lines(law: str, **slots) -> list:
-    """Source lines of the law template filled with the slots, indented into a function."""
-    return textwrap.indent(law.format(**slots), "    ").splitlines()
+    """Source lines of the law template filled with the slots."""
+    return law.format(**slots).splitlines()
 
 
 def _mode_test(j: int, ctrl: int) -> str:
@@ -128,84 +134,39 @@ def _mode_test(j: int, ctrl: int) -> str:
     return f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
 
 
-def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
-    """Sources of the scenario's ``rhs(asm, y, dy)`` and ``step(asm, y, h)``.
-
-    ``rhs`` writes the closed-loop derivative of the state list y into dy,
-    records each turbine's applied power (for an AAPC turbine the clamped
-    command), turbine power, tracking power and flags in asm, and returns
-    (pm_pu, pe_dev_pu). Every constant is a literal; the run-time state
-    (``p_d``, ``gov_scale``, ``modes``, ``gamma``) is read from asm.
-    Each sum is one statement per term from 0.0, in the order of the loop
-    over the nonzeros of A_g's rows, the governor outputs and the mirror
-    (``aapc.mirror_output``), with no term whose coefficient is zero: a
-    skipped product could change only the sign of a zero sum. The governor
-    output has one term per unit and state of its group, ``gs_u * c_u[s] * x``,
-    in unit order (``units`` holds each unit's (first group state, output
-    row, feedthrough)), then one feedthrough term per unit, so a trip scales
-    only its own unit.
-
-    The laws are written inline: the source templates of ``turbine`` (C_p,
-    turbine power, tracking power, the applied power's clamp and floor
-    cutback) and ``aapc`` (command, exit blend, VIC filter rate and command)
-    with the turbine's and controller's literals in their slots, the same
-    text the package's callables are compiled from.
-    CPython folds the parts that read literals only, such as the wind's
-    ``(9.0) ** 3`` and the pitch terms of C_p, at compile time, with the
-    arithmetic the callables run. The VIC filter rate and command depend
-    only on df and the filter state z, so a scenario with a ``classic_vic``
-    turbine computes them once per call; without one there is no z. A
-    turbine is tracking until the event and then in its controller's mode,
-    and an AAPC turbine can exit: so each turbine's code holds the branches
-    of the modes it can reach only, and the mirror sum is written only when
-    a turbine runs the AAPC. All saturation lives here, so every RK4 stage
-    sees the same law; the floor laws' ``mode_test`` slot is ``_mode_test``.
-
-    ``step`` advances y by one RK4 step of size h in place from the
-    derivative in asm.k1, in numpy's operation order: y + (h/2) k, then
-    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4). It then holds each rotor that is not
-    under AAPC on its floor (``turbine.FLOOR_HOLD_LAW``): the cutback engages
-    only once the rotor is at its floor, so the step that crosses it lands on
-    it; AAPC rotors leave by the floor exit instead.
-    """
-    m, n_wt = asm.m_gov, asm.n_wt
-    x = [f"x{s}" for s in range(m)]
-    w = [f"w{j}" for j in range(n_wt)]
+def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
+    """Unindented source lines of the closed-loop right-hand side at the state
+    names of ``_kernel_source``: they set its derivative names, the records'
+    names (``pe``, ``pt``, ``mppt``, ``fl`` and the turbine's number) and
+    ``pm`` and ``pe_dev``."""
     vic = MODE_VIC in asm.ctrl_mode
-    ys = ["df", *x, *w, *(["z"] if vic else [])]
-    gs = [f"gs{u}" for u in range(len(units))]
-    modes = [f"mode{j}" for j in range(n_wt)]
-    aapc = MODE_AAPC in asm.ctrl_mode
-    src = ["def rhs(asm, y, dy):", *_unpack(ys, "y"), *_unpack(gs, "asm.gov_scale"),
-           *_unpack(modes, "asm.modes")]
-    if aapc:
-        src.append("    gamma = asm.gamma")
+    src = []
     for s, row in enumerate(gov.a):
         b = float(gov.b[s, 0])
-        src.append("    r = 0.0")
-        src += [f"    r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
-        src.append(f"    d{s} = r + {_lit(b)} * df" if b != 0.0 else f"    d{s} = r")
-    src.append("    pm = 0.0")
-    src += [f"    pm += gs{u} * {_lit(c)} * x{first + s}"
+        src.append("r = 0.0")
+        src += [f"r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
+        src.append(f"d{s} = r + {_lit(b)} * df" if b != 0.0 else f"d{s} = r")
+    src.append("pm = 0.0")
+    src += [f"pm += gs{u} * {_lit(c)} * x{first + s}"
             for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u) if c != 0.0]
-    src += [f"    pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units) if d != 0.0]
-    if aapc:
-        src.append(f"    mirror = {_lit(mirror_d)} * df" if mirror_d != 0.0 else "    mirror = 0.0")
-        src += [f"    mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c) if c != 0.0]
-    src.append("    pe_dev = 0.0")
+    src += [f"pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units) if d != 0.0]
+    if MODE_AAPC in asm.ctrl_mode:
+        src.append(f"mirror = {_lit(mirror_d)} * df" if mirror_d != 0.0 else "mirror = 0.0")
+        src += [f"mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c) if c != 0.0]
+    src.append("pe_dev = 0.0")
     if vic:
         src += [
-            "    vic_rate = " + VIC_FILTER_RATE_LAW.format(
+            "vic_rate = " + VIC_FILTER_RATE_LAW.format(
                 df="df", z="z", filter_s=_lit(float(asm.vic.filter_s))),
-            "    vic_mw = " + VIC_COMMAND_LAW.format(
+            "vic_mw = " + VIC_COMMAND_LAW.format(
                 k_f=_lit(float(asm.vic.k_f)), k_in=_lit(float(asm.vic.k_in)), df="df",
                 rate="vic_rate", f_base=_lit(asm.f_base)),
         ]
-    s_base, kw = _lit(asm.s_base_w), _lit(float(asm.kw))
+    s_base, kw = _lit(asm.s_base_w), _lit(asm.kw)
     for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
         p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
         p_t, p_mppt, p_app = f"pt{j}", f"mppt{j}", f"pe{j}"
-        src.append(f"    # turbine {j}")
+        src.append(f"# turbine {j}")
         src += _law_lines(TURBINE_POWER_LAW, omega=f"w{j}", wind=_lit(wt.wind_ms),
                           pitch=_lit(wt.pitch_deg), radius=_lit(wt.radius_m),
                           scale=_lit(wt.power_scale), tsr=f"tsr{j}", inv=f"inv{j}",
@@ -216,72 +177,132 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> tuple:
             command = COMMAND_LAW.format(share=_lit(wt.share), mirror="mirror", gain_kw=kw,
                                          df="df")
             src += [
-                f"    if mode{j} == {MODE_AAPC}:",
-                f"        p_cmd = {p_e0} + ({command}) * {s_base}",
-                f"    elif mode{j} == {MODE_EXITED}:",
-                "        p_cmd = " + EXIT_BLEND_LAW.format(gamma=f"gamma[{j}]", p_t=p_t,
-                                                         p_mppt=p_mppt),
-                "    else:",
-                f"        p_cmd = {p_mppt}",
+                f"if mode{j} == {MODE_AAPC}:",
+                f"    p_cmd = {p_e0} + ({command}) * {s_base}",
+                f"elif mode{j} == {MODE_EXITED}:",
+                "    p_cmd = " + EXIT_BLEND_LAW.format(gamma=f"gamma[{j}]", p_t=p_t,
+                                                     p_mppt=p_mppt),
+                "else:",
+                f"    p_cmd = {p_mppt}",
             ]
         elif ctrl == MODE_VIC:
             src += [
-                f"    if mode{j} == {MODE_VIC}:",
-                f"        p_cmd = {p_e0} + vic_mw * (1e6)",
-                "    else:",
-                f"        p_cmd = {p_mppt}",
+                f"if mode{j} == {MODE_VIC}:",
+                f"    p_cmd = {p_e0} + vic_mw * (1e6)",
+                "else:",
+                f"    p_cmd = {p_mppt}",
             ]
         else:
-            src.append(f"    p_cmd = {p_mppt}")
+            src.append(f"p_cmd = {p_mppt}")
         src += _law_lines(APPLIED_POWER_LAW, p_cmd="p_cmd", p_min=p_min, p_max=p_max,
                           p=p_app, flags=f"fl{j}", mode_test=_mode_test(j, ctrl),
                           omega=f"w{j}", floor=_lit(wt.floor_rad), p_t=p_t)
         src += [
-            f"    pe_dev += ({p_app} - {p_e0}) / {s_base}",
-            f"    dw{j} = ({p_t} - {p_app}) / ({_lit(wt.j_fleet)} * w{j})",
+            f"pe_dev += ({p_app} - {p_e0}) / {s_base}",
+            f"dw{j} = ({p_t} - {p_app}) / ({_lit(wt.j_fleet)} * w{j})",
         ]
+    src.append(f"ddf = (pm + pe_dev - p_d - {_lit(asm.damping)} * df) / {_lit(asm.two_h)}")
+    return src
+
+
+def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
+    """Source of the scenario's kernel ``step(asm, y, h)``.
+
+    With h > 0, ``step`` advances the state list y by one RK4 step of size h
+    in place from the derivative at y in asm.k1: three stages, at
+    y + (h/2) k1, y + (h/2) k2 and y + h k3, in a loop over
+    ``(size, weight)``, then y + (h/6) s with the accumulator
+    s = ((k1 + 2 k2) + 2 k3) + 1.0 k4, numpy's operation order for
+    k1 + 2 k2 + 2 k3 + k4 (``1.0 * k4 == k4``). It then holds each rotor
+    that is not under AAPC on its floor (``turbine.FLOOR_HOLD_LAW``): the
+    cutback engages only once the rotor is at its floor, so the step that
+    crosses it lands on it; AAPC rotors leave by the floor exit instead.
+    Every call, h == 0 included, then evaluates the right-hand side at y:
+    it writes the closed-loop derivative to asm.k1, records each turbine's
+    applied power (for an AAPC turbine the clamped command), turbine power,
+    tracking power and flags in asm, and returns (pm_pu, pe_dev_pu). With
+    h == 0 that evaluation is all it does. Every constant is a literal; the
+    run-time state (``p_d``, ``gov_scale``, ``modes``, ``gamma``) is read
+    from asm once per call, and does not change within one.
+
+    The right-hand side (``_rhs_lines``) is written twice, in the stage loop
+    and after it; each sum is one statement per term from 0.0, in the order
+    of the loop over the nonzeros of A_g's rows, the governor outputs and
+    the mirror (``aapc.mirror_output``), with no term whose coefficient is
+    zero: a skipped product could change only the sign of a zero sum. The
+    governor output has one term per unit and state of its group,
+    ``gs_u * c_u[s] * x``, in unit order (``units`` holds each unit's (first
+    group state, output row, feedthrough)), then one feedthrough term per
+    unit, so a trip scales only its own unit.
+
+    The laws are written inline: the source templates of ``turbine`` (C_p,
+    turbine power, tracking power, the applied power's clamp and floor
+    cutback) and ``aapc`` (command, exit blend, VIC filter rate and command)
+    with the turbine's and controller's literals in their slots, the same
+    text the package's callables are compiled from.
+    CPython folds the parts that read literals only, such as the wind's
+    ``(9.0) ** 3`` and the pitch terms of C_p, at compile time, with the
+    arithmetic the callables run. The VIC filter rate and command depend
+    only on df and the filter state z, so a scenario with a ``classic_vic``
+    turbine computes them once per evaluation; without one there is no z. A
+    turbine is tracking until the event and then in its controller's mode,
+    and an AAPC turbine can exit: so each turbine's code holds the branches
+    of the modes it can reach only, and the mirror sum is written only when
+    a turbine runs the AAPC. All saturation lives here, so every RK4 stage
+    sees the same law; the floor laws' ``mode_test`` slot is ``_mode_test``.
+    """
+    m, n_wt = asm.m_gov, asm.n_wt
+    vic = MODE_VIC in asm.ctrl_mode
+    ys = ["df", *(f"x{s}" for s in range(m)), *(f"w{j}" for j in range(n_wt)),
+          *(["z"] if vic else [])]
+    ks = ["ddf", *(f"d{s}" for s in range(m)), *(f"dw{j}" for j in range(n_wt)),
+          *(["vic_rate"] if vic else [])]
+    modes = [f"mode{j}" for j in range(n_wt)]
+    rhs = _rhs_lines(asm, gov, units, mirror_d, mirror_c)
+    src = ["def step(asm, y, h):", *_unpack(ys, "y"),
+           *_unpack([f"gs{u}" for u in range(len(units))], "asm.gov_scale"),
+           *_unpack(modes, "asm.modes"), "    p_d = asm.p_d"]
+    if MODE_AAPC in asm.ctrl_mode:
+        src.append("    gamma = asm.gamma")
+    src += [
+        "    if h:",
+        *_unpack([f"y_{v}" for v in ys], "y", " " * 8),
+        *_unpack(ks, "asm.k1", " " * 8),
+        *_unpack([f"s_{v}" for v in ys], "asm.k1", " " * 8),
+        "        half = 0.5 * h",
+        "        for size, weight in ((half, 2.0), (half, 2.0), (h, 1.0)):",
+        *(f"            {v} = y_{v} + size * {k}" for v, k in zip(ys, ks)),
+        *(" " * 12 + line for line in rhs),
+        *(f"            s_{v} = s_{v} + weight * {k}" for v, k in zip(ys, ks)),
+        "        sixth = h / 6.0",
+        *(f"        {v} = y_{v} + sixth * s_{v}" for v in ys),
+    ]
+    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
+        src += (" " * 8 + line for line in _law_lines(
+            FLOOR_HOLD_LAW, mode_test=_mode_test(j, ctrl), omega=f"w{j}",
+            floor=_lit(wt.floor_rad)))
+    src.append(f"        y[:] = [{', '.join(ys)}]")
+    src.append("    # the right-hand side at y")
+    src += ("    " + line for line in rhs)
     for name, prefix in (("wt_pe_w", "pe"), ("wt_pt_w", "pt"), ("wt_mppt_w", "mppt"),
                          ("wt_flags", "fl")):
         src.append(f"    asm.{name} = [{', '.join(f'{prefix}{j}' for j in range(n_wt))}]")
-    derivs = ["ddf", *(f"d{s}" for s in range(m)), *(f"dw{j}" for j in range(n_wt)),
-              *(["vic_rate"] if vic else [])]
-    src += [
-        f"    ddf = (pm + pe_dev - asm.p_d - {_lit(asm.damping)} * df) / {_lit(asm.two_h)}",
-        f"    dy[:] = [{', '.join(derivs)}]",
-        "    return pm, pe_dev",
-        "",
-    ]
-
-    step = ["def step(asm, y, h):", "    rhs = asm.rhs", *_unpack(ys, "y")]
-    stage = {k: [f"{k}_{v}" for v in ys] for k in "abcd"}
-    step += [*_unpack(stage["a"], "asm.k1"), "    k = asm.k2", "    half = 0.5 * h"]
-    for prev, k, size in (("a", "b", "half"), ("b", "c", "half"), ("c", "d", "h")):
-        step.append(f"    rhs(asm, [{', '.join(f'{v} + {size} * {prev}_{v}' for v in ys)}], k)")
-        step += _unpack(stage[k], "k")
-    step.append("    sixth = h / 6.0")
-    step += [f"    {v} = {v} + sixth * (a_{v} + 2.0 * b_{v} + 2.0 * c_{v} + d_{v})" for v in ys]
-    step += _unpack(modes, "asm.modes")
-    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
-        step += _law_lines(FLOOR_HOLD_LAW, mode_test=_mode_test(j, ctrl), omega=f"w{j}",
-                           floor=_lit(wt.floor_rad))
-    step.append(f"    y[:] = [{', '.join(ys)}]")
-    return "\n".join(src) + "\n", "\n".join(step) + "\n"
+    src += [f"    asm.k1 = [{', '.join(ks)}]", "    return pm, pe_dev", ""]
+    return "\n".join(src)
 
 
 def _compile_kernel(asm, *constants):
-    """(rhs, step) of ``_kernel_source(asm, *constants)``, compiled once by
-    ``codegen.compile_functions``.
+    """The function ``step`` of ``_kernel_source(asm, *constants)``, compiled
+    once by ``codegen.compile_functions``.
 
-    The two sources are registered in ``linecache`` as one file under a
-    unique ``<windfreq-kernel-N>`` name while ``rhs`` lives, so tracebacks
-    and ``inspect.getsource`` show the generated lines, and the functions'
-    globals hold neither of them. Each function is compiled on its own:
-    one compile of both peaked at 1.1 MB on ``multi_machine``, which raised
-    the process's peak RSS.
+    Its source is registered in ``linecache`` under a unique
+    ``<windfreq-kernel-N>`` name while ``step`` lives, so tracebacks and
+    ``inspect.getsource`` show the generated lines, and its globals do not
+    hold it.
     """
-    rhs_src, step_src = _kernel_source(asm, *constants)
-    return compile_functions(__name__, f"<windfreq-kernel-{next(_kernel_ids)}>",
-                             {"rhs": rhs_src, "step": step_src})
+    step, = compile_functions(__name__, f"<windfreq-kernel-{next(_kernel_ids)}>",
+                              {"step": _kernel_source(asm, *constants)})
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +310,41 @@ def _compile_kernel(asm, *constants):
 # ---------------------------------------------------------------------------
 
 def _rk4_from(asm, y0, h):
-    """State one RK4 step of size h >= 0 after the state list y0, as a new list."""
+    """(y, pm, pe): the state one RK4 step of size h >= 0 after the state list
+    y0, as a new list, and the kernel's return there; asm.k1 and the records
+    are those of that state."""
     y = list(y0)
+    out = asm.step(asm, y, 0.0)
     if h > 0:
-        asm.rhs(asm, y, asm.k1)
-        asm.step(asm, y, h)
-        asm.stats["rhs_evals"] += 4
-    return y
+        out = asm.step(asm, y, h)
+    asm.stats["rhs_evals"] += 5 if h > 0 else 1
+    return (y, *out)
 
 
 def _integrate(asm) -> tuple:
     """Integrate the assembled run from ``asm.y0``; returns (traces, exit events).
 
-    Row i of the traces holds the start-of-step values of step i. From the
-    second step on, each step checks the exit triggers of the AAPC turbines
-    on its ``rhs`` records, arming the power cross of each turbine it passes,
-    before its events apply. A trigger interrupts the step before, which ran
-    from ``asm.y_snapshot``: the exit instant t_e is the window's end for the
-    horizon, and is otherwise bracketed to dt / 2^14 by 14 halvings, since a
-    command clipped at gamma = 1 steps by its change over the bracket. At t_e
-    the blend takes over (``aapc.exit_gamma``), the rest of the step runs,
-    and the step is evaluated again without a second check.
+    One kernel call advances a step and evaluates the state it reaches
+    (``_kernel_source``), so each step starts with that state's derivative
+    and records in asm. Row i of the traces holds the start-of-step values
+    of step i. From the second step on, each step checks the exit triggers
+    of the AAPC turbines on its records, arming the power cross of each
+    turbine it passes, before its events apply. A trigger interrupts the
+    step before, which ran from ``asm.y_snapshot``: the exit instant t_e is
+    the window's end for the horizon, and is otherwise bracketed to
+    dt / 2^14 by 14 halvings, since a command clipped at gamma = 1 steps by
+    its change over the bracket. At t_e the blend takes over
+    (``aapc.exit_gamma``), and the rest of the step runs without a second
+    check.
     """
-    rhs, step, dt, stats = asm.rhs, asm.step, asm.dt, asm.stats
+    step, dt, stats = asm.step, asm.dt, asm.stats
     n_wt, base_w = asm.n_wt, asm.base_w
     tr = _Traces(asm.n_steps, n_wt)
     y = list(asm.y0)
     exit_events = []
-    n_rhs = 0
+    pm, pe = step(asm, y, 0.0)
+    n_rhs = 1
     for i in range(asm.n_steps + 1):
-        pm, pe = rhs(asm, y, asm.k1)
-        n_rhs += 1
         kind = None
         if asm.exit_enabled and i > 0:
             for j in range(n_wt):
@@ -340,9 +365,7 @@ def _integrate(asm) -> tuple:
                 lo, hi = 0.0, dt
                 for _ in range(14):
                     mid = 0.5 * (lo + hi)
-                    y_mid = _rk4_from(asm, asm.y_snapshot, mid)
-                    rhs(asm, y_mid, asm.k1)
-                    n_rhs += 1
+                    y_mid = _rk4_from(asm, asm.y_snapshot, mid)[0]
                     stats["halvings"] += 1
                     if check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y_mid[base_w + j],
                                   asm.wt[j].floor_rad, t0 + mid, asm.t_support_end,
@@ -353,12 +376,10 @@ def _integrate(asm) -> tuple:
                 # a floor exit switches on the last instant above the floor,
                 # so the rotor never actually crosses it
                 h_e = lo if kind == "speed_floor" else hi
-            y_e = _rk4_from(asm, asm.y_snapshot, h_e)
+            y_e = _rk4_from(asm, asm.y_snapshot, h_e)[0]
             to_exit = [j]
             if kind == "horizon":  # the window closes for every active turbine
                 to_exit = [jj for jj in range(n_wt) if asm.modes[jj] == MODE_AAPC]
-            rhs(asm, y_e, asm.k1)
-            n_rhs += 1
             for jj in to_exit:
                 p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
                 g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
@@ -371,9 +392,7 @@ def _integrate(asm) -> tuple:
                     "gamma": g,
                     "power_step_pu": abs(exit_power(g, p_t, p_mppt) - p_cmd) / asm.s_base_w,
                 })
-            y[:] = _rk4_from(asm, y_e, dt - h_e)
-            pm, pe = rhs(asm, y, asm.k1)
-            n_rhs += 1
+            y, pm, pe = _rk4_from(asm, y_e, dt - h_e)
             stats["segments"] += 1
 
         landed = False
@@ -386,7 +405,7 @@ def _integrate(asm) -> tuple:
         if i == asm.act_step:
             asm.modes = list(asm.ctrl_mode)
         if landed:
-            pm, pe = rhs(asm, y, asm.k1)
+            pm, pe = step(asm, y, 0.0)
             n_rhs += 1
 
         tr.put_row(i * tr.row_bytes, y[0], pm, pe, asm.k1[0], asm.p_d,
@@ -395,8 +414,8 @@ def _integrate(asm) -> tuple:
         tr.put_flags(i * n_wt, *asm.wt_flags)
         if i < asm.n_steps:
             asm.y_snapshot[:] = y
-            step(asm, y, dt)  # k1 is the derivative just recorded
-            n_rhs += 3
+            pm, pe = step(asm, y, dt)  # from the derivative just recorded
+            n_rhs += 4
     stats["steps"] += asm.n_steps
     stats["rhs_evals"] += n_rhs
     return tr, exit_events
@@ -425,9 +444,11 @@ class SimResult:
     ``steps`` (RK4 steps of size dt, a step redone around an exit counted
     once), ``segments`` (1 plus the exits handled), ``exit_checks`` (trigger
     evaluations of the step loop), ``halvings`` (exit bisection, one trigger
-    evaluation each) and ``rhs_evals``, and the wall seconds ``assemble_s``
-    (kernel compile included) and ``integrate_s``. It enters no output file
-    and no equality.
+    evaluation each) and ``rhs_evals`` (right-hand-side evaluations: a
+    kernel call counts 1 with h == 0 and 4 with h > 0, its three RK4 stages
+    and the evaluation where the step ends), and the wall seconds
+    ``assemble_s`` (kernel compile included) and ``integrate_s``. It enters
+    no output file and no equality.
     """
 
     scenario: Scenario
@@ -480,16 +501,27 @@ class _Assembled:
     whose ten units have three distinct dynamics), and the one VIC filter
     state is shared by every VIC turbine. The
     AAPC mirror has no state of its own; it reads the governor states (see
-    ``aapc.mirror_output``). ``rhs`` and ``step`` are the scenario's kernel
-    from ``_compile_kernel``, called as ``asm.rhs(asm, y, dy)`` and
-    ``asm.step(asm, y, h)``; ``wt`` holds one ``_Turbine`` per turbine.
+    ``aapc.mirror_output``). ``step`` is the scenario's kernel from
+    ``_compile_kernel``, one function per run, called as
+    ``asm.step(asm, y, h)``: with h > 0 it advances y by one RK4 step, and
+    with h == 0 it only evaluates y into ``k1`` and the records (see
+    ``_kernel_source``). ``wt`` holds one ``_Turbine`` per turbine.
+
+    Every scenario number that reaches the kernel's source or its run-time
+    state passes through ``float()`` here: the grid's bases, inertia and
+    damping, the turbine constants, the gain, ``sim.step_s``, the support
+    window and each event's magnitude and trip fraction. So y, ``k1``,
+    ``p_d`` and the records hold Python floats whatever numbers the caller
+    built the scenario from; a numpy scalar in them would make every
+    operation of the loop a numpy one, about twice as slow, and ``_lit``
+    rejects one that reaches the source.
     """
 
     def __init__(self, sc: Scenario, alpha: float | None):
         grid = sc.grid
-        self.s_base_w = grid.s_base_mva * 1e6
+        self.s_base_w = float(grid.s_base_mva) * 1e6
         self.f_base = float(grid.f_base_hz)
-        self.two_h = 2.0 * grid.inertia_s
+        self.two_h = 2.0 * float(grid.inertia_s)
         self.damping = float(grid.damping)
         self.vic = sc.vic
         self.exit_enabled = sc.exit_enabled
@@ -509,14 +541,14 @@ class _Assembled:
         self.names = [t.name for t in sc.turbines]
         mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
         self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
-        self.p_e0_w = [st.p_e_pu * self.s_base_w for st in states]
-        self.omega0 = [st.omega_rad_s for st in states]
+        self.p_e0_w = [float(st.p_e_pu) * self.s_base_w for st in states]
+        self.omega0 = [float(st.omega_rad_s) for st in states]
         self.shares = _shares(sc, states).tolist()
         self.wt = [
-            _Turbine(float(t.wind_speed_ms), float(t.pitch_deg), float(s.rotor_radius_m),
-                     _fleet_power_scale(s), _k_opt_w(s, t.pitch_deg), s.p_min_fleet_mw * 1e6,
-                     s.p_max_fleet_mw * 1e6, s.floor_speed_rad, p_e0, float(s.fleet_inertia),
-                     share)
+            _Turbine(*map(float, (t.wind_speed_ms, t.pitch_deg, s.rotor_radius_m,
+                                  _fleet_power_scale(s), _k_opt_w(s, t.pitch_deg),
+                                  s.p_min_fleet_mw * 1e6, s.p_max_fleet_mw * 1e6,
+                                  s.floor_speed_rad, p_e0, s.fleet_inertia, share)))
             for t, s, p_e0, share in zip(sc.turbines, specs, self.p_e0_w, self.shares)
         ]
         self.kw = 0.0
@@ -524,21 +556,23 @@ class _Assembled:
         mirror_c = [0.0] * self.m_gov
         if alpha is not None and MODE_AAPC in self.ctrl_mode:
             ctrl = synthesize(grid, list(sc.governors), alpha)
-            self.kw = ctrl.gain_kw
+            self.kw = float(ctrl.gain_kw)
             mirror_d = float(ctrl.mirror.d[0, 0])
             mirror_c = ctrl.mirror.c[0].tolist()
 
-        self.dt = dt = sc.sim.step_s
+        self.dt = dt = float(sc.sim.step_s)
         self.n_steps = int(round(sc.sim.duration_s / dt))
         gov_names = [g.name for g in sc.governors]
         self.events = [
-            (int(round(e.time_s / dt)), e.magnitude_pu, -1, 0.0) if e.kind == "load_surge"
-            else (int(round(e.time_s / dt)), _trip_magnitude(sc, e, states),
-                  gov_names.index(e.unit), e.fraction)
+            (int(round(e.time_s / dt)), float(e.magnitude_pu), -1, 0.0)
+            if e.kind == "load_surge"
+            else (int(round(e.time_s / dt)), float(_trip_magnitude(sc, e, states)),
+                  gov_names.index(e.unit), float(e.fraction))
             for e in sc.events
         ]
         self.act_step = self.events[0][0] if self.events else -1
-        self.t_support_end = self.act_step * dt + sc.solver.t_f if self.events else np.inf
+        self.t_support_end = (self.act_step * dt + float(sc.solver.t_f) if self.events
+                              else math.inf)
 
         self.p_d = 0.0
         self.modes = [MODE_TRACKING] * n_wt
@@ -546,12 +580,12 @@ class _Assembled:
         self.armed = [False] * n_wt
         self.y0 = [0.0] * self.base_w + self.omega0 + [0.0] * (MODE_VIC in self.ctrl_mode)
         n_y = len(self.y0)
-        self.k1, self.k2, self.y_snapshot = ([0.0] * n_y for _ in range(3))
+        self.k1, self.y_snapshot = [0.0] * n_y, [0.0] * n_y
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
         self.stats = {"steps": 0, "segments": 1, "halvings": 0, "rhs_evals": 0,
                       "exit_checks": 0}
-        self.rhs, self.step = _compile_kernel(self, gov, units, mirror_d, mirror_c)
+        self.step = _compile_kernel(self, gov, units, mirror_d, mirror_c)
 
 
 class _Traces:

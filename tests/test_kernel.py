@@ -1,14 +1,16 @@
 """The generated closed-loop kernel against the loop kernel it replaced.
 
-``loop_rhs`` and ``loop_rk4_step`` are the loop right-hand side and RK4 step
-the package ran before each scenario's kernel was generated as straight-line
-code. They call each law through a function compiled from its template, as
-the kernel writes it inline: the package's law functions, and
-``applied_power`` and ``floor_hold`` here, which only the kernel runs in the
-package. ``loop_kernel`` stands in for ``simulator._compile_kernel`` and
-hands them the same constants, so an assembly (or a whole ``run``) can go
-through either kernel. Every comparison is bitwise, on the ``repr`` of the
-floats.
+``loop_rhs`` is the loop right-hand side the package ran before each
+scenario's kernel was generated as straight-line code, and ``loop_step``
+runs it under the generated kernel's contract: with h > 0 one RK4 step of y
+from the derivative in asm.k1 and the floor hold, then, for every h, the
+evaluation at y into asm.k1 and the records. They call each law through a
+function compiled from its template, as the kernel writes it inline: the
+package's law functions, and ``applied_power`` and ``floor_hold`` here,
+which only the kernel runs in the package. ``loop_kernel`` stands in for
+``simulator._compile_kernel`` and hands them the same constants, so an
+assembly (or a whole ``run``) can go through either kernel. Every comparison
+is bitwise, on the ``repr`` of the floats.
 """
 
 import gc
@@ -113,20 +115,27 @@ def loop_rhs(asm, y, dy):
     return pm, pe_dev
 
 
-def loop_rk4_step(asm, y, h):
-    """Advance y by one RK4 step of size h in place from the derivative in asm.k1."""
-    k1 = asm.k1
-    k2, k3, k4 = ([0.0] * len(y) for _ in range(3))
-    half = 0.5 * h
-    loop_rhs(asm, [a + half * k for a, k in zip(y, k1)], k2)
-    loop_rhs(asm, [a + half * k for a, k in zip(y, k2)], k3)
-    loop_rhs(asm, [a + h * k for a, k in zip(y, k3)], k4)
-    sixth = h / 6.0
-    y[:] = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    base_w = asm.base_w
-    for j, wt in enumerate(asm.wt):
-        y[base_w + j] = floor_hold(y[base_w + j], wt.floor_rad, asm.modes[j])
+def loop_step(asm, y, h):
+    """With h > 0, advance y by one RK4 step of size h in place from the
+    derivative in asm.k1; then evaluate y into asm.k1 and the records, and
+    return (pm, pe_dev)."""
+    if h:
+        k1 = asm.k1
+        k2, k3, k4 = ([0.0] * len(y) for _ in range(3))
+        half = 0.5 * h
+        loop_rhs(asm, [a + half * k for a, k in zip(y, k1)], k2)
+        loop_rhs(asm, [a + half * k for a, k in zip(y, k2)], k3)
+        loop_rhs(asm, [a + h * k for a, k in zip(y, k3)], k4)
+        sixth = h / 6.0
+        y[:] = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        base_w = asm.base_w
+        for j, wt in enumerate(asm.wt):
+            y[base_w + j] = floor_hold(y[base_w + j], wt.floor_rad, asm.modes[j])
+    dy = [0.0] * len(y)
+    out = loop_rhs(asm, y, dy)
+    asm.k1 = dy
+    return out
 
 
 def loop_kernel(asm, gov, units, mirror_d, mirror_c):
@@ -134,7 +143,7 @@ def loop_kernel(asm, gov, units, mirror_d, mirror_c):
     asm.loop = SimpleNamespace(
         gov_rows=[[(c, float(row[c])) for c in np.flatnonzero(row).tolist()] for row in gov.a],
         b_g=gov.b[:, 0].tolist(), units=units, mirror_d=mirror_d, mirror_c=mirror_c)
-    return loop_rhs, loop_rk4_step
+    return loop_step
 
 
 def _loop_assembly(monkeypatch, sc, alpha):
@@ -230,6 +239,12 @@ def _records(asm):
     return repr((asm.wt_pe_w, asm.wt_pt_w, asm.wt_mppt_w, asm.wt_flags))
 
 
+def _split(src):
+    """(the RK4 stages, the evaluation at y) of a generated kernel's source."""
+    stages, rhs = src.split("\n    # the right-hand side at y\n")
+    return stages, rhs
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -295,7 +310,7 @@ class TestReference:
         sc = _shape(shape)
         gen = sim._Assembled(sc, 1.2)
         ref = _loop_assembly(monkeypatch, sc, 1.2)
-        assert gen.rhs is not loop_rhs and ref.rhs is loop_rhs
+        assert gen.step is not loop_step and ref.step is loop_step
         assert gen.kw != 0.0 or shape == "no_turbines"
         if shape == "second_order_governor":
             assert gen.m_gov == 3
@@ -308,14 +323,14 @@ class TestReference:
             out = {}
             for asm in (gen, ref):
                 _set(asm, state)
-                dy = [0.0] * len(y)
-                ret = asm.rhs(asm, list(y), dy)
+                ret = asm.step(asm, list(y), 0.0)
+                dy = list(asm.k1)
                 assert all(type(v) is float for v in dy)
                 rhs_records = _records(asm)
-                asm.k1[:] = dy
                 y1 = list(y)
-                asm.step(asm, y1, 0.01)
-                out[asm is gen] = (repr(dy), repr(ret), rhs_records, repr(y1), _records(asm))
+                ret1 = asm.step(asm, y1, 0.01)
+                out[asm is gen] = (repr(dy), repr(ret), rhs_records, repr(y1), repr(asm.k1),
+                                   repr(ret1), _records(asm))
             assert out[True] == out[False]
             seen_flags.update(gen.wt_flags)
         if gen.n_wt:
@@ -358,9 +373,8 @@ class TestReference:
             out = {}
             for asm in (gen, ref):
                 _set(asm, state)
-                dy = [0.0] * len(y)
-                ret = asm.rhs(asm, list(y), dy)
-                out[asm is gen] = (repr(dy), repr(ret), _records(asm))
+                ret = asm.step(asm, list(y), 0.0)
+                out[asm is gen] = (repr(asm.k1), repr(ret), _records(asm))
             assert out[True] == out[False]
             for j, wt in enumerate(gen.wt):
                 assert repr(gen.wt_pt_w[j]) == repr(_turbine_power_w(
@@ -413,9 +427,13 @@ class TestSource:
 
     def test_getsource_shows_generated_lines(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)
-        rhs, step = inspect.getsource(asm.rhs), inspect.getsource(asm.step)
-        assert rhs.startswith("def rhs(asm, y, dy):\n")
-        assert step.startswith("def step(asm, y, h):\n")
+        src = inspect.getsource(asm.step)
+        assert src.startswith("def step(asm, y, h):\n")
+        stages, rhs = _split(src)
+        # the stage loop evaluates the same right-hand side
+        body = rhs[:rhs.index("    asm.wt_pe_w = ")]
+        assert "(h, 1.0)):\n" in stages
+        assert textwrap.indent(textwrap.dedent(body), " " * 12) in stages
         # the turbine's laws are the templates with its literals in the slots
         wt = asm.wt[0]
         power = TURBINE_POWER_LAW.format(
@@ -437,24 +455,22 @@ class TestSource:
         assert textwrap.indent(applied, "    ") in rhs
         assert f"    if mode0 != 1 and w0 <= {floor} and pe0 > pt0:\n" in rhs
         hold = FLOOR_HOLD_LAW.format(mode_test="mode0 != 1 and ", omega="w0", floor=floor)
-        assert textwrap.indent(hold, "    ") in step
+        assert textwrap.indent(hold, "        ") in stages
         # CPython folds the literal-only parts: (9.0) ** 3, and at zero pitch
         # 0.08 * (0.0), 0.4 * (0.0) and 0.035 / ((0.0) ** 3 + 1.0)
-        consts = asm.rhs.__code__.co_consts
+        consts = asm.step.__code__.co_consts
         assert 729.0 in consts and 0.035 in consts
         assert 0.08 not in consts and 0.4 not in consts
-        assert "sum(" not in rhs + step
-        filename = asm.rhs.__code__.co_filename
+        assert "sum(" not in src
+        filename = asm.step.__code__.co_filename
         assert re.fullmatch(r"<windfreq-kernel-\d+>", filename)
-        assert asm.step.__code__.co_filename == filename
-        assert sim._Assembled(two_machine_scenario, 1.2).rhs.__code__.co_filename != filename
+        assert sim._Assembled(two_machine_scenario, 1.2).step.__code__.co_filename != filename
 
     def test_namespace_holds_no_law(self, multi_machine_scenario):
         # every law is inline: the kernel calls exp and nothing else by name
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             asm = sim._Assembled(sim._with_controllers(multi_machine_scenario, strategy), 1.3)
-            namespace = asm.rhs.__globals__
-            assert asm.step.__globals__ is namespace
+            namespace = asm.step.__globals__
             assert set(namespace) == {"__name__", "__builtins__", "exp"}, strategy
             assert namespace["exp"] is math.exp
 
@@ -462,29 +478,34 @@ class TestSource:
         # the command depends on df and the shared filter state only
         sc = sim._with_controllers(multi_machine_scenario, "classic_vic")
         asm = sim._Assembled(sc, None)
-        rhs = inspect.getsource(asm.rhs)
+        stages, rhs = _split(inspect.getsource(asm.step))
         rate = VIC_FILTER_RATE_LAW.format(df="df", z="z", filter_s="(0.1)")
         command = VIC_COMMAND_LAW.format(k_f="(20.0)", k_in="(10.0)", df="df",
                                          rate="vic_rate", f_base=sim._lit(asm.f_base))
-        assert rhs.count("vic_rate = ") == rhs.count("vic_mw = ") == 1
-        assert f"    vic_rate = {rate}\n    vic_mw = {command}\n" in rhs
-        assert rhs.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
-        # the filter rate is also dz/dt
+        # once per evaluation: in the stage loop and at y
+        for part, indent in ((stages, " " * 12), (rhs, "    ")):
+            assert part.count("vic_rate = ") == part.count("vic_mw = ") == 1
+            assert f"\n{indent}vic_rate = {rate}\n{indent}vic_mw = {command}\n" in part
+            assert part.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
+        # the filter rate is also dz/dt: written to asm.k1, and read from it,
+        # into the stage state and into the accumulator by the stages
         assert rhs.count("vic_rate") == 3
         assert rhs.rstrip().splitlines()[-2].endswith(", vic_rate]")
+        assert stages.count("vic_rate") == 5
+        assert stages.count(", vic_rate, = asm.k1\n") == 1
 
     def test_mirror_only_with_aapc(self, multi_machine_scenario):
         # the mirror feeds the AAPC command alone
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             sc = sim._with_controllers(multi_machine_scenario, strategy)
-            rhs = inspect.getsource(sim._Assembled(sc, 1.3).rhs)
+            rhs = inspect.getsource(sim._Assembled(sc, 1.3).step)
             assert ("mirror" in rhs) == (strategy == "optimal_aapc"), strategy
 
     def test_no_zero_coefficient_terms(self, multi_machine_scenario):
         # the gas unit G4 has no feedthrough: its df term would add 0.0 * df
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             sc = sim._with_controllers(multi_machine_scenario, strategy)
-            rhs = inspect.getsource(sim._Assembled(sc, 1.3).rhs)
+            rhs = inspect.getsource(sim._Assembled(sc, 1.3).step)
             # a zero pitch's `(0.0) ** 3` is a power, which CPython folds
             assert not re.search(r"\(-?0\.0\) \*(?!\*)", rhs), strategy
 
@@ -493,19 +514,20 @@ class TestSource:
         y = list(asm.y0)
         y[asm.base_w] = 0.0  # a stopped rotor: its tip-speed ratio divides by zero
         with pytest.raises(ZeroDivisionError) as err:
-            asm.rhs(asm, y, [0.0] * len(y))
+            asm.step(asm, y, 0.0)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
-        assert frame.filename == asm.rhs.__code__.co_filename
+        assert frame.filename == asm.step.__code__.co_filename
         assert frame.line == "inv0 = 1.0 / (tsr0 + 0.08 * (0.0)) - 0.035 / ((0.0) ** 3 + 1.0)"
-        lines = inspect.getsource(asm.rhs).splitlines()
-        first = asm.rhs.__code__.co_firstlineno
+        lines = inspect.getsource(asm.step).splitlines()
+        first = asm.step.__code__.co_firstlineno
+        # the evaluation at y, after the stage loop
         assert lines.index("    # turbine 0") < frame.lineno - first < lines.index("    # turbine 1")
         text = "".join(traceback.format_exception(err.value))
-        assert f'File "{frame.filename}", line {frame.lineno}, in rhs' in text
+        assert f'File "{frame.filename}", line {frame.lineno}, in step' in text
 
     def test_source_released_with_kernel(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)
-        filename = asm.rhs.__code__.co_filename
+        filename = asm.step.__code__.co_filename
         assert filename in linecache.cache
         del asm
         gc.collect()
@@ -518,10 +540,13 @@ class TestStats:
         stats = res.stats
         assert [e["kind"] for e in res.exit_events] == ["power_cross"]
         assert (stats["steps"], stats["segments"], stats["halvings"]) == (6000, 2, 14)
-        # 4 per step, 1 more per segment and 1 on the event step; 5 per
-        # halving (a partial step and its check), 5 for the exit state and 4
-        # for the rest of the interrupted step
-        assert stats["rhs_evals"] == 4 * 6000 + 2 + 1 + 14 * 5 + 5 + 4
+        # each stage and each evaluation counts one: 1 at the start, 4 per
+        # step (3 stages and the evaluation where it ends) and 1 on the event
+        # step; 5 per halving (the evaluation at the snapshot, a partial step
+        # and its check), 5 for the exit state, and 5 for the rest of the
+        # interrupted step (the exit state evaluated again under the blend,
+        # then the partial step)
+        assert stats["rhs_evals"] == 1 + 4 * 6000 + 1 + 14 * 5 + 5 + 5
         # one check per step from the first after activation (at t = 0) up to
         # the step that finds the cross, at 28.78 s
         assert res.exit_events[0]["t_e_s"] == pytest.approx(28.7748, abs=1e-4)

@@ -9,8 +9,8 @@ from windfreq import trajopt
 from windfreq.cli import main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
-from windfreq.scenario import MAX_STEPS, ScenarioError, gas_governor, hydro_governor, \
-    scenario_from_dict, scenario_to_dict
+from windfreq.scenario import MAX_STEPS, DisturbanceEvent, ScenarioError, gas_governor, \
+    hydro_governor, scenario_from_dict, scenario_to_dict
 
 
 def _set_at(doc: dict, json_path: str, value) -> None:
@@ -171,6 +171,16 @@ class TestSchema:
         sc = scenario_from_dict(load_preset("two_machine"))
         bad = replace(sc, sim=replace(sc.sim, step_s=float("nan")))
         assert "$.sim.step_s: must be in (0, 0.02], got nan" in bad.validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kind", ["load_surge", "generation_trip"])
+    def test_non_finite_magnitude_named_by_validate(self, kind, value):
+        # NaN passed the surge's `magnitude_pu <= 0` test, and a trip reads
+        # the magnitude as an override
+        sc = scenario_from_dict(load_preset("two_machine"))
+        event = DisturbanceEvent(time_s=0.0, kind=kind, magnitude_pu=value, unit="G1")
+        problems = replace(sc, events=(event,)).validate()
+        assert problems == [f"$.events[0].magnitude_pu: must be a finite number, got {value}"]
 
     def test_every_validate_message_leads_with_its_path(self):
         sc = scenario_from_dict(load_preset("two_machine"))
@@ -539,15 +549,31 @@ class TestCli:
         assert len(doc["mirror"]["a"]) == 1
 
     @pytest.mark.parametrize("value", ["0:0.2:3", "-0.1:0.2:3", "0.02:0:3", "0.02:-0.2:3",
-                                       "0.02:0.2:0", "0.02:0.2:-1"])
+                                       "0.02:0.2:0", "0.02:0.2:-1", "nan:0.2:3", "0.02:nan:3",
+                                       "0.02:inf:2", "-inf:0.2:3"])
     def test_range_rejects_what_it_mishandled(self, tmp_path, capsys, value):
         # a zero lo exited 2 blaming $.events[0].magnitude_pu, a zero count
-        # wrote an empty sweep and exited 0, a negative one met numpy's message
+        # wrote an empty sweep and exited 0, a negative one met numpy's
+        # message; a NaN lo wrote NaN rows and reported a band edge, and an
+        # infinite hi ran a sweep, both exiting 0
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--preset", "two_machine", f"--range={value}", "--out", str(out)])
         assert exc.value.code == 2
         assert "argument --range: " in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_sweep_of_non_finite_event_file(self, tmp_path, capsys, value):
+        doc = load_preset("two_machine")
+        doc["events"][0]["magnitude_pu"] = float(value.replace("Infinity", "inf"))
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert value in path.read_text()
+        out = tmp_path / "o"
+        rc = main(["sweep", "--scenario", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "$.events[0].magnitude_pu: must be a finite number" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["solve", "synthesize", "simulate", "compare", "sweep"])

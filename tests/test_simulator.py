@@ -233,8 +233,8 @@ class TestStateCollapse:
         gov = aggregate_governors(rebase_governors(sc.governors, sc.grid.s_base_mva))
         noise = 1e-3 * np.random.default_rng(4).normal(size=len(asm.y0))
         y = [a + e for a, e in zip(asm.y0, noise.tolist())]
-        dy = [0.0] * len(y)
-        asm.rhs(asm, y, dy)
+        asm.step(asm, y, 0.0)
+        dy = asm.k1
         m = asm.m_gov
         loop = [gov.b[s, 0] * y[0] + sum(gov.a[s, s2] * y[1 + s2] for s2 in range(m))
                 for s in range(m)]
@@ -479,6 +479,61 @@ class TestInsensitivitySweep:
                 reference_nadir_per_pd=ref)
             maxima.append(p_max)
         assert maxima[1] >= maxima[0]
+
+
+class TestPythonFloats:
+    """Assembly makes every number of the loop's run-time state a Python
+    float: one numpy scalar there made every operation of the loop a numpy
+    one, about twice as slow, with the same traces."""
+
+    @pytest.fixture(scope="class")
+    def short(self, two_machine_scenario):
+        return replace(two_machine_scenario, alpha=1.1870649147208707,
+                       sim=replace(two_machine_scenario.sim, duration_s=30.0))
+
+    def test_sweep_of_numpy_deficits(self, short):
+        # the CLI's sweep builds its deficits with np.linspace
+        load = short.grid.load_pu
+        fracs = np.linspace(0.02, 0.2, 3)
+        deficits = [f * load for f in fracs]
+        assert {type(p) for p in deficits} == {np.float64}
+        kw = dict(reference_nadir_per_pd=-3.0)
+        rows = sim.insensitivity_sweep(short, deficits, **kw)
+        assert repr(rows) == repr(sim.insensitivity_sweep(
+            short, [float(f) * load for f in fracs], **kw))
+
+        surge = DisturbanceEvent(time_s=short.events[0].time_s, kind="load_surge",
+                                 magnitude_pu=deficits[1])
+        asm = sim._Assembled(replace(short, events=(surge,)), short.alpha)
+        sim._integrate(asm)
+        y = list(asm.y_snapshot)  # the start of the last step
+        for when in ("after the run", "after one more step"):
+            for name, values in (("y", y), ("k1", asm.k1), ("wt_pe_w", asm.wt_pe_w),
+                                 ("wt_pt_w", asm.wt_pt_w), ("wt_mppt_w", asm.wt_mppt_w),
+                                 ("p_d", [asm.p_d])):
+                assert all(type(v) is float for v in values), (when, name)
+            asm.step(asm, y, asm.dt)
+        assert asm.p_d == float(deficits[1])
+
+    @pytest.mark.parametrize("case", ["inertia_s", "step_s", "alpha", "trip"])
+    def test_numpy_scalars_from_the_api(self, short, case):
+        # a numpy inertia stopped assembly at the kernel's literals, and a
+        # numpy step size made the whole state numpy
+        trip = DisturbanceEvent(time_s=0.0, kind="generation_trip", unit="G1", fraction=0.1)
+        ref_sc = replace(short, events=(trip,)) if case == "trip" else short
+        sc = {
+            "inertia_s": replace(short, grid=replace(short.grid,
+                                                     inertia_s=np.float64(short.grid.inertia_s))),
+            "step_s": replace(short, sim=replace(short.sim, step_s=np.float64(short.sim.step_s))),
+            "alpha": replace(short, alpha=np.float64(short.alpha)),
+            "trip": replace(short, events=(replace(trip, fraction=np.float64(0.1),
+                                                   time_s=np.float64(0.0)),)),
+        }[case]
+        res, ref = run(sc), run(ref_sc)
+        for name in TestMapRuns.FIELDS:
+            assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert repr(res.exit_events) == repr(ref.exit_events)
+        assert len(res.exit_events) == 1
 
 
 def _cpus(monkeypatch, n):

@@ -234,8 +234,8 @@ def test_pitched_turbine_starts_in_balance(two_machine_scenario, pitch):
     sc = replace(two_machine_scenario, events=(), turbines=(
         TurbineEntry("WT", spec, 9.0, pitch_deg=pitch, controller="none"),))
     asm = sim._Assembled(sc, alpha=None)
-    dy = [0.0] * len(asm.y0)
-    asm.rhs(asm, list(asm.y0), dy)
+    asm.step(asm, list(asm.y0), 0.0)
+    dy = asm.k1
     p_t = asm.wt_pt_w[0]
     assert asm.wt_pe_w[0] == asm.wt_mppt_w[0]
     assert abs(dy[asm.base_w]) * asm.wt[0].j_fleet * asm.omega0[0] <= 1e-12 * p_t
