@@ -141,38 +141,40 @@ def allocate(capabilities) -> np.ndarray:
     return shares
 
 
-def check_exit(
-    p_command: float,
-    p_mppt: float,
-    omega_rad_s: float,
-    floor_rad_s: float,
-    t: float,
-    t_f: float,
-    armed: bool,
-) -> str | None:
-    """First matching exit cause, if any; the two powers share any one unit.
+# The exit triggers and the arming of the power cross, written once each like
+# the laws above; the closed-loop kernel writes them inline at each step, and
+# ``check_exit`` and ``arms_power_cross`` are compiled from them. The horizon
+# fires from 1e-12 s before ``t_f``, the window's end, which rounding can put
+# just after a step; the power-cross trigger only fires once armed, since the
+# pre-event operating point sits exactly on the tracking curve, and the
+# command arms it only once it has risen above the tracking power by more
+# than 1e-9 of it plus 1 mW, a margin over the rounding of the pre-event
+# balance.
+EXIT_TRIGGER_LAW = """\
+if {omega} <= {floor}:
+    {kind} = "speed_floor"
+elif {t} >= {t_f} - 1e-12:
+    {kind} = "horizon"
+elif {armed} and {p_command} <= {p_mppt}:
+    {kind} = "power_cross"
+else:
+    {kind} = None
+"""
+ARMING_LAW = "{p_command} > {p_mppt} * (1.0 + 1e-9) + 1e-3"
 
-    The horizon fires from 1e-12 s before ``t_f``, the window's end, which
-    rounding can put just after a step. The power-cross trigger only fires
-    once armed (``arms_power_cross``), since the pre-event operating point
-    sits exactly on the tracking curve.
-    """
-    if omega_rad_s <= floor_rad_s:
-        return "speed_floor"
-    if t >= t_f - 1e-12:
-        return "horizon"
-    if armed and p_command <= p_mppt:
-        return "power_cross"
-    return None
-
-
-def arms_power_cross(p_command_w: float, p_mppt_w: float) -> bool:
-    """Whether the command arms the power-cross trigger of ``check_exit``, powers in W.
-
-    It must have risen above the tracking power by more than 1e-9 of it plus
-    1 mW, a margin over the rounding of the pre-event balance.
-    """
-    return p_command_w > p_mppt_w * (1.0 + 1e-9) + 1e-3
+check_exit = law_function(
+    __name__, "check_exit",
+    ("p_command", "p_mppt", "omega_rad_s", "floor_rad_s", "t", "t_f", "armed"), "kind",
+    EXIT_TRIGGER_LAW.format(omega="omega_rad_s", floor="floor_rad_s", t="t", t_f="t_f",
+                            kind="kind", armed="armed", p_command="p_command",
+                            p_mppt="p_mppt"),
+    "First matching exit cause (``EXIT_TRIGGER_LAW``), or None; the two powers share\n"
+    "any one unit.")
+arms_power_cross = law_function(
+    __name__, "arms_power_cross", ("p_command_w", "p_mppt_w"),
+    ARMING_LAW.format(p_command="p_command_w", p_mppt="p_mppt_w"),
+    doc="Whether the command arms the power-cross trigger of ``check_exit`` "
+        "(``ARMING_LAW``), powers in W.")
 
 
 def exit_gamma(p_e_at_te: float, p_t_at_te: float, p_mppt_at_te: float) -> float:

@@ -42,16 +42,17 @@ DEFAULT_OUT = "out"
 def _write_csv(path: Path, header, columns):
     """CSV of equal-length numeric columns, every value written as %.12g.
 
-    Rows are formatted and written in blocks, so only one block is held as
-    Python floats and text at a time.
+    Rows are formatted and written in blocks of 500, each by one ``%`` of
+    the row format repeated over the block's values, so only one block is
+    held as Python floats and text at a time.
     """
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
     row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
         for start in range(0, len(table), 500):
-            f.write("".join([row_fmt % tuple(row)
-                             for row in table[start:start + 500].tolist()]))
+            block = table[start:start + 500]
+            f.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: Path, doc):
@@ -157,13 +158,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    results = compare_strategies(args.sc)
-    table = {}
-    for strat, (res, rec) in results.items():
+    def write(strat, res, rec):
+        # runs in the worker that ran the strategy, which returns only the row
         _write_sim(args.out, f"compare_{strat}", res, rec)
-        table[strat] = {"nadir_hz": rec.nadir_hz, "t_nadir_s": rec.t_nadir_s,
-                        "secondary_dip": rec.secondary_dip,
-                        "limit_events": len(rec.limit_events)}
+        return {"nadir_hz": rec.nadir_hz, "t_nadir_s": rec.t_nadir_s,
+                "secondary_dip": rec.secondary_dip, "limit_events": len(rec.limit_events)}
+
+    table = compare_strategies(args.sc, report=write)
     _write_json(args.out / "compare.json", {"strategies": table, "provenance": args.prov})
     for strat in ("none", "classic_vic", "optimal_aapc"):
         if strat in table:

@@ -141,10 +141,15 @@ class Scenario:
             problems.append("$.events: must be sorted by time")
         for i, e in enumerate(self.events):
             at = f"$.events[{i}]"
-            if e.time_s < 0 or e.time_s >= self.sim.duration_s:
-                problems.append(f"{at}.time_s: {e.time_s} s is outside the simulation window")
-            if dt > 0 and abs(e.time_s / dt - round(e.time_s / dt)) > 1e-9:
-                problems.append(f"{at}.time_s: {e.time_s} s is not aligned to the {dt} s step")
+            if not math.isfinite(e.time_s):
+                problems.append(f"{at}.time_s: must be a finite number, got {e.time_s}")
+            else:
+                if e.time_s < 0 or e.time_s >= self.sim.duration_s:
+                    problems.append(f"{at}.time_s: {e.time_s} s is outside the simulation "
+                                    "window")
+                if dt > 0 and abs(e.time_s / dt - round(e.time_s / dt)) > 1e-9:
+                    problems.append(f"{at}.time_s: {e.time_s} s is not aligned to the {dt} s "
+                                    "step")
             if e.kind not in ("load_surge", "generation_trip"):
                 problems.append(f"{at}.kind: unknown event kind {e.kind!r}")
             if not math.isfinite(e.magnitude_pu):

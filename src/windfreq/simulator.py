@@ -11,41 +11,41 @@ Disturbances are steps in the power deficit; generation trips also scale the
 tripped unit's governor output, which keeps its own output term. Turbine
 power limits and the rotor speed floor are enforced inside the right-hand
 side, and a rotor that is not under AAPC is held on its floor at the end of
-each step. The driver, ``_integrate``, is one loop over the steps: each step
-checks the exit triggers of ``aapc.check_exit`` at its start, and a trigger
-is located in the step before by 14 bisection halvings (0.6 us at a 10 ms
-step), where the exit blend takes over.
+each step. Each step checks the exit triggers (``aapc.EXIT_TRIGGER_LAW``)
+at its start, and a trigger is located in the step before by 14 bisection
+halvings (0.6 us at a 10 ms step), where the exit blend takes over.
 The right-hand side is the only evaluator of turbine power, tracking power and
 controller command at a closed-loop state: the exit checks, the bisection and
 the exit blend read the powers it records. Identical inputs produce
 bit-identical traces.
 
-The kernel is one function generated per run, ``step(asm, y, h)``:
-assembly writes the scenario's right-hand side and RK4 step as Python
-source, every constant a float literal and every sum one statement per term
-in the order of the loops over A_g's rows, the governor outputs and the
-mirror, and compiles it once (``_compile_kernel``) through
-``codegen.compile_functions``, the package's one compile path for generated
-code. One call advances y by one RK4 step and evaluates the state it
-reaches, so the step loop makes one call per step; with h == 0 the call
-only evaluates, which serves the initial state, a re-evaluation after an
-event and every partial step of an exit. Assembly passes every scenario
-number that reaches the kernel through ``float()``, so the loop runs on
-Python floats whatever numbers the caller built the scenario from. On a
-state of a few entries numpy's per-call overhead costs more than the
-arithmetic, and a loop over tuples of constants that do not change during a
-run costs more than the arithmetic too, as does a call per law. The
-generated code writes the laws of
-``turbine`` and ``aapc`` inline from their source templates, the text their
-callables are compiled from (``codegen``), so each law keeps one
-implementation: the power clamp and floor cutback are
-``turbine.APPLIED_POWER_LAW`` and the end-of-step floor hold
-``turbine.FLOOR_HOLD_LAW``. CPython folds the parts that read only literals.
-The source is registered in ``linecache`` under ``<windfreq-kernel-N>``
-while the kernel lives, so tracebacks and ``inspect.getsource`` show it.
-numpy holds the assembly (governor realization and aggregation, allocation)
-and the preallocated traces, which each step fills with one ``struct`` pack
-per table. ``SimResult.stats``
+The kernel is one function generated per run, ``advance(asm, y, h, i,
+stop)``: assembly writes the scenario's right-hand side, RK4 step, exit
+checks and step loop as Python source, every constant a float literal and
+every sum one statement per term in the order of the loops over A_g's rows,
+the governor outputs and the mirror, and compiles it once
+(``_compile_kernel``) through ``codegen.compile_functions``, the package's
+one compile path for generated code. One call runs every step between two
+events or exits, with the state and the run-time values in local
+variables, so a run makes one call per event and a few dozen per exit; the
+driver, ``_integrate``, handles the exits and events between these
+stretches, and the same function takes its single and partial steps. Assembly
+passes every scenario number that reaches the kernel through ``float()``,
+so the loop runs on Python floats whatever numbers the caller built the
+scenario from. On a state of a few entries numpy's per-call overhead costs
+more than the arithmetic, and a loop over tuples of constants that do not
+change during a run costs more than the arithmetic too, as does a call per
+law or per step. The generated code writes the laws of ``turbine`` and
+``aapc`` inline from their source templates, the text their callables are
+compiled from (``codegen``), so each law keeps one implementation: the power
+clamp and floor cutback are ``turbine.APPLIED_POWER_LAW``, the end-of-step
+floor hold ``turbine.FLOOR_HOLD_LAW``, and the exit checks
+``aapc.EXIT_TRIGGER_LAW`` and ``aapc.ARMING_LAW``. CPython folds the parts
+that read only literals. The source is registered in ``linecache`` under
+``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
+``inspect.getsource`` show it. numpy holds the assembly (governor
+realization and aggregation, allocation) and the preallocated traces, which
+each step fills with one ``struct`` pack. ``SimResult.stats``
 counts the steps, segments, exit checks, bisection halvings and
 right-hand-side evaluations of a run and times its assembly and integration.
 
@@ -70,8 +70,9 @@ import numpy as np
 
 from . import collocation as coll
 from . import trajopt as to
-from .aapc import (COMMAND_LAW, EXIT_BLEND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, allocate,
-                   arms_power_cross, check_exit, exit_gamma, exit_power, synthesize)
+from .aapc import (ARMING_LAW, COMMAND_LAW, EXIT_BLEND_LAW, EXIT_TRIGGER_LAW, VIC_COMMAND_LAW,
+                   VIC_FILTER_RATE_LAW, allocate, check_exit, exit_gamma, exit_power,
+                   synthesize)
 from .codegen import compile_functions
 from .grid import aggregate_governors, group_governors, rebase_governors
 from .scenario import DisturbanceEvent, Scenario, ScenarioError
@@ -138,8 +139,10 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
     """Unindented source lines of the closed-loop right-hand side at the state
     names of ``_kernel_source``: they set its derivative names, the records'
     names (``pe``, ``pt``, ``mppt``, ``fl`` and the turbine's number) and
-    ``pm`` and ``pe_dev``."""
+    ``pm`` and ``pe_dev``. Only a unit that a ``generation_trip`` names has a
+    ``gs`` factor: every other unit's scale stays 1.0, and ``1.0 * c == c``."""
     vic = MODE_VIC in asm.ctrl_mode
+    scaled = {u: f"gs{u} * " for u in asm.tripped}
     src = []
     for s, row in enumerate(gov.a):
         b = float(gov.b[s, 0])
@@ -147,9 +150,10 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
         src += [f"r += {_lit(float(row[c]))} * x{c}" for c in np.flatnonzero(row).tolist()]
         src.append(f"d{s} = r + {_lit(b)} * df" if b != 0.0 else f"d{s} = r")
     src.append("pm = 0.0")
-    src += [f"pm += gs{u} * {_lit(c)} * x{first + s}"
+    src += [f"pm += {scaled.get(u, '')}{_lit(c)} * x{first + s}"
             for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u) if c != 0.0]
-    src += [f"pm += gs{u} * {_lit(d)} * df" for u, (_, _, d) in enumerate(units) if d != 0.0]
+    src += [f"pm += {scaled.get(u, '')}{_lit(d)} * df"
+            for u, (_, _, d) in enumerate(units) if d != 0.0]
     if MODE_AAPC in asm.ctrl_mode:
         src.append(f"mirror = {_lit(mirror_d)} * df" if mirror_d != 0.0 else "mirror = 0.0")
         src += [f"mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c) if c != 0.0]
@@ -205,41 +209,80 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
     return src
 
 
+def _exit_check_lines(asm) -> list:
+    """Unindented source lines of one step's exit checks at the state names of
+    ``_kernel_source``: each AAPC turbine whose mode is still the AAPC, in
+    turbine order, counts a check in ``checks`` and evaluates
+    ``aapc.EXIT_TRIGGER_LAW`` at t = i dt; the first trigger that fires sets
+    ``kind`` and ``exit_j`` and breaks the step loop, and each turbine it
+    passes arms its power cross (``aapc.ARMING_LAW``)."""
+    src = []
+    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
+        if ctrl != MODE_AAPC:
+            continue
+        src += [f"if mode{j} == {MODE_AAPC}:", "    checks += 1"]
+        src += ("    " + line for line in _law_lines(
+            EXIT_TRIGGER_LAW, omega=f"w{j}", floor=_lit(wt.floor_rad),
+            t=f"i * {_lit(asm.dt)}", t_f="t_f", kind="kind", armed=f"armed{j}",
+            p_command=f"pe{j}", p_mppt=f"mppt{j}"))
+        src += [
+            "    if kind is not None:",
+            f"        exit_j = {j}",
+            "        break",
+            f"    if not armed{j}:",
+            f"        armed{j} = " + ARMING_LAW.format(p_command=f"pe{j}", p_mppt=f"mppt{j}"),
+        ]
+    return src
+
+
 def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
-    """Source of the scenario's kernel ``step(asm, y, h)``.
+    """Source of the scenario's kernel ``advance(asm, y, h, i=0, stop=0)``.
 
-    With h > 0, ``step`` advances the state list y by one RK4 step of size h
-    in place from the derivative at y in asm.k1: three stages, at
-    y + (h/2) k1, y + (h/2) k2 and y + h k3, in a loop over
-    ``(size, weight)``, then y + (h/6) s with the accumulator
-    s = ((k1 + 2 k2) + 2 k3) + 1.0 k4, numpy's operation order for
-    k1 + 2 k2 + 2 k3 + k4 (``1.0 * k4 == k4``). It then holds each rotor
-    that is not under AAPC on its floor (``turbine.FLOOR_HOLD_LAW``): the
-    cutback engages only once the rotor is at its floor, so the step that
-    crosses it lands on it; AAPC rotors leave by the floor exit instead.
-    Every call, h == 0 included, then evaluates the right-hand side at y:
-    it writes the closed-loop derivative to asm.k1, records each turbine's
-    applied power (for an AAPC turbine the clamped command), turbine power,
-    tracking power and flags in asm, and returns (pm_pu, pe_dev_pu). With
-    h == 0 that evaluation is all it does. Every constant is a literal; the
-    run-time state (``p_d``, ``gov_scale``, ``modes``, ``gamma``) is read
-    from asm once per call, and does not change within one.
+    With ``i < stop`` a call runs a stretch from step i, whose state y is
+    evaluated (asm.k1, the records, ``asm.pm_pe``) with the step's events
+    applied: per step it records row i of ``asm.traces``, takes one RK4 step
+    of size h = dt and runs the exit checks (``_exit_check_lines``) at step
+    i + 1. It returns (i, exit_j, kind) at the step where a trigger fires,
+    before the events of step ``stop``, or after the last row, with -1 and
+    None if no trigger fired; on an exit, ``asm.y_snapshot`` and
+    ``asm.k1_snapshot`` hold the start of the interrupted step and its
+    derivative. It adds its checks to ``stats["exit_checks"]`` and keeps the
+    arming in ``asm.armed``. Any other call takes one RK4 step of size h > 0
+    from the derivative in asm.k1, or with h == 0 only evaluates y.
 
-    The right-hand side (``_rhs_lines``) is written twice, in the stage loop
-    and after it; each sum is one statement per term from 0.0, in the order
-    of the loop over the nonzeros of A_g's rows, the governor outputs and
-    the mirror (``aapc.mirror_output``), with no term whose coefficient is
-    zero: a skipped product could change only the sign of a zero sum. The
-    governor output has one term per unit and state of its group,
-    ``gs_u * c_u[s] * x``, in unit order (``units`` holds each unit's (first
-    group state, output row, feedthrough)), then one feedthrough term per
-    unit, so a trip scales only its own unit.
+    Every call ends with the state reached in y, its derivative in asm.k1,
+    each turbine's applied power (for an AAPC turbine the clamped command),
+    turbine power, tracking power and flags in asm, and (pm_pu, pe_dev_pu)
+    in ``asm.pm_pe``. The run-time state (``p_d``, the modes, ``gamma``, the
+    scales of tripped units) is read into locals when a call starts, and
+    does not change within one. Every constant is a literal.
+
+    The right-hand side (``_rhs_lines``) is written once, in the loop over
+    a step's evaluations, ``stages``: y + (h/2) k1, y + (h/2) k2 and
+    y + h k3, each followed by its ``weight`` into the accumulator
+    s = ((k1 + 2 k2) + 2 k3) + 1.0 k4 (numpy's operation order for
+    k1 + 2 k2 + 2 k3 + k4; ``1.0 * k4 == k4``), then the state the step
+    reaches, y + (h/6) s, whose derivative is the next step's k1. Before that
+    evaluation each rotor not under AAPC is held on its floor
+    (``turbine.FLOOR_HOLD_LAW``): the cutback engages only at the floor, so
+    the step that crosses it lands on it; AAPC rotors leave by the floor exit
+    instead. With h == 0, ``stages`` is the evaluation of y alone.
+
+    Each sum of the right-hand side is one statement per term from 0.0, in
+    the order of the loop over the nonzeros of A_g's rows, the governor
+    outputs and the mirror (``aapc.mirror_output``), with no term whose
+    coefficient is zero: a skipped product could change only the sign of a
+    zero sum. The governor output has one term per unit and state of its
+    group, ``gs_u * c_u[s] * x`` (``c_u[s] * x`` for a unit no trip names),
+    in unit order (``units`` holds each unit's (first group state, output
+    row, feedthrough)), then one feedthrough term per unit, so a trip scales
+    only its own unit.
 
     The laws are written inline: the source templates of ``turbine`` (C_p,
     turbine power, tracking power, the applied power's clamp and floor
-    cutback) and ``aapc`` (command, exit blend, VIC filter rate and command)
-    with the turbine's and controller's literals in their slots, the same
-    text the package's callables are compiled from.
+    cutback) and ``aapc`` (command, exit blend, VIC filter rate and command,
+    exit triggers and arming) with the turbine's and controller's literals
+    in their slots, the same text the package's callables are compiled from.
     CPython folds the parts that read literals only, such as the wind's
     ``(9.0) ** 3`` and the pitch terms of C_p, at compile time, with the
     arithmetic the callables run. The VIC filter rate and command depend
@@ -247,8 +290,9 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
     turbine computes them once per evaluation; without one there is no z. A
     turbine is tracking until the event and then in its controller's mode,
     and an AAPC turbine can exit: so each turbine's code holds the branches
-    of the modes it can reach only, and the mirror sum is written only when
-    a turbine runs the AAPC. All saturation lives here, so every RK4 stage
+    of the modes it can reach only, the mirror sum is written only when a
+    turbine runs the AAPC, and the exit checks only when, besides, the
+    scenario enables exits. All saturation lives here, so every RK4 stage
     sees the same law; the floor laws' ``mode_test`` slot is ``_mode_test``.
     """
     m, n_wt = asm.m_gov, asm.n_wt
@@ -257,144 +301,158 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
           *(["z"] if vic else [])]
     ks = ["ddf", *(f"d{s}" for s in range(m)), *(f"dw{j}" for j in range(n_wt)),
           *(["vic_rate"] if vic else [])]
-    modes = [f"mode{j}" for j in range(n_wt)]
+    records = {name: [f"{prefix}{j}" for j in range(n_wt)]
+               for name, prefix in (("wt_pe_w", "pe"), ("wt_pt_w", "pt"),
+                                    ("wt_mppt_w", "mppt"), ("wt_flags", "fl"))}
+    aapc = [j for j, ctrl in enumerate(asm.ctrl_mode) if ctrl == MODE_AAPC]
+    checks = _exit_check_lines(asm) if asm.exit_enabled else []
     rhs = _rhs_lines(asm, gov, units, mirror_d, mirror_c)
-    src = ["def step(asm, y, h):", *_unpack(ys, "y"),
-           *_unpack([f"gs{u}" for u in range(len(units))], "asm.gov_scale"),
-           *_unpack(modes, "asm.modes"), "    p_d = asm.p_d"]
-    if MODE_AAPC in asm.ctrl_mode:
+    src = ["def advance(asm, y, h, i=0, stop=0):", *_unpack(ys, "y"),
+           *(f"    gs{u} = asm.gov_scale[{u}]" for u in asm.tripped),
+           *_unpack([f"mode{j}" for j in range(n_wt)], "asm.modes"), "    p_d = asm.p_d"]
+    if aapc:
         src.append("    gamma = asm.gamma")
     src += [
         "    if h:",
-        *_unpack([f"y_{v}" for v in ys], "y", " " * 8),
         *_unpack(ks, "asm.k1", " " * 8),
-        *_unpack([f"s_{v}" for v in ys], "asm.k1", " " * 8),
         "        half = 0.5 * h",
-        "        for size, weight in ((half, 2.0), (half, 2.0), (h, 1.0)):",
-        *(f"            {v} = y_{v} + size * {k}" for v, k in zip(ys, ks)),
-        *(" " * 12 + line for line in rhs),
-        *(f"            s_{v} = s_{v} + weight * {k}" for v, k in zip(ys, ks)),
-        "        sixth = h / 6.0",
-        *(f"        {v} = y_{v} + sixth * s_{v}" for v in ys),
+        "        stages = ((half, 2.0), (half, 2.0), (h, 1.0), (h / 6.0, 0.0))",
+        "    else:",
+        "        stages = ((0.0, 0.0),)",
+        "    kind = None",
+        "    exit_j = -1",
+        "    looping = i < stop",
+        "    if looping:",
+        "        pm, pe_dev = asm.pm_pe",
+        *(line for name, names in records.items()
+          for line in _unpack(names, f"asm.{name}", " " * 8)),
+        "        put_row, row_bytes = asm.traces.put, asm.traces.row_bytes",
+    ]
+    if checks:
+        src += [*(f"        armed{j} = asm.armed[{j}]" for j in aapc),
+                "        t_f = asm.t_support_end", "        checks = 0"]
+    src += [
+        "    while True:",
+        "        if looping:",
+        "            put_row(" + ", ".join(["i * row_bytes", "df", "pm", "pe_dev", "ddf", "p_d",
+                                           *(f"w{j}" for j in range(n_wt)),
+                                           *records["wt_pe_w"], *records["wt_flags"]]) + ")",
+        f"            if i == {asm.n_steps}:",
+        "                break",
+        "        if h:",
+        *(f"            y_{v} = {v}" for v in ys),
+        *(f"            s_{v} = {'k1_' + v + ' = ' if checks else ''}{k}" for v, k in zip(ys, ks)),
+        "        for size, weight in stages:",
+        "            if weight:",
+        *(f"                {v} = y_{v} + size * {k}" for v, k in zip(ys, ks)),
+        "            elif h:  # the state the step reaches",
+        *(f"                {v} = y_{v} + size * s_{v}" for v in ys),
     ]
     for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
-        src += (" " * 8 + line for line in _law_lines(
+        src += (" " * 16 + line for line in _law_lines(
             FLOOR_HOLD_LAW, mode_test=_mode_test(j, ctrl), omega=f"w{j}",
             floor=_lit(wt.floor_rad)))
-    src.append(f"        y[:] = [{', '.join(ys)}]")
-    src.append("    # the right-hand side at y")
-    src += ("    " + line for line in rhs)
-    for name, prefix in (("wt_pe_w", "pe"), ("wt_pt_w", "pt"), ("wt_mppt_w", "mppt"),
-                         ("wt_flags", "fl")):
-        src.append(f"    asm.{name} = [{', '.join(f'{prefix}{j}' for j in range(n_wt))}]")
-    src += [f"    asm.k1 = [{', '.join(ks)}]", "    return pm, pe_dev", ""]
+    src.append("            # the right-hand side")
+    src += (" " * 12 + line for line in rhs)
+    src += [
+        "            if weight:",
+        *(f"                s_{v} = s_{v} + weight * {k}" for v, k in zip(ys, ks)),
+        "        if not looping:",
+        "            break",
+        "        i += 1",
+    ]
+    if checks:
+        src.append("        # the exit checks at step i")
+        src += (" " * 8 + line for line in checks)
+    src += [
+        "        if i == stop:",
+        "            break",
+        f"    y[:] = [{', '.join(ys)}]",
+        f"    asm.k1 = [{', '.join(ks)}]",
+        "    asm.pm_pe = pm, pe_dev",
+        *(f"    asm.{name} = [{', '.join(names)}]" for name, names in records.items()),
+    ]
+    if checks:
+        src += [
+            "    if looping:",
+            "        asm.stats['exit_checks'] += checks",
+            *(f"        asm.armed[{j}] = armed{j}" for j in aapc),
+            "        if kind is not None:",
+            f"            asm.y_snapshot = [{', '.join(f'y_{v}' for v in ys)}]",
+            f"            asm.k1_snapshot = [{', '.join(f'k1_{v}' for v in ys)}]",
+        ]
+    src += ["    return i, exit_j, kind", ""]
     return "\n".join(src)
 
 
 def _compile_kernel(asm, *constants):
-    """The function ``step`` of ``_kernel_source(asm, *constants)``, compiled
-    once by ``codegen.compile_functions``.
+    """The function ``advance`` of ``_kernel_source(asm, *constants)``,
+    compiled once by ``codegen.compile_functions``.
 
     Its source is registered in ``linecache`` under a unique
-    ``<windfreq-kernel-N>`` name while ``step`` lives, so tracebacks and
+    ``<windfreq-kernel-N>`` name while ``advance`` lives, so tracebacks and
     ``inspect.getsource`` show the generated lines, and its globals do not
     hold it.
     """
-    step, = compile_functions(__name__, f"<windfreq-kernel-{next(_kernel_ids)}>",
-                              {"step": _kernel_source(asm, *constants)})
-    return step
+    advance, = compile_functions(__name__, f"<windfreq-kernel-{next(_kernel_ids)}>",
+                                 {"advance": _kernel_source(asm, *constants)})
+    return advance
 
 
 # ---------------------------------------------------------------------------
 # python driver
 # ---------------------------------------------------------------------------
 
-def _rk4_from(asm, y0, h):
-    """(y, pm, pe): the state one RK4 step of size h >= 0 after the state list
-    y0, as a new list, and the kernel's return there; asm.k1 and the records
-    are those of that state."""
+def _rk4_from(asm, y0, h, k1=None):
+    """The state one RK4 step of size h after the state list y0, as a new
+    list; the step is taken only if h > 0. k1 is the derivative at y0, if
+    the caller has it; otherwise y0 is evaluated first. asm.k1 and the
+    records are those of the state reached."""
     y = list(y0)
-    out = asm.step(asm, y, 0.0)
+    n_rhs = 0
+    if h > 0 and k1 is not None:
+        asm.k1 = k1
+    else:
+        asm.advance(asm, y, 0.0)
+        n_rhs = 1
     if h > 0:
-        out = asm.step(asm, y, h)
-    asm.stats["rhs_evals"] += 5 if h > 0 else 1
-    return (y, *out)
+        asm.advance(asm, y, h)
+        n_rhs += 4
+    asm.stats["rhs_evals"] += n_rhs
+    return y
 
 
 def _integrate(asm) -> tuple:
     """Integrate the assembled run from ``asm.y0``; returns (traces, exit events).
 
-    One kernel call advances a step and evaluates the state it reaches
-    (``_kernel_source``), so each step starts with that state's derivative
-    and records in asm. Row i of the traces holds the start-of-step values
-    of step i. From the second step on, each step checks the exit triggers
-    of the AAPC turbines on its records, arming the power cross of each
-    turbine it passes, before its events apply. A trigger interrupts the
-    step before, which ran from ``asm.y_snapshot``: the exit instant t_e is
-    the window's end for the horizon, and is otherwise bracketed to
-    dt / 2^14 by 14 halvings, since a command clipped at gamma = 1 steps by
-    its change over the bracket. At t_e the blend takes over
-    (``aapc.exit_gamma``), and the rest of the step runs without a second
-    check.
+    Each kernel call runs a stretch of steps (``_kernel_source``) up to an
+    exit, a step where an event lands (the first of which activates the
+    controllers) or the end. Here the exit is handled, the step's events
+    apply, its state is evaluated again if one landed, and the next stretch
+    starts there; so every step runs its exit checks, events, activation,
+    row and RK4 step in that order, and row i of the traces holds the
+    start-of-step values of step i.
+
+    A trigger interrupts the step before, which ran from the state and the
+    derivative in ``asm.y_snapshot`` and ``asm.k1_snapshot``: the exit
+    instant t_e is the window's end for the horizon, and is otherwise
+    bracketed to dt / 2^14 by 14 halvings, since a command clipped at
+    gamma = 1 steps by its change over the bracket. At t_e the blend takes
+    over (``aapc.exit_gamma``), and the rest of the step runs without a
+    second check.
     """
-    step, dt, stats = asm.step, asm.dt, asm.stats
+    advance, dt, stats, n = asm.advance, asm.dt, asm.stats, asm.n_steps
     n_wt, base_w = asm.n_wt, asm.base_w
-    tr = _Traces(asm.n_steps, n_wt)
+    asm.traces = tr = _Traces(n, n_wt)
+    # the steps before whose events a stretch returns; n + 1 is never reached
+    stops = sorted({event_step for event_step, *_ in asm.events if 0 < event_step <= n})
+    stops.append(n + 1)
     y = list(asm.y0)
     exit_events = []
-    pm, pe = step(asm, y, 0.0)
+    advance(asm, y, 0.0)
     n_rhs = 1
-    for i in range(asm.n_steps + 1):
-        kind = None
-        if asm.exit_enabled and i > 0:
-            for j in range(n_wt):
-                if asm.modes[j] == MODE_AAPC:
-                    stats["exit_checks"] += 1
-                    kind = check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[base_w + j],
-                                      asm.wt[j].floor_rad, i * dt, asm.t_support_end,
-                                      asm.armed[j])
-                    if kind is not None:
-                        break
-                    asm.armed[j] = asm.armed[j] or arms_power_cross(asm.wt_pe_w[j],
-                                                                    asm.wt_mppt_w[j])
-        if kind is not None:
-            t0 = (i - 1) * dt
-            if kind == "horizon":
-                h_e = max(0.0, asm.t_support_end - t0)
-            else:
-                lo, hi = 0.0, dt
-                for _ in range(14):
-                    mid = 0.5 * (lo + hi)
-                    y_mid = _rk4_from(asm, asm.y_snapshot, mid)[0]
-                    stats["halvings"] += 1
-                    if check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y_mid[base_w + j],
-                                  asm.wt[j].floor_rad, t0 + mid, asm.t_support_end,
-                                  asm.armed[j]) == kind:
-                        hi = mid
-                    else:
-                        lo = mid
-                # a floor exit switches on the last instant above the floor,
-                # so the rotor never actually crosses it
-                h_e = lo if kind == "speed_floor" else hi
-            y_e = _rk4_from(asm, asm.y_snapshot, h_e)[0]
-            to_exit = [j]
-            if kind == "horizon":  # the window closes for every active turbine
-                to_exit = [jj for jj in range(n_wt) if asm.modes[jj] == MODE_AAPC]
-            for jj in to_exit:
-                p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
-                g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
-                asm.gamma[jj] = g
-                asm.modes[jj] = MODE_EXITED
-                exit_events.append({
-                    "turbine": asm.names[jj],
-                    "kind": kind,
-                    "t_e_s": t0 + h_e,
-                    "gamma": g,
-                    "power_step_pu": abs(exit_power(g, p_t, p_mppt) - p_cmd) / asm.s_base_w,
-                })
-            y, pm, pe = _rk4_from(asm, y_e, dt - h_e)
-            stats["segments"] += 1
-
+    i = 0
+    while True:
         landed = False
         for event_step, dpd, unit, frac in asm.events:
             if event_step == i:
@@ -405,18 +463,54 @@ def _integrate(asm) -> tuple:
         if i == asm.act_step:
             asm.modes = list(asm.ctrl_mode)
         if landed:
-            pm, pe = step(asm, y, 0.0)
+            advance(asm, y, 0.0)
             n_rhs += 1
-
-        tr.put_row(i * tr.row_bytes, y[0], pm, pe, asm.k1[0], asm.p_d,
-                   *y[base_w:base_w + n_wt])
-        tr.put_wt_pe(i * tr.wt_pe_bytes, *asm.wt_pe_w)
-        tr.put_flags(i * n_wt, *asm.wt_flags)
-        if i < asm.n_steps:
-            asm.y_snapshot[:] = y
-            pm, pe = step(asm, y, dt)  # from the derivative just recorded
-            n_rhs += 4
-    stats["steps"] += asm.n_steps
+        stop = next(s for s in stops if s > i)
+        start = i
+        i, j, kind = advance(asm, y, dt, i, stop)
+        n_rhs += 4 * (i - start)
+        if kind is None:
+            if stop > n:  # the stretch ended with the row of the last step
+                break
+            continue
+        t0 = (i - 1) * dt
+        y0, k1 = asm.y_snapshot, asm.k1_snapshot
+        if kind == "horizon":
+            h_e = max(0.0, asm.t_support_end - t0)
+        else:
+            lo, hi = 0.0, dt
+            for _ in range(14):
+                mid = 0.5 * (lo + hi)
+                y_mid = _rk4_from(asm, y0, mid, k1)
+                stats["halvings"] += 1
+                if check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y_mid[base_w + j],
+                              asm.wt[j].floor_rad, t0 + mid, asm.t_support_end,
+                              asm.armed[j]) == kind:
+                    hi = mid
+                else:
+                    lo = mid
+            # a floor exit switches on the last instant above the floor,
+            # so the rotor never actually crosses it
+            h_e = lo if kind == "speed_floor" else hi
+        y_e = _rk4_from(asm, y0, h_e, k1)
+        to_exit = [j]
+        if kind == "horizon":  # the window closes for every active turbine
+            to_exit = [jj for jj in range(n_wt) if asm.modes[jj] == MODE_AAPC]
+        for jj in to_exit:
+            p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
+            g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
+            asm.gamma[jj] = g
+            asm.modes[jj] = MODE_EXITED
+            exit_events.append({
+                "turbine": asm.names[jj],
+                "kind": kind,
+                "t_e_s": t0 + h_e,
+                "gamma": g,
+                "power_step_pu": abs(exit_power(g, p_t, p_mppt) - p_cmd) / asm.s_base_w,
+            })
+        y = _rk4_from(asm, y_e, dt - h_e)
+        stats["segments"] += 1
+    stats["steps"] += n
     stats["rhs_evals"] += n_rhs
     return tr, exit_events
 
@@ -444,9 +538,11 @@ class SimResult:
     ``steps`` (RK4 steps of size dt, a step redone around an exit counted
     once), ``segments`` (1 plus the exits handled), ``exit_checks`` (trigger
     evaluations of the step loop), ``halvings`` (exit bisection, one trigger
-    evaluation each) and ``rhs_evals`` (right-hand-side evaluations: a
-    kernel call counts 1 with h == 0 and 4 with h > 0, its three RK4 stages
-    and the evaluation where the step ends), and the wall seconds
+    evaluation each) and ``rhs_evals`` (right-hand-side evaluations: each
+    RK4 step, whole or partial, counts 4, its three stages and the
+    evaluation where it ends, and each evaluation alone counts 1; a partial
+    step from the start of the step an exit interrupted reuses the
+    derivative the kernel kept there), and the wall seconds
     ``assemble_s`` (kernel compile included) and ``integrate_s``. It enters
     no output file and no equality.
     """
@@ -501,11 +597,14 @@ class _Assembled:
     whose ten units have three distinct dynamics), and the one VIC filter
     state is shared by every VIC turbine. The
     AAPC mirror has no state of its own; it reads the governor states (see
-    ``aapc.mirror_output``). ``step`` is the scenario's kernel from
+    ``aapc.mirror_output``). ``advance`` is the scenario's kernel from
     ``_compile_kernel``, one function per run, called as
-    ``asm.step(asm, y, h)``: with h > 0 it advances y by one RK4 step, and
-    with h == 0 it only evaluates y into ``k1`` and the records (see
-    ``_kernel_source``). ``wt`` holds one ``_Turbine`` per turbine.
+    ``asm.advance(asm, y, h, i, stop)``: with i < stop it runs the stretch
+    of steps from step i, recording them in ``traces``; otherwise it takes
+    one RK4 step of size h > 0, or with h == 0 only evaluates y into ``k1``,
+    the records and ``pm_pe`` (see ``_kernel_source``). ``tripped`` lists
+    the units a ``generation_trip`` names, the only ones whose
+    ``gov_scale`` can leave 1.0. ``wt`` holds one ``_Turbine`` per turbine.
 
     Every scenario number that reaches the kernel's source or its run-time
     state passes through ``float()`` here: the grid's bases, inertia and
@@ -570,6 +669,7 @@ class _Assembled:
                   gov_names.index(e.unit), float(e.fraction))
             for e in sc.events
         ]
+        self.tripped = sorted({unit for _, _, unit, _ in self.events if unit >= 0})
         self.act_step = self.events[0][0] if self.events else -1
         self.t_support_end = (self.act_step * dt + float(sc.solver.t_f) if self.events
                               else math.inf)
@@ -580,41 +680,46 @@ class _Assembled:
         self.armed = [False] * n_wt
         self.y0 = [0.0] * self.base_w + self.omega0 + [0.0] * (MODE_VIC in self.ctrl_mode)
         n_y = len(self.y0)
-        self.k1, self.y_snapshot = [0.0] * n_y, [0.0] * n_y
+        self.k1 = [0.0] * n_y
+        self.y_snapshot, self.k1_snapshot = [0.0] * n_y, [0.0] * n_y
+        self.pm_pe = (0.0, 0.0)
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
+        self.traces = None
         self.stats = {"steps": 0, "segments": 1, "halvings": 0, "rhs_evals": 0,
                       "exit_checks": 0}
-        self.step = _compile_kernel(self, gov, units, mirror_d, mirror_c)
+        self.advance = _compile_kernel(self, gov, units, mirror_d, mirror_c)
 
 
 class _Traces:
-    """Start-of-step records of one run in preallocated tables, one row per step.
+    """Start-of-step records of one run in one preallocated table, one row per step.
 
-    A row of ``rows`` is (df, pm, pe, dfdot, p_d, each turbine's rotor speed),
-    a row of ``wt_pe`` each turbine's applied power in W, and a row of
-    ``flags`` each turbine's limit flags. ``put_*(offset, *values)`` writes one
-    row with a single ``struct`` pack into a byte view of its table, at the
-    byte offset ``i * row_bytes`` (``i * wt_pe_bytes``, ``i * n_wt``); numpy's
-    per-item assignment costs several times more. The powers have a table of
-    their own because the result keeps them in MW.
+    A row of ``rows`` is (df, pm, pe, dfdot, p_d, then each turbine's rotor
+    speed, applied power in W and limit flags). ``put(offset, *values)``
+    writes one row with a single ``struct`` pack into a byte view of the
+    table, at the byte offset ``i * row_bytes``: numpy's per-item assignment
+    costs several times more, and a pack per row less than one per quantity.
+    The flags are small integers, exact as floats.
     """
 
     def __init__(self, n_steps: int, n_wt: int):
-        n = n_steps + 1
-        self.rows = np.zeros((n, 5 + n_wt))
-        self.wt_pe = np.zeros((n, n_wt))
-        self.flags = np.zeros((n, n_wt), dtype=np.int8)
+        self.n_wt = n_wt
+        self.rows = np.zeros((n_steps + 1, 5 + 3 * n_wt))
         self.row_bytes = self.rows.strides[0]
-        self.wt_pe_bytes = self.wt_pe.strides[0]
-        self.put_row, self.put_wt_pe, self.put_flags = (
-            partial(struct.Struct(f"{t.shape[1]}{t.dtype.char}").pack_into,
-                    memoryview(t).cast("B"))
-            for t in (self.rows, self.wt_pe, self.flags))
+        self.put = partial(struct.Struct(f"{self.rows.shape[1]}d").pack_into,
+                           memoryview(self.rows).cast("B"))
 
     @property
     def wt_omega(self) -> np.ndarray:
-        return self.rows[:, 5:]
+        return self.rows[:, 5:5 + self.n_wt]
+
+    @property
+    def wt_pe(self) -> np.ndarray:
+        return self.rows[:, 5 + self.n_wt:5 + 2 * self.n_wt]
+
+    @property
+    def flags(self) -> np.ndarray:
+        return self.rows[:, 5 + 2 * self.n_wt:].astype(np.int8)
 
 
 def _operating_points(sc: Scenario) -> list:
@@ -646,14 +751,17 @@ def _shares(sc: Scenario, states) -> np.ndarray:
     return shares
 
 
-def solve_hypothetical(sc: Scenario) -> to.TrajectorySolution:
+def solve_hypothetical(sc: Scenario, trajectory: bool = True):
     """Trajectory optimum for the scenario's hypothetical deficit.
 
     The deficit (``p_d_pu`` of the result) defaults to a tenth of the load.
     The closed-form ``trajopt.step_hold_optimum`` runs first and rides along
     as the result's ``step_hold``; a governor step response that exceeds the
     damping within the horizon leaves the program unbounded and raises
-    ``ScenarioError`` naming ``$.governors``, before any LP runs.
+    ``ScenarioError`` naming ``$.governors``, before any LP runs. The result
+    is a ``trajopt.TrajectorySolution``, or with ``trajectory`` false a
+    ``trajopt.NadirOptimum``: the same LP optimum and alpha, without the
+    dense trajectory that only ``solve`` writes.
     """
     sc.check()
     p_hyp = sc.solver.hypothetical_p_d_pu
@@ -667,7 +775,8 @@ def solve_hypothetical(sc: Scenario) -> to.TrajectorySolution:
             f"{step_hold.min_w:.4g} pu at tau = {step_hold.tau_min_w_s:.2f} s within the "
             f"horizon $.solver.t_f_s ({sc.solver.t_f} s): holding the frequency higher "
             "there releases energy, so the nadir-optimal program is unbounded")
-    sol = to.solve_max_nadir(problem, coll.make_grid(sc.solver.nodes, sc.solver.t_f))
+    sol = to.solve_max_nadir(problem, coll.make_grid(sc.solver.nodes, sc.solver.t_f),
+                             extract=trajectory)
     sol.step_hold = step_hold
     return sol
 
@@ -676,11 +785,11 @@ def solved_alpha(sc: Scenario, solution=None) -> float:
     """The trajectory-optimal alpha for the hypothetical deficit, checked for synthesis.
 
     ``solution`` is the scenario's ``solve_hypothetical`` optimum when the
-    caller already has it. An alpha below 1 raises ``ScenarioError`` naming
-    ``$.governors``.
+    caller already has it; otherwise the trajectory-free optimum is solved.
+    An alpha below 1 raises ``ScenarioError`` naming ``$.governors``.
     """
     if solution is None:
-        solution = solve_hypothetical(sc)
+        solution = solve_hypothetical(sc, trajectory=False)
     if solution.alpha < 1.0:
         # with too little governor response the optimum holds the frequency
         # above its settling level, which no mirror-plus-gain controller does
@@ -815,7 +924,7 @@ def insensitivity_sweep(scenario: Scenario, p_d_list,
     """
     sol = None
     if reference_nadir_per_pd is None:
-        sol = solve_hypothetical(scenario)
+        sol = solve_hypothetical(scenario, trajectory=False)
         reference_nadir_per_pd = sol.nadir_pu / sol.p_d_pu
     scenario = replace(scenario, alpha=_resolve_alpha(scenario, sol))
     t_surge = scenario.events[0].time_s if scenario.events else 0.0
@@ -838,15 +947,23 @@ def insensitivity_sweep(scenario: Scenario, p_d_list,
     return rows, p_d_max
 
 
-def compare_strategies(scenario: Scenario, strategies=("none", "classic_vic", "optimal_aapc")):
-    """Identical events under each control strategy; returns name -> metrics."""
+def compare_strategies(scenario: Scenario, strategies=("none", "classic_vic", "optimal_aapc"),
+                       report=None):
+    """Identical events under each control strategy; returns name -> (result, metrics).
+
+    With ``report``, ``report(name, result, metrics)`` runs in the process
+    that ran the strategy, and its return value takes the place of
+    (result, metrics): a caller that writes each run's files there gets back
+    only what it asks for, in place of every trace.
+    """
     if "optimal_aapc" in strategies:
         scenario = replace(scenario,
                            alpha=_resolve_alpha(_with_controllers(scenario, "optimal_aapc")))
 
     def one(strat):
         res = run(_with_controllers(scenario, strat))
-        return res, metrics(res)
+        rec = metrics(res)
+        return (res, rec) if report is None else report(strat, res, rec)
 
     return dict(zip(strategies, _map_runs(one, strategies)))
 

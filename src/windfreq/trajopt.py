@@ -40,6 +40,7 @@ __all__ = [
     "TrajOptProblem",
     "LinearProgram",
     "TrajectorySolution",
+    "NadirOptimum",
     "build_problem",
     "transcribe",
     "extract_solution",
@@ -273,6 +274,21 @@ class TrajectorySolution:
         }
 
 
+@dataclass
+class NadirOptimum:
+    """The nadir-maximal LP's optimum without its trajectory: what alpha needs."""
+
+    nadir_pu: float
+    ss_deviation_pu: float
+    p_d_pu: float
+    step_hold: "StepHoldOptimum | None" = field(default=None, repr=False)
+
+    @property
+    def alpha(self) -> float:
+        """Nadir over the settling deviation, as ``TrajectorySolution.alpha``."""
+        return self.nadir_pu / self.ss_deviation_pu
+
+
 def extract_solution(
     lp_result: LpResult,
     lp: LinearProgram,
@@ -368,10 +384,22 @@ def contact_crash(grid: coll.CollocationGrid) -> np.ndarray:
     return active
 
 
-def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> TrajectorySolution:
-    """Transcribe, solve from the contact crash, and extract the nadir-maximal trajectory."""
+def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid,
+                    extract: bool = True) -> "TrajectorySolution | NadirOptimum":
+    """Transcribe, solve from the contact crash, and extract the nadir-maximal trajectory.
+
+    With ``extract`` false, return the optimum's nadir, settling deviation
+    and deficit only (``NadirOptimum``), the numbers ``extract_solution``
+    takes them from, without the trajectory and its certificates.
+    """
     lp = transcribe(problem, grid)
     res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, active=contact_crash(grid))
+    if not extract:
+        return NadirOptimum(
+            nadir_pu=float(res.x[grid.order]),
+            ss_deviation_pu=steady_state_deviation(problem.p_d, problem.grid_params,
+                                                   problem.k_g),
+            p_d_pu=problem.p_d)
     sol = extract_solution(res, lp, problem, grid)
     sol.diagnostics["lp_meta"] = lp.meta
     return sol

@@ -2,12 +2,15 @@
 
 ``loop_rhs`` is the loop right-hand side the package ran before each
 scenario's kernel was generated as straight-line code, and ``loop_step``
-runs it under the generated kernel's contract: with h > 0 one RK4 step of y
-from the derivative in asm.k1 and the floor hold, then, for every h, the
-evaluation at y into asm.k1 and the records. They call each law through a
-function compiled from its template, as the kernel writes it inline: the
-package's law functions, and ``applied_power`` and ``floor_hold`` here,
-which only the kernel runs in the package. ``loop_kernel`` stands in for
+runs it one step at a time: with h > 0 one RK4 step of y from the
+derivative in asm.k1 and the floor hold, then, for every h, the evaluation
+at y into asm.k1 and the records. ``loop_advance`` runs ``loop_step`` under
+the generated kernel's contract, a step loop that records, steps and checks
+the exit triggers one step at a time, as the driver did before a stretch
+of steps ran in one generated call. They call each law through a function
+compiled from its template, as the kernel writes it inline: the package's
+law functions, and ``applied_power`` and ``floor_hold`` here, which only
+the kernel runs in the package. ``loop_kernel`` stands in for
 ``simulator._compile_kernel`` and hands them the same constants, so an
 assembly (or a whole ``run``) can go through either kernel. Every comparison
 is bitwise, on the ``repr`` of the floats.
@@ -27,7 +30,8 @@ import numpy as np
 import pytest
 
 from windfreq import simulator as sim
-from windfreq.aapc import (COMMAND_LAW, VIC_COMMAND_LAW, VIC_FILTER_RATE_LAW, command_pu,
+from windfreq.aapc import (ARMING_LAW, COMMAND_LAW, EXIT_TRIGGER_LAW, VIC_COMMAND_LAW,
+                           VIC_FILTER_RATE_LAW, arms_power_cross, check_exit, command_pu,
                            exit_power, mirror_output, vic_command_mw, vic_filter_rate)
 from windfreq.codegen import law_function
 from windfreq.grid import GovernorSpec
@@ -138,12 +142,45 @@ def loop_step(asm, y, h):
     return out
 
 
+def loop_advance(asm, y, h, i=0, stop=0):
+    """The generated kernel's contract (``simulator._kernel_source``), one
+    ``loop_step`` per step: with i < stop, record row i, step, and check the
+    exit triggers of each AAPC turbine at the next step, until a trigger
+    fires, step ``stop`` or the row of the last step; otherwise one
+    ``loop_step``. Returns (i, exit_j, kind)."""
+    if i >= stop:
+        asm.pm_pe = loop_step(asm, y, h)
+        return i, -1, None
+    tr, base_w, n_wt = asm.traces, asm.base_w, asm.n_wt
+    while True:
+        tr.put(i * tr.row_bytes, y[0], *asm.pm_pe, asm.k1[0], asm.p_d,
+               *y[base_w:base_w + n_wt], *asm.wt_pe_w, *asm.wt_flags)
+        if i == asm.n_steps:
+            return i, -1, None
+        y_start, k1_start = list(y), list(asm.k1)
+        asm.pm_pe = loop_step(asm, y, h)
+        i += 1
+        for j in range(n_wt):
+            if asm.exit_enabled and asm.modes[j] == sim.MODE_AAPC:
+                asm.stats["exit_checks"] += 1
+                kind = check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[base_w + j],
+                                  asm.wt[j].floor_rad, i * asm.dt, asm.t_support_end,
+                                  asm.armed[j])
+                if kind is not None:
+                    asm.y_snapshot, asm.k1_snapshot = y_start, k1_start
+                    return i, j, kind
+                asm.armed[j] = asm.armed[j] or arms_power_cross(asm.wt_pe_w[j],
+                                                                asm.wt_mppt_w[j])
+        if i == stop:
+            return i, -1, None
+
+
 def loop_kernel(asm, gov, units, mirror_d, mirror_c):
     """``simulator._compile_kernel`` with the loop kernel in place of the generated one."""
     asm.loop = SimpleNamespace(
         gov_rows=[[(c, float(row[c])) for c in np.flatnonzero(row).tolist()] for row in gov.a],
         b_g=gov.b[:, 0].tolist(), units=units, mirror_d=mirror_d, mirror_c=mirror_c)
-    return loop_step
+    return loop_advance
 
 
 def _loop_assembly(monkeypatch, sc, alpha):
@@ -167,7 +204,21 @@ def _mixed(sc):
                                       for j, t in enumerate(sc.turbines)))
 
 
+def _tripped(sc):
+    """The scenario with its first governor unit tripped after its first event,
+    if it has a governor: the kernel scales only the units a trip names."""
+    if not sc.governors:
+        return sc
+    trip = DisturbanceEvent(time_s=sc.events[0].time_s + 1.0, kind="generation_trip",
+                            unit=sc.governors[0].name, fraction=0.1)
+    return replace(sc, events=sc.events + (trip,))
+
+
 def _shape(name):
+    return _tripped(_untripped_shape(name))
+
+
+def _untripped_shape(name):
     sc = _preset("multi_machine" if name == "multi_machine" else "two_machine")
     if name == "second_order_governor":
         # a second-order block, whose A_g has off-diagonal entries
@@ -224,8 +275,9 @@ def _draw(rng, asm):
     return y, {
         "modes": [int(rng.choice(sorted(_reachable_modes(c)))) for c in asm.ctrl_mode],
         "gamma": [float(v) for v in rng.uniform(0.0, 1.0, n_wt)],
-        # the first unit tripped by a random share
-        "gov_scale": [float(rng.uniform(0.5, 0.99))] + [1.0] * (len(asm.gov_scale) - 1),
+        # each unit a trip names scaled by a random share
+        "gov_scale": [float(rng.uniform(0.5, 0.99)) if u in asm.tripped else 1.0
+                      for u in range(len(asm.gov_scale))],
         "p_d": float(rng.uniform(0.0, 0.1)),
     }
 
@@ -236,13 +288,15 @@ def _set(asm, state):
 
 
 def _records(asm):
-    return repr((asm.wt_pe_w, asm.wt_pt_w, asm.wt_mppt_w, asm.wt_flags))
+    return repr((asm.wt_pe_w, asm.wt_pt_w, asm.wt_mppt_w, asm.wt_flags, asm.pm_pe))
 
 
 def _split(src):
-    """(the RK4 stages, the evaluation at y) of a generated kernel's source."""
-    stages, rhs = src.split("\n    # the right-hand side at y\n")
-    return stages, rhs
+    """(the source before the right-hand side, the right-hand side, the rest)
+    of a generated kernel's source."""
+    head, rest = src.split("\n            # the right-hand side\n")
+    rhs, tail = rest.split("\n            if weight:\n")
+    return head + "\n", rhs + "\n", "            if weight:\n" + tail
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +364,9 @@ class TestReference:
         sc = _shape(shape)
         gen = sim._Assembled(sc, 1.2)
         ref = _loop_assembly(monkeypatch, sc, 1.2)
-        assert gen.step is not loop_step and ref.step is loop_step
+        assert gen.advance is not loop_advance and ref.advance is loop_advance
         assert gen.kw != 0.0 or shape == "no_turbines"
+        assert gen.tripped == ([0] if shape != "no_governors" else [])
         if shape == "second_order_governor":
             assert gen.m_gov == 3
             assert any(c != s for s, row in enumerate(ref.loop.gov_rows) for c, _ in row)
@@ -323,12 +378,12 @@ class TestReference:
             out = {}
             for asm in (gen, ref):
                 _set(asm, state)
-                ret = asm.step(asm, list(y), 0.0)
+                ret = asm.advance(asm, list(y), 0.0)
                 dy = list(asm.k1)
                 assert all(type(v) is float for v in dy)
                 rhs_records = _records(asm)
                 y1 = list(y)
-                ret1 = asm.step(asm, y1, 0.01)
+                ret1 = asm.advance(asm, y1, 0.01)
                 out[asm is gen] = (repr(dy), repr(ret), rhs_records, repr(y1), repr(asm.k1),
                                    repr(ret1), _records(asm))
             assert out[True] == out[False]
@@ -373,7 +428,7 @@ class TestReference:
             out = {}
             for asm in (gen, ref):
                 _set(asm, state)
-                ret = asm.step(asm, list(y), 0.0)
+                ret = asm.advance(asm, list(y), 0.0)
                 out[asm is gen] = (repr(asm.k1), repr(ret), _records(asm))
             assert out[True] == out[False]
             for j, wt in enumerate(gen.wt):
@@ -404,15 +459,59 @@ class TestReference:
             sc = replace(sc, events=(DisturbanceEvent(time_s=0.0, kind="generation_trip",
                                                       unit="G1", fraction=0.1),))
         a = alpha[preset] if strategy == "optimal_aapc" else None
-        gen = sim.run(replace(sc, alpha=a))
-        monkeypatch.setattr(sim, "_compile_kernel", loop_kernel)
-        ref = sim.run(replace(sc, alpha=a))
-        assert gen.t.size == 6001
-        for name in ("df_pu", "dfdot_pu_s", "dpm_pu", "dpe_pu", "p_d_pu", "wt_pe_mw",
-                     "wt_omega_rad_s", "wt_flags"):
-            assert getattr(gen, name).tobytes() == getattr(ref, name).tobytes(), name
-        assert repr(gen.exit_events) == repr(ref.exit_events)
+        gen = _assert_run_matches_loop(monkeypatch, replace(sc, alpha=a))
         assert (len(gen.exit_events) > 0) == (strategy == "optimal_aapc")
+
+    @pytest.mark.parametrize("case", ["surge_then_trip", "exit_before_event", "exit_at_event",
+                                      "two_exits"])
+    def test_stretch_ends_match_loop(self, monkeypatch, case):
+        # a stretch of steps ends at an event, at an exit, or at both on one
+        # step; the loop kernel takes every step on its own
+        two, multi = _preset("two_machine"), _preset("multi_machine")
+        surge = two.events[0]
+        if case == "surge_then_trip":  # the trip lands while the AAPC is active
+            sc = replace(two, alpha=1.1870649147208707, events=(
+                replace(surge, time_s=2.0),
+                DisturbanceEvent(time_s=10.0, kind="generation_trip", unit="G1", fraction=0.1)))
+        elif case == "two_exits":  # two AAPC turbines, each exiting on its own
+            controllers = ("optimal_aapc", "optimal_aapc", "none", "classic_vic", "none")
+            sc = replace(multi, alpha=1.3087744209468601, turbines=tuple(
+                replace(t, controller=c) for t, c in zip(multi.turbines, controllers)))
+        else:
+            # the power cross is found at the check of step 2878 (28.78 s); a
+            # second surge lands on the step after it, or on that step
+            t_event = 28.79 if case == "exit_before_event" else 28.78
+            sc = replace(two, alpha=1.1870649147208707, events=(
+                surge, replace(surge, time_s=t_event, magnitude_pu=0.01)))
+        gen = _assert_run_matches_loop(monkeypatch, sc)
+        kinds = [(e["turbine"], e["kind"]) for e in gen.exit_events]
+        assert kinds == {
+            "surge_then_trip": [("WF1", "horizon")],
+            "exit_before_event": [("WF1", "power_cross")],
+            "exit_at_event": [("WF1", "power_cross")],
+            "two_exits": [("WT1", "speed_floor"), ("WT2", "speed_floor")],
+        }[case]
+        if case.startswith("exit_"):
+            # in the step that ends at 28.78 s, found by its one check per step
+            assert 28.77 < gen.exit_events[0]["t_e_s"] < 28.78
+            assert gen.stats["exit_checks"] == 2878
+
+
+def _assert_run_matches_loop(monkeypatch, sc):
+    """The run of sc through the generated kernel, checked bitwise against the
+    loop kernel's: every trace, the exit events and the counts."""
+    gen = sim.run(sc)
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_compile_kernel", loop_kernel)
+        ref = sim.run(sc)
+    assert gen.t.size == 6001
+    for name in ("df_pu", "dfdot_pu_s", "dpm_pu", "dpe_pu", "p_d_pu", "wt_pe_mw",
+                 "wt_omega_rad_s", "wt_flags"):
+        assert getattr(gen, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert repr(gen.exit_events) == repr(ref.exit_events)
+    counts = ("steps", "segments", "exit_checks", "halvings", "rhs_evals")
+    assert [gen.stats[k] for k in counts] == [ref.stats[k] for k in counts]
+    return gen
 
 
 class TestSource:
@@ -427,13 +526,15 @@ class TestSource:
 
     def test_getsource_shows_generated_lines(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)
-        src = inspect.getsource(asm.step)
-        assert src.startswith("def step(asm, y, h):\n")
-        stages, rhs = _split(src)
-        # the stage loop evaluates the same right-hand side
-        body = rhs[:rhs.index("    asm.wt_pe_w = ")]
-        assert "(h, 1.0)):\n" in stages
-        assert textwrap.indent(textwrap.dedent(body), " " * 12) in stages
+        src = inspect.getsource(asm.advance)
+        assert src.startswith("def advance(asm, y, h, i=0, stop=0):\n")
+        head, rhs, tail = _split(src)
+        # one right-hand side serves every evaluation of a step: the three
+        # stages and the state the step reaches
+        assert "        stages = ((half, 2.0), (half, 2.0), (h, 1.0), (h / 6.0, 0.0))\n" in head
+        assert "        stages = ((0.0, 0.0),)\n" in head
+        assert head.count("        for size, weight in stages:\n") == 1
+        assert src.count("# turbine 0\n") == src.count("tsr0 = ") == 1
         # the turbine's laws are the templates with its literals in the slots
         wt = asm.wt[0]
         power = TURBINE_POWER_LAW.format(
@@ -442,35 +543,48 @@ class TestSource:
         tracking = TRACKING_POWER_LAW.format(
             omega="w0", k_opt=sim._lit(wt.k_opt_w), p_min="(0.0)", p_max="(100000000.0)",
             p="mppt0")
-        assert textwrap.indent(power + tracking, "    ") in rhs
+        assert textwrap.indent(power + tracking, " " * 12) in rhs
         command = COMMAND_LAW.format(share="(1.0)", mirror="mirror", gain_kw=sim._lit(asm.kw),
                                      df="df")
-        assert f"        p_cmd = {sim._lit(wt.p_e0_w)} + ({command}) * (200000000.0)\n" in rhs
-        assert "        p_cmd = (1.0 - gamma[0]) * pt0 + gamma[0] * mppt0\n" in rhs
+        p_e0 = sim._lit(wt.p_e0_w)
+        assert f"                p_cmd = {p_e0} + ({command}) * (200000000.0)\n" in rhs
+        assert "                p_cmd = (1.0 - gamma[0]) * pt0 + gamma[0] * mppt0\n" in rhs
         # the floor laws wait for the AAPC turbine's exit
         floor = sim._lit(wt.floor_rad)
         applied = APPLIED_POWER_LAW.format(
             p_cmd="p_cmd", p_min="(0.0)", p_max="(100000000.0)", p="pe0", flags="fl0",
             mode_test="mode0 != 1 and ", omega="w0", floor=floor, p_t="pt0")
-        assert textwrap.indent(applied, "    ") in rhs
-        assert f"    if mode0 != 1 and w0 <= {floor} and pe0 > pt0:\n" in rhs
+        assert textwrap.indent(applied, " " * 12) in rhs
+        assert f"            if mode0 != 1 and w0 <= {floor} and pe0 > pt0:\n" in rhs
+        # the hold acts on the state a step reaches, before its evaluation
         hold = FLOOR_HOLD_LAW.format(mode_test="mode0 != 1 and ", omega="w0", floor=floor)
-        assert textwrap.indent(hold, "        ") in stages
+        assert head.endswith("                w0 = y_w0 + size * s_w0\n"
+                             + textwrap.indent(hold, " " * 16))
+        # the exit checks at the step reached: the trigger and the arming,
+        # with the turbine's names and literals in their slots
+        trigger = EXIT_TRIGGER_LAW.format(
+            omega="w0", floor=floor, t="i * (0.01)", t_f="t_f", kind="kind", armed="armed0",
+            p_command="pe0", p_mppt="mppt0")
+        assert textwrap.indent(trigger, " " * 12) in tail
+        arming = ARMING_LAW.format(p_command="pe0", p_mppt="mppt0")
+        assert f"                armed0 = {arming}\n" in tail
+        assert tail.index("checks += 1") < tail.index("if i == stop:")
         # CPython folds the literal-only parts: (9.0) ** 3, and at zero pitch
         # 0.08 * (0.0), 0.4 * (0.0) and 0.035 / ((0.0) ** 3 + 1.0)
-        consts = asm.step.__code__.co_consts
+        consts = asm.advance.__code__.co_consts
         assert 729.0 in consts and 0.035 in consts
         assert 0.08 not in consts and 0.4 not in consts
         assert "sum(" not in src
-        filename = asm.step.__code__.co_filename
+        filename = asm.advance.__code__.co_filename
         assert re.fullmatch(r"<windfreq-kernel-\d+>", filename)
-        assert sim._Assembled(two_machine_scenario, 1.2).step.__code__.co_filename != filename
+        assert (sim._Assembled(two_machine_scenario, 1.2).advance.__code__.co_filename
+                != filename)
 
     def test_namespace_holds_no_law(self, multi_machine_scenario):
         # every law is inline: the kernel calls exp and nothing else by name
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             asm = sim._Assembled(sim._with_controllers(multi_machine_scenario, strategy), 1.3)
-            namespace = asm.step.__globals__
+            namespace = asm.advance.__globals__
             assert set(namespace) == {"__name__", "__builtins__", "exp"}, strategy
             assert namespace["exp"] is math.exp
 
@@ -478,56 +592,77 @@ class TestSource:
         # the command depends on df and the shared filter state only
         sc = sim._with_controllers(multi_machine_scenario, "classic_vic")
         asm = sim._Assembled(sc, None)
-        stages, rhs = _split(inspect.getsource(asm.step))
+        head, rhs, tail = _split(inspect.getsource(asm.advance))
         rate = VIC_FILTER_RATE_LAW.format(df="df", z="z", filter_s="(0.1)")
         command = VIC_COMMAND_LAW.format(k_f="(20.0)", k_in="(10.0)", df="df",
                                          rate="vic_rate", f_base=sim._lit(asm.f_base))
-        # once per evaluation: in the stage loop and at y
-        for part, indent in ((stages, " " * 12), (rhs, "    ")):
-            assert part.count("vic_rate = ") == part.count("vic_mw = ") == 1
-            assert f"\n{indent}vic_rate = {rate}\n{indent}vic_mw = {command}\n" in part
-            assert part.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
-        # the filter rate is also dz/dt: written to asm.k1, and read from it,
-        # into the stage state and into the accumulator by the stages
-        assert rhs.count("vic_rate") == 3
-        assert rhs.rstrip().splitlines()[-2].endswith(", vic_rate]")
-        assert stages.count("vic_rate") == 5
-        assert stages.count(", vic_rate, = asm.k1\n") == 1
+        # once per evaluation, in the right-hand side every evaluation runs
+        assert rhs.count("vic_rate = ") == rhs.count("vic_mw = ") == 1
+        indent = " " * 12
+        assert f"\n{indent}vic_rate = {rate}\n{indent}vic_mw = {command}\n" in rhs
+        assert rhs.count(" + vic_mw * (1e6)") == len(sc.turbines) == 5
+        # the filter rate is also dz/dt: read from asm.k1 when a call starts,
+        # into the accumulator and into each stage state, weighted into the
+        # accumulator after each evaluation, and written to asm.k1 when the
+        # call ends
+        assert rhs.count("vic_rate") == 2
+        assert head.count("vic_rate") == 3
+        assert head.count(", vic_rate, = asm.k1\n") == 1
+        assert head.count("            s_z = vic_rate\n") == 1
+        assert head.count("                z = y_z + size * vic_rate\n") == 1
+        assert tail.count("vic_rate") == 2
+        assert tail.count("                s_z = s_z + weight * vic_rate\n") == 1
+        assert "    asm.k1 = [ddf, " in tail and tail.count(", vic_rate]\n") == 1
 
     def test_mirror_only_with_aapc(self, multi_machine_scenario):
         # the mirror feeds the AAPC command alone
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             sc = sim._with_controllers(multi_machine_scenario, strategy)
-            rhs = inspect.getsource(sim._Assembled(sc, 1.3).step)
+            rhs = inspect.getsource(sim._Assembled(sc, 1.3).advance)
             assert ("mirror" in rhs) == (strategy == "optimal_aapc"), strategy
 
     def test_no_zero_coefficient_terms(self, multi_machine_scenario):
         # the gas unit G4 has no feedthrough: its df term would add 0.0 * df
         for strategy in ("none", "classic_vic", "optimal_aapc"):
             sc = sim._with_controllers(multi_machine_scenario, strategy)
-            rhs = inspect.getsource(sim._Assembled(sc, 1.3).step)
+            rhs = inspect.getsource(sim._Assembled(sc, 1.3).advance)
             # a zero pitch's `(0.0) ** 3` is a power, which CPython folds
             assert not re.search(r"\(-?0\.0\) \*(?!\*)", rhs), strategy
+
+    def test_scale_only_of_tripped_units(self, multi_machine_scenario):
+        # a unit no trip names keeps gov_scale 1.0, and (1.0 * c) * x == c * x
+        sc = multi_machine_scenario
+        assert [g.name for g in sc.governors].index("G3") == 7
+        trip = DisturbanceEvent(time_s=5.0, kind="generation_trip", unit="G3", fraction=0.5)
+        plain, tripped = (inspect.getsource(sim._Assembled(replace(sc, events=events),
+                                                           1.3).advance)
+                          for events in (sc.events, sc.events + (trip,)))
+        assert not re.search(r"\bgs\d", plain)
+        assert set(re.findall(r"\bgs(\d+)\b", tripped)) == {"7"}
+        assert tripped.count("pm += gs7 * ") > 0
+        # the same terms, in the same order, with the factor on unit 7's alone
+        assert tripped.replace("gs7 * ", "").replace("    gs7 = asm.gov_scale[7]\n", "") == plain
 
     def test_traceback_shows_generated_line(self, multi_machine_scenario):
         asm = sim._Assembled(multi_machine_scenario, 1.3)
         y = list(asm.y0)
         y[asm.base_w] = 0.0  # a stopped rotor: its tip-speed ratio divides by zero
         with pytest.raises(ZeroDivisionError) as err:
-            asm.step(asm, y, 0.0)
+            asm.advance(asm, y, 0.0)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
-        assert frame.filename == asm.step.__code__.co_filename
+        assert frame.filename == asm.advance.__code__.co_filename
         assert frame.line == "inv0 = 1.0 / (tsr0 + 0.08 * (0.0)) - 0.035 / ((0.0) ** 3 + 1.0)"
-        lines = inspect.getsource(asm.step).splitlines()
-        first = asm.step.__code__.co_firstlineno
-        # the evaluation at y, after the stage loop
-        assert lines.index("    # turbine 0") < frame.lineno - first < lines.index("    # turbine 1")
+        lines = inspect.getsource(asm.advance).splitlines()
+        first = asm.advance.__code__.co_firstlineno
+        # the one evaluation of the right-hand side
+        assert (lines.index("            # turbine 0") < frame.lineno - first
+                < lines.index("            # turbine 1"))
         text = "".join(traceback.format_exception(err.value))
-        assert f'File "{frame.filename}", line {frame.lineno}, in step' in text
+        assert f'File "{frame.filename}", line {frame.lineno}, in advance' in text
 
     def test_source_released_with_kernel(self, two_machine_scenario):
         asm = sim._Assembled(two_machine_scenario, 1.2)
-        filename = asm.step.__code__.co_filename
+        filename = asm.advance.__code__.co_filename
         assert filename in linecache.cache
         del asm
         gc.collect()
@@ -542,17 +677,50 @@ class TestStats:
         assert (stats["steps"], stats["segments"], stats["halvings"]) == (6000, 2, 14)
         # each stage and each evaluation counts one: 1 at the start, 4 per
         # step (3 stages and the evaluation where it ends) and 1 on the event
-        # step; 5 per halving (the evaluation at the snapshot, a partial step
-        # and its check), 5 for the exit state, and 5 for the rest of the
-        # interrupted step (the exit state evaluated again under the blend,
-        # then the partial step)
-        assert stats["rhs_evals"] == 1 + 4 * 6000 + 1 + 14 * 5 + 5 + 5
+        # step; 4 per halving (a partial step from the start of the
+        # interrupted step, whose derivative the kernel kept, and the
+        # evaluation its check reads), 4 for the exit state, and 5 for the
+        # rest of the interrupted step (the exit state evaluated again under
+        # the blend, then the partial step)
+        assert stats["rhs_evals"] == 1 + 4 * 6000 + 1 + 14 * 4 + 4 + 5
         # one check per step from the first after activation (at t = 0) up to
         # the step that finds the cross, at 28.78 s
         assert res.exit_events[0]["t_e_s"] == pytest.approx(28.7748, abs=1e-4)
         assert stats["exit_checks"] == 2878
         assert stats["assemble_s"] > 0.0 and stats["integrate_s"] > 0.0
         assert "stats" not in repr(res)
+
+    def test_one_call_per_stretch(self, two_machine_scenario, monkeypatch):
+        # the kernel advances every step between two events or exits in one
+        # call, so a run makes O(events + exits) calls, not O(steps)
+        calls = []
+        compile_kernel = sim._compile_kernel
+
+        def counting(asm, *constants):
+            advance = compile_kernel(asm, *constants)
+
+            def counted(asm, y, h, i=0, stop=0):
+                calls.append((i, stop))
+                return advance(asm, y, h, i, stop)
+            return counted
+
+        monkeypatch.setattr(sim, "_compile_kernel", counting)
+        surges = tuple(DisturbanceEvent(time_s=t, kind="load_surge", magnitude_pu=0.02)
+                       for t in (1.0, 5.0, 12.0))
+        sim.run(replace(sim._with_controllers(two_machine_scenario, "none"), events=surges))
+        # the initial evaluation, then one stretch up to each event step, the
+        # evaluation of the state the event changed, and the last stretch
+        assert calls == [(0, 0), (0, 100), (0, 0), (100, 500), (0, 0), (500, 1200),
+                         (0, 0), (1200, 6001)]
+        calls.clear()
+        res = sim.run(replace(two_machine_scenario, alpha=1.1870649147208707))
+        assert len(res.exit_events) == 1
+        stretches = [c for c in calls if c[0] < c[1]]
+        # from the event at t = 0 to the exit at step 2878, and from there on;
+        # the exit adds its 14 halvings, the exit state and the rest of the
+        # interrupted step (an evaluation, then a partial step)
+        assert stretches == [(0, 6001), (2878, 6001)]
+        assert len(calls) == 1 + 1 + 1 + 14 + 1 + 2 + 1
 
     def test_counts_without_exit(self, two_machine_scenario):
         sc = sim._with_controllers(two_machine_scenario, "none")

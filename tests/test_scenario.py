@@ -3,10 +3,11 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from windfreq import trajopt
-from windfreq.cli import main
+from windfreq.cli import _write_csv, main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
 from windfreq.scenario import MAX_STEPS, DisturbanceEvent, ScenarioError, gas_governor, \
@@ -182,6 +183,16 @@ class TestSchema:
         problems = replace(sc, events=(event,)).validate()
         assert problems == [f"$.events[0].magnitude_pu: must be a finite number, got {value}"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_event_time_named_by_validate(self, value):
+        # a NaN time passed the window test and stopped the step alignment
+        # test with a bare "cannot convert float NaN to integer"
+        sc = scenario_from_dict(load_preset("two_machine"))
+        problems = replace(sc, events=(replace(sc.events[0], time_s=value),)).validate()
+        assert problems == [f"$.events[0].time_s: must be a finite number, got {value}"]
+        with pytest.raises(ScenarioError, match=r"^\$\.events\[0\]\.time_s: must be a finite"):
+            replace(sc, events=(replace(sc.events[0], time_s=value),)).check()
+
     def test_every_validate_message_leads_with_its_path(self):
         sc = scenario_from_dict(load_preset("two_machine"))
         surge, = sc.events
@@ -218,6 +229,22 @@ class TestSchema:
 
 
 class TestCli:
+    @pytest.mark.parametrize("rows", [1, 499, 500, 501, 6001])
+    def test_block_csv_matches_row_formatting(self, tmp_path, rows):
+        # one % per 500-row block writes the bytes that one % per row wrote
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+                1.0, -3.0, 1e15, 2.0 ** 53, 123456789012.0, 0.1, -2.5e-7, 1 / 3]
+        rng = np.random.default_rng(rows)
+        columns = [np.resize(np.roll(edge, k), rows) for k in range(4)]
+        columns.append(rng.normal(0.0, 1e3, rows))
+        header = ["a", "b", "c", "d", "e"]
+        _write_csv(tmp_path / "t.csv", header, columns)
+        table = np.column_stack(columns).tolist()
+        expected = "a,b,c,d,e\n" + "".join(",".join("%.12g" % v for v in row) + "\n"
+                                           for row in table)
+        assert (tmp_path / "t.csv").read_text() == expected
+        assert expected.count("\n") == rows + 1 and "-0," in expected
+
     def test_dump_preset(self, tmp_path, capsys):
         rc = main(["--dump-preset", "two_machine", "--out", str(tmp_path)])
         assert rc == 0

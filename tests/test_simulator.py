@@ -233,7 +233,7 @@ class TestStateCollapse:
         gov = aggregate_governors(rebase_governors(sc.governors, sc.grid.s_base_mva))
         noise = 1e-3 * np.random.default_rng(4).normal(size=len(asm.y0))
         y = [a + e for a, e in zip(asm.y0, noise.tolist())]
-        asm.step(asm, y, 0.0)
+        asm.advance(asm, y, 0.0)
         dy = asm.k1
         m = asm.m_gov
         loop = [gov.b[s, 0] * y[0] + sum(gov.a[s, s2] * y[1 + s2] for s2 in range(m))
@@ -505,14 +505,16 @@ class TestPythonFloats:
         surge = DisturbanceEvent(time_s=short.events[0].time_s, kind="load_surge",
                                  magnitude_pu=deficits[1])
         asm = sim._Assembled(replace(short, events=(surge,)), short.alpha)
-        sim._integrate(asm)
-        y = list(asm.y_snapshot)  # the start of the last step
+        _, exit_events = sim._integrate(asm)
+        assert [e["kind"] for e in exit_events] == ["power_cross"]
+        y = list(asm.y_snapshot)  # the start of the step the exit interrupted
+        assert all(type(v) is float for v in asm.k1_snapshot)
         for when in ("after the run", "after one more step"):
             for name, values in (("y", y), ("k1", asm.k1), ("wt_pe_w", asm.wt_pe_w),
                                  ("wt_pt_w", asm.wt_pt_w), ("wt_mppt_w", asm.wt_mppt_w),
-                                 ("p_d", [asm.p_d])):
+                                 ("p_d", [asm.p_d]), ("pm_pe", asm.pm_pe)):
                 assert all(type(v) is float for v in values), (when, name)
-            asm.step(asm, y, asm.dt)
+            asm.advance(asm, y, asm.dt)
         assert asm.p_d == float(deficits[1])
 
     @pytest.mark.parametrize("case", ["inertia_s", "step_s", "alpha", "trip"])
@@ -592,6 +594,20 @@ class TestMapRuns:
             assert repr(got_rec) == repr(rec)
             assert got.scenario == res.scenario
 
+    def test_compare_reports_in_the_worker(self, short_scenario, monkeypatch):
+        # report runs where its strategy ran, and only its value comes back
+        sc = replace(short_scenario, alpha=1.1870649147208707)
+        _cpus(monkeypatch, 2)
+        got = sim.compare_strategies(
+            sc, report=lambda strat, res, rec: (strat, os.getpid(), repr(rec), res.df_pu.size))
+        _assert_no_child_left()
+        assert list(got) == ["none", "classic_vic", "optimal_aapc"]
+        pids = [pid for _, pid, _, _ in got.values()]
+        assert pids[0] == pids[2] == os.getpid() != pids[1]
+        serial = sim.compare_strategies(sc)
+        assert {s: (s, r, n) for s, (_, _, r, n) in got.items()} == {
+            s: (s, repr(rec), res.df_pu.size) for s, (res, rec) in serial.items()}
+
     @pytest.mark.parametrize("cpus, items", [(1, [1, 2, 3]), (4, [5])],
                              ids=["one_cpu", "one_item"])
     def test_one_worker_never_forks(self, monkeypatch, cpus, items):
@@ -658,6 +674,29 @@ class TestOnePath:
     def test_alpha_below_one_named(self, two_machine_scenario):
         with pytest.raises(ScenarioError, match=r"^\$\.controllers\.alpha: must be >= 1"):
             run(replace(two_machine_scenario, alpha=0.9))
+
+    @pytest.mark.parametrize("preset, alpha", [("two_machine", 1.187064914720872),
+                                               ("multi_machine", 1.30877442094686)])
+    def test_alpha_without_the_trajectory(self, preset, alpha, monkeypatch):
+        # the LP optimum gives alpha; the dense trajectory is for solve alone
+        sc = scenario_from_dict(load_preset(preset))
+        full = sim.solve_hypothetical(sc)
+        bare = sim.solve_hypothetical(sc, trajectory=False)
+        assert isinstance(bare, to.NadirOptimum)
+        assert repr(bare.alpha) == repr(full.alpha) == repr(alpha)
+        assert ((bare.nadir_pu, bare.ss_deviation_pu, bare.p_d_pu)
+                == (full.nadir_pu, full.ss_deviation_pu, full.p_d_pu))
+        assert bare.step_hold == full.step_hold
+
+        def no_extract(*args, **kwargs):
+            raise AssertionError("extract_solution called")
+
+        _cpus(monkeypatch, 1)
+        monkeypatch.setattr(sim.to, "extract_solution", no_extract)
+        assert repr(sim.solved_alpha(sc)) == repr(alpha)
+        short = replace(sc, sim=replace(sc.sim, duration_s=30.0))
+        rows, _ = sim.insensitivity_sweep(short, [sc.solver.hypothetical_p_d_pu])
+        assert rows[0]["e_r_pct"] == pytest.approx(0.0, abs=2.0)
 
     def test_pinned_alpha_solves_nothing(self, short_multi, monkeypatch):
         def no_solve(*args, **kwargs):

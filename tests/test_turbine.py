@@ -234,7 +234,7 @@ def test_pitched_turbine_starts_in_balance(two_machine_scenario, pitch):
     sc = replace(two_machine_scenario, events=(), turbines=(
         TurbineEntry("WT", spec, 9.0, pitch_deg=pitch, controller="none"),))
     asm = sim._Assembled(sc, alpha=None)
-    asm.step(asm, list(asm.y0), 0.0)
+    asm.advance(asm, list(asm.y0), 0.0)
     dy = asm.k1
     p_t = asm.wt_pt_w[0]
     assert asm.wt_pe_w[0] == asm.wt_mppt_w[0]
