@@ -32,6 +32,7 @@ from .simulator import (
     solve_hypothetical,
     solved_alpha,
 )
+from .trajopt import extract_solution
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -87,8 +88,9 @@ def _load_scenario(args) -> tuple:
 
 def cmd_solve(args) -> int:
     sc, out = args.sc, args.out
-    sol = solve_hypothetical(sc)
-    exact = sol.step_hold
+    optimum = solve_hypothetical(sc)
+    sol = extract_solution(optimum)
+    exact = optimum.step_hold
     error = abs(sol.nadir_pu - exact.nadir_pu) / abs(exact.nadir_pu)
     doc = sol.metrics_dict()
     doc["provenance"] = args.prov

@@ -119,6 +119,11 @@ class Scenario:
             problems.append(
                 f"$.sim.duration_s, $.sim.step_s: {self.sim.duration_s} s at {dt} s is "
                 f"{steps:.0f} steps, more than the {MAX_STEPS} a run may take")
+        elif abs(steps - round(steps)) > 1e-9:
+            # the run takes round(steps) steps and would end elsewhere
+            problems.append(
+                f"$.sim.duration_s, $.sim.step_s: {self.sim.duration_s} s is not a whole "
+                f"number of {dt} s steps")
         if not self.solver.t_f > 0:
             problems.append(f"$.solver.t_f_s: must be > 0, got {self.solver.t_f}")
         p_hyp = self.solver.hypothetical_p_d_pu

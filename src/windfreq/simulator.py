@@ -679,9 +679,7 @@ class _Assembled:
         self.gamma = [0.0] * n_wt
         self.armed = [False] * n_wt
         self.y0 = [0.0] * self.base_w + self.omega0 + [0.0] * (MODE_VIC in self.ctrl_mode)
-        n_y = len(self.y0)
-        self.k1 = [0.0] * n_y
-        self.y_snapshot, self.k1_snapshot = [0.0] * n_y, [0.0] * n_y
+        self.k1 = [0.0] * len(self.y0)
         self.pm_pe = (0.0, 0.0)
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))
         self.wt_flags = [0] * n_wt
@@ -751,17 +749,16 @@ def _shares(sc: Scenario, states) -> np.ndarray:
     return shares
 
 
-def solve_hypothetical(sc: Scenario, trajectory: bool = True):
-    """Trajectory optimum for the scenario's hypothetical deficit.
+def solve_hypothetical(sc: Scenario) -> to.NadirOptimum:
+    """The nadir optimum for the scenario's hypothetical deficit.
 
     The deficit (``p_d_pu`` of the result) defaults to a tenth of the load.
     The closed-form ``trajopt.step_hold_optimum`` runs first and rides along
     as the result's ``step_hold``; a governor step response that exceeds the
     damping within the horizon leaves the program unbounded and raises
     ``ScenarioError`` naming ``$.governors``, before any LP runs. The result
-    is a ``trajopt.TrajectorySolution``, or with ``trajectory`` false a
-    ``trajopt.NadirOptimum``: the same LP optimum and alpha, without the
-    dense trajectory that only ``solve`` writes.
+    is the LP's ``trajopt.NadirOptimum``, which gives alpha;
+    ``trajopt.extract_solution`` builds the trajectory that ``solve`` writes.
     """
     sc.check()
     p_hyp = sc.solver.hypothetical_p_d_pu
@@ -775,21 +772,19 @@ def solve_hypothetical(sc: Scenario, trajectory: bool = True):
             f"{step_hold.min_w:.4g} pu at tau = {step_hold.tau_min_w_s:.2f} s within the "
             f"horizon $.solver.t_f_s ({sc.solver.t_f} s): holding the frequency higher "
             "there releases energy, so the nadir-optimal program is unbounded")
-    sol = to.solve_max_nadir(problem, coll.make_grid(sc.solver.nodes, sc.solver.t_f),
-                             extract=trajectory)
-    sol.step_hold = step_hold
-    return sol
+    optimum = to.solve_max_nadir(problem, coll.make_grid(sc.solver.nodes, sc.solver.t_f))
+    return replace(optimum, step_hold=step_hold)
 
 
 def solved_alpha(sc: Scenario, solution=None) -> float:
     """The trajectory-optimal alpha for the hypothetical deficit, checked for synthesis.
 
     ``solution`` is the scenario's ``solve_hypothetical`` optimum when the
-    caller already has it; otherwise the trajectory-free optimum is solved.
+    caller already has it; otherwise it is solved here.
     An alpha below 1 raises ``ScenarioError`` naming ``$.governors``.
     """
     if solution is None:
-        solution = solve_hypothetical(sc, trajectory=False)
+        solution = solve_hypothetical(sc)
     if solution.alpha < 1.0:
         # with too little governor response the optimum holds the frequency
         # above its settling level, which no mirror-plus-gain controller does
@@ -924,7 +919,7 @@ def insensitivity_sweep(scenario: Scenario, p_d_list,
     """
     sol = None
     if reference_nadir_per_pd is None:
-        sol = solve_hypothetical(scenario, trajectory=False)
+        sol = solve_hypothetical(scenario)
         reference_nadir_per_pd = sol.nadir_pu / sol.p_d_pu
     scenario = replace(scenario, alpha=_resolve_alpha(scenario, sol))
     t_surge = scenario.events[0].time_s if scenario.events else 0.0

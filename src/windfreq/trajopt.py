@@ -8,6 +8,12 @@ a plain LP, condensed onto the node controls. Its simplex starts from a
 crash basis that depends on K alone (``contact_crash``); the
 integral-objective variant has an LP of another shape and starts cold.
 
+Every nadir solve returns one ``NadirOptimum``: the nadir, and alpha with
+it. An LP optimum also keeps its node controls, and ``extract_solution``
+turns it into the dense ``TrajectorySolution`` with its certificates, which
+only the offline ``solve`` study writes; alpha on-line needs the optimum
+alone.
+
 Two references need no LP. While the governor step response s_g stays at
 or below the damping D over the horizon, the optimum of the continuous
 program is step-and-hold: df jumps to the nadir at t = 0+ and holds there,
@@ -15,7 +21,8 @@ and the integrated swing equation gives the nadir in closed form
 (``step_hold_optimum``, with S_g(t_f) from one matrix exponential). A
 forward-Euler transcription of the same program, condensed onto the
 frequency samples, is its discrete twin: its nadir is one division
-(``euler_oracle``), independent of the collocation machinery.
+(``euler_oracle``), independent of the collocation machinery; it returns
+the nadir without a trajectory.
 """
 
 import math
@@ -34,7 +41,7 @@ from .grid import (
     rebase_governors,
     steady_state_deviation,
 )
-from .lp import LpResult, UnboundedError, solve_lp
+from .lp import UnboundedError, solve_lp
 
 __all__ = [
     "TrajOptProblem",
@@ -228,11 +235,8 @@ class TrajectorySolution:
     f_base_hz: float
     method: str
     diagnostics: dict = field(default_factory=dict)
-    # the closed-form reference of the same problem, when the caller computed it
-    step_hold: "StepHoldOptimum | None" = field(default=None, repr=False)
     _grid: coll.CollocationGrid | None = field(default=None, repr=False)
     _states_nodes: np.ndarray | None = field(default=None, repr=False)
-    _u_nodes: np.ndarray | None = field(default=None, repr=False)
     _gov: StateSpace | None = field(default=None, repr=False)
 
     @property
@@ -274,14 +278,32 @@ class TrajectorySolution:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NadirOptimum:
-    """The nadir-maximal LP's optimum without its trajectory: what alpha needs."""
+    """The optimum of one nadir solve: the nadir, and alpha with it.
 
+    An LP optimum also keeps its node controls, the LP's diagnostics, the LP
+    and the grid, from which ``extract_solution`` builds the trajectory. The
+    Euler reference solves no LP and keeps none of them; ``step_hold`` is
+    the closed-form optimum of the same problem, when the caller computed it.
+    """
+
+    problem: TrajOptProblem = field(repr=False)
     nadir_pu: float
-    ss_deviation_pu: float
-    p_d_pu: float
     step_hold: "StepHoldOptimum | None" = field(default=None, repr=False)
+    u_nodes: np.ndarray | None = field(default=None, repr=False)
+    diagnostics: dict = field(default_factory=dict, repr=False)
+    lp: LinearProgram | None = field(default=None, repr=False)
+    grid: coll.CollocationGrid | None = field(default=None, repr=False)
+
+    @property
+    def p_d_pu(self) -> float:
+        return self.problem.p_d
+
+    @property
+    def ss_deviation_pu(self) -> float:
+        problem = self.problem
+        return steady_state_deviation(problem.p_d, problem.grid_params, problem.k_g)
 
     @property
     def alpha(self) -> float:
@@ -289,25 +311,19 @@ class NadirOptimum:
         return self.nadir_pu / self.ss_deviation_pu
 
 
-def extract_solution(
-    lp_result: LpResult,
-    lp: LinearProgram,
-    problem: TrajOptProblem,
-    grid: coll.CollocationGrid,
-    method: str = "collocation",
-) -> TrajectorySolution:
-    """Re-embed the node states, interpolate to a uniform grid, certify.
+def extract_solution(optimum: NadirOptimum, method: str = "collocation") -> TrajectorySolution:
+    """Re-embed an LP optimum's node states, interpolate to a uniform grid, certify.
 
-    ``lp_result.x`` is [node controls; nadir]. ``primal_eq_residual`` in the
-    diagnostics is the larger of the condensed LP's own residual and that of
-    the full collocated system (initial state, collocation rows, released
-    energy at t_f) on the re-embedded states.
+    ``primal_eq_residual`` in the diagnostics is the larger of the condensed
+    LP's own residual and that of the full collocated system (initial state,
+    collocation rows, released energy at t_f) on the re-embedded states;
+    ``lp_meta`` is the LP's shape (``LinearProgram.meta``).
     """
+    problem, lp, grid, u_nodes = optimum.problem, optimum.lp, optimum.grid, optimum.u_nodes
     n = problem.n_states
     k_ord = grid.order
     hs = grid.half_span
-    u_nodes = lp_result.x[:k_ord]
-    nadir = float(lp_result.x[k_ord])
+    nadir = optimum.nadir_pu
     states = np.zeros((k_ord + 1, n))  # row 0: the pre-event equilibrium
     states[1:] = (lp.state_gain @ u_nodes + lp.state_offset).reshape(k_ord, n)
 
@@ -320,10 +336,11 @@ def extract_solution(
         (grid.diff_matrix @ states - hs * f_nodes).ravel(),
         [terminal_energy],
     ])
-    diagnostics = dict(lp_result.diagnostics)
+    diagnostics = dict(optimum.diagnostics)
     diagnostics["primal_eq_residual"] = max(
         diagnostics.get("primal_eq_residual", 0.0),
         float(np.max(np.abs(dynamics_residual))))
+    diagnostics["lp_meta"] = lp.meta
 
     # released energy at the nodes by the same collocation, E(-1) = 0
     energy = np.zeros((k_ord + 1, 1))
@@ -344,7 +361,7 @@ def extract_solution(
         denergy_pu_s=x_t[:, -1],
         dpm_pu=_governor_output(gov, x_t[:, 1:-1], df),
         nadir_pu=nadir,
-        ss_deviation_pu=steady_state_deviation(problem.p_d, gp, problem.k_g),
+        ss_deviation_pu=optimum.ss_deviation_pu,
         terminal_df_pu=float(terminal[0]),
         terminal_denergy=terminal_energy,
         s_quad=s_quad,
@@ -359,7 +376,6 @@ def extract_solution(
         diagnostics=diagnostics,
         _grid=grid,
         _states_nodes=states,
-        _u_nodes=u_nodes,
         _gov=gov,
     )
 
@@ -384,25 +400,17 @@ def contact_crash(grid: coll.CollocationGrid) -> np.ndarray:
     return active
 
 
-def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid,
-                    extract: bool = True) -> "TrajectorySolution | NadirOptimum":
-    """Transcribe, solve from the contact crash, and extract the nadir-maximal trajectory.
+def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> NadirOptimum:
+    """Transcribe the program and solve its LP from the contact crash.
 
-    With ``extract`` false, return the optimum's nadir, settling deviation
-    and deficit only (``NadirOptimum``), the numbers ``extract_solution``
-    takes them from, without the trajectory and its certificates.
+    The optimum's nadir is the LP's last variable, after the K node
+    controls; ``extract_solution`` builds the trajectory from it.
     """
     lp = transcribe(problem, grid)
     res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, active=contact_crash(grid))
-    if not extract:
-        return NadirOptimum(
-            nadir_pu=float(res.x[grid.order]),
-            ss_deviation_pu=steady_state_deviation(problem.p_d, problem.grid_params,
-                                                   problem.k_g),
-            p_d_pu=problem.p_d)
-    sol = extract_solution(res, lp, problem, grid)
-    sol.diagnostics["lp_meta"] = lp.meta
-    return sol
+    return NadirOptimum(problem=problem, nadir_pu=float(res.x[grid.order]),
+                        u_nodes=res.x[:grid.order], diagnostics=res.diagnostics,
+                        lp=lp, grid=grid)
 
 
 def min_integral_variant(
@@ -427,14 +435,15 @@ def min_integral_variant(
     # move the optimum
     c = grid.half_span * grid.weights @ lp.state_gain[0::problem.n_states]
     res = solve_lp(c, a_eq, lp.b_eq, a_ub, b_ub)
-    path_min = np.min(lp.b_ub - a_ub @ res.x)  # df at the path points
-    full = LpResult(
-        x=np.append(res.x, path_min),
-        objective=res.objective,
-        iterations=res.iterations,
+    optimum = NadirOptimum(
+        problem=problem,
+        nadir_pu=float(np.min(lp.b_ub - a_ub @ res.x)),  # df at the path points
+        u_nodes=res.x,
         diagnostics={**res.diagnostics, "nadir_floor": nadir_floor},
+        lp=lp,
+        grid=grid,
     )
-    return extract_solution(full, lp, problem, grid, method="min_integral")
+    return extract_solution(optimum, method="min_integral")
 
 
 # diagonal Pade [6/6] coefficients of e^x: c_k = (12 - k)! 6! / (12! k! (6 - k)!)
@@ -523,7 +532,7 @@ def step_hold_optimum(problem: TrajOptProblem) -> StepHoldOptimum:
     )
 
 
-def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolution:
+def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> NadirOptimum:
     """Forward-Euler transcription of the same program, condensed and solved.
 
     States are eliminated exactly: with the frequency samples as decision
@@ -533,30 +542,28 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
     optimum holds every sample at the nadir, rhs / sum(w), when every weight
     w_i is nonnegative, and is unbounded (``UnboundedError``) otherwise: the
     discrete twin of ``step_hold_optimum``. Completely independent of the
-    collocation machinery and of the matrix exponential.
+    collocation machinery and of the matrix exponential. The result carries
+    the nadir alone, no trajectory.
     """
     if n_steps < 1000:
         raise ValueError(f"the Euler reference needs >= 1000 steps, got {n_steps}")
     gov = problem.gov
     gp = problem.grid_params
     h = problem.t_f / n_steps
-    a_g = gov.a
     b_g = gov.b[:, 0]
     c_g = gov.c[0, :]
     d_g = float(gov.d[0, 0])
-    two_h = 2.0 * gp.inertia_s
-    damping = gp.damping
 
     # w . phi = r  <=>  sum of h u_i = 0 after eliminating states
-    trans = np.eye(gov.order) + h * a_g
+    trans = np.eye(gov.order) + h * gov.a
     gv = np.zeros(gov.order)
     cgb = np.zeros(n_steps)  # cgb[j] = C_g G_j B_g, j = 1 .. n-2
     for j in range(n_steps - 2, 0, -1):
         gv = b_g + trans @ gv
         cgb[j] = c_g @ gv
     w = np.empty(n_steps)
-    w[:-1] = h * (damping - d_g) - h * h * cgb[1:]
-    w[-1] = two_h
+    w[:-1] = h * (gp.damping - d_g) - h * h * cgb[1:]
+    w[-1] = 2.0 * gp.inertia_s
     rhs = -problem.t_f * problem.p_d
 
     # the program is max nadir subject to w . s + (sum w) nadir = rhs over
@@ -565,35 +572,4 @@ def euler_oracle(problem: TrajOptProblem, n_steps: int = 3000) -> TrajectorySolu
     if w.min() < 0:
         i = int(np.argmin(w))
         raise UnboundedError(f"Euler program unbounded: weight {w[i]:.3e} < 0 at sample {i}")
-    nadir = float(rhs / w.sum())
-
-    # reconstruct the governor response and the controls by the same recursions
-    df = np.concatenate([[0.0], np.full(n_steps, nadir)])  # samples at steps 0..N
-    xg = np.zeros((n_steps + 1, gov.order))
-    for i in range(n_steps):
-        xg[i + 1] = xg[i] + h * (a_g @ xg[i] + b_g * df[i])
-    dpm = _governor_output(gov, xg, df)
-    u = two_h * np.diff(df) / h + damping * df[:-1] - dpm[:-1] + problem.p_d
-    de = np.concatenate([[0.0], h * np.cumsum(u)])
-
-    s_rect = float(h * np.sum(df[:-1]))
-    em_rect = float(h * np.sum(dpm[:-1]))
-    return TrajectorySolution(
-        t=np.arange(n_steps + 1) * h,
-        df_pu=df,
-        dpe_pu=np.append(u, u[-1]),
-        denergy_pu_s=de,
-        dpm_pu=dpm,
-        nadir_pu=nadir,
-        ss_deviation_pu=steady_state_deviation(problem.p_d, gp, problem.k_g),
-        terminal_df_pu=float(df[-1]),
-        terminal_denergy=float(de[-1]),
-        s_quad=s_rect,
-        em_quad=em_rect,
-        eq25_residual=energy_residual(gp, df[-1], s_rect, em_rect, problem.p_d, problem.t_f),
-        ringing_rel=0.0,
-        p_d_pu=problem.p_d,
-        t_f=problem.t_f,
-        f_base_hz=gp.f_base_hz,
-        method=f"euler_{n_steps}",
-    )
+    return NadirOptimum(problem=problem, nadir_pu=float(rhs / w.sum()))

@@ -42,8 +42,13 @@ def grid_k60():
 
 
 @pytest.fixture(scope="session")
-def two_machine_solution(two_machine_problem, grid_k60):
+def two_machine_optimum(two_machine_problem, grid_k60):
     return to.solve_max_nadir(two_machine_problem, grid_k60)
+
+
+@pytest.fixture(scope="session")
+def two_machine_solution(two_machine_optimum):
+    return to.extract_solution(two_machine_optimum)
 
 
 @pytest.fixture(scope="session")

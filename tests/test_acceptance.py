@@ -64,7 +64,7 @@ def test_criterion_1_collocation_correctness():
 def test_criterion_2_trajopt_shape(two_machine_problem, two_machine_grid):
     to.solve_max_nadir(two_machine_problem, coll.make_grid(12, 30.0))  # warm
     t0 = time.perf_counter()
-    sol = to.solve_max_nadir(two_machine_problem, coll.make_grid(60, 30.0))
+    sol = to.extract_solution(to.solve_max_nadir(two_machine_problem, coll.make_grid(60, 30.0)))
     elapsed = time.perf_counter() - t0
     terminal_pinned = abs(sol.terminal_df_pu - sol.nadir_pu) <= 0.01 * abs(sol.nadir_pu)
     energy = abs(sol.terminal_denergy) <= 1e-8

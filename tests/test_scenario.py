@@ -173,6 +173,15 @@ class TestSchema:
         bad = replace(sc, sim=replace(sc.sim, step_s=float("nan")))
         assert "$.sim.step_s: must be in (0, 0.02], got nan" in bad.validate()
 
+    @pytest.mark.parametrize("duration_s, step_s", [(30.006, 0.01), (60.0, 0.007),
+                                                    (45.0049, 0.01)])
+    def test_misaligned_duration_named_by_validate(self, duration_s, step_s):
+        # the runs ended at 30.01, 59.997 and 45.0 s: round(duration / step) steps
+        sc = scenario_from_dict(load_preset("two_machine"))
+        bad = replace(sc, sim=replace(sc.sim, duration_s=duration_s, step_s=step_s))
+        assert bad.validate() == [f"$.sim.duration_s, $.sim.step_s: {duration_s} s is not a "
+                                  f"whole number of {step_s} s steps"]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kind", ["load_surge", "generation_trip"])
     def test_non_finite_magnitude_named_by_validate(self, kind, value):
@@ -627,6 +636,17 @@ class TestCli:
         assert ("scenario error: $.sim.duration_s, $.sim.step_s: 1000000.0 s at 0.01 s is "
                 f"100000000 steps, more than the {MAX_STEPS} a run may take") \
             in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_misaligned_duration_exits_2(self, tmp_path, capsys):
+        doc = load_preset("multi_machine")
+        doc["sim"]["duration_s"] = 30.006
+        path = tmp_path / "misaligned.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert ("scenario error: $.sim.duration_s, $.sim.step_s: 30.006 s is not a whole "
+                "number of 0.01 s steps") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("step_s", [0.01, 0.005])

@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import windfreq
+from windfreq import cli
 from windfreq import collocation as coll
 from windfreq import simulator as sim
 from windfreq import trajopt as to
@@ -677,26 +679,32 @@ class TestOnePath:
 
     @pytest.mark.parametrize("preset, alpha", [("two_machine", 1.187064914720872),
                                                ("multi_machine", 1.30877442094686)])
-    def test_alpha_without_the_trajectory(self, preset, alpha, monkeypatch):
+    def test_only_solve_extracts_the_trajectory(self, preset, alpha, tmp_path, monkeypatch):
         # the LP optimum gives alpha; the dense trajectory is for solve alone
-        sc = scenario_from_dict(load_preset(preset))
-        full = sim.solve_hypothetical(sc)
-        bare = sim.solve_hypothetical(sc, trajectory=False)
-        assert isinstance(bare, to.NadirOptimum)
-        assert repr(bare.alpha) == repr(full.alpha) == repr(alpha)
-        assert ((bare.nadir_pu, bare.ss_deviation_pu, bare.p_d_pu)
-                == (full.nadir_pu, full.ss_deviation_pu, full.p_d_pu))
-        assert bare.step_hold == full.step_hold
+        calls = []
+        real = to.extract_solution
 
-        def no_extract(*args, **kwargs):
-            raise AssertionError("extract_solution called")
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
         _cpus(monkeypatch, 1)
-        monkeypatch.setattr(sim.to, "extract_solution", no_extract)
-        assert repr(sim.solved_alpha(sc)) == repr(alpha)
-        short = replace(sc, sim=replace(sc.sim, duration_s=30.0))
-        rows, _ = sim.insensitivity_sweep(short, [sc.solver.hypothetical_p_d_pu])
-        assert rows[0]["e_r_pct"] == pytest.approx(0.0, abs=2.0)
+        monkeypatch.setattr(cli, "extract_solution", counting)
+        monkeypatch.setattr(to, "extract_solution", counting)
+        doc = load_preset(preset)
+        doc["sim"]["duration_s"] = 30.0
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        counts = {}
+        for pipeline in ("solve", "synthesize", "simulate", "compare", "sweep"):
+            calls.clear()
+            out = tmp_path / pipeline
+            assert cli.main([pipeline, "--scenario", str(path), "--out", str(out)]) == 0
+            counts[pipeline] = len(calls)
+        assert counts == {"solve": 1, "synthesize": 0, "simulate": 0, "compare": 0, "sweep": 0}
+        solved = json.loads((tmp_path / "solve" / "solve_metrics.json").read_text())["alpha"]
+        synthesized = json.loads((tmp_path / "synthesize" / "controller.json").read_text())
+        assert repr(solved) == repr(synthesized["alpha"]) == repr(alpha)
 
     def test_pinned_alpha_solves_nothing(self, short_multi, monkeypatch):
         def no_solve(*args, **kwargs):

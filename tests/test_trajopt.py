@@ -9,7 +9,7 @@ from windfreq import trajopt as to
 from windfreq.cli import main
 from windfreq.grid import (GovernorSpec, GridParameters, StateSpace, energy_residual,
                            governor_dc_gain_total, rebase_governors)
-from windfreq.lp import LpResult, UnboundedError, solve_lp
+from windfreq.lp import UnboundedError, solve_lp
 from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import solve_hypothetical
@@ -89,10 +89,9 @@ class TestTranscription:
         assert lp.state_offset.shape == (n * k,)
 
     def test_homogeneity_in_disturbance(self, two_machine_grid, reheat_g1, grid_k30):
-        sol1 = to.solve_max_nadir(
-            to.build_problem(two_machine_grid, [reheat_g1], 0.075), grid_k30)
-        sol2 = to.solve_max_nadir(
-            to.build_problem(two_machine_grid, [reheat_g1], 0.0375), grid_k30)
+        sol1, sol2 = (to.extract_solution(to.solve_max_nadir(
+            to.build_problem(two_machine_grid, [reheat_g1], p_d), grid_k30))
+            for p_d in (0.075, 0.0375))
         assert sol2.nadir_pu / sol1.nadir_pu == pytest.approx(0.5, rel=1e-8)
         assert sol2.alpha == pytest.approx(sol1.alpha, rel=1e-8)
         mask = np.abs(sol1.df_pu) > 1e-6
@@ -111,12 +110,15 @@ class TestSolutionCertificates:
     def test_alpha_at_least_one(self, two_machine_solution):
         assert two_machine_solution.alpha >= 1.0
 
-    def test_reported_nadir_is_lp_variable(self, two_machine_problem, grid_k60):
+    def test_reported_nadir_is_lp_variable(self, two_machine_problem, grid_k60,
+                                           two_machine_optimum, two_machine_solution):
         lp = to.transcribe(two_machine_problem, grid_k60)
-        res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub)
-        sol = to.extract_solution(res, lp, two_machine_problem, grid_k60)
+        res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub,
+                       active=to.contact_crash(grid_k60))
         # the nadir is the last LP variable, after the K node controls
-        assert sol.nadir_pu == pytest.approx(res.x[-1], abs=1e-15)
+        assert two_machine_optimum.nadir_pu == res.x[-1]
+        assert np.array_equal(two_machine_optimum.u_nodes, res.x[:-1])
+        assert two_machine_solution.nadir_pu == two_machine_optimum.nadir_pu
 
     def test_hold_shape_and_terminal(self, two_machine_solution):
         sol = two_machine_solution
@@ -138,11 +140,12 @@ class TestSolutionCertificates:
         assert d["dual_feasibility"] >= -1e-8
         assert d["complementarity"] <= 1e-8
 
-    def test_reembedded_states_match_forced_collocation(self, two_machine_problem,
-                                                        grid_k60, two_machine_solution):
+    def test_reembedded_states_match_forced_collocation(self, two_machine_problem, grid_k60,
+                                                        two_machine_optimum,
+                                                        two_machine_solution):
         # the node states implied by the optimal controls, solved independently
         prob = two_machine_problem
-        u = two_machine_solution._u_nodes
+        u = two_machine_optimum.u_nodes
         forcing = np.outer(u, prob.b_ctrl) - prob.p_d * prob.b_ctrl
         states, terminal = coll.solve_lti_collocation(prob.a, np.zeros(2), grid_k60, forcing)
         embedded = two_machine_solution._states_nodes
@@ -158,16 +161,12 @@ class TestSolutionCertificates:
     def test_eq_residual_certifies_full_dynamics(self, two_machine_problem):
         # controls that break the terminal-energy row must show up in the
         # residual even when the LP's own diagnostics claim zero
-        g = coll.make_grid(12, 30.0)
-        lp = to.transcribe(two_machine_problem, g)
-        res = solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub)
-        x = res.x.copy()
-        x[0] += 1e-3
-        bad = to.extract_solution(
-            LpResult(x=x, objective=0.0, iterations=0,
-                     diagnostics={"primal_eq_residual": 0.0}),
-            lp, two_machine_problem, g)
-        violation = abs(lp.a_eq[0] @ x - lp.b_eq[0])
+        opt = to.solve_max_nadir(two_machine_problem, coll.make_grid(12, 30.0))
+        u = opt.u_nodes.copy()
+        u[0] += 1e-3
+        bad = to.extract_solution(replace(opt, u_nodes=u,
+                                          diagnostics={"primal_eq_residual": 0.0}))
+        violation = abs(opt.lp.a_eq[0, :-1] @ u - opt.lp.b_eq[0])
         assert violation > 1e-6
         assert bad.diagnostics["primal_eq_residual"] == pytest.approx(violation, rel=1e-6)
 
@@ -181,7 +180,7 @@ class TestRegression:
     ])
     def test_golden_nadir(self, preset, nodes, nadir):
         sc = scenario_from_dict(load_preset(preset))
-        sol = solve_hypothetical(_at_nodes(sc, nodes))
+        sol = to.extract_solution(solve_hypothetical(_at_nodes(sc, nodes)))
         assert sol.p_d_pu == sc.solver.hypothetical_p_d_pu
         assert sol.nadir_pu == pytest.approx(nadir, rel=1e-9)
         assert sol.diagnostics["primal_eq_residual"] <= 1e-8
@@ -190,7 +189,7 @@ class TestRegression:
     def test_multi_machine_k60_matches_oracle(self, multi_machine_scenario):
         # the uncondensed 12-state LP lost primal feasibility at K = 60
         sc = multi_machine_scenario
-        sol = solve_hypothetical(_at_nodes(sc, 60))
+        sol = to.extract_solution(solve_hypothetical(_at_nodes(sc, 60)))
         prob = to.build_problem(sc.grid, list(sc.governors),
                                 sc.solver.hypothetical_p_d_pu, sc.solver.t_f)
         euler = to.euler_oracle(prob, 3000)
@@ -339,6 +338,19 @@ class TestContactCrash:
             assert ref.status == 0, name
             assert nadir == pytest.approx(-ref.fun, abs=1e-9), name
 
+    @pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 1: the simplex "
+                       "clips negative basic values and reports an infeasible point optimal")
+    @pytest.mark.parametrize("start, nodes", [("crash", 96), ("cold", 30)])
+    def test_optimum_is_primal_feasible(self, crash_plants, start, nodes):
+        # residuals 1.3e-7 from the crash that solve_max_nadir takes, and
+        # 8.6e-7 cold; HiGHS puts the nadirs 1.2e-8 and 1.6e-6 relative away
+        problem = crash_plants["underdamped_H2"]
+        if start == "crash":
+            d = to.solve_max_nadir(problem, coll.make_grid(nodes, problem.t_f)).diagnostics
+        else:
+            d = _solve(_crash_lp(problem, nodes)[0]).diagnostics
+        assert d["primal_ub_residual"] <= 1e-9
+
     def test_crash_marks_k_contact_rows(self):
         # rows: K nodes, K + 1 midpoints, tau = +1. K = 8: nodes 1, 3 with
         # the following midpoints (tau < 0), nodes 5, 7 with the preceding
@@ -429,7 +441,8 @@ class TestLumpedGovernors:
         unlumped = _unlumped_problem(multi_machine_scenario)
         assert (lumped.n_states, unlumped.n_states) == (4, 11)
         grid = coll.make_grid(nodes, lumped.t_f)
-        one, ref = (to.solve_max_nadir(p, grid) for p in (lumped, unlumped))
+        one, ref = (to.extract_solution(to.solve_max_nadir(p, grid))
+                    for p in (lumped, unlumped))
         assert one.nadir_pu == pytest.approx(ref.nadir_pu, rel=1e-14)
         assert one.alpha == pytest.approx(ref.alpha, rel=1e-14)
         for key in ("warm_start", "phase1_pivots", "phase2_pivots"):
@@ -461,11 +474,6 @@ class TestEulerOracle:
     def test_minimum_steps_enforced(self, two_machine_problem):
         with pytest.raises(ValueError):
             to.euler_oracle(two_machine_problem, 500)
-
-    def test_energy_neutral_and_identity(self, two_machine_problem):
-        sol = to.euler_oracle(two_machine_problem, 1500)
-        assert abs(sol.terminal_denergy) < 1e-10
-        assert abs(sol.eq25_residual) < 1e-9
 
     def test_grid_independence(self, two_machine_problem):
         coarse = to.euler_oracle(two_machine_problem, 1500)
