@@ -164,16 +164,22 @@ def _bary_matrix(points: np.ndarray, bary: np.ndarray, taus: np.ndarray) -> np.n
     Rows are the normalized barycentric weights bary / (tau - point). A tau
     within 1e-14 of a basis point gets the unit row of the first such point,
     which reproduces the data exactly where the formula would divide by zero.
+    The points ascend and lie much more than 2e-14 apart, so such a point is
+    one of the two neighbours that ``searchsorted`` finds for the tau; they
+    are tested with the subtraction that fills W, the lower one first.
     """
+    above = np.searchsorted(points, taus)
+    below = np.maximum(above - 1, 0)
+    above = np.minimum(above, len(points) - 1)
+    near_below = np.abs(taus - points[below]) < 1e-14
+    hit = near_below | (np.abs(taus - points[above]) < 1e-14)
+    rows = np.flatnonzero(hit)
+    cols = np.where(near_below, below, above)[rows]
     w = taus[:, None] - points  # the one (len(taus), len(points)) buffer
-    hit = np.abs(w) < 1e-14
-    rows = np.nonzero(hit.any(axis=1))[0]
-    if rows.size:
-        w[hit] = 1.0
+    w[rows, cols] = 1.0
     np.divide(bary, w, out=w)
-    if rows.size:
-        w[rows] = 0.0
-        w[rows, np.argmax(hit[rows], axis=1)] = 1.0
+    w[rows] = 0.0
+    w[rows, cols] = 1.0
     w /= np.sum(w, axis=1, keepdims=True)
     return w
 
@@ -183,10 +189,10 @@ def interpolate(grid: CollocationGrid, values, t, kind: str = "state"):
 
     ``kind='state'`` expects values over the K+1 basis points, ``'control'``
     over the K interior nodes, along axis 0 (trailing axes are carried
-    through). t outside [0, t_f] is rejected.
+    through). t outside [0, t_f], NaN included, is rejected.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < -1e-12) or np.any(t_arr > grid.t_f + 1e-12):
+    if not (np.all(t_arr >= -1e-12) and np.all(t_arr <= grid.t_f + 1e-12)):
         raise ValueError(f"time {t} outside horizon [0, {grid.t_f}]")
     points, bary = _basis(grid, kind)
     taus = inverse_time_map(t_arr, grid.t_f)
@@ -199,10 +205,14 @@ def interpolate(grid: CollocationGrid, values, t, kind: str = "state"):
 def lagrange_coefficients(grid: CollocationGrid, tau, kind: str = "state") -> np.ndarray:
     """Row vector c with p(tau) = c . values for the chosen basis.
 
-    An array of taus gives one row per tau.
+    An array of taus gives one row per tau. A tau that is not finite is
+    rejected.
     """
     points, bary = _basis(grid, kind)
-    coeff = _bary_matrix(points, bary, np.atleast_1d(np.asarray(tau, dtype=float)))
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if not np.all(np.isfinite(taus)):
+        raise ValueError(f"time {tau} outside horizon [-1, 1]")
+    coeff = _bary_matrix(points, bary, taus)
     return coeff[0] if np.ndim(tau) == 0 else coeff
 
 

@@ -18,6 +18,11 @@ equalities hold is mapped to a standard-form basis (a crash basis, Bixby,
 equilibrated data, phase 2 starts from it and phase 1 is skipped. Otherwise,
 and when the mask has the wrong size or its rows are singular, the two-phase
 path runs unchanged, to the same bits as without a mask.
+
+Each optimum carries its certificate from the basis it stopped at: the duals
+y with B'y = c_B of the last pricing step, mapped back to the rows of the
+unscaled standard form, give the reduced costs, the complementarity and the
+gap between the primal and dual objectives, with no second factorization.
 """
 
 from dataclasses import dataclass, field
@@ -108,8 +113,9 @@ class _Basis:
 def _simplex(a, b, c, basis, n_enter):
     """Pivot from a primal feasible basis until optimal.
 
-    Returns (x_B, pivots) and updates ``basis`` in place. Only the first
-    ``n_enter`` columns may enter. Raises UnboundedError on an improving ray.
+    Returns (x_B, y, pivots), y being the duals B'y = c_B of the last
+    pricing step, and updates ``basis`` in place. Only the first ``n_enter``
+    columns may enter. Raises UnboundedError on an improving ray.
     """
     unit_row = _unit_rows(a)
     rhs = np.stack([b, b], axis=1)  # [b | entering column]
@@ -118,12 +124,13 @@ def _simplex(a, b, c, basis, n_enter):
     pivots = 0
     while True:
         fac = _Basis(a, unit_row, basis)
-        d = c[:n_enter] - fac.solve_t(c[basis]) @ a[:, :n_enter]
+        y = fac.solve_t(c[basis])
+        d = c[:n_enter] - y @ a[:, :n_enter]
         d[basis[basis < n_enter]] = 0.0
         bland = streak > BLAND_AFTER
         q = int(np.argmax(d < -DUAL_TOL) if bland else np.argmin(d))
         if d[q] >= -DUAL_TOL:
-            return np.maximum(fac.solve(b), 0.0), pivots
+            return np.maximum(fac.solve(b), 0.0), y, pivots
         if pivots == MAX_PIVOTS:
             raise SimplexError(f"simplex pivot cap reached ({MAX_PIVOTS})")
         rhs[:, 1] = a[:, q]
@@ -156,10 +163,13 @@ def _solve_standard(a, b, c, slack_of_row):
 
     Rows whose slack column survives sign normalization seed the starting
     basis directly; only the rest receive artificial variables. Returns
-    (x, basis, (phase-1 pivots, phase-2 pivots)).
+    (x, y, (phase-1 pivots, phase-2 pivots)), y being the duals of the rows
+    of ``a`` as given: the final basis' duals with the sign of each row
+    flipped for b < 0 restored, and 0 on each row dropped as redundant.
     """
     m, n = a.shape
     art_rows = np.nonzero((slack_of_row < 0) | (b < 0))[0]
+    sign = np.where(b < 0, -1.0, 1.0)
     a = np.where((b < 0)[:, None], -a, a)
     b = np.abs(b)
     basis = slack_of_row.copy()
@@ -168,7 +178,7 @@ def _solve_standard(a, b, c, slack_of_row):
     c_phase1 = np.concatenate([np.zeros(n), np.ones(art_rows.size)])
 
     try:
-        x_b, pivots1 = _simplex(a_full, b, c_phase1, basis, n)
+        x_b, _, pivots1 = _simplex(a_full, b, c_phase1, basis, n)
     except UnboundedError as exc:
         raise SimplexError("phase-1 simplex found an improving ray (numerical breakdown)") from exc
     infeasibility = float(np.sum(x_b[basis >= n]))
@@ -190,10 +200,12 @@ def _solve_standard(a, b, c, slack_of_row):
     basis = basis[keep]
     a, b = a[keep], b[keep]
 
-    x_b, pivots2 = _simplex(a, b, c, basis, n)
+    x_b, y_kept, pivots2 = _simplex(a, b, c, basis, n)
     x = np.zeros(n)
     x[basis] = x_b
-    return x, basis, (pivots1, pivots2)
+    y = np.zeros(m)
+    y[keep] = y_kept
+    return x, sign * y, (pivots1, pivots2)
 
 
 def _crash_basis(a_var, b_var, m_eq, active, a_scaled, b_scaled):
@@ -233,10 +245,14 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, active=None) -> LpRe
     rows predicted tight at the optimum; see ``_crash_basis``. Raises
     InfeasibleError / UnboundedError on those outcomes, and SimplexError
     when the pivot cap is reached or the basis turns singular. Besides the
-    optimality certificates, ``diagnostics`` reports the pivots of each phase
-    and their sum, ``iterations``, and ``warm_start``: "hit" when phase 2
-    started from the crash basis, "infeasible" when the crash gave no primal
-    feasible basis and the two-phase path ran, "none" without a mask.
+    optimality certificate (see ``_diagnostics``), ``diagnostics`` reports the
+    pivots of each phase and their sum, ``iterations``, and ``warm_start``:
+    "hit" when phase 2 started from the crash basis, "infeasible" when the
+    crash gave no primal feasible basis and the two-phase path ran, "none"
+    without a mask. The certificate's duals are those of the final basis on
+    the equilibrated rows, divided by the row scales; the two-phase path
+    returns them with the sign of each row it flipped for b < 0 restored and
+    0 on each row it dropped as redundant.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -269,10 +285,11 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, active=None) -> LpRe
     basis = None if active is None else _crash_basis(
         a_var, b_std, m_eq, active, a_scaled, b_scaled)
     if basis is None:
-        x_scaled, basis, pivots = _solve_standard(a_scaled, b_scaled, c_scaled, slack_of_row)
+        x_scaled, y_scaled, pivots = _solve_standard(a_scaled, b_scaled, c_scaled, slack_of_row)
         warm_start = "none" if active is None else "infeasible"
     else:
-        x_b, pivots2 = _simplex(a_scaled, b_scaled, c_scaled, basis, a_scaled.shape[1])
+        x_b, y_scaled, pivots2 = _simplex(a_scaled, b_scaled, c_scaled, basis,
+                                          a_scaled.shape[1])
         x_scaled = np.zeros(a_scaled.shape[1])
         x_scaled[basis] = x_b
         pivots = (0, pivots2)
@@ -280,30 +297,31 @@ def solve_lp(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, active=None) -> LpRe
     x_std = x_scaled / col_scale
     x = x_std[:nv] - x_std[nv:2 * nv]
 
-    diag = _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub)
+    # the equilibrated duals y_s solve (B / r / s)'y_s = c_B / s for row scales
+    # r and column scales s, so y = y_s / r solves B'y = c_B
+    diag = _diagnostics(a_std, b_std, c_std, x_std, y_scaled / row_scale,
+                        x, a_eq, b_eq, a_ub, b_ub)
     diag.update(phase1_pivots=pivots[0], phase2_pivots=pivots[1], iterations=sum(pivots),
                 warm_start=warm_start)
     return LpResult(x=x, objective=float(c @ x), iterations=sum(pivots), diagnostics=diag)
 
 
-def _diagnostics(a_std, b_std, c_std, x_std, basis, x, a_eq, b_eq, a_ub, b_ub):
-    """Optimality certificates on the original (unscaled) data."""
+def _diagnostics(a_std, b_std, c_std, x_std, y, x, a_eq, b_eq, a_ub, b_ub):
+    """Optimality certificates on the original (unscaled) data.
+
+    ``y`` are the duals of the standard-form rows from the final basis. The
+    reduced costs d = c - A'y give ``dual_feasibility`` (their most negative
+    value, or 0) and ``complementarity`` (the largest |x_j d_j|), and the
+    primal and dual objectives ``duality_gap`` = |c'x - b'y| / max(1, |c'x|).
+    """
     primal_eq = float(np.max(np.abs(a_eq @ x - b_eq))) if b_eq.size else 0.0
     primal_ub = float(np.max(a_ub @ x - b_ub)) if b_ub.size else 0.0
-
-    # duals from the final basis (redundant rows may have been dropped,
-    # leaving a rectangular basis matrix -> least squares)
-    try:
-        y = np.linalg.lstsq(a_std[:, basis].T, c_std[basis], rcond=None)[0]
-        reduced = c_std - a_std.T @ y
-        dual_feas = float(min(0.0, reduced.min()))
-        compl = float(np.max(np.abs(x_std * reduced[: x_std.size])))
-    except np.linalg.LinAlgError:
-        dual_feas = np.nan
-        compl = np.nan
+    reduced = c_std - a_std.T @ y
+    primal_obj = float(c_std @ x_std)
     return {
         "primal_eq_residual": primal_eq,
         "primal_ub_residual": max(0.0, primal_ub),
-        "dual_feasibility": dual_feas,
-        "complementarity": compl,
+        "dual_feasibility": float(min(0.0, reduced.min())),
+        "complementarity": float(np.max(np.abs(x_std * reduced))),
+        "duality_gap": abs(primal_obj - float(b_std @ y)) / max(1.0, abs(primal_obj)),
     }

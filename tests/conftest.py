@@ -1,6 +1,7 @@
 import pytest
 
 from windfreq import collocation as coll
+from windfreq import lp as lp_mod
 from windfreq import trajopt as to
 from windfreq.grid import GridParameters, reheat_governor
 from windfreq.presets import load_preset
@@ -16,6 +17,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in RESULT_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def dual_objectives(monkeypatch):
+    """b'y of each solve_lp call in the test, in call order, from the
+    final-basis duals that its certificate reads."""
+    seen = []
+    diagnostics = lp_mod._diagnostics
+
+    def record(a_std, b_std, c_std, x_std, y, *rest):
+        seen.append(float(b_std @ y))
+        return diagnostics(a_std, b_std, c_std, x_std, y, *rest)
+
+    monkeypatch.setattr(lp_mod, "_diagnostics", record)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from windfreq import collocation as coll
+from windfreq import trajopt as to
 
 
 def test_single_node_rule():
@@ -93,6 +94,22 @@ class TestTerminalState:
         assert abs(terminal[0] - np.exp(-5.0)) < 1e-8
 
 
+def _full_scan_bary_matrix(points, bary, taus):
+    """``_bary_matrix`` as it found its node hits before: by testing every
+    cell of the (len(taus), len(points)) matrix."""
+    w = taus[:, None] - points
+    hit = np.abs(w) < 1e-14
+    rows = np.nonzero(hit.any(axis=1))[0]
+    if rows.size:
+        w[hit] = 1.0
+    np.divide(bary, w, out=w)
+    if rows.size:
+        w[rows] = 0.0
+        w[rows, np.argmax(hit[rows], axis=1)] = 1.0
+    w /= np.sum(w, axis=1, keepdims=True)
+    return w
+
+
 class TestInterpolation:
     def test_node_values_reproduced(self):
         g = coll.make_grid(15, 5.0)
@@ -123,6 +140,18 @@ class TestInterpolation:
         g = coll.make_grid(5, 5.0)
         with pytest.raises(ValueError):
             coll.interpolate(g, np.zeros(6), 5.5, "state")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        g = coll.make_grid(10, 30.0)
+        with pytest.raises(ValueError, match="outside horizon"):
+            coll.interpolate(g, np.zeros(11), bad)
+        with pytest.raises(ValueError, match="outside horizon"):
+            coll.interpolate(g, np.zeros(11), [1.0, bad])
+        with pytest.raises(ValueError, match="outside horizon"):
+            coll.lagrange_coefficients(g, bad)
+        with pytest.raises(ValueError, match="outside horizon"):
+            coll.lagrange_coefficients(g, [0.0, bad], "control")
 
     def test_exact_basis_hits_in_a_vector(self):
         # basis points mixed with off-basis times: hits reproduce the data
@@ -179,6 +208,24 @@ class TestInterpolation:
                 ref.append(w @ vals / np.sum(w))
         got = coll.interpolate(g, vals, tt, "state")
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
+
+    @pytest.mark.parametrize("order", [10, 40, 60, 200])
+    def test_node_search_matches_full_scan_bitwise(self, order):
+        g = coll.make_grid(order, 30.0)
+        rng = np.random.default_rng(order)
+        ends = np.concatenate([[-1.0, 1.0], -1.0 - rng.uniform(0.0, 1e-12, 20),
+                               1.0 + rng.uniform(0.0, 1e-12, 20)])
+        for points, bary in ((g.basis, g.basis_bary), (g.nodes, g.node_bary)):
+            near = [points + off for off in (5e-15, -5e-15)]
+            off = [points + off for off in (2e-14, -2e-14)]
+            taus = np.concatenate([points, *near, *off, ends,
+                                   rng.uniform(-1.0, 1.0, 1000), to._path_taus(g)])
+            ref = _full_scan_bary_matrix(points, bary, taus)
+            assert np.array_equal(coll._bary_matrix(points, bary, taus), ref)
+            # the exact and the near points are hits, the off ones are not
+            units = np.all((ref == 0.0) | (ref == 1.0), axis=1)
+            assert units[:3 * points.size].all()
+            assert not units[3 * points.size:5 * points.size].any()
 
     def test_unknown_kind_rejected(self):
         g = coll.make_grid(5, 5.0)

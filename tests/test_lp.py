@@ -106,6 +106,49 @@ def test_optimality_certificates():
     assert d["complementarity"] <= 1e-8
 
 
+def certificate_failures(d):
+    """The certificate entries of ``diagnostics`` d that miss 1e-9."""
+    return [key for key, ok in (("dual_feasibility", d["dual_feasibility"] >= -1e-9),
+                                ("complementarity", d["complementarity"] <= 1e-9),
+                                ("duality_gap", d["duality_gap"] <= 1e-9)) if not ok]
+
+
+def _random_cold_lp(seed):
+    """A bounded feasible LP with equality rows, one of them redundant, and
+    right-hand sides of both signs: the two-phase path flips the rows with
+    b < 0 and drops the redundant one."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    x0 = rng.uniform(-2.0, 2.0, size=n)
+    a_eq = rng.normal(size=(int(rng.integers(1, n)), n))
+    a_eq = np.vstack([a_eq, rng.normal(size=a_eq.shape[0]) @ a_eq])
+    a_ub = np.vstack([rng.normal(size=(int(rng.integers(1, 6)), n)), np.eye(n), -np.eye(n)])
+    b_ub = a_ub @ x0 + rng.uniform(0.0, 1.0, size=a_ub.shape[0])
+    b_ub[-2 * n:] = 5.0
+    return rng.normal(size=n), a_eq, a_eq @ x0, a_ub, b_ub
+
+
+RANDOM_COLD_LPS = range(300)
+
+
+def test_random_cold_lps_certified_from_the_final_basis(dual_objectives):
+    failed, flipped = [], 0
+    for seed in RANDOM_COLD_LPS:
+        c, a_eq, b_eq, a_ub, b_ub = _random_cold_lp(seed)
+        flipped += bool((b_eq < 0).any() or (b_ub < 0).any())
+        res = solve_lp(c, a_eq, b_eq, a_ub, b_ub)
+        failed += [(seed, key) for key in certificate_failures(res.diagnostics)]
+    assert not failed
+    assert flipped > len(RANDOM_COLD_LPS) // 2
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for seed, dual in zip(RANDOM_COLD_LPS, dual_objectives):
+        c, a_eq, b_eq, a_ub, b_ub = _random_cold_lp(seed)
+        ref = linprog(-c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(None, None),
+                      method="highs")
+        assert ref.status == 0, seed
+        assert abs(dual - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), seed
+
+
 def test_pivot_telemetry():
     # x0 + 2 x1 = 4 has no slack to seed the basis, so phase 1 must pivot
     res = solve_lp(-np.array([1.0, 1.0]), a_eq=[[1.0, 2.0]], b_eq=[4.0],

@@ -14,6 +14,8 @@ from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import solve_hypothetical
 
+from test_lp import certificate_failures
+
 
 def _at_nodes(sc, nodes):
     """The scenario at collocation order ``nodes``."""
@@ -218,16 +220,22 @@ class TestRegression:
         ("multi_machine", 60, (123, 493), -0.002915674282994506, 11),
         ("multi_machine", 100, (203, 520), -0.00291347935891713, 23),
     ])
-    def test_pivots_and_nadir_of_energy_state_lp(self, preset, nodes, pivots, nadir, warm):
+    def test_pivots_and_nadir_of_energy_state_lp(self, preset, nodes, pivots, nadir, warm,
+                                                 dual_objectives):
         lp, _ = _crash_lp(_crash_plant(preset), nodes)
         cold = _solve(lp)
         d = cold.diagnostics
         assert (d["phase1_pivots"], d["phase2_pivots"]) == pivots
         assert cold.x[-1] == pytest.approx(nadir, rel=1e-14)
+        assert not certificate_failures(d)
         sol = solve_hypothetical(_at_nodes(scenario_from_dict(load_preset(preset)), nodes))
         d = sol.diagnostics
         assert (d["warm_start"], d["phase1_pivots"], d["phase2_pivots"]) == ("hit", 0, warm)
         assert sol.nadir_pu == pytest.approx(nadir, rel=1e-14)
+        assert not certificate_failures(d)
+        ref = _highs(lp)
+        for dual in dual_objectives:  # cold, then from the crash
+            assert abs(dual - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
 
 
 def _single_governor_problem(num, den, inertia_s=4.0):
@@ -309,11 +317,22 @@ def _solve(lp, active=None):
     return solve_lp(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, active=active)
 
 
+def _highs(lp):
+    """HiGHS' dual simplex on the LP at tolerances 1e-10; skips without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                  bounds=(None, None), method="highs-ds", options=tight)
+    assert ref.status == 0
+    return ref
+
+
 class TestContactCrash:
     """solve_max_nadir starts phase 2 from a crash that depends on K alone."""
 
     @pytest.mark.parametrize("nodes", [10, 11, 31, 40, 63, 100])
-    def test_crash_is_a_feasible_start_on_every_plant(self, crash_plants, nodes):
+    def test_crash_is_a_feasible_start_on_every_plant(self, crash_plants, nodes,
+                                                       dual_objectives):
         highs = []
         for name, problem in crash_plants.items():
             lp, active = _crash_lp(problem, nodes)
@@ -322,21 +341,21 @@ class TestContactCrash:
             assert d["warm_start"] == "hit", name
             assert d["phase1_pivots"] == 0 and d["phase2_pivots"] <= 2 * nodes, name
             assert d["primal_ub_residual"] <= 1e-9, name
-            highs.append((name, lp, warm.x[-1]))
+            assert not certificate_failures(d), name
+            highs.append((name, lp, warm.x[-1], dual_objectives[-1]))
             # the cold K = 63 and 100 solves take seconds; K = 63 has its own
             # test below
             if nodes > 40:
                 continue
             cold = _solve(lp)
+            assert not certificate_failures(cold.diagnostics), name
             if cold.diagnostics["primal_ub_residual"] <= 1e-8:
                 assert warm.x[-1] == pytest.approx(cold.x[-1], abs=1e-12), name
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-        for name, lp, nadir in highs:
-            ref = linprog(-lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                          bounds=(None, None), method="highs-ds", options=tight)
-            assert ref.status == 0, name
+        for name, lp, nadir, dual in highs:
+            ref = _highs(lp)
             assert nadir == pytest.approx(-ref.fun, abs=1e-9), name
+            # the standard form minimizes -nadir, so its dual objective is -nadir too
+            assert abs(dual - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), name
 
     @pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 1: the simplex "
                        "clips negative basic values and reports an infeasible point optimal")
