@@ -10,6 +10,7 @@ fails validation creates none; each ``cmd_*`` reads them from ``args.sc``,
 """
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -45,15 +46,29 @@ def _write_csv(path: Path, header, columns):
 
     Rows are formatted and written in blocks of 500, each by one ``%`` of
     the row format repeated over the block's values, so only one block is
-    held as Python floats and text at a time.
+    held as a stacked copy, Python floats and text at a time. A column whose
+    every value has the bits of its first is formatted once, into the row
+    format, and stays out of the blocks: equal bits print equal text,
+    whereas equal values need not (``-0.0`` prints as ``-0``).
     """
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    fields, varying = [], []
+    for col in columns:
+        bits = col.view(np.int64)
+        if n_rows and np.all(bits == bits[0]):
+            fields.append("%.12g" % col[0])
+        else:
+            fields.append("%.12g")
+            varying.append(col)
+    row_fmt = ",".join(fields) + "\n"
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(table), 500):
-            block = table[start:start + 500]
-            f.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, n_rows, 500):
+            rows = min(500, n_rows - start)
+            block = [col[start:start + rows] for col in varying]
+            values = np.column_stack(block).ravel().tolist() if block else []
+            f.write((row_fmt * rows) % tuple(values))
 
 
 def _write_json(path: Path, doc):
@@ -76,8 +91,12 @@ def _load_scenario(args) -> tuple:
         doc = load_preset(args.preset)
         prov = {"preset": args.preset, "checksum": preset_checksum(args.preset)}
     elif args.scenario:
-        doc = json.loads(Path(args.scenario).read_text())
-        prov = {"file": str(args.scenario)}
+        # the file's name and digest, not the path, so that an output does
+        # not depend on where the run started or the file lies
+        path = Path(args.scenario)
+        data = path.read_bytes()
+        doc = json.loads(data)
+        prov = {"file": path.name, "sha256": hashlib.sha256(data).hexdigest()}
     else:
         raise ScenarioError("one of --scenario or --preset is required")
     sc = scenario_from_dict(doc)

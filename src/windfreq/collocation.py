@@ -205,12 +205,12 @@ def interpolate(grid: CollocationGrid, values, t, kind: str = "state"):
 def lagrange_coefficients(grid: CollocationGrid, tau, kind: str = "state") -> np.ndarray:
     """Row vector c with p(tau) = c . values for the chosen basis.
 
-    An array of taus gives one row per tau. A tau that is not finite is
-    rejected.
+    An array of taus gives one row per tau. A tau outside [-1, 1], NaN
+    included, is rejected: there the polynomial extrapolates.
     """
     points, bary = _basis(grid, kind)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if not np.all(np.isfinite(taus)):
+    if not np.all(np.abs(taus) <= 1.0):
         raise ValueError(f"time {tau} outside horizon [-1, 1]")
     coeff = _bary_matrix(points, bary, taus)
     return coeff[0] if np.ndim(tau) == 0 else coeff

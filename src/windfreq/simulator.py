@@ -41,7 +41,12 @@ compiled from (``codegen``), so each law keeps one implementation: the power
 clamp and floor cutback are ``turbine.APPLIED_POWER_LAW``, the end-of-step
 floor hold ``turbine.FLOOR_HOLD_LAW``, and the exit checks
 ``aapc.EXIT_TRIGGER_LAW`` and ``aapc.ARMING_LAW``. CPython folds the parts
-that read only literals. The source is registered in ``linecache`` under
+that read only literals. A turbine that no controller drives (every
+turbine of ``compare``'s ``none`` run, the no-support baseline) tracks its
+curve, and nothing in the loop moves its rotor off its operating speed w0:
+assembly evaluates its laws at w0 once, through the law callables, and the
+kernel reads them as literals while the rotor speed equals w0 and runs the
+laws otherwise. The source is registered in ``linecache`` under
 ``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
 ``inspect.getsource`` show it. numpy holds the assembly (governor
 realization and aggregation, allocation) and the preallocated traces, which
@@ -77,7 +82,8 @@ from .codegen import compile_functions
 from .grid import aggregate_governors, group_governors, rebase_governors
 from .scenario import DisturbanceEvent, Scenario, ScenarioError
 from .turbine import (APPLIED_POWER_LAW, FLAG_FLOOR, FLAG_POWER_LIMIT, FLOOR_HOLD_LAW,
-                      TRACKING_POWER_LAW, TURBINE_POWER_LAW, _fleet_power_scale, _k_opt_w,
+                      TRACKING_POWER_LAW, TURBINE_POWER_LAW, _applied_power_w,
+                      _fleet_power_scale, _k_opt_w, _mppt_power_w, _turbine_power_w,
                       capability_indices, make_state, mppt_power)
 
 __all__ = [
@@ -170,17 +176,16 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
     for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
         p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
         p_t, p_mppt, p_app = f"pt{j}", f"mppt{j}", f"pe{j}"
-        src.append(f"# turbine {j}")
-        src += _law_lines(TURBINE_POWER_LAW, omega=f"w{j}", wind=_lit(wt.wind_ms),
+        laws = _law_lines(TURBINE_POWER_LAW, omega=f"w{j}", wind=_lit(wt.wind_ms),
                           pitch=_lit(wt.pitch_deg), radius=_lit(wt.radius_m),
                           scale=_lit(wt.power_scale), tsr=f"tsr{j}", inv=f"inv{j}",
                           cp=f"cp{j}", p_t=p_t)
-        src += _law_lines(TRACKING_POWER_LAW, omega=f"w{j}", k_opt=_lit(wt.k_opt_w),
-                          p_min=p_min, p_max=p_max, p=p_mppt)
+        laws += _law_lines(TRACKING_POWER_LAW, omega=f"w{j}", k_opt=_lit(wt.k_opt_w),
+                           p_min=p_min, p_max=p_max, p=p_mppt)
         if ctrl == MODE_AAPC:
             command = COMMAND_LAW.format(share=_lit(wt.share), mirror="mirror", gain_kw=kw,
                                          df="df")
-            src += [
+            laws += [
                 f"if mode{j} == {MODE_AAPC}:",
                 f"    p_cmd = {p_e0} + ({command}) * {s_base}",
                 f"elif mode{j} == {MODE_EXITED}:",
@@ -190,23 +195,59 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
                 f"    p_cmd = {p_mppt}",
             ]
         elif ctrl == MODE_VIC:
-            src += [
+            laws += [
                 f"if mode{j} == {MODE_VIC}:",
                 f"    p_cmd = {p_e0} + vic_mw * (1e6)",
                 "else:",
                 f"    p_cmd = {p_mppt}",
             ]
         else:
-            src.append(f"p_cmd = {p_mppt}")
-        src += _law_lines(APPLIED_POWER_LAW, p_cmd="p_cmd", p_min=p_min, p_max=p_max,
-                          p=p_app, flags=f"fl{j}", mode_test=_mode_test(j, ctrl),
-                          omega=f"w{j}", floor=_lit(wt.floor_rad), p_t=p_t)
-        src += [
+            laws.append(f"p_cmd = {p_mppt}")
+        laws += _law_lines(APPLIED_POWER_LAW, p_cmd="p_cmd", p_min=p_min, p_max=p_max,
+                           p=p_app, flags=f"fl{j}", mode_test=_mode_test(j, ctrl),
+                           omega=f"w{j}", floor=_lit(wt.floor_rad), p_t=p_t)
+        laws += [
             f"pe_dev += ({p_app} - {p_e0}) / {s_base}",
             f"dw{j} = ({p_t} - {p_app}) / ({_lit(wt.j_fleet)} * w{j})",
         ]
+        src.append(f"# turbine {j}")
+        if ctrl == MODE_TRACKING:
+            src.append(f"if w{j} == {_lit(asm.omega0[j])}:")
+            src += ("    " + line for line in _operating_point_lines(asm, j))
+            src.append("else:")
+            src += ("    " + line for line in laws)
+        else:
+            src += laws
     src.append(f"ddf = (pm + pe_dev - p_d - {_lit(asm.damping)} * df) / {_lit(asm.two_h)}")
     return src
+
+
+def _operating_point_lines(asm, j: int) -> list:
+    """Unindented source lines that give turbine j's names of ``_rhs_lines``
+    their values at its operating speed w0, as literals: turbine, tracking
+    and applied power, flags, ``pe_dev`` term and rotor derivative.
+
+    Only a turbine that no controller drives gets them, under a test of its
+    speed against w0: its command is its tracking power in every mode, so
+    its laws at w0 are constants of the run. Each value comes from the law
+    callables compiled from the templates the kernel writes inline, and the
+    ``pe_dev`` term and the derivative from the kernel's operations in its
+    order, so a hit is bitwise the evaluation it skips. The term uses the
+    tracking power at w0, not ``make_state``'s ``p_e``, which rounds
+    through the per-unit base.
+    """
+    wt, w0 = asm.wt[j], asm.omega0[j]
+    p_t = _turbine_power_w(w0, wt.wind_ms, wt.pitch_deg, wt.radius_m, wt.power_scale)
+    p_mppt = _mppt_power_w(w0, wt.k_opt_w, wt.p_min_w, wt.p_max_w)
+    p_app, flags = _applied_power_w(p_mppt, wt.p_min_w, wt.p_max_w, w0, wt.floor_rad, p_t)
+    return [
+        f"pt{j} = {_lit(p_t)}",
+        f"mppt{j} = {_lit(p_mppt)}",
+        f"pe{j} = {_lit(p_app)}",
+        f"fl{j} = {flags}",
+        f"pe_dev += {_lit((p_app - wt.p_e0_w) / asm.s_base_w)}",
+        f"dw{j} = {_lit((p_t - p_app) / (wt.j_fleet * w0))}",
+    ]
 
 
 def _exit_check_lines(asm) -> list:
@@ -294,6 +335,17 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
     turbine runs the AAPC, and the exit checks only when, besides, the
     scenario enables exits. All saturation lives here, so every RK4 stage
     sees the same law; the floor laws' ``mode_test`` slot is ``_mode_test``.
+
+    A turbine that no controller drives has one mode, tracking, and its
+    laws read only its rotor speed. Its code tests the speed against its
+    operating speed w0 first: if they are equal it sets the turbine's
+    names from literals (``_operating_point_lines``), which the law
+    callables computed at w0 during assembly in the kernel's own operation
+    order, so the values are bitwise those the laws give; otherwise it runs
+    the laws. On the shipped presets such a rotor stays on w0 (its
+    derivative there is rounding error, which moves it far less than an ulp
+    of w0 per step), so its laws run once per run, not four times per step;
+    a rotor that does leave w0 pays one comparison per evaluation.
     """
     m, n_wt = asm.m_gov, asm.n_wt
     vic = MODE_VIC in asm.ctrl_mode

@@ -11,9 +11,12 @@ fit has in closed form (``_cp_optimum``); at zero pitch it is ``TSR_OPT``
 and ``CP_MAX``. The one-mass rotor dynamics J w dw/dt = P_t - P_e are
 integrated by the closed-loop kernel in ``windfreq.simulator``, which writes
 the same law templates inline with the turbine's constants in their slots,
-together with the two laws only the kernel runs: ``APPLIED_POWER_LAW``
+together with the two laws only the closed loop runs: ``APPLIED_POWER_LAW``
 (the power clamp and the speed-floor cutback, with their ``FLAG_*`` bits)
 and ``FLOOR_HOLD_LAW`` (a rotor held on its floor at the end of a step).
+``_applied_power_w``, compiled from the first, gives the kernel's assembly
+the applied power of a turbine that no controller drives at its operating
+speed.
 """
 
 import math
@@ -170,6 +173,14 @@ _mppt_power_w = law_function(
     TRACKING_POWER_LAW.format(omega="omega", k_opt="k_opt_w", p_min="p_min_w",
                               p_max="p_max_w", p="p"),
     "Tracking-curve power k_opt w^3, W, clamped to [p_min_w, p_max_w].")
+_applied_power_w = law_function(
+    __name__, "_applied_power_w", ("p_cmd", "p_min_w", "p_max_w", "omega", "floor", "p_t"),
+    "p, flags",
+    APPLIED_POWER_LAW.format(p_cmd="p_cmd", p_min="p_min_w", p_max="p_max_w", p="p",
+                             flags="flags", mode_test="", omega="omega", floor="floor",
+                             p_t="p_t"),
+    "(applied fleet power W, limit flags) of the command p_cmd of a turbine that no "
+    "controller drives (``APPLIED_POWER_LAW``).")
 
 
 def _cp_optimum(pitch_deg: float) -> tuple:

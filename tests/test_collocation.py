@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,17 @@ class TestInterpolation:
         g = coll.make_grid(5, 5.0)
         with pytest.raises(ValueError):
             coll.interpolate(g, np.zeros(6), 5.5, "state")
+
+    def test_tau_outside_horizon_rejected(self):
+        # the coefficients extrapolate beyond the basis: at tau = 5 on a
+        # 10-point grid their weights reach 2.6e9
+        g = coll.make_grid(10, 30.0)
+        for kind in ("state", "control"):
+            ends = coll.lagrange_coefficients(g, [-1.0, 1.0], kind)
+            assert np.allclose(ends.sum(axis=1), 1.0)
+            for bad in (5.0, -5.0, math.nextafter(1.0, 2.0), [0.0, 5.0]):
+                with pytest.raises(ValueError, match="outside horizon"):
+                    coll.lagrange_coefficients(g, bad, kind)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, bad):

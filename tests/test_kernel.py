@@ -9,8 +9,9 @@ the generated kernel's contract, a step loop that records, steps and checks
 the exit triggers one step at a time, as the driver did before a stretch
 of steps ran in one generated call. They call each law through a function
 compiled from its template, as the kernel writes it inline: the package's
-law functions, and ``applied_power`` and ``floor_hold`` here, which only
-the kernel runs in the package. ``loop_kernel`` stands in for
+law functions, and ``applied_power`` and ``floor_hold`` here, which take
+the AAPC mode test that the package's ``turbine._applied_power_w`` leaves
+out. ``loop_kernel`` stands in for
 ``simulator._compile_kernel`` and hands them the same constants, so an
 assembly (or a whole ``run``) can go through either kernel. Every comparison
 is bitwise, on the ``repr`` of the floats.
@@ -370,10 +371,23 @@ class TestReference:
         if shape == "second_order_governor":
             assert gen.m_gov == 3
             assert any(c != s for s, row in enumerate(ref.loop.gov_rows) for c, _ in row)
+        # a turbine that no controller drives has its laws at its operating
+        # speed w0 as literals, under a test of its speed against w0: three
+        # more draws put its rotor on w0 and one ulp either side
+        tracking = [j for j, c in enumerate(gen.ctrl_mode) if c == sim.MODE_TRACKING]
+        src = inspect.getsource(gen.advance)
+        assert [j for j in range(gen.n_wt)
+                if f"if w{j} == {sim._lit(gen.omega0[j])}:" in src] == tracking
+        assert bool(tracking) == (shape in ("mixed_controllers", "no_governors", "big_fleet"))
         rng = np.random.default_rng(sum(map(ord, shape)))
         seen_modes, seen_flags = set(), set()
-        for _ in range(200 if gen.n_wt < 50 else 4):
+        draws = 200 if gen.n_wt < 50 else 4
+        for k in range(draws + 3 * bool(tracking)):
             y, state = _draw(rng, gen)
+            for j in tracking if k >= draws else ():
+                w0 = gen.omega0[j]
+                y[gen.base_w + j] = (w0, math.nextafter(w0, 0.0),
+                                     math.nextafter(w0, math.inf))[k - draws]
             seen_modes.update(state["modes"])
             out = {}
             for asm in (gen, ref):

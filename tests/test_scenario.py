@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -240,19 +241,29 @@ class TestSchema:
 class TestCli:
     @pytest.mark.parametrize("rows", [1, 499, 500, 501, 6001])
     def test_block_csv_matches_row_formatting(self, tmp_path, rows):
-        # one % per 500-row block writes the bytes that one % per row wrote
+        # one % per 500-row block writes the bytes that one % per row wrote,
+        # a column formatted once included; a column is constant by its bits,
+        # and -0.0 prints as -0
         edge = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
                 1.0, -3.0, 1e15, 2.0 ** 53, 123456789012.0, 0.1, -2.5e-7, 1 / 3]
         rng = np.random.default_rng(rows)
         columns = [np.resize(np.roll(edge, k), rows) for k in range(4)]
         columns.append(rng.normal(0.0, 1e3, rows))
-        header = ["a", "b", "c", "d", "e"]
-        _write_csv(tmp_path / "t.csv", header, columns)
-        table = np.column_stack(columns).tolist()
-        expected = "a,b,c,d,e\n" + "".join(",".join("%.12g" % v for v in row) + "\n"
-                                           for row in table)
-        assert (tmp_path / "t.csv").read_text() == expected
-        assert expected.count("\n") == rows + 1 and "-0," in expected
+        columns += [np.full(rows, -0.0), np.full(rows, 1 / 3),
+                    np.where(np.arange(rows) == 0, 0.0, -0.0)]  # 0.0, then -0.0
+        # a table whose every column is constant still writes every row
+        tables = {"t.csv": columns, "const.csv": [np.full(rows, v) for v in edge]}
+        for name, cols in tables.items():
+            header = [f"c{k}" for k in range(len(cols))]
+            _write_csv(tmp_path / name, header, cols)
+            table = np.column_stack(cols).tolist()
+            expected = ",".join(header) + "\n" + "".join(
+                ",".join("%.12g" % v for v in row) + "\n" for row in table)
+            assert (tmp_path / name).read_text() == expected
+            assert expected.count("\n") == rows + 1 and "-0," in expected
+        last = [line.rsplit(",", 1)[1] for line in
+                (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        assert last == ["0"] + ["-0"] * (rows - 1)
 
     def test_dump_preset(self, tmp_path, capsys):
         rc = main(["--dump-preset", "two_machine", "--out", str(tmp_path)])
@@ -559,6 +570,26 @@ class TestCli:
             (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert (tmp_path / "a" / "solve_metrics.json").read_bytes() == \
             (tmp_path / "b" / "solve_metrics.json").read_bytes()
+
+    def test_outputs_independent_of_scenario_path(self, tmp_path, monkeypatch):
+        # the provenance holds the file's name and digest, not the path as given
+        doc = load_preset("two_machine")
+        doc["solver"]["nodes"] = 24
+        text = json.dumps(doc)
+        near, far = tmp_path / "a", tmp_path / "much" / "deeper" / "b"
+        for d in (near, far):
+            d.mkdir(parents=True)
+            (d / "sc.json").write_text(text)
+        monkeypatch.chdir(near)
+        assert main(["solve", "--scenario", "sc.json", "--out", str(tmp_path / "o1")]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--scenario", str(far / "sc.json"),
+                     "--out", str(tmp_path / "o2")]) == 0
+        first, second = ((tmp_path / o / "solve_metrics.json").read_bytes()
+                         for o in ("o1", "o2"))
+        assert first == second
+        assert json.loads(first)["provenance"] == {
+            "file": "sc.json", "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
     @pytest.mark.parametrize("alpha", [None, 1.19])
     def test_compare_reports_alpha_for_aapc_only(self, tmp_path, alpha):
