@@ -7,6 +7,14 @@ nadir. The fleet share of each turbine comes from its capability indices; the
 exit strategy blends the turbine back to its tracking curve without a power
 step. A constant-coefficient proportional-derivative controller is included
 as the classic virtual-inertia baseline.
+
+Each law is a source template (``COMMAND_LAW``, ``EXIT_BLEND_LAW``, the VIC
+filter rate and command, ``EXIT_TRIGGER_LAW`` and ``ARMING_LAW``) that the
+closed-loop kernel in ``windfreq.simulator`` writes inline with its
+literals. The mirror has no state of its own: it reads the governor state,
+and the kernel writes its output sum. Only the exit step outside the kernel
+calls a law, so only ``check_exit`` and ``exit_power`` are compiled here
+(see ``codegen``).
 """
 
 from dataclasses import dataclass
@@ -21,15 +29,10 @@ __all__ = [
     "AapcController",
     "BaselineVic",
     "synthesize",
-    "mirror_output",
-    "command_pu",
     "allocate",
     "check_exit",
-    "arms_power_cross",
     "exit_gamma",
     "exit_power",
-    "vic_filter_rate",
-    "vic_command_mw",
 ]
 
 
@@ -48,15 +51,6 @@ class AapcController:
     def response_rate(self) -> float:
         """Decay rate of the target first-order frequency response, 1/s."""
         return (self.damping + self.k_g) / (2.0 * self.alpha * self.inertia_s)
-
-    def nadir_for(self, p_d_pu: float) -> float:
-        """Settling level of the target response for a given deficit, pu."""
-        return -self.alpha * p_d_pu / (self.damping + self.k_g)
-
-    def target_response(self, t, p_d_pu: float):
-        """The exponential-decay frequency trajectory the synthesis embeds."""
-        t = np.asarray(t, dtype=float)
-        return self.nadir_for(p_d_pu) * (1.0 - np.exp(-self.response_rate * t))
 
 
 def synthesize(
@@ -92,31 +86,13 @@ def synthesize(
     )
 
 
-def mirror_output(mirror_d: float, mirror_c, x_gov, df: float) -> float:
-    """Output of the mirror -G_g(s) read off the governor state, pu.
-
-    The mirror is driven by the same deviation as the governors and starts
-    from the same zero state, so its state is the governor state ``x_gov``;
-    ``mirror_d`` and ``mirror_c`` are its negated feedthrough and output row.
-    The closed-loop kernel writes this sum out term by term, in this order.
-    """
-    out = mirror_d * df
-    for s in range(len(mirror_c)):
-        out += mirror_c[s] * x_gov[s]
-    return out
-
-
 # Each controller law is written once, as a Python expression with named
-# slots (see ``codegen``); the callables below are compiled from them.
+# slots (see ``codegen``), which the closed-loop kernel fills with its
+# literals; ``exit_power`` is compiled from the blend.
 COMMAND_LAW = "{share} * ({mirror} + {gain_kw} * {df})"
 EXIT_BLEND_LAW = "(1.0 - {gamma}) * {p_t} + {gamma} * {p_mppt}"
 VIC_FILTER_RATE_LAW = "({df} - {z}) / {filter_s}"
 VIC_COMMAND_LAW = "-({k_f} * {df} * {f_base} + {k_in} * {rate} * {f_base})"
-
-command_pu = law_function(
-    __name__, "command_pu", ("share", "mirror_pu", "gain_kw", "df"),
-    COMMAND_LAW.format(share="share", mirror="mirror_pu", gain_kw="gain_kw", df="df"),
-    doc="One turbine's power command deviation: its share of mirror plus gain, pu.")
 
 
 def allocate(capabilities) -> np.ndarray:
@@ -143,13 +119,12 @@ def allocate(capabilities) -> np.ndarray:
 
 # The exit triggers and the arming of the power cross, written once each like
 # the laws above; the closed-loop kernel writes them inline at each step, and
-# ``check_exit`` and ``arms_power_cross`` are compiled from them. The horizon
-# fires from 1e-12 s before ``t_f``, the window's end, which rounding can put
-# just after a step; the power-cross trigger only fires once armed, since the
-# pre-event operating point sits exactly on the tracking curve, and the
-# command arms it only once it has risen above the tracking power by more
-# than 1e-9 of it plus 1 mW, a margin over the rounding of the pre-event
-# balance.
+# ``check_exit`` is compiled from the triggers. The horizon fires from 1e-12 s
+# before ``t_f``, the window's end, which rounding can put just after a step;
+# the power-cross trigger only fires once armed, since the pre-event operating
+# point sits exactly on the tracking curve, and the command arms it only once
+# it has risen above the tracking power by more than 1e-9 of it plus 1 mW, a
+# margin over the rounding of the pre-event balance.
 EXIT_TRIGGER_LAW = """\
 if {omega} <= {floor}:
     {kind} = "speed_floor"
@@ -170,11 +145,6 @@ check_exit = law_function(
                             p_mppt="p_mppt"),
     "First matching exit cause (``EXIT_TRIGGER_LAW``), or None; the two powers share\n"
     "any one unit.")
-arms_power_cross = law_function(
-    __name__, "arms_power_cross", ("p_command_w", "p_mppt_w"),
-    ARMING_LAW.format(p_command="p_command_w", p_mppt="p_mppt_w"),
-    doc="Whether the command arms the power-cross trigger of ``check_exit`` "
-        "(``ARMING_LAW``), powers in W.")
 
 
 def exit_gamma(p_e_at_te: float, p_t_at_te: float, p_mppt_at_te: float) -> float:
@@ -207,17 +177,3 @@ class BaselineVic:
         if self.k_f < 0 or self.k_in < 0 or self.filter_s <= 0:
             raise ValueError("VIC gains must be nonnegative with a positive filter time")
 
-
-vic_filter_rate = law_function(
-    __name__, "vic_filter_rate", ("vic", "df", "z"),
-    VIC_FILTER_RATE_LAW.format(df="df", z="z", filter_s="vic.filter_s"),
-    doc="dz/dt of the lag z of the deviation; also the VIC derivative estimate.")
-vic_command_mw = law_function(
-    __name__, "vic_command_mw", ("vic", "df_pu", "z_pu", "f_base_hz"),
-    VIC_COMMAND_LAW.format(k_f="vic.k_f", k_in="vic.k_in", df="df_pu", rate="deriv",
-                           f_base="f_base_hz"),
-    "deriv = " + VIC_FILTER_RATE_LAW.format(df="df_pu", z="z_pu", filter_s="vic.filter_s")
-    + "\n",
-    "Classic VIC command -k_f df - k_in d(df)/dt, MW, from the filter state z.\n\n"
-    "The deviation and the filter state are in pu; ``f_base_hz`` turns them into\n"
-    "the Hz the gains act on.")

@@ -76,12 +76,9 @@ def _write_json(path: Path, doc):
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    """The arrays of a document as lists: ``controller.json``'s mirror matrices."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

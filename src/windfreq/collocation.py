@@ -1,9 +1,9 @@
 """Gauss pseudospectral building blocks.
 
-Legendre-Gauss nodes/weights, the affine time map, barycentric Lagrange
-interpolation over the augmented basis {-1} U nodes, the differentiation
-matrix used to collocate dynamics at the nodes, and the quadrature-based
-terminal-state estimate.
+Legendre-Gauss nodes/weights, the affine map of physical time onto tau,
+barycentric Lagrange interpolation over the augmented basis {-1} U nodes,
+the differentiation matrix and the collocation block of x' = A x over the
+nodes, and the quadrature-based terminal-state estimate.
 """
 
 from dataclasses import dataclass, field
@@ -13,14 +13,12 @@ import numpy as np
 __all__ = [
     "CollocationGrid",
     "legendre_gauss",
-    "time_map",
     "inverse_time_map",
     "terminal_state",
     "interpolate",
     "lagrange_coefficients",
     "quadrature",
     "collocation_matrix",
-    "solve_lti_collocation",
     "make_grid",
 ]
 
@@ -55,11 +53,6 @@ def legendre_gauss(order: int):
     weights = 2.0 / ((1.0 - x * x) * pp * pp)
     idx = np.argsort(x)
     return np.ascontiguousarray(x[idx]), np.ascontiguousarray(weights[idx])
-
-
-def time_map(tau, t_f: float):
-    """Map tau in [-1, 1] to physical time t in [0, t_f]."""
-    return (t_f * np.asarray(tau) + t_f) / 2.0
 
 
 def inverse_time_map(t, t_f: float):
@@ -233,25 +226,3 @@ def collocation_matrix(a_matrix, grid: CollocationGrid) -> np.ndarray:
     return (np.kron(grid.diff_matrix[:, 1:], np.eye(n))
             - grid.half_span * np.kron(np.eye(grid.order), a_matrix))
 
-
-def solve_lti_collocation(a_matrix, x_0, grid: CollocationGrid, forcing=None):
-    """Collocate x' = A x + g on the grid and solve for the node states.
-
-    ``forcing`` g is either constant (n values) or given per node (K x n).
-    Returns (node_states, terminal) where node_states has shape (K, n) and
-    terminal is the quadrature estimate of x(t_f). The trajectory optimizer
-    condenses its LP with the same collocation block.
-    """
-    a_matrix = np.atleast_2d(np.asarray(a_matrix, dtype=float))
-    n = a_matrix.shape[0]
-    k_ord = grid.order
-    x_0 = np.asarray(x_0, dtype=float).reshape(n)
-    g = np.zeros(n) if forcing is None else np.asarray(forcing, dtype=float)
-    g = g.reshape(n) if g.size == n else g.reshape(k_ord, n)
-    rhs = grid.half_span * np.broadcast_to(g, (k_ord, n)) \
-        - np.outer(grid.diff_matrix[:, 0], x_0)
-    states = np.linalg.solve(collocation_matrix(a_matrix, grid), rhs.ravel())
-    states = states.reshape(k_ord, n)
-    f_nodes = states @ a_matrix.T + g
-    terminal = terminal_state(x_0, f_nodes, grid)
-    return states, terminal

@@ -232,9 +232,7 @@ def _operating_point_lines(asm, j: int) -> list:
     its laws at w0 are constants of the run. Each value comes from the law
     callables compiled from the templates the kernel writes inline, and the
     ``pe_dev`` term and the derivative from the kernel's operations in its
-    order, so a hit is bitwise the evaluation it skips. The term uses the
-    tracking power at w0, not ``make_state``'s ``p_e``, which rounds
-    through the per-unit base.
+    order, so a hit is bitwise the evaluation it skips.
     """
     wt, w0 = asm.wt[j], asm.omega0[j]
     p_t = _turbine_power_w(w0, wt.wind_ms, wt.pitch_deg, wt.radius_m, wt.power_scale)
@@ -311,9 +309,8 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
 
     Each sum of the right-hand side is one statement per term from 0.0, in
     the order of the loop over the nonzeros of A_g's rows, the governor
-    outputs and the mirror (``aapc.mirror_output``), with no term whose
-    coefficient is zero: a skipped product could change only the sign of a
-    zero sum. The governor output has one term per unit and state of its
+    outputs and the mirror, with no term whose coefficient is zero: a
+    skipped product could change only the sign of a zero sum. The governor output has one term per unit and state of its
     group, ``gs_u * c_u[s] * x`` (``c_u[s] * x`` for a unit no trip names),
     in unit order (``units`` holds each unit's (first group state, output
     row, feedthrough)), then one feedthrough term per unit, so a trip scales
@@ -647,9 +644,9 @@ class _Assembled:
     governor states are one block per group of ``grid.group_governors``, so
     units with the same dynamics share one (m_gov is 3 on ``multi_machine``,
     whose ten units have three distinct dynamics), and the one VIC filter
-    state is shared by every VIC turbine. The
-    AAPC mirror has no state of its own; it reads the governor states (see
-    ``aapc.mirror_output``). ``advance`` is the scenario's kernel from
+    state is shared by every VIC turbine. The AAPC mirror has no state of
+    its own: it reads the governor states, and ``_rhs_lines`` writes its
+    output sum. ``advance`` is the scenario's kernel from
     ``_compile_kernel``, one function per run, called as
     ``asm.advance(asm, y, h, i, stop)``: with i < stop it runs the stretch
     of steps from step i, recording them in ``traces``; otherwise it takes
@@ -692,16 +689,20 @@ class _Assembled:
         self.names = [t.name for t in sc.turbines]
         mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
         self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
-        self.p_e0_w = [float(st.p_e_pu) * self.s_base_w for st in states]
         self.omega0 = [float(st.omega_rad_s) for st in states]
         self.shares = _shares(sc, states).tolist()
-        self.wt = [
-            _Turbine(*map(float, (t.wind_speed_ms, t.pitch_deg, s.rotor_radius_m,
-                                  _fleet_power_scale(s), _k_opt_w(s, t.pitch_deg),
-                                  s.p_min_fleet_mw * 1e6, s.p_max_fleet_mw * 1e6,
-                                  s.floor_speed_rad, p_e0, s.fleet_inertia, share)))
-            for t, s, p_e0, share in zip(sc.turbines, specs, self.p_e0_w, self.shares)
-        ]
+        # each turbine's pre-event power is its tracking power at w0, in W
+        self.wt = []
+        for t, s, w0, share in zip(sc.turbines, specs, self.omega0, self.shares):
+            k_opt_w, p_min_w, p_max_w = map(float, (_k_opt_w(s, t.pitch_deg),
+                                                    s.p_min_fleet_mw * 1e6,
+                                                    s.p_max_fleet_mw * 1e6))
+            self.wt.append(_Turbine(
+                *map(float, (t.wind_speed_ms, t.pitch_deg, s.rotor_radius_m,
+                             _fleet_power_scale(s))),
+                k_opt_w, p_min_w, p_max_w, float(s.floor_speed_rad),
+                _mppt_power_w(w0, k_opt_w, p_min_w, p_max_w),
+                float(s.fleet_inertia), float(share)))
         self.kw = 0.0
         mirror_d = 0.0
         mirror_c = [0.0] * self.m_gov
@@ -901,7 +902,7 @@ def run(scenario: Scenario) -> SimResult:
         gain_kw=asm.kw if alpha is not None else None,
         shares=np.array(asm.shares),
         wt_omega0=np.array(asm.omega0),
-        wt_p_e0_mw=np.array(asm.p_e0_w) / 1e6,
+        wt_p_e0_mw=np.array([wt.p_e0_w for wt in asm.wt]) / 1e6,
         stats={**asm.stats, "assemble_s": t_assembled - t_start,
                "integrate_s": t_end - t_assembled},
     )

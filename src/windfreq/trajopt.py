@@ -5,14 +5,14 @@ conditions, nadir path constraint, the highest nadir) is linear end to end,
 and so is its one constraint on the control: the turbines release net-zero
 energy over the horizon. The Gauss pseudospectral transcription is therefore
 a plain LP, condensed onto the node controls. Its simplex starts from a
-crash basis that depends on K alone (``contact_crash``); the
-integral-objective variant has an LP of another shape and starts cold.
+crash basis that depends on K alone (``contact_crash``).
 
 Every nadir solve returns one ``NadirOptimum``: the nadir, and alpha with
-it. An LP optimum also keeps its node controls, and ``extract_solution``
-turns it into the dense ``TrajectorySolution`` with its certificates, which
-only the offline ``solve`` study writes; alpha on-line needs the optimum
-alone.
+it. An LP optimum also keeps its node controls, from which its node states
+follow (``NadirOptimum.node_states``), and ``extract_solution`` turns it
+into the ``TrajectorySolution``: the traces on a uniform grid and the
+certificates, which only the offline ``solve`` study writes. Alpha on-line
+needs the optimum alone.
 
 Two references need no LP. While the governor step response s_g stays at
 or below the damping D over the horizon, the optimum of the continuous
@@ -54,7 +54,6 @@ __all__ = [
     "contact_crash",
     "solve_max_nadir",
     "euler_oracle",
-    "min_integral_variant",
     "StepHoldOptimum",
     "step_hold_optimum",
 ]
@@ -233,11 +232,7 @@ class TrajectorySolution:
     p_d_pu: float
     t_f: float
     f_base_hz: float
-    method: str
     diagnostics: dict = field(default_factory=dict)
-    _grid: coll.CollocationGrid | None = field(default=None, repr=False)
-    _states_nodes: np.ndarray | None = field(default=None, repr=False)
-    _gov: StateSpace | None = field(default=None, repr=False)
 
     @property
     def nadir_hz(self) -> float:
@@ -247,17 +242,6 @@ class TrajectorySolution:
     def alpha(self) -> float:
         """Nadir over the settling deviation."""
         return self.nadir_pu / self.ss_deviation_pu
-
-    def df_at(self, t):
-        if self._grid is not None:
-            return coll.interpolate(self._grid, self._states_nodes[:, 0], t, "state")
-        return np.interp(t, self.t, self.df_pu)
-
-    def dpm_at(self, t):
-        if self._grid is not None:
-            x = coll.interpolate(self._grid, self._states_nodes, t, "state")
-            return _governor_output(self._gov, x[..., 1:], x[..., 0])
-        return np.interp(t, self.t, self.dpm_pu)
 
     def metrics_dict(self) -> dict:
         return {
@@ -273,7 +257,7 @@ class TrajectorySolution:
             "ringing_rel": self.ringing_rel,
             "p_d_pu": self.p_d_pu,
             "horizon_s": self.t_f,
-            "method": self.method,
+            "method": "collocation",
             "diagnostics": self.diagnostics,
         }
 
@@ -310,8 +294,18 @@ class NadirOptimum:
         """Nadir over the settling deviation, as ``TrajectorySolution.alpha``."""
         return self.nadir_pu / self.ss_deviation_pu
 
+    @property
+    def node_states(self) -> np.ndarray:
+        """An LP optimum's states at the K + 1 basis points, one row each: row
+        0 is the pre-event equilibrium, zero, and the others follow from the
+        node controls by the condensed map of ``LinearProgram``."""
+        lp, k_ord, n = self.lp, self.grid.order, self.problem.n_states
+        states = np.zeros((k_ord + 1, n))
+        states[1:] = (lp.state_gain @ self.u_nodes + lp.state_offset).reshape(k_ord, n)
+        return states
 
-def extract_solution(optimum: NadirOptimum, method: str = "collocation") -> TrajectorySolution:
+
+def extract_solution(optimum: NadirOptimum) -> TrajectorySolution:
     """Re-embed an LP optimum's node states, interpolate to a uniform grid, certify.
 
     ``primal_eq_residual`` in the diagnostics is the larger of the condensed
@@ -319,13 +313,11 @@ def extract_solution(optimum: NadirOptimum, method: str = "collocation") -> Traj
     collocation rows, released energy at t_f) on the re-embedded states;
     ``lp_meta`` is the LP's shape (``LinearProgram.meta``).
     """
-    problem, lp, grid, u_nodes = optimum.problem, optimum.lp, optimum.grid, optimum.u_nodes
-    n = problem.n_states
+    problem, grid, u_nodes = optimum.problem, optimum.grid, optimum.u_nodes
     k_ord = grid.order
     hs = grid.half_span
     nadir = optimum.nadir_pu
-    states = np.zeros((k_ord + 1, n))  # row 0: the pre-event equilibrium
-    states[1:] = (lp.state_gain @ u_nodes + lp.state_offset).reshape(k_ord, n)
+    states = optimum.node_states
 
     f_nodes = states[1:] @ problem.a.T + np.outer(u_nodes, problem.b_ctrl) \
         - problem.p_d * problem.b_ctrl
@@ -340,7 +332,7 @@ def extract_solution(optimum: NadirOptimum, method: str = "collocation") -> Traj
     diagnostics["primal_eq_residual"] = max(
         diagnostics.get("primal_eq_residual", 0.0),
         float(np.max(np.abs(dynamics_residual))))
-    diagnostics["lp_meta"] = lp.meta
+    diagnostics["lp_meta"] = optimum.lp.meta
 
     # released energy at the nodes by the same collocation, E(-1) = 0
     energy = np.zeros((k_ord + 1, 1))
@@ -372,11 +364,7 @@ def extract_solution(optimum: NadirOptimum, method: str = "collocation") -> Traj
         p_d_pu=problem.p_d,
         t_f=problem.t_f,
         f_base_hz=gp.f_base_hz,
-        method=method,
         diagnostics=diagnostics,
-        _grid=grid,
-        _states_nodes=states,
-        _gov=gov,
     )
 
 
@@ -411,39 +399,6 @@ def solve_max_nadir(problem: TrajOptProblem, grid: coll.CollocationGrid) -> Nadi
     return NadirOptimum(problem=problem, nadir_pu=float(res.x[grid.order]),
                         u_nodes=res.x[:grid.order], diagnostics=res.diagnostics,
                         lp=lp, grid=grid)
-
-
-def min_integral_variant(
-    problem: TrajOptProblem, grid: coll.CollocationGrid, nadir_floor: float
-) -> TrajectorySolution:
-    """Minimize the magnitude of the frequency integral over the same set.
-
-    The nadir-maximization and integral-minimization objectives pick the same
-    trajectory only on the energy-optimal family, so the check anchors the
-    path constraint at a fixed nadir floor (the max-nadir LP's own optimum)
-    instead of carrying a free nadir variable. The reported nadir is the
-    minimum of the frequency over the path constraint's points.
-    """
-    lp = transcribe(problem, grid)
-    floor = nadir_floor * (1.0 + 1e-9)  # hair of slack keeps the anchored LP feasible
-    k_ord = grid.order
-    # drop the nadir column; the path rows then read -df(tau) <= -floor
-    a_eq = lp.a_eq[:, :k_ord]
-    a_ub = lp.a_ub[:, :k_ord]
-    b_ub = lp.b_ub - floor
-    # Gauss quadrature of df over the nodes; its constant part h does not
-    # move the optimum
-    c = grid.half_span * grid.weights @ lp.state_gain[0::problem.n_states]
-    res = solve_lp(c, a_eq, lp.b_eq, a_ub, b_ub)
-    optimum = NadirOptimum(
-        problem=problem,
-        nadir_pu=float(np.min(lp.b_ub - a_ub @ res.x)),  # df at the path points
-        u_nodes=res.x,
-        diagnostics={**res.diagnostics, "nadir_floor": nadir_floor},
-        lp=lp,
-        grid=grid,
-    )
-    return extract_solution(optimum, method="min_integral")
 
 
 # diagonal Pade [6/6] coefficients of e^x: c_k = (12 - k)! 6! / (12! k! (6 - k)!)

@@ -16,7 +16,10 @@ together with the two laws only the closed loop runs: ``APPLIED_POWER_LAW``
 and ``FLOOR_HOLD_LAW`` (a rotor held on its floor at the end of a step).
 ``_applied_power_w``, compiled from the first, gives the kernel's assembly
 the applied power of a turbine that no controller drives at its operating
-speed.
+speed. ``make_state`` gives a turbine's pre-event operating point, always
+the tracking equilibrium; the kernel's assembly takes the pre-event power
+in W from ``_mppt_power_w`` at that speed, not from the state's per-unit
+power.
 """
 
 import math
@@ -231,25 +234,16 @@ def mppt_equilibrium_speed(wind_speed_ms: float, spec: TurbineSpec,
     return _cp_optimum(pitch_deg)[0] * wind_speed_ms / spec.rotor_radius_m
 
 
-def make_state(
-    spec: TurbineSpec,
-    wind_speed_ms: float,
-    s_base_mva: float,
-    pitch_deg: float = 0.0,
-    omega_rad_s: float | None = None,
-    p_e_mw: float | None = None,
-) -> TurbineState:
-    """Construct a state, defaulting to the tracking-curve equilibrium at the pitch."""
-    if omega_rad_s is None:
-        omega = mppt_equilibrium_speed(wind_speed_ms, spec, pitch_deg)
-    else:
-        omega = omega_rad_s
+def make_state(spec: TurbineSpec, wind_speed_ms: float, s_base_mva: float,
+               pitch_deg: float = 0.0) -> TurbineState:
+    """The pre-event operating point: the tracking-curve equilibrium at the pitch."""
+    omega = mppt_equilibrium_speed(wind_speed_ms, spec, pitch_deg)
     if omega < spec.floor_speed_rad - 1e-12:
         raise ValueError(
             f"operating speed {omega:.4f} rad/s below the floor "
             f"{spec.floor_speed_rad:.4f} rad/s at wind {wind_speed_ms} m/s"
         )
-    p_mw = mppt_power(omega, spec, pitch_deg) if p_e_mw is None else p_e_mw
+    p_mw = mppt_power(omega, spec, pitch_deg)
     return TurbineState(
         omega_rad_s=float(omega),
         wind_speed_ms=float(wind_speed_ms),

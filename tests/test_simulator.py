@@ -32,6 +32,14 @@ class TestRun:
         for j in range(res.n_wt):
             assert np.ptp(res.wt_omega_rad_s[:, j]) == 0.0
 
+    @pytest.mark.parametrize("preset", ["two_machine", "multi_machine"])
+    def test_no_support_run_holds_its_operating_power(self, preset):
+        # a turbine that only tracks its curve stays on its operating point,
+        # so the fleet's power deviation is zero at every step, not rounding
+        sc = sim._with_controllers(scenario_from_dict(load_preset(preset)), "none")
+        res = run(replace(sc, sim=replace(sc.sim, duration_s=sc.solver.t_f)))
+        assert np.all(res.dpe_pu == 0.0)
+
     def test_no_support_initial_rocof(self, two_machine_scenario):
         sc = replace(
             two_machine_scenario,

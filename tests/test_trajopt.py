@@ -14,6 +14,7 @@ from windfreq.presets import load_preset
 from windfreq.scenario import scenario_from_dict
 from windfreq.simulator import solve_hypothetical
 
+from reference import min_integral_variant, solve_lti_collocation
 from test_lp import certificate_failures
 
 
@@ -61,7 +62,7 @@ class TestBuildProblem:
             x = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         # matrix-exponential reference via fine collocation on the same LTI
         g = coll.make_grid(40, t_end)
-        states, terminal = coll.solve_lti_collocation(a, np.zeros(2), g, forcing)
+        states, terminal = solve_lti_collocation(a, np.zeros(2), g, forcing)
         assert x == pytest.approx(terminal, abs=1e-8)
 
     def test_validation(self, two_machine_grid, reheat_g1):
@@ -105,8 +106,8 @@ class TestSolutionCertificates:
     def test_terminal_energy_neutral(self, two_machine_solution):
         assert abs(two_machine_solution.terminal_denergy) <= 1e-8
 
-    def test_nadir_floor_at_nodes(self, two_machine_solution):
-        df_nodes = two_machine_solution._states_nodes[1:, 0]
+    def test_nadir_floor_at_nodes(self, two_machine_optimum, two_machine_solution):
+        df_nodes = two_machine_optimum.node_states[1:, 0]
         assert np.all(df_nodes >= two_machine_solution.nadir_pu - 1e-9)
 
     def test_alpha_at_least_one(self, two_machine_solution):
@@ -149,14 +150,14 @@ class TestSolutionCertificates:
         prob = two_machine_problem
         u = two_machine_optimum.u_nodes
         forcing = np.outer(u, prob.b_ctrl) - prob.p_d * prob.b_ctrl
-        states, terminal = coll.solve_lti_collocation(prob.a, np.zeros(2), grid_k60, forcing)
-        embedded = two_machine_solution._states_nodes
+        states, terminal = solve_lti_collocation(prob.a, np.zeros(2), grid_k60, forcing)
+        embedded = two_machine_optimum.node_states
         assert np.array_equal(embedded[0], np.zeros(2))
         assert np.max(np.abs(embedded[1:] - states)) <= 1e-10
         assert terminal[0] == pytest.approx(two_machine_solution.terminal_df_pu, abs=1e-12)
         # the released energy E' = u, collocated on its own, ends where the
         # interpolated energy trace ends
-        _, energy = coll.solve_lti_collocation([[0.0]], [0.0], grid_k60, u[:, None])
+        _, energy = solve_lti_collocation([[0.0]], [0.0], grid_k60, u[:, None])
         assert energy[0] == pytest.approx(two_machine_solution.terminal_denergy, abs=1e-12)
         assert two_machine_solution.denergy_pu_s[-1] == pytest.approx(energy[0], abs=1e-10)
 
@@ -357,7 +358,7 @@ class TestContactCrash:
             # the standard form minimizes -nadir, so its dual objective is -nadir too
             assert abs(dual - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), name
 
-    @pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 1: the simplex "
+    @pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 3: the simplex "
                        "clips negative basic values and reports an infeasible point optimal")
     @pytest.mark.parametrize("start, nodes", [("crash", 96), ("cold", 30)])
     def test_optimum_is_primal_feasible(self, crash_plants, start, nodes):
@@ -476,16 +477,16 @@ class TestLumpedGovernors:
 class TestMinIntegralVariant:
     def test_agrees_with_max_nadir(self, two_machine_problem, grid_k60,
                                    two_machine_solution):
-        mi = to.min_integral_variant(two_machine_problem, grid_k60,
-                                     nadir_floor=two_machine_solution.nadir_pu)
+        mi = min_integral_variant(two_machine_problem, grid_k60,
+                                  nadir_floor=two_machine_solution.nadir_pu)
         rel = abs(mi.nadir_pu - two_machine_solution.nadir_pu) / abs(
             two_machine_solution.nadir_pu)
         assert rel <= 0.005
 
     def test_terminal_matches_nadir(self, two_machine_problem, grid_k60,
                                     two_machine_solution):
-        mi = to.min_integral_variant(two_machine_problem, grid_k60,
-                                     nadir_floor=two_machine_solution.nadir_pu)
+        mi = min_integral_variant(two_machine_problem, grid_k60,
+                                  nadir_floor=two_machine_solution.nadir_pu)
         assert abs(mi.terminal_df_pu - mi.nadir_pu) <= 0.01 * abs(mi.nadir_pu)
 
 
@@ -546,7 +547,7 @@ class TestStepHoldOptimum:
         aug[:n, :n] = gov.a
         aug[n, :n] = gov.c[0]
         forcing = np.append(gov.b[:, 0], gov.d[0, 0])
-        _, terminal = coll.solve_lti_collocation(aug, np.zeros(n + 1),
+        _, terminal = solve_lti_collocation(aug, np.zeros(n + 1),
                                                  coll.make_grid(100, problem.t_f), forcing)
         assert s_g == pytest.approx(terminal[-1], rel=1e-12)
         expm = pytest.importorskip("scipy.linalg").expm

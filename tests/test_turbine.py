@@ -12,6 +12,7 @@ from windfreq.turbine import (
     CP_MAX,
     TSR_OPT,
     TurbineSpec,
+    TurbineState,
     capability_indices,
     dfig5mw,
     make_state,
@@ -184,16 +185,23 @@ class TestStepRotor:
             assert np.min(res.wt_omega_rad_s - floors) >= -1e-12
 
 
+def _state(spec, omega, p_e_mw=0.0):
+    """An operating point at rotor speed omega and fleet power p_e_mw."""
+    return TurbineState(omega_rad_s=omega, wind_speed_ms=9.0, pitch_deg=0.0,
+                        p_e_pu=p_e_mw / S_BASE,
+                        energy_mj=0.5 * spec.fleet_inertia * omega ** 2 / 1e6)
+
+
 class TestCapability:
     def test_zero_energy_at_floor(self):
         spec = dfig5mw(rotor_radius_m=45.0)
-        state = make_state(spec, 6.0, S_BASE, omega_rad_s=spec.floor_speed_rad)
+        state = _state(spec, spec.floor_speed_rad)
         de, _dp = capability_indices(state, spec, S_BASE)
         assert de == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_power_at_ceiling(self):
         spec = dfig5mw(rotor_radius_m=45.0)
-        state = make_state(spec, 9.0, S_BASE, p_e_mw=spec.p_max_fleet_mw)
+        state = _state(spec, mppt_equilibrium_speed(9.0, spec), spec.p_max_fleet_mw)
         _de, dp = capability_indices(state, spec, S_BASE)
         assert dp == pytest.approx(0.0, abs=1e-12)
 
@@ -201,7 +209,7 @@ class TestCapability:
         # 0.5 J w^2 (1 - 0.7^2) with w = 12.1 rpm in rad/s
         spec = dfig5mw()
         w = 12.1 * 2.0 * math.pi / 60.0
-        state = make_state(spec, 11.0, S_BASE, omega_rad_s=w)
+        state = _state(spec, w)
         de, _ = capability_indices(state, spec, S_BASE)
         expected = 0.5 * 16_801_544.0 * w ** 2 * (1.0 - 0.49) / 1e6
         assert de == pytest.approx(expected, rel=1e-12)
