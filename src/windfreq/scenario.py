@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .aapc import BaselineVic
 from .grid import GovernorSpec, GridParameters, governor_dc_gain_total, reheat_governor
-from .turbine import TurbineSpec, dfig5mw, mppt_equilibrium_speed
+from .turbine import TurbineSpec, _k_opt_w, dfig5mw, mppt_equilibrium_speed
 
 __all__ = [
     "ScenarioError",
@@ -177,15 +177,7 @@ class Scenario:
             if t.pitch_deg < 0:
                 problems.append(f"{at}.pitch_deg: must be nonnegative, got {t.pitch_deg}")
             elif t.wind_speed_ms >= 1.0:
-                # the C_p optimum's tip-speed ratio falls as pitch rises, so a
-                # steep pitch can put the equilibrium under the speed floor
-                floor = t.spec.floor_speed_rad - 1e-12
-                omega = mppt_equilibrium_speed(t.wind_speed_ms, t.spec, t.pitch_deg)
-                if omega < floor <= mppt_equilibrium_speed(t.wind_speed_ms, t.spec):
-                    problems.append(
-                        f"{at}.pitch_deg: at {t.pitch_deg} deg the operating speed "
-                        f"{omega:.4f} rad/s is below the floor {t.spec.floor_speed_rad:.4f} "
-                        f"rad/s at wind {t.wind_speed_ms} m/s")
+                problems += _operating_point_problems(t, at)
         if self.alpha is not None and not self.alpha >= 1:
             problems.append(f"$.controllers.alpha: must be >= 1 (nadir at or below the "
                             f"settling level), got {self.alpha}")
@@ -202,6 +194,36 @@ class Scenario:
                                 f"[0, 1] and sum to 1, every other share must be 0, "
                                 f"got {list(shares)}")
         return problems
+
+
+def _operating_point_problems(t: TurbineEntry, at: str) -> list:
+    """Why the turbine's operating point w0 is not a tracking equilibrium
+    that every controller can start from, as a list of at most one message.
+
+    w0, the C_p optimum's tip-speed ratio at the pitch times the wind over
+    the rotor radius, must lie above the speed floor: the AAPC's floor exit
+    fires on it, and the floor cutback would take the power off the
+    tracking curve. The tracking power k_opt w0^3, computed as the closed
+    loop computes it, must lie inside the fleet's power limits: clamped, it
+    is not the turbine power, and the rotor would move with no event, while
+    the closed loop holds a turbine without a controller at w0.
+    """
+    spec, floor = t.spec, t.spec.floor_speed_rad
+    omega = mppt_equilibrium_speed(t.wind_speed_ms, spec, t.pitch_deg)
+    if not omega > floor:
+        return [f"{at}.wind_speed_ms, {at}.pitch_deg, {at}.spec.rotor_radius_m: at "
+                f"{t.wind_speed_ms} m/s and {t.pitch_deg} deg, the operating speed {omega:.4f} "
+                f"rad/s of a {spec.rotor_radius_m} m rotor is at or below the floor "
+                f"{floor:.4f} rad/s"]
+    try:
+        p_w = _k_opt_w(spec, t.pitch_deg) * omega ** 3
+    except OverflowError:  # a float power beyond the float range
+        p_w = math.inf
+    if not spec.p_min_fleet_mw * 1e6 < p_w < spec.p_max_fleet_mw * 1e6:
+        return [f"{at}.wind_speed_ms: at {t.wind_speed_ms} m/s the tracking power "
+                f"{p_w / 1e6:.6g} MW at the operating speed {omega:.4g} rad/s is not inside "
+                f"the fleet's limits ({spec.p_min_fleet_mw:.6g}, {spec.p_max_fleet_mw:.6g}) MW"]
+    return []
 
 
 def hydro_governor(droop: float, temporary_droop: float, washout_s: float,

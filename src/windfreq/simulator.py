@@ -42,11 +42,14 @@ clamp and floor cutback are ``turbine.APPLIED_POWER_LAW``, the end-of-step
 floor hold ``turbine.FLOOR_HOLD_LAW``, and the exit checks
 ``aapc.EXIT_TRIGGER_LAW`` and ``aapc.ARMING_LAW``. CPython folds the parts
 that read only literals. A turbine that no controller drives (every
-turbine of ``compare``'s ``none`` run, the no-support baseline) tracks its
-curve, and nothing in the loop moves its rotor off its operating speed w0:
-assembly evaluates its laws at w0 once, through the law callables, and the
-kernel reads them as literals while the rotor speed equals w0 and runs the
-laws otherwise. The source is registered in ``linecache`` under
+turbine of ``compare``'s ``none`` run, the no-support baseline) sits on its
+tracking curve, which decouples it from the grid frequency, at an operating
+point that ``Scenario.validate`` admits only as a tracking equilibrium: it
+is a constant of the run, with no rotor state, whose records assembly
+evaluates at its operating speed w0 once, through the law callables, and
+the kernel writes as literals. Every controlled turbine runs its
+controller's law from the first step, because before the first event the
+commands equal the operating power. The source is registered in ``linecache`` under
 ``<windfreq-kernel-N>`` while the kernel lives, so tracebacks and
 ``inspect.getsource`` show it. numpy holds the assembly (governor
 realization and aggregation, allocation) and the preallocated traces, which
@@ -99,11 +102,6 @@ __all__ = [
     "WorkerError",
 ]
 
-MODE_TRACKING = 0
-MODE_AAPC = 1
-MODE_EXITED = 2
-MODE_VIC = 3
-
 E_R_BAND_PCT = 5.0  # the e_r band of insensitivity_sweep's p_d_max
 # t_nadir_s is the first step within this fraction of |nadir| of the nadir: an
 # optimal-AAPC trace holds within 1e-12 of its minimum for seconds, so the
@@ -135,19 +133,23 @@ def _law_lines(law: str, **slots) -> list:
     return law.format(**slots).splitlines()
 
 
-def _mode_test(j: int, ctrl: int) -> str:
-    """The ``mode_test`` slot of turbine j's floor laws under controller mode
-    ctrl: an AAPC turbine leaves its floor by the speed-floor exit instead."""
-    return f"mode{j} != {MODE_AAPC} and " if ctrl == MODE_AAPC else ""
+def _mode_test(j: int, ctrl: str) -> str:
+    """The ``mode_test`` slot of turbine j's floor laws under controller ctrl:
+    an AAPC turbine leaves its floor by the speed-floor exit until it has
+    exited."""
+    return f"exited{j} and " if ctrl == "optimal_aapc" else ""
 
 
 def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
     """Unindented source lines of the closed-loop right-hand side at the state
     names of ``_kernel_source``: they set its derivative names, the records'
-    names (``pe``, ``pt``, ``mppt``, ``fl`` and the turbine's number) and
-    ``pm`` and ``pe_dev``. Only a unit that a ``generation_trip`` names has a
-    ``gs`` factor: every other unit's scale stays 1.0, and ``1.0 * c == c``."""
-    vic = MODE_VIC in asm.ctrl_mode
+    names (``pe``, ``pt``, ``mppt``, ``fl`` and the turbine's number) of each
+    turbine with a rotor state, and ``pm`` and ``pe_dev``. Only a unit that a
+    ``generation_trip`` names has a ``gs`` factor: every other unit's scale
+    stays 1.0, and ``1.0 * c == c``. A turbine that no controller drives adds
+    its ``pe_dev`` term at its operating point (``asm.fixed``), if the term
+    is not zero, and no other line."""
+    vic = "classic_vic" in asm.controllers
     scaled = {u: f"gs{u} * " for u in asm.tripped}
     src = []
     for s, row in enumerate(gov.a):
@@ -160,7 +162,7 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
             for u, (first, c_u, _) in enumerate(units) for s, c in enumerate(c_u) if c != 0.0]
     src += [f"pm += {scaled.get(u, '')}{_lit(d)} * df"
             for u, (_, _, d) in enumerate(units) if d != 0.0]
-    if MODE_AAPC in asm.ctrl_mode:
+    if "optimal_aapc" in asm.controllers:
         src.append(f"mirror = {_lit(mirror_d)} * df" if mirror_d != 0.0 else "mirror = 0.0")
         src += [f"mirror += {_lit(c)} * x{s}" for s, c in enumerate(mirror_c) if c != 0.0]
     src.append("pe_dev = 0.0")
@@ -173,8 +175,13 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
                 rate="vic_rate", f_base=_lit(asm.f_base)),
         ]
     s_base, kw = _lit(asm.s_base_w), _lit(asm.kw)
-    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
+    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.controllers)):
         p_min, p_max, p_e0 = _lit(wt.p_min_w), _lit(wt.p_max_w), _lit(wt.p_e0_w)
+        if ctrl == "none":
+            pe_dev = (asm.fixed[j][2] - wt.p_e0_w) / asm.s_base_w
+            if pe_dev != 0.0:
+                src.append(f"pe_dev += {_lit(pe_dev)}")
+            continue
         p_t, p_mppt, p_app = f"pt{j}", f"mppt{j}", f"pe{j}"
         laws = _law_lines(TURBINE_POWER_LAW, omega=f"w{j}", wind=_lit(wt.wind_ms),
                           pitch=_lit(wt.pitch_deg), radius=_lit(wt.radius_m),
@@ -182,27 +189,18 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
                           cp=f"cp{j}", p_t=p_t)
         laws += _law_lines(TRACKING_POWER_LAW, omega=f"w{j}", k_opt=_lit(wt.k_opt_w),
                            p_min=p_min, p_max=p_max, p=p_mppt)
-        if ctrl == MODE_AAPC:
+        if ctrl == "optimal_aapc":
             command = COMMAND_LAW.format(share=_lit(wt.share), mirror="mirror", gain_kw=kw,
                                          df="df")
             laws += [
-                f"if mode{j} == {MODE_AAPC}:",
-                f"    p_cmd = {p_e0} + ({command}) * {s_base}",
-                f"elif mode{j} == {MODE_EXITED}:",
+                f"if exited{j}:",
                 "    p_cmd = " + EXIT_BLEND_LAW.format(gamma=f"gamma[{j}]", p_t=p_t,
                                                      p_mppt=p_mppt),
                 "else:",
-                f"    p_cmd = {p_mppt}",
-            ]
-        elif ctrl == MODE_VIC:
-            laws += [
-                f"if mode{j} == {MODE_VIC}:",
-                f"    p_cmd = {p_e0} + vic_mw * (1e6)",
-                "else:",
-                f"    p_cmd = {p_mppt}",
+                f"    p_cmd = {p_e0} + ({command}) * {s_base}",
             ]
         else:
-            laws.append(f"p_cmd = {p_mppt}")
+            laws.append(f"p_cmd = {p_e0} + vic_mw * (1e6)")
         laws += _law_lines(APPLIED_POWER_LAW, p_cmd="p_cmd", p_min=p_min, p_max=p_max,
                            p=p_app, flags=f"fl{j}", mode_test=_mode_test(j, ctrl),
                            omega=f"w{j}", floor=_lit(wt.floor_rad), p_t=p_t)
@@ -211,55 +209,46 @@ def _rhs_lines(asm, gov, units, mirror_d, mirror_c) -> list:
             f"dw{j} = ({p_t} - {p_app}) / ({_lit(wt.j_fleet)} * w{j})",
         ]
         src.append(f"# turbine {j}")
-        if ctrl == MODE_TRACKING:
-            src.append(f"if w{j} == {_lit(asm.omega0[j])}:")
-            src += ("    " + line for line in _operating_point_lines(asm, j))
-            src.append("else:")
-            src += ("    " + line for line in laws)
-        else:
-            src += laws
+        src += laws
     src.append(f"ddf = (pm + pe_dev - p_d - {_lit(asm.damping)} * df) / {_lit(asm.two_h)}")
     return src
 
 
-def _operating_point_lines(asm, j: int) -> list:
-    """Unindented source lines that give turbine j's names of ``_rhs_lines``
-    their values at its operating speed w0, as literals: turbine, tracking
-    and applied power, flags, ``pe_dev`` term and rotor derivative.
+def _operating_point(asm, j: int) -> tuple:
+    """(turbine power, tracking power, applied power, flags) of turbine j at
+    its operating speed w0, for a turbine that no controller drives.
 
-    Only a turbine that no controller drives gets them, under a test of its
-    speed against w0: its command is its tracking power in every mode, so
-    its laws at w0 are constants of the run. Each value comes from the law
-    callables compiled from the templates the kernel writes inline, and the
-    ``pe_dev`` term and the derivative from the kernel's operations in its
-    order, so a hit is bitwise the evaluation it skips.
+    Such a turbine is a constant of the run. Its command is its tracking
+    power, and ``Scenario.validate`` admits only an operating point that is
+    a tracking equilibrium above the floor, where the tracking power is not
+    clamped and equals the turbine power to rounding: nothing moves its
+    rotor off w0 (its derivative there is rounding error, 1.19e-17 rad/s^2
+    on ``multi_machine`` WT1, far below what moves w0 by an ulp in a step).
+    So it has no rotor state and no laws in the kernel, which sets its
+    names of ``_rhs_lines`` and its speed to these values, as literals, when
+    a call starts. They come from
+    the law callables compiled from the templates the kernel writes inline
+    for every other turbine, so they are bitwise what its laws give at w0.
     """
     wt, w0 = asm.wt[j], asm.omega0[j]
     p_t = _turbine_power_w(w0, wt.wind_ms, wt.pitch_deg, wt.radius_m, wt.power_scale)
     p_mppt = _mppt_power_w(w0, wt.k_opt_w, wt.p_min_w, wt.p_max_w)
     p_app, flags = _applied_power_w(p_mppt, wt.p_min_w, wt.p_max_w, w0, wt.floor_rad, p_t)
-    return [
-        f"pt{j} = {_lit(p_t)}",
-        f"mppt{j} = {_lit(p_mppt)}",
-        f"pe{j} = {_lit(p_app)}",
-        f"fl{j} = {flags}",
-        f"pe_dev += {_lit((p_app - wt.p_e0_w) / asm.s_base_w)}",
-        f"dw{j} = {_lit((p_t - p_app) / (wt.j_fleet * w0))}",
-    ]
+    return p_t, p_mppt, p_app, flags
 
 
 def _exit_check_lines(asm) -> list:
     """Unindented source lines of one step's exit checks at the state names of
-    ``_kernel_source``: each AAPC turbine whose mode is still the AAPC, in
-    turbine order, counts a check in ``checks`` and evaluates
+    ``_kernel_source``: each AAPC turbine that has not exited, in turbine
+    order, counts a check in ``checks`` and evaluates
     ``aapc.EXIT_TRIGGER_LAW`` at t = i dt; the first trigger that fires sets
     ``kind`` and ``exit_j`` and breaks the step loop, and each turbine it
     passes arms its power cross (``aapc.ARMING_LAW``)."""
     src = []
-    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
-        if ctrl != MODE_AAPC:
+    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.controllers)):
+        if ctrl != "optimal_aapc":
             continue
-        src += [f"if mode{j} == {MODE_AAPC}:", "    checks += 1"]
+        src += [f"if not exited{j}:", "    checks += 1"]
         src += ("    " + line for line in _law_lines(
             EXIT_TRIGGER_LAW, omega=f"w{j}", floor=_lit(wt.floor_rad),
             t=f"i * {_lit(asm.dt)}", t_f="t_f", kind="kind", armed=f"armed{j}",
@@ -292,9 +281,9 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
     Every call ends with the state reached in y, its derivative in asm.k1,
     each turbine's applied power (for an AAPC turbine the clamped command),
     turbine power, tracking power and flags in asm, and (pm_pu, pe_dev_pu)
-    in ``asm.pm_pe``. The run-time state (``p_d``, the modes, ``gamma``, the
-    scales of tripped units) is read into locals when a call starts, and
-    does not change within one. Every constant is a literal.
+    in ``asm.pm_pe``. The run-time state (``p_d``, ``exited``, ``gamma``,
+    the scales of tripped units) is read into locals when a call starts,
+    and does not change within one. Every constant is a literal.
 
     The right-hand side (``_rhs_lines``) is written once, in the loop over
     a step's evaluations, ``stages``: y + (h/2) k1, y + (h/2) k2 and
@@ -325,40 +314,39 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
     ``(9.0) ** 3`` and the pitch terms of C_p, at compile time, with the
     arithmetic the callables run. The VIC filter rate and command depend
     only on df and the filter state z, so a scenario with a ``classic_vic``
-    turbine computes them once per evaluation; without one there is no z. A
-    turbine is tracking until the event and then in its controller's mode,
-    and an AAPC turbine can exit: so each turbine's code holds the branches
-    of the modes it can reach only, the mirror sum is written only when a
-    turbine runs the AAPC, and the exit checks only when, besides, the
-    scenario enables exits. All saturation lives here, so every RK4 stage
-    sees the same law; the floor laws' ``mode_test`` slot is ``_mode_test``.
+    turbine computes them once per evaluation; without one there is no z.
+    All saturation lives here, so every RK4 stage sees the same law; the
+    floor laws' ``mode_test`` slot is ``_mode_test``.
 
-    A turbine that no controller drives has one mode, tracking, and its
-    laws read only its rotor speed. Its code tests the speed against its
-    operating speed w0 first: if they are equal it sets the turbine's
-    names from literals (``_operating_point_lines``), which the law
-    callables computed at w0 during assembly in the kernel's own operation
-    order, so the values are bitwise those the laws give; otherwise it runs
-    the laws. On the shipped presets such a rotor stays on w0 (its
-    derivative there is rounding error, which moves it far less than an ulp
-    of w0 per step), so its laws run once per run, not four times per step;
-    a rotor that does leave w0 pays one comparison per evaluation.
+    Every controlled turbine runs its controller's law from step 0: before
+    the first event df, the governor states and z are zero, so the AAPC and
+    VIC commands are the operating power p_e0 bitwise, as tracking would
+    give. Only an AAPC turbine has a mode, ``exited{j}``: its exit blend
+    and its floor laws hold once it has exited, and its exit checks run
+    until then. The mirror sum is written only when a turbine runs the
+    AAPC, and the exit checks only when, besides, the scenario enables
+    exits. A turbine that no controller drives is a constant of the run
+    (``_operating_point``): it has no rotor state, laws or floor hold, and
+    its speed and records are literals, set once per call.
     """
     m, n_wt = asm.m_gov, asm.n_wt
-    vic = MODE_VIC in asm.ctrl_mode
-    ys = ["df", *(f"x{s}" for s in range(m)), *(f"w{j}" for j in range(n_wt)),
+    vic = "classic_vic" in asm.controllers
+    ys = ["df", *(f"x{s}" for s in range(m)), *(f"w{j}" for j in asm.rotors),
           *(["z"] if vic else [])]
-    ks = ["ddf", *(f"d{s}" for s in range(m)), *(f"dw{j}" for j in range(n_wt)),
+    ks = ["ddf", *(f"d{s}" for s in range(m)), *(f"dw{j}" for j in asm.rotors),
           *(["vic_rate"] if vic else [])]
     records = {name: [f"{prefix}{j}" for j in range(n_wt)]
                for name, prefix in (("wt_pe_w", "pe"), ("wt_pt_w", "pt"),
                                     ("wt_mppt_w", "mppt"), ("wt_flags", "fl"))}
-    aapc = [j for j, ctrl in enumerate(asm.ctrl_mode) if ctrl == MODE_AAPC]
+    aapc = [j for j, ctrl in enumerate(asm.controllers) if ctrl == "optimal_aapc"]
     checks = _exit_check_lines(asm) if asm.exit_enabled else []
     rhs = _rhs_lines(asm, gov, units, mirror_d, mirror_c)
     src = ["def advance(asm, y, h, i=0, stop=0):", *_unpack(ys, "y"),
+           *(f"    w{j}, pt{j}, mppt{j}, pe{j}, fl{j} = {_lit(asm.omega0[j])}, {_lit(p_t)}, "
+             f"{_lit(p_mppt)}, {_lit(p_app)}, {flags}"
+             for j, (p_t, p_mppt, p_app, flags) in asm.fixed.items()),
            *(f"    gs{u} = asm.gov_scale[{u}]" for u in asm.tripped),
-           *_unpack([f"mode{j}" for j in range(n_wt)], "asm.modes"), "    p_d = asm.p_d"]
+           *(f"    exited{j} = asm.exited[{j}]" for j in aapc), "    p_d = asm.p_d"]
     if aapc:
         src.append("    gamma = asm.gamma")
     src += [
@@ -397,10 +385,10 @@ def _kernel_source(asm, gov, units, mirror_d, mirror_c) -> str:
         "            elif h:  # the state the step reaches",
         *(f"                {v} = y_{v} + size * s_{v}" for v in ys),
     ]
-    for j, (wt, ctrl) in enumerate(zip(asm.wt, asm.ctrl_mode)):
+    for j in asm.rotors:
         src += (" " * 16 + line for line in _law_lines(
-            FLOOR_HOLD_LAW, mode_test=_mode_test(j, ctrl), omega=f"w{j}",
-            floor=_lit(wt.floor_rad)))
+            FLOOR_HOLD_LAW, mode_test=_mode_test(j, asm.controllers[j]), omega=f"w{j}",
+            floor=_lit(asm.wt[j].floor_rad)))
     src.append("            # the right-hand side")
     src += (" " * 12 + line for line in rhs)
     src += [
@@ -475,12 +463,11 @@ def _integrate(asm) -> tuple:
     """Integrate the assembled run from ``asm.y0``; returns (traces, exit events).
 
     Each kernel call runs a stretch of steps (``_kernel_source``) up to an
-    exit, a step where an event lands (the first of which activates the
-    controllers) or the end. Here the exit is handled, the step's events
-    apply, its state is evaluated again if one landed, and the next stretch
-    starts there; so every step runs its exit checks, events, activation,
-    row and RK4 step in that order, and row i of the traces holds the
-    start-of-step values of step i.
+    exit, a step where an event lands or the end. Here the exit is handled,
+    the step's events apply, its state is evaluated again if one landed, and
+    the next stretch starts there; so every step runs its exit checks,
+    events, row and RK4 step in that order, and row i of the traces holds
+    the start-of-step values of step i.
 
     A trigger interrupts the step before, which ran from the state and the
     derivative in ``asm.y_snapshot`` and ``asm.k1_snapshot``: the exit
@@ -491,7 +478,7 @@ def _integrate(asm) -> tuple:
     second check.
     """
     advance, dt, stats, n = asm.advance, asm.dt, asm.stats, asm.n_steps
-    n_wt, base_w = asm.n_wt, asm.base_w
+    n_wt = asm.n_wt
     asm.traces = tr = _Traces(n, n_wt)
     # the steps before whose events a stretch returns; n + 1 is never reached
     stops = sorted({event_step for event_step, *_ in asm.events if 0 < event_step <= n})
@@ -509,8 +496,6 @@ def _integrate(asm) -> tuple:
                 if unit >= 0:
                     asm.gov_scale[unit] *= 1.0 - frac
                 landed = True
-        if i == asm.act_step:
-            asm.modes = list(asm.ctrl_mode)
         if landed:
             advance(asm, y, 0.0)
             n_rhs += 1
@@ -524,6 +509,7 @@ def _integrate(asm) -> tuple:
             continue
         t0 = (i - 1) * dt
         y0, k1 = asm.y_snapshot, asm.k1_snapshot
+        rotor = asm.base_w + asm.rotors.index(j)
         if kind == "horizon":
             h_e = max(0.0, asm.t_support_end - t0)
         else:
@@ -532,7 +518,7 @@ def _integrate(asm) -> tuple:
                 mid = 0.5 * (lo + hi)
                 y_mid = _rk4_from(asm, y0, mid, k1)
                 stats["halvings"] += 1
-                if check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y_mid[base_w + j],
+                if check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y_mid[rotor],
                               asm.wt[j].floor_rad, t0 + mid, asm.t_support_end,
                               asm.armed[j]) == kind:
                     hi = mid
@@ -544,12 +530,13 @@ def _integrate(asm) -> tuple:
         y_e = _rk4_from(asm, y0, h_e, k1)
         to_exit = [j]
         if kind == "horizon":  # the window closes for every active turbine
-            to_exit = [jj for jj in range(n_wt) if asm.modes[jj] == MODE_AAPC]
+            to_exit = [jj for jj in range(n_wt)
+                       if asm.controllers[jj] == "optimal_aapc" and not asm.exited[jj]]
         for jj in to_exit:
             p_cmd, p_mppt, p_t = asm.wt_pe_w[jj], asm.wt_mppt_w[jj], asm.wt_pt_w[jj]
             g = exit_gamma(p_cmd / 1e6, p_t / 1e6, p_mppt / 1e6)
             asm.gamma[jj] = g
-            asm.modes[jj] = MODE_EXITED
+            asm.exited[jj] = True
             exit_events.append({
                 "turbine": asm.names[jj],
                 "kind": kind,
@@ -640,13 +627,16 @@ class _Assembled:
     """Scenario compiled to a kernel and Python-float constants, plus the loop's mutable state.
 
     The state list is [df, governor states, rotor speeds, VIC filter state]:
-    1 + m_gov + n_wt floats, plus 1 if a turbine runs ``classic_vic``. The
-    governor states are one block per group of ``grid.group_governors``, so
-    units with the same dynamics share one (m_gov is 3 on ``multi_machine``,
-    whose ten units have three distinct dynamics), and the one VIC filter
-    state is shared by every VIC turbine. The AAPC mirror has no state of
-    its own: it reads the governor states, and ``_rhs_lines`` writes its
-    output sum. ``advance`` is the scenario's kernel from
+    1 + m_gov floats, one rotor speed per turbine in ``rotors`` (the
+    turbines a controller drives, in turbine order), plus 1 if a turbine
+    runs ``classic_vic``. The governor states are one block per group of
+    ``grid.group_governors``, so units with the same dynamics share one
+    (m_gov is 3 on ``multi_machine``, whose ten units have three distinct
+    dynamics), and the one VIC filter state is shared by every VIC turbine.
+    The AAPC mirror has no state of its own: it reads the governor states,
+    and ``_rhs_lines`` writes its output sum. A turbine that no controller
+    drives has no state: ``fixed`` holds its records at its operating speed
+    (``_operating_point``), which the kernel writes as literals. ``advance`` is the scenario's kernel from
     ``_compile_kernel``, one function per run, called as
     ``asm.advance(asm, y, h, i, stop)``: with i < stop it runs the stretch
     of steps from step i, recording them in ``traces``; otherwise it takes
@@ -687,8 +677,8 @@ class _Assembled:
         states = _operating_points(sc)
         self.n_wt = n_wt = len(specs)
         self.names = [t.name for t in sc.turbines]
-        mode_of = {"none": MODE_TRACKING, "optimal_aapc": MODE_AAPC, "classic_vic": MODE_VIC}
-        self.ctrl_mode = [mode_of[t.controller] for t in sc.turbines]
+        self.controllers = [t.controller for t in sc.turbines]
+        self.rotors = [j for j, ctrl in enumerate(self.controllers) if ctrl != "none"]
         self.omega0 = [float(st.omega_rad_s) for st in states]
         self.shares = _shares(sc, states).tolist()
         # each turbine's pre-event power is its tracking power at w0, in W
@@ -703,10 +693,12 @@ class _Assembled:
                 k_opt_w, p_min_w, p_max_w, float(s.floor_speed_rad),
                 _mppt_power_w(w0, k_opt_w, p_min_w, p_max_w),
                 float(s.fleet_inertia), float(share)))
+        self.fixed = {j: _operating_point(self, j)
+                      for j, ctrl in enumerate(self.controllers) if ctrl == "none"}
         self.kw = 0.0
         mirror_d = 0.0
         mirror_c = [0.0] * self.m_gov
-        if alpha is not None and MODE_AAPC in self.ctrl_mode:
+        if alpha is not None and "optimal_aapc" in self.controllers:
             ctrl = synthesize(grid, list(sc.governors), alpha)
             self.kw = float(ctrl.gain_kw)
             mirror_d = float(ctrl.mirror.d[0, 0])
@@ -723,15 +715,15 @@ class _Assembled:
             for e in sc.events
         ]
         self.tripped = sorted({unit for _, _, unit, _ in self.events if unit >= 0})
-        self.act_step = self.events[0][0] if self.events else -1
-        self.t_support_end = (self.act_step * dt + float(sc.solver.t_f) if self.events
+        self.t_support_end = (self.events[0][0] * dt + float(sc.solver.t_f) if self.events
                               else math.inf)
 
         self.p_d = 0.0
-        self.modes = [MODE_TRACKING] * n_wt
+        self.exited = [False] * n_wt
         self.gamma = [0.0] * n_wt
         self.armed = [False] * n_wt
-        self.y0 = [0.0] * self.base_w + self.omega0 + [0.0] * (MODE_VIC in self.ctrl_mode)
+        self.y0 = ([0.0] * self.base_w + [self.omega0[j] for j in self.rotors]
+                   + [0.0] * ("classic_vic" in self.controllers))
         self.k1 = [0.0] * len(self.y0)
         self.pm_pe = (0.0, 0.0)
         self.wt_pe_w, self.wt_pt_w, self.wt_mppt_w = ([0.0] * n_wt for _ in range(3))

@@ -15,6 +15,11 @@ and ``floor_hold`` here, which take the AAPC mode test that the package's
 ``simulator._compile_kernel`` and hands them the same constants, so an
 assembly (or a whole ``run``) can go through either kernel. Every comparison
 is bitwise, on the ``repr`` of the floats.
+
+The loop kernel keeps a rotor state for every turbine. A turbine that no
+controller drives tracks its curve there, and ``loop_step`` fails if a step
+moves its rotor off its operating speed: that checks the generated kernel's
+premise that such a turbine is a constant of the run, which has no state.
 """
 
 import gc
@@ -48,27 +53,51 @@ from reference import (arms_power_cross, command_pu, mirror_output, vic_command_
 # the loop kernel
 # ---------------------------------------------------------------------------
 
-# the floor laws of a turbine whose controller is the AAPC; under any other
-# controller the mode is never MODE_AAPC, and the kernel drops the test
-_AAPC_WAITS = f"mode != {sim.MODE_AAPC} and "
+# the floor laws wait while an AAPC turbine is active, that is, until it
+# exits; they act on every other turbine at once, and the kernel drops the test
+_AAPC_WAITS = "not aapc_active and "
 applied_power = law_function(
-    __name__, "applied_power", ("p_cmd", "p_min", "p_max", "omega", "floor", "p_t", "mode"),
-    "p, flags",
+    __name__, "applied_power",
+    ("p_cmd", "p_min", "p_max", "omega", "floor", "p_t", "aapc_active"), "p, flags",
     APPLIED_POWER_LAW.format(p_cmd="p_cmd", p_min="p_min", p_max="p_max", p="p",
                              flags="flags", mode_test=_AAPC_WAITS, omega="omega",
                              floor="floor", p_t="p_t"),
     "(applied power, limit flags) of the command p_cmd (``APPLIED_POWER_LAW``).")
 floor_hold = law_function(
-    __name__, "floor_hold", ("omega", "floor", "mode"), "omega",
+    __name__, "floor_hold", ("omega", "floor", "aapc_active"), "omega",
     FLOOR_HOLD_LAW.format(mode_test=_AAPC_WAITS, omega="omega", floor="floor"),
     "Rotor speed omega held on its floor at the end of a step (``FLOOR_HOLD_LAW``).")
 
 
+def _aapc_active(asm, j):
+    return asm.controllers[j] == "optimal_aapc" and not asm.exited[j]
+
+
+def _full(asm, v, fill):
+    """The loop kernel's state (or derivative) from the generated kernel's v:
+    it has an entry for every turbine's rotor, fill[j] for a turbine that
+    no controller drives, which has none in v."""
+    base_w, rotors = asm.base_w, asm.rotors
+    w = list(fill)
+    for k, j in enumerate(rotors):
+        w[j] = v[base_w + k]
+    return v[:base_w] + w + v[base_w + len(rotors):]
+
+
+def _kernel_layout(asm, full):
+    """The generated kernel's state (or derivative) from the loop kernel's."""
+    base_w = asm.base_w
+    return (full[:base_w] + [full[base_w + j] for j in asm.rotors]
+            + full[base_w + asm.n_wt:])
+
+
 def loop_rhs(asm, y, dy):
-    """Closed-loop derivative of the state list y into dy, one loop per sum."""
+    """Closed-loop derivative of the loop kernel's state list y into dy, one
+    loop per sum; every turbine has a rotor speed in y, and one that no
+    controller drives tracks its curve."""
     k = asm.loop
     base_w = asm.base_w
-    vic = sim.MODE_VIC in asm.ctrl_mode  # the filter state z is last, if there is one
+    vic = "classic_vic" in asm.controllers  # the filter state z is last, if there is one
     df = y[0]
     z = y[-1] if vic else None
     x_gov = y[1:base_w]
@@ -90,24 +119,23 @@ def loop_rhs(asm, y, dy):
     mirror_pu = mirror_output(k.mirror_d, k.mirror_c, x_gov, df)
 
     s_base_w = asm.s_base_w
-    modes = asm.modes
     pe_dev = 0.0
     for j, (v_w, pitch, radius, power_scale, k_opt_w, p_min_w, p_max_w, floor_rad,
             p_e0_w, j_fleet, share) in enumerate(asm.wt):
         omega = y[base_w + j]
         p_t = _turbine_power_w(omega, v_w, pitch, radius, power_scale)
         p_mppt = _mppt_power_w(omega, k_opt_w, p_min_w, p_max_w)
-        mode = modes[j]
-        if mode == sim.MODE_AAPC:
+        ctrl, active = asm.controllers[j], _aapc_active(asm, j)
+        if active:
             p_cmd = p_e0_w + command_pu(share, mirror_pu, asm.kw, df) * s_base_w
-        elif mode == sim.MODE_VIC:
-            p_cmd = p_e0_w + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
-        elif mode == sim.MODE_EXITED:
+        elif ctrl == "optimal_aapc":  # exited
             p_cmd = exit_power(asm.gamma[j], p_t, p_mppt)
+        elif ctrl == "classic_vic":
+            p_cmd = p_e0_w + vic_command_mw(asm.vic, df, z, asm.f_base) * 1e6
         else:  # tracking
             p_cmd = p_mppt
 
-        p_app, flags = applied_power(p_cmd, p_min_w, p_max_w, omega, floor_rad, p_t, mode)
+        p_app, flags = applied_power(p_cmd, p_min_w, p_max_w, omega, floor_rad, p_t, active)
 
         asm.wt_pe_w[j] = p_app
         asm.wt_pt_w[j] = p_t
@@ -124,49 +152,62 @@ def loop_rhs(asm, y, dy):
 
 def loop_step(asm, y, h):
     """With h > 0, advance y by one RK4 step of size h in place from the
-    derivative in asm.k1; then evaluate y into asm.k1 and the records, and
-    return (pm, pe_dev)."""
+    derivative in asm.k1 and the floor hold; then evaluate y into asm.k1 and
+    the records, and return (pm, pe_dev).
+
+    y and asm.k1 are the generated kernel's, without the rotor of a turbine
+    that no controller drives. Here that rotor is a state at its operating
+    speed w0, stepped from its derivative at w0, which the last evaluation
+    left in ``asm.loop.rotor_rates``; a step that moves it off w0 fails."""
+    n_wt, base_w = asm.n_wt, asm.base_w
+    y_full = _full(asm, y, asm.omega0)
     if h:
-        k1 = asm.k1
-        k2, k3, k4 = ([0.0] * len(y) for _ in range(3))
+        k1 = _full(asm, asm.k1, asm.loop.rotor_rates)
+        k2, k3, k4 = ([0.0] * len(y_full) for _ in range(3))
         half = 0.5 * h
-        loop_rhs(asm, [a + half * k for a, k in zip(y, k1)], k2)
-        loop_rhs(asm, [a + half * k for a, k in zip(y, k2)], k3)
-        loop_rhs(asm, [a + h * k for a, k in zip(y, k3)], k4)
+        loop_rhs(asm, [a + half * k for a, k in zip(y_full, k1)], k2)
+        loop_rhs(asm, [a + half * k for a, k in zip(y_full, k2)], k3)
+        loop_rhs(asm, [a + h * k for a, k in zip(y_full, k3)], k4)
         sixth = h / 6.0
-        y[:] = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        base_w = asm.base_w
+        y_full = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y_full, k1, k2, k3, k4)]
         for j, wt in enumerate(asm.wt):
-            y[base_w + j] = floor_hold(y[base_w + j], wt.floor_rad, asm.modes[j])
-    dy = [0.0] * len(y)
-    out = loop_rhs(asm, y, dy)
-    asm.k1 = dy
+            y_full[base_w + j] = floor_hold(y_full[base_w + j], wt.floor_rad,
+                                            _aapc_active(asm, j))
+        assert [repr(y_full[base_w + j]) for j in asm.fixed] == \
+            [repr(asm.omega0[j]) for j in asm.fixed]
+    dy = [0.0] * len(y_full)
+    out = loop_rhs(asm, y_full, dy)
+    asm.loop.rotor_rates = dy[base_w:base_w + n_wt]
+    asm.k1 = _kernel_layout(asm, dy)
+    y[:] = _kernel_layout(asm, y_full)
     return out
 
 
 def loop_advance(asm, y, h, i=0, stop=0):
     """The generated kernel's contract (``simulator._kernel_source``), one
     ``loop_step`` per step: with i < stop, record row i, step, and check the
-    exit triggers of each AAPC turbine at the next step, until a trigger
-    fires, step ``stop`` or the row of the last step; otherwise one
+    exit triggers of each active AAPC turbine at the next step, until a
+    trigger fires, step ``stop`` or the row of the last step; otherwise one
     ``loop_step``. Returns (i, exit_j, kind)."""
     if i >= stop:
         asm.pm_pe = loop_step(asm, y, h)
         return i, -1, None
     tr, base_w, n_wt = asm.traces, asm.base_w, asm.n_wt
     while True:
+        speeds = _full(asm, y, asm.omega0)[base_w:base_w + n_wt]
         tr.put(i * tr.row_bytes, y[0], *asm.pm_pe, asm.k1[0], asm.p_d,
-               *y[base_w:base_w + n_wt], *asm.wt_pe_w, *asm.wt_flags)
+               *speeds, *asm.wt_pe_w, *asm.wt_flags)
         if i == asm.n_steps:
             return i, -1, None
         y_start, k1_start = list(y), list(asm.k1)
         asm.pm_pe = loop_step(asm, y, h)
+        speeds = _full(asm, y, asm.omega0)[base_w:base_w + n_wt]
         i += 1
         for j in range(n_wt):
-            if asm.exit_enabled and asm.modes[j] == sim.MODE_AAPC:
+            if asm.exit_enabled and _aapc_active(asm, j):
                 asm.stats["exit_checks"] += 1
-                kind = check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], y[base_w + j],
+                kind = check_exit(asm.wt_pe_w[j], asm.wt_mppt_w[j], speeds[j],
                                   asm.wt[j].floor_rad, i * asm.dt, asm.t_support_end,
                                   asm.armed[j])
                 if kind is not None:
@@ -182,7 +223,8 @@ def loop_kernel(asm, gov, units, mirror_d, mirror_c):
     """``simulator._compile_kernel`` with the loop kernel in place of the generated one."""
     asm.loop = SimpleNamespace(
         gov_rows=[[(c, float(row[c])) for c in np.flatnonzero(row).tolist()] for row in gov.a],
-        b_g=gov.b[:, 0].tolist(), units=units, mirror_d=mirror_d, mirror_c=mirror_c)
+        b_g=gov.b[:, 0].tolist(), units=units, mirror_d=mirror_d, mirror_c=mirror_c,
+        rotor_rates=None)
     return loop_advance
 
 
@@ -251,32 +293,26 @@ SHAPES = ["two_machine", "multi_machine", "mixed_controllers", "second_order_gov
           "no_governors", "no_turbines", "pitch", "big_fleet"]
 
 
-def _reachable_modes(ctrl):
-    """Modes a turbine whose controller runs mode ``ctrl`` can be in: tracking
-    until the event, then ``ctrl``; an AAPC turbine can also exit."""
-    return {sim.MODE_TRACKING, ctrl} | ({sim.MODE_EXITED} if ctrl == sim.MODE_AAPC else set())
-
-
 def _draw(rng, asm):
     """A seeded random closed-loop state: the state list and the run-time state.
 
-    Each turbine's mode is one it can reach (``_reachable_modes``).
+    Each AAPC turbine is active or has exited.
     """
     n_wt = asm.n_wt
     y = list(asm.y0)
     y[0] = float(rng.normal(0.0, 0.02))
     for s in range(1, asm.base_w):
         y[s] = float(rng.normal(0.0, 0.05))
-    for j, wt in enumerate(asm.wt):
+    for k, j in enumerate(asm.rotors):
         # some rotors exactly on their floor, some below it, most above
-        u = rng.random()
-        y[asm.base_w + j] = (wt.floor_rad if u < 0.15
+        wt, u = asm.wt[j], rng.random()
+        y[asm.base_w + k] = (wt.floor_rad if u < 0.15
                              else float(wt.floor_rad * rng.uniform(0.9, 1.0)) if u < 0.3
                              else float(asm.omega0[j] * rng.uniform(0.8, 1.2)))
-    if sim.MODE_VIC in asm.ctrl_mode:
+    if "classic_vic" in asm.controllers:
         y[-1] = float(rng.normal(0.0, 0.02))  # the VIC filter state
     return y, {
-        "modes": [int(rng.choice(sorted(_reachable_modes(c)))) for c in asm.ctrl_mode],
+        "exited": [bool(c == "optimal_aapc" and rng.random() < 0.5) for c in asm.controllers],
         "gamma": [float(v) for v in rng.uniform(0.0, 1.0, n_wt)],
         # each unit a trip names scaled by a random share
         "gov_scale": [float(rng.uniform(0.5, 0.99)) if u in asm.tripped else 1.0
@@ -324,8 +360,8 @@ class TestFloorLaws:
         # the rotor is above its floor, so only the clamp acts
         assert math.nextafter(5.0e6, math.inf) == 5000000.000000001
         assert math.nextafter(1.0e6, 0.0) == 999999.9999999999
-        for mode in (sim.MODE_TRACKING, sim.MODE_AAPC, sim.MODE_EXITED, sim.MODE_VIC):
-            assert applied_power(p_cmd, P_MIN, P_MAX, 1.2, FLOOR, P_T, mode) == expected
+        for aapc_active in (False, True):
+            assert applied_power(p_cmd, P_MIN, P_MAX, 1.2, FLOOR, P_T, aapc_active) == expected
 
     @pytest.mark.parametrize("omega, p_cmd, expected", [
         (0.8, 4.0e6, (3.0e6, 2)),
@@ -338,16 +374,13 @@ class TestFloorLaws:
     def test_cutback_at_the_floor(self, omega, p_cmd, expected):
         assert math.nextafter(0.8, 0.0) == 0.7999999999999999
         assert math.nextafter(0.8, math.inf) == 0.8000000000000002
-        for mode in (sim.MODE_TRACKING, sim.MODE_EXITED, sim.MODE_VIC):
-            assert applied_power(p_cmd, P_MIN, P_MAX, omega, FLOOR, P_T, mode) == expected
+        assert applied_power(p_cmd, P_MIN, P_MAX, omega, FLOOR, P_T, False) == expected
 
     def test_no_cutback_under_aapc(self):
         # the AAPC turbine leaves by its floor exit; its power limits still bind
         for omega in (0.8, 0.7999999999999999, 0.5):
-            assert applied_power(4.0e6, P_MIN, P_MAX, omega, FLOOR, P_T,
-                                 sim.MODE_AAPC) == (4.0e6, 0)
-            assert applied_power(6.0e6, P_MIN, P_MAX, omega, FLOOR, P_T,
-                                 sim.MODE_AAPC) == (5.0e6, 1)
+            assert applied_power(4.0e6, P_MIN, P_MAX, omega, FLOOR, P_T, True) == (4.0e6, 0)
+            assert applied_power(6.0e6, P_MIN, P_MAX, omega, FLOOR, P_T, True) == (5.0e6, 1)
 
     @pytest.mark.parametrize("omega, held", [
         (0.7999999999999999, 0.8),
@@ -356,9 +389,8 @@ class TestFloorLaws:
         (0.5, 0.8),
     ])
     def test_hold_at_the_floor(self, omega, held):
-        for mode in (sim.MODE_TRACKING, sim.MODE_EXITED, sim.MODE_VIC):
-            assert floor_hold(omega, FLOOR, mode) == held
-        assert floor_hold(omega, FLOOR, sim.MODE_AAPC) == omega
+        assert floor_hold(omega, FLOOR, False) == held
+        assert floor_hold(omega, FLOOR, True) == omega
 
 
 class TestReference:
@@ -373,24 +405,24 @@ class TestReference:
         if shape == "second_order_governor":
             assert gen.m_gov == 3
             assert any(c != s for s, row in enumerate(ref.loop.gov_rows) for c, _ in row)
-        # a turbine that no controller drives has its laws at its operating
-        # speed w0 as literals, under a test of its speed against w0: three
-        # more draws put its rotor on w0 and one ulp either side
-        tracking = [j for j, c in enumerate(gen.ctrl_mode) if c == sim.MODE_TRACKING]
+        # a turbine that no controller drives is a constant, set once per
+        # call: no state, law or floor hold; only an AAPC turbine has a mode,
+        # whether it has exited
         src = inspect.getsource(gen.advance)
-        assert [j for j in range(gen.n_wt)
-                if f"if w{j} == {sim._lit(gen.omega0[j])}:" in src] == tracking
-        assert bool(tracking) == (shape in ("mixed_controllers", "no_governors", "big_fleet"))
+        for j, ctrl in enumerate(gen.controllers):
+            moving = re.search(rf"\b(?:y_w|dw|tsr|cp){j}\b|\bw{j} = ", src)
+            assert (moving is None) == (ctrl == "none")
+            constant = f"    w{j}, pt{j}, mppt{j}, pe{j}, fl{j} = {sim._lit(gen.omega0[j])}, "
+            assert src.count(constant) == (ctrl == "none")
+            assert bool(re.search(rf"\bexited{j}\b", src)) == (ctrl == "optimal_aapc")
+        assert "mode" not in src
+        assert bool(gen.fixed) == (shape in ("mixed_controllers", "no_governors", "big_fleet"))
         rng = np.random.default_rng(sum(map(ord, shape)))
-        seen_modes, seen_flags = set(), set()
-        draws = 200 if gen.n_wt < 50 else 4
-        for k in range(draws + 3 * bool(tracking)):
+        seen_exited, seen_flags = set(), set()
+        for _ in range(200 if gen.n_wt < 50 else 4):
             y, state = _draw(rng, gen)
-            for j in tracking if k >= draws else ():
-                w0 = gen.omega0[j]
-                y[gen.base_w + j] = (w0, math.nextafter(w0, 0.0),
-                                     math.nextafter(w0, math.inf))[k - draws]
-            seen_modes.update(state["modes"])
+            seen_exited.update(e for e, c in zip(state["exited"], gen.controllers)
+                               if c == "optimal_aapc")
             out = {}
             for asm in (gen, ref):
                 _set(asm, state)
@@ -404,12 +436,13 @@ class TestReference:
                                    repr(ret1), _records(asm))
             assert out[True] == out[False]
             seen_flags.update(gen.wt_flags)
+        if "optimal_aapc" in gen.controllers:
+            assert seen_exited == {False, True}
         if gen.n_wt:
-            assert seen_modes == set().union(*map(_reachable_modes, gen.ctrl_mode))
             assert any(f & sim.FLAG_POWER_LIMIT for f in seen_flags)
-        if sim.MODE_VIC in gen.ctrl_mode:
-            # tracking and the exit blend stay below the turbine power at the
-            # floor; the VIC command is what the cutback catches
+        if "classic_vic" in gen.controllers:
+            # the exit blend stays below the turbine power at the floor; the
+            # VIC command is what the cutback catches
             assert any(f & sim.FLAG_FLOOR for f in seen_flags)
 
     @pytest.mark.parametrize("pitch", [0.0, 2.5])
@@ -439,8 +472,10 @@ class TestReference:
         records = []
         for i in range(len(speeds[0])):
             y, state = _draw(rng, gen)
-            for j in range(gen.n_wt):
-                y[gen.base_w + j] = speeds[j][i]
+            # a turbine that no controller drives stays at its operating speed
+            omega = [gen.omega0[j] if j in gen.fixed else speeds[j][i] for j in range(gen.n_wt)]
+            for k, j in enumerate(gen.rotors):
+                y[gen.base_w + k] = omega[j]
             out = {}
             for asm in (gen, ref):
                 _set(asm, state)
@@ -449,9 +484,9 @@ class TestReference:
             assert out[True] == out[False]
             for j, wt in enumerate(gen.wt):
                 assert repr(gen.wt_pt_w[j]) == repr(_turbine_power_w(
-                    y[gen.base_w + j], wt.wind_ms, pitch, wt.radius_m, wt.power_scale))
+                    omega[j], wt.wind_ms, pitch, wt.radius_m, wt.power_scale))
                 assert repr(gen.wt_mppt_w[j]) == repr(_mppt_power_w(
-                    y[gen.base_w + j], wt.k_opt_w, wt.p_min_w, wt.p_max_w))
+                    omega[j], wt.k_opt_w, wt.p_min_w, wt.p_max_w))
             records.append((list(gen.wt_pt_w), list(gen.wt_mppt_w), list(gen.wt_flags)))
         pt, mppt, flags = (np.array(r) for r in zip(*records))
         assert np.any(pt == 0.0) and np.any(pt > 0.0)
@@ -569,11 +604,11 @@ class TestSource:
         floor = sim._lit(wt.floor_rad)
         applied = APPLIED_POWER_LAW.format(
             p_cmd="p_cmd", p_min="(0.0)", p_max="(100000000.0)", p="pe0", flags="fl0",
-            mode_test="mode0 != 1 and ", omega="w0", floor=floor, p_t="pt0")
+            mode_test="exited0 and ", omega="w0", floor=floor, p_t="pt0")
         assert textwrap.indent(applied, " " * 12) in rhs
-        assert f"            if mode0 != 1 and w0 <= {floor} and pe0 > pt0:\n" in rhs
+        assert f"            if exited0 and w0 <= {floor} and pe0 > pt0:\n" in rhs
         # the hold acts on the state a step reaches, before its evaluation
-        hold = FLOOR_HOLD_LAW.format(mode_test="mode0 != 1 and ", omega="w0", floor=floor)
+        hold = FLOOR_HOLD_LAW.format(mode_test="exited0 and ", omega="w0", floor=floor)
         assert head.endswith("                w0 = y_w0 + size * s_w0\n"
                              + textwrap.indent(hold, " " * 16))
         # the exit checks at the step reached: the trigger and the arming,

@@ -169,6 +169,23 @@ def test_pivot_cap_is_a_named_error(monkeypatch, tmp_path, capsys):
     assert "pivot cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: lp_mod._dense_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)),
+     "singular basis: Singular matrix"),
+    (lambda: lp_mod._dense_solve(np.diag([1e-300, 1.0]), np.array([1e300, 1.0])),
+     "singular basis: the solve overflowed"),
+    # both columns are unit columns on row 0 (1.0 e_0 and 2.0 e_0)
+    (lambda: lp_mod._Basis(np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([0, 0]),
+                           np.array([0, 1])),
+     "singular basis: two basic unit columns share a row"),
+], ids=["singular_block", "overflowing_block", "shared_unit_row"])
+def test_singular_basis_is_a_named_error(make, message):
+    # the CLI maps SimplexError to exit 3, as test_pivot_cap_is_a_named_error shows
+    with pytest.raises(SimplexError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_crash_basis_start():
     # max x0 + x1 s.t. x0 <= 1, x1 <= 1, x0 + x1 <= 3: the crash on the first
     # two rows is the optimal vertex (1, 1)

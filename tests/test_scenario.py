@@ -239,6 +239,11 @@ class TestSchema:
         assert fast == pytest.approx(-1.0 / 0.38, rel=1e-12)
 
 
+# the inputs of a turbine's operating speed, named where it is under the floor
+_OPERATING_SPEED = ("$.turbines[0].wind_speed_ms, $.turbines[0].pitch_deg, "
+                    "$.turbines[0].spec.rotor_radius_m: ")
+
+
 class TestCli:
     @pytest.mark.parametrize("rows", [1, 499, 500, 501, 6001])
     def test_block_csv_matches_row_formatting(self, tmp_path, rows):
@@ -664,6 +669,27 @@ class TestCli:
         rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "$.sim.step_s: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "synthesize", "simulate", "compare", "sweep"])
+    @pytest.mark.parametrize("preset, json_path, value, named", [
+        # the tracking equilibrium under the speed floor: solve exited 0, the
+        # others 2 with "operating speed ... below the floor" and no path
+        ("multi_machine", "$.turbines[0].spec.rotor_radius_m", 88.0, _OPERATING_SPEED),
+        ("multi_machine", "$.turbines[0].wind_speed_ms", 4.25, _OPERATING_SPEED),
+        # the tracking power clamped at p_max: a `none` rotor ran away with no
+        # event, and the allocation exited 2 with no path
+        ("two_machine", "$.turbines[0].wind_speed_ms", 15.0, "$.turbines[0].wind_speed_ms: "),
+    ], ids=["radius_88", "wind_4.25", "wind_15"])
+    def test_operating_point_off_tracking_equilibrium(self, tmp_path, capsys, command, preset,
+                                                      json_path, value, named):
+        doc = load_preset(preset)
+        _set_at(doc, json_path, value)
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        rc = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"scenario error: {named}")
         assert not (tmp_path / "o").exists()
 
     def test_run_length_bound(self, tmp_path, capsys):

@@ -200,16 +200,19 @@ class TestStateCollapse:
     @pytest.mark.parametrize("preset, n_y", [("two_machine", 4), ("multi_machine", 10)])
     def test_state_length(self, preset, n_y):
         # df, one governor state per distinct dynamics (multi_machine: seven
-        # reheat, two hydro and one gas unit), one rotor speed per turbine,
-        # and one VIC filter state only if a turbine runs classic_vic
+        # reheat, two hydro and one gas unit), one rotor speed per turbine
+        # that a controller drives, and one VIC filter state only if a
+        # turbine runs classic_vic; a turbine without a controller has none
         sc = scenario_from_dict(load_preset(preset))
         m_gov = len({g.den for g in sc.governors})
+        n_wt = len(sc.turbines)
         asm = sim._Assembled(sim._with_controllers(sc, "classic_vic"), alpha=None)
         assert asm.m_gov == m_gov
-        assert len(asm.y0) == 1 + m_gov + len(sc.turbines) + 1 == n_y
-        for strategy in ("none", "optimal_aapc"):
+        assert len(asm.y0) == 1 + m_gov + n_wt + 1 == n_y
+        for strategy, n in (("optimal_aapc", 1 + m_gov + n_wt), ("none", 1 + m_gov)):
             asm = sim._Assembled(sim._with_controllers(sc, strategy), alpha=1.3)
-            assert len(asm.y0) == len(asm.k1) == n_y - 1, strategy
+            assert len(asm.y0) == len(asm.k1) == n, strategy
+        assert n == {"two_machine": 2, "multi_machine": 4}[preset]
 
     @pytest.mark.parametrize("strategy", ["none", "optimal_aapc"])
     def test_trip_of_a_lumped_unit(self, multi_machine_scenario, strategy):
@@ -367,6 +370,27 @@ class TestEvents:
         before = res.t < 5.0
         assert np.max(np.abs(res.df_pu[before])) == 0.0
         assert res.df_pu.min() == pytest.approx(base_result.df_pu.min(), rel=1e-6)
+        # every controller runs from step 0, and before the event each
+        # command is the operating power bitwise: every pre-event row is the
+        # operating point, on both presets under each strategy
+        alpha = {"two_machine": 1.1870649147208707, "multi_machine": 1.3087744209468601}
+        for preset in ("two_machine", "multi_machine"):
+            doc = scenario_from_dict(load_preset(preset))
+            surge = DisturbanceEvent(time_s=5.0, kind="load_surge", magnitude_pu=0.05)
+            for strategy in ("none", "classic_vic", "optimal_aapc"):
+                sc = replace(sim._with_controllers(doc, strategy), events=(surge,),
+                             alpha=alpha[preset] if strategy == "optimal_aapc" else None)
+                res = run(sc)
+                rows = slice(0, 500)
+                assert np.all(res.t[rows] < 5.0) and res.t[500] == 5.0
+                for name in ("df_pu", "dfdot_pu_s", "dpm_pu", "dpe_pu", "p_d_pu"):
+                    assert not getattr(res, name)[rows].any(), (preset, strategy, name)
+                assert np.all(res.wt_omega_rad_s[rows] == res.wt_omega0)
+                assert np.all(res.wt_pe_mw[rows] == res.wt_p_e0_mw)
+                assert not res.wt_flags[rows].any()
+                assert all(e["t_e_s"] > 5.0 for e in res.exit_events)
+                assert bool(res.exit_events) == (strategy == "optimal_aapc")
+                assert res.df_pu[501] < 0.0
 
 
 _MIXES = {

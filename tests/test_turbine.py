@@ -217,15 +217,17 @@ class TestCapability:
 
 def test_mppt_equilibrium_attracting(two_machine_scenario):
     # the kernel starts each rotor off its tracking equilibrium and steps it
-    # with no disturbance and no controller for 300 s
+    # with no disturbance for 300 s on its tracking curve: an AAPC turbine
+    # that has exited with gamma = 1, whose command is its tracking power
     spec = dfig5mw(count=1, rotor_radius_m=45.0)
     v = 8.0
     omega_eq = mppt_equilibrium_speed(v, spec)
     sc = replace(two_machine_scenario, events=(),
-                 turbines=(TurbineEntry("WT", spec, v, controller="none"),),
+                 turbines=(TurbineEntry("WT", spec, v, controller="optimal_aapc"),),
                  sim=SimOptions(duration_s=300.0, step_s=0.01))
     for omega0 in (0.75 * omega_eq, 1.2 * omega_eq):
         asm = sim._Assembled(sc, alpha=None)
+        asm.exited, asm.gamma = [True], [1.0]
         asm.y0[asm.base_w] = max(omega0, spec.floor_speed_rad)
         tr, _ = sim._integrate(asm)
         gaps = np.abs(spec.rotor_radius_m * tr.wt_omega[1::1000, 0] / v - TSR_OPT)
@@ -237,10 +239,11 @@ def test_mppt_equilibrium_attracting(two_machine_scenario):
 @pytest.mark.parametrize("pitch", [0.0, 2.0, 5.0])
 def test_pitched_turbine_starts_in_balance(two_machine_scenario, pitch):
     # the tracking curve follows the C_p optimum at the turbine's pitch, so
-    # its equilibrium is one of the rotor dynamics: dw/dt = 0 before any event
+    # its equilibrium is one of the rotor dynamics: dw/dt = 0 before any
+    # event, where the VIC command is the operating power
     spec = dfig5mw(count=20, rotor_radius_m=45.0)
     sc = replace(two_machine_scenario, events=(), turbines=(
-        TurbineEntry("WT", spec, 9.0, pitch_deg=pitch, controller="none"),))
+        TurbineEntry("WT", spec, 9.0, pitch_deg=pitch, controller="classic_vic"),))
     asm = sim._Assembled(sc, alpha=None)
     asm.advance(asm, list(asm.y0), 0.0)
     dy = asm.k1
